@@ -48,12 +48,10 @@ from .errors import (
 )
 from .greens import (
     GreenTensor3,
-    GPrime,
-    gprime,
     green_full,
     green_full_imag_axis,
     green_nonretarded,
-    im_trace_green,
+    green_route,
 )
 from .material import (
     MaterialModel,
@@ -65,7 +63,6 @@ from .material import (
     lorentzian_ldos_factor,
     material_from_dict,
     material_to_dict,
-    mode_width_from_pole,
     permittivity,
     permittivity_derivative,
     permittivity_imag_axis,
@@ -79,7 +76,6 @@ from .potentials import (
     attribute_modes,
     find_resonant_pair,
     matsubara_xi,
-    nonresonant_one_polariton,
     nonresonant_shift,
     nonresonant_shift_parts,
     resonant_shift,
@@ -88,7 +84,6 @@ from .potentials import (
     thermal_occupation,
     total_shift,
     u_eff,
-    u_eff_nonretarded_form,
 )
 
 __all__ = [
@@ -98,7 +93,6 @@ __all__ = [
     "DanglingReference",
     "DipoleElement",
     "Environment",
-    "GPrime",
     "GreenTensor3",
     "MaterialModel",
     "MatsubaraConfig",
@@ -124,19 +118,16 @@ __all__ = [
     "find_polariton_modes",
     "find_resonant_pair",
     "fresnel",
-    "gprime",
     "green_full",
     "green_full_imag_axis",
     "green_nonretarded",
-    "im_trace_green",
+    "green_route",
     "load_atom",
     "load_material",
     "lorentzian_ldos_factor",
     "material_from_dict",
     "material_to_dict",
     "matsubara_xi",
-    "mode_width_from_pole",
-    "nonresonant_one_polariton",
     "nonresonant_shift",
     "nonresonant_shift_parts",
     "permittivity",
@@ -152,7 +143,6 @@ __all__ = [
     "total_shift",
     "transitions_from",
     "u_eff",
-    "u_eff_nonretarded_form",
 ]
 
 __version__ = "0.1.0"

@@ -172,8 +172,14 @@ def polarizability_iso(atom, n, xi):
     """
     if xi < 0:
         raise ValueError("xi must be >= 0")
+    return polarizability_sum(transitions_from(atom, n), xi)
+
+
+def polarizability_sum(trans, xi):
+    """alpha(i xi) of polarizability_iso over a transitions_from(atom, n)
+    list, so a caller evaluating many xi builds the list once."""
     total = 0.0
-    for _, w_kn, d in transitions_from(atom, n):
+    for _, w_kn, d in trans:
         total += w_kn * d * d / (w_kn * w_kn + xi * xi)
     return 2.0 / (3.0 * HBAR) * total
 

@@ -4,11 +4,14 @@ Two routes are provided on purpose and kept independent: the full k_rho
 quadrature of the reflected-wave integral, and the nonretarded closed form
 G = z^-3 * (c^2/(32 pi w^2)) r_p * diag(1,1,2).  Their agreement for
 w z / c << 1 is a consistency check, not a shared code path.
+
+``green_route`` is the one place a ``green_mode`` name is turned into a
+route; the shift formulas only ever see the kernels it returns.
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -53,40 +56,24 @@ class GreenTensor3:
     def im_trace(self):
         return float(np.imag(np.trace(self.components)))
 
-    def to_jsonable(self):
-        """Nested lists of [re, im] pairs, ready for json.dumps."""
-        return [[[float(c.real), float(c.imag)] for c in row]
-                for row in self.components]
+
+def _tensor(gxx, gzz, omega, z):
+    return GreenTensor3(components=np.diag([gxx, gxx, gzz]), omega=omega, z=z)
 
 
-@dataclass(frozen=True)
-class GPrime:
-    """The z-independent nonretarded tensor (c^2/(32 pi w^2)) r_p diag(1,1,2)."""
-
-    prefactor: complex
-    diag_pattern: tuple = (1.0, 1.0, 2.0)
-
-    def tensor(self):
-        return self.prefactor * np.diag(self.diag_pattern)
-
-    @property
-    def trace(self):
-        return self.prefactor * sum(self.diag_pattern)
-
-
-def gprime(m, omega, pole_rtol=None):
-    """G'(omega): prefactor (c^2/(32 pi omega^2)) * r_p(omega)."""
-    kwargs = {} if pole_rtol is None else {"pole_rtol": pole_rtol}
-    rp = reflection_nonretarded(m, omega, **kwargs)
-    return GPrime(prefactor=C**2 / (32.0 * math.pi * omega**2) * rp)
-
-
-def green_nonretarded(m, z, omega, pole_rtol=None):
-    """Nonretarded closed form z^-3 G'(omega); omega may be complex."""
+def _nonretarded_diag(m, z, omega):
+    """(G_xx, G_zz) of z^-3 (c^2/(32 pi omega^2)) r_p(omega) diag(1,1,2)."""
     if not z > 0:
         raise ValueError("z must be > 0")
-    gp = gprime(m, omega, pole_rtol=pole_rtol)
-    return GreenTensor3(components=gp.tensor() / z**3, omega=omega, z=z)
+    gxx = C**2 / (32.0 * math.pi * omega**2 * z**3) \
+        * complex(reflection_nonretarded(m, omega))
+    return gxx, 2.0 * gxx
+
+
+def green_nonretarded(m, z, omega):
+    """Nonretarded closed form z^-3 (c^2/(32 pi omega^2)) r_p diag(1,1,2);
+    omega may be complex."""
+    return _tensor(*_nonretarded_diag(m, z, omega), omega, z)
 
 
 def _quad_complex(f, a, b, epsabs, epsrel, limit, label):
@@ -155,7 +142,7 @@ def green_full(m, z, omega, rel_tol=1e-8, limit=200):
                          epsabs, rel_tol, limit, "zz propagating")
            + _quad_complex(lambda u: evan(u, True), 0.0, math.inf,
                            epsabs, rel_tol, limit, "zz evanescent"))
-    return GreenTensor3(components=np.diag([gxx, gxx, gzz]), omega=omega, z=z)
+    return _tensor(gxx, gzz, omega, z)
 
 
 def green_full_imag_axis(m, z, xi, rel_tol=1e-8, limit=200):
@@ -191,14 +178,43 @@ def green_full_imag_axis(m, z, xi, rel_tol=1e-8, limit=200):
                         epsabs, rel_tol, limit, "xx imag-axis")
     gzz = _quad_complex(lambda u: integrand(u, True), 0.0, math.inf,
                         epsabs, rel_tol, limit, "zz imag-axis")
-    return GreenTensor3(components=np.diag([gxx, gxx, gzz]).astype(complex),
-                        omega=1j * xi, z=z)
+    return _tensor(gxx, gzz, 1j * xi, z)
 
 
-def im_trace_green(m, z, omega, green_mode="nonretarded"):
-    """Tr Im G at coincident points, nonretarded or full, selected by flag."""
-    if green_mode == "nonretarded":
-        return green_nonretarded(m, z, omega).im_trace
-    if green_mode == "full":
-        return green_full(m, z, omega).im_trace
-    raise ValueError(f"unknown green_mode {green_mode!r}")
+def _nonretarded_xi2_trace(m, z, xi, rp):
+    """xi^2 Tr G(i xi) = -(c^2/(8 pi z^3)) r_p(i xi) of the closed form, with
+    the 1/xi^2 of the tensor cancelled so that xi = 0 is regular."""
+    return -(C**2 / (8.0 * math.pi * z**3)) * rp
+
+
+def _full_diag(m, z, omega):
+    g = green_full(m, z, omega).components
+    return complex(g[0, 0]), complex(g[2, 2])
+
+
+def _full_xi2_trace(m, z, xi, rp):
+    """xi^2 Tr G(i xi) by quadrature; at xi = 0 retardation drops out and the
+    electrostatic (closed-form) limit is exact."""
+    if xi == 0.0:
+        return _nonretarded_xi2_trace(m, z, xi, rp)
+    return xi * xi * green_full_imag_axis(m, z, xi).trace.real
+
+
+_ROUTES = {
+    "nonretarded": (_nonretarded_diag, _nonretarded_xi2_trace),
+    "full": (_full_diag, _full_xi2_trace),
+}
+
+
+def green_route(green_mode):
+    """(diag, xi2_trace) of the "nonretarded" or "full" Green tensor.
+
+    diag(m, z, omega) gives (G_xx, G_zz) on the real axis (G_yy = G_xx).
+    xi2_trace(m, z, xi, rp) gives xi^2 Tr G(i xi), finite at xi = 0, from
+    rp = r_p(i xi) (material.reflection_imag_axis): the closed form is
+    -(c^2/(8 pi z^3)) rp, which is also every route's xi = 0 limit.
+    """
+    try:
+        return _ROUTES[green_mode]
+    except KeyError:
+        raise ValueError(f"unknown green_mode {green_mode!r}") from None

@@ -241,7 +241,7 @@ def _bracket_half_max(m, center, half, step, direction, limit):
     return None
 
 
-def find_polariton_modes(m, *, linewidth_override=None, pole_rtol=POLE_RTOL):
+def find_polariton_modes(m, *, linewidth_override=None):
     """Locate surface-polariton modes of the material.
 
     Centers are the interior local maxima of Im r_p (refined from the
@@ -325,27 +325,6 @@ def find_polariton_modes(m, *, linewidth_override=None, pole_rtol=POLE_RTOL):
             band_lo=max(lo, 0.0), band_hi=hi,
             narrow=widths[i] < sep, im_rp_peak=peaks[i]))
     return modes
-
-
-def mode_width_from_pole(m, mode, max_iter=100):
-    """Alternative width estimate from the complex root of eps(omega) = -1.
-
-    Newton iteration started at omega_center - i*linewidth/2; the FWHM
-    equivalent is 2 |Im omega_pole|.  Returns (center, width) so it can be
-    compared directly with the Im r_p fit used by find_polariton_modes.
-    """
-    w = complex(mode.omega_center, -0.5 * mode.linewidth)
-    scale = abs(w)
-    for _ in range(max_iter):
-        f = permittivity(m, w) + 1.0
-        df = permittivity_derivative(m, w)
-        step = f / df
-        w = w - step
-        if abs(step) < 1e-14 * scale:
-            break
-    else:
-        raise NoModeFound("complex-root iteration for eps = -1 did not converge")
-    return abs(w.real), 2.0 * abs(w.imag)
 
 
 def lorentzian_ldos_factor(mode, omega):

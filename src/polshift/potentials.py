@@ -2,8 +2,9 @@
 
 Nonresonant Casimir-Polder shift at finite temperature (Matsubara sum plus a
 resonant-photon line), the resonant second-order atom-polariton amplitude
-U_eff and its thermal weighting, the two-resonance closed form, the
-one-polariton nonresonant estimate, and the composed total.
+U_eff and its thermal weighting, the two-resonance closed form, and the
+composed total.  Every line contracts the atom's dipoles with one scattered
+Green tensor, chosen once through greens.green_route.
 
 Conventions used throughout:
 
@@ -21,16 +22,19 @@ Conventions used throughout:
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .atoms import channels as atom_channels
-from .atoms import polarizability_iso, transitions_from
+from .atoms import polarizability_sum, transitions_from
 from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
                      NoModeFound, OffResonance, ZeroTemperature)
-from .greens import green_full, green_full_imag_axis, green_nonretarded, gprime
-from .material import (find_polariton_modes, reflection_imag_axis,
-                       reflection_nonretarded)
+from .greens import green_route
+from .material import find_polariton_modes, reflection_imag_axis
 from .units import C, HBAR, KB, MU0, energy_report
+
+# perfbench/tracing.py wraps these names here and refuses to run without
+# them; the formulas reach them through polarizability_sum and green_route.
+from .atoms import polarizability_iso  # noqa: F401
+from .greens import (green_full, green_full_imag_axis,  # noqa: F401
+                     green_nonretarded)
 
 
 @dataclass(frozen=True)
@@ -145,26 +149,29 @@ def _matsubara_sum(term, cutoff, tol):
         f"at cutoff={cutoff}")
 
 
+def _contract(dip_a, dip_b, wxx, wzz):
+    """d_a . diag(wxx, wxx, wzz) . d_b: per axis when both DipoleElements
+    have Cartesian components, else the orientation average
+    |d_a||d_b| (2 wxx + wzz)/3."""
+    if dip_a.components is not None and dip_b.components is not None:
+        (ax, ay, az), (bx, by, bz) = dip_a.components, dip_b.components
+        return (ax * bx + ay * by) * wxx + az * bz * wzz
+    return dip_a.magnitude * dip_b.magnitude * (2.0 * wxx + wzz) / 3.0
+
+
 def nonresonant_shift_parts(atom, n, m, env, cfg=None,
-                            mode="nonretarded", green_mode="nonretarded"):
+                            green_mode="nonretarded"):
     """Nonresonant shift of level n, returned as (matsubara, resonant_photon).
 
-    mode="nonretarded" sums the per-transition closed form built on
-    z^-3 G'(omega):
+        mu0 kB T sum'_j alpha(i xi_j) xi_j^2 Tr G(i xi_j)
+        + mu0 sum_k omega_kn^2 nbar(omega_kn) d_nk . Re G(|omega_kn|) . d_kn,
 
-        -(mu0 c^2 kB T)/(12 pi hbar z^3) * sum_k |d_nk|^2 *
-            sum'_j [omega_kn/(omega_kn^2+xi_j^2)] (eps(i xi_j)-1)/(eps(i xi_j)+1)
-        + (mu0 c^2)/(24 pi z^3) * sum_k nbar(omega_kn) |d_nk|^2 Re r_p(|omega_kn|)
-
-    mode="general" evaluates the same physics through the tensor route
-    mu0 kB T sum'_j xi_j^2 alpha(i xi_j) Tr G(i xi_j)
-    + mu0 sum_k omega_kn^2 nbar(omega_kn) d.Re G(|omega_kn|).d,
-    with G either the nonretarded closed form or the full quadrature,
-    selected by green_mode.  The two modes are independent code paths and
-    must agree in the nonretarded regime.
+    with G the nonretarded closed form or the full quadrature, selected by
+    green_mode.
     """
     if env.T == 0:
         raise ZeroTemperature("nonresonant shift is defined here for T > 0")
+    diag, xi2_trace = green_route(green_mode)
     cfg = cfg or MatsubaraConfig()
     trans = transitions_from(atom, n)
     if not trans:
@@ -172,70 +179,25 @@ def nonresonant_shift_parts(atom, n, m, env, cfg=None,
     z, T = env.z, env.T
     xi1 = matsubara_xi(T, 1)
 
-    if mode == "nonretarded":
-        d2 = [(w_kn, d * d) for _, w_kn, d in trans]
-
-        def term(j):
-            xi = j * xi1
-            rt = float(reflection_imag_axis(m, xi))
-            s = sum(dd * w / (w * w + xi * xi) for w, dd in d2)
-            return s * rt
-
-        mats = -(MU0 * C**2 * KB * T / (12.0 * math.pi * HBAR * z**3)) \
-            * _matsubara_sum(term, cfg.cutoff, cfg.convergence_tol)
-
-        photon = 0.0
-        for _, w_kn, d in trans:
-            occ = thermal_occupation(w_kn, T)
-            rp = complex(reflection_nonretarded(m, abs(w_kn)))
-            photon += occ * d * d * rp.real
-        photon *= MU0 * C**2 / (24.0 * math.pi * z**3)
-        return mats, photon
-
-    if mode != "general":
-        raise ValueError(f"unknown mode {mode!r}")
-
-    # tensor route: xi^2 Tr G(i xi) with the 1/xi^2 of the nonretarded tensor
-    # cancelled analytically, so j = 0 is regular
-    def xi2_tr_g(xi):
-        if green_mode == "nonretarded" or xi == 0.0:
-            rt = float(reflection_imag_axis(m, xi))
-            return -(C**2 / (8.0 * math.pi * z**3)) * rt
-        if green_mode == "full":
-            return xi * xi * float(np.real(
-                green_full_imag_axis(m, z, xi).trace))
-        raise ValueError(f"unknown green_mode {green_mode!r}")
-
     def term(j):
         xi = j * xi1
-        return polarizability_iso(atom, n, xi) * xi2_tr_g(xi)
+        rp = float(reflection_imag_axis(m, xi))
+        return polarizability_sum(trans, xi) * xi2_trace(m, z, xi, rp)
 
     mats = MU0 * KB * T * _matsubara_sum(term, cfg.cutoff, cfg.convergence_tol)
 
     photon = 0.0
-    for k_label, w_kn, d in trans:
-        occ = thermal_occupation(w_kn, T)
-        if green_mode == "nonretarded":
-            g = green_nonretarded(m, z, abs(w_kn))
-        else:
-            g = green_full(m, z, abs(w_kn))
+    for k_label, w_kn, _ in trans:
+        gxx, gzz = diag(m, z, abs(w_kn))
         dip = atom.dipole(n, k_label)
-        re_diag = np.real(g.diagonal)
-        if dip.components is not None:
-            coupling = sum(c * c * gd for c, gd in
-                           zip(dip.components, re_diag))
-        else:
-            coupling = d * d / 3.0 * float(np.sum(re_diag))
-        photon += w_kn * w_kn * occ * coupling
-    photon *= MU0
-    return mats, photon
+        photon += w_kn * w_kn * thermal_occupation(w_kn, T) \
+            * _contract(dip, dip, gxx.real, gzz.real)
+    return mats, MU0 * photon
 
 
-def nonresonant_shift(atom, n, m, env, cfg=None,
-                      mode="nonretarded", green_mode="nonretarded"):
+def nonresonant_shift(atom, n, m, env, cfg=None, green_mode="nonretarded"):
     """Total nonresonant Casimir-Polder shift of level n (J)."""
-    mats, photon = nonresonant_shift_parts(atom, n, m, env, cfg, mode,
-                                           green_mode)
+    mats, photon = nonresonant_shift_parts(atom, n, m, env, cfg, green_mode)
     return mats + photon
 
 
@@ -244,14 +206,25 @@ def _lorentz_weight(x, gamma1):
     return x / (x * x + 0.25 * gamma1 * gamma1)
 
 
-def _check_resonance(omega_10, mode1, mode2, resonance_tol):
+def _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol):
+    """Channels of upper -> lower for a resonant amplitude on (mode1, mode2).
+
+    Raises OffResonance unless Omega1 ~ omega_10 + Omega2 within
+    resonance_tol*(gamma1+gamma2), then NoChannels when no intermediate state
+    couples the two levels.
+    """
+    omega_10 = atom.transition_frequency(upper, lower)
     detuning = mode1.omega_center - (omega_10 + mode2.omega_center)
     window = resonance_tol * (mode1.linewidth + mode2.linewidth)
     if abs(detuning) > window:
         raise OffResonance(
             f"detuning {detuning:.6g} rad/s exceeds tolerance "
             f"{window:.6g} rad/s for Omega1 ~ omega_10 + Omega2")
-    return detuning
+    chans = atom_channels(atom, upper, lower)
+    if not chans:
+        raise NoChannels(
+            f"no intermediate state couples {lower!r} and {upper!r}")
+    return chans
 
 
 def u_eff(atom, upper, lower, mode1, mode2, m, env,
@@ -268,29 +241,15 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     with W(x) = x/(x^2 + gamma1^2/4), on the polariton pair (mode1, mode2)
     satisfying Omega1 ~ omega_10 + Omega2 within resonance_tol*(gamma1+gamma2).
     green_mode selects the Im G tensors (nonretarded closed form or full
-    quadrature); with "nonretarded" this must agree identically with
-    u_eff_nonretarded_form.
+    quadrature).
     """
-    omega_10 = atom.transition_frequency(upper, lower)
-    _check_resonance(omega_10, mode1, mode2, resonance_tol)
-    chans = atom_channels(atom, upper, lower)
-    if not chans:
-        raise NoChannels(
-            f"no intermediate state couples {lower!r} and {upper!r}")
-
+    diag, _ = green_route(green_mode)
+    chans = _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol)
     o1, o2 = mode1.omega_center, mode2.omega_center
     g1, g2 = mode1.linewidth, mode2.linewidth
-    if green_mode == "nonretarded":
-        t1 = green_nonretarded(m, env.z, o1)
-        t2 = green_nonretarded(m, env.z, o2)
-    elif green_mode == "full":
-        t1 = green_full(m, env.z, o1)
-        t2 = green_full(m, env.z, o2)
-    else:
-        raise ValueError(f"unknown green_mode {green_mode!r}")
-    im1 = np.imag(t1.diagonal)
-    im2 = np.imag(t2.diagonal)
-    tr1, tr2 = float(np.sum(im1)), float(np.sum(im2))
+    x1, z1 = (g.imag for g in diag(m, env.z, o1))
+    x2, z2 = (g.imag for g in diag(m, env.z, o2))
+    tr1, tr2 = 2.0 * x1 + z1, 2.0 * x2 + z2
     if tr1 <= 0.0 or tr2 <= 0.0:
         raise NoModeFound(
             "Tr Im G vanishes at a mode center (lossless material?); "
@@ -298,59 +257,11 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
 
     total = 0.0
     for ch in chans:
-        dip0 = atom.dipole(lower, ch.k_label)
-        dip1 = atom.dipole(ch.k_label, upper)
-        if dip0.components is not None and dip1.components is not None:
-            geom = sum(a * u * v * b for a, u, v, b in
-                       zip(im1, dip0.components, dip1.components, im2))
-        else:
-            geom = ch.d_0k * ch.d_k1 / 3.0 * float(np.sum(im1 * im2))
+        geom = _contract(atom.dipole(lower, ch.k_label),
+                         atom.dipole(ch.k_label, upper), x1 * x2, z1 * z2)
         total += geom * (_lorentz_weight(o1 + ch.omega_0k, g1)
                          - _lorentz_weight(o1 + ch.omega_k1, g1))
     pref = -0.5 * MU0 * o1 * o2 * math.sqrt(g1 * g2 / (tr1 * tr2))
-    return pref * total
-
-
-def u_eff_nonretarded_form(atom, upper, lower, mode1, mode2, m, z,
-                           resonance_tol=1.0):
-    """Second, independent route for the nonretarded amplitude.
-
-    Uses the z-free G'(omega) tensors with the explicit z^-3 prefactor:
-
-        U = -(mu0 Omega1 Omega2 / (2 z^3))
-            sqrt(gamma1 gamma2 / (Tr ImG'(O1) Tr ImG'(O2)))
-            sum_k { ... same channel braces on ImG' ... }.
-
-    Must agree with u_eff(green_mode="nonretarded") to machine precision.
-    """
-    omega_10 = atom.transition_frequency(upper, lower)
-    _check_resonance(omega_10, mode1, mode2, resonance_tol)
-    chans = atom_channels(atom, upper, lower)
-    if not chans:
-        raise NoChannels(
-            f"no intermediate state couples {lower!r} and {upper!r}")
-
-    o1, o2 = mode1.omega_center, mode2.omega_center
-    g1, g2 = mode1.linewidth, mode2.linewidth
-    gp1 = np.imag(np.diag(gprime(m, o1).tensor()))
-    gp2 = np.imag(np.diag(gprime(m, o2).tensor()))
-    tr1, tr2 = float(np.sum(gp1)), float(np.sum(gp2))
-    if tr1 <= 0.0 or tr2 <= 0.0:
-        raise NoModeFound(
-            "Tr Im G' vanishes at a mode center (lossless material?)")
-
-    total = 0.0
-    for ch in chans:
-        dip0 = atom.dipole(lower, ch.k_label)
-        dip1 = atom.dipole(ch.k_label, upper)
-        if dip0.components is not None and dip1.components is not None:
-            geom = sum(a * u * v * b for a, u, v, b in
-                       zip(gp1, dip0.components, dip1.components, gp2))
-        else:
-            geom = ch.d_0k * ch.d_k1 / 3.0 * float(np.sum(gp1 * gp2))
-        total += geom * (_lorentz_weight(o1 + ch.omega_0k, g1)
-                         - _lorentz_weight(o1 + ch.omega_k1, g1))
-    pref = -0.5 * MU0 * o1 * o2 / z**3 * math.sqrt(g1 * g2 / (tr1 * tr2))
     return pref * total
 
 
@@ -450,45 +361,9 @@ def find_resonant_pair(modes, omega_10):
     return best[1], best[2]
 
 
-def nonresonant_one_polariton(*, omega_P, omega_T, gamma_damp, transitions,
-                              z, T, Omega=None):
-    """One-polariton nonresonant estimate for a single-oscillator material.
-
-        -(mu0 c^2 / (48 pi z^3)) (kB T / hbar)
-            sum_nu omega_P^2 |d_1nu|^2 / (Omega^2 omega_nu1)
-        + (mu0 c^2 / (24 pi z^3))
-            sum_nu nbar(omega_nu1) |d_1nu|^2
-                Re[ omega_P^2 / (2(omega_T^2 - omega_1nu^2
-                                    - i omega_1nu Gamma) + omega_P^2) ],
-
-    with omega_1nu = -omega_nu1 and Omega = sqrt(omega_T^2 + omega_P^2/2)
-    unless given.  The first line is the leading (j = 0) Matsubara behaviour
-    of the per-transition sum; note r_p(i*0) = omega_P^2/(2 Omega^2), which
-    fixes the Omega^2 in the denominator on dimensional grounds.
-    ``transitions`` is an iterable of (|d_1nu| in C.m, omega_nu1 in rad/s).
-    """
-    if not z > 0:
-        raise ValueError("z must be > 0")
-    if Omega is None:
-        Omega = math.sqrt(omega_T**2 + 0.5 * omega_P**2)
-    line1 = 0.0
-    line2 = 0.0
-    for d, w_nu1 in transitions:
-        line1 += omega_P**2 * d * d / (Omega**2 * w_nu1)
-        w_1nu = -w_nu1
-        r = omega_P**2 / (2.0 * (omega_T**2 - w_1nu**2 - 1j * w_1nu
-                                 * gamma_damp) + omega_P**2)
-        occ = thermal_occupation(w_nu1, T) if T > 0 else (
-            0.0 if w_nu1 > 0 else -1.0)
-        line2 += occ * d * d * r.real
-    out1 = -(MU0 * C**2 / (48.0 * math.pi * z**3)) * (KB * T / HBAR) * line1
-    out2 = (MU0 * C**2 / (24.0 * math.pi * z**3)) * line2
-    return out1 + out2
-
-
 def total_shift(atom, upper, lower, m, env, cfg=None,
                 green_mode="nonretarded", resonance_tol=1.0,
-                use_closed_form=False, modes=None, linewidth_override=None):
+                use_closed_form=False, modes=None):
     """Compose the nonresonant and resonant parts into a ShiftReport.
 
     The nonresonant part is the shift of the ``upper`` level.  The resonant
@@ -497,23 +372,21 @@ def total_shift(atom, upper, lower, m, env, cfg=None,
     if a pair exists but violates the resonance window, OffResonance
     propagates.  With use_closed_form=True the amplitude comes from the
     two-resonance closed form (modes paired one-to-one with oscillators)
-    instead of the Green-tensor channel sum.
+    instead of the Green-tensor channel sum; both pass the same resonance
+    gate.
     """
-    nr_mode = "nonretarded" if green_mode == "nonretarded" else "general"
-    mats, photon = nonresonant_shift_parts(
-        atom, upper, m, env, cfg, mode=nr_mode, green_mode=green_mode)
+    mats, photon = nonresonant_shift_parts(atom, upper, m, env, cfg,
+                                           green_mode)
 
     if modes is None:
-        modes = find_polariton_modes(m, linewidth_override=linewidth_override)
+        modes = find_polariton_modes(m)
     omega_10 = atom.transition_frequency(upper, lower)
     pair = find_resonant_pair(modes, omega_10)
 
     meta = {"z": env.z, "T": env.T, "upper": upper, "lower": lower,
             "omega_10": omega_10, "green_mode": green_mode,
             "n_modes": len(modes)}
-    u = 0.0
-    tf = 0.0
-    r = 0.0
+    u = tf = r = 0.0
     if pair is not None:
         mode1, mode2 = pair
         meta.update({
@@ -525,13 +398,9 @@ def total_shift(atom, upper, lower, m, env, cfg=None,
         tf = thermal_factor(mode1, mode2, env.T)
         try:
             if use_closed_form:
+                chans = _resonance_gate(atom, upper, lower, mode1, mode2,
+                                        resonance_tol)
                 osc1, osc2 = attribute_modes(m, [mode1, mode2])
-                chans = atom_channels(atom, upper, lower)
-                if not chans:
-                    raise NoChannels(
-                        f"no intermediate state couples {lower!r} and "
-                        f"{upper!r}")
-                _check_resonance(omega_10, mode1, mode2, resonance_tol)
                 u = resonant_shift_closed_form(
                     omega_P1=osc1.omega_P, omega_P2=osc2.omega_P,
                     Omega1=mode1.omega_center, Omega2=mode2.omega_center,

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -13,6 +14,15 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 @pytest.fixture(scope="session")
 def fixtures_dir():
     return FIXTURES
+
+
+@pytest.fixture(scope="session")
+def readme_inputs():
+    """The material and atom input examples of README.md, parsed."""
+    text = (FIXTURES.parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = [json.loads(b)
+              for b in re.findall(r"```json\n(.*?)```", text, re.S)]
+    return {("atom" if "states" in b else "material"): b for b in blocks}
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,135 @@
+"""Reference formulas the cross-check tests compare the library against.
+
+Each is written out from its own closed form, not through the library's
+Green-tensor routes, so agreement is evidence rather than a tautology.
+"""
+
+import math
+
+import numpy as np
+
+import polshift as ps
+from polshift.potentials import _lorentz_weight, _matsubara_sum
+from polshift.units import C, HBAR, KB, MU0
+
+
+def tensor_to_jsonable(g):
+    """GreenTensor3 components as nested lists of [re, im] pairs."""
+    return [[[float(c.real), float(c.imag)] for c in row]
+            for row in g.components]
+
+
+def nonresonant_parts_per_transition(atom, n, m, env, cfg=None):
+    """Nonretarded (matsubara, resonant_photon) from the per-transition
+    z^-3 closed form:
+
+        -(mu0 c^2 kB T)/(12 pi hbar z^3) * sum_k |d_nk|^2 *
+            sum'_j [omega_kn/(omega_kn^2+xi_j^2)] (eps(i xi_j)-1)/(eps(i xi_j)+1)
+        + (mu0 c^2)/(24 pi z^3) * sum_k nbar(omega_kn) |d_nk|^2 Re r_p(|omega_kn|)
+
+    Valid for isotropic dipoles (no Cartesian components).
+    """
+    cfg = cfg or ps.MatsubaraConfig()
+    trans = ps.transitions_from(atom, n)
+    z, T = env.z, env.T
+    xi1 = ps.matsubara_xi(T, 1)
+    d2 = [(w_kn, d * d) for _, w_kn, d in trans]
+
+    def term(j):
+        xi = j * xi1
+        rt = float(ps.reflection_imag_axis(m, xi))
+        return sum(dd * w / (w * w + xi * xi) for w, dd in d2) * rt
+
+    mats = -(MU0 * C**2 * KB * T / (12.0 * math.pi * HBAR * z**3)) \
+        * _matsubara_sum(term, cfg.cutoff, cfg.convergence_tol)
+    photon = 0.0
+    for _, w_kn, d in trans:
+        rp = complex(ps.reflection_nonretarded(m, abs(w_kn)))
+        photon += ps.thermal_occupation(w_kn, T) * d * d * rp.real
+    photon *= MU0 * C**2 / (24.0 * math.pi * z**3)
+    return mats, photon
+
+
+def u_eff_nonretarded_form(atom, upper, lower, mode1, mode2, m, z):
+    """Nonretarded amplitude on the z-free tensors
+    G'(omega) = (c^2/(32 pi omega^2)) r_p diag(1,1,2) with the explicit z^-3
+    prefactor:
+
+        U = -(mu0 Omega1 Omega2 / (2 z^3))
+            sqrt(gamma1 gamma2 / (Tr ImG'(O1) Tr ImG'(O2)))
+            sum_k { Tr[ImG'(O1) d_0k(x)d_k1 ImG'(O2)] W(O1 + omega_0k)
+                  - Tr[ImG'(O1) d_k1(x)d_0k ImG'(O2)] W(O1 + omega_k1) }.
+    """
+    o1, o2 = mode1.omega_center, mode2.omega_center
+    g1, g2 = mode1.linewidth, mode2.linewidth
+    gp1, gp2 = (np.imag(C**2 / (32.0 * math.pi * o**2)
+                        * ps.reflection_nonretarded(m, o)
+                        * np.array([1.0, 1.0, 2.0])) for o in (o1, o2))
+    tr1, tr2 = float(np.sum(gp1)), float(np.sum(gp2))
+
+    total = 0.0
+    for ch in ps.channels(atom, upper, lower):
+        dip0 = atom.dipole(lower, ch.k_label)
+        dip1 = atom.dipole(ch.k_label, upper)
+        if dip0.components is not None and dip1.components is not None:
+            geom = sum(a * u * v * b for a, u, v, b in
+                       zip(gp1, dip0.components, dip1.components, gp2))
+        else:
+            geom = ch.d_0k * ch.d_k1 / 3.0 * float(np.sum(gp1 * gp2))
+        total += geom * (_lorentz_weight(o1 + ch.omega_0k, g1)
+                         - _lorentz_weight(o1 + ch.omega_k1, g1))
+    pref = -0.5 * MU0 * o1 * o2 / z**3 * math.sqrt(g1 * g2 / (tr1 * tr2))
+    return pref * total
+
+
+def nonresonant_one_polariton(*, omega_P, omega_T, gamma_damp, transitions,
+                              z, T, Omega=None):
+    """One-polariton nonresonant estimate for a single-oscillator material.
+
+        -(mu0 c^2 / (48 pi z^3)) (kB T / hbar)
+            sum_nu omega_P^2 |d_1nu|^2 / (Omega^2 omega_nu1)
+        + (mu0 c^2 / (24 pi z^3))
+            sum_nu nbar(omega_nu1) |d_1nu|^2
+                Re[ omega_P^2 / (2(omega_T^2 - omega_1nu^2
+                                    - i omega_1nu Gamma) + omega_P^2) ],
+
+    with omega_1nu = -omega_nu1 and Omega = sqrt(omega_T^2 + omega_P^2/2)
+    unless given: the leading (j = 0) Matsubara term of the per-transition
+    sum, with r_p(i*0) = omega_P^2/(2 Omega^2).  ``transitions`` is an
+    iterable of (|d_1nu| in C.m, omega_nu1 in rad/s).
+    """
+    if Omega is None:
+        Omega = math.sqrt(omega_T**2 + 0.5 * omega_P**2)
+    line1 = 0.0
+    line2 = 0.0
+    for d, w_nu1 in transitions:
+        line1 += omega_P**2 * d * d / (Omega**2 * w_nu1)
+        w_1nu = -w_nu1
+        r = omega_P**2 / (2.0 * (omega_T**2 - w_1nu**2 - 1j * w_1nu
+                                 * gamma_damp) + omega_P**2)
+        line2 += ps.thermal_occupation(w_nu1, T) * d * d * r.real
+    out1 = -(MU0 * C**2 / (48.0 * math.pi * z**3)) * (KB * T / HBAR) * line1
+    out2 = (MU0 * C**2 / (24.0 * math.pi * z**3)) * line2
+    return out1 + out2
+
+
+def mode_width_from_pole(m, mode, max_iter=100):
+    """Alternative width estimate from the complex root of eps(omega) = -1.
+
+    Newton iteration started at omega_center - i*linewidth/2; the FWHM
+    equivalent is 2 |Im omega_pole|.  Returns (center, width) so it can be
+    compared directly with the Im r_p fit used by find_polariton_modes.
+    """
+    w = complex(mode.omega_center, -0.5 * mode.linewidth)
+    scale = abs(w)
+    for _ in range(max_iter):
+        f = ps.permittivity(m, w) + 1.0
+        df = ps.permittivity_derivative(m, w)
+        step = f / df
+        w = w - step
+        if abs(step) < 1e-14 * scale:
+            break
+    else:
+        raise ps.NoModeFound(
+            "complex-root iteration for eps = -1 did not converge")
+    return abs(w.real), 2.0 * abs(w.imag)

@@ -42,7 +42,7 @@ def _three_level(omega_k, omega_10, d_0k=2e-29, d_k1=3e-29):
 # ---------------------------------------------------------------------------
 
 
-def test_load_minimal_two_state(tmp_path):
+def test_load_minimal_two_state(tmp_path, readme_inputs):
     f = _write(tmp_path, {
         "name": "minimal",
         "states": [
@@ -57,6 +57,11 @@ def test_load_minimal_two_state(tmp_path):
     assert len(atom.states) == 2
     assert len(atom.dipoles) == 1
     assert atom.dipoles[0].magnitude == 1e-29
+    # The README's atom example is the same minimal shape.
+    readme = ps.load_atom(
+        _write(tmp_path, readme_inputs["atom"], "readme.json"))
+    assert readme.labels() == ["g", "e"]
+    assert readme.dipole("e", "g").magnitude == 1e-29
 
 
 def test_load_dangling_reference(tmp_path):

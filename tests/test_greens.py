@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import polshift as ps
+from oracles import tensor_to_jsonable
 from polshift.units import C
 
 Z = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# GreenTensor3 / GPrime structure
+# GreenTensor3 structure and the route resolver
 # ---------------------------------------------------------------------------
 
 
@@ -41,7 +42,7 @@ def test_tensor_trace_and_serialization(material_toy):
     diag = g.diagonal
     assert g.trace == pytest.approx(complex(diag.sum()), rel=1e-15)
     assert g.im_trace == pytest.approx(g.trace.imag, rel=1e-15)
-    payload = json.loads(json.dumps(g.to_jsonable()))
+    payload = json.loads(json.dumps(tensor_to_jsonable(g)))
     assert len(payload) == 3 and all(len(row) == 3 for row in payload)
     for i in range(3):
         for j in range(3):
@@ -51,15 +52,26 @@ def test_tensor_trace_and_serialization(material_toy):
 
 
 def test_gprime_reconstructs_reflection(material_toy):
+    """z^3 G is the z-free G' = (c^2/(32 pi w^2)) r_p diag(1,1,2)."""
     omega = 1.3e13
-    gp = ps.gprime(material_toy, omega)
+    gp = Z**3 * ps.green_nonretarded(material_toy, Z, omega).diagonal
     rp = ps.reflection_nonretarded(material_toy, omega)
     want = C**2 / (32.0 * math.pi * omega**2) * rp
-    assert gp.prefactor == pytest.approx(want, rel=1e-15)
-    assert gp.diag_pattern == (1.0, 1.0, 2.0)
-    tensor = gp.tensor()
-    assert tensor[2, 2] == pytest.approx(2.0 * tensor[0, 0], rel=1e-15)
-    assert gp.trace == pytest.approx(4.0 * gp.prefactor, rel=1e-15)
+    assert gp[0] == pytest.approx(want, rel=1e-15)
+    assert gp[1] == gp[0]
+    assert gp[2] == pytest.approx(2.0 * gp[0], rel=1e-15)
+    assert gp.sum() == pytest.approx(4.0 * want, rel=1e-15)
+
+
+def test_green_route_is_the_tensor_diagonal(material_toy):
+    omega = 1.1e13
+    for mode, tensor in (("nonretarded", ps.green_nonretarded),
+                         ("full", ps.green_full)):
+        g = tensor(material_toy, Z, omega).components
+        diag, _ = ps.green_route(mode)
+        assert diag(material_toy, Z, omega) == (g[0, 0], g[2, 2])
+    with pytest.raises(ValueError, match="unknown green_mode"):
+        ps.green_route("retarded")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +150,7 @@ def test_full_rejects_bad_arguments(material_toy):
 
 
 # ---------------------------------------------------------------------------
-# im_trace_green and the Lorentzian LDOS model
+# Tr Im G and the Lorentzian LDOS model
 # ---------------------------------------------------------------------------
 
 
@@ -146,45 +158,48 @@ def test_im_trace_closed_form(material_ldos):
     omega = 2.2e13
     rp = ps.reflection_nonretarded(material_ldos, omega)
     want = 4.0 * C**2 / (32.0 * math.pi * omega**2 * Z**3) * rp.imag
-    assert ps.im_trace_green(material_ldos, Z, omega) == pytest.approx(
-        want, rel=1e-14)
+    got = ps.green_nonretarded(material_ldos, Z, omega).im_trace
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_im_trace_lossless_vanishes():
     m = ps.MaterialModel(
         "undamped", oscillators=(ps.Oscillator(omega_P=8e12, omega_T=1e13),))
-    assert ps.im_trace_green(m, Z, 5e12) == 0.0
+    assert ps.green_nonretarded(m, Z, 5e12).im_trace == 0.0
 
 
 def test_im_trace_resonance_dominance(material_ldos):
     mode, = ps.find_polariton_modes(material_ldos)
-    on = ps.im_trace_green(material_ldos, Z, mode.omega_center)
-    off = ps.im_trace_green(material_ldos, Z,
-                            mode.omega_center + 10.0 * mode.linewidth)
+    on = ps.green_nonretarded(material_ldos, Z, mode.omega_center).im_trace
+    off = ps.green_nonretarded(
+        material_ldos, Z, mode.omega_center + 10.0 * mode.linewidth).im_trace
     assert on > 50.0 * off
 
 
 def test_im_trace_full_mode_positive(material_ldos):
     mode, = ps.find_polariton_modes(material_ldos)
-    val = ps.im_trace_green(material_ldos, Z, mode.omega_center,
-                            green_mode="full")
-    nr = ps.im_trace_green(material_ldos, Z, mode.omega_center)
+    val = ps.green_full(material_ldos, Z, mode.omega_center).im_trace
+    nr = ps.green_nonretarded(material_ldos, Z, mode.omega_center).im_trace
     assert val > 0
     assert val == pytest.approx(nr, rel=0.05)
 
 
 @pytest.mark.parametrize("omega", np.geomspace(1e12, 1e15, 10).tolist())
 def test_im_trace_positive_on_absorber(material_broad, omega):
-    assert ps.im_trace_green(material_broad, Z, omega) >= 0.0
+    assert ps.green_nonretarded(material_broad, Z, omega).im_trace >= 0.0
 
 
 def test_lorentzian_model_matches_ldos(material_ldos):
     """omega^2 Im Tr G around a narrow resonance is Lorentzian within 5%."""
     mode, = ps.find_polariton_modes(material_ldos)
     center, gamma = mode.omega_center, mode.linewidth
-    peak = center**2 * ps.im_trace_green(material_ldos, Z, center)
+
+    def im_trace(omega):
+        return ps.green_nonretarded(material_ldos, Z, omega).im_trace
+
+    peak = center**2 * im_trace(center)
     for omega in np.linspace(center - gamma, center + gamma, 9):
-        scaled = omega**2 * ps.im_trace_green(material_ldos, Z, omega) / peak
+        scaled = omega**2 * im_trace(omega) / peak
         model = ps.lorentzian_ldos_factor(mode, omega)
         assert abs(scaled - model) <= 0.05 * model
 

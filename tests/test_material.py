@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import polshift as ps
+from oracles import mode_width_from_pole
 from polshift.units import CM1
 
 # ---------------------------------------------------------------------------
@@ -271,7 +272,7 @@ def test_modes_none_without_interior_maximum():
 def test_mode_width_from_pole_agrees_with_fwhm():
     m = _single(1e11)
     mode, = ps.find_polariton_modes(m)
-    center, width = ps.mode_width_from_pole(m, mode)
+    center, width = mode_width_from_pole(m, mode)
     assert center == pytest.approx(mode.omega_center, rel=1e-6)
     assert width == pytest.approx(mode.linewidth, rel=0.05)
 
@@ -370,7 +371,7 @@ def test_load_material_rejects_wrong_schema_version(tmp_path):
     assert "schema_version" in str(err.value)
 
 
-def test_load_material_accepts_unit_tags(tmp_path):
+def test_load_material_accepts_unit_tags(tmp_path, readme_inputs):
     f = tmp_path / "units.json"
     f.write_text(json.dumps({
         "name": "u",
@@ -386,3 +387,7 @@ def test_load_material_accepts_unit_tags(tmp_path):
     assert by_T[0] == pytest.approx(2.0 * math.pi * 2e12, rel=1e-15)
     assert by_T[1] == pytest.approx(73.0 * CM1, rel=1e-15)
     assert by_T[2] == 4e13
+    # The README's material example loads as written.
+    f.write_text(json.dumps(readme_inputs["material"]))
+    osc, = ps.load_material(f).oscillators
+    assert (osc.omega_P, osc.omega_T, osc.gamma_damp) == (8e12, 1e13, 2e11)

@@ -12,6 +12,8 @@ from scipy.constants import k as KB_SI
 from scipy.integrate import quad
 
 import polshift as ps
+from oracles import (nonresonant_one_polariton,
+                     nonresonant_parts_per_transition, u_eff_nonretarded_form)
 from polshift.units import C, CM1, HBAR, KB, MU0
 
 Z = 1e-6
@@ -163,11 +165,10 @@ def test_nonresonant_golden_toy(golden, toy_atom, material_toy):
 def test_nonresonant_routes_agree(toy_atom, material_toy):
     """Per-transition closed form vs tensor route: independent code paths."""
     env = ps.Environment(z=Z, T=400.0)
-    a = ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env)
-    b = ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env,
-                                   mode="general")
-    assert b[0] == pytest.approx(a[0], rel=1e-12)
-    assert b[1] == pytest.approx(a[1], rel=1e-12)
+    a = nonresonant_parts_per_transition(toy_atom, "g", material_toy, env)
+    b = ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env)
+    assert b[0] == pytest.approx(a[0], rel=1e-12, abs=0)
+    assert b[1] == pytest.approx(a[1], rel=1e-12, abs=0)
 
 
 def test_nonresonant_full_green_route(toy_atom, material_toy):
@@ -176,9 +177,32 @@ def test_nonresonant_full_green_route(toy_atom, material_toy):
     mats_nr, photon_nr = ps.nonresonant_shift_parts(
         toy_atom, "g", material_toy, env)
     mats_fu, photon_fu = ps.nonresonant_shift_parts(
-        toy_atom, "g", material_toy, env, mode="general", green_mode="full")
-    assert mats_fu == pytest.approx(mats_nr, rel=1e-5)
-    assert photon_fu == pytest.approx(photon_nr, rel=1e-3)
+        toy_atom, "g", material_toy, env, green_mode="full")
+    assert mats_fu == pytest.approx(mats_nr, rel=1e-5, abs=0)
+    assert photon_fu == pytest.approx(photon_nr, rel=1e-3, abs=0)
+
+
+def test_nonresonant_oriented_dipole_photon_line(material_toy):
+    """A z-oriented dipole couples to G_zz alone in the photon line, on
+    either Green route."""
+    d = 1e-29
+    atom = ps.AtomSpec(
+        name="z-oriented two-level",
+        states=(ps.AtomicState("g", 0.0), ps.AtomicState("e", 2.4e14)),
+        dipoles=(ps.DipoleElement("g", "e", d, components=(0.0, 0.0, d)),))
+    env = ps.Environment(z=1e-7, T=400.0)
+    _, photon = ps.nonresonant_shift_parts(atom, "g", material_toy, env)
+    w = 2.4e14
+    rp = ps.reflection_nonretarded(material_toy, w)
+    re_g_zz = 2.0 * C**2 / (32.0 * math.pi * w**2 * env.z**3) * rp.real
+    want = MU0 * w * w * ps.thermal_occupation(w, env.T) * d * d * re_g_zz
+    assert photon == pytest.approx(want, rel=1e-12, abs=0)
+
+    near = ps.Environment(z=1e-8, T=400.0)
+    _, photon_nr = ps.nonresonant_shift_parts(atom, "g", material_toy, near)
+    _, photon_fu = ps.nonresonant_shift_parts(atom, "g", material_toy, near,
+                                              green_mode="full")
+    assert photon_fu == pytest.approx(photon_nr, rel=1e-3, abs=0)
 
 
 def test_nonresonant_convergence_failure(toy_atom, material_toy):
@@ -278,9 +302,9 @@ def test_u_eff_matches_direct_nonretarded_form(rb_atom, material_broad,
                                                broad_modes):
     lo, hi = broad_modes
     u = ps.u_eff(rb_atom, "27S1/2", "26S1/2", hi, lo, material_broad, ENV)
-    direct = ps.u_eff_nonretarded_form(rb_atom, "27S1/2", "26S1/2", hi, lo,
-                                       material_broad, Z)
-    assert u == pytest.approx(direct, rel=1e-12)
+    direct = u_eff_nonretarded_form(rb_atom, "27S1/2", "26S1/2", hi, lo,
+                                    material_broad, Z)
+    assert u == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 def test_u_eff_full_green_close_to_nonretarded(rb_atom, material_broad,
@@ -459,7 +483,7 @@ def test_one_polariton_verbatim_lines():
     omega_P, omega_T, gamma = 8e12, 1e13, 2e11
     d, omega_nu1 = 1e-29, 2.4e14   # upward transition from the ground state
     T = 400.0
-    got = ps.nonresonant_one_polariton(
+    got = nonresonant_one_polariton(
         omega_P=omega_P, omega_T=omega_T, gamma_damp=gamma,
         transitions=[(d, omega_nu1)], z=Z, T=T)
     Omega = math.sqrt(omega_T**2 + omega_P**2 / 2.0)
@@ -471,7 +495,7 @@ def test_one_polariton_verbatim_lines():
                + omega_P**2))
     line2 = (MU0 * C**2 / (24.0 * math.pi * Z**3)
              * ps.thermal_occupation(omega_nu1, T) * d * d * refl.real)
-    assert got == pytest.approx(line1 + line2, rel=1e-12)
+    assert got == pytest.approx(line1 + line2, rel=1e-12, abs=0)
 
 
 def test_one_polariton_static_reflection_limit():
@@ -490,9 +514,9 @@ def test_one_polariton_static_reflection_limit():
 def test_one_polariton_vanishes_at_low_temperature():
     kw = dict(omega_P=8e12, omega_T=1e13, gamma_damp=2e11,
               transitions=[(1e-29, 2.4e14)], z=Z)
-    assert ps.nonresonant_one_polariton(T=0.0, **kw) == 0.0
-    cold = ps.nonresonant_one_polariton(T=0.01, **kw)
-    warm = ps.nonresonant_one_polariton(T=400.0, **kw)
+    assert nonresonant_one_polariton(T=0.0, **kw) == 0.0
+    cold = nonresonant_one_polariton(T=0.01, **kw)
+    warm = nonresonant_one_polariton(T=400.0, **kw)
     assert abs(cold) < 1e-4 * abs(warm)
 
 
@@ -502,10 +526,10 @@ def test_one_polariton_dual_path_against_full_sum(toy_atom, material_toy):
     osc = material_toy.oscillators[0]
     env = ps.Environment(z=Z, T=400.0)
     full = ps.nonresonant_shift(toy_atom, "g", material_toy, env)
-    estimate = ps.nonresonant_one_polariton(
+    estimate = nonresonant_one_polariton(
         omega_P=osc.omega_P, omega_T=osc.omega_T, gamma_damp=osc.gamma_damp,
         transitions=[(1e-29, 2.4e14)], z=Z, T=400.0)
-    assert estimate == pytest.approx(full, rel=5e-3)
+    assert estimate == pytest.approx(full, rel=5e-3, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -551,9 +575,19 @@ def test_total_shift_no_channels_note(material_broad):
 
 
 def test_total_shift_off_resonance_propagates(rb_atom, material_broad):
-    with pytest.raises(ps.OffResonance):
-        ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, ENV,
-                       resonance_tol=1e-3)
+    """Both amplitudes pass one resonance gate: OffResonance wins over
+    NoChannels, so a no-channel atom out of the window still raises."""
+    no_channels = ps.AtomSpec(
+        "two-level", states=(ps.AtomicState("g", 0.0),
+                             ps.AtomicState("e", 3.2e12)),
+        dipoles=(ps.DipoleElement("g", "e", 1e-29),))
+    cases = ((rb_atom, "27S1/2", "26S1/2", 1e-3),
+             (no_channels, "e", "g", 1e-4))
+    for atom, upper, lower, tol in cases:
+        for closed in (False, True):
+            with pytest.raises(ps.OffResonance):
+                ps.total_shift(atom, upper, lower, material_broad, ENV,
+                               resonance_tol=tol, use_closed_form=closed)
 
 
 def test_total_shift_closed_form_variant(rb_atom, material_narrow):
