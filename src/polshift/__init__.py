@@ -51,7 +51,6 @@ from .greens import (
     green_full,
     green_full_imag_axis,
     green_nonretarded,
-    green_route,
 )
 from .material import (
     MaterialModel,
@@ -121,7 +120,6 @@ __all__ = [
     "green_full",
     "green_full_imag_axis",
     "green_nonretarded",
-    "green_route",
     "load_atom",
     "load_material",
     "lorentzian_ldos_factor",

@@ -78,6 +78,17 @@ class AtomSpec:
                     f"duplicate dipole between {d.from_state!r} and "
                     f"{d.to_state!r}")
             self._pairs[key] = d
+        self._transitions = {s.label: self._transitions_of(s)
+                             for s in self.states}
+
+    def _transitions_of(self, n):
+        out = []
+        for s in self.states:
+            d = self.dipole_magnitude(n.label, s.label)
+            if s is not n and d > 0.0:
+                out.append((s.label, s.energy - n.energy, d))
+        out.sort(key=lambda t: (t[1], t[0]))
+        return tuple(out)
 
     def __eq__(self, other):
         return (isinstance(other, AtomSpec)
@@ -151,17 +162,11 @@ def channels(atom, upper, lower):
 
 
 def transitions_from(atom, n):
-    """(k_label, omega_kn, |d_nk|) for every state k with a dipole to n."""
-    w_n = atom.energy(n)
-    out = []
-    for s in atom.states:
-        if s.label == n:
-            continue
-        d = atom.dipole_magnitude(n, s.label)
-        if d > 0.0:
-            out.append((s.label, s.energy - w_n, d))
-    out.sort(key=lambda t: (t[1], t[0]))
-    return out
+    """(k_label, omega_kn, |d_nk|) for every state k with a dipole to n,
+    sorted by omega_kn (ties by label).  The lists are built once, with the
+    AtomSpec, so evaluating many xi never re-filters the dipoles."""
+    atom.state(n)  # ValueError for an unknown label
+    return list(atom._transitions[n])
 
 
 def polarizability_iso(atom, n, xi):
@@ -172,14 +177,8 @@ def polarizability_iso(atom, n, xi):
     """
     if xi < 0:
         raise ValueError("xi must be >= 0")
-    return polarizability_sum(transitions_from(atom, n), xi)
-
-
-def polarizability_sum(trans, xi):
-    """alpha(i xi) of polarizability_iso over a transitions_from(atom, n)
-    list, so a caller evaluating many xi builds the list once."""
     total = 0.0
-    for _, w_kn, d in trans:
+    for _, w_kn, d in transitions_from(atom, n):
         total += w_kn * d * d / (w_kn * w_kn + xi * xi)
     return 2.0 / (3.0 * HBAR) * total
 

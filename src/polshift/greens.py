@@ -4,9 +4,8 @@ Two routes are provided on purpose and kept independent: the full k_rho
 quadrature of the reflected-wave integral, and the nonretarded closed form
 G = z^-3 * (c^2/(32 pi w^2)) r_p * diag(1,1,2).  Their agreement for
 w z / c << 1 is a consistency check, not a shared code path.
-
-``green_route`` is the one place a ``green_mode`` name is turned into a
-route; the shift formulas only ever see the kernels it returns.
+``nonretarded_diag`` is the closed form as a bare (G_xx, G_zz) pair, for
+callers that evaluate it many times and need no GreenTensor3.
 """
 
 import math
@@ -61,7 +60,7 @@ def _tensor(gxx, gzz, omega, z):
     return GreenTensor3(components=np.diag([gxx, gxx, gzz]), omega=omega, z=z)
 
 
-def _nonretarded_diag(m, z, omega):
+def nonretarded_diag(m, z, omega):
     """(G_xx, G_zz) of z^-3 (c^2/(32 pi omega^2)) r_p(omega) diag(1,1,2)."""
     if not z > 0:
         raise ValueError("z must be > 0")
@@ -73,7 +72,7 @@ def _nonretarded_diag(m, z, omega):
 def green_nonretarded(m, z, omega):
     """Nonretarded closed form z^-3 (c^2/(32 pi omega^2)) r_p diag(1,1,2);
     omega may be complex."""
-    return _tensor(*_nonretarded_diag(m, z, omega), omega, z)
+    return _tensor(*nonretarded_diag(m, z, omega), omega, z)
 
 
 def _quad_complex(f, a, b, epsabs, epsrel, limit, label):
@@ -179,42 +178,3 @@ def green_full_imag_axis(m, z, xi, rel_tol=1e-8, limit=200):
     gzz = _quad_complex(lambda u: integrand(u, True), 0.0, math.inf,
                         epsabs, rel_tol, limit, "zz imag-axis")
     return _tensor(gxx, gzz, 1j * xi, z)
-
-
-def _nonretarded_xi2_trace(m, z, xi, rp):
-    """xi^2 Tr G(i xi) = -(c^2/(8 pi z^3)) r_p(i xi) of the closed form, with
-    the 1/xi^2 of the tensor cancelled so that xi = 0 is regular."""
-    return -(C**2 / (8.0 * math.pi * z**3)) * rp
-
-
-def _full_diag(m, z, omega):
-    g = green_full(m, z, omega).components
-    return complex(g[0, 0]), complex(g[2, 2])
-
-
-def _full_xi2_trace(m, z, xi, rp):
-    """xi^2 Tr G(i xi) by quadrature; at xi = 0 retardation drops out and the
-    electrostatic (closed-form) limit is exact."""
-    if xi == 0.0:
-        return _nonretarded_xi2_trace(m, z, xi, rp)
-    return xi * xi * green_full_imag_axis(m, z, xi).trace.real
-
-
-_ROUTES = {
-    "nonretarded": (_nonretarded_diag, _nonretarded_xi2_trace),
-    "full": (_full_diag, _full_xi2_trace),
-}
-
-
-def green_route(green_mode):
-    """(diag, xi2_trace) of the "nonretarded" or "full" Green tensor.
-
-    diag(m, z, omega) gives (G_xx, G_zz) on the real axis (G_yy = G_xx).
-    xi2_trace(m, z, xi, rp) gives xi^2 Tr G(i xi), finite at xi = 0, from
-    rp = r_p(i xi) (material.reflection_imag_axis): the closed form is
-    -(c^2/(8 pi z^3)) rp, which is also every route's xi = 0 limit.
-    """
-    try:
-        return _ROUTES[green_mode]
-    except KeyError:
-        raise ValueError(f"unknown green_mode {green_mode!r}") from None

@@ -4,7 +4,7 @@ Nonresonant Casimir-Polder shift at finite temperature (Matsubara sum plus a
 resonant-photon line), the resonant second-order atom-polariton amplitude
 U_eff and its thermal weighting, the two-resonance closed form, and the
 composed total.  Every line contracts the atom's dipoles with one scattered
-Green tensor, chosen once through greens.green_route.
+Green tensor, chosen once per call through _green_route.
 
 Conventions used throughout:
 
@@ -23,18 +23,13 @@ import math
 from dataclasses import dataclass, field
 
 from .atoms import channels as atom_channels
-from .atoms import polarizability_sum, transitions_from
+from .atoms import polarizability_iso, transitions_from
 from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
                      NoModeFound, OffResonance, ZeroTemperature)
-from .greens import green_route
+from .greens import (green_full, green_full_imag_axis, green_nonretarded,
+                     nonretarded_diag)
 from .material import find_polariton_modes, reflection_imag_axis
 from .units import C, HBAR, KB, MU0, energy_report
-
-# perfbench/tracing.py wraps these names here and refuses to run without
-# them; the formulas reach them through polarizability_sum and green_route.
-from .atoms import polarizability_iso  # noqa: F401
-from .greens import (green_full, green_full_imag_axis,  # noqa: F401
-                     green_nonretarded)
 
 
 @dataclass(frozen=True)
@@ -149,6 +144,41 @@ def _matsubara_sum(term, cutoff, tol):
         f"at cutoff={cutoff}")
 
 
+def _nonretarded_xi2_trace(m, z, xi):
+    """xi^2 Tr G(i xi) = -(c^2/(8 pi z^3)) r_p(i xi) of the closed form, with
+    the 1/xi^2 of the tensor cancelled so that xi = 0 is regular."""
+    return -(C**2 / (8.0 * math.pi * z**3)) \
+        * float(reflection_imag_axis(m, xi))
+
+
+def _full_xi2_trace(m, z, xi):
+    """xi^2 Tr G(i xi) by quadrature; at xi = 0 retardation drops out and the
+    closed form is the exact electrostatic limit."""
+    if xi == 0.0:
+        return _nonretarded_xi2_trace(m, z, xi)
+    return xi * xi * green_full_imag_axis(m, z, xi).trace.real
+
+
+def _full_diag(m, z, omega):
+    g = green_full(m, z, omega).components
+    return complex(g[0, 0]), complex(g[2, 2])
+
+
+def _green_route(green_mode):
+    """(tensor, diag, xi2_trace) of the "nonretarded" or "full" Green tensor.
+
+    The one place a green_mode is resolved.  tensor(m, z, omega) is the
+    GreenTensor3 on the real axis and diag(m, z, omega) its (G_xx, G_zz)
+    (G_yy = G_xx), which the nonretarded route gives without building a
+    tensor.  xi2_trace(m, z, xi) is xi^2 Tr G(i xi), finite at xi = 0.
+    """
+    if green_mode == "nonretarded":
+        return green_nonretarded, nonretarded_diag, _nonretarded_xi2_trace
+    if green_mode == "full":
+        return green_full, _full_diag, _full_xi2_trace
+    raise ValueError(f"unknown green_mode {green_mode!r}")
+
+
 def _contract(dip_a, dip_b, wxx, wzz):
     """d_a . diag(wxx, wxx, wzz) . d_b: per axis when both DipoleElements
     have Cartesian components, else the orientation average
@@ -171,7 +201,7 @@ def nonresonant_shift_parts(atom, n, m, env, cfg=None,
     """
     if env.T == 0:
         raise ZeroTemperature("nonresonant shift is defined here for T > 0")
-    diag, xi2_trace = green_route(green_mode)
+    _, diag, xi2_trace = _green_route(green_mode)
     cfg = cfg or MatsubaraConfig()
     trans = transitions_from(atom, n)
     if not trans:
@@ -181,8 +211,7 @@ def nonresonant_shift_parts(atom, n, m, env, cfg=None,
 
     def term(j):
         xi = j * xi1
-        rp = float(reflection_imag_axis(m, xi))
-        return polarizability_sum(trans, xi) * xi2_trace(m, z, xi, rp)
+        return polarizability_iso(atom, n, xi) * xi2_trace(m, z, xi)
 
     mats = MU0 * KB * T * _matsubara_sum(term, cfg.cutoff, cfg.convergence_tol)
 
@@ -243,13 +272,14 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     green_mode selects the Im G tensors (nonretarded closed form or full
     quadrature).
     """
-    diag, _ = green_route(green_mode)
+    tensor, _, _ = _green_route(green_mode)
     chans = _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol)
     o1, o2 = mode1.omega_center, mode2.omega_center
     g1, g2 = mode1.linewidth, mode2.linewidth
-    x1, z1 = (g.imag for g in diag(m, env.z, o1))
-    x2, z2 = (g.imag for g in diag(m, env.z, o2))
-    tr1, tr2 = 2.0 * x1 + z1, 2.0 * x2 + z2
+    t1, t2 = tensor(m, env.z, o1), tensor(m, env.z, o2)
+    x1, _, z1 = t1.diagonal.imag.tolist()
+    x2, _, z2 = t2.diagonal.imag.tolist()
+    tr1, tr2 = t1.im_trace, t2.im_trace
     if tr1 <= 0.0 or tr2 <= 0.0:
         raise NoModeFound(
             "Tr Im G vanishes at a mode center (lossless material?); "

@@ -8,13 +8,14 @@ import pytest
 
 import polshift as ps
 from oracles import tensor_to_jsonable
+from polshift.greens import nonretarded_diag
 from polshift.units import C
 
 Z = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# GreenTensor3 structure and the route resolver
+# GreenTensor3 structure and the bare closed-form diagonal
 # ---------------------------------------------------------------------------
 
 
@@ -63,15 +64,10 @@ def test_gprime_reconstructs_reflection(material_toy):
     assert gp.sum() == pytest.approx(4.0 * want, rel=1e-15)
 
 
-def test_green_route_is_the_tensor_diagonal(material_toy):
+def test_nonretarded_diag_is_the_tensor_diagonal(material_toy):
     omega = 1.1e13
-    for mode, tensor in (("nonretarded", ps.green_nonretarded),
-                         ("full", ps.green_full)):
-        g = tensor(material_toy, Z, omega).components
-        diag, _ = ps.green_route(mode)
-        assert diag(material_toy, Z, omega) == (g[0, 0], g[2, 2])
-    with pytest.raises(ValueError, match="unknown green_mode"):
-        ps.green_route("retarded")
+    g = ps.green_nonretarded(material_toy, Z, omega).components
+    assert nonretarded_diag(material_toy, Z, omega) == (g[0, 0], g[2, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -171,6 +171,16 @@ def test_nonresonant_routes_agree(toy_atom, material_toy):
     assert b[1] == pytest.approx(a[1], rel=1e-12, abs=0)
 
 
+def test_unknown_green_mode_rejected(toy_atom, material_toy):
+    env = ps.Environment(z=Z, T=400.0)
+    with pytest.raises(ValueError, match="unknown green_mode"):
+        ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env,
+                                   green_mode="retarded")
+    with pytest.raises(ValueError, match="unknown green_mode"):
+        ps.u_eff(toy_atom, "e", "g", None, None, material_toy, env,
+                 green_mode="retarded")
+
+
 def test_nonresonant_full_green_route(toy_atom, material_toy):
     """Full-quadrature tensor route approaches the closed form as z -> 0."""
     env = ps.Environment(z=1e-8, T=400.0)
