@@ -35,14 +35,14 @@ class DipoleElement:
     components: tuple = None  # optional Cartesian (x, y, z) in C.m
 
     def __post_init__(self):
-        if self.magnitude < 0:
-            raise ValueError("dipole magnitude must be >= 0")
+        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
+            raise ValueError("dipole magnitude must be finite and >= 0")
         if self.from_state == self.to_state:
             raise ValueError("dipole must connect two distinct states")
         if self.components is not None:
             comp = tuple(float(c) for c in self.components)
-            if len(comp) != 3:
-                raise ValueError("components must be a 3-vector")
+            if len(comp) != 3 or not all(map(math.isfinite, comp)):
+                raise ValueError("components must be a finite 3-vector")
             norm = math.sqrt(sum(c * c for c in comp))
             if abs(norm - self.magnitude) > 1e-12 * self.magnitude:
                 raise ValueError(

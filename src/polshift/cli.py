@@ -7,6 +7,7 @@ files (floats are emitted with repr, which round-trips losslessly).
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -66,10 +67,12 @@ class RunConfig:
             raise ValueError("--atom, --upper and --lower are required")
         if not self.z_values or not self.T_values:
             raise ValueError("need at least one z and one T value")
-        if any(v <= 0 for v in self.z_values):
-            raise ValueError("z values must be > 0")
-        if any(v <= 0 for v in self.T_values):
-            raise ValueError("T values must be > 0")
+        if not all(math.isfinite(v) and v > 0 for v in self.z_values):
+            raise ValueError("z values must be finite and > 0")
+        if not all(math.isfinite(v) and v > 0 for v in self.T_values):
+            raise ValueError("T values must be finite and > 0")
+        if not (math.isfinite(self.resonance_tol) and self.resonance_tol >= 0):
+            raise ValueError("resonance tolerance must be finite and >= 0")
 
     def matsubara_config(self):
         if self.matsubara_cutoff is not None:

@@ -4,13 +4,11 @@ Two routes are provided on purpose and kept independent: the full k_rho
 quadrature of the reflected-wave integral, and the nonretarded closed form
 G = z^-3 * (c^2/(32 pi w^2)) r_p * diag(1,1,2).  Their agreement for
 w z / c << 1 is a consistency check, not a shared code path.
-``nonretarded_diag`` is the closed form as a bare (G_xx, G_zz) pair, for
-callers that evaluate it many times and need no GreenTensor3.
 """
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -20,59 +18,30 @@ from .material import fresnel, permittivity_imag_axis, reflection_nonretarded
 from .units import C
 
 
-@dataclass
-class GreenTensor3:
-    """3x3 complex Green tensor value at coincident points.
+class GreenTensor3(NamedTuple):
+    """Coincident-point Green tensor diag(xx, xx, zz): for the planar
+    geometry it is diagonal with G_yy = G_xx."""
 
-    For the planar geometry the tensor is diagonal with xx = yy.
-    """
-
-    components: np.ndarray
-    omega: complex
-    z: float
-
-    def __post_init__(self):
-        comp = np.asarray(self.components, dtype=complex)
-        if comp.shape != (3, 3):
-            raise ValueError("components must be 3x3")
-        off = comp[~np.eye(3, dtype=bool)]
-        if np.any(off != 0):
-            raise ValueError("off-diagonal components must vanish")
-        if comp[0, 0] != comp[1, 1]:
-            raise ValueError("xx and yy components must be equal")
-        comp.flags.writeable = False
-        self.components = comp
-
-    @property
-    def diagonal(self):
-        return np.diag(self.components)
+    xx: complex
+    zz: complex
 
     @property
     def trace(self):
-        return complex(np.trace(self.components))
+        return complex(2.0 * self.xx + self.zz)
 
     @property
     def im_trace(self):
-        return float(np.imag(np.trace(self.components)))
-
-
-def _tensor(gxx, gzz, omega, z):
-    return GreenTensor3(components=np.diag([gxx, gxx, gzz]), omega=omega, z=z)
-
-
-def nonretarded_diag(m, z, omega):
-    """(G_xx, G_zz) of z^-3 (c^2/(32 pi omega^2)) r_p(omega) diag(1,1,2)."""
-    if not z > 0:
-        raise ValueError("z must be > 0")
-    gxx = C**2 / (32.0 * math.pi * omega**2 * z**3) \
-        * complex(reflection_nonretarded(m, omega))
-    return gxx, 2.0 * gxx
+        return self.trace.imag
 
 
 def green_nonretarded(m, z, omega):
     """Nonretarded closed form z^-3 (c^2/(32 pi omega^2)) r_p diag(1,1,2);
     omega may be complex."""
-    return _tensor(*nonretarded_diag(m, z, omega), omega, z)
+    if not z > 0:
+        raise ValueError("z must be > 0")
+    gxx = C**2 / (32.0 * math.pi * omega**2 * z**3) \
+        * complex(reflection_nonretarded(m, omega))
+    return GreenTensor3(gxx, 2.0 * gxx)
 
 
 def _quad_complex(f, a, b, epsabs, epsrel, limit, label):
@@ -141,7 +110,7 @@ def green_full(m, z, omega, rel_tol=1e-8, limit=200):
                          epsabs, rel_tol, limit, "zz propagating")
            + _quad_complex(lambda u: evan(u, True), 0.0, math.inf,
                            epsabs, rel_tol, limit, "zz evanescent"))
-    return _tensor(gxx, gzz, omega, z)
+    return GreenTensor3(gxx, gzz)
 
 
 def green_full_imag_axis(m, z, xi, rel_tol=1e-8, limit=200):
@@ -177,4 +146,4 @@ def green_full_imag_axis(m, z, xi, rel_tol=1e-8, limit=200):
                         epsabs, rel_tol, limit, "xx imag-axis")
     gzz = _quad_complex(lambda u: integrand(u, True), 0.0, math.inf,
                         epsabs, rel_tol, limit, "zz imag-axis")
-    return _tensor(gxx, gzz, 1j * xi, z)
+    return GreenTensor3(gxx, gzz)

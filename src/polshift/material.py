@@ -30,6 +30,9 @@ class Oscillator:
     gamma_damp: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite,
+                       (self.omega_P, self.omega_T, self.gamma_damp))):
+            raise ValueError("oscillator parameters must be finite")
         if not self.omega_P > 0:
             raise ValueError("omega_P must be > 0")
         if not self.omega_T > 0:

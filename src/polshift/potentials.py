@@ -26,8 +26,7 @@ from .atoms import channels as atom_channels
 from .atoms import polarizability_iso, transitions_from
 from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
                      NoModeFound, OffResonance, ZeroTemperature)
-from .greens import (green_full, green_full_imag_axis, green_nonretarded,
-                     nonretarded_diag)
+from .greens import green_full, green_full_imag_axis, green_nonretarded
 from .material import find_polariton_modes, reflection_imag_axis
 from .units import C, HBAR, KB, MU0, energy_report
 
@@ -40,10 +39,10 @@ class Environment:
     T: float
 
     def __post_init__(self):
-        if not self.z > 0:
-            raise ValueError("z must be > 0")
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
+        if not (math.isfinite(self.z) and self.z > 0):
+            raise ValueError("z must be finite and > 0")
+        if not (math.isfinite(self.T) and self.T >= 0):
+            raise ValueError("T must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -159,23 +158,17 @@ def _full_xi2_trace(m, z, xi):
     return xi * xi * green_full_imag_axis(m, z, xi).trace.real
 
 
-def _full_diag(m, z, omega):
-    g = green_full(m, z, omega).components
-    return complex(g[0, 0]), complex(g[2, 2])
-
-
 def _green_route(green_mode):
-    """(tensor, diag, xi2_trace) of the "nonretarded" or "full" Green tensor.
+    """(green, xi2_trace) of the "nonretarded" or "full" Green tensor.
 
-    The one place a green_mode is resolved.  tensor(m, z, omega) is the
-    GreenTensor3 on the real axis and diag(m, z, omega) its (G_xx, G_zz)
-    (G_yy = G_xx), which the nonretarded route gives without building a
-    tensor.  xi2_trace(m, z, xi) is xi^2 Tr G(i xi), finite at xi = 0.
+    The one place a green_mode is resolved.  green(m, z, omega) is the
+    GreenTensor3 on the real axis; xi2_trace(m, z, xi) is xi^2 Tr G(i xi),
+    finite at xi = 0.
     """
     if green_mode == "nonretarded":
-        return green_nonretarded, nonretarded_diag, _nonretarded_xi2_trace
+        return green_nonretarded, _nonretarded_xi2_trace
     if green_mode == "full":
-        return green_full, _full_diag, _full_xi2_trace
+        return green_full, _full_xi2_trace
     raise ValueError(f"unknown green_mode {green_mode!r}")
 
 
@@ -201,7 +194,7 @@ def nonresonant_shift_parts(atom, n, m, env, cfg=None,
     """
     if env.T == 0:
         raise ZeroTemperature("nonresonant shift is defined here for T > 0")
-    _, diag, xi2_trace = _green_route(green_mode)
+    green, xi2_trace = _green_route(green_mode)
     cfg = cfg or MatsubaraConfig()
     trans = transitions_from(atom, n)
     if not trans:
@@ -217,7 +210,7 @@ def nonresonant_shift_parts(atom, n, m, env, cfg=None,
 
     photon = 0.0
     for k_label, w_kn, _ in trans:
-        gxx, gzz = diag(m, z, abs(w_kn))
+        gxx, gzz = green(m, z, abs(w_kn))
         dip = atom.dipole(n, k_label)
         photon += w_kn * w_kn * thermal_occupation(w_kn, T) \
             * _contract(dip, dip, gxx.real, gzz.real)
@@ -235,6 +228,16 @@ def _lorentz_weight(x, gamma1):
     return x / (x * x + 0.25 * gamma1 * gamma1)
 
 
+def _channel_sum(chans, omega1, gamma1, geom):
+    """sum_k geom(ch) [W(Omega1 + omega_0k) - W(Omega1 + omega_k1)], the
+    channel loop shared by u_eff and the closed form."""
+    total = 0.0
+    for ch in chans:
+        total += geom(ch) * (_lorentz_weight(omega1 + ch.omega_0k, gamma1)
+                             - _lorentz_weight(omega1 + ch.omega_k1, gamma1))
+    return total
+
+
 def _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol):
     """Channels of upper -> lower for a resonant amplitude on (mode1, mode2).
 
@@ -245,7 +248,7 @@ def _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol):
     omega_10 = atom.transition_frequency(upper, lower)
     detuning = mode1.omega_center - (omega_10 + mode2.omega_center)
     window = resonance_tol * (mode1.linewidth + mode2.linewidth)
-    if abs(detuning) > window:
+    if not abs(detuning) <= window:
         raise OffResonance(
             f"detuning {detuning:.6g} rad/s exceeds tolerance "
             f"{window:.6g} rad/s for Omega1 ~ omega_10 + Omega2")
@@ -272,27 +275,24 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     green_mode selects the Im G tensors (nonretarded closed form or full
     quadrature).
     """
-    tensor, _, _ = _green_route(green_mode)
+    green, _ = _green_route(green_mode)
     chans = _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol)
     o1, o2 = mode1.omega_center, mode2.omega_center
     g1, g2 = mode1.linewidth, mode2.linewidth
-    t1, t2 = tensor(m, env.z, o1), tensor(m, env.z, o2)
-    x1, _, z1 = t1.diagonal.imag.tolist()
-    x2, _, z2 = t2.diagonal.imag.tolist()
+    t1, t2 = green(m, env.z, o1), green(m, env.z, o2)
     tr1, tr2 = t1.im_trace, t2.im_trace
     if tr1 <= 0.0 or tr2 <= 0.0:
         raise NoModeFound(
             "Tr Im G vanishes at a mode center (lossless material?); "
             "no polariton line density to couple to")
+    wxx, wzz = t1.xx.imag * t2.xx.imag, t1.zz.imag * t2.zz.imag
 
-    total = 0.0
-    for ch in chans:
-        geom = _contract(atom.dipole(lower, ch.k_label),
-                         atom.dipole(ch.k_label, upper), x1 * x2, z1 * z2)
-        total += geom * (_lorentz_weight(o1 + ch.omega_0k, g1)
-                         - _lorentz_weight(o1 + ch.omega_k1, g1))
+    def geom(ch):
+        return _contract(atom.dipole(lower, ch.k_label),
+                         atom.dipole(ch.k_label, upper), wxx, wzz)
+
     pref = -0.5 * MU0 * o1 * o2 * math.sqrt(g1 * g2 / (tr1 * tr2))
-    return pref * total
+    return pref * _channel_sum(chans, o1, g1, geom)
 
 
 def thermal_factor(mode1, mode2, T):
@@ -310,42 +310,27 @@ def resonant_shift(u, mode1, mode2, T):
     Exactly zero at T = 0: the polariton at Omega2 must be thermally
     populated before the resonant exchange can happen.
     """
-    if T == 0:
-        return 0.0
     return u * thermal_factor(mode1, mode2, T)
 
 
 def resonant_shift_closed_form(*, omega_P1, omega_P2, Omega1, Omega2, gamma1,
-                               channels, z, T, include_thermal=True):
-    """Two-resonance closed form of the resonant shift.
+                               channels, z):
+    """Two-resonance closed form of the bare resonant amplitude (J).
 
         -(mu0 c^2 / (128 pi z^3)) (omega_P1 omega_P2 / sqrt(Omega1 Omega2))
-        * sqrt[(nbar(Omega1)+1) nbar(Omega2)]
         * sum_k (5 |d_0k| |d_k1| / 12)
               { W(Omega1+omega_0k) - W(Omega1+omega_k1) },
 
     W(x) = x/(x^2 + gamma1^2/4).  ``channels`` is an iterable of
     TransitionChannel (or anything with d_0k, d_k1, omega_0k, omega_k1).
-    With include_thermal=False the thermal square root is left out, giving
-    the bare closed-form amplitude.
+    Like u_eff it carries no thermal weight; resonant_shift applies it.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
-    acc = 0.0
-    for ch in channels:
-        acc += (5.0 * ch.d_0k * ch.d_k1 / 12.0) * (
-            _lorentz_weight(Omega1 + ch.omega_0k, gamma1)
-            - _lorentz_weight(Omega1 + ch.omega_k1, gamma1))
     pref = -(MU0 * C**2 / (128.0 * math.pi * z**3)) \
         * omega_P1 * omega_P2 / math.sqrt(Omega1 * Omega2)
-    out = pref * acc
-    if include_thermal:
-        if T == 0:
-            return 0.0
-        n1 = thermal_occupation(Omega1, T)
-        n2 = thermal_occupation(Omega2, T)
-        out *= math.sqrt((n1 + 1.0) * n2)
-    return out
+    return pref * _channel_sum(channels, Omega1, gamma1,
+                               lambda ch: 5.0 * ch.d_0k * ch.d_k1 / 12.0)
 
 
 def attribute_modes(m, modes):
@@ -434,8 +419,7 @@ def total_shift(atom, upper, lower, m, env, cfg=None,
                 u = resonant_shift_closed_form(
                     omega_P1=osc1.omega_P, omega_P2=osc2.omega_P,
                     Omega1=mode1.omega_center, Omega2=mode2.omega_center,
-                    gamma1=mode1.linewidth, channels=chans,
-                    z=env.z, T=env.T, include_thermal=False)
+                    gamma1=mode1.linewidth, channels=chans, z=env.z)
             else:
                 u = u_eff(atom, upper, lower, mode1, mode2, m, env,
                           green_mode=green_mode,

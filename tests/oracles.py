@@ -14,9 +14,8 @@ from polshift.units import C, HBAR, KB, MU0
 
 
 def tensor_to_jsonable(g):
-    """GreenTensor3 components as nested lists of [re, im] pairs."""
-    return [[[float(c.real), float(c.imag)] for c in row]
-            for row in g.components]
+    """GreenTensor3 entries (xx, zz) as [re, im] pairs."""
+    return [[float(c.real), float(c.imag)] for c in g]
 
 
 def nonresonant_parts_per_transition(atom, n, m, env, cfg=None):

@@ -64,6 +64,24 @@ def test_load_minimal_two_state(tmp_path, readme_inputs):
     assert readme.dipole("e", "g").magnitude == 1e-29
 
 
+@pytest.mark.parametrize("key", ["magnitude", "components"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_load_atom_rejects_non_finite_tokens(tmp_path, key, token):
+    dipole = {"from": "g", "to": "e", "magnitude": 1e-29, "unit": "C·m",
+              "components": [0.0, 0.0, 1e-29]}
+    dipole[key] = "TOKEN" if key == "magnitude" else [0.0, "TOKEN", 1e-29]
+    f = tmp_path / "nonfinite.json"
+    f.write_text(json.dumps({
+        "name": "nonfinite",
+        "states": [{"label": "g", "energy": 0.0, "unit": "rad/s"},
+                   {"label": "e", "energy": 1e15, "unit": "rad/s"}],
+        "dipoles": [dipole],
+    }).replace('"TOKEN"', token))
+    with pytest.raises(ps.ParseError) as err:
+        ps.load_atom(f)
+    assert "dipoles[0]" in str(err.value)
+
+
 def test_load_dangling_reference(tmp_path):
     f = _write(tmp_path, {
         "name": "dangling",
@@ -136,8 +154,8 @@ def test_energy_and_dipole_units(tmp_path):
     assert by_label["c"] == pytest.approx(100.0 * CM1, rel=1e-12)
     assert by_label["d"] == pytest.approx(2.0 * math.pi * 1e12, rel=1e-12)
     mags = {(d.from_state, d.to_state): d.magnitude for d in atom.dipoles}
-    assert mags[("a", "b")] == pytest.approx(E_CHARGE * A0, rel=1e-12)
-    assert mags[("a", "c")] == pytest.approx(DEBYE, rel=1e-9)
+    assert mags[("a", "b")] == pytest.approx(E_CHARGE * A0, rel=1e-12, abs=0)
+    assert mags[("a", "c")] == pytest.approx(DEBYE, rel=1e-9, abs=0)
     assert mags[("a", "d")] == 1e-29
 
 
@@ -226,7 +244,7 @@ def test_polarizability_no_dipoles():
 def test_polarizability_two_level_static(toy_atom):
     want = (2.0 / (3.0 * HBAR)) * (1e-29) ** 2 / 2.4e14
     assert ps.polarizability_iso(toy_atom, "g", 0.0) == pytest.approx(
-        want, rel=1e-12)
+        want, rel=1e-12, abs=0)
 
 
 def test_polarizability_vanishes_at_large_xi(toy_atom):

@@ -176,6 +176,17 @@ def test_point_bad_env_cutoff_is_config_error():
         assert r.returncode == 2, value
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--T", "inf"), ("--T", "nan"), ("--z", "inf"), ("--z", "nan"),
+    ("--resonance-tol", "nan"), ("--resonance-tol", "-1"),
+])
+def test_point_non_finite_or_negative_input_is_config_error(flag, value):
+    # The later flag overrides the one in POINT_ARGS.
+    r = run_cli(*POINT_ARGS, flag, value)
+    assert r.returncode == 2, r.stderr
+    assert "error in point" in r.stderr
+
+
 # ---------------------------------------------------------------------------
 # scan
 # ---------------------------------------------------------------------------

@@ -8,66 +8,33 @@ import pytest
 
 import polshift as ps
 from oracles import tensor_to_jsonable
-from polshift.greens import nonretarded_diag
 from polshift.units import C
 
 Z = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# GreenTensor3 structure and the bare closed-form diagonal
+# GreenTensor3 structure
 # ---------------------------------------------------------------------------
-
-
-def test_tensor_rejects_off_diagonal_entries():
-    comp = np.zeros((3, 3), dtype=complex)
-    comp[0, 1] = 1.0
-    with pytest.raises(ValueError):
-        ps.GreenTensor3(components=comp, omega=1e13, z=Z)
-
-
-def test_tensor_rejects_xx_neq_yy():
-    comp = np.diag([1.0 + 0j, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        ps.GreenTensor3(components=comp, omega=1e13, z=Z)
-
-
-def test_tensor_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        ps.GreenTensor3(components=np.zeros((2, 2), dtype=complex),
-                        omega=1e13, z=Z)
 
 
 def test_tensor_trace_and_serialization(material_toy):
     g = ps.green_nonretarded(material_toy, Z, 1.1e13)
-    diag = g.diagonal
-    assert g.trace == pytest.approx(complex(diag.sum()), rel=1e-15)
+    assert g.trace == pytest.approx(2.0 * g.xx + g.zz, rel=1e-15)
     assert g.im_trace == pytest.approx(g.trace.imag, rel=1e-15)
     payload = json.loads(json.dumps(tensor_to_jsonable(g)))
-    assert len(payload) == 3 and all(len(row) == 3 for row in payload)
-    for i in range(3):
-        for j in range(3):
-            re, im = payload[i][j]
-            assert re == g.components[i, j].real
-            assert im == g.components[i, j].imag
+    assert payload == [[g.xx.real, g.xx.imag], [g.zz.real, g.zz.imag]]
 
 
 def test_gprime_reconstructs_reflection(material_toy):
     """z^3 G is the z-free G' = (c^2/(32 pi w^2)) r_p diag(1,1,2)."""
     omega = 1.3e13
-    gp = Z**3 * ps.green_nonretarded(material_toy, Z, omega).diagonal
+    g = ps.green_nonretarded(material_toy, Z, omega)
     rp = ps.reflection_nonretarded(material_toy, omega)
     want = C**2 / (32.0 * math.pi * omega**2) * rp
-    assert gp[0] == pytest.approx(want, rel=1e-15)
-    assert gp[1] == gp[0]
-    assert gp[2] == pytest.approx(2.0 * gp[0], rel=1e-15)
-    assert gp.sum() == pytest.approx(4.0 * want, rel=1e-15)
-
-
-def test_nonretarded_diag_is_the_tensor_diagonal(material_toy):
-    omega = 1.1e13
-    g = ps.green_nonretarded(material_toy, Z, omega).components
-    assert nonretarded_diag(material_toy, Z, omega) == (g[0, 0], g[2, 2])
+    assert Z**3 * g.xx == pytest.approx(want, rel=1e-15, abs=0)
+    assert Z**3 * g.zz == pytest.approx(2.0 * Z**3 * g.xx, rel=1e-15, abs=0)
+    assert Z**3 * g.trace == pytest.approx(4.0 * want, rel=1e-15, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +46,7 @@ def test_nonretarded_distance_scaling(material_toy):
     omega = 1.1e13
     near = ps.green_nonretarded(material_toy, Z, omega)
     far = ps.green_nonretarded(material_toy, 2.0 * Z, omega)
-    ratio = near.components.diagonal() / far.components.diagonal()
+    ratio = np.array(near) / np.array(far)
     assert np.allclose(ratio, 8.0, rtol=1e-12, atol=0)
 
 
@@ -98,8 +65,8 @@ def test_nonretarded_complex_frequency(material_toy):
     eps = ps.permittivity_imag_axis(material_toy, xi)
     want = (C**2 / (32.0 * math.pi * (1j * xi) ** 2 * Z**3)
             * (eps - 1.0) / (eps + 1.0))
-    assert abs(g.components[0, 0].imag) < abs(g.components[0, 0].real) * 1e-12
-    assert g.components[0, 0] == pytest.approx(want, rel=1e-12)
+    assert abs(g.xx.imag) < abs(g.xx.real) * 1e-12
+    assert g.xx == pytest.approx(want, rel=1e-12)
 
 
 def test_nonretarded_rejects_nonpositive_z(material_toy):
@@ -115,7 +82,7 @@ def test_nonretarded_rejects_nonpositive_z(material_toy):
 def test_full_vacuum_zero():
     m = ps.MaterialModel("vacuum", oscillators=())
     g = ps.green_full(m, Z, 1e13)
-    assert np.all(g.components == 0)
+    assert g.xx == 0 and g.zz == 0
 
 
 def test_full_matches_nonretarded_deep(material_toy):
@@ -123,13 +90,10 @@ def test_full_matches_nonretarded_deep(material_toy):
     omega = 1e-3 * C / Z
     full = ps.green_full(material_toy, Z, omega)
     closed = ps.green_nonretarded(material_toy, Z, omega)
-    for i in range(3):
-        num = full.components[i, i]
-        ref = closed.components[i, i]
+    for num, ref in zip(full, closed):
         assert abs(num - ref) / abs(ref) < 5e-3
     # diag(1,1,2) pattern of the nonretarded regime.
-    assert abs(full.components[2, 2] / full.components[0, 0] - 2.0) < 1e-2
-    assert full.components[0, 0] == full.components[1, 1]
+    assert abs(full.zz / full.xx - 2.0) < 1e-2
 
 
 def test_full_quadrature_budget_error(material_broad):

@@ -371,6 +371,19 @@ def test_load_material_rejects_wrong_schema_version(tmp_path):
     assert "schema_version" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["omega_P", "omega_T", "gamma"])
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_load_material_rejects_non_finite_tokens(tmp_path, field, token):
+    entry = {"omega_P": 1.0, "omega_T": 2.0, "gamma": 0.1, "unit": "rad/s"}
+    entry[field] = "TOKEN"
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps({"name": "x", "oscillators": [entry]})
+                   .replace('"TOKEN"', token))
+    with pytest.raises(ps.ParseError) as err:
+        ps.load_material(bad)
+    assert "oscillators[0]" in str(err.value)
+
+
 def test_load_material_accepts_unit_tags(tmp_path, readme_inputs):
     f = tmp_path / "units.json"
     f.write_text(json.dumps({
