@@ -9,6 +9,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DanglingReference, ParseError
 from .units import HBAR, dipole_moment, level_energy
 
@@ -80,6 +82,12 @@ class AtomSpec:
             self._pairs[key] = d
         self._transitions = {s.label: self._transitions_of(s)
                              for s in self.states}
+        # per state: (omega_kn^2, omega_kn |d_nk|^2) as column arrays, which
+        # polarizability_iso broadcasts over an array of xi
+        self._alpha_terms = {
+            lab: (np.array([[w * w] for _, w, _ in trans]),
+                  np.array([[w * d * d] for _, w, d in trans]))
+            for lab, trans in self._transitions.items()}
 
     def _transitions_of(self, n):
         out = []
@@ -174,13 +182,20 @@ def polarizability_iso(atom, n, xi):
 
     alpha(i xi) = (2 / 3 hbar) sum_k omega_kn |d_nk|^2 / (omega_kn^2 + xi^2),
     with omega_kn = omega_k - omega_n signed, over all dipole-coupled k.
+    xi may be a scalar or an array; the result has the shape of xi.
     """
-    if xi < 0:
+    xi = np.asarray(xi, dtype=float)
+    if np.any(xi < 0):
         raise ValueError("xi must be >= 0")
-    total = 0.0
-    for _, w_kn, d in transitions_from(atom, n):
-        total += w_kn * d * d / (w_kn * w_kn + xi * xi)
-    return 2.0 / (3.0 * HBAR) * total
+    atom.state(n)  # ValueError for an unknown label
+    w2, num = atom._alpha_terms[n]
+    if not len(w2):
+        return np.zeros(xi.shape)[()]
+    terms = num / (w2 + xi.reshape(-1) ** 2)
+    # accumulate adds the transitions one after another, as a scalar loop
+    # would; sum() pairs them differently and would change the last bits
+    total = np.add.accumulate(terms, axis=0)[-1].reshape(xi.shape)
+    return 2.0 / (3.0 * HBAR) * total[()]
 
 
 # --- JSON ingestion -------------------------------------------------------------

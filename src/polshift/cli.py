@@ -17,7 +17,8 @@ import numpy as np
 from .atoms import load_atom
 from .errors import ParseError, PhysicsError, PolshiftError
 from .material import find_polariton_modes, load_material
-from .potentials import Environment, MatsubaraConfig, total_shift
+from .potentials import (Z_RANGE, Environment, MatsubaraConfig, total_shift,
+                         valid_distance)
 from .units import CM1, HBAR
 
 SCHEMA_VERSION = 1
@@ -67,8 +68,9 @@ class RunConfig:
             raise ValueError("--atom, --upper and --lower are required")
         if not self.z_values or not self.T_values:
             raise ValueError("need at least one z and one T value")
-        if not all(math.isfinite(v) and v > 0 for v in self.z_values):
-            raise ValueError("z values must be finite and > 0")
+        if not all(valid_distance(v) for v in self.z_values):
+            raise ValueError(f"z values must lie in [{Z_RANGE[0]:g}, "
+                             f"{Z_RANGE[1]:g}] m")
         if not all(math.isfinite(v) and v > 0 for v in self.T_values):
             raise ValueError("T values must be finite and > 0")
         if not (math.isfinite(self.resonance_tol) and self.resonance_tol >= 0):

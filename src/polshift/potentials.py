@@ -22,6 +22,8 @@ Conventions used throughout:
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .atoms import channels as atom_channels
 from .atoms import polarizability_iso, transitions_from
 from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
@@ -29,6 +31,18 @@ from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
 from .greens import green_full, green_full_imag_axis, green_nonretarded
 from .material import find_polariton_modes, reflection_imag_axis
 from .units import C, HBAR, KB, MU0, energy_report
+
+
+#: the atom-surface distances (m) accepted: far wider than any physical
+#: distance, and far inside the range where the z^-3 prefactors and the
+#: z^-6 products of two Green tensors in U_eff stay finite and nonzero
+#: (at 1e-60 m they overflow to a NaN report, at 1e60 m they vanish)
+Z_RANGE = (1e-15, 1e15)
+
+
+def valid_distance(z):
+    """True when z lies in Z_RANGE (so nan and inf do not)."""
+    return Z_RANGE[0] <= z <= Z_RANGE[1]
 
 
 @dataclass(frozen=True)
@@ -39,8 +53,9 @@ class Environment:
     T: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.z) and self.z > 0):
-            raise ValueError("z must be finite and > 0")
+        if not valid_distance(self.z):
+            raise ValueError(
+                f"z must lie in [{Z_RANGE[0]:g}, {Z_RANGE[1]:g}] m")
         if not (math.isfinite(self.T) and self.T >= 0):
             raise ValueError("T must be finite and >= 0")
 
@@ -55,8 +70,9 @@ class MatsubaraConfig:
     def __post_init__(self):
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
-        if not self.convergence_tol > 0:
-            raise ValueError("convergence_tol must be > 0")
+        if not (math.isfinite(self.convergence_tol)
+                and self.convergence_tol > 0):
+            raise ValueError("convergence_tol must be finite and > 0")
 
 
 @dataclass
@@ -121,23 +137,48 @@ def thermal_occupation(omega, T):
     return 1.0 / math.expm1(x)
 
 
-def _matsubara_sum(term, cutoff, tol):
+#: largest block of j the Matsubara engine evaluates at once
+_MAX_BLOCK = 4096
+
+
+def _matsubara_sum(term, cutoff, tol, block=_MAX_BLOCK):
     """Primed sum over j of term(j) with a power-law tail stop rule.
 
-    term(0) enters at half weight.  Terms decay like j^-p with p >= 2 for
-    every integrand used here, so once |t_j| * j drops below tol * |sum| the
-    remaining tail is bounded by that same quantity (up to the 1/(p-1) < 1
-    factor).  Raises ConvergenceFailure if the rule is not met by ``cutoff``.
+    term maps an integer array of j to the array of terms; term(0) enters at
+    half weight.  Terms decay like j^-p with p >= 2 for every integrand used
+    here, so once |t_j| * j drops below tol * |sum| the remaining tail is
+    bounded by that same quantity (up to the 1/(p-1) < 1 factor).  The sum
+    stops at the first j >= 4 with
+
+        |t_j| * j <= tol * max(max_{i <= j} |S_i|, 1e-300),
+
+    S_i being the partial sums, and raises ConvergenceFailure if no
+    j <= cutoff meets the rule.
+
+    The terms are evaluated in blocks of j: first j = 0..4, the earliest
+    point at which the rule can stop, then blocks as long as the count so
+    far (at most ``block``), none of them past cutoff.  Within a block the
+    partial sums come from np.cumsum, which adds in order from the carried
+    total, and the running maximum from np.maximum.accumulate, so the value
+    and the stopping j are those of a term-by-term loop.  Terms past the
+    stopping j in the last block are evaluated but not added.
     """
-    t0 = 0.5 * term(0)
-    total = t0
-    scale = abs(t0)
-    for j in range(1, cutoff + 1):
-        tj = term(j)
-        total += tj
-        scale = max(scale, abs(total))
-        if j >= 4 and abs(tj) * j <= tol * max(scale, 1e-300):
-            return total
+    total = scale = 0.0
+    lo, hi = 0, min(4, cutoff)
+    while lo <= hi:
+        j = np.arange(lo, hi + 1)
+        t = np.array(term(j), dtype=float)
+        if lo == 0:
+            t[0] *= 0.5
+        partial = np.cumsum(np.concatenate(([total], t)))[1:]
+        running = np.maximum.accumulate(
+            np.concatenate(([scale], np.abs(partial))))[1:]
+        stop = np.flatnonzero(
+            (j >= 4) & (np.abs(t) * j <= tol * np.maximum(running, 1e-300)))
+        if stop.size:
+            return float(partial[stop[0]])
+        total, scale = partial[-1], running[-1]
+        lo, hi = hi + 1, min(hi + min(hi, block), cutoff)
     raise ConvergenceFailure(
         f"Matsubara tail estimate exceeds convergence_tol={tol:g} "
         f"at cutoff={cutoff}")
@@ -145,30 +186,40 @@ def _matsubara_sum(term, cutoff, tol):
 
 def _nonretarded_xi2_trace(m, z, xi):
     """xi^2 Tr G(i xi) = -(c^2/(8 pi z^3)) r_p(i xi) of the closed form, with
-    the 1/xi^2 of the tensor cancelled so that xi = 0 is regular."""
-    return -(C**2 / (8.0 * math.pi * z**3)) \
-        * float(reflection_imag_axis(m, xi))
+    the 1/xi^2 of the tensor cancelled so that xi = 0 is regular, for an
+    array of xi.  r_p is taken one xi at a time, so that each Matsubara term
+    is one call into the material layer, the unit in which a traced run
+    counts terms; a scalar call costs about a microsecond."""
+    r_p = [reflection_imag_axis(m, x) for x in xi.tolist()]
+    return -(C**2 / (8.0 * math.pi * z**3)) * np.array(r_p)
 
 
 def _full_xi2_trace(m, z, xi):
-    """xi^2 Tr G(i xi) by quadrature; at xi = 0 retardation drops out and the
-    closed form is the exact electrostatic limit."""
-    if xi == 0.0:
-        return _nonretarded_xi2_trace(m, z, xi)
-    return xi * xi * green_full_imag_axis(m, z, xi).trace.real
+    """xi^2 Tr G(i xi) by quadrature, one xi of the array at a time; at
+    xi = 0 retardation drops out and the closed form is the exact
+    electrostatic limit."""
+    static = xi == 0.0
+    out = np.empty(xi.shape)
+    out[static] = _nonretarded_xi2_trace(m, z, xi[static])
+    out[~static] = [x * x * green_full_imag_axis(m, z, x).trace.real
+                    for x in xi[~static].tolist()]
+    return out
 
 
 def _green_route(green_mode):
-    """(green, xi2_trace) of the "nonretarded" or "full" Green tensor.
+    """(green, xi2_trace, block) of the "nonretarded" or "full" Green tensor.
 
     The one place a green_mode is resolved.  green(m, z, omega) is the
-    GreenTensor3 on the real axis; xi2_trace(m, z, xi) is xi^2 Tr G(i xi),
-    finite at xi = 0.
+    GreenTensor3 on the real axis; xi2_trace(m, z, xi) is xi^2 Tr G(i xi)
+    for an array of xi, finite at xi = 0; block is the longest block of j
+    the Matsubara engine hands it.  The full route's quadrature takes one
+    xi at a time, so longer blocks would save nothing there and would run
+    quadratures past the stopping j.
     """
     if green_mode == "nonretarded":
-        return green_nonretarded, _nonretarded_xi2_trace
+        return green_nonretarded, _nonretarded_xi2_trace, _MAX_BLOCK
     if green_mode == "full":
-        return green_full, _full_xi2_trace
+        return green_full, _full_xi2_trace, 1
     raise ValueError(f"unknown green_mode {green_mode!r}")
 
 
@@ -194,7 +245,7 @@ def nonresonant_shift_parts(atom, n, m, env, cfg=None,
     """
     if env.T == 0:
         raise ZeroTemperature("nonresonant shift is defined here for T > 0")
-    green, xi2_trace = _green_route(green_mode)
+    green, xi2_trace, block = _green_route(green_mode)
     cfg = cfg or MatsubaraConfig()
     trans = transitions_from(atom, n)
     if not trans:
@@ -206,7 +257,8 @@ def nonresonant_shift_parts(atom, n, m, env, cfg=None,
         xi = j * xi1
         return polarizability_iso(atom, n, xi) * xi2_trace(m, z, xi)
 
-    mats = MU0 * KB * T * _matsubara_sum(term, cfg.cutoff, cfg.convergence_tol)
+    mats = MU0 * KB * T * _matsubara_sum(term, cfg.cutoff,
+                                         cfg.convergence_tol, block)
 
     photon = 0.0
     for k_label, w_kn, _ in trans:
@@ -275,7 +327,7 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     green_mode selects the Im G tensors (nonretarded closed form or full
     quadrature).
     """
-    green, _ = _green_route(green_mode)
+    green, _, _ = _green_route(green_mode)
     chans = _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol)
     o1, o2 = mode1.omega_center, mode2.omega_center
     g1, g2 = mode1.linewidth, mode2.linewidth

@@ -9,8 +9,33 @@ import math
 import numpy as np
 
 import polshift as ps
-from polshift.potentials import _lorentz_weight, _matsubara_sum
 from polshift.units import C, HBAR, KB, MU0
+
+
+def matsubara_sum_reference(term, cutoff, tol):
+    """Primed sum over j of the scalar term(j), one term at a time.
+
+    term(0) enters at half weight; the sum stops at the first j >= 4 with
+    |t_j| * j <= tol * max(max_{i <= j} |S_i|, 1e-300), S_i the partial
+    sums, and raises ConvergenceFailure if no j <= cutoff meets the rule.
+    """
+    t0 = 0.5 * term(0)
+    total = t0
+    scale = abs(t0)
+    for j in range(1, cutoff + 1):
+        tj = term(j)
+        total += tj
+        scale = max(scale, abs(total))
+        if j >= 4 and abs(tj) * j <= tol * max(scale, 1e-300):
+            return total
+    raise ps.ConvergenceFailure(
+        f"Matsubara tail estimate exceeds convergence_tol={tol:g} "
+        f"at cutoff={cutoff}")
+
+
+def lorentz_weight(x, gamma1):
+    """W(x) = x / (x^2 + gamma1^2/4), the detuning weight of a channel."""
+    return x / (x * x + 0.25 * gamma1 * gamma1)
 
 
 def tensor_to_jsonable(g):
@@ -40,7 +65,7 @@ def nonresonant_parts_per_transition(atom, n, m, env, cfg=None):
         return sum(dd * w / (w * w + xi * xi) for w, dd in d2) * rt
 
     mats = -(MU0 * C**2 * KB * T / (12.0 * math.pi * HBAR * z**3)) \
-        * _matsubara_sum(term, cfg.cutoff, cfg.convergence_tol)
+        * matsubara_sum_reference(term, cfg.cutoff, cfg.convergence_tol)
     photon = 0.0
     for _, w_kn, d in trans:
         rp = complex(ps.reflection_nonretarded(m, abs(w_kn)))
@@ -75,8 +100,8 @@ def u_eff_nonretarded_form(atom, upper, lower, mode1, mode2, m, z):
                        zip(gp1, dip0.components, dip1.components, gp2))
         else:
             geom = ch.d_0k * ch.d_k1 / 3.0 * float(np.sum(gp1 * gp2))
-        total += geom * (_lorentz_weight(o1 + ch.omega_0k, g1)
-                         - _lorentz_weight(o1 + ch.omega_k1, g1))
+        total += geom * (lorentz_weight(o1 + ch.omega_0k, g1)
+                         - lorentz_weight(o1 + ch.omega_k1, g1))
     pref = -0.5 * MU0 * o1 * o2 / z**3 * math.sqrt(g1 * g2 / (tr1 * tr2))
     return pref * total
 

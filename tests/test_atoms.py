@@ -239,6 +239,34 @@ def test_rb_fixture_block(rb_atom):
 def test_polarizability_no_dipoles():
     atom = ps.AtomSpec("bare", states=(ps.AtomicState("g", 0.0),), dipoles=())
     assert ps.polarizability_iso(atom, "g", 0.0) == 0.0
+    zeros = ps.polarizability_iso(atom, "g", np.array([0.0, 1e12]))
+    assert zeros.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("label", ["26S1/2", "27S1/2", "26P1/2", "27P3/2"])
+def test_polarizability_array_matches_scalar_calls(rb_atom, label):
+    """An array of xi gives the per-element scalar values, and a scalar
+    call gives the transition sum written out term by term."""
+    xi = np.concatenate(([0.0], np.geomspace(1e9, 1e16, 40)))
+    got = ps.polarizability_iso(rb_atom, label, xi)
+    assert got.shape == xi.shape
+    for g, x in zip(got.tolist(), xi.tolist()):
+        one = ps.polarizability_iso(rb_atom, label, x)
+        assert g == pytest.approx(one, rel=1e-15, abs=0)
+        total = 0.0
+        for _, w, d in ps.transitions_from(rb_atom, label):
+            total += w * d * d / (w * w + x * x)
+        assert one == pytest.approx(2.0 / (3.0 * HBAR) * total,
+                                    rel=1e-15, abs=0)
+    grid = ps.polarizability_iso(rb_atom, label, xi[:6].reshape(3, 2))
+    assert grid.tolist() == got[:6].reshape(3, 2).tolist()
+
+
+@pytest.mark.parametrize("xi", [-1.0, [0.0, 1e12, -1e-300],
+                                [[1e12], [-5.0]]])
+def test_polarizability_rejects_negative_xi(toy_atom, xi):
+    with pytest.raises(ValueError):
+        ps.polarizability_iso(toy_atom, "g", xi)
 
 
 def test_polarizability_two_level_static(toy_atom):

@@ -178,6 +178,7 @@ def test_point_bad_env_cutoff_is_config_error():
 
 @pytest.mark.parametrize("flag, value", [
     ("--T", "inf"), ("--T", "nan"), ("--z", "inf"), ("--z", "nan"),
+    ("--z", "1e120"), ("--z", "1e60"), ("--z", "1e-100"), ("--z", "1e-120"),
     ("--resonance-tol", "nan"), ("--resonance-tol", "-1"),
 ])
 def test_point_non_finite_or_negative_input_is_config_error(flag, value):

@@ -122,6 +122,26 @@ def test_imag_axis_real_decreasing_above_one(material_broad, xi_lo, step):
     assert lo > hi > 1.0
 
 
+def test_imag_axis_scalar_equals_array(material_broad):
+    """A Python float, a 0-d array and an array element give the same bits
+    for eps(i xi) and r_p(i xi), and every form rejects xi < 0."""
+    xi = np.array([0.0, 1.0, 3.7e12, 2.2e13, 9.1e14, 1e20, 1e200])
+    with np.errstate(over="ignore"):  # xi^2 = inf at 1e200, as in floats
+        eps = ps.permittivity_imag_axis(material_broad, xi)
+        r_p = ps.reflection_imag_axis(material_broad, xi)
+    for k, x in enumerate(xi.tolist()):
+        assert ps.permittivity_imag_axis(material_broad, x) == eps[k]
+        with np.errstate(over="ignore"):
+            assert ps.permittivity_imag_axis(
+                material_broad, np.array(x)) == eps[k]
+        assert ps.reflection_imag_axis(material_broad, x) == r_p[k]
+    assert ps.permittivity_imag_axis(material_broad, 3) == \
+        ps.permittivity_imag_axis(material_broad, np.int64(3))
+    for bad in (-1.0, -1, np.array(-1.0), np.array([1.0, -1.0])):
+        with pytest.raises(ValueError):
+            ps.permittivity_imag_axis(material_broad, bad)
+
+
 # ---------------------------------------------------------------------------
 # reflection_nonretarded
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ from scipy.constants import k as KB_SI
 from scipy.integrate import quad
 
 import polshift as ps
-from oracles import (nonresonant_one_polariton,
+from oracles import (matsubara_sum_reference, nonresonant_one_polariton,
                      nonresonant_parts_per_transition, u_eff_nonretarded_form)
+from polshift import potentials
 from polshift.units import C, CM1, HBAR, KB, MU0
 
 Z = 1e-6
@@ -36,12 +37,23 @@ def test_environment_validation():
     with pytest.raises(ValueError):
         ps.Environment(z=1e-6, T=-1.0)
     assert ps.Environment(z=1e-6, T=0.0).T == 0.0
+    # out of range, including where z**3 overflows or underflows to 0 and
+    # where U_eff's z^-6 products overflow (1e-100) or vanish (1e60)
+    for z in (1e120, 1e60, 1.0000001e15, 9.999999e-16, 1e-100, 1e-120):
+        with pytest.raises(ValueError,
+                           match=r"z must lie in \[1e-15, 1e\+15\] m"):
+            ps.Environment(z=z, T=500.0)
+    assert ps.Environment(z=1e-15, T=500.0).z == 1e-15
+    assert ps.Environment(z=1e15, T=500.0).z == 1e15
 
 
 def test_matsubara_config_validation():
     with pytest.raises(ValueError):
         ps.MatsubaraConfig(cutoff=0)
     assert ps.MatsubaraConfig(cutoff=1).cutoff == 1
+    for tol in (math.inf, math.nan, 0.0, -1e-9):
+        with pytest.raises(ValueError, match="convergence_tol"):
+            ps.MatsubaraConfig(convergence_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +181,166 @@ def test_nonresonant_routes_agree(toy_atom, material_toy):
     b = ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env)
     assert b[0] == pytest.approx(a[0], rel=1e-12, abs=0)
     assert b[1] == pytest.approx(a[1], rel=1e-12, abs=0)
+
+
+def test_nonresonant_routes_agree_multilevel(rb_atom, material_broad):
+    """The per-transition form on the ten-transition Rb level, where alpha
+    is summed over xi blocks and the sum runs to about 1800 terms."""
+    env = ps.Environment(z=Z, T=3.0)
+    a = nonresonant_parts_per_transition(rb_atom, "27S1/2", material_broad,
+                                         env)
+    b = ps.nonresonant_shift_parts(rb_atom, "27S1/2", material_broad, env)
+    assert b[0] == pytest.approx(a[0], rel=1e-12, abs=0)
+    assert b[1] == pytest.approx(a[1], rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# Matsubara block engine against the term-by-term oracle
+# ---------------------------------------------------------------------------
+
+
+def _mats_term(atom, n, m, env, green_mode="nonretarded"):
+    """The Matsubara summand of nonresonant_shift_parts, for an array of j."""
+    _, xi2_trace, _ = potentials._green_route(green_mode)
+    xi1 = ps.matsubara_xi(env.T, 1)
+
+    def term(j):
+        xi = j * xi1
+        return ps.polarizability_iso(atom, n, xi) * xi2_trace(m, env.z, xi)
+    return term
+
+
+def _oracle_and_stop(term, cutoff, tol):
+    """(value, stopping j) of the term-by-term oracle on the same summand."""
+    seen = []
+
+    def one(j):
+        seen.append(j)
+        return term(np.array([j]))[0]
+    return matsubara_sum_reference(one, cutoff, tol), seen[-1]
+
+
+def _assert_engine_matches_oracle(term, cutoff=20000, tol=1e-9):
+    want, stop = _oracle_and_stop(term, cutoff, tol)
+    assert potentials._matsubara_sum(term, cutoff, tol) == want
+    # the same stopping j: a cutoff there suffices, one below does not
+    assert potentials._matsubara_sum(term, stop, tol) == want
+    with pytest.raises(ps.ConvergenceFailure):
+        potentials._matsubara_sum(term, stop - 1, tol)
+    return stop
+
+
+@pytest.mark.parametrize("T", [0.35, 3.0, 30.0, 500.0])
+def test_matsubara_engine_matches_oracle_rb(rb_atom, material_broad, T):
+    term = _mats_term(rb_atom, "27S1/2", material_broad,
+                      ps.Environment(z=Z, T=T))
+    _assert_engine_matches_oracle(term)
+
+
+@pytest.mark.parametrize("T", [0.35, 3.0, 30.0, 500.0])
+@pytest.mark.parametrize("n", ["g", "e"])
+def test_matsubara_engine_matches_oracle_toy(toy_atom, material_toy, n, T):
+    term = _mats_term(toy_atom, n, material_toy, ps.Environment(z=Z, T=T))
+    if T < 10.0:
+        # the two-level sums need more than the default cutoff here
+        with pytest.raises(ps.ConvergenceFailure):
+            _oracle_and_stop(term, 20000, 1e-9)
+        with pytest.raises(ps.ConvergenceFailure):
+            potentials._matsubara_sum(term, 20000, 1e-9)
+    else:
+        _assert_engine_matches_oracle(term)
+
+
+def test_matsubara_engine_matches_oracle_full_green(toy_atom, material_toy):
+    """One green_mode="full" point, whose sum spans several blocks."""
+    term = _mats_term(toy_atom, "g", material_toy,
+                      ps.Environment(z=1e-8, T=400.0), green_mode="full")
+    assert _assert_engine_matches_oracle(term) > 8
+
+
+def test_matsubara_engine_stops_against_the_running_max():
+    """Partial sums that fall after j = 0 measure the tail against their
+    largest magnitude so far, not the current one."""
+    def term(j):
+        j = np.asarray(j, dtype=float)
+        return np.where(j == 0, 2.0, -0.5 / np.maximum(j, 1.0) ** 2)
+
+    # vs the running max 1 the rule stops near j = 500; vs |S_j| ~ 0.18 it
+    # would need j ~ 2700
+    assert _assert_engine_matches_oracle(term, cutoff=5000, tol=1e-3) < 1000
+
+
+@pytest.mark.parametrize("case, stop", [("rb", 4), ("toy", 87)])
+def test_full_route_runs_one_quadrature_per_term(request, monkeypatch, case,
+                                                 stop):
+    """The full route runs one quadrature for each j = 1 .. the oracle's
+    stopping j and none past it: the first block ends where the rule can
+    first stop (Rb, 500 K: j = 4), and later blocks hold one j (toy,
+    10 nm, 400 K: j = 87, past the first doubling blocks)."""
+    atom, n, m, env = {
+        "rb": ("rb_atom", "27S1/2", "material_broad",
+               ps.Environment(z=Z, T=500.0)),
+        "toy": ("toy_atom", "g", "material_toy",
+                ps.Environment(z=1e-8, T=400.0)),
+    }[case]
+    atom, m = request.getfixturevalue(atom), request.getfixturevalue(m)
+    assert _oracle_and_stop(_mats_term(atom, n, m, env, "full"), 20000,
+                            1e-9)[1] == stop
+    xis = []
+    quadrature = potentials.green_full_imag_axis
+
+    def counted(m, z, xi):
+        xis.append(xi)
+        return quadrature(m, z, xi)
+
+    monkeypatch.setattr(potentials, "green_full_imag_axis", counted)
+    ps.nonresonant_shift_parts(atom, n, m, env, green_mode="full")
+    xi1 = ps.matsubara_xi(env.T, 1)
+    assert xis == [j * xi1 for j in range(1, stop + 1)]
+
+
+def test_nonretarded_trace_one_reflection_call_per_term(rb_atom,
+                                                        material_broad,
+                                                        monkeypatch):
+    """Each Matsubara xi of a block is one scalar reflection_imag_axis
+    call, in the order of j, so the material layer counts terms by calls."""
+    xis = []
+    reflection = potentials.reflection_imag_axis
+
+    def counted(m, xi):
+        xis.append(xi)
+        return reflection(m, xi)
+
+    monkeypatch.setattr(potentials, "reflection_imag_axis", counted)
+    term = _mats_term(rb_atom, "27S1/2", material_broad,
+                      ps.Environment(z=Z, T=3.0))
+    j = np.arange(0, 700)
+    term(j)
+    xi1 = potentials.matsubara_xi(3.0, 1)
+    assert xis == (j * xi1).tolist()
+    assert all(type(x) is float for x in xis)
+
+
+def test_matsubara_engine_never_evaluates_past_cutoff():
+    """A block that would run past cutoff is clamped there, and a cutoff
+    below 4 raises without a term past it."""
+    seen = []
+
+    def term(j):
+        seen.extend(np.asarray(j).tolist())
+        return 1.0 / (1.0 + np.asarray(j, dtype=float)) ** 2
+
+    stop = _assert_engine_matches_oracle(term, cutoff=5000, tol=1e-3)
+    assert 512 < stop < 1024  # inside the block j = 513..1024
+    seen.clear()
+    with pytest.raises(ps.ConvergenceFailure):
+        potentials._matsubara_sum(term, stop - 1, 1e-3)
+    assert max(seen) == stop - 1
+    assert sorted(seen) == list(range(stop))
+    seen.clear()
+    with pytest.raises(ps.ConvergenceFailure):
+        potentials._matsubara_sum(term, 3, 1e-3)
+    assert seen == [0, 1, 2, 3]
 
 
 def test_unknown_green_mode_rejected(toy_atom, material_toy):
