@@ -25,7 +25,6 @@ from .atoms import (
     DipoleElement,
     TransitionChannel,
     atom_from_dict,
-    atom_to_dict,
     channels,
     load_atom,
     polarizability_iso,
@@ -59,11 +58,8 @@ from .material import (
     find_polariton_modes,
     fresnel,
     load_material,
-    lorentzian_ldos_factor,
     material_from_dict,
-    material_to_dict,
     permittivity,
-    permittivity_derivative,
     permittivity_imag_axis,
     reflection_imag_axis,
     reflection_nonretarded,
@@ -75,7 +71,6 @@ from .potentials import (
     attribute_modes,
     find_resonant_pair,
     matsubara_xi,
-    nonresonant_shift,
     nonresonant_shift_parts,
     resonant_shift,
     resonant_shift_closed_form,
@@ -111,7 +106,6 @@ __all__ = [
     "TransitionChannel",
     "ZeroTemperature",
     "atom_from_dict",
-    "atom_to_dict",
     "attribute_modes",
     "channels",
     "find_polariton_modes",
@@ -122,14 +116,10 @@ __all__ = [
     "green_nonretarded",
     "load_atom",
     "load_material",
-    "lorentzian_ldos_factor",
     "material_from_dict",
-    "material_to_dict",
     "matsubara_xi",
-    "nonresonant_shift",
     "nonresonant_shift_parts",
     "permittivity",
-    "permittivity_derivative",
     "permittivity_imag_axis",
     "polarizability_iso",
     "reflection_imag_axis",

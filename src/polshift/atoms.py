@@ -5,16 +5,14 @@ dipole magnitudes in C.m.  Transition frequencies follow the convention
 omega_ab = omega_a - omega_b and are always computed, never stored.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DanglingReference, ParseError
+from .errors import (DanglingReference, ParseError, check_document, read_json,
+                     require)
 from .units import HBAR, dipole_moment, level_energy
-
-SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -200,23 +198,12 @@ def polarizability_iso(atom, n, xi):
 
 # --- JSON ingestion -------------------------------------------------------------
 
-def _require(doc, key, path):
-    if key not in doc:
-        raise ParseError("missing required field", field=f"{path}{key}")
-    return doc[key]
-
-
 def atom_from_dict(doc):
     """Build an AtomSpec from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ParseError("atom document must be an object", field=".")
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {version!r}",
-                         field="schema_version")
-    name = _require(doc, "name", "")
-    states_doc = _require(doc, "states", "")
-    dipoles_doc = _require(doc, "dipoles", "")
+    check_document(doc, "atom")
+    name = require(doc, "name")
+    states_doc = require(doc, "states")
+    dipoles_doc = require(doc, "dipoles")
     if not isinstance(states_doc, list) or not states_doc:
         raise ParseError("states must be a non-empty list", field="states")
     if not isinstance(dipoles_doc, list):
@@ -227,10 +214,10 @@ def atom_from_dict(doc):
         p = f"states[{i}]."
         if not isinstance(entry, dict):
             raise ParseError("state entry must be an object", field=p[:-1])
-        label = _require(entry, "label", p)
-        unit = _require(entry, "unit", p)
+        label = require(entry, "label", p)
+        unit = require(entry, "unit", p)
         try:
-            energy = level_energy(_require(entry, "energy", p), unit)
+            energy = level_energy(require(entry, "energy", p), unit)
             states.append(AtomicState(label=str(label), energy=energy))
         except (TypeError, ValueError) as exc:
             raise ParseError(str(exc), field=p[:-1]) from None
@@ -241,15 +228,15 @@ def atom_from_dict(doc):
         p = f"dipoles[{i}]."
         if not isinstance(entry, dict):
             raise ParseError("dipole entry must be an object", field=p[:-1])
-        frm = str(_require(entry, "from", p))
-        to = str(_require(entry, "to", p))
-        unit = _require(entry, "unit", p)
+        frm = str(require(entry, "from", p))
+        to = str(require(entry, "to", p))
+        unit = require(entry, "unit", p)
         for lab, key in ((frm, "from"), (to, "to")):
             if lab not in labels:
                 raise DanglingReference(
                     f"unknown state {lab!r}", field=f"{p}{key}")
         try:
-            mag = dipole_moment(_require(entry, "magnitude", p), unit)
+            mag = dipole_moment(require(entry, "magnitude", p), unit)
             comp = entry.get("components")
             if comp is not None:
                 comp = tuple(dipole_moment(c, unit) for c in comp)
@@ -264,29 +251,6 @@ def atom_from_dict(doc):
         raise ParseError(str(exc)) from None
 
 
-def atom_to_dict(atom):
-    """Serialize an AtomSpec (energies in rad/s, dipoles in C.m)."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "name": atom.name,
-        "states": [{"label": s.label, "energy": s.energy, "unit": "rad/s"}
-                   for s in atom.states],
-        "dipoles": [],
-    }
-    for d in atom.dipoles:
-        entry = {"from": d.from_state, "to": d.to_state,
-                 "magnitude": d.magnitude, "unit": "C·m"}
-        if d.components is not None:
-            entry["components"] = list(d.components)
-        doc["dipoles"].append(entry)
-    return doc
-
-
 def load_atom(path):
     """Load an atom JSON file; errors carry the offending field path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return atom_from_dict(doc)
+    return atom_from_dict(read_json(path))

@@ -17,8 +17,8 @@ import numpy as np
 from .atoms import load_atom
 from .errors import ParseError, PhysicsError, PolshiftError
 from .material import find_polariton_modes, load_material
-from .potentials import (Z_RANGE, Environment, MatsubaraConfig, total_shift,
-                         valid_distance)
+from .potentials import (T_MAX, Z_RANGE, Environment, MatsubaraConfig,
+                         total_shift, valid_distance, valid_temperature)
 from .units import CM1, HBAR
 
 SCHEMA_VERSION = 1
@@ -71,8 +71,8 @@ class RunConfig:
         if not all(valid_distance(v) for v in self.z_values):
             raise ValueError(f"z values must lie in [{Z_RANGE[0]:g}, "
                              f"{Z_RANGE[1]:g}] m")
-        if not all(math.isfinite(v) and v > 0 for v in self.T_values):
-            raise ValueError("T values must be finite and > 0")
+        if not all(valid_temperature(v) and v > 0 for v in self.T_values):
+            raise ValueError(f"T values must lie in (0, {T_MAX:g}] K")
         if not (math.isfinite(self.resonance_tol) and self.resonance_tol >= 0):
             raise ValueError("resonance tolerance must be finite and >= 0")
 

@@ -5,7 +5,15 @@ Two families:
 * configuration/input errors (bad files, bad references) -- exit code 2 in the CLI;
 * physics/numerics errors (poles, failed quadrature, off-resonance requests) --
   exit code 3 in the CLI.
+
+The JSON input helpers that both file loaders share sit next to ParseError,
+the error they raise.
 """
+
+import json
+
+#: the schema_version of material and atom input files
+SCHEMA_VERSION = 1
 
 
 class PolshiftError(Exception):
@@ -26,6 +34,32 @@ class ParseError(PolshiftError):
 
 class DanglingReference(ParseError):
     """A dipole entry references a state label that does not exist."""
+
+
+def read_json(path):
+    """Parse a JSON input file; malformed JSON raises ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from None
+
+
+def check_document(doc, kind):
+    """ParseError unless doc is an object of a supported schema_version."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"{kind} document must be an object", field=".")
+    version = doc.get("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema_version {version!r}",
+                         field="schema_version")
+
+
+def require(doc, key, path=""):
+    """doc[key]; a missing key raises ParseError at the dotted path + key."""
+    if key not in doc:
+        raise ParseError("missing required field", field=f"{path}{key}")
+    return doc[key]
 
 
 # --- physics / numerics errors -----------------------------------------------

@@ -5,20 +5,25 @@ and nonretarded reflection coefficients, and extraction of the surface-mode
 (polariton) resonances as peaks of Im r_p.
 """
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .errors import NoModeFound, ParseError, PoleHit, SurfaceModePole
+from .errors import (NoModeFound, ParseError, PoleHit, SurfaceModePole,
+                     check_document, read_json, require)
 from .units import C, angular_frequency
 
-SCHEMA_VERSION = 1
-
-#: default relative tolerance below which |eps + 1| counts as "on the pole"
+#: relative tolerance below which |eps + 1| counts as "on the pole"
 POLE_RTOL = 1e-9
+
+#: the oscillator frequencies (rad/s) accepted for omega_P, omega_T and a
+#: nonzero gamma: far wider than any physical resonance, and far inside the
+#: range where the mode finder's omega^4 terms (the squared denominators of
+#: d eps/d omega) stay finite and nonzero (a material with every frequency
+#: scaled to 1e-77 or 1e80 rad/s overflows there)
+OMEGA_RANGE = (1e-30, 1e30)
 
 
 @dataclass(frozen=True)
@@ -39,6 +44,11 @@ class Oscillator:
             raise ValueError("omega_T must be > 0")
         if self.gamma_damp < 0:
             raise ValueError("gamma_damp must be >= 0")
+        lo, hi = OMEGA_RANGE
+        if not (lo <= self.omega_P <= hi and lo <= self.omega_T <= hi
+                and (self.gamma_damp == 0 or lo <= self.gamma_damp <= hi)):
+            raise ValueError(f"omega_P, omega_T and a nonzero gamma must lie "
+                             f"in [{lo:g}, {hi:g}] rad/s")
 
     @property
     def omega_L(self):
@@ -69,10 +79,6 @@ class MaterialModel:
             raise TypeError("oscillators must be Oscillator instances")
         object.__setattr__(self, "oscillators",
                            tuple(sorted(oscs, key=lambda o: o.omega_T)))
-
-    @property
-    def undamped(self):
-        return all(o.gamma_damp == 0.0 for o in self.oscillators)
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ def permittivity_imag_axis(m, xi):
     return eps
 
 
-def permittivity_derivative(m, omega):
+def _permittivity_derivative(m, omega):
     """Analytic d eps / d omega (complex)."""
     omega = np.asarray(omega)
     d = np.zeros(omega.shape, dtype=complex)
@@ -155,19 +161,19 @@ def permittivity_derivative(m, omega):
 
 # --- reflection ---------------------------------------------------------------
 
-def reflection_nonretarded(m, omega, pole_rtol=POLE_RTOL):
+def reflection_nonretarded(m, omega):
     """Nonretarded p-reflection (eps - 1)/(eps + 1).
 
-    Raises SurfaceModePole when |eps + 1| < pole_rtol * |eps - 1|, i.e. the
+    Raises SurfaceModePole when |eps + 1| < POLE_RTOL * |eps - 1|, i.e. the
     evaluation sits numerically on a surface-mode pole.
     """
     eps = permittivity(m, omega)
     num = eps - 1.0
     den = eps + 1.0
-    if np.any(np.abs(den) < pole_rtol * np.abs(num)):
+    if np.any(np.abs(den) < POLE_RTOL * np.abs(num)):
         raise SurfaceModePole(
             "reflection_nonretarded evaluated on a surface-mode pole "
-            f"(|eps+1| < {pole_rtol:g}*|eps-1|)")
+            f"(|eps+1| < {POLE_RTOL:g}*|eps-1|)")
     return num / den
 
 
@@ -235,7 +241,7 @@ def _ascending_eps_roots(m):
 def _width_estimate(m, omega0):
     """FWHM estimate 2 Im eps / Re eps' at an ascending eps = -1 crossing."""
     im_eps = float(np.imag(permittivity(m, omega0)))
-    deps = float(np.real(permittivity_derivative(m, omega0)))
+    deps = float(np.real(_permittivity_derivative(m, omega0)))
     if im_eps <= 0 or deps <= 0:
         return None
     return 2.0 * im_eps / deps
@@ -256,7 +262,7 @@ def _bracket_half_max(m, center, half, step, direction, limit):
     return None
 
 
-def find_polariton_modes(m, *, linewidth_override=None):
+def find_polariton_modes(m):
     """Locate surface-polariton modes of the material.
 
     Centers are the interior local maxima of Im r_p (refined from the
@@ -266,10 +272,8 @@ def find_polariton_modes(m, *, linewidth_override=None):
     between neighbouring centers; the outermost edges are clipped at
     center +/- 5*linewidth.
 
-    For a fully undamped material Im r_p vanishes identically, so there is no
-    interior maximum; centers are then the eps = -1 roots and the linewidth
-    must be supplied through ``linewidth_override`` (scalar or one value per
-    mode), otherwise NoModeFound is raised.
+    Im r_p vanishes identically for a fully undamped material, so there is
+    no peak to find and NoModeFound is raised.
     """
     if not m.oscillators:
         raise NoModeFound("vacuum half-space: r_p vanishes identically")
@@ -278,43 +282,32 @@ def find_polariton_modes(m, *, linewidth_override=None):
         raise NoModeFound("Im r_p has no interior local maximum "
                           "(no ascending eps = -1 crossing)")
 
-    if m.undamped:
-        if linewidth_override is None:
-            raise NoModeFound(
-                "undamped material: Im r_p vanishes identically, no peak to "
-                "measure; pass linewidth_override to set mode widths")
-        overrides = np.broadcast_to(
-            np.asarray(linewidth_override, dtype=float), (len(roots),))
-        centers = list(roots)
-        widths = [float(g) for g in overrides]
-        peaks = [float("inf")] * len(roots)
-    else:
-        centers, widths, peaks = [], [], []
-        for r in roots:
-            g0 = _width_estimate(m, r)
-            if g0 is None:
-                continue
-            # refine the peak of Im r_p inside a window around the crossing
-            wlo, whi = r - 5.0 * g0, r + 5.0 * g0
-            res = optimize.minimize_scalar(
-                lambda w: -_im_rp(m, w), bounds=(wlo, whi), method="bounded",
-                options={"xatol": 1e-13 * r})
-            center = float(res.x)
-            peak = -float(res.fun)
-            half = 0.5 * peak
-            lb = _bracket_half_max(m, center, half, g0, -1.0, (0.0, np.inf))
-            rb = _bracket_half_max(m, center, half, g0, +1.0, (0.0, np.inf))
-            if lb is None or rb is None:
-                continue
-            wl = optimize.brentq(lambda w: _im_rp(m, w) - half, *lb,
-                                 xtol=1e-13 * center, rtol=8.9e-16)
-            wr = optimize.brentq(lambda w: _im_rp(m, w) - half, *rb,
-                                 xtol=1e-13 * center, rtol=8.9e-16)
-            centers.append(center)
-            widths.append(wr - wl)
-            peaks.append(peak)
-        if not centers:
-            raise NoModeFound("Im r_p has no resolvable interior local maximum")
+    centers, widths, peaks = [], [], []
+    for r in roots:
+        g0 = _width_estimate(m, r)
+        if g0 is None:
+            continue
+        # refine the peak of Im r_p inside a window around the crossing
+        wlo, whi = r - 5.0 * g0, r + 5.0 * g0
+        res = optimize.minimize_scalar(
+            lambda w: -_im_rp(m, w), bounds=(wlo, whi), method="bounded",
+            options={"xatol": 1e-13 * r})
+        center = float(res.x)
+        peak = -float(res.fun)
+        half = 0.5 * peak
+        lb = _bracket_half_max(m, center, half, g0, -1.0, (0.0, np.inf))
+        rb = _bracket_half_max(m, center, half, g0, +1.0, (0.0, np.inf))
+        if lb is None or rb is None:
+            continue
+        wl = optimize.brentq(lambda w: _im_rp(m, w) - half, *lb,
+                             xtol=1e-13 * center, rtol=8.9e-16)
+        wr = optimize.brentq(lambda w: _im_rp(m, w) - half, *rb,
+                             xtol=1e-13 * center, rtol=8.9e-16)
+        centers.append(center)
+        widths.append(wr - wl)
+        peaks.append(peak)
+    if not centers:
+        raise NoModeFound("Im r_p has no resolvable interior local maximum")
 
     order = np.argsort(centers)
     centers = [centers[i] for i in order]
@@ -342,47 +335,25 @@ def find_polariton_modes(m, *, linewidth_override=None):
     return modes
 
 
-def lorentzian_ldos_factor(mode, omega):
-    """Lorentzian line-shape factor (gamma^2/4)/((omega-Omega)^2 + gamma^2/4).
-
-    Equals 1 at the mode center and 1/2 at center +/- gamma/2.
-    """
-    if not mode.linewidth > 0:
-        raise ValueError("mode linewidth must be > 0")
-    q = 0.25 * mode.linewidth**2
-    return q / ((np.asarray(omega) - mode.omega_center) ** 2 + q)
-
-
 # --- JSON ingestion -------------------------------------------------------------
 
-def _require(doc, key, path):
-    if key not in doc:
-        raise ParseError("missing required field", field=f"{path}{key}")
-    return doc[key]
-
-
-def material_from_dict(doc, path=""):
+def material_from_dict(doc):
     """Build a MaterialModel from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ParseError("material document must be an object", field=path or ".")
-    version = doc.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schema_version {version!r}",
-                         field=f"{path}schema_version")
-    name = _require(doc, "name", path)
-    oscs_doc = _require(doc, "oscillators", path)
+    check_document(doc, "material")
+    name = require(doc, "name")
+    oscs_doc = require(doc, "oscillators")
     if not isinstance(oscs_doc, list) or not oscs_doc:
         raise ParseError("oscillators must be a non-empty list",
-                         field=f"{path}oscillators")
+                         field="oscillators")
     oscs = []
     for i, entry in enumerate(oscs_doc):
-        p = f"{path}oscillators[{i}]."
+        p = f"oscillators[{i}]."
         if not isinstance(entry, dict):
             raise ParseError("oscillator entry must be an object", field=p[:-1])
-        unit = _require(entry, "unit", p)
+        unit = require(entry, "unit", p)
         try:
-            omega_P = angular_frequency(_require(entry, "omega_P", p), unit)
-            omega_T = angular_frequency(_require(entry, "omega_T", p), unit)
+            omega_P = angular_frequency(require(entry, "omega_P", p), unit)
+            omega_T = angular_frequency(require(entry, "omega_T", p), unit)
             gamma = angular_frequency(entry.get("gamma", 0.0), unit)
         except (TypeError, ValueError) as exc:
             raise ParseError(str(exc), field=p[:-1]) from None
@@ -394,24 +365,6 @@ def material_from_dict(doc, path=""):
     return MaterialModel(name=str(name), oscillators=tuple(oscs))
 
 
-def material_to_dict(m):
-    """Serialize a MaterialModel (frequencies in rad/s)."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": m.name,
-        "oscillators": [
-            {"omega_P": o.omega_P, "omega_T": o.omega_T,
-             "gamma": o.gamma_damp, "unit": "rad/s"}
-            for o in m.oscillators
-        ],
-    }
-
-
 def load_material(path):
     """Load a material JSON file; parse errors carry the offending field path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from None
-    return material_from_dict(doc)
+    return material_from_dict(read_json(path))

@@ -45,6 +45,19 @@ def valid_distance(z):
     return Z_RANGE[0] <= z <= Z_RANGE[1]
 
 
+#: the highest temperature (K) accepted: far above any physical one, and far
+#: below where the thermal factor sqrt[(nbar1+1) nbar2], which grows like
+#: kT/(hbar Omega), overflows (between 1e150 and 1e160 K for the modes of
+#: tests/fixtures/material_broad.json) or the Matsubara spacing xi_1 does
+#: (1e300 K)
+T_MAX = 1e15
+
+
+def valid_temperature(T):
+    """True when 0 <= T <= T_MAX (so nan and inf do not)."""
+    return 0.0 <= T <= T_MAX
+
+
 @dataclass(frozen=True)
 class Environment:
     """Atom-surface distance z (m) and temperature T (K)."""
@@ -56,8 +69,8 @@ class Environment:
         if not valid_distance(self.z):
             raise ValueError(
                 f"z must lie in [{Z_RANGE[0]:g}, {Z_RANGE[1]:g}] m")
-        if not (math.isfinite(self.T) and self.T >= 0):
-            raise ValueError("T must be finite and >= 0")
+        if not valid_temperature(self.T):
+            raise ValueError(f"T must lie in [0, {T_MAX:g}] K")
 
 
 @dataclass(frozen=True)
@@ -269,12 +282,6 @@ def nonresonant_shift_parts(atom, n, m, env, cfg=None,
     return mats, MU0 * photon
 
 
-def nonresonant_shift(atom, n, m, env, cfg=None, green_mode="nonretarded"):
-    """Total nonresonant Casimir-Polder shift of level n (J)."""
-    mats, photon = nonresonant_shift_parts(atom, n, m, env, cfg, green_mode)
-    return mats + photon
-
-
 def _lorentz_weight(x, gamma1):
     """x / (x^2 + gamma1^2/4) -- the detuning weight of the channel sum."""
     return x / (x * x + 0.25 * gamma1 * gamma1)
@@ -335,8 +342,10 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     tr1, tr2 = t1.im_trace, t2.im_trace
     if tr1 <= 0.0 or tr2 <= 0.0:
         raise NoModeFound(
-            "Tr Im G vanishes at a mode center (lossless material?); "
-            "no polariton line density to couple to")
+            f"scattered Tr Im G is {tr1:.6g} m^-1 at Omega1 and {tr2:.6g} "
+            f"m^-1 at Omega2 (green_mode={green_mode!r}, z={env.z:g} m); "
+            "the normalisation sqrt(gamma1 gamma2 / (TrImG1 TrImG2)) needs "
+            "both to be positive")
     wxx, wzz = t1.xx.imag * t2.xx.imag, t1.zz.imag * t2.zz.imag
 
     def geom(ch):

@@ -2,6 +2,8 @@
 
 Each is written out from its own closed form, not through the library's
 Green-tensor routes, so agreement is evidence rather than a tautology.
+The serializers and the Lorentzian line shape at the end are used only by
+round-trip and line-shape tests.
 """
 
 import math
@@ -9,6 +11,7 @@ import math
 import numpy as np
 
 import polshift as ps
+from polshift.errors import SCHEMA_VERSION
 from polshift.units import C, HBAR, KB, MU0
 
 
@@ -140,15 +143,20 @@ def nonresonant_one_polariton(*, omega_P, omega_T, gamma_damp, transitions,
 def mode_width_from_pole(m, mode, max_iter=100):
     """Alternative width estimate from the complex root of eps(omega) = -1.
 
-    Newton iteration started at omega_center - i*linewidth/2; the FWHM
-    equivalent is 2 |Im omega_pole|.  Returns (center, width) so it can be
-    compared directly with the Im r_p fit used by find_polariton_modes.
+    Newton iteration started at omega_center - i*linewidth/2, on
+    eps(w) = 1 + sum_j P_j^2 / D_j and d eps/d w = sum_j P_j^2 (2w + i g_j)
+    / D_j^2 with D_j = T_j^2 - w^2 - i w g_j; the FWHM equivalent is
+    2 |Im omega_pole|.  Returns (center, width) so it can be compared
+    directly with the Im r_p fit used by find_polariton_modes.
     """
     w = complex(mode.omega_center, -0.5 * mode.linewidth)
     scale = abs(w)
     for _ in range(max_iter):
-        f = ps.permittivity(m, w) + 1.0
-        df = ps.permittivity_derivative(m, w)
+        f, df = 2.0, 0.0  # eps + 1 and d eps/d w
+        for o in m.oscillators:
+            d = o.omega_T**2 - w * w - 1j * w * o.gamma_damp
+            f += o.omega_P**2 / d
+            df += o.omega_P**2 * (2.0 * w + 1j * o.gamma_damp) / (d * d)
         step = f / df
         w = w - step
         if abs(step) < 1e-14 * scale:
@@ -157,3 +165,45 @@ def mode_width_from_pole(m, mode, max_iter=100):
         raise ps.NoModeFound(
             "complex-root iteration for eps = -1 did not converge")
     return abs(w.real), 2.0 * abs(w.imag)
+
+
+def lorentzian_ldos_factor(mode, omega):
+    """Lorentzian line-shape factor (gamma^2/4)/((omega-Omega)^2 + gamma^2/4).
+
+    Equals 1 at the mode center and 1/2 at center +/- gamma/2.
+    """
+    if not mode.linewidth > 0:
+        raise ValueError("mode linewidth must be > 0")
+    q = 0.25 * mode.linewidth**2
+    return q / ((np.asarray(omega) - mode.omega_center) ** 2 + q)
+
+
+def material_to_dict(m):
+    """Serialize a MaterialModel (frequencies in rad/s)."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "name": m.name,
+        "oscillators": [
+            {"omega_P": o.omega_P, "omega_T": o.omega_T,
+             "gamma": o.gamma_damp, "unit": "rad/s"}
+            for o in m.oscillators
+        ],
+    }
+
+
+def atom_to_dict(atom):
+    """Serialize an AtomSpec (energies in rad/s, dipoles in C.m)."""
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "name": atom.name,
+        "states": [{"label": s.label, "energy": s.energy, "unit": "rad/s"}
+                   for s in atom.states],
+        "dipoles": [],
+    }
+    for d in atom.dipoles:
+        entry = {"from": d.from_state, "to": d.to_state,
+                 "magnitude": d.magnitude, "unit": "C·m"}
+        if d.components is not None:
+            entry["components"] = list(d.components)
+        doc["dipoles"].append(entry)
+    return doc

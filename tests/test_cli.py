@@ -177,7 +177,8 @@ def test_point_bad_env_cutoff_is_config_error():
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--T", "inf"), ("--T", "nan"), ("--z", "inf"), ("--z", "nan"),
+    ("--T", "inf"), ("--T", "nan"), ("--T", "1e200"), ("--T", "1e300"),
+    ("--z", "inf"), ("--z", "nan"),
     ("--z", "1e120"), ("--z", "1e60"), ("--z", "1e-100"), ("--z", "1e-120"),
     ("--resonance-tol", "nan"), ("--resonance-tol", "-1"),
 ])
@@ -358,6 +359,24 @@ def test_modes_undamped_is_physics_error(tmp_path):
     r = run_cli("modes", "--material", str(undamped))
     assert r.returncode == 3
     assert "NoModeFound" in r.stderr
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_modes_oscillator_outside_float_range_is_config_error(tmp_path,
+                                                              scale):
+    """omega_T**2 overflows at 1e200 rad/s (an uncaught OverflowError) and
+    underflows at 1e-200 rad/s (a PoleHit calling the damped oscillator
+    undamped); both are input errors."""
+    extreme = tmp_path / "extreme.json"
+    extreme.write_text(json.dumps({
+        "name": "extreme",
+        "oscillators": [{"omega_P": scale, "omega_T": scale,
+                         "gamma": 0.01 * scale, "unit": "rad/s"}],
+    }))
+    r = run_cli("modes", "--material", str(extreme))
+    assert r.returncode == 2, r.stderr
+    assert "error in modes" in r.stderr
+    assert "(at 'oscillators[0]')" in r.stderr
 
 
 def test_modes_malformed_file_reports_path(tmp_path):

@@ -45,6 +45,12 @@ def test_environment_validation():
             ps.Environment(z=z, T=500.0)
     assert ps.Environment(z=1e-15, T=500.0).z == 1e-15
     assert ps.Environment(z=1e15, T=500.0).z == 1e15
+    # above T_MAX, including where the thermal factor overflows (1e160) and
+    # where xi_1 is infinite (1e300)
+    for T in (1e300, 1e200, 1e160, 1.0000001e15, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"T must lie in \[0, 1e\+15\] K"):
+            ps.Environment(z=1e-6, T=T)
+    assert ps.Environment(z=1e-6, T=1e15).T == 1e15
 
 
 def test_matsubara_config_validation():
@@ -139,29 +145,28 @@ def test_thermal_factor_zero_temperature(broad_modes):
 
 
 # ---------------------------------------------------------------------------
-# nonresonant_shift
+# nonresonant_shift_parts
 # ---------------------------------------------------------------------------
 
 
 def test_nonresonant_no_dipoles(material_toy):
     atom = ps.AtomSpec("bare", states=(ps.AtomicState("g", 0.0),), dipoles=())
-    assert ps.nonresonant_shift(atom, "g", material_toy, ENV) == 0.0
+    assert sum(ps.nonresonant_shift_parts(atom, "g", material_toy, ENV)) \
+        == 0.0
 
 
 def test_nonresonant_requires_positive_T(toy_atom, material_toy):
     with pytest.raises(ps.ZeroTemperature):
-        ps.nonresonant_shift(toy_atom, "g", material_toy,
-                             ps.Environment(z=Z, T=0.0))
+        ps.nonresonant_shift_parts(toy_atom, "g", material_toy,
+                                   ps.Environment(z=Z, T=0.0))
 
 
 def test_nonresonant_ground_state_attractive(toy_atom, material_toy):
     env = ps.Environment(z=Z, T=400.0)
-    total = ps.nonresonant_shift(toy_atom, "g", material_toy, env)
     mats, photon = ps.nonresonant_shift_parts(toy_atom, "g", material_toy,
                                               env)
-    assert total < 0.0
+    assert mats + photon < 0.0
     assert mats < 0.0
-    assert total == mats + photon
 
 
 def test_nonresonant_golden_toy(golden, toy_atom, material_toy):
@@ -390,16 +395,16 @@ def test_nonresonant_oriented_dipole_photon_line(material_toy):
 def test_nonresonant_convergence_failure(toy_atom, material_toy):
     cfg = ps.MatsubaraConfig(cutoff=3)
     with pytest.raises(ps.ConvergenceFailure):
-        ps.nonresonant_shift(toy_atom, "g", material_toy,
-                             ps.Environment(z=Z, T=400.0), cfg=cfg)
+        ps.nonresonant_shift_parts(toy_atom, "g", material_toy,
+                                   ps.Environment(z=Z, T=400.0), cfg=cfg)
 
 
 def test_nonresonant_cutoff_doubling_stable(toy_atom, material_toy):
     env = ps.Environment(z=Z, T=400.0)
-    lo = ps.nonresonant_shift(toy_atom, "g", material_toy, env,
-                              cfg=ps.MatsubaraConfig(cutoff=150))
-    hi = ps.nonresonant_shift(toy_atom, "g", material_toy, env,
-                              cfg=ps.MatsubaraConfig(cutoff=300))
+    lo = sum(ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env,
+                                        cfg=ps.MatsubaraConfig(cutoff=150)))
+    hi = sum(ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env,
+                                        cfg=ps.MatsubaraConfig(cutoff=300)))
     assert abs(hi - lo) <= 1e-6 * abs(hi)
 
 
@@ -423,8 +428,8 @@ def test_nonresonant_zero_temperature_limit(toy_atom, material_toy):
 def test_nonresonant_distance_scaling(toy_atom, material_toy):
     env1 = ps.Environment(z=Z, T=400.0)
     env2 = ps.Environment(z=2.0 * Z, T=400.0)
-    near = ps.nonresonant_shift(toy_atom, "g", material_toy, env1)
-    far = ps.nonresonant_shift(toy_atom, "g", material_toy, env2)
+    near = sum(ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env1))
+    far = sum(ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env2))
     assert near / far == pytest.approx(8.0, rel=1e-12)
 
 
@@ -496,6 +501,23 @@ def test_u_eff_full_green_close_to_nonretarded(rb_atom, material_broad,
     u_fu = ps.u_eff(rb_atom, "27S1/2", "26S1/2", hi, lo, material_broad, ENV,
                     green_mode="full")
     assert u_fu == pytest.approx(u_nr, rel=1e-2, abs=0)
+
+
+def test_u_eff_full_route_error_names_negative_im_trace(rb_atom,
+                                                       material_broad,
+                                                       broad_modes):
+    """At 50 um the scattered Tr Im G of the full route is negative at both
+    mode centers; the error states both values and the normalisation that
+    needs them positive."""
+    lo, hi = broad_modes
+    with pytest.raises(ps.NoModeFound) as err:
+        ps.u_eff(rb_atom, "27S1/2", "26S1/2", hi, lo, material_broad,
+                 ps.Environment(z=50e-6, T=500.0), green_mode="full")
+    msg = str(err.value)
+    assert "-1347.38 m^-1 at Omega1 and -884.989 m^-1 at Omega2" in msg
+    assert "green_mode='full', z=5e-05 m" in msg
+    assert "sqrt(gamma1 gamma2 / (TrImG1 TrImG2)) needs both" in msg
+    assert "lossless" not in msg
 
 
 def test_u_eff_distance_scaling(broad_modes, material_broad):
@@ -701,7 +723,7 @@ def test_one_polariton_dual_path_against_full_sum(toy_atom, material_toy):
     single-oscillator material: the difference is the j >= 1 tail (~0.1%)."""
     osc = material_toy.oscillators[0]
     env = ps.Environment(z=Z, T=400.0)
-    full = ps.nonresonant_shift(toy_atom, "g", material_toy, env)
+    full = sum(ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env))
     estimate = nonresonant_one_polariton(
         omega_P=osc.omega_P, omega_T=osc.omega_T, gamma_damp=osc.gamma_damp,
         transitions=[(1e-29, 2.4e14)], z=Z, T=400.0)
