@@ -66,7 +66,6 @@ from .material import (
 )
 from .potentials import (
     Environment,
-    MatsubaraConfig,
     ShiftReport,
     attribute_modes,
     find_resonant_pair,
@@ -89,7 +88,6 @@ __all__ = [
     "Environment",
     "GreenTensor3",
     "MaterialModel",
-    "MatsubaraConfig",
     "ModeAttributionError",
     "NoChannels",
     "NoModeFound",

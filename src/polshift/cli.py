@@ -17,7 +17,7 @@ import numpy as np
 from .atoms import load_atom
 from .errors import ParseError, PhysicsError, PolshiftError
 from .material import find_polariton_modes, load_material
-from .potentials import (T_MAX, Z_RANGE, Environment, MatsubaraConfig,
+from .potentials import (MATSUBARA_CUTOFF, T_MAX, Z_RANGE, Environment,
                          total_shift, valid_distance, valid_temperature)
 from .units import CM1, HBAR
 
@@ -53,7 +53,7 @@ class RunConfig:
     fmt: str = "json"
     output: str = None
     resonance_tol: float = 1.0
-    matsubara_cutoff: int = None
+    matsubara_cutoff: int = MATSUBARA_CUTOFF
 
     def validate_point(self):
         self._validate_common()
@@ -75,11 +75,6 @@ class RunConfig:
             raise ValueError(f"T values must lie in (0, {T_MAX:g}] K")
         if not (math.isfinite(self.resonance_tol) and self.resonance_tol >= 0):
             raise ValueError("resonance tolerance must be finite and >= 0")
-
-    def matsubara_config(self):
-        if self.matsubara_cutoff is not None:
-            return MatsubaraConfig(cutoff=self.matsubara_cutoff)
-        return MatsubaraConfig()
 
 
 def parse_values(single, rng, what):
@@ -148,7 +143,7 @@ def run_point(cfg):
     atom = load_atom(cfg.atom)
     env = Environment(z=cfg.z_values[0], T=cfg.T_values[0])
     return total_shift(
-        atom, cfg.upper, cfg.lower, m, env, cfg=cfg.matsubara_config(),
+        atom, cfg.upper, cfg.lower, m, env, cutoff=cfg.matsubara_cutoff,
         green_mode=cfg.green_mode, resonance_tol=cfg.resonance_tol,
         use_closed_form=cfg.closed_form)
 
@@ -169,7 +164,7 @@ def run_scan(cfg):
             try:
                 rep = total_shift(
                     atom, cfg.upper, cfg.lower, m,
-                    Environment(z=z, T=T), cfg=cfg.matsubara_config(),
+                    Environment(z=z, T=T), cutoff=cfg.matsubara_cutoff,
                     green_mode=cfg.green_mode,
                     resonance_tol=cfg.resonance_tol,
                     use_closed_form=cfg.closed_form, modes=modes)
@@ -328,7 +323,7 @@ def build_parser():
 def _env_cutoff():
     raw = os.environ.get("SHIFT_MATSUBARA_CUTOFF")
     if raw is None:
-        return None
+        return MATSUBARA_CUTOFF
     try:
         val = int(raw)
     except ValueError:

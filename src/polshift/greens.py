@@ -17,6 +17,14 @@ from .errors import QuadratureFailure
 from .material import fresnel, permittivity_imag_axis, reflection_nonretarded
 from .units import C
 
+#: relative accuracy target of every k_rho quadrature: quad's epsrel, and
+#: epsabs = QUAD_REL_TOL times the nonretarded scale c^2/(32 pi w^2 z^3)
+QUAD_REL_TOL = 1e-8
+
+#: quad's subdivision limit on the first try; a failed try is repeated once
+#: with 8 * QUAD_LIMIT before QuadratureFailure is raised
+QUAD_LIMIT = 200
+
 
 class GreenTensor3(NamedTuple):
     """Coincident-point Green tensor diag(xx, xx, zz): for the planar
@@ -44,22 +52,23 @@ def green_nonretarded(m, z, omega):
     return GreenTensor3(gxx, 2.0 * gxx)
 
 
-def _quad_complex(f, a, b, epsabs, epsrel, limit, label):
-    """quad wrapper that escalates the subdivision limit once, then raises."""
+def _quad_complex(f, a, b, epsabs, label):
+    """quad to QUAD_REL_TOL that escalates the subdivision limit once from
+    QUAD_LIMIT, then raises."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
-        for lim in (limit, 8 * limit):
-            val, err = quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
+        for lim in (QUAD_LIMIT, 8 * QUAD_LIMIT):
+            val, err = quad(f, a, b, epsabs=epsabs, epsrel=QUAD_REL_TOL,
                             limit=lim, complex_func=True)
             err_mag = max(abs(np.real(err)), abs(np.imag(err)))
-            if err_mag <= max(epsabs, epsrel * abs(val)) * 10.0:
+            if err_mag <= max(epsabs, QUAD_REL_TOL * abs(val)) * 10.0:
                 return val
     raise QuadratureFailure(
         f"green_full quadrature ({label}) did not reach tolerance "
-        f"epsrel={epsrel:g} within {8 * limit} subdivisions")
+        f"epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} subdivisions")
 
 
-def green_full(m, z, omega, rel_tol=1e-8, limit=200):
+def green_full(m, z, omega):
     """Full reflected-wave Green tensor by adaptive k_rho quadrature.
 
     The integral (i/8 pi) int dk_rho (k_rho/k_vz) e^{2 i k_vz z}
@@ -75,7 +84,7 @@ def green_full(m, z, omega, rel_tol=1e-8, limit=200):
         raise ValueError("omega must be > 0 (real) for the full quadrature")
     k0 = omega / C
     scale = C**2 / (32.0 * math.pi * omega**2 * z**3)
-    epsabs = rel_tol * scale
+    epsabs = QUAD_REL_TOL * scale
 
     # propagating side: k_rho = k0 sin(theta), k_vz = k0 cos(theta),
     # (k_rho/k_vz) dk_rho = k0 sin(theta) dtheta
@@ -103,17 +112,17 @@ def green_full(m, z, omega, rel_tol=1e-8, limit=200):
         return common * (r_s + r_p * (C / omega) ** 2 * kappa**2)
 
     gxx = (_quad_complex(lambda t: prop(t, False), 0.0, math.pi / 2,
-                         epsabs, rel_tol, limit, "xx propagating")
+                         epsabs, "xx propagating")
            + _quad_complex(lambda u: evan(u, False), 0.0, math.inf,
-                           epsabs, rel_tol, limit, "xx evanescent"))
+                           epsabs, "xx evanescent"))
     gzz = (_quad_complex(lambda t: prop(t, True), 0.0, math.pi / 2,
-                         epsabs, rel_tol, limit, "zz propagating")
+                         epsabs, "zz propagating")
            + _quad_complex(lambda u: evan(u, True), 0.0, math.inf,
-                           epsabs, rel_tol, limit, "zz evanescent"))
+                           epsabs, "zz evanescent"))
     return GreenTensor3(gxx, gzz)
 
 
-def green_full_imag_axis(m, z, xi, rel_tol=1e-8, limit=200):
+def green_full_imag_axis(m, z, xi):
     """Full reflected-wave Green tensor at omega = i*xi (xi > 0); real result.
 
     With kappa_v = sqrt(xi^2/c^2 + k_rho^2), kappa_d = sqrt(eps(i xi) xi^2/c^2
@@ -127,7 +136,7 @@ def green_full_imag_axis(m, z, xi, rel_tol=1e-8, limit=200):
     eps = float(permittivity_imag_axis(m, xi))
     k0 = xi / C
     scale = C**2 / (32.0 * math.pi * xi**2 * z**3)
-    epsabs = rel_tol * scale
+    epsabs = QUAD_REL_TOL * scale
 
     # rescale to u = 2 k_rho z so the e^{-2 kappa_v z} damping has O(1) width
     def integrand(u, want_zz):
@@ -143,7 +152,7 @@ def green_full_imag_axis(m, z, xi, rel_tol=1e-8, limit=200):
         return common * (r_s - (C / xi) ** 2 * r_p * kv**2)
 
     gxx = _quad_complex(lambda u: integrand(u, False), 0.0, math.inf,
-                        epsabs, rel_tol, limit, "xx imag-axis")
+                        epsabs, "xx imag-axis")
     gzz = _quad_complex(lambda u: integrand(u, True), 0.0, math.inf,
-                        epsabs, rel_tol, limit, "zz imag-axis")
+                        epsabs, "zz imag-axis")
     return GreenTensor3(gxx, gzz)

@@ -73,21 +73,6 @@ class Environment:
             raise ValueError(f"T must lie in [0, {T_MAX:g}] K")
 
 
-@dataclass(frozen=True)
-class MatsubaraConfig:
-    """Cutoff (max j) and relative tolerance for the Matsubara tail."""
-
-    cutoff: int = 20000
-    convergence_tol: float = 1e-9
-
-    def __post_init__(self):
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
-        if not (math.isfinite(self.convergence_tol)
-                and self.convergence_tol > 0):
-            raise ValueError("convergence_tol must be finite and > 0")
-
-
 @dataclass
 class ShiftReport:
     """Decomposed shift (all energies in J).
@@ -150,20 +135,27 @@ def thermal_occupation(omega, T):
     return 1.0 / math.expm1(x)
 
 
+#: relative accuracy target of the Matsubara tail stop rule
+MATSUBARA_TOL = 1e-9
+
+#: default largest j of the Matsubara sum (reaches down to about 0.3 K for
+#: the Rb example of the README)
+MATSUBARA_CUTOFF = 20000
+
 #: largest block of j the Matsubara engine evaluates at once
 _MAX_BLOCK = 4096
 
 
-def _matsubara_sum(term, cutoff, tol, block=_MAX_BLOCK):
+def _matsubara_sum(term, cutoff, block=_MAX_BLOCK):
     """Primed sum over j of term(j) with a power-law tail stop rule.
 
     term maps an integer array of j to the array of terms; term(0) enters at
     half weight.  Terms decay like j^-p with p >= 2 for every integrand used
-    here, so once |t_j| * j drops below tol * |sum| the remaining tail is
-    bounded by that same quantity (up to the 1/(p-1) < 1 factor).  The sum
-    stops at the first j >= 4 with
+    here, so once |t_j| * j drops below MATSUBARA_TOL * |sum| the remaining
+    tail is bounded by that same quantity (up to the 1/(p-1) < 1 factor).
+    The sum stops at the first j >= 4 with
 
-        |t_j| * j <= tol * max(max_{i <= j} |S_i|, 1e-300),
+        |t_j| * j <= MATSUBARA_TOL * max(max_{i <= j} |S_i|, 1e-300),
 
     S_i being the partial sums, and raises ConvergenceFailure if no
     j <= cutoff meets the rule.
@@ -187,13 +179,14 @@ def _matsubara_sum(term, cutoff, tol, block=_MAX_BLOCK):
         running = np.maximum.accumulate(
             np.concatenate(([scale], np.abs(partial))))[1:]
         stop = np.flatnonzero(
-            (j >= 4) & (np.abs(t) * j <= tol * np.maximum(running, 1e-300)))
+            (j >= 4)
+            & (np.abs(t) * j <= MATSUBARA_TOL * np.maximum(running, 1e-300)))
         if stop.size:
             return float(partial[stop[0]])
         total, scale = partial[-1], running[-1]
         lo, hi = hi + 1, min(hi + min(hi, block), cutoff)
     raise ConvergenceFailure(
-        f"Matsubara tail estimate exceeds convergence_tol={tol:g} "
+        f"Matsubara tail estimate exceeds convergence_tol={MATSUBARA_TOL:g} "
         f"at cutoff={cutoff}")
 
 
@@ -246,7 +239,7 @@ def _contract(dip_a, dip_b, wxx, wzz):
     return dip_a.magnitude * dip_b.magnitude * (2.0 * wxx + wzz) / 3.0
 
 
-def nonresonant_shift_parts(atom, n, m, env, cfg=None,
+def nonresonant_shift_parts(atom, n, m, env, cutoff=MATSUBARA_CUTOFF,
                             green_mode="nonretarded"):
     """Nonresonant shift of level n, returned as (matsubara, resonant_photon).
 
@@ -254,12 +247,14 @@ def nonresonant_shift_parts(atom, n, m, env, cfg=None,
         + mu0 sum_k omega_kn^2 nbar(omega_kn) d_nk . Re G(|omega_kn|) . d_kn,
 
     with G the nonretarded closed form or the full quadrature, selected by
-    green_mode.
+    green_mode.  The primed sum runs to at most j = cutoff (>= 1) and raises
+    ConvergenceFailure when its tail has not dropped below MATSUBARA_TOL.
     """
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
     if env.T == 0:
         raise ZeroTemperature("nonresonant shift is defined here for T > 0")
     green, xi2_trace, block = _green_route(green_mode)
-    cfg = cfg or MatsubaraConfig()
     trans = transitions_from(atom, n)
     if not trans:
         return 0.0, 0.0
@@ -270,8 +265,7 @@ def nonresonant_shift_parts(atom, n, m, env, cfg=None,
         xi = j * xi1
         return polarizability_iso(atom, n, xi) * xi2_trace(m, z, xi)
 
-    mats = MU0 * KB * T * _matsubara_sum(term, cfg.cutoff,
-                                         cfg.convergence_tol, block)
+    mats = MU0 * KB * T * _matsubara_sum(term, cutoff, block)
 
     photon = 0.0
     for k_label, w_kn, _ in trans:
@@ -437,7 +431,7 @@ def find_resonant_pair(modes, omega_10):
     return best[1], best[2]
 
 
-def total_shift(atom, upper, lower, m, env, cfg=None,
+def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,
                 green_mode="nonretarded", resonance_tol=1.0,
                 use_closed_form=False, modes=None):
     """Compose the nonresonant and resonant parts into a ShiftReport.
@@ -451,7 +445,7 @@ def total_shift(atom, upper, lower, m, env, cfg=None,
     instead of the Green-tensor channel sum; both pass the same resonance
     gate.
     """
-    mats, photon = nonresonant_shift_parts(atom, upper, m, env, cfg,
+    mats, photon = nonresonant_shift_parts(atom, upper, m, env, cutoff,
                                            green_mode)
 
     if modes is None:

@@ -15,7 +15,12 @@ from polshift.errors import SCHEMA_VERSION
 from polshift.units import C, HBAR, KB, MU0
 
 
-def matsubara_sum_reference(term, cutoff, tol):
+#: the tail tolerance of the oracle's stop rule, the library's
+#: accuracy target restated
+MATSUBARA_TOL = 1e-9
+
+
+def matsubara_sum_reference(term, cutoff, tol=MATSUBARA_TOL):
     """Primed sum over j of the scalar term(j), one term at a time.
 
     term(0) enters at half weight; the sum stops at the first j >= 4 with
@@ -46,7 +51,7 @@ def tensor_to_jsonable(g):
     return [[float(c.real), float(c.imag)] for c in g]
 
 
-def nonresonant_parts_per_transition(atom, n, m, env, cfg=None):
+def nonresonant_parts_per_transition(atom, n, m, env, cutoff=20000):
     """Nonretarded (matsubara, resonant_photon) from the per-transition
     z^-3 closed form:
 
@@ -56,7 +61,6 @@ def nonresonant_parts_per_transition(atom, n, m, env, cfg=None):
 
     Valid for isotropic dipoles (no Cartesian components).
     """
-    cfg = cfg or ps.MatsubaraConfig()
     trans = ps.transitions_from(atom, n)
     z, T = env.z, env.T
     xi1 = ps.matsubara_xi(T, 1)
@@ -68,7 +72,7 @@ def nonresonant_parts_per_transition(atom, n, m, env, cfg=None):
         return sum(dd * w / (w * w + xi * xi) for w, dd in d2) * rt
 
     mats = -(MU0 * C**2 * KB * T / (12.0 * math.pi * HBAR * z**3)) \
-        * matsubara_sum_reference(term, cfg.cutoff, cfg.convergence_tol)
+        * matsubara_sum_reference(term, cutoff)
     photon = 0.0
     for _, w_kn, d in trans:
         rp = complex(ps.reflection_nonretarded(m, abs(w_kn)))

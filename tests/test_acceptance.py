@@ -153,9 +153,9 @@ def test_criterion_05_matsubara_cutoff_doubling(material_toy, toy_atom):
     env = ps.Environment(z=1e-6, T=400.0)
     t0 = time.perf_counter()
     mats_a, _ = ps.nonresonant_shift_parts(
-        toy_atom, "g", material_toy, env, cfg=ps.MatsubaraConfig(cutoff=150))
+        toy_atom, "g", material_toy, env, cutoff=150)
     mats_b, _ = ps.nonresonant_shift_parts(
-        toy_atom, "g", material_toy, env, cfg=ps.MatsubaraConfig(cutoff=300))
+        toy_atom, "g", material_toy, env, cutoff=300)
     dt = _elapsed(t0)
     rel = abs(mats_b - mats_a) / abs(mats_a)
     print(f"cutoff 150: {mats_a:.15e} J  cutoff 300: {mats_b:.15e} J  "

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import polshift as ps
+from polshift import greens
 from oracles import lorentzian_ldos_factor, tensor_to_jsonable
 from polshift.units import C
 
@@ -96,10 +97,11 @@ def test_full_matches_nonretarded_deep(material_toy):
     assert abs(full.zz / full.xx - 2.0) < 1e-2
 
 
-def test_full_quadrature_budget_error(material_broad):
+def test_full_quadrature_budget_error(material_broad, monkeypatch):
+    monkeypatch.setattr(greens, "QUAD_REL_TOL", 1e-16)
+    monkeypatch.setattr(greens, "QUAD_LIMIT", 1)
     with pytest.raises(ps.QuadratureFailure):
-        ps.green_full(material_broad, Z, 73.0 * 1.8836515673088536e11,
-                      rel_tol=1e-16, limit=1)
+        ps.green_full(material_broad, Z, 73.0 * 1.8836515673088536e11)
 
 
 def test_full_rejects_bad_arguments(material_toy):

@@ -12,7 +12,8 @@ from scipy.constants import k as KB_SI
 from scipy.integrate import quad
 
 import polshift as ps
-from oracles import (matsubara_sum_reference, nonresonant_one_polariton,
+from oracles import (MATSUBARA_TOL, matsubara_sum_reference,
+                     nonresonant_one_polariton,
                      nonresonant_parts_per_transition, u_eff_nonretarded_form)
 from polshift import potentials
 from polshift.units import C, CM1, HBAR, KB, MU0
@@ -27,7 +28,7 @@ def broad_modes(material_broad):
 
 
 # ---------------------------------------------------------------------------
-# Environment / MatsubaraConfig validation
+# Environment and Matsubara cutoff validation
 # ---------------------------------------------------------------------------
 
 
@@ -53,13 +54,15 @@ def test_environment_validation():
     assert ps.Environment(z=1e-6, T=1e15).T == 1e15
 
 
-def test_matsubara_config_validation():
-    with pytest.raises(ValueError):
-        ps.MatsubaraConfig(cutoff=0)
-    assert ps.MatsubaraConfig(cutoff=1).cutoff == 1
-    for tol in (math.inf, math.nan, 0.0, -1e-9):
-        with pytest.raises(ValueError, match="convergence_tol"):
-            ps.MatsubaraConfig(convergence_tol=tol)
+def test_matsubara_cutoff_validation(toy_atom, material_toy):
+    env = ps.Environment(z=Z, T=400.0)
+    for cutoff in (0, -1):
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env,
+                                       cutoff=cutoff)
+        with pytest.raises(ValueError, match="cutoff must be >= 1"):
+            ps.total_shift(toy_atom, "e", "g", material_toy, env,
+                           cutoff=cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +218,7 @@ def _mats_term(atom, n, m, env, green_mode="nonretarded"):
     return term
 
 
-def _oracle_and_stop(term, cutoff, tol):
+def _oracle_and_stop(term, cutoff, tol=MATSUBARA_TOL):
     """(value, stopping j) of the term-by-term oracle on the same summand."""
     seen = []
 
@@ -225,13 +228,14 @@ def _oracle_and_stop(term, cutoff, tol):
     return matsubara_sum_reference(one, cutoff, tol), seen[-1]
 
 
-def _assert_engine_matches_oracle(term, cutoff=20000, tol=1e-9):
+def _assert_engine_matches_oracle(term, cutoff=20000, tol=MATSUBARA_TOL):
+    """The engine, at its MATSUBARA_TOL, against the oracle at tol."""
     want, stop = _oracle_and_stop(term, cutoff, tol)
-    assert potentials._matsubara_sum(term, cutoff, tol) == want
+    assert potentials._matsubara_sum(term, cutoff) == want
     # the same stopping j: a cutoff there suffices, one below does not
-    assert potentials._matsubara_sum(term, stop, tol) == want
+    assert potentials._matsubara_sum(term, stop) == want
     with pytest.raises(ps.ConvergenceFailure):
-        potentials._matsubara_sum(term, stop - 1, tol)
+        potentials._matsubara_sum(term, stop - 1)
     return stop
 
 
@@ -249,9 +253,9 @@ def test_matsubara_engine_matches_oracle_toy(toy_atom, material_toy, n, T):
     if T < 10.0:
         # the two-level sums need more than the default cutoff here
         with pytest.raises(ps.ConvergenceFailure):
-            _oracle_and_stop(term, 20000, 1e-9)
+            _oracle_and_stop(term, 20000)
         with pytest.raises(ps.ConvergenceFailure):
-            potentials._matsubara_sum(term, 20000, 1e-9)
+            potentials._matsubara_sum(term, 20000)
     else:
         _assert_engine_matches_oracle(term)
 
@@ -263,9 +267,11 @@ def test_matsubara_engine_matches_oracle_full_green(toy_atom, material_toy):
     assert _assert_engine_matches_oracle(term) > 8
 
 
-def test_matsubara_engine_stops_against_the_running_max():
+def test_matsubara_engine_stops_against_the_running_max(monkeypatch):
     """Partial sums that fall after j = 0 measure the tail against their
     largest magnitude so far, not the current one."""
+    monkeypatch.setattr(potentials, "MATSUBARA_TOL", 1e-3)
+
     def term(j):
         j = np.asarray(j, dtype=float)
         return np.where(j == 0, 2.0, -0.5 / np.maximum(j, 1.0) ** 2)
@@ -289,8 +295,8 @@ def test_full_route_runs_one_quadrature_per_term(request, monkeypatch, case,
                 ps.Environment(z=1e-8, T=400.0)),
     }[case]
     atom, m = request.getfixturevalue(atom), request.getfixturevalue(m)
-    assert _oracle_and_stop(_mats_term(atom, n, m, env, "full"), 20000,
-                            1e-9)[1] == stop
+    assert _oracle_and_stop(_mats_term(atom, n, m, env, "full"),
+                            20000)[1] == stop
     xis = []
     quadrature = potentials.green_full_imag_axis
 
@@ -326,9 +332,10 @@ def test_nonretarded_trace_one_reflection_call_per_term(rb_atom,
     assert all(type(x) is float for x in xis)
 
 
-def test_matsubara_engine_never_evaluates_past_cutoff():
+def test_matsubara_engine_never_evaluates_past_cutoff(monkeypatch):
     """A block that would run past cutoff is clamped there, and a cutoff
     below 4 raises without a term past it."""
+    monkeypatch.setattr(potentials, "MATSUBARA_TOL", 1e-3)
     seen = []
 
     def term(j):
@@ -339,12 +346,12 @@ def test_matsubara_engine_never_evaluates_past_cutoff():
     assert 512 < stop < 1024  # inside the block j = 513..1024
     seen.clear()
     with pytest.raises(ps.ConvergenceFailure):
-        potentials._matsubara_sum(term, stop - 1, 1e-3)
+        potentials._matsubara_sum(term, stop - 1)
     assert max(seen) == stop - 1
     assert sorted(seen) == list(range(stop))
     seen.clear()
     with pytest.raises(ps.ConvergenceFailure):
-        potentials._matsubara_sum(term, 3, 1e-3)
+        potentials._matsubara_sum(term, 3)
     assert seen == [0, 1, 2, 3]
 
 
@@ -393,26 +400,25 @@ def test_nonresonant_oriented_dipole_photon_line(material_toy):
 
 
 def test_nonresonant_convergence_failure(toy_atom, material_toy):
-    cfg = ps.MatsubaraConfig(cutoff=3)
     with pytest.raises(ps.ConvergenceFailure):
         ps.nonresonant_shift_parts(toy_atom, "g", material_toy,
-                                   ps.Environment(z=Z, T=400.0), cfg=cfg)
+                                   ps.Environment(z=Z, T=400.0), cutoff=3)
 
 
 def test_nonresonant_cutoff_doubling_stable(toy_atom, material_toy):
     env = ps.Environment(z=Z, T=400.0)
     lo = sum(ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env,
-                                        cfg=ps.MatsubaraConfig(cutoff=150)))
+                                        cutoff=150))
     hi = sum(ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env,
-                                        cfg=ps.MatsubaraConfig(cutoff=300)))
+                                        cutoff=300))
     assert abs(hi - lo) <= 1e-6 * abs(hi)
 
 
 def test_nonresonant_zero_temperature_limit(toy_atom, material_toy):
     """k_B T sum' approaches (hbar/2 pi) integral d xi as T -> 0."""
-    cfg = ps.MatsubaraConfig(cutoff=200000, convergence_tol=1e-3)
     mats, _ = ps.nonresonant_shift_parts(
-        toy_atom, "g", material_toy, ps.Environment(z=Z, T=1.0), cfg=cfg)
+        toy_atom, "g", material_toy, ps.Environment(z=Z, T=1.0),
+        cutoff=200000)
     w10, d = 2.4e14, 1e-29
 
     def h(t):  # r_p(i omega t) / (1 + t^2), dimensionless

@@ -5,10 +5,10 @@ import polshift as ps
 PUBLIC = [
     "AtomSpec", "AtomicState", "ConvergenceFailure", "DanglingReference",
     "DipoleElement", "Environment", "GreenTensor3", "MaterialModel",
-    "MatsubaraConfig", "ModeAttributionError", "NoChannels", "NoModeFound",
-    "OffResonance", "Oscillator", "ParseError", "PhysicsError",
-    "PolaritonMode", "PoleHit", "PolshiftError", "QuadratureFailure",
-    "ShiftReport", "SurfaceModePole", "TransitionChannel", "ZeroTemperature",
+    "ModeAttributionError", "NoChannels", "NoModeFound", "OffResonance",
+    "Oscillator", "ParseError", "PhysicsError", "PolaritonMode", "PoleHit",
+    "PolshiftError", "QuadratureFailure", "ShiftReport", "SurfaceModePole",
+    "TransitionChannel", "ZeroTemperature",
     "atom_from_dict", "attribute_modes", "channels", "find_polariton_modes",
     "find_resonant_pair", "fresnel", "green_full", "green_full_imag_axis",
     "green_nonretarded", "load_atom", "load_material", "material_from_dict",
