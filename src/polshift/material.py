@@ -51,11 +51,6 @@ class Oscillator:
                              f"in [{lo:g}, {hi:g}] rad/s")
 
     @property
-    def omega_L(self):
-        """Longitudinal frequency sqrt(omega_T^2 + omega_P^2)."""
-        return math.hypot(self.omega_T, self.omega_P)
-
-    @property
     def omega_surface(self):
         """Surface-mode frequency sqrt(omega_T^2 + omega_P^2/2) of this term
         alone in the undamped limit (root of eps = -1)."""
@@ -218,24 +213,67 @@ def _im_rp(m, omega):
     return np.imag(reflection_nonretarded(m, omega))
 
 
+def _re_eps_plus_one(m, omega):
+    return np.real(permittivity(m, omega)) + 1.0
+
+
 def _ascending_eps_roots(m):
     """Real frequencies where Re eps crosses -1 from below (ascending).
 
     These are the surface-mode locations; the descending crossings just above
     each omega_T carry negligible Im r_p weight.
+
+    With s = omega^2, Re eps + 1 = 2 + sum_j P_j (T_j - s) / |D_j|^2, where
+    P_j = omega_Pj^2, T_j = omega_Tj^2 and |D_j|^2 = (T_j - s)^2 + s gamma_j^2.
+    Times prod_j |D_j|^2 it is a polynomial in s (omega scaled by the largest
+    omega_T), whose positive real roots are all the crossings, wherever they
+    lie.  For an undamped oscillator |D_j|^2 = (T_j - s)^2 would add its pole
+    s = T_j as a root, so it contributes the factor T_j - s once instead, and
+    its omega_T is kept apart as a pole.  Each root is polished by brentq on
+    Re eps + 1 over its cell, which reaches halfway to the neighbouring roots
+    and poles, so it holds one crossing and no pole; the root is ascending
+    when Re eps + 1 rises across the cell.
     """
-    lo = 0.2 * min(o.omega_T for o in m.oscillators)
-    hi = 1.5 * max(o.omega_L for o in m.oscillators)
-    grid = np.linspace(lo, hi, 20001)
-    f = np.real(permittivity(m, grid)) + 1.0
-    roots = []
-    sign_change = (f[:-1] < 0) & (f[1:] >= 0)
-    for i in np.nonzero(sign_change)[0]:
-        r = optimize.brentq(
-            lambda w: np.real(permittivity(m, w)) + 1.0,
-            grid[i], grid[i + 1], xtol=1e-13 * grid[i + 1], rtol=8.9e-16)
-        roots.append(r)
-    return roots
+    unit = max(o.omega_T for o in m.oscillators)
+    factors, numerators = [], []  # coefficients, highest power first
+    for o in m.oscillators:
+        t, p = (o.omega_T / unit) ** 2, (o.omega_P / unit) ** 2
+        if o.gamma_damp:
+            factors.append([1.0, (o.gamma_damp / unit) ** 2 - 2.0 * t, t * t])
+            numerators.append([-p, p * t])
+        else:
+            factors.append([-1.0, t])
+            numerators.append([p])
+    poly = np.array([2.0])
+    for f in factors:
+        poly = np.convolve(poly, f)
+    for j, num in enumerate(numerators):
+        for k, f in enumerate(factors):
+            if k != j:
+                num = np.convolve(num, f)
+        poly[1:] += num  # one degree below 2 prod_j |D_j|^2
+    s = np.roots(poly)
+    s = s.real[(np.abs(s.imag) <= 1e-9 * np.abs(s)) & (s.real > 0)]
+    roots = unit * np.sqrt(s)
+    poles = [o.omega_T for o in m.oscillators if not o.gamma_damp]
+    fences = np.concatenate((roots, poles))
+    order = np.argsort(fences, kind="stable")
+    fences, is_root = fences[order], order < roots.size
+    if not is_root.any():
+        return []
+    edges = np.concatenate(([0.5 * fences[0]],
+                            0.5 * (fences[:-1] + fences[1:]),
+                            [2.0 * fences[-1]]))
+    # a midpoint can round onto a pole only when two fences are a few ulp
+    # apart; it is then not evaluated, and its cells are dropped
+    edges[np.isin(edges, poles)] = np.nan
+    f = _re_eps_plus_one(m, edges)
+    out = []
+    for i in np.flatnonzero(is_root & (f[:-1] < 0) & (f[1:] >= 0)):
+        out.append(optimize.brentq(
+            lambda w: _re_eps_plus_one(m, w), edges[i], edges[i + 1],
+            xtol=1e-13 * fences[i], rtol=8.9e-16))
+    return out
 
 
 def _width_estimate(m, omega0):

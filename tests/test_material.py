@@ -270,6 +270,20 @@ def test_modes_two_oscillators_ascending(material_broad):
     assert lo.band_lo < lo.omega_center < lo.band_hi
 
 
+def test_modes_found_for_oscillators_decades_apart():
+    """The crossing of a low oscillator is found when another sits four
+    decades higher: below it the upper oscillator adds 1 to eps, so the
+    lower mode sits at sqrt(omega_T^2 + omega_P^2/3)."""
+    m = ps.MaterialModel("decades", oscillators=(
+        ps.Oscillator(omega_P=1e12, omega_T=1e12, gamma_damp=1e10),
+        ps.Oscillator(omega_P=1e16, omega_T=1e16, gamma_damp=1e14)))
+    lo, hi = ps.find_polariton_modes(m)
+    assert lo.omega_center == pytest.approx(math.sqrt(1e24 + 1e24 / 3.0),
+                                            rel=1e-3, abs=0)
+    assert hi.omega_center == pytest.approx(math.sqrt(1.5) * 1e16,
+                                            rel=1e-3, abs=0)
+
+
 def test_modes_undamped_has_no_mode():
     m = ps.MaterialModel(
         "undamped", oscillators=(
