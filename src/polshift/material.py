@@ -257,7 +257,7 @@ def _ascending_eps_roots(m):
     roots = unit * np.sqrt(s)
     poles = [o.omega_T for o in m.oscillators if not o.gamma_damp]
     fences = np.concatenate((roots, poles))
-    order = np.argsort(fences, kind="stable")
+    order = np.argsort(fences)
     fences, is_root = fences[order], order < roots.size
     if not is_root.any():
         return []

@@ -51,7 +51,7 @@ def tensor_to_jsonable(g):
     return [[float(c.real), float(c.imag)] for c in g]
 
 
-def nonresonant_parts_per_transition(atom, n, m, env, cutoff=20000):
+def nonresonant_parts_per_transition(atom, n, m, env):
     """Nonretarded (matsubara, resonant_photon) from the per-transition
     z^-3 closed form:
 
@@ -72,7 +72,7 @@ def nonresonant_parts_per_transition(atom, n, m, env, cutoff=20000):
         return sum(dd * w / (w * w + xi * xi) for w, dd in d2) * rt
 
     mats = -(MU0 * C**2 * KB * T / (12.0 * math.pi * HBAR * z**3)) \
-        * matsubara_sum_reference(term, cutoff)
+        * matsubara_sum_reference(term, 20000)
     photon = 0.0
     for _, w_kn, d in trans:
         rp = complex(ps.reflection_nonretarded(m, abs(w_kn)))

@@ -19,6 +19,7 @@ import io
 import os
 import sys
 import tempfile
+from unittest import mock
 
 import polshift.cli
 
@@ -58,43 +59,24 @@ RUNS = (
           for name in MATERIALS)
 
 
-@contextlib.contextmanager
-def _environ(overrides):
-    saved = {k: os.environ.get(k) for k in overrides}
-    os.environ.update(overrides)
-    try:
-        yield
-    finally:
-        for k, v in saved.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
-
-
-def _digest(data):
-    return hashlib.sha256(data).hexdigest()
-
-
-def fingerprint(name, argv, env, workdir):
+def fingerprint(argv, env, output):
     """(exit code, output sha256, stderr sha256) of one CLI run."""
-    out = os.path.join(workdir, "out")
-    if os.path.exists(out):
-        os.remove(out)
     err = io.StringIO()
-    with _environ(env), contextlib.redirect_stderr(err):
-        code = polshift.cli.main(argv + ["--output", out])
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stderr(err):
+        code = polshift.cli.main(argv + ["--output", output])
     data = b""
-    if os.path.exists(out):
-        with open(out, "rb") as fh:
+    if os.path.exists(output):
+        with open(output, "rb") as fh:
             data = fh.read()
-    return code, _digest(data), _digest(err.getvalue().encode())
+    return (code, hashlib.sha256(data).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest())
 
 
 def main():
     with tempfile.TemporaryDirectory() as workdir:
-        for name, argv, env in RUNS:
-            code, out, err = fingerprint(name, argv, env, workdir)
+        for i, (name, argv, env) in enumerate(RUNS):
+            code, out, err = fingerprint(
+                argv, env, os.path.join(workdir, f"{i}.out"))
             print(f"{name:28s} exit={code} out={out} err={err}")
     return 0
 
