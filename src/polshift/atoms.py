@@ -151,18 +151,14 @@ def channels(atom, upper, lower):
     """
     if upper == lower:
         raise ValueError("upper and lower must differ")
-    w_up = atom.energy(upper)
-    w_lo = atom.energy(lower)
-    out = []
-    for s in atom.states:
-        if s.label in (upper, lower):
-            continue
-        d_0k = atom.dipole_magnitude(lower, s.label)
-        d_k1 = atom.dipole_magnitude(s.label, upper)
-        if d_0k > 0.0 and d_k1 > 0.0:
-            out.append(TransitionChannel(
-                k_label=s.label, d_0k=d_0k, d_k1=d_k1,
-                omega_0k=w_lo - s.energy, omega_k1=s.energy - w_up))
+    # the join on k leaves out upper and lower themselves, since neither is
+    # in its own list; omega_0k = -omega_k0 is exact in floating point
+    to_upper = {k: (w_k1, d_k1)
+                for k, w_k1, d_k1 in transitions_from(atom, upper)}
+    out = [TransitionChannel(k_label=k, d_0k=d_0k, d_k1=to_upper[k][1],
+                             omega_0k=-w_k0, omega_k1=to_upper[k][0])
+           for k, w_k0, d_0k in transitions_from(atom, lower)
+           if k in to_upper]
     out.sort(key=lambda ch: (atom.energy(ch.k_label), ch.k_label))
     return out
 

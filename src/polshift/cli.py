@@ -10,12 +10,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .atoms import load_atom
-from .errors import ParseError, PhysicsError, PolshiftError
+from .errors import ParseError, PhysicsError
 from .material import find_polariton_modes, load_material
 from .potentials import (MATSUBARA_CUTOFF, T_MAX, Z_RANGE, Environment,
                          total_shift, valid_distance, valid_temperature)
@@ -50,20 +50,10 @@ class RunConfig:
     T_values: tuple = ()
     green_mode: str = "nonretarded"
     closed_form: bool = False
-    fmt: str = "json"
-    output: str = None
     resonance_tol: float = 1.0
     matsubara_cutoff: int = MATSUBARA_CUTOFF
 
-    def validate_point(self):
-        self._validate_common()
-        if len(self.z_values) != 1 or len(self.T_values) != 1:
-            raise ValueError("point needs exactly one z and one T")
-
-    def validate_scan(self):
-        self._validate_common()
-
-    def _validate_common(self):
+    def validate(self):
         if not self.atom or not self.upper or not self.lower:
             raise ValueError("--atom, --upper and --lower are required")
         if not self.z_values or not self.T_values:
@@ -136,42 +126,51 @@ def _error_row(z, T, exc):
     return row
 
 
-def run_point(cfg):
-    """Compute a single ShiftReport from a validated RunConfig."""
-    cfg.validate_point()
+def _evaluate(cfg):
+    """Yield (z, T, ShiftReport or the PhysicsError it raised) for every
+    (z, T) pair of a validated RunConfig, in input order.
+
+    The files are read and the modes found once per request, before the
+    first pair; a failure there propagates instead of being yielded.
+    """
     m = load_material(cfg.material)
     atom = load_atom(cfg.atom)
-    env = Environment(z=cfg.z_values[0], T=cfg.T_values[0])
-    return total_shift(
-        atom, cfg.upper, cfg.lower, m, env, cutoff=cfg.matsubara_cutoff,
-        green_mode=cfg.green_mode, resonance_tol=cfg.resonance_tol,
-        use_closed_form=cfg.closed_form)
+    modes = find_polariton_modes(m)
+    for z in cfg.z_values:
+        for T in cfg.T_values:
+            try:
+                result = total_shift(
+                    atom, cfg.upper, cfg.lower, m, Environment(z=z, T=T),
+                    cutoff=cfg.matsubara_cutoff, green_mode=cfg.green_mode,
+                    resonance_tol=cfg.resonance_tol,
+                    use_closed_form=cfg.closed_form, modes=modes)
+            except PhysicsError as exc:
+                result = exc
+            yield z, T, result
+
+
+def run_point(cfg):
+    """Compute a single ShiftReport from a RunConfig."""
+    cfg.validate()
+    if len(cfg.z_values) != 1 or len(cfg.T_values) != 1:
+        raise ValueError("point needs exactly one z and one T")
+    [(_, _, report)] = _evaluate(cfg)
+    if isinstance(report, PhysicsError):
+        raise report
+    return report
 
 
 def run_scan(cfg):
     """One row per (z, T) pair, in deterministic input order.
 
     A physics failure at one point fills that row's error column instead of
-    aborting the scan; configuration-level failures still propagate.
+    aborting the scan; configuration-level failures, and a material without
+    modes, still propagate.
     """
-    cfg.validate_scan()
-    m = load_material(cfg.material)
-    atom = load_atom(cfg.atom)
-    modes = find_polariton_modes(m)
-    rows = []
-    for z in cfg.z_values:
-        for T in cfg.T_values:
-            try:
-                rep = total_shift(
-                    atom, cfg.upper, cfg.lower, m,
-                    Environment(z=z, T=T), cutoff=cfg.matsubara_cutoff,
-                    green_mode=cfg.green_mode,
-                    resonance_tol=cfg.resonance_tol,
-                    use_closed_form=cfg.closed_form, modes=modes)
-                rows.append(_report_row(z, T, rep))
-            except PhysicsError as exc:
-                rows.append(_error_row(z, T, exc))
-    return rows
+    cfg.validate()
+    return [_error_row(z, T, result) if isinstance(result, PhysicsError)
+            else _report_row(z, T, result)
+            for z, T, result in _evaluate(cfg)]
 
 
 def modes_report(material_path):
@@ -227,8 +226,8 @@ def _json_text(doc):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _point_output(cfg, report):
-    if cfg.fmt == "csv":
+def _point_output(fmt, cfg, report):
+    if fmt == "csv":
         row = _report_row(cfg.z_values[0], cfg.T_values[0], report)
         return _csv_text(SCAN_COLUMNS, [row])
     doc = {
@@ -246,8 +245,8 @@ def _point_output(cfg, report):
     return _json_text(doc)
 
 
-def _scan_output(cfg, rows):
-    if cfg.fmt == "csv":
+def _scan_output(fmt, rows):
+    if fmt == "csv":
         return _csv_text(SCAN_COLUMNS, rows)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -346,7 +345,6 @@ def _config_from_args(args, scan):
         upper=args.upper, lower=args.lower,
         z_values=z_values, T_values=T_values,
         green_mode=args.green_mode, closed_form=args.closed_form,
-        fmt=args.fmt, output=args.output,
         resonance_tol=args.resonance_tol,
         matsubara_cutoff=_env_cutoff())
 
@@ -359,11 +357,11 @@ def main(argv=None):
         if op == "point":
             cfg = _config_from_args(args, scan=False)
             report = run_point(cfg)
-            _emit(_point_output(cfg, report), cfg.output)
+            _emit(_point_output(args.fmt, cfg, report), args.output)
         elif op == "scan":
             cfg = _config_from_args(args, scan=True)
             rows = run_scan(cfg)
-            _emit(_scan_output(cfg, rows), cfg.output)
+            _emit(_scan_output(args.fmt, rows), args.output)
         elif op == "modes":
             rows = modes_report(args.material)
             _emit(_modes_output(args.fmt, rows), args.output)

@@ -206,6 +206,49 @@ def test_channels_symmetric_intermediate_set(rb_atom):
         assert d_up[k] == (b, a)
 
 
+def _channels_by_rescan(atom, upper, lower):
+    """Every state but upper and lower with nonzero d_0k and d_k1."""
+    out = []
+    for s in atom.states:
+        d_0k = atom.dipole_magnitude(lower, s.label)
+        d_k1 = atom.dipole_magnitude(s.label, upper)
+        if s.label not in (upper, lower) and d_0k > 0.0 and d_k1 > 0.0:
+            out.append(ps.TransitionChannel(
+                k_label=s.label, d_0k=d_0k, d_k1=d_k1,
+                omega_0k=atom.energy(lower) - s.energy,
+                omega_k1=s.energy - atom.energy(upper)))
+    return sorted(out, key=lambda ch: (atom.energy(ch.k_label), ch.k_label))
+
+
+def test_channels_match_a_rescan_of_the_states(rb_atom):
+    # up and lo share a dipole; kb and ka share an energy (ties go by
+    # label); only lo reaches "below", and "dark" couples with d = 0
+    atom = ps.AtomSpec(
+        name="crowded",
+        states=(ps.AtomicState("up", 3e12), ps.AtomicState("kb", 2e13),
+                ps.AtomicState("lo", 0.0), ps.AtomicState("ka", 2e13),
+                ps.AtomicState("below", -1e13),
+                ps.AtomicState("dark", 5e12),
+                ps.AtomicState("mid", 1e12)),
+        dipoles=(ps.DipoleElement("lo", "up", 1e-29),
+                 ps.DipoleElement("kb", "lo", 2e-29),
+                 ps.DipoleElement("up", "kb", 3e-29),
+                 ps.DipoleElement("lo", "ka", 4e-29),
+                 ps.DipoleElement("ka", "up", 5e-29),
+                 ps.DipoleElement("below", "lo", 6e-29),
+                 ps.DipoleElement("lo", "dark", 0.0),
+                 ps.DipoleElement("dark", "up", 7e-29),
+                 ps.DipoleElement("mid", "lo", 8e-29),
+                 ps.DipoleElement("up", "mid", 9e-29)))
+    assert [ch.k_label for ch in ps.channels(atom, "up", "lo")] == \
+        ["mid", "ka", "kb"]
+    for a, upper, lower in ((atom, "up", "lo"), (atom, "lo", "up"),
+                            (rb_atom, "27S1/2", "26S1/2"),
+                            (rb_atom, "26S1/2", "27S1/2")):
+        assert ps.channels(a, upper, lower) == \
+            _channels_by_rescan(a, upper, lower)
+
+
 def test_channels_unknown_labels(rb_atom):
     with pytest.raises(ValueError):
         ps.channels(rb_atom, "27S1/2", "nope")

@@ -88,6 +88,24 @@ def test_point_report_values_match_library():
     assert doc["report"]["meta"]["n_modes"] == 2
 
 
+@pytest.mark.parametrize("closed_form", [False, True])
+def test_point_and_one_row_scan_agree_bit_for_bit(closed_form):
+    from polshift import cli
+    from polshift.units import HBAR
+    cfg = cli.RunConfig(
+        material=str(ROOT / FIX / "material_broad.json"),
+        atom=str(ROOT / FIX / "rb_rydberg.json"),
+        upper="27S1/2", lower="26S1/2", z_values=(1e-6,), T_values=(500.0,),
+        closed_form=closed_form)
+    rep = cli.run_point(cfg)
+    [row] = cli.run_scan(cfg)
+    assert row["error"] == ""
+    assert row["thermal_factor"] == rep.thermal_factor
+    for line in ("nr_matsubara", "nr_resonant_photon", "u_eff", "r_shift",
+                 "total"):
+        assert row[f"{line}_s^-1"] == getattr(rep, line) / HBAR
+
+
 def test_point_green_full_runs():
     r = run_cli(*POINT_ARGS, "--green", "full", "--format", "json")
     assert r.returncode == 0
@@ -147,7 +165,8 @@ def test_point_malformed_material_reports_field_path(tmp_path):
     assert "oscillators[0].omega_P" in r.stderr
 
 
-def test_point_lossless_material_is_physics_error(tmp_path):
+def _undamped_pair(tmp_path):
+    """A material file with no damping, hence no surface mode."""
     undamped = tmp_path / "undamped.json"
     undamped.write_text(json.dumps({
         "name": "undamped pair",
@@ -156,7 +175,11 @@ def test_point_lossless_material_is_physics_error(tmp_path):
             {"omega_P": 33.3, "omega_T": 85.0, "gamma": 0.0, "unit": "cm^-1"},
         ],
     }))
-    r = run_cli("point", "--material", str(undamped),
+    return undamped
+
+
+def test_point_lossless_material_is_physics_error(tmp_path):
+    r = run_cli("point", "--material", str(_undamped_pair(tmp_path)),
                 "--atom", f"{FIX}/rb_rydberg.json",
                 "--upper", "27S1/2", "--lower", "26S1/2",
                 "--z", "1e-6", "--T", "500")
@@ -292,6 +315,19 @@ def test_scan_nonpositive_T_rejected_in_config():
                 "--z", "1e-6", "--T", "0,500")
     assert r.returncode == 2
     assert "error in scan" in r.stderr
+
+
+def test_scan_lossless_material_fails_the_whole_request(tmp_path):
+    # the modes are found once per request, so without them no row is made
+    out = tmp_path / "scan.csv"
+    r = run_cli("scan", "--material", str(_undamped_pair(tmp_path)),
+                "--atom", f"{FIX}/rb_rydberg.json",
+                "--upper", "27S1/2", "--lower", "26S1/2",
+                "--z", "1e-6,2e-6", "--T", "350,500", "--format", "csv",
+                "--output", str(out))
+    assert r.returncode == 3
+    assert "NoModeFound" in r.stderr
+    assert r.stdout == "" and not out.exists()
 
 
 def test_scan_physics_failure_writes_error_rows():

@@ -4,7 +4,8 @@
 Each run calls ``polshift.cli.main`` in-process, writes its output into a
 temporary directory, and prints one line: the run's name, its exit code,
 the sha256 of the output file (empty when none was written) and the sha256
-of what it wrote to stderr.  Two checkouts whose listings are identical
+of what it wrote to stderr.  One run reads a lossless material that the tool
+writes into the same directory.  Two checkouts whose listings are identical
 produce byte-identical CLI output on these runs, so diffing the listings of
 a parent and a change checks that a refactor left the output unchanged.
 
@@ -16,6 +17,7 @@ Run from any directory, against the polshift on the import path:
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -42,6 +44,8 @@ def _shift(command, *args):
 #: (name, argv, environment overrides)
 RUNS = (
     ("point", _shift("point", "--z", "1e-6", "--T", "500"), {}),
+    ("point --format csv",
+     _shift("point", "--z", "1e-6", "--T", "500", "--format", "csv"), {}),
     ("point --closed-form",
      _shift("point", "--z", "1e-6", "--T", "500", "--closed-form"), {}),
     ("point --green full",
@@ -55,8 +59,35 @@ RUNS = (
     ("scan cutoff 3",
      _shift("scan", "--z", "1e-6,2e-6", "--T", "300,500", "--format", "csv"),
      {"SHIFT_MATSUBARA_CUTOFF": "3"}),
+    ("scan --closed-form",
+     _shift("scan", "--z", "1e-6", "--T", "350,500,600", "--closed-form"),
+     {}),
+    ("scan --resonance-tol 0",
+     _shift("scan", "--z", "1e-6", "--T", "350,500", "--resonance-tol", "0",
+            "--format", "csv"), {}),
 ) + tuple((f"modes {name}", ["modes", "--material", _fixture(name)], {})
           for name in MATERIALS)
+
+
+#: two undamped oscillators: Im r_p has no maximum, so no surface mode
+LOSSLESS = {
+    "schema_version": 1,
+    "name": "undamped pair",
+    "oscillators": [
+        {"omega_P": 53.4, "omega_T": 65.0, "gamma": 0.0, "unit": "cm^-1"},
+        {"omega_P": 33.3, "omega_T": 85.0, "gamma": 0.0, "unit": "cm^-1"},
+    ],
+}
+
+
+def runs(workdir):
+    """RUNS, then a scan on LOSSLESS written into workdir (exit 3)."""
+    lossless = os.path.join(workdir, "lossless.json")
+    with open(lossless, "w", encoding="utf-8") as fh:
+        json.dump(LOSSLESS, fh)
+    argv = _shift("scan", "--z", "1e-6", "--T", "500")
+    argv[argv.index("--material") + 1] = lossless
+    return RUNS + (("scan lossless material", argv, {}),)
 
 
 def fingerprint(argv, env, output):
@@ -74,7 +105,7 @@ def fingerprint(argv, env, output):
 
 def main():
     with tempfile.TemporaryDirectory() as workdir:
-        for i, (name, argv, env) in enumerate(RUNS):
+        for i, (name, argv, env) in enumerate(runs(workdir)):
             code, out, err = fingerprint(
                 argv, env, os.path.join(workdir, f"{i}.out"))
             print(f"{name:28s} exit={code} out={out} err={err}")
