@@ -6,6 +6,7 @@ files (floats are emitted with repr, which round-trips losslessly).
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -15,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .atoms import load_atom
-from .errors import ParseError, PhysicsError
+from .errors import SCHEMA_VERSION, ParseError, PhysicsError
 from .material import find_polariton_modes, load_material
-from .potentials import (MATSUBARA_CUTOFF, T_MAX, Z_RANGE, Environment,
-                         total_shift, valid_distance, valid_temperature)
+from .potentials import (ENERGY_LINES, MATSUBARA_CUTOFF, T_MAX, Z_RANGE,
+                         Environment, total_shift, valid_distance,
+                         valid_temperature)
 from .units import CM1, HBAR
-
-SCHEMA_VERSION = 1
 
 #: fixed scan/point CSV header (all shift columns are E/hbar in s^-1)
 SCAN_COLUMNS = (
@@ -56,6 +56,8 @@ class RunConfig:
     def validate(self):
         if not self.atom or not self.upper or not self.lower:
             raise ValueError("--atom, --upper and --lower are required")
+        if self.upper == self.lower:
+            raise ValueError("upper and lower must differ")
         if not self.z_values or not self.T_values:
             raise ValueError("need at least one z and one T value")
         if not all(valid_distance(v) for v in self.z_values):
@@ -105,17 +107,11 @@ def parse_values(single, rng, what):
 
 
 def _report_row(z, T, report):
-    return {
-        "z_m": z,
-        "T_K": T,
-        "nr_matsubara_s^-1": report.nr_matsubara / HBAR,
-        "nr_resonant_photon_s^-1": report.nr_resonant_photon / HBAR,
-        "u_eff_s^-1": report.u_eff / HBAR,
-        "thermal_factor": report.thermal_factor,
-        "r_shift_s^-1": report.r_shift / HBAR,
-        "total_s^-1": report.total / HBAR,
-        "error": "",
-    }
+    row = {"z_m": z, "T_K": T, "thermal_factor": report.thermal_factor,
+           "error": ""}
+    for line in ENERGY_LINES:
+        row[f"{line}_s^-1"] = getattr(report, line) / HBAR
+    return row
 
 
 def _error_row(z, T, exc):
@@ -130,11 +126,14 @@ def _evaluate(cfg):
     """Yield (z, T, ShiftReport or the PhysicsError it raised) for every
     (z, T) pair of a validated RunConfig, in input order.
 
-    The files are read and the modes found once per request, before the
-    first pair; a failure there propagates instead of being yielded.
+    The files are read, both state labels looked up and the modes found
+    once per request, before the first pair; a failure there propagates
+    instead of being yielded.
     """
     m = load_material(cfg.material)
     atom = load_atom(cfg.atom)
+    atom.state(cfg.upper)
+    atom.state(cfg.lower)
     modes = find_polariton_modes(m)
     for z in cfg.z_values:
         for T in cfg.T_values:
@@ -204,16 +203,6 @@ def _emit(text, output):
         sys.stdout.write(text)
 
 
-def _csv_text(columns, rows):
-    import io
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
-    return buf.getvalue()
-
-
 def _cell(v):
     if isinstance(v, float):
         return repr(v)
@@ -222,49 +211,16 @@ def _cell(v):
     return v
 
 
-def _json_text(doc):
+def _render(fmt, command, columns, rows, doc):
+    """The rows as CSV under columns, or doc as the command's JSON document."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+        return buf.getvalue()
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, **doc}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _point_output(fmt, cfg, report):
-    if fmt == "csv":
-        row = _report_row(cfg.z_values[0], cfg.T_values[0], report)
-        return _csv_text(SCAN_COLUMNS, [row])
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "point",
-        "inputs": {
-            "material": os.path.basename(cfg.material),
-            "atom": os.path.basename(cfg.atom),
-            "upper": cfg.upper, "lower": cfg.lower,
-            "z": cfg.z_values[0], "T": cfg.T_values[0],
-            "green_mode": cfg.green_mode, "closed_form": cfg.closed_form,
-        },
-        "report": report.to_dict(),
-    }
-    return _json_text(doc)
-
-
-def _scan_output(fmt, rows):
-    if fmt == "csv":
-        return _csv_text(SCAN_COLUMNS, rows)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scan",
-        "columns": list(SCAN_COLUMNS),
-        "rows": rows,
-    }
-    return _json_text(doc)
-
-
-def _modes_output(fmt, rows):
-    if fmt == "csv":
-        return _csv_text(MODES_COLUMNS, rows)
-    return _json_text({
-        "schema_version": SCHEMA_VERSION,
-        "command": "modes",
-        "modes": rows,
-    })
 
 
 # --- argument parsing -------------------------------------------------------------
@@ -357,16 +313,26 @@ def main(argv=None):
         if op == "point":
             cfg = _config_from_args(args, scan=False)
             report = run_point(cfg)
-            _emit(_point_output(args.fmt, cfg, report), args.output)
+            z, T = cfg.z_values[0], cfg.T_values[0]
+            columns, rows = SCAN_COLUMNS, [_report_row(z, T, report)]
+            doc = {
+                "inputs": {
+                    "material": os.path.basename(cfg.material),
+                    "atom": os.path.basename(cfg.atom),
+                    "upper": cfg.upper, "lower": cfg.lower, "z": z, "T": T,
+                    "green_mode": cfg.green_mode,
+                    "closed_form": cfg.closed_form,
+                },
+                "report": report.to_dict(),
+            }
         elif op == "scan":
-            cfg = _config_from_args(args, scan=True)
-            rows = run_scan(cfg)
-            _emit(_scan_output(args.fmt, rows), args.output)
-        elif op == "modes":
+            rows = run_scan(_config_from_args(args, scan=True))
+            columns = SCAN_COLUMNS
+            doc = {"columns": list(SCAN_COLUMNS), "rows": rows}
+        else:
             rows = modes_report(args.material)
-            _emit(_modes_output(args.fmt, rows), args.output)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {op!r}")
+            columns, doc = MODES_COLUMNS, {"modes": rows}
+        _emit(_render(args.fmt, op, columns, rows, doc), args.output)
     except (ParseError, ValueError, OSError) as exc:
         print(f"error in {op}: {exc}", file=sys.stderr)
         return 2

@@ -12,7 +12,8 @@ the error they raise.
 
 import json
 
-#: the schema_version of material and atom input files
+#: the schema_version of material and atom input files and of the CLI's
+#: JSON output
 SCHEMA_VERSION = 1
 
 

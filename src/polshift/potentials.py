@@ -73,6 +73,12 @@ class Environment:
             raise ValueError(f"T must lie in [0, {T_MAX:g}] K")
 
 
+#: the ShiftReport fields that are energies (J), in report order; the JSON
+#: report and the CSV row both list these and the thermal factor
+ENERGY_LINES = ("nr_matsubara", "nr_resonant_photon", "u_eff", "r_shift",
+                "total")
+
+
 @dataclass
 class ShiftReport:
     """Decomposed shift (all energies in J).
@@ -89,14 +95,9 @@ class ShiftReport:
     meta: dict = field(default_factory=dict)
 
     def to_dict(self):
-        doc = {
-            "nr_matsubara": energy_report(self.nr_matsubara),
-            "nr_resonant_photon": energy_report(self.nr_resonant_photon),
-            "u_eff": energy_report(self.u_eff),
-            "thermal_factor": self.thermal_factor,
-            "r_shift": energy_report(self.r_shift),
-            "total": energy_report(self.total),
-        }
+        doc = {line: energy_report(getattr(self, line))
+               for line in ENERGY_LINES}
+        doc["thermal_factor"] = self.thermal_factor
         if self.meta:
             doc["meta"] = dict(self.meta)
         return doc

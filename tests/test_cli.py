@@ -1,15 +1,20 @@
 """Batch CLI: point/scan/modes subcommands, formats, and exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+
+from polshift import cli
 
 FIX = "tests/fixtures"
 POINT_ARGS = [
@@ -25,13 +30,22 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def run_cli(*args, env=None, cwd=ROOT):
-    base = dict(PATH="/usr/bin:/bin", HOME="/root")
-    base["PYTHONPATH"] = str(ROOT / "src")
-    if env:
-        base.update(env)
-    return subprocess.run(
-        [sys.executable, "-m", "polshift.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=base, timeout=300)
+    """Run ``cli.main`` in-process in cwd, as ``python -m polshift.cli``.
+
+    SHIFT_MATSUBARA_CUTOFF is set only when env sets it, and argparse's
+    SystemExit becomes the return code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ), contextlib.chdir(cwd), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop("SHIFT_MATSUBARA_CUTOFF", None)
+        os.environ.update(env or {})
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return subprocess.CompletedProcess(args, code, out.getvalue(),
+                                       err.getvalue())
 
 
 def parse_csv(text):
@@ -90,7 +104,6 @@ def test_point_report_values_match_library():
 
 @pytest.mark.parametrize("closed_form", [False, True])
 def test_point_and_one_row_scan_agree_bit_for_bit(closed_form):
-    from polshift import cli
     from polshift.units import HBAR
     cfg = cli.RunConfig(
         material=str(ROOT / FIX / "material_broad.json"),
@@ -133,14 +146,28 @@ def test_point_output_file(tmp_path):
     assert doc["inputs"]["upper"] == "27S1/2"
 
 
-def test_point_unknown_state_is_config_error():
-    r = run_cli("point", "--material", f"{FIX}/material_broad.json",
-                "--atom", f"{FIX}/rb_rydberg.json",
-                "--upper", "XYZ", "--lower", "26S1/2",
-                "--z", "1e-6", "--T", "500")
-    assert r.returncode == 2
-    assert "error in point" in r.stderr
-    assert "XYZ" in r.stderr
+#: (upper, lower, what stderr names): unknown labels and equal labels
+BAD_LABELS = [("XYZ", "26S1/2", "XYZ"), ("27S1/2", "XYZ", "XYZ"),
+              ("27S1/2", "27S1/2", "must differ")]
+
+
+def assert_bad_labels_are_config_errors(command, tmp_path):
+    # the labels are checked before the modes are found, so neither a
+    # material without modes nor an off-resonant pair decides the exit code
+    for material in (f"{FIX}/material_broad.json", _undamped_pair(tmp_path)):
+        for upper, lower, named in BAD_LABELS:
+            r = run_cli(command, "--material", str(material),
+                        "--atom", f"{FIX}/rb_rydberg.json",
+                        "--upper", upper, "--lower", lower,
+                        "--z", "1e-6", "--T", "500")
+            assert r.returncode == 2, (material, upper, lower, r.stderr)
+            assert f"error in {command}" in r.stderr
+            assert named in r.stderr
+            assert r.stdout == ""
+
+
+def test_point_unknown_state_is_config_error(tmp_path):
+    assert_bad_labels_are_config_errors("point", tmp_path)
 
 
 def test_point_missing_material_file_is_config_error(tmp_path):
@@ -260,6 +287,7 @@ def test_scan_json_round_trip(tmp_path):
     assert r.returncode == 0
     doc = json.loads(out.read_text())
     assert doc["schema_version"] == 1
+    assert doc["command"] == "scan"
     assert doc["columns"] == SCAN_HEADER
     assert len(doc["rows"]) == 2
     by_col = doc["rows"][0]
@@ -286,6 +314,10 @@ def test_scan_csv_round_trips_floats():
         want = doc["rows"][0][name]
         if isinstance(want, float):
             assert float(text) == want, name
+
+
+def test_scan_unknown_state_is_config_error(tmp_path):
+    assert_bad_labels_are_config_errors("scan", tmp_path)
 
 
 def test_scan_empty_range_is_config_error():
@@ -360,6 +392,7 @@ def test_modes_single_oscillator():
     assert r.returncode == 0
     doc = json.loads(r.stdout)
     assert doc["schema_version"] == 1
+    assert doc["command"] == "modes"
     assert len(doc["modes"]) == 1
     row = doc["modes"][0]
     surface = math.sqrt(1e13**2 + 8e12**2 / 2.0)
@@ -421,3 +454,29 @@ def test_modes_malformed_file_reports_path(tmp_path):
     r = run_cli("modes", "--material", str(bad))
     assert r.returncode == 2
     assert "error in modes" in r.stderr
+
+
+# ---------------------------------------------------------------------------
+# process boundary
+# ---------------------------------------------------------------------------
+
+
+def test_module_entry_point_exit_codes():
+    """``python -m polshift.cli`` in its own process: the README point exits
+    0 with an empty stderr, a negative T 2 and a point at 0.1 K 3."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "SHIFT_MATSUBARA_CUTOFF"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+
+    def run(*extra):
+        return subprocess.run(
+            [sys.executable, "-m", "polshift.cli", *POINT_ARGS, *extra],
+            capture_output=True, text=True, cwd=ROOT, env=env, timeout=300)
+
+    ok = run("--format", "json")
+    assert ok.returncode == 0 and ok.stderr == ""
+    assert json.loads(ok.stdout)["command"] == "point"
+    assert run("--T", "-1").returncode == 2
+    cold = run("--T", "0.1")
+    assert cold.returncode == 3
+    assert "ConvergenceFailure" in cold.stderr

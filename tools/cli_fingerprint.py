@@ -59,6 +59,9 @@ RUNS = (
     ("scan cutoff 3",
      _shift("scan", "--z", "1e-6,2e-6", "--T", "300,500", "--format", "csv"),
      {"SHIFT_MATSUBARA_CUTOFF": "3"}),
+    ("scan cutoff 3 --format json",
+     _shift("scan", "--z", "1e-6,2e-6", "--T", "300,500", "--format", "json"),
+     {"SHIFT_MATSUBARA_CUTOFF": "3"}),
     ("scan --closed-form",
      _shift("scan", "--z", "1e-6", "--T", "350,500,600", "--closed-form"),
      {}),
@@ -66,7 +69,11 @@ RUNS = (
      _shift("scan", "--z", "1e-6", "--T", "350,500", "--resonance-tol", "0",
             "--format", "csv"), {}),
 ) + tuple((f"modes {name}", ["modes", "--material", _fixture(name)], {})
-          for name in MATERIALS)
+          for name in MATERIALS) + (
+    ("modes material_narrow csv",
+     ["modes", "--material", _fixture("material_narrow"), "--format", "csv"],
+     {}),
+)
 
 
 #: two undamped oscillators: Im r_p has no maximum, so no surface mode
