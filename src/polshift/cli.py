@@ -19,8 +19,8 @@ from .atoms import load_atom
 from .errors import SCHEMA_VERSION, ParseError, PhysicsError
 from .material import find_polariton_modes, load_material
 from .potentials import (ENERGY_LINES, MATSUBARA_CUTOFF, T_MAX, Z_RANGE,
-                         Environment, total_shift, valid_distance,
-                         valid_temperature)
+                         Environment, total_shift, unit_distance,
+                         valid_distance, valid_temperature)
 from .units import CM1, HBAR
 
 #: fixed scan/point CSV header (all shift columns are E/hbar in s^-1)
@@ -128,23 +128,39 @@ def _evaluate(cfg):
 
     The files are read, both state labels looked up and the modes found
     once per request, before the first pair; a failure there propagates
-    instead of being yielded.
+    instead of being yielded.  On the nonretarded route each distinct T is
+    evaluated once, at UNIT_Z, and moved to every z by
+    ShiftReport.at_distance, the arithmetic total_shift itself runs; a
+    PhysicsError there does not depend on z and is yielded for every z of
+    its T.  The full route evaluates every pair.
     """
     m = load_material(cfg.material)
     atom = load_atom(cfg.atom)
     atom.state(cfg.upper)
     atom.state(cfg.lower)
     modes = find_polariton_modes(m)
+
+    def shift(z, T):
+        try:
+            return total_shift(
+                atom, cfg.upper, cfg.lower, m, Environment(z=z, T=T),
+                cutoff=cfg.matsubara_cutoff, green_mode=cfg.green_mode,
+                resonance_tol=cfg.resonance_tol,
+                use_closed_form=cfg.closed_form, modes=modes)
+        except PhysicsError as exc:
+            return exc
+
+    unit_z = unit_distance(cfg.green_mode)
+    if unit_z is not None:
+        unit = {T: shift(unit_z, T) for T in dict.fromkeys(cfg.T_values)}
     for z in cfg.z_values:
         for T in cfg.T_values:
-            try:
-                result = total_shift(
-                    atom, cfg.upper, cfg.lower, m, Environment(z=z, T=T),
-                    cutoff=cfg.matsubara_cutoff, green_mode=cfg.green_mode,
-                    resonance_tol=cfg.resonance_tol,
-                    use_closed_form=cfg.closed_form, modes=modes)
-            except PhysicsError as exc:
-                result = exc
+            if unit_z is None:
+                result = shift(z, T)
+            else:
+                result = unit[T]
+                if not isinstance(result, PhysicsError):
+                    result = result.at_distance(z)
             yield z, T, result
 
 

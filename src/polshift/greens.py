@@ -28,7 +28,8 @@ QUAD_LIMIT = 200
 
 class GreenTensor3(NamedTuple):
     """Coincident-point Green tensor diag(xx, xx, zz): for the planar
-    geometry it is diagonal with G_yy = G_xx."""
+    geometry it is diagonal with G_yy = G_xx.  At an array of frequencies
+    xx and zz are arrays, and trace and im_trace do not apply."""
 
     xx: complex
     zz: complex
@@ -44,11 +45,14 @@ class GreenTensor3(NamedTuple):
 
 def green_nonretarded(m, z, omega):
     """Nonretarded closed form z^-3 (c^2/(32 pi omega^2)) r_p diag(1,1,2);
-    omega may be complex."""
+    omega may be complex.  A number gives Python complex xx and zz, an
+    array of omega gives arrays."""
     if not z > 0:
         raise ValueError("z must be > 0")
-    gxx = C**2 / (32.0 * math.pi * omega**2 * z**3) \
-        * complex(reflection_nonretarded(m, omega))
+    r_p = reflection_nonretarded(m, omega)
+    if np.ndim(r_p) == 0:
+        r_p = complex(r_p)
+    gxx = C**2 / (32.0 * math.pi * omega**2 * z**3) * r_p
     return GreenTensor3(gxx, 2.0 * gxx)
 
 

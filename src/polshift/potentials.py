@@ -21,6 +21,7 @@ Conventions used throughout:
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .atoms import channels as atom_channels
 from .atoms import polarizability_iso, transitions_from
 from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
                      NoModeFound, OffResonance, ZeroTemperature)
-from .greens import green_full, green_full_imag_axis, green_nonretarded
+from .greens import (GreenTensor3, green_full, green_full_imag_axis,
+                     green_nonretarded)
 from .material import find_polariton_modes, reflection_imag_axis
 from .units import C, HBAR, KB, MU0, energy_report
 
@@ -43,6 +45,12 @@ Z_RANGE = (1e-15, 1e15)
 def valid_distance(z):
     """True when z lies in Z_RANGE (so nan and inf do not)."""
     return Z_RANGE[0] <= z <= Z_RANGE[1]
+
+
+#: the distance (m) at which the nonretarded route evaluates a report: every
+#: line of it is exactly proportional to z^-3, so ShiftReport.at_distance
+#: moves the one report at UNIT_Z to any z
+UNIT_Z = 1.0
 
 
 #: the highest temperature (K) accepted: far above any physical one, and far
@@ -101,6 +109,28 @@ class ShiftReport:
         if self.meta:
             doc["meta"] = dict(self.meta)
         return doc
+
+    def at_distance(self, z):
+        """This report, evaluated at UNIT_Z on the nonretarded route, moved
+        to the distance z.
+
+        nr_matsubara, nr_resonant_photon and u_eff are divided by z^3, the
+        thermal factor does not depend on z, and r_shift and total are
+        recomputed from the moved lines, so that r_shift = u_eff *
+        thermal_factor and the sum identity stay exact.
+        """
+        if self.meta.get("z") != unit_distance(self.meta.get("green_mode")):
+            raise ValueError("only a nonretarded report evaluated at UNIT_Z "
+                             "can be moved to another distance")
+        z3 = z**3
+        mats = self.nr_matsubara / z3
+        photon = self.nr_resonant_photon / z3
+        u = self.u_eff / z3
+        r = u * self.thermal_factor
+        return ShiftReport(
+            nr_matsubara=mats, nr_resonant_photon=photon, u_eff=u,
+            thermal_factor=self.thermal_factor, r_shift=r,
+            total=mats + photon + r, meta={**self.meta, "z": z})
 
 
 def matsubara_xi(T, j):
@@ -213,21 +243,40 @@ def _full_xi2_trace(m, z, xi):
     return out
 
 
+def _full_green(m, z, omega):
+    """green_full at a real omega, or at each omega of an array, one
+    quadrature each (the xx and zz of the result are then arrays)."""
+    if np.ndim(omega) == 0:
+        return green_full(m, z, omega)
+    tensors = [green_full(m, z, w) for w in omega.tolist()]
+    return GreenTensor3(*(np.array(part) for part in zip(*tensors)))
+
+
 def _green_route(green_mode):
-    """(green, xi2_trace, block) of the "nonretarded" or "full" Green tensor.
+    """(green, xi2_trace, block, unit_z) of the "nonretarded" or "full"
+    Green tensor.
 
     The one place a green_mode is resolved.  green(m, z, omega) is the
-    GreenTensor3 on the real axis; xi2_trace(m, z, xi) is xi^2 Tr G(i xi)
-    for an array of xi, finite at xi = 0; block is the longest block of j
-    the Matsubara engine hands it.  The full route's quadrature takes one
-    xi at a time, so longer blocks would save nothing there and would run
-    quadratures past the stopping j.
+    GreenTensor3 on the real axis, at one omega or at each omega of an
+    array; xi2_trace(m, z, xi) is xi^2 Tr G(i xi) for an array of xi,
+    finite at xi = 0; block is the longest block of j the Matsubara engine
+    hands it.  The full route's quadrature takes one xi at a time, so longer
+    blocks would save nothing there and would run quadratures past the
+    stopping j.  unit_z is UNIT_Z where every line of a report scales
+    exactly as z^-3, and None where retardation ties the lines to z.
     """
     if green_mode == "nonretarded":
-        return green_nonretarded, _nonretarded_xi2_trace, _MAX_BLOCK
+        return green_nonretarded, _nonretarded_xi2_trace, _MAX_BLOCK, UNIT_Z
     if green_mode == "full":
-        return green_full, _full_xi2_trace, 1
+        return _full_green, _full_xi2_trace, 1, None
     raise ValueError(f"unknown green_mode {green_mode!r}")
+
+
+def unit_distance(green_mode):
+    """UNIT_Z when a green_mode report is evaluated there and moved to each
+    z by ShiftReport.at_distance (the nonretarded route), None when it is
+    evaluated at each z (the full route)."""
+    return _green_route(green_mode)[3]
 
 
 def _contract(dip_a, dip_b, wxx, wzz):
@@ -255,7 +304,7 @@ def nonresonant_shift_parts(atom, n, m, env, cutoff=MATSUBARA_CUTOFF,
         raise ValueError("cutoff must be >= 1")
     if env.T == 0:
         raise ZeroTemperature("nonresonant shift is defined here for T > 0")
-    green, xi2_trace, block = _green_route(green_mode)
+    green, xi2_trace, block, _ = _green_route(green_mode)
     trans = transitions_from(atom, n)
     if not trans:
         return 0.0, 0.0
@@ -268,12 +317,13 @@ def nonresonant_shift_parts(atom, n, m, env, cutoff=MATSUBARA_CUTOFF,
 
     mats = MU0 * KB * T * _matsubara_sum(term, cutoff, block)
 
+    gxx, gzz = green(m, z, np.abs([w_kn for _, w_kn, _ in trans]))
     photon = 0.0
-    for k_label, w_kn, _ in trans:
-        gxx, gzz = green(m, z, abs(w_kn))
+    for (k_label, w_kn, _), xx, zz in zip(trans, gxx.real.tolist(),
+                                        gzz.real.tolist()):
         dip = atom.dipole(n, k_label)
         photon += w_kn * w_kn * thermal_occupation(w_kn, T) \
-            * _contract(dip, dip, gxx.real, gzz.real)
+            * _contract(dip, dip, xx, zz)
     return mats, MU0 * photon
 
 
@@ -329,7 +379,7 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     green_mode selects the Im G tensors (nonretarded closed form or full
     quadrature).
     """
-    green, _, _ = _green_route(green_mode)
+    green = _green_route(green_mode)[0]
     chans = _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol)
     o1, o2 = mode1.omega_center, mode2.omega_center
     g1, g2 = mode1.linewidth, mode2.linewidth
@@ -445,7 +495,31 @@ def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,
     two-resonance closed form (modes paired one-to-one with oscillators)
     instead of the Green-tensor channel sum; both pass the same resonance
     gate.
+
+    On the nonretarded route the report is evaluated at UNIT_Z and moved to
+    env.z by ShiftReport.at_distance, so every z of a temperature runs the
+    same arithmetic on the same unit-distance report.  The full route
+    evaluates at env.z.
     """
+    evaluate = partial(_shift_report, atom, upper, lower, m, cutoff=cutoff,
+                       green_mode=green_mode, resonance_tol=resonance_tol,
+                       use_closed_form=use_closed_form, modes=modes)
+    unit_z = unit_distance(green_mode)
+    if unit_z is None:
+        return evaluate(env)
+    try:
+        report = evaluate(Environment(z=unit_z, T=env.T))
+    except NoModeFound:
+        # of the errors, only u_eff's Tr Im G check names z, and on this
+        # route it fails at every z alike: taken at env.z, its message
+        # names the distance asked for
+        return evaluate(env)
+    return report.at_distance(env.z)
+
+
+def _shift_report(atom, upper, lower, m, env, cutoff, green_mode,
+                  resonance_tol, use_closed_form, modes):
+    """The ShiftReport of total_shift, every line evaluated at env.z."""
     mats, photon = nonresonant_shift_parts(atom, upper, m, env, cutoff,
                                            green_mode)
 

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from polshift import cli
+from polshift.potentials import ENERGY_LINES
 
 FIX = "tests/fixtures"
 POINT_ARGS = [
@@ -117,6 +118,14 @@ def test_point_and_one_row_scan_agree_bit_for_bit(closed_form):
     for line in ("nr_matsubara", "nr_resonant_photon", "u_eff", "r_shift",
                  "total"):
         assert row[f"{line}_s^-1"] == getattr(rep, line) / HBAR
+
+
+def test_point_meta_names_the_requested_distance():
+    for z in ("1e-15", "3e-7", "1e15"):
+        args = [a if a != "1e-6" else z for a in POINT_ARGS]
+        doc = json.loads(run_cli(*args, "--format", "json").stdout)
+        assert doc["report"]["meta"]["z"] == float(z)
+        assert doc["inputs"]["z"] == float(z)
 
 
 def test_point_green_full_runs():
@@ -379,6 +388,116 @@ def test_scan_physics_failure_writes_error_rows():
         cells = dict(zip(header, row))
         assert "ConvergenceFailure" in cells["error"]
         assert cells["total_s^-1"] == ""
+
+
+def _scan_config(z_values, T_values, **kw):
+    return cli.RunConfig(
+        material=str(ROOT / FIX / "material_broad.json"),
+        atom=str(ROOT / FIX / "rb_rydberg.json"),
+        upper="27S1/2", lower="26S1/2", z_values=z_values, T_values=T_values,
+        **kw)
+
+
+@pytest.mark.parametrize("closed_form", [False, True])
+def test_scan_rows_equal_point_and_library_bit_for_bit(closed_form):
+    """Every row of a 3 z x 2 T scan is the point and the library
+    total_shift at its (z, T), bit for bit, whatever other z it shares its
+    request with."""
+    import polshift as ps
+    from polshift.units import HBAR
+    zs, Ts = (1e-7, 1.3e-6, 2e-5), (350.0, 500.0)
+    rows = cli.run_scan(_scan_config(zs, Ts, closed_form=closed_form))
+    atom = ps.load_atom(ROOT / FIX / "rb_rydberg.json")
+    m = ps.load_material(ROOT / FIX / "material_broad.json")
+    assert [(r["z_m"], r["T_K"]) for r in rows] == \
+        [(z, T) for z in zs for T in Ts]
+    for row in rows:
+        z, T = row["z_m"], row["T_K"]
+        assert row["error"] == ""
+        point = cli.run_point(_scan_config((z,), (T,),
+                                           closed_form=closed_form))
+        lib = ps.total_shift(atom, "27S1/2", "26S1/2", m,
+                             ps.Environment(z=z, T=T),
+                             use_closed_form=closed_form)
+        for rep in (point, lib):
+            assert rep.meta["z"] == z
+            assert row["thermal_factor"] == rep.thermal_factor
+            for line in ENERGY_LINES:
+                assert row[f"{line}_s^-1"] == getattr(rep, line) / HBAR
+
+
+def _counting_total_shift(monkeypatch, compute):
+    """Replace cli.total_shift by a wrapper that records each (z, T) it is
+    called at; when compute is false it raises ConvergenceFailure instead
+    of evaluating."""
+    import polshift as ps
+    calls = []
+    real = cli.total_shift
+
+    def counted(atom, upper, lower, m, env, **kw):
+        calls.append((env.z, env.T))
+        if not compute:
+            raise ps.ConvergenceFailure("not evaluated")
+        return real(atom, upper, lower, m, env, **kw)
+
+    monkeypatch.setattr(cli, "total_shift", counted)
+    return calls
+
+
+def test_nonretarded_scan_evaluates_each_distinct_T_once(monkeypatch):
+    from polshift.potentials import UNIT_Z
+    calls = _counting_total_shift(monkeypatch, compute=True)
+    rows = cli.run_scan(_scan_config((1e-7, 1e-6, 1e-5),
+                                     (500.0, 350.0, 500.0)))
+    assert calls == [(UNIT_Z, 500.0), (UNIT_Z, 350.0)]
+    assert len(rows) == 9 and all(r["error"] == "" for r in rows)
+    # a repeated T gives the same row at each z
+    for i in range(0, 9, 3):
+        assert rows[i] == rows[i + 2]
+
+
+def test_full_route_scan_evaluates_every_pair(monkeypatch):
+    calls = _counting_total_shift(monkeypatch, compute=False)
+    rows = cli.run_scan(_scan_config((1e-7, 1e-6), (500.0, 350.0, 500.0),
+                                     green_mode="full"))
+    assert calls == [(z, T) for z in (1e-7, 1e-6)
+                     for T in (500.0, 350.0, 500.0)]
+    assert all(r["error"] == "ConvergenceFailure: not evaluated"
+               for r in rows)
+
+
+def test_scan_cutoff_error_is_the_same_at_every_z():
+    r = run_cli("scan",
+                "--material", f"{FIX}/material_broad.json",
+                "--atom", f"{FIX}/rb_rydberg.json",
+                "--upper", "27S1/2", "--lower", "26S1/2",
+                "--z", "1e-15,1e-6,2e-6,1e15", "--T", "300,500",
+                "--format", "csv",
+                env={"SHIFT_MATSUBARA_CUTOFF": "3"})
+    assert r.returncode == 0
+    header, rows = parse_csv(r.stdout)
+    errors = {}
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert cells["error"].startswith("ConvergenceFailure: ")
+        errors.setdefault(cells["T_K"], set()).add(cells["error"])
+    assert sorted(errors) == ["300.0", "500.0"]
+    assert all(len(texts) == 1 for texts in errors.values())
+
+
+def test_report_values_are_python_floats():
+    """Numbers reach the CSV through repr, where a numpy scalar would print
+    as np.float64(...): every numeric cell is a Python float."""
+    for closed_form in (False, True):
+        cfg = _scan_config((1e-7, 1e-6), (350.0, 500.0),
+                           closed_form=closed_form)
+        for row in cli.run_scan(cfg):
+            for col in SCAN_HEADER[:-1]:
+                assert type(row[col]) is float, (col, row[col])
+        rep = cli.run_point(_scan_config((1e-6,), (500.0,),
+                                         closed_form=closed_form))
+        for line in ENERGY_LINES + ("thermal_factor",):
+            assert type(getattr(rep, line)) is float, line
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,17 @@ def test_nonretarded_distance_scaling(material_toy):
     assert np.allclose(ratio, 8.0, rtol=1e-12, atol=0)
 
 
+def test_nonretarded_array_matches_scalar_calls(material_broad):
+    """An array of omega gives the scalar calls' values bit for bit; a
+    number still gives Python complex."""
+    omegas = np.geomspace(1e11, 1e15, 25)
+    g = ps.green_nonretarded(material_broad, Z, omegas)
+    for w, xx, zz in zip(omegas.tolist(), g.xx.tolist(), g.zz.tolist()):
+        one = ps.green_nonretarded(material_broad, Z, w)
+        assert type(one.xx) is complex and type(one.zz) is complex
+        assert (one.xx, one.zz) == (xx, zz)
+
+
 def test_nonretarded_trace_closed_form(material_toy):
     omega = 1.1e13
     g = ps.green_nonretarded(material_toy, Z, omega)

@@ -209,7 +209,7 @@ def test_nonresonant_routes_agree_multilevel(rb_atom, material_broad):
 
 def _mats_term(atom, n, m, env, green_mode="nonretarded"):
     """The Matsubara summand of nonresonant_shift_parts, for an array of j."""
-    _, xi2_trace, _ = potentials._green_route(green_mode)
+    xi2_trace = potentials._green_route(green_mode)[1]
     xi1 = ps.matsubara_xi(env.T, 1)
 
     def term(j):
@@ -812,6 +812,68 @@ def test_total_shift_distance_scaling(rb_atom, material_broad):
         assert getattr(near, field) / getattr(far, field) == pytest.approx(
             8.0, rel=1e-12)
     assert near.thermal_factor == far.thermal_factor
+
+
+@pytest.mark.parametrize("z", [1e-15, 1e-6, 1e15])
+@pytest.mark.parametrize("closed", [False, True])
+def test_total_shift_identities_exact_at_any_distance(rb_atom,
+                                                     material_broad, z,
+                                                     closed):
+    rep = ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad,
+                         ps.Environment(z=z, T=500.0),
+                         use_closed_form=closed)
+    assert rep.r_shift == rep.u_eff * rep.thermal_factor
+    assert rep.total == rep.nr_matsubara + rep.nr_resonant_photon \
+        + rep.r_shift
+    assert rep.meta["z"] == z
+    assert all(math.isfinite(getattr(rep, line)) and getattr(rep, line)
+               for line in potentials.ENERGY_LINES)
+
+
+def test_nonretarded_report_is_the_unit_report_moved(rb_atom,
+                                                     material_broad):
+    """The nonretarded total_shift is its report at UNIT_Z moved by
+    at_distance, bit for bit; at UNIT_Z itself the move changes nothing."""
+    unit = ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad,
+                          ps.Environment(z=potentials.UNIT_Z, T=500.0))
+    assert unit.at_distance(potentials.UNIT_Z) == unit
+    for z in (1e-15, 3e-7, 1e15):
+        rep = ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad,
+                             ps.Environment(z=z, T=500.0))
+        assert rep == unit.at_distance(z)
+
+
+def test_at_distance_needs_a_nonretarded_unit_report(rb_atom,
+                                                      material_broad):
+    rep = ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, ENV)
+    with pytest.raises(ValueError):
+        rep.at_distance(2.0 * Z)
+    full = potentials.ShiftReport(
+        1.0, 1.0, 1.0, 1.0, 1.0, 3.0,
+        meta={"z": potentials.UNIT_Z, "green_mode": "full"})
+    with pytest.raises(ValueError):
+        full.at_distance(2.0 * Z)
+
+
+def test_total_shift_trace_error_names_the_requested_distance(
+        rb_atom, broad_modes):
+    """On an undamped material Im r_p vanishes at the mode centres; the
+    error of the nonretarded total_shift names the z asked for, not the
+    distance the report is evaluated at."""
+    undamped = ps.material_from_dict({
+        "name": "undamped pair",
+        "oscillators": [
+            {"omega_P": 53.4, "omega_T": 65.0, "gamma": 0.0,
+             "unit": "cm^-1"},
+            {"omega_P": 33.3, "omega_T": 85.0, "gamma": 0.0,
+             "unit": "cm^-1"},
+        ]})
+    with pytest.raises(ps.NoModeFound) as err:
+        ps.total_shift(rb_atom, "27S1/2", "26S1/2", undamped,
+                       ps.Environment(z=3e-7, T=500.0), modes=broad_modes)
+    msg = str(err.value)
+    assert "green_mode='nonretarded', z=3e-07 m" in msg
+    assert "z=1 m" not in msg
 
 
 def test_report_unit_consistency(rb_atom, material_broad):

@@ -56,6 +56,12 @@ RUNS = (
             "--format", "csv"), {}),
     ("scan 1 um x 350,500,600 K",
      _shift("scan", "--z", "1e-6", "--T", "350,500,600"), {}),
+    ("scan repeated T",
+     _shift("scan", "--z", "1e-7,1e-6,1e-5", "--T", "500,350,500",
+            "--format", "csv"), {}),
+    ("scan --green full",
+     _shift("scan", "--z", "1e-6,2e-6", "--T", "500", "--green", "full",
+            "--format", "csv"), {}),
     ("scan cutoff 3",
      _shift("scan", "--z", "1e-6,2e-6", "--T", "300,500", "--format", "csv"),
      {"SHIFT_MATSUBARA_CUTOFF": "3"}),
