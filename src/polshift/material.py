@@ -107,18 +107,39 @@ def permittivity(m, omega):
 
     eps = 1 + sum_j omega_Pj^2 / (omega_Tj^2 - omega^2 - i omega Gamma_j).
     Raises PoleHit when an undamped oscillator is evaluated exactly on its
-    resonance.  Accepts scalars or numpy arrays.
+    resonance.  Accepts scalars or numpy arrays; a number gives
+    np.complex128.
+
+    A real Python number (np.float64 included) is worked in numpy complex128
+    scalars, with the same bits as an array element: the mode finder and,
+    through fresnel, QUADPACK call it one value at a time, and numpy's
+    per-call overhead on a 0-d array costs several times the arithmetic.
+    Plain Python complex would divide with other rounding.  A complex omega
+    stays on the array path, whose loop squares a complex number with other
+    rounding than the scalar product does.
     """
+    if isinstance(omega, (int, float)):
+        w = np.complex128(omega)
+        w2, eps = w * w, np.complex128(1.0)
+        for j, o in enumerate(m.oscillators):
+            denom = o.omega_T**2 - w2 - 1j * omega * o.gamma_damp
+            if denom == 0:
+                raise _pole_hit(j, o)
+            eps = eps + o.omega_P**2 / denom
+        return eps
     omega = np.asarray(omega)
     eps = np.ones(omega.shape, dtype=complex)
     for j, o in enumerate(m.oscillators):
         denom = o.omega_T**2 - omega.astype(complex)**2 - 1j * omega * o.gamma_damp
         if np.any(denom == 0):
-            raise PoleHit(
-                f"permittivity pole of undamped oscillator {j} "
-                f"(omega_T={o.omega_T!r}) hit exactly")
+            raise _pole_hit(j, o)
         eps = eps + o.omega_P**2 / denom
     return eps[()] if eps.ndim == 0 else eps
+
+
+def _pole_hit(j, o):
+    return PoleHit(f"permittivity pole of undamped oscillator {j} "
+                   f"(omega_T={o.omega_T!r}) hit exactly")
 
 
 def permittivity_imag_axis(m, xi):
@@ -178,32 +199,32 @@ def reflection_imag_axis(m, xi):
     return (eps - 1.0) / (eps + 1.0)
 
 
-def _upper_halfplane_sqrt(arg):
-    """Principal sqrt flipped so that Im >= 0 (decay away from the interface)."""
-    root = np.sqrt(np.asarray(arg, dtype=complex))
-    return np.where(root.imag < 0, -root, root)
-
-
 def fresnel(m, omega, k_rho):
-    """Fresnel reflection coefficients (r_s, r_p) of the half-space.
+    """Fresnel reflection coefficients (r_s, r_p) of the half-space at one
+    real omega > 0 and one k_rho >= 0, as np.complex128.
 
     k_vz = sqrt(omega^2/c^2 - k_rho^2), k_dz = sqrt(eps omega^2/c^2 - k_rho^2),
     both on the branch Im k >= 0;
     r_p = (eps k_vz - k_dz)/(eps k_vz + k_dz), r_s = (k_vz - k_dz)/(k_vz + k_dz).
+
+    QUADPACK calls it once per k_rho node of the green_full integrand, so
+    it works in numpy scalars: a 0-d array would spend most of each call in
+    numpy's per-call overhead.  NaN is rejected with the other bad values.
     """
-    if np.any(np.asarray(omega) <= 0):
+    if not omega > 0:
         raise ValueError("omega must be > 0")
-    k_rho = np.asarray(k_rho, dtype=float)
-    if np.any(k_rho < 0):
+    if not k_rho >= 0:
         raise ValueError("k_rho must be >= 0")
     eps = permittivity(m, omega)
-    k2 = (np.asarray(omega) / C) ** 2
-    k_vz = _upper_halfplane_sqrt(k2 - k_rho**2)
-    k_dz = _upper_halfplane_sqrt(eps * k2 - k_rho**2)
+    k0 = omega / C
+    k2, kr2 = k0 * k0, k_rho * k_rho  # numpy squares as x*x; pow may not
+    # the principal root of a real number already has Im >= 0
+    k_vz = np.sqrt(np.complex128(k2 - kr2))
+    k_dz = np.sqrt(eps * k2 - kr2)
+    if k_dz.imag < 0:
+        k_dz = -k_dz
     r_s = (k_vz - k_dz) / (k_vz + k_dz)
     r_p = (eps * k_vz - k_dz) / (eps * k_vz + k_dz)
-    if r_s.ndim == 0:
-        return r_s[()], r_p[()]
     return r_s, r_p
 
 

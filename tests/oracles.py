@@ -171,6 +171,33 @@ def mode_width_from_pole(m, mode, max_iter=100):
     return abs(w.real), 2.0 * abs(w.imag)
 
 
+def fresnel_array(m, omega, k_rho):
+    """Fresnel (r_s, r_p) on numpy arrays, elementwise over omega and k_rho.
+
+    The library's former array body, kept as the reference for its scalar
+    fresnel: the same formulas on the array path of permittivity, with each
+    root flipped to Im >= 0 by np.where.
+    """
+    def upper_sqrt(arg):
+        root = np.sqrt(np.asarray(arg, dtype=complex))
+        return np.where(root.imag < 0, -root, root)
+
+    if np.any(np.asarray(omega) <= 0):
+        raise ValueError("omega must be > 0")
+    k_rho = np.asarray(k_rho, dtype=float)
+    if np.any(k_rho < 0):
+        raise ValueError("k_rho must be >= 0")
+    eps = ps.permittivity(m, np.asarray(omega, dtype=float))
+    k2 = (np.asarray(omega) / C) ** 2
+    k_vz = upper_sqrt(k2 - k_rho**2)
+    k_dz = upper_sqrt(eps * k2 - k_rho**2)
+    r_s = (k_vz - k_dz) / (k_vz + k_dz)
+    r_p = (eps * k_vz - k_dz) / (eps * k_vz + k_dz)
+    if r_s.ndim == 0:
+        return r_s[()], r_p[()]
+    return r_s, r_p
+
+
 def lorentzian_ldos_factor(mode, omega):
     """Lorentzian line-shape factor (gamma^2/4)/((omega-Omega)^2 + gamma^2/4).
 

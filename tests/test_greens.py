@@ -108,6 +108,29 @@ def test_full_matches_nonretarded_deep(material_toy):
     assert abs(full.zz / full.xx - 2.0) < 1e-2
 
 
+def _scaled(m, lam):
+    return ps.MaterialModel(m.name, oscillators=tuple(
+        ps.Oscillator(lam * o.omega_P, lam * o.omega_T, lam * o.gamma_damp)
+        for o in m.oscillators))
+
+
+@pytest.mark.parametrize("k", [-3, 1, 4])
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow"])
+def test_full_scales_exactly_by_powers_of_two(request, material, k):
+    """G(m_lam; z/lam, lam omega) = lam G(m; z, omega) bit for bit for
+    lam = 2^k: the integrand is (1/z) times a function of omega z/c and eps
+    in the dimensionless theta and u, so every node and every rounding
+    scales by an exact power of two.  Checked at the lower mode centre and
+    z = 2 um, where the light line and the evanescent tail both matter."""
+    m = request.getfixturevalue(material)
+    lam = 2.0**k
+    omega = ps.find_polariton_modes(m)[0].omega_center
+    z = 2e-6
+    base = ps.green_full(m, z, omega)
+    scaled = ps.green_full(_scaled(m, lam), z / lam, lam * omega)
+    assert scaled == (lam * base.xx, lam * base.zz)
+
+
 def test_full_quadrature_budget_error(material_broad, monkeypatch):
     monkeypatch.setattr(greens, "QUAD_REL_TOL", 1e-16)
     monkeypatch.setattr(greens, "QUAD_LIMIT", 1)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import polshift as ps
-from oracles import (lorentzian_ldos_factor, material_to_dict,
+from oracles import (fresnel_array, lorentzian_ldos_factor, material_to_dict,
                      mode_width_from_pole)
-from polshift.units import CM1
+from polshift.units import CM1, C
 
 # ---------------------------------------------------------------------------
 # Oscillator / MaterialModel construction
@@ -77,6 +77,61 @@ def test_permittivity_pole_hit_undamped():
         "undamped", oscillators=(ps.Oscillator(omega_P=1e13, omega_T=1e13),))
     with pytest.raises(ps.PoleHit):
         ps.permittivity(m, 1e13)
+
+
+#: Drude-Lorentz materials with one to four damped oscillators (rad/s)
+DRUDE_LORENTZ = tuple(
+    ps.MaterialModel(f"dl{len(oscs)}", oscillators=tuple(
+        ps.Oscillator(*o) for o in oscs)) for oscs in (
+        ((3.1e13, 2.0e13, 4.0e11),),
+        ((1.2e14, 5.0e13, 2.5e12), (4.0e13, 9.0e13, 1.0e11)),
+        ((6.0e12, 1.1e12, 3.0e10), (2.0e13, 1.7e13, 5.0e11),
+         (9.0e13, 2.3e14, 1.5e13)),
+        ((1.5e13, 8.0e12, 1.0e9), (2.2e13, 1.6e13, 6.0e11),
+         (5.0e13, 4.1e13, 2.0e12), (3.0e14, 1.9e14, 9.0e12)),
+    ))
+
+
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow",
+                                      "material_toy", "material_ldos",
+                                      *DRUDE_LORENTZ],
+                         ids=lambda m: getattr(m, "name", m))
+def test_permittivity_scalar_equals_array(request, material):
+    """A float, an int and an np.float64 give np.complex128 with the bits
+    of the matching array element, sign of zero included, over real omega
+    from 0 to 1e17 rad/s, at each omega_T and at each single-oscillator
+    surface frequency."""
+    m = request.getfixturevalue(material) if isinstance(material, str) \
+        else material
+    omegas = np.concatenate((
+        [0.0], np.geomspace(1e9, 1e17, 801),
+        [o.omega_T for o in m.oscillators],
+        [o.omega_surface for o in m.oscillators]))
+    eps = ps.permittivity(m, omegas)
+    for w, want in zip(omegas.tolist(), eps.tolist()):
+        for x in (w, np.float64(w)):
+            got = ps.permittivity(m, x)
+            assert type(got) is np.complex128
+            assert got == want and np.signbit(got.imag) == np.signbit(
+                want.imag)
+    ints = [0, 1, 10**9, 7 * 10**12, 10**13, 3 * 10**14, 10**17]
+    eps = ps.permittivity(m, np.array(ints))
+    for n, want in zip(ints, eps.tolist()):
+        got = ps.permittivity(m, n)
+        assert type(got) is np.complex128 and got == want
+
+
+def test_permittivity_pole_hit_on_both_paths():
+    """An undamped oscillator hit exactly raises PoleHit from a float, an
+    int, an np.float64, a 0-d array and an array holding the pole."""
+    m = ps.MaterialModel(
+        "undamped", oscillators=(
+            ps.Oscillator(omega_P=2e13, omega_T=5e12, gamma_damp=1e11),
+            ps.Oscillator(omega_P=1e13, omega_T=1e13)))
+    for omega in (1e13, 10**13, np.float64(1e13), np.array(1e13),
+                  np.array([5e12, 1e13])):
+        with pytest.raises(ps.PoleHit, match="oscillator 1"):
+            ps.permittivity(m, omega)
 
 
 @settings(max_examples=60)
@@ -197,6 +252,37 @@ def test_fresnel_normal_incidence_eps_4():
     r_s, r_p = ps.fresnel(m, omega, 0.0)
     assert r_s == pytest.approx(-1.0 / 3.0, rel=1e-6)
     assert r_p == pytest.approx(+1.0 / 3.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow"])
+def test_fresnel_equals_array_oracle(request, material):
+    """The scalar fresnel gives the bits of the former array body
+    (oracles.fresnel_array) at k_rho = 0, exactly on the light line and on
+    both sides of it up to 1e9 omega/c, at each mode centre, at half the
+    lower one and at twice the upper one."""
+    m = request.getfixturevalue(material)
+    modes = ps.find_polariton_modes(m)
+    omegas = [0.5 * modes[0].omega_center,
+              *(mode.omega_center for mode in modes),
+              2.0 * modes[-1].omega_center]
+    for omega in omegas:
+        k0 = omega / C
+        k_rho = np.concatenate((
+            [0.0, k0], k0 * np.geomspace(1e-6, 1.0 - 1e-12, 150),
+            k0 * np.geomspace(1.0 + 1e-12, 1e9, 300)))
+        r_s, r_p = fresnel_array(m, np.full(k_rho.shape, omega), k_rho)
+        for k, want in zip(k_rho.tolist(), zip(r_s.tolist(), r_p.tolist())):
+            got = ps.fresnel(m, omega, k)
+            assert all(type(r) is np.complex128 for r in got)
+            assert got == want
+
+
+def test_fresnel_rejects_bad_arguments(material_broad):
+    """NaN, omega <= 0 and k_rho < 0 raise ValueError, never a NaN."""
+    for omega, k_rho in ((math.nan, 1.0), (1e13, math.nan), (0.0, 1.0),
+                         (-1e13, 1.0), (1e13, -1.0), (1e13, -1e-300)):
+        with pytest.raises(ValueError):
+            ps.fresnel(material_broad, omega, k_rho)
 
 
 @pytest.mark.parametrize("omega_cm", [30.0, 60.0, 73.0, 80.0, 90.0, 120.0])

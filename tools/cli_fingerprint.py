@@ -35,8 +35,8 @@ def _fixture(name):
     return os.path.normpath(os.path.join(FIXTURES, name + ".json"))
 
 
-def _shift(command, *args):
-    return [command, "--material", _fixture("material_broad"),
+def _shift(command, *args, material="material_broad"):
+    return [command, "--material", _fixture(material),
             "--atom", _fixture("rb_rydberg"),
             "--upper", "27S1/2", "--lower", "26S1/2", *args]
 
@@ -50,6 +50,9 @@ RUNS = (
      _shift("point", "--z", "1e-6", "--T", "500", "--closed-form"), {}),
     ("point --green full",
      _shift("point", "--z", "1e-6", "--T", "500", "--green", "full"), {}),
+    ("point --green full narrow",
+     _shift("point", "--z", "5e-6", "--T", "400", "--green", "full",
+            material="material_narrow"), {}),
     ("point 0.1 K", _shift("point", "--z", "1e-6", "--T", "0.1"), {}),
     ("scan 25 z x 500 K",
      _shift("scan", "--z-range", "1e-7:1e-5:25log", "--T", "500",
