@@ -11,7 +11,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import QuadratureFailure
 from .material import fresnel, permittivity_imag_axis, reflection_nonretarded
@@ -58,7 +57,14 @@ def green_nonretarded(m, z, omega):
 
 def _quad_complex(f, a, b, epsabs, label):
     """quad to QUAD_REL_TOL that escalates the subdivision limit once from
-    QUAD_LIMIT, then raises."""
+    QUAD_LIMIT, then raises.
+
+    scipy.integrate is imported here, on the first full-route call, so that
+    the nonretarded route never loads scipy; ROADMAP item 7's fixed-node
+    rules take its place.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         for lim in (QUAD_LIMIT, 8 * QUAD_LIMIT):

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import (NoModeFound, ParseError, PoleHit, SurfaceModePole,
                      check_document, read_json, require)
@@ -230,6 +229,159 @@ def fresnel(m, omega, k_rho):
 
 # --- surface-mode extraction ----------------------------------------------------
 
+def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
+    """Root of f between xa and xb by Brent's method.
+
+    A step-for-step transcription of scipy's optimize/Zeros/brentq.c, the
+    routine behind scipy.optimize.brentq, so that the mode finder gets the
+    same roots without importing scipy.  As there, a NaN value or ends of
+    the same sign raise ValueError, and no convergence within maxiter
+    iterations raises RuntimeError.  ROADMAP item 5's rational finder
+    deletes it.
+    """
+    def call(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; "
+                             "solver cannot continue")
+        return fx
+
+    def signbit(v):
+        return math.copysign(1.0, v) < 0
+
+    xpre, xcur = float(xa), float(xb)
+    xtol, rtol = float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if signbit(fpre) == signbit(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C gets inf or NaN, and bisects
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
+                       f"value is {xcur!r}")
+
+
+def _bounded_minimum(f, lo, hi, xatol, maxfun=500):
+    """(x, f(x)) at a minimum of f on [lo, hi] by Brent's bounded method.
+
+    A step-for-step transcription of scipy's
+    optimize._optimize._minimize_scalar_bounded, the routine behind
+    minimize_scalar(method="bounded"), so that the mode finder gets the same
+    minimum without importing scipy.  As there, non-finite bounds raise
+    ValueError, and the search stops after maxfun calls without an error.
+    ROADMAP item 5's rational finder deletes it.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("optimization bounds must be finite scalars")
+    if lo > hi:
+        raise ValueError("the lower bound exceeds the upper bound")
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = f(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabolic fit
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = math.copysign(tol1, xm - xf) if xm != xf else tol1
+            else:
+                golden = True
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+
+        step = max(abs(rat), tol1)
+        x = xf + (math.copysign(step, rat) if rat else step)
+        fu = f(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def _im_rp(m, omega):
     return np.imag(reflection_nonretarded(m, omega))
 
@@ -291,9 +443,9 @@ def _ascending_eps_roots(m):
     f = _re_eps_plus_one(m, edges)
     out = []
     for i in np.flatnonzero(is_root & (f[:-1] < 0) & (f[1:] >= 0)):
-        out.append(optimize.brentq(
-            lambda w: _re_eps_plus_one(m, w), edges[i], edges[i + 1],
-            xtol=1e-13 * fences[i], rtol=8.9e-16))
+        out.append(_brentq(lambda w: _re_eps_plus_one(m, w),
+                           edges[i], edges[i + 1],
+                           xtol=1e-13 * fences[i], rtol=8.9e-16))
     return out
 
 
@@ -348,20 +500,19 @@ def find_polariton_modes(m):
             continue
         # refine the peak of Im r_p inside a window around the crossing
         wlo, whi = r - 5.0 * g0, r + 5.0 * g0
-        res = optimize.minimize_scalar(
-            lambda w: -_im_rp(m, w), bounds=(wlo, whi), method="bounded",
-            options={"xatol": 1e-13 * r})
-        center = float(res.x)
-        peak = -float(res.fun)
+        center, fun = _bounded_minimum(lambda w: -_im_rp(m, w), wlo, whi,
+                                       xatol=1e-13 * r)
+        center = float(center)
+        peak = -float(fun)
         half = 0.5 * peak
         lb = _bracket_half_max(m, center, half, g0, -1.0, (0.0, np.inf))
         rb = _bracket_half_max(m, center, half, g0, +1.0, (0.0, np.inf))
         if lb is None or rb is None:
             continue
-        wl = optimize.brentq(lambda w: _im_rp(m, w) - half, *lb,
-                             xtol=1e-13 * center, rtol=8.9e-16)
-        wr = optimize.brentq(lambda w: _im_rp(m, w) - half, *rb,
-                             xtol=1e-13 * center, rtol=8.9e-16)
+        wl = _brentq(lambda w: _im_rp(m, w) - half, *lb,
+                     xtol=1e-13 * center, rtol=8.9e-16)
+        wr = _brentq(lambda w: _im_rp(m, w) - half, *rb,
+                     xtol=1e-13 * center, rtol=8.9e-16)
         centers.append(center)
         widths.append(wr - wl)
         peaks.append(peak)

@@ -4,28 +4,32 @@ Internal conventions: angular frequencies in rad/s, dipole moments in C·m,
 energies in J, lengths in m, temperature in K.
 """
 
-import scipy.constants as _const
+import math
 
-C = _const.c                      # speed of light, m/s
-HBAR = _const.hbar                # J s
-KB = _const.k                     # J/K
-MU0 = _const.mu_0                 # N/A^2
-E_CHARGE = _const.e               # C
-A0 = _const.physical_constants["Bohr radius"][0]   # m
+# c, h, k_B and e are exact in the SI; mu_0 and a_0 are CODATA 2022 values.
+# Written out rather than read from scipy.constants, whose import would
+# cost a CLI call more than its physics, and which may move to another
+# CODATA edition under polshift's output.
+C = 299792458.0                   # speed of light, m/s
+HBAR = 6.62607015e-34 / (2.0 * math.pi)   # h / 2 pi, J s
+KB = 1.380649e-23                 # J/K
+MU0 = 1.25663706127e-06           # N/A^2
+E_CHARGE = 1.602176634e-19        # C
+A0 = 5.29177210544e-11            # Bohr radius, m
 
 #: 1 cm^-1 expressed as an angular frequency (rad/s): 2*pi*c*100
-CM1 = 2.0 * _const.pi * C * 100.0
+CM1 = 2.0 * math.pi * C * 100.0
 
 #: 1 Debye in C·m
 DEBYE = 1.0e-21 / C
 
 _FREQ_FACTORS = {
     "rad/s": 1.0,
-    "Hz": 2.0 * _const.pi,
+    "Hz": 2.0 * math.pi,
     "cm^-1": CM1,
 }
 
-_ENERGY_FACTORS = dict(_FREQ_FACTORS, eV=_const.e / HBAR)
+_ENERGY_FACTORS = dict(_FREQ_FACTORS, eV=E_CHARGE / HBAR)
 
 _DIPOLE_FACTORS = {
     "C·m": 1.0,
@@ -80,6 +84,6 @@ def energy_report(value_joule):
     return {
         "J": value_joule,
         "s^-1": w,
-        "Hz": w / (2.0 * _const.pi),
+        "Hz": w / (2.0 * math.pi),
         "cm^-1": w / CM1,
     }

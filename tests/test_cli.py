@@ -599,3 +599,48 @@ def test_module_entry_point_exit_codes():
     cold = run("--T", "0.1")
     assert cold.returncode == 3
     assert "ConvergenceFailure" in cold.stderr
+
+
+
+#: runs cli.main on the argv in sys.argv[1] (JSON), then prints its exit
+#: code and the sorted scipy modules left in sys.modules
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+from polshift import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(k for k in sys.modules
+                               if k == "scipy" or k.startswith("scipy."))]))
+"""
+
+
+def run_fresh(args):
+    """(exit code, scipy modules loaded) of ``cli.main(args)`` in a fresh
+    interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("SHIFT_MATSUBARA_CUTOFF", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, json.dumps(args)],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("args", [
+    POINT_ARGS,
+    ["scan", *POINT_ARGS[1:-4], "--z-range", "1e-7:1e-5:5log",
+     "--T", "350,500"],
+    ["modes", "--material", f"{FIX}/material_broad.json"],
+], ids=["point", "scan", "modes"])
+def test_nonretarded_commands_load_no_scipy(args):
+    """A nonretarded point, a scan and a modes run exit 0 with no scipy
+    module loaded: the constants are literals, the mode finder's solvers
+    live in polshift.material, and only the full route imports quad."""
+    assert run_fresh(args) == [0, []]
+
+
+def test_full_route_point_exits_0_in_a_fresh_interpreter():
+    """--green full imports scipy.integrate on its first quadrature; which
+    other scipy modules that import pulls in is scipy's business."""
+    code, _ = run_fresh([*POINT_ARGS, "--green", "full"])
+    assert code == 0

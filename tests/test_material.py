@@ -2,14 +2,17 @@
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 from scipy.integrate import quad
 
 import polshift as ps
+from polshift import material
 from oracles import (fresnel_array, lorentzian_ldos_factor, material_to_dict,
                      mode_width_from_pole)
 from polshift.units import CM1, C
@@ -371,7 +374,7 @@ def test_modes_found_for_oscillators_decades_apart():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 4: the bounded minimize_scalar refines the peak in "
+    "ROADMAP item 5: the in-module bounded minimiser refines the peak in "
     "absolute omega, where its tolerance sqrt(eps)*omega ~ 1.8e5 rad/s "
     "exceeds the linewidth; minimizing in the offset from the crossing "
     "fixes it but moves window-edge centres in the modes_sweep references"))
@@ -410,6 +413,214 @@ def test_mode_width_from_pole_agrees_with_fwhm():
     center, width = mode_width_from_pole(m, mode)
     assert center == pytest.approx(mode.omega_center, rel=1e-6)
     assert width == pytest.approx(mode.linewidth, rel=0.05)
+
+
+# ---------------------------------------------------------------------------
+# the mode finder's solvers against scipy, and its exact scaling
+# ---------------------------------------------------------------------------
+
+#: Drude-Lorentz materials of 1-4 oscillators as (omega_P, omega_T, gamma):
+#: omega_T from 1e11 to 1e15 rad/s, omega_P/omega_T from 0.4 to 1.6 and
+#: gamma/omega_T from 1e-3 to 0.1
+OSCILLATORS = st.lists(
+    st.tuples(st.floats(11.0, 15.0), st.floats(0.4, 1.6),
+              st.floats(-3.0, -1.0)).map(
+        lambda t: (t[1] * 10**t[0], 10**t[0], 10**(t[0] + t[2]))),
+    min_size=1, max_size=4)
+
+
+def _drawn(oscillators, lam=1.0):
+    return ps.MaterialModel("drawn", oscillators=tuple(
+        ps.Oscillator(lam * wp, lam * wt, lam * g)
+        for wp, wt, g in oscillators))
+
+
+def _modes_or_error(m):
+    try:
+        return ps.find_polariton_modes(m)
+    except ps.NoModeFound as exc:
+        return type(exc)
+
+
+def _recorded(f, xs):
+    def g(x):
+        xs.append(x)
+        return f(x)
+    return g
+
+
+def _modes_checked_against_scipy(m):
+    """find_polariton_modes(m), with every _brentq and _bounded_minimum call
+    repeated by scipy on the finder's own callback, ends and tolerances:
+    the points evaluated and the result must be the same bits.  Returns the
+    names of the checked calls."""
+    brentq, bounded = material._brentq, material._bounded_minimum
+    checked = []
+
+    def brentq_vs_scipy(f, xa, xb, xtol, rtol):
+        ours, theirs = [], []
+        got = brentq(_recorded(f, ours), xa, xb, xtol=xtol, rtol=rtol)
+        want = optimize.brentq(_recorded(f, theirs), xa, xb, xtol=xtol,
+                               rtol=rtol)
+        assert (got, ours) == (want, theirs)
+        checked.append("brentq")
+        return got
+
+    def bounded_vs_scipy(f, lo, hi, xatol):
+        ours, theirs = [], []
+        got = bounded(_recorded(f, ours), lo, hi, xatol=xatol)
+        res = optimize.minimize_scalar(
+            _recorded(f, theirs), bounds=(lo, hi), method="bounded",
+            options={"xatol": xatol})
+        assert (got, ours) == ((res.x, res.fun), theirs)
+        checked.append("bounded")
+        return got
+
+    with mock.patch.object(material, "_brentq", brentq_vs_scipy), \
+            mock.patch.object(material, "_bounded_minimum", bounded_vs_scipy):
+        _modes_or_error(m)
+    return checked
+
+
+@pytest.mark.parametrize("name", ["material_broad", "material_narrow",
+                                  "material_toy", "material_ldos"])
+def test_solver_ports_equal_scipy_on_fixtures(request, name):
+    """Each of the finder's root and minimum searches takes the steps and
+    gives the result of scipy's brentq and bounded minimize_scalar, bit for
+    bit: per mode one crossing, one peak and two half-maximum roots."""
+    modes = ps.find_polariton_modes(request.getfixturevalue(name))
+    checked = _modes_checked_against_scipy(request.getfixturevalue(name))
+    assert sorted(checked) == sorted(["brentq"] * 3 * len(modes)
+                                     + ["bounded"] * len(modes))
+
+
+@settings(max_examples=40, deadline=None)
+@given(oscillators=OSCILLATORS)
+def test_solver_ports_equal_scipy_on_drawn_materials(oscillators):
+    _modes_checked_against_scipy(_drawn(oscillators))
+
+
+def _outcome(solver, *args, **kwargs):
+    try:
+        return solver(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+BRENTQ_AWKWARD = (
+    lambda x: -1.0 if x < 0.3 else 2.0,
+    lambda x: math.floor(8.0 * x) - 2.5,
+    lambda x: (x - 0.3) ** 3,
+    lambda x: x**9 - 1e-9,
+    lambda x: math.tanh(50.0 * (x - 0.7)),
+    lambda x: 1e-200 * (math.exp(x) - 1.5),
+)
+
+BOUNDED_AWKWARD = (
+    lambda x: 1.0,
+    lambda x: round(8.0 * x) / 8.0,
+    lambda x: abs(x - 0.3),
+    lambda x: -abs(x - 0.3),
+    lambda x: math.cos(30.0 * x) + 0.1 * x,
+    lambda x: (x - 0.999999) ** 2,
+)
+
+
+@pytest.mark.parametrize("f", BRENTQ_AWKWARD)
+@pytest.mark.parametrize("xtol", [1e-300, 1e-12, 1e-3])
+def test_brentq_port_equals_scipy_on_awkward_functions(f, xtol):
+    """Steps, plateaus with tied values, a triple root, a steep front and
+    values near 1e-200, where the extrapolation's denominator underflows to
+    zero: the same points evaluated and the same root, bit for bit, or the
+    same exception type (the triple root does not converge in 100
+    iterations at the smaller tolerances)."""
+    ours, theirs = [], []
+    got = _outcome(material._brentq, _recorded(f, ours), 0.0, 1.0,
+                   xtol=xtol, rtol=8.9e-16)
+    want = _outcome(optimize.brentq, _recorded(f, theirs), 0.0, 1.0,
+                    xtol=xtol, rtol=8.9e-16)
+    assert (got, ours) == (want, theirs)
+
+
+@pytest.mark.parametrize("f", BOUNDED_AWKWARD)
+@pytest.mark.parametrize("xatol", [1e-300, 1e-12, 1e-3])
+def test_bounded_minimum_port_equals_scipy_on_awkward_functions(f, xatol):
+    """A constant, plateaus, kinks, many minima and a minimum at the edge:
+    the same points evaluated and the same (x, f(x)), bit for bit."""
+    ours, theirs = [], []
+    got = material._bounded_minimum(_recorded(f, ours), 0.0, 1.0,
+                                    xatol=xatol)
+    res = optimize.minimize_scalar(_recorded(f, theirs), bounds=(0.0, 1.0),
+                                   method="bounded",
+                                   options={"xatol": xatol})
+    assert (got, ours) == ((res.x, res.fun), theirs)
+
+
+def test_brentq_port_raises_like_scipy():
+    """A NaN value (at an end or at a step), ends of one sign and running
+    out of iterations raise the exception type scipy raises."""
+    def nan_inside(x):
+        return math.nan if 0.4 < x < 0.6 else x - 0.5
+
+    cases = [
+        (lambda x: math.nan if x > 0.9 else x - 0.5, 0.0, 1.0, {},
+         ValueError),
+        (nan_inside, 0.0, 1.0, {}, ValueError),
+        (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),
+        (lambda x: x**3 - 0.3, 0.0, 1.0, {"maxiter": 2}, RuntimeError),
+        (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": 0}, RuntimeError),
+    ]
+    for f, a, b, kw, exc in cases:
+        with pytest.raises(exc):
+            optimize.brentq(f, a, b, xtol=1e-14, rtol=8.9e-16, **kw)
+        with pytest.raises(exc):
+            material._brentq(f, a, b, xtol=1e-14, rtol=8.9e-16, **kw)
+
+
+@pytest.mark.parametrize("bounds", [(-math.inf, 1.0), (0.0, math.inf),
+                                    (math.nan, 1.0)])
+def test_bounded_minimum_port_rejects_non_finite_bounds(bounds):
+    def f(x):
+        return (x - 0.5) ** 2
+
+    with pytest.raises(ValueError):
+        optimize.minimize_scalar(f, bounds=bounds, method="bounded")
+    with pytest.raises(ValueError):
+        material._bounded_minimum(f, *bounds, xatol=1e-5)
+
+
+def test_bounded_minimum_port_stops_at_maxfun_like_scipy():
+    """Out of calls, both return their best point so far without error."""
+    def f(x):
+        return math.cos(3.0 * x) + 0.1 * x
+
+    res = optimize.minimize_scalar(f, bounds=(0.0, 10.0), method="bounded",
+                                   options={"xatol": 1e-300, "maxiter": 7})
+    assert res.nfev == 7
+    assert material._bounded_minimum(f, 0.0, 10.0, xatol=1e-300,
+                                     maxfun=7) == (res.x, res.fun)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oscillators=OSCILLATORS, k=st.integers(-20, 20))
+def test_modes_scale_exactly_by_powers_of_two(oscillators, k):
+    """Scaling every frequency of the material by lam = 2^k scales each
+    mode's centre, linewidth and band edges by lam bit for bit and leaves
+    im_rp_peak and narrow unchanged: eps is a function of omega/omega_T,
+    and every tolerance of the finder is relative to the frequencies.  All
+    frequencies stay inside OMEGA_RANGE."""
+    lam = 2.0**k
+    base = _modes_or_error(_drawn(oscillators))
+    scaled = _modes_or_error(_drawn(oscillators, lam))
+    if base is ps.NoModeFound:
+        assert scaled is ps.NoModeFound
+        return
+    assert scaled == [
+        ps.PolaritonMode(omega_center=lam * md.omega_center,
+                         linewidth=lam * md.linewidth,
+                         band_lo=lam * md.band_lo, band_hi=lam * md.band_hi,
+                         narrow=md.narrow, im_rp_peak=md.im_rp_peak)
+        for md in base]
 
 
 # ---------------------------------------------------------------------------
