@@ -13,7 +13,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuadratureFailure
-from .material import fresnel, permittivity_imag_axis, reflection_nonretarded
+from .material import (fresnel, permittivity, permittivity_imag_axis,
+                       reflection_nonretarded)
 from .units import C
 
 #: relative accuracy target of every k_rho quadrature: quad's epsrel, and
@@ -87,12 +88,17 @@ def green_full(m, z, omega):
     substitution k_rho = (omega/c) sin(theta) removes the 1/k_vz singularity;
     on the evanescent side k_vz = i kappa turns the integrand into a smooth
     exponentially damped function of kappa.
+
+    eps(omega) and (c/omega)^2 do not depend on k_rho, so they are evaluated
+    once per call, not at every quadrature node.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
     if not omega > 0:
         raise ValueError("omega must be > 0 (real) for the full quadrature")
+    eps = permittivity(m, omega)
     k0 = omega / C
+    cw2 = (C / omega) ** 2
     scale = C**2 / (32.0 * math.pi * omega**2 * z**3)
     epsabs = QUAD_REL_TOL * scale
 
@@ -101,7 +107,7 @@ def green_full(m, z, omega):
     def prop(theta, want_zz):
         s, c_ = math.sin(theta), math.cos(theta)
         k_rho = k0 * s
-        r_s, r_p = fresnel(m, omega, k_rho)
+        r_s, r_p = fresnel(eps, omega, k_rho)
         phase = np.exp(2j * k0 * c_ * z)
         common = 1j / (8.0 * math.pi) * k0 * s * phase
         if want_zz:
@@ -115,11 +121,11 @@ def green_full(m, z, omega):
     def evan(u, want_zz):
         kappa = u / (2.0 * z)
         k_rho = math.hypot(kappa, k0)
-        r_s, r_p = fresnel(m, omega, k_rho)
+        r_s, r_p = fresnel(eps, omega, k_rho)
         common = math.exp(-u) / (8.0 * math.pi) / (2.0 * z)
         if want_zz:
-            return common * r_p * (C / omega) ** 2 * 2.0 * k_rho**2
-        return common * (r_s + r_p * (C / omega) ** 2 * kappa**2)
+            return common * r_p * cw2 * 2.0 * k_rho**2
+        return common * (r_s + r_p * cw2 * kappa**2)
 
     gxx = (_quad_complex(lambda t: prop(t, False), 0.0, math.pi / 2,
                          epsabs, "xx propagating")
@@ -145,6 +151,7 @@ def green_full_imag_axis(m, z, xi):
         raise ValueError("xi must be > 0")
     eps = float(permittivity_imag_axis(m, xi))
     k0 = xi / C
+    cx2 = (C / xi) ** 2
     scale = C**2 / (32.0 * math.pi * xi**2 * z**3)
     epsabs = QUAD_REL_TOL * scale
 
@@ -158,8 +165,8 @@ def green_full_imag_axis(m, z, xi):
         common = ((k_rho / kv) * math.exp(-2.0 * kv * z)
                   / (8.0 * math.pi) / (2.0 * z))
         if want_zz:
-            return -common * (C / xi) ** 2 * r_p * 2.0 * k_rho**2
-        return common * (r_s - (C / xi) ** 2 * r_p * kv**2)
+            return -common * cx2 * r_p * 2.0 * k_rho**2
+        return common * (r_s - cx2 * r_p * kv**2)
 
     gxx = _quad_complex(lambda u: integrand(u, False), 0.0, math.inf,
                         epsabs, "xx imag-axis")

@@ -110,9 +110,10 @@ def permittivity(m, omega):
     np.complex128.
 
     A real Python number (np.float64 included) is worked in numpy complex128
-    scalars, with the same bits as an array element: the mode finder and,
-    through fresnel, QUADPACK call it one value at a time, and numpy's
-    per-call overhead on a 0-d array costs several times the arithmetic.
+    scalars, with the same bits as an array element: the mode finder calls
+    it one value at a time, and green_full once per call for the eps it
+    hands to fresnel at every k_rho node; numpy's per-call overhead on a
+    0-d array costs several times the arithmetic.
     Plain Python complex would divide with other rounding.  A complex omega
     stays on the array path, whose loop squares a complex number with other
     rounding than the scalar product does.
@@ -198,23 +199,25 @@ def reflection_imag_axis(m, xi):
     return (eps - 1.0) / (eps + 1.0)
 
 
-def fresnel(m, omega, k_rho):
-    """Fresnel reflection coefficients (r_s, r_p) of the half-space at one
-    real omega > 0 and one k_rho >= 0, as np.complex128.
+def fresnel(eps, omega, k_rho):
+    """Fresnel reflection coefficients (r_s, r_p) of the half-space of
+    permittivity eps = permittivity(m, omega) at one real omega > 0 and one
+    k_rho >= 0, as np.complex128.
 
     k_vz = sqrt(omega^2/c^2 - k_rho^2), k_dz = sqrt(eps omega^2/c^2 - k_rho^2),
     both on the branch Im k >= 0;
     r_p = (eps k_vz - k_dz)/(eps k_vz + k_dz), r_s = (k_vz - k_dz)/(k_vz + k_dz).
 
-    QUADPACK calls it once per k_rho node of the green_full integrand, so
-    it works in numpy scalars: a 0-d array would spend most of each call in
-    numpy's per-call overhead.  NaN is rejected with the other bad values.
+    QUADPACK calls it once per k_rho node of the green_full integrands at one
+    fixed omega, so green_full evaluates eps once and hands it in, and the
+    rest works in numpy scalars: a 0-d array would spend most of each call
+    in numpy's per-call overhead.  NaN is rejected with the other bad
+    values of omega and k_rho.
     """
     if not omega > 0:
         raise ValueError("omega must be > 0")
     if not k_rho >= 0:
         raise ValueError("k_rho must be >= 0")
-    eps = permittivity(m, omega)
     k0 = omega / C
     k2, kr2 = k0 * k0, k_rho * k_rho  # numpy squares as x*x; pow may not
     # the principal root of a real number already has Im >= 0

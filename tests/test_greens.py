@@ -131,6 +131,24 @@ def test_full_scales_exactly_by_powers_of_two(request, material, k):
     assert scaled == (lam * base.xx, lam * base.zz)
 
 
+def test_full_evaluates_permittivity_once(material_narrow, monkeypatch):
+    """eps(omega) is the same at every k_rho node, so one green_full call
+    evaluates it once for all four quadratures, with the bits of the
+    unwrapped call."""
+    omega = ps.find_polariton_modes(material_narrow)[0].omega_center
+    want = ps.green_full(material_narrow, 2e-6, omega)
+    calls = []
+
+    def counted(m, w):
+        calls.append(w)
+        return ps.permittivity(m, w)
+
+    monkeypatch.setattr(greens, "permittivity", counted)
+    got = ps.green_full(material_narrow, 2e-6, omega)
+    assert calls == [omega]
+    assert got == want
+
+
 def test_full_quadrature_budget_error(material_broad, monkeypatch):
     monkeypatch.setattr(greens, "QUAD_REL_TOL", 1e-16)
     monkeypatch.setattr(greens, "QUAD_LIMIT", 1)

@@ -240,7 +240,7 @@ def test_reflection_surface_mode_pole():
 
 def test_fresnel_vacuum_no_interface():
     m = ps.MaterialModel("vacuum", oscillators=())
-    r_s, r_p = ps.fresnel(m, 1e13, 5e6)
+    r_s, r_p = ps.fresnel(ps.permittivity(m, 1e13), 1e13, 5e6)
     assert r_s == 0.0 + 0.0j
     assert r_p == 0.0 + 0.0j
 
@@ -252,7 +252,7 @@ def test_fresnel_normal_incidence_eps_4():
         "eps4", oscillators=(
             ps.Oscillator(omega_P=math.sqrt(3.0) * 1e13, omega_T=1e13),))
     omega = 1e9
-    r_s, r_p = ps.fresnel(m, omega, 0.0)
+    r_s, r_p = ps.fresnel(ps.permittivity(m, omega), omega, 0.0)
     assert r_s == pytest.approx(-1.0 / 3.0, rel=1e-6)
     assert r_p == pytest.approx(+1.0 / 3.0, rel=1e-6)
 
@@ -274,18 +274,20 @@ def test_fresnel_equals_array_oracle(request, material):
             [0.0, k0], k0 * np.geomspace(1e-6, 1.0 - 1e-12, 150),
             k0 * np.geomspace(1.0 + 1e-12, 1e9, 300)))
         r_s, r_p = fresnel_array(m, np.full(k_rho.shape, omega), k_rho)
+        eps = ps.permittivity(m, omega)
         for k, want in zip(k_rho.tolist(), zip(r_s.tolist(), r_p.tolist())):
-            got = ps.fresnel(m, omega, k)
+            got = ps.fresnel(eps, omega, k)
             assert all(type(r) is np.complex128 for r in got)
             assert got == want
 
 
 def test_fresnel_rejects_bad_arguments(material_broad):
     """NaN, omega <= 0 and k_rho < 0 raise ValueError, never a NaN."""
+    eps = ps.permittivity(material_broad, 1e13)
     for omega, k_rho in ((math.nan, 1.0), (1e13, math.nan), (0.0, 1.0),
                          (-1e13, 1.0), (1e13, -1.0), (1e13, -1e-300)):
         with pytest.raises(ValueError):
-            ps.fresnel(material_broad, omega, k_rho)
+            ps.fresnel(eps, omega, k_rho)
 
 
 @pytest.mark.parametrize("omega_cm", [30.0, 60.0, 73.0, 80.0, 90.0, 120.0])
@@ -295,7 +297,8 @@ def test_fresnel_nonretarded_limit(material_broad, omega_cm):
     target = ps.reflection_nonretarded(material_broad, omega)
     for factor in (2e3, 1e4):
         k_rho = factor * omega / 299792458.0
-        _, r_p = ps.fresnel(material_broad, omega, k_rho)
+        _, r_p = ps.fresnel(ps.permittivity(material_broad, omega), omega,
+                            k_rho)
         assert abs(r_p - target) / abs(target) < 1e-3
 
 

@@ -53,6 +53,10 @@ RUNS = (
     ("point --green full narrow",
      _shift("point", "--z", "5e-6", "--T", "400", "--green", "full",
             material="material_narrow"), {}),
+    # material_broad at 20 um: k0 z of about 0.9 and 1.1 at the two mode
+    # centres, so the propagating side of the k_rho integral carries weight
+    ("point --green full 20 um",
+     _shift("point", "--z", "2e-5", "--T", "500", "--green", "full"), {}),
     ("point 0.1 K", _shift("point", "--z", "1e-6", "--T", "0.1"), {}),
     ("scan 25 z x 500 K",
      _shift("scan", "--z-range", "1e-7:1e-5:25log", "--T", "500",
