@@ -29,14 +29,20 @@ QUAD_LIMIT = 200
 class GreenTensor3(NamedTuple):
     """Coincident-point Green tensor diag(xx, xx, zz): for the planar
     geometry it is diagonal with G_yy = G_xx.  At an array of frequencies
-    xx and zz are arrays, and trace and im_trace do not apply."""
+    xx and zz are arrays, and trace and im_trace do not apply.
+
+    A tensor from green_full(..., part="real") or part="imag" holds NaN in
+    the part that was not integrated, never 0, so that reading it shows."""
 
     xx: complex
     zz: complex
 
     @property
     def trace(self):
-        return complex(2.0 * self.xx + self.zz)
+        # part by part, so that a NaN in one part does not spill into the
+        # other, as it would through the complex product 2.0 * xx
+        return complex(2.0 * self.xx.real + self.zz.real,
+                       2.0 * self.xx.imag + self.zz.imag)
 
     @property
     def im_trace(self):
@@ -56,9 +62,14 @@ def green_nonretarded(m, z, omega):
     return GreenTensor3(gxx, 2.0 * gxx)
 
 
-def _quad_complex(f, a, b, epsabs, label):
-    """quad to QUAD_REL_TOL that escalates the subdivision limit once from
-    QUAD_LIMIT, then raises.
+def _quad_complex(f, a, b, epsabs, label, part=None):
+    """quad of the complex integrand f to QUAD_REL_TOL that escalates the
+    subdivision limit once from QUAD_LIMIT, then raises.
+
+    Each part of f is one real QUADPACK pass, as quad(..., complex_func=True)
+    runs them: the real part, then the imaginary one.  part=None integrates
+    both; part="real" or "imag" runs that pass alone and returns NaN in the
+    other part.  The tolerance check covers the parts integrated.
 
     scipy.integrate is imported here, on the first full-route call, so that
     the nonretarded route never loads scipy; ROADMAP item 7's fixed-node
@@ -66,20 +77,30 @@ def _quad_complex(f, a, b, epsabs, label):
     """
     from scipy.integrate import IntegrationWarning, quad
 
+    def real(x):
+        return f(x).real
+
+    def imag(x):
+        return f(x).imag
+
+    def run(g, lim):
+        return quad(g, a, b, epsabs=epsabs, epsrel=QUAD_REL_TOL, limit=lim)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         for lim in (QUAD_LIMIT, 8 * QUAD_LIMIT):
-            val, err = quad(f, a, b, epsabs=epsabs, epsrel=QUAD_REL_TOL,
-                            limit=lim, complex_func=True)
-            err_mag = max(abs(np.real(err)), abs(np.imag(err)))
-            if err_mag <= max(epsabs, QUAD_REL_TOL * abs(val)) * 10.0:
-                return val
+            re, re_err = (0.0, 0.0) if part == "imag" else run(real, lim)
+            im, im_err = (0.0, 0.0) if part == "real" else run(imag, lim)
+            scale = max(epsabs, QUAD_REL_TOL * abs(complex(re, im)))
+            if max(re_err, im_err) <= scale * 10.0:
+                return complex(math.nan if part == "imag" else re,
+                               math.nan if part == "real" else im)
     raise QuadratureFailure(
         f"green_full quadrature ({label}) did not reach tolerance "
         f"epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} subdivisions")
 
 
-def green_full(m, z, omega):
+def green_full(m, z, omega, *, part=None):
     """Full reflected-wave Green tensor by adaptive k_rho quadrature.
 
     The integral (i/8 pi) int dk_rho (k_rho/k_vz) e^{2 i k_vz z}
@@ -91,11 +112,20 @@ def green_full(m, z, omega):
 
     eps(omega) and (c/omega)^2 do not depend on k_rho, so they are evaluated
     once per call, not at every quadrature node.
+
+    Each of the four integrals has a real and an imaginary QUADPACK pass.
+    part=None runs both; part="real" or "imag" runs only the passes of that
+    part of G, half the k_rho nodes, and leaves NaN in the other part.  A
+    caller that reads only Re G (the photon line) or only Im G (the
+    resonant amplitude) asks for that part alone; the part it asks for is
+    bit-identical to that part of the part=None tensor.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
     if not omega > 0:
         raise ValueError("omega must be > 0 (real) for the full quadrature")
+    if part not in (None, "real", "imag"):
+        raise ValueError(f"part must be None, 'real' or 'imag', not {part!r}")
     eps = permittivity(m, omega)
     k0 = omega / C
     cw2 = (C / omega) ** 2
@@ -128,13 +158,13 @@ def green_full(m, z, omega):
         return common * (r_s + r_p * cw2 * kappa**2)
 
     gxx = (_quad_complex(lambda t: prop(t, False), 0.0, math.pi / 2,
-                         epsabs, "xx propagating")
+                         epsabs, "xx propagating", part)
            + _quad_complex(lambda u: evan(u, False), 0.0, math.inf,
-                           epsabs, "xx evanescent"))
+                           epsabs, "xx evanescent", part))
     gzz = (_quad_complex(lambda t: prop(t, True), 0.0, math.pi / 2,
-                         epsabs, "zz propagating")
+                         epsabs, "zz propagating", part)
            + _quad_complex(lambda u: evan(u, True), 0.0, math.inf,
-                           epsabs, "zz evanescent"))
+                           epsabs, "zz evanescent", part))
     return GreenTensor3(gxx, gzz)
 
 
@@ -144,6 +174,8 @@ def green_full_imag_axis(m, z, xi):
     With kappa_v = sqrt(xi^2/c^2 + k_rho^2), kappa_d = sqrt(eps(i xi) xi^2/c^2
     + k_rho^2) the integrand is (1/8 pi)(k_rho/kappa_v) e^{-2 kappa_v z}
     [r_s diag(1,1,0) - (c/xi)^2 r_p diag(kappa_v^2, kappa_v^2, 2 k_rho^2)].
+    The integrand is real, so only its real part is integrated, and the
+    imaginary part of the tensor is exactly 0.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
@@ -169,7 +201,7 @@ def green_full_imag_axis(m, z, xi):
         return common * (r_s - cx2 * r_p * kv**2)
 
     gxx = _quad_complex(lambda u: integrand(u, False), 0.0, math.inf,
-                        epsabs, "xx imag-axis")
+                        epsabs, "xx imag-axis", "real").real
     gzz = _quad_complex(lambda u: integrand(u, True), 0.0, math.inf,
-                        epsabs, "zz imag-axis")
-    return GreenTensor3(gxx, gzz)
+                        epsabs, "zz imag-axis", "real").real
+    return GreenTensor3(complex(gxx, 0.0), complex(gzz, 0.0))

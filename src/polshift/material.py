@@ -208,11 +208,13 @@ def fresnel(eps, omega, k_rho):
     both on the branch Im k >= 0;
     r_p = (eps k_vz - k_dz)/(eps k_vz + k_dz), r_s = (k_vz - k_dz)/(k_vz + k_dz).
 
-    QUADPACK calls it once per k_rho node of the green_full integrands at one
-    fixed omega, so green_full evaluates eps once and hands it in, and the
-    rest works in numpy scalars: a 0-d array would spend most of each call
-    in numpy's per-call overhead.  NaN is rejected with the other bad
-    values of omega and k_rho.
+    QUADPACK calls it once per k_rho node of each real pass of green_full at
+    one fixed omega (a pass per part of G its caller reads, so a real-only
+    or imaginary-only tensor takes half the nodes of both parts), so
+    green_full evaluates eps once and hands it in, and the rest works in
+    numpy scalars: a 0-d array would spend most of each call in numpy's
+    per-call overhead.  NaN is rejected with the other bad values of omega
+    and k_rho.
     """
     if not omega > 0:
         raise ValueError("omega must be > 0")

@@ -243,22 +243,31 @@ def _full_xi2_trace(m, z, xi):
     return out
 
 
-def _full_green(m, z, omega):
-    """green_full at a real omega, or at each omega of an array, one
-    quadrature each (the xx and zz of the result are then arrays)."""
+def _nonretarded_green(m, z, omega, part):
+    """green_nonretarded: the closed form gives both parts of G at once, so
+    it has no use for part."""
+    return green_nonretarded(m, z, omega)
+
+
+def _full_green(m, z, omega, part):
+    """green_full(..., part=part) at a real omega, or at each omega of an
+    array, one quadrature each (the xx and zz of the result are then
+    arrays)."""
     if np.ndim(omega) == 0:
-        return green_full(m, z, omega)
-    tensors = [green_full(m, z, w) for w in omega.tolist()]
-    return GreenTensor3(*(np.array(part) for part in zip(*tensors)))
+        return green_full(m, z, omega, part=part)
+    tensors = [green_full(m, z, w, part=part) for w in omega.tolist()]
+    return GreenTensor3(*(np.array(entry) for entry in zip(*tensors)))
 
 
 def _green_route(green_mode):
     """(green, xi2_trace, block, unit_z) of the "nonretarded" or "full"
     Green tensor.
 
-    The one place a green_mode is resolved.  green(m, z, omega) is the
+    The one place a green_mode is resolved.  green(m, z, omega, part) is the
     GreenTensor3 on the real axis, at one omega or at each omega of an
-    array; xi2_trace(m, z, xi) is xi^2 Tr G(i xi) for an array of xi,
+    array, where part ("real" or "imag") is the part of G the caller reads:
+    the full route integrates that part alone, and the closed form gives
+    both anyway; xi2_trace(m, z, xi) is xi^2 Tr G(i xi) for an array of xi,
     finite at xi = 0; block is the longest block of j the Matsubara engine
     hands it.  The full route's quadrature takes one xi at a time, so longer
     blocks would save nothing there and would run quadratures past the
@@ -266,7 +275,7 @@ def _green_route(green_mode):
     exactly as z^-3, and None where retardation ties the lines to z.
     """
     if green_mode == "nonretarded":
-        return green_nonretarded, _nonretarded_xi2_trace, _MAX_BLOCK, UNIT_Z
+        return _nonretarded_green, _nonretarded_xi2_trace, _MAX_BLOCK, UNIT_Z
     if green_mode == "full":
         return _full_green, _full_xi2_trace, 1, None
     raise ValueError(f"unknown green_mode {green_mode!r}")
@@ -297,8 +306,10 @@ def nonresonant_shift_parts(atom, n, m, env, cutoff=MATSUBARA_CUTOFF,
         + mu0 sum_k omega_kn^2 nbar(omega_kn) d_nk . Re G(|omega_kn|) . d_kn,
 
     with G the nonretarded closed form or the full quadrature, selected by
-    green_mode.  The primed sum runs to at most j = cutoff (>= 1) and raises
-    ConvergenceFailure when its tail has not dropped below MATSUBARA_TOL.
+    green_mode; the photon line reads Re G alone, so the full route
+    integrates only the real part there.  The primed sum runs to at most
+    j = cutoff (>= 1) and raises ConvergenceFailure when its tail has not
+    dropped below MATSUBARA_TOL.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -317,7 +328,7 @@ def nonresonant_shift_parts(atom, n, m, env, cutoff=MATSUBARA_CUTOFF,
 
     mats = MU0 * KB * T * _matsubara_sum(term, cutoff, block)
 
-    gxx, gzz = green(m, z, np.abs([w_kn for _, w_kn, _ in trans]))
+    gxx, gzz = green(m, z, np.abs([w_kn for _, w_kn, _ in trans]), "real")
     photon = 0.0
     for (k_label, w_kn, _), xx, zz in zip(trans, gxx.real.tolist(),
                                         gzz.real.tolist()):
@@ -377,13 +388,14 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     with W(x) = x/(x^2 + gamma1^2/4), on the polariton pair (mode1, mode2)
     satisfying Omega1 ~ omega_10 + Omega2 within resonance_tol*(gamma1+gamma2).
     green_mode selects the Im G tensors (nonretarded closed form or full
-    quadrature).
+    quadrature); the amplitude reads Im G alone, so the full route
+    integrates only the imaginary part.
     """
     green = _green_route(green_mode)[0]
     chans = _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol)
     o1, o2 = mode1.omega_center, mode2.omega_center
     g1, g2 = mode1.linewidth, mode2.linewidth
-    t1, t2 = green(m, env.z, o1), green(m, env.z, o2)
+    t1, t2 = green(m, env.z, o1, "imag"), green(m, env.z, o2, "imag")
     tr1, tr2 = t1.im_trace, t2.im_trace
     if tr1 <= 0.0 or tr2 <= 0.0:
         raise NoModeFound(

@@ -114,6 +114,11 @@ def _scaled(m, lam):
         for o in m.oscillators))
 
 
+def _entries(g):
+    """(Re xx, Im xx, Re zz, Im zz) of a tensor, as a float array."""
+    return np.array([g.xx.real, g.xx.imag, g.zz.real, g.zz.imag])
+
+
 @pytest.mark.parametrize("k", [-3, 1, 4])
 @pytest.mark.parametrize("material", ["material_broad", "material_narrow"])
 def test_full_scales_exactly_by_powers_of_two(request, material, k):
@@ -121,14 +126,61 @@ def test_full_scales_exactly_by_powers_of_two(request, material, k):
     lam = 2^k: the integrand is (1/z) times a function of omega z/c and eps
     in the dimensionless theta and u, so every node and every rounding
     scales by an exact power of two.  Checked at the lower mode centre and
-    z = 2 um, where the light line and the evanescent tail both matter."""
+    z = 2 um, where the light line and the evanescent tail both matter, for
+    both parts and for each part alone (the unread part is NaN on both
+    sides)."""
     m = request.getfixturevalue(material)
     lam = 2.0**k
     omega = ps.find_polariton_modes(m)[0].omega_center
     z = 2e-6
-    base = ps.green_full(m, z, omega)
-    scaled = ps.green_full(_scaled(m, lam), z / lam, lam * omega)
-    assert scaled == (lam * base.xx, lam * base.zz)
+    for part in (None, "real", "imag"):
+        base = ps.green_full(m, z, omega, part=part)
+        scaled = ps.green_full(_scaled(m, lam), z / lam, lam * omega,
+                               part=part)
+        assert np.array_equal(_entries(scaled), lam * _entries(base),
+                              equal_nan=True)
+        assert np.isnan(_entries(base)).sum() == (0 if part is None else 2)
+
+
+def _part_cases(material, atom):
+    """(z, omega) over z in {0.5, 2, 20} um, at every mode centre of the
+    material and at every |omega_kn| of the Rb 27S1/2 photon line."""
+    omegas = [md.omega_center for md in ps.find_polariton_modes(material)]
+    omegas += [abs(w) for _, w, _ in ps.transitions_from(atom, "27S1/2")]
+    return [(z, w) for z in (0.5e-6, 2e-6, 20e-6) for w in omegas]
+
+
+@pytest.mark.parametrize(
+    "material", ["material_broad", "material_narrow", "material_toy"])
+def test_full_part_is_that_part_of_both(request, rb_atom, material,
+                                        monkeypatch):
+    """part="real" gives the real parts of the part=None tensor bit for bit
+    and NaN for the imaginary ones, and part="imag" the other way round:
+    each part is its own QUADPACK passes, untouched by the other, so the
+    k_rho nodes of the two parts add up to those of part=None."""
+    m = request.getfixturevalue(material)
+    nodes = []
+
+    def counted(eps, omega, k_rho):
+        nodes.append(k_rho)
+        return ps.fresnel(eps, omega, k_rho)
+
+    monkeypatch.setattr(greens, "fresnel", counted)
+    for z, omega in _part_cases(m, rb_atom):
+        g, count = {}, {}
+        for part in (None, "real", "imag"):
+            nodes.clear()
+            g[part] = ps.green_full(m, z, omega, part=part)
+            count[part] = len(nodes)
+        both, re, im = g[None], g["real"], g["imag"]
+        assert (re.xx.real, re.zz.real) == (both.xx.real, both.zz.real)
+        assert (im.xx.imag, im.zz.imag) == (both.xx.imag, both.zz.imag)
+        assert all(map(math.isnan, (re.xx.imag, re.zz.imag, im.xx.real,
+                                    im.zz.real, re.im_trace,
+                                    im.trace.real)))
+        assert im.im_trace == both.im_trace
+        assert count["real"] + count["imag"] == count[None]
+        assert count["real"] > 0 and count["imag"] > 0
 
 
 def test_full_evaluates_permittivity_once(material_narrow, monkeypatch):
@@ -150,10 +202,14 @@ def test_full_evaluates_permittivity_once(material_narrow, monkeypatch):
 
 
 def test_full_quadrature_budget_error(material_broad, monkeypatch):
+    """Out of budget, each part raises, integrated alone or with the
+    other."""
     monkeypatch.setattr(greens, "QUAD_REL_TOL", 1e-16)
     monkeypatch.setattr(greens, "QUAD_LIMIT", 1)
-    with pytest.raises(ps.QuadratureFailure):
-        ps.green_full(material_broad, Z, 73.0 * 1.8836515673088536e11)
+    for part in (None, "real", "imag"):
+        with pytest.raises(ps.QuadratureFailure):
+            ps.green_full(material_broad, Z, 73.0 * 1.8836515673088536e11,
+                          part=part)
 
 
 def test_full_rejects_bad_arguments(material_toy):
@@ -161,6 +217,8 @@ def test_full_rejects_bad_arguments(material_toy):
         ps.green_full(material_toy, -Z, 1e13)
     with pytest.raises(ValueError):
         ps.green_full(material_toy, Z, 0.0)
+    with pytest.raises(ValueError, match="part"):
+        ps.green_full(material_toy, Z, 1e13, part="Re")
 
 
 # ---------------------------------------------------------------------------

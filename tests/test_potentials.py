@@ -814,6 +814,105 @@ def test_total_shift_distance_scaling(rb_atom, material_broad):
     assert near.thermal_factor == far.thermal_factor
 
 
+def _scaled_material(m, lam):
+    return ps.MaterialModel(m.name, oscillators=tuple(
+        ps.Oscillator(lam * o.omega_P, lam * o.omega_T, lam * o.gamma_damp)
+        for o in m.oscillators))
+
+
+def _scaled_atom(atom, lam):
+    return ps.AtomSpec(atom.name, states=tuple(
+        ps.AtomicState(s.label, lam * s.energy) for s in atom.states),
+        dipoles=atom.dipoles)
+
+
+def _assert_shift_scales_as_cube(atom, m, z, T, k, green_mode):
+    """Every energy line of total_shift at (lam omega, lam T, z/lam) is
+    lam^3 times its value at (omega, T, z) bit for bit, for lam = 2^k, and
+    the thermal factor is unchanged: G goes as (1/z) times a function of
+    omega z/c and eps, alpha(i xi) as 1/omega, and nbar, the Matsubara stop
+    rule and the resonance window depend only on ratios, so every rounding
+    scales by an exact power of two."""
+    lam = 2.0**k
+    base = ps.total_shift(atom, "27S1/2", "26S1/2", m,
+                          ps.Environment(z=z, T=T), green_mode=green_mode)
+    scaled = ps.total_shift(_scaled_atom(atom, lam), "27S1/2", "26S1/2",
+                            _scaled_material(m, lam),
+                            ps.Environment(z=z / lam, T=lam * T),
+                            green_mode=green_mode)
+    for line in potentials.ENERGY_LINES:
+        assert getattr(scaled, line) == lam**3 * getattr(base, line), line
+    assert scaled.thermal_factor == base.thermal_factor
+    assert scaled.meta["Omega1"] == lam * base.meta["Omega1"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(-30, 25), broad=st.booleans(),
+       z=st.floats(1e-7, 1e-5), T=st.floats(50.0, 600.0))
+def test_total_shift_scales_exactly_by_powers_of_two(rb_atom, material_broad,
+                                                     material_narrow, k,
+                                                     broad, z, T):
+    """E(lam omega, lam T, z/lam) = lam^3 E(omega, T, z) bit for bit on the
+    nonretarded route.  The draws stay inside the accepted ranges: z/lam
+    lies in [3e-15, 1.1e4] m within Z_RANGE, lam T in [4.6e-8, 2e10] K
+    below T_MAX, and the frequencies of atom and material (3.3e10 to
+    4.6e13 rad/s in magnitude) in [31, 1.6e21] rad/s within OMEGA_RANGE."""
+    m = material_broad if broad else material_narrow
+    _assert_shift_scales_as_cube(rb_atom, m, z, T, k, "nonretarded")
+
+
+@pytest.mark.parametrize("material, z, T, k", [
+    ("material_broad", 5e-6, 500.0, 1),
+    ("material_narrow", 2e-6, 400.0, -3),
+    ("material_narrow", 2e-6, 400.0, 4),
+])
+def test_full_total_shift_scales_exactly_by_powers_of_two(request, rb_atom,
+                                                          material, z, T, k):
+    """The lam = 2^k law of the nonretarded route, bit for bit on the full
+    route: the Matsubara terms come from green_full_imag_axis, the photon
+    line from the real part of green_full and u_eff from its imaginary
+    part, each quadrature in dimensionless variables."""
+    _assert_shift_scales_as_cube(rb_atom, request.getfixturevalue(material),
+                                 z, T, k, "full")
+
+
+def test_each_line_asks_green_full_for_the_part_it_reads(rb_atom,
+                                                         material_broad,
+                                                         broad_modes,
+                                                         monkeypatch):
+    """On the full route the photon line integrates only Re G at each
+    |omega_kn| and u_eff only Im G at the two mode centres."""
+    parts = []
+    full = potentials.green_full
+
+    def recorded(m, z, omega, *, part=None):
+        parts.append(part)
+        return full(m, z, omega, part=part)
+
+    monkeypatch.setattr(potentials, "green_full", recorded)
+    ps.nonresonant_shift_parts(rb_atom, "27S1/2", material_broad, ENV,
+                               green_mode="full")
+    assert parts == ["real"] * len(ps.transitions_from(rb_atom, "27S1/2"))
+    parts.clear()
+    lo, hi = broad_modes
+    ps.u_eff(rb_atom, "27S1/2", "26S1/2", hi, lo, material_broad, ENV,
+             green_mode="full")
+    assert parts == ["imag", "imag"]
+
+
+def test_nonretarded_route_never_reaches_green_full(rb_atom, material_broad,
+                                                    monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("green_full called on the nonretarded route")
+
+    monkeypatch.setattr(potentials, "green_full", unreachable)
+    monkeypatch.setattr(potentials, "green_full_imag_axis", unreachable)
+    for closed in (False, True):
+        rep = ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, ENV,
+                             use_closed_form=closed)
+        assert rep.u_eff and rep.nr_resonant_photon
+
+
 @pytest.mark.parametrize("z", [1e-15, 1e-6, 1e15])
 @pytest.mark.parametrize("closed", [False, True])
 def test_total_shift_identities_exact_at_any_distance(rb_atom,

@@ -57,6 +57,10 @@ RUNS = (
     # centres, so the propagating side of the k_rho integral carries weight
     ("point --green full 20 um",
      _shift("point", "--z", "2e-5", "--T", "500", "--green", "full"), {}),
+    # at 50 um the scattered Tr Im G is negative at both mode centres, so
+    # the run exits 3 with NoModeFound and stderr prints both values
+    ("point --green full 50 um",
+     _shift("point", "--z", "5e-5", "--T", "500", "--green", "full"), {}),
     ("point 0.1 K", _shift("point", "--z", "1e-6", "--T", "0.1"), {}),
     ("scan 25 z x 500 K",
      _shift("scan", "--z-range", "1e-7:1e-5:25log", "--T", "500",
