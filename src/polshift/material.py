@@ -6,7 +6,7 @@ and nonretarded reflection coefficients, and extraction of the surface-mode
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,18 +61,26 @@ class MaterialModel:
     """A half-space described by a sum of Drude-Lorentz oscillators.
 
     Oscillators are stored sorted ascending by omega_T (canonical form).
+    _coeffs holds (omega_P^2, omega_T^2, gamma) of each oscillator in that
+    order, built once, so that the permittivity, which the Matsubara sum and
+    the mode finder call one value at a time, reads three floats per
+    oscillator instead of squaring two attributes; it takes no part in
+    equality, hashing or repr.
     """
 
     name: str
     oscillators: tuple
+    _coeffs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # An empty oscillator tuple is the vacuum half-space (eps = 1).
         oscs = tuple(self.oscillators)
         if any(not isinstance(o, Oscillator) for o in oscs):
             raise TypeError("oscillators must be Oscillator instances")
-        object.__setattr__(self, "oscillators",
-                           tuple(sorted(oscs, key=lambda o: o.omega_T)))
+        oscs = tuple(sorted(oscs, key=lambda o: o.omega_T))
+        object.__setattr__(self, "oscillators", oscs)
+        object.__setattr__(self, "_coeffs", tuple(
+            (o.omega_P**2, o.omega_T**2, o.gamma_damp) for o in oscs))
 
 
 @dataclass(frozen=True)
@@ -121,25 +129,25 @@ def permittivity(m, omega):
     if isinstance(omega, (int, float)):
         w = np.complex128(omega)
         w2, eps = w * w, np.complex128(1.0)
-        for j, o in enumerate(m.oscillators):
-            denom = o.omega_T**2 - w2 - 1j * omega * o.gamma_damp
+        for j, (p2, t2, g) in enumerate(m._coeffs):
+            denom = t2 - w2 - 1j * omega * g
             if denom == 0:
-                raise _pole_hit(j, o)
-            eps = eps + o.omega_P**2 / denom
+                raise _pole_hit(m, j)
+            eps = eps + p2 / denom
         return eps
     omega = np.asarray(omega)
     eps = np.ones(omega.shape, dtype=complex)
-    for j, o in enumerate(m.oscillators):
-        denom = o.omega_T**2 - omega.astype(complex)**2 - 1j * omega * o.gamma_damp
+    for j, (p2, t2, g) in enumerate(m._coeffs):
+        denom = t2 - omega.astype(complex)**2 - 1j * omega * g
         if np.any(denom == 0):
-            raise _pole_hit(j, o)
-        eps = eps + o.omega_P**2 / denom
+            raise _pole_hit(m, j)
+        eps = eps + p2 / denom
     return eps[()] if eps.ndim == 0 else eps
 
 
-def _pole_hit(j, o):
+def _pole_hit(m, j):
     return PoleHit(f"permittivity pole of undamped oscillator {j} "
-                   f"(omega_T={o.omega_T!r}) hit exactly")
+                   f"(omega_T={m.oscillators[j].omega_T!r}) hit exactly")
 
 
 def permittivity_imag_axis(m, xi):
@@ -147,8 +155,9 @@ def permittivity_imag_axis(m, xi):
 
     An array xi gives an array.  A Python number is worked in floats, with
     the same bits: the Matsubara sum hands over one xi per call, and numpy's
-    per-call overhead on a scalar (about 19 us against 1.5 us) would cost
-    more than the sum's whole block engine saves.
+    per-call overhead on a 0-d array (about 10 us against 0.4 us for the two
+    oscillators of material_broad on a 2-core Xeon) would cost more than the
+    sum's whole block engine saves.
     """
     if isinstance(xi, (int, float)):
         xi = float(xi)
@@ -160,8 +169,9 @@ def permittivity_imag_axis(m, xi):
         if np.any(xi < 0):
             raise ValueError("xi must be >= 0")
         eps = np.ones(xi.shape)[()]
-    for o in m.oscillators:
-        eps = eps + o.omega_P**2 / (o.omega_T**2 + xi * xi + xi * o.gamma_damp)
+    xi2 = xi * xi
+    for p2, t2, g in m._coeffs:
+        eps = eps + p2 / (t2 + xi2 + xi * g)
     return eps
 
 
@@ -169,9 +179,9 @@ def _permittivity_derivative(m, omega):
     """Analytic d eps / d omega (complex)."""
     omega = np.asarray(omega)
     d = np.zeros(omega.shape, dtype=complex)
-    for o in m.oscillators:
-        denom = o.omega_T**2 - omega.astype(complex)**2 - 1j * omega * o.gamma_damp
-        d = d + o.omega_P**2 * (2.0 * omega + 1j * o.gamma_damp) / denom**2
+    for p2, t2, g in m._coeffs:
+        denom = t2 - omega.astype(complex)**2 - 1j * omega * g
+        d = d + p2 * (2.0 * omega + 1j * g) / denom**2
     return d[()] if d.ndim == 0 else d
 
 
@@ -182,11 +192,20 @@ def reflection_nonretarded(m, omega):
 
     Raises SurfaceModePole when |eps + 1| < POLE_RTOL * |eps - 1|, i.e. the
     evaluation sits numerically on a surface-mode pole.
+
+    A scalar omega (a number or a 0-d array) gives an np.complex128 eps,
+    whose pole check is one comparison of np.float64 magnitudes with the
+    bits of the array check: the mode finder calls it one omega at a time,
+    and np.any over np.abs would cost more than the permittivity itself.
     """
     eps = permittivity(m, omega)
     num = eps - 1.0
     den = eps + 1.0
-    if np.any(np.abs(den) < POLE_RTOL * np.abs(num)):
+    if isinstance(eps, np.complex128):
+        on_pole = abs(den) < POLE_RTOL * abs(num)
+    else:
+        on_pole = np.any(np.abs(den) < POLE_RTOL * np.abs(num))
+    if on_pole:
         raise SurfaceModePole(
             "reflection_nonretarded evaluated on a surface-mode pole "
             f"(|eps+1| < {POLE_RTOL:g}*|eps-1|)")
@@ -388,11 +407,11 @@ def _bounded_minimum(f, lo, hi, xatol, maxfun=500):
 
 
 def _im_rp(m, omega):
-    return np.imag(reflection_nonretarded(m, omega))
+    return reflection_nonretarded(m, omega).imag
 
 
 def _re_eps_plus_one(m, omega):
-    return np.real(permittivity(m, omega)) + 1.0
+    return permittivity(m, omega).real + 1.0
 
 
 def _ascending_eps_roots(m):

@@ -176,6 +176,13 @@ MATSUBARA_CUTOFF = 20000
 #: largest block of j the Matsubara engine evaluates at once
 _MAX_BLOCK = 4096
 
+#: shortest block the Matsubara engine ends at a predicted stop, so that a
+#: prediction a few terms short does not cost a block of one or two terms
+_MIN_BLOCK = 16
+
+#: how far past a predicted stopping j the block that should hold it ends
+_STOP_MARGIN = 1.02
+
 
 def _matsubara_sum(term, cutoff, block=_MAX_BLOCK):
     """Primed sum over j of term(j) with a power-law tail stop rule.
@@ -193,14 +200,23 @@ def _matsubara_sum(term, cutoff, block=_MAX_BLOCK):
 
     The terms are evaluated in blocks of j: first j = 0..4, the earliest
     point at which the rule can stop, then blocks as long as the count so
-    far (at most ``block``), none of them past cutoff.  Within a block the
-    partial sums come from np.cumsum, which adds in order from the carried
-    total, and the running maximum from np.maximum.accumulate, so the value
-    and the stopping j are those of a term-by-term loop.  Terms past the
-    stopping j in the last block are evaluated but not added.
+    far (at most ``block``), none of them past cutoff.  A block ends earlier
+    when the terms of the block before predict the stop sooner:
+    _predicted_stop fits a power law through that block's first and last
+    nonzero j, and the next block then ends _STOP_MARGIN past the predicted
+    j, but holds at least _MIN_BLOCK terms.  If the stop is not in a block
+    shortened that way, the next block doubles again, so there are at most
+    twice as many blocks as on the doubling schedule alone.  Within a block
+    the partial sums come from np.cumsum, which adds in order from the
+    carried total, and the running maximum from np.maximum.accumulate, so
+    the value and the stopping j are those of a term-by-term loop, wherever
+    the blocks end.  The terms past the stopping j in the last block are
+    evaluated but not added: a few percent of the stopping j plus at most
+    _MIN_BLOCK when the prediction holds, and up to the stopping j itself
+    (the doubling schedule's overshoot) when it does not.
     """
     total = scale = 0.0
-    lo, hi = 0, min(4, cutoff)
+    lo, hi, shortened = 0, min(4, cutoff), False
     while lo <= hi:
         j = np.arange(lo, hi + 1)
         t = np.array(term(j), dtype=float)
@@ -215,10 +231,41 @@ def _matsubara_sum(term, cutoff, block=_MAX_BLOCK):
         if stop.size:
             return float(partial[stop[0]])
         total, scale = partial[-1], running[-1]
-        lo, hi = hi + 1, min(hi + min(hi, block), cutoff)
+        doubling = hi + min(hi, block)
+        guess = _STOP_MARGIN * _predicted_stop(j, t, scale)
+        end = doubling if shortened or not guess < doubling else \
+            min(doubling, max(hi + _MIN_BLOCK, math.ceil(guess)))
+        shortened = end < doubling
+        lo, hi = hi + 1, min(end, cutoff)
     raise ConvergenceFailure(
         f"Matsubara tail estimate exceeds convergence_tol={MATSUBARA_TOL:g} "
         f"at cutoff={cutoff}")
+
+
+def _predicted_stop(j, t, scale):
+    """The j at which |t_j| * j falls to MATSUBARA_TOL * scale if the terms
+    go on falling as the power law j^-p through the block's first nonzero j
+    and its last; inf when they do not fall faster than 1/j, or when the
+    two terms cannot be fitted.
+
+    With |t_j| = |t_b| (b/j)^p the rule |t_j| j = tol * scale holds at
+    j = b (|t_b| b / (tol * scale))^(1/(p-1)).  The running max of the
+    partial sums only grows, which brings the stop earlier, and every
+    summand here falls ever faster as the atom's and the material's
+    resonances drop out, so the prediction errs late.
+    """
+    k = 1 if j[0] == 0 else 0
+    a, b = int(j[k]), int(j[-1])
+    ta, tb = abs(float(t[k])), abs(float(t[-1]))
+    excess = tb * b / (MATSUBARA_TOL * max(scale, 1e-300))
+    if not (b > a and 0.0 < tb < ta < math.inf and 0.0 < excess < math.inf):
+        return math.inf
+    p = math.log(ta / tb) / math.log(b / a)
+    if not p > 1.0:
+        return math.inf
+    # past 2b the doubling schedule ends the block first, and the power
+    # would overflow for p close to 1
+    return b * math.exp(min(math.log(excess) / (p - 1.0), math.log(2.0)))
 
 
 def _nonretarded_xi2_trace(m, z, xi):
@@ -226,7 +273,8 @@ def _nonretarded_xi2_trace(m, z, xi):
     the 1/xi^2 of the tensor cancelled so that xi = 0 is regular, for an
     array of xi.  r_p is taken one xi at a time, so that each Matsubara term
     is one call into the material layer, the unit in which a traced run
-    counts terms; a scalar call costs about a microsecond."""
+    counts terms; a scalar call reads the material's coefficient table in
+    floats and costs about half a microsecond on material_broad."""
     r_p = [reflection_imag_axis(m, x) for x in xi.tolist()]
     return -(C**2 / (8.0 * math.pi * z**3)) * np.array(r_p)
 

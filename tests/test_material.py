@@ -95,21 +95,26 @@ DRUDE_LORENTZ = tuple(
     ))
 
 
-@pytest.mark.parametrize("material", ["material_broad", "material_narrow",
-                                      "material_toy", "material_ldos",
-                                      *DRUDE_LORENTZ],
-                         ids=lambda m: getattr(m, "name", m))
-def test_permittivity_scalar_equals_array(request, material):
+FIXTURE_MATERIALS = ("material_broad", "material_narrow", "material_toy",
+                     "material_ldos")
+
+
+def _assert_permittivity_scalar_equals_array(m):
     """A float, an int and an np.float64 give np.complex128 with the bits
     of the matching array element, sign of zero included, over real omega
     from 0 to 1e17 rad/s, at each omega_T and at each single-oscillator
-    surface frequency."""
-    m = request.getfixturevalue(material) if isinstance(material, str) \
-        else material
+    surface frequency; at the omega_T of an undamped oscillator every form
+    raises PoleHit."""
+    poles = [o.omega_T for o in m.oscillators if not o.gamma_damp]
     omegas = np.concatenate((
         [0.0], np.geomspace(1e9, 1e17, 801),
         [o.omega_T for o in m.oscillators],
         [o.omega_surface for o in m.oscillators]))
+    for w in set(poles):
+        for x in (w, np.float64(w), np.array([w])):
+            with pytest.raises(ps.PoleHit):
+                ps.permittivity(m, x)
+    omegas = omegas[~np.isin(omegas, poles)]
     eps = ps.permittivity(m, omegas)
     for w, want in zip(omegas.tolist(), eps.tolist()):
         for x in (w, np.float64(w)):
@@ -117,11 +122,88 @@ def test_permittivity_scalar_equals_array(request, material):
             assert type(got) is np.complex128
             assert got == want and np.signbit(got.imag) == np.signbit(
                 want.imag)
-    ints = [0, 1, 10**9, 7 * 10**12, 10**13, 3 * 10**14, 10**17]
+    ints = [n for n in (0, 1, 10**9, 7 * 10**12, 10**13, 3 * 10**14, 10**17)
+            if n not in poles]
     eps = ps.permittivity(m, np.array(ints))
     for n, want in zip(ints, eps.tolist()):
         got = ps.permittivity(m, n)
         assert type(got) is np.complex128 and got == want
+
+
+def _assert_imag_axis_scalar_equals_array(m):
+    """A Python float, an int, an np.float64, a 0-d array and an array
+    element give the same bits for eps(i xi) and r_p(i xi), and every form
+    rejects xi < 0."""
+    xi = np.concatenate((
+        [0.0, 1.0, 3.7e12, 2.2e13, 9.1e14, 1e20, 1e200],
+        np.geomspace(1e8, 1e18, 201),
+        [o.omega_T for o in m.oscillators],
+        [o.gamma_damp for o in m.oscillators]))
+    with np.errstate(over="ignore"):  # xi^2 = inf at 1e200, as in floats
+        eps = ps.permittivity_imag_axis(m, xi)
+        r_p = ps.reflection_imag_axis(m, xi)
+    for k, x in enumerate(xi.tolist()):
+        for form in (x, np.float64(x)):
+            got = ps.permittivity_imag_axis(m, form)
+            assert isinstance(got, float) and got == eps[k]
+            assert ps.reflection_imag_axis(m, form) == r_p[k]
+        with np.errstate(over="ignore"):
+            assert ps.permittivity_imag_axis(m, np.array(x)) == eps[k]
+    assert ps.permittivity_imag_axis(m, 3) == \
+        ps.permittivity_imag_axis(m, np.int64(3)) == \
+        ps.permittivity_imag_axis(m, np.array([3.0]))[0]
+    for bad in (-1.0, -1, np.array(-1.0), np.array([1.0, -1.0])):
+        with pytest.raises(ValueError):
+            ps.permittivity_imag_axis(m, bad)
+
+
+@pytest.mark.parametrize("material", [*FIXTURE_MATERIALS, *DRUDE_LORENTZ],
+                         ids=lambda m: getattr(m, "name", m))
+def test_permittivity_scalar_equals_array(request, material):
+    """The scalar permittivity has the bits of the array path on every
+    fixture material and on the Drude-Lorentz table above."""
+    m = request.getfixturevalue(material) if isinstance(material, str) \
+        else material
+    _assert_permittivity_scalar_equals_array(m)
+
+
+#: Drude-Lorentz materials of 1-4 oscillators as (omega_P, omega_T, gamma),
+#: omega_T from 1e9 to 1e16 rad/s and gamma/omega_T from 1e-4 to 1, or an
+#: undamped oscillator
+DAMPED_OR_NOT = st.lists(
+    st.tuples(st.floats(9.0, 16.0), st.floats(0.1, 3.0),
+              st.one_of(st.just(None), st.floats(-4.0, 0.0))).map(
+        lambda t: (t[1] * 10**t[0], 10**t[0],
+                   0.0 if t[2] is None else 10**(t[0] + t[2]))),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oscillators=DAMPED_OR_NOT)
+def test_scalar_paths_equal_array_on_drawn_materials(oscillators):
+    """The coefficient table the scalar paths read gives the bits of the
+    array paths on drawn materials, undamped oscillators included."""
+    m = ps.MaterialModel("drawn", oscillators=tuple(
+        ps.Oscillator(*o) for o in oscillators))
+    _assert_permittivity_scalar_equals_array(m)
+    _assert_imag_axis_scalar_equals_array(m)
+
+
+def test_coefficient_table_leaves_equality_hash_and_repr():
+    """The coefficient table follows the sorted oscillators and takes no
+    part in equality, hashing or repr, so two materials built from the same
+    oscillators in another order are the same value."""
+    oscs = (ps.Oscillator(1.2e14, 5.0e13, 2.5e12),
+            ps.Oscillator(4.0e13, 9.0e13, 0.0),
+            ps.Oscillator(2.0e13, 1.7e13, 5.0e11))
+    a = ps.MaterialModel("trio", oscillators=oscs)
+    b = ps.MaterialModel("trio", oscillators=oscs[::-1])
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert "_coeffs" not in repr(a)
+    assert a._coeffs == b._coeffs == tuple(
+        (o.omega_P**2, o.omega_T**2, o.gamma_damp) for o in a.oscillators)
+    assert [o.omega_T for o in a.oscillators] == [1.7e13, 5.0e13, 9.0e13]
+    assert a != ps.MaterialModel("trio", oscillators=oscs[:2])
 
 
 def test_permittivity_pole_hit_on_both_paths():
@@ -181,24 +263,12 @@ def test_imag_axis_real_decreasing_above_one(material_broad, xi_lo, step):
     assert lo > hi > 1.0
 
 
-def test_imag_axis_scalar_equals_array(material_broad):
-    """A Python float, a 0-d array and an array element give the same bits
-    for eps(i xi) and r_p(i xi), and every form rejects xi < 0."""
-    xi = np.array([0.0, 1.0, 3.7e12, 2.2e13, 9.1e14, 1e20, 1e200])
-    with np.errstate(over="ignore"):  # xi^2 = inf at 1e200, as in floats
-        eps = ps.permittivity_imag_axis(material_broad, xi)
-        r_p = ps.reflection_imag_axis(material_broad, xi)
-    for k, x in enumerate(xi.tolist()):
-        assert ps.permittivity_imag_axis(material_broad, x) == eps[k]
-        with np.errstate(over="ignore"):
-            assert ps.permittivity_imag_axis(
-                material_broad, np.array(x)) == eps[k]
-        assert ps.reflection_imag_axis(material_broad, x) == r_p[k]
-    assert ps.permittivity_imag_axis(material_broad, 3) == \
-        ps.permittivity_imag_axis(material_broad, np.int64(3))
-    for bad in (-1.0, -1, np.array(-1.0), np.array([1.0, -1.0])):
-        with pytest.raises(ValueError):
-            ps.permittivity_imag_axis(material_broad, bad)
+def test_imag_axis_scalar_equals_array(request):
+    """eps(i xi) and r_p(i xi) of a scalar xi have the bits of the array
+    path on every fixture material and on the Drude-Lorentz table."""
+    for m in (*map(request.getfixturevalue, FIXTURE_MATERIALS),
+              *DRUDE_LORENTZ):
+        _assert_imag_axis_scalar_equals_array(m)
 
 
 # ---------------------------------------------------------------------------
@@ -226,11 +296,45 @@ def test_reflection_lossy_substitution():
 
 
 def test_reflection_surface_mode_pole():
+    """At the undamped surface frequency a float, an np.float64, a 0-d array
+    and a one-element array all raise SurfaceModePole.  At the two floats
+    where the array's pole check turns off below and above it, and one ulp
+    either side of each, every scalar form raises where the array does and
+    otherwise gives the bits of the array element."""
     m = ps.MaterialModel(
         "undamped", oscillators=(ps.Oscillator(omega_P=1e13, omega_T=1e13),))
     surface = math.sqrt(1e13**2 + 1e13**2 / 2.0)
-    with pytest.raises(ps.SurfaceModePole):
-        ps.reflection_nonretarded(m, surface)
+    for omega in (surface, np.float64(surface), np.array(surface),
+                  np.array([surface])):
+        with pytest.raises(ps.SurfaceModePole):
+            ps.reflection_nonretarded(m, omega)
+
+    def outcome(omega):
+        try:
+            return ps.reflection_nonretarded(m, omega)
+        except ps.SurfaceModePole:
+            return None
+
+    for far in (surface * (1.0 - 1e-6), surface * (1.0 + 1e-6)):
+        assert outcome(np.array([far])) is not None
+        on, off = surface, far  # bisect for adjacent floats on and off
+        while np.nextafter(on, off) != off:
+            mid = 0.5 * (on + off)
+            if outcome(np.array([mid])) is None:
+                on = mid
+            else:
+                off = mid
+        for w in (np.nextafter(on, surface), on, off, np.nextafter(off, far)):
+            want = outcome(np.array([float(w)]))
+            for omega in (float(w), np.float64(w), np.array(w)):
+                got = outcome(omega)
+                if want is None:
+                    assert got is None
+                else:
+                    assert type(got) is np.complex128
+                    assert got.tobytes() == want[0].tobytes()
+        assert outcome(np.array([on])) is None
+        assert outcome(np.array([off])) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -353,6 +354,110 @@ def test_matsubara_engine_never_evaluates_past_cutoff(monkeypatch):
     with pytest.raises(ps.ConvergenceFailure):
         potentials._matsubara_sum(term, 3)
     assert seen == [0, 1, 2, 3]
+
+
+def _blocks_of(term):
+    """term, counting: the wrapper and the list of blocks of j it is
+    handed, in order."""
+    blocks = []
+
+    def counted(j):
+        blocks.append(np.asarray(j).tolist())
+        return term(j)
+    return counted, blocks
+
+
+def _doubling_blocks(stop, block=potentials._MAX_BLOCK):
+    """How many blocks the doubling schedule alone (j = 0..4, 5..8, 9..16,
+    and so on, at most block long) needs to reach j = stop."""
+    count, hi = 1, 4
+    while hi < stop:
+        hi += min(hi, block)
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("T", [0.35, 1.07, 3.0, 30.0])
+def test_matsubara_blocks_end_near_the_stopping_j(rb_atom, material_broad,
+                                                  T):
+    """On Rb 27S1/2, whose terms fall as a power law, the block that holds
+    the stop ends within a few percent of the oracle's stopping j, plus at
+    most one shortest block, where the doubling schedule alone would run up
+    to the next power of two (to j = 8192 for a stop at j = 5167 at 1.07 K).
+    Each j is evaluated once, in order, and there are no more blocks than
+    on the doubling schedule."""
+    term = _mats_term(rb_atom, "27S1/2", material_broad,
+                      ps.Environment(z=Z, T=T))
+    want, stop = _oracle_and_stop(term, 20000)
+    counted, blocks = _blocks_of(term)
+    assert potentials._matsubara_sum(counted, 20000) == want
+    seen = [j for b in blocks for j in b]
+    assert seen == list(range(len(seen)))
+    assert stop < len(seen) <= 1.05 * stop + potentials._MIN_BLOCK
+    assert len(blocks) <= _doubling_blocks(stop)
+
+
+def test_matsubara_blocks_never_outnumber_doubling(rb_atom, material_broad):
+    """At 20 temperatures from 50 to 600 K, on both levels of the Rb
+    transition, the engine equals the oracle and ends no later than the
+    doubling schedule alone, in no more blocks."""
+    for T in np.linspace(50.0, 600.0, 20):
+        for n in ("27S1/2", "26S1/2"):
+            term = _mats_term(rb_atom, n, material_broad,
+                              ps.Environment(z=Z, T=float(T)))
+            want, stop = _oracle_and_stop(term, 20000)
+            counted, blocks = _blocks_of(term)
+            assert potentials._matsubara_sum(counted, 20000) == want
+            assert len(blocks) <= _doubling_blocks(stop)
+
+
+def _power_then_slower(j, kink=600.0, p=2.0):
+    """j^-4 up to the kink, then a tail falling as j^-p only: the power law
+    fitted before the kink predicts a stop that comes far too early."""
+    j = np.maximum(np.asarray(j, dtype=float), 1.0)
+    return np.where(j <= kink, j**-4, kink**(p - 4.0) * j**-p)
+
+
+#: summands on which the power-law prediction of the stop is wrong: an
+#: exponential (the prediction errs late), a power law that turns slower
+#: (it errs early, and a block ends before the stop), and a wavy power law
+WRONG_PREDICTIONS = {
+    "exponential": lambda j: np.exp(-np.asarray(j, dtype=float) / 400.0),
+    "slower tail": _power_then_slower,
+    "wavy": lambda j: (2.0 + np.sin(np.asarray(j, dtype=float) / 7.0))
+    / np.maximum(np.asarray(j, dtype=float), 1.0) ** 3,
+}
+
+
+@pytest.mark.parametrize("name", WRONG_PREDICTIONS)
+def test_matsubara_engine_exact_where_the_prediction_is_wrong(name):
+    """Where the terms do not fall as one power law, the engine still gives
+    the oracle's value and stopping j bit for bit, evaluates each j once,
+    never runs past cutoff, and needs at most twice the doubling
+    schedule's blocks."""
+    counted, blocks = _blocks_of(WRONG_PREDICTIONS[name])
+    stop = _assert_engine_matches_oracle(counted)
+    blocks.clear()
+    potentials._matsubara_sum(counted, 20000)
+    seen = [j for b in blocks for j in b]
+    assert seen == list(range(len(seen))) and stop < len(seen) <= 20001
+    assert len(blocks) <= 2 * _doubling_blocks(stop)
+    if name == "slower tail":
+        assert len(blocks) > _doubling_blocks(stop)  # a block fell short
+    blocks.clear()
+    with pytest.raises(ps.ConvergenceFailure):
+        potentials._matsubara_sum(counted, stop - 1)
+    assert [j for b in blocks for j in b] == list(range(stop))
+
+
+def test_matsubara_engine_stops_at_cutoff_under_a_wrong_prediction():
+    """A tail that turns to j^-1.2 after a j^-4 start does not converge by
+    the default cutoff: the engine raises, having evaluated every j up to
+    the cutoff once and none past it."""
+    counted, blocks = _blocks_of(partial(_power_then_slower, p=1.2))
+    with pytest.raises(ps.ConvergenceFailure):
+        potentials._matsubara_sum(counted, 20000)
+    assert [j for b in blocks for j in b] == list(range(20001))
 
 
 def test_unknown_green_mode_rejected(toy_atom, material_toy):

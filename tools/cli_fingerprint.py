@@ -62,6 +62,12 @@ RUNS = (
     ("point --green full 50 um",
      _shift("point", "--z", "5e-5", "--T", "500", "--green", "full"), {}),
     ("point 0.1 K", _shift("point", "--z", "1e-6", "--T", "0.1"), {}),
+    # long Matsubara sums, whose last block ends near the stopping j: about
+    # 16000 and 18000 terms (27S and 26S) at 0.35 K, 11000 to 12600 at
+    # 0.5 K and 520 to 620 at 8 K
+    ("point 0.35 K", _shift("point", "--z", "1e-6", "--T", "0.35"), {}),
+    ("scan 1 um x 0.5,2,8 K",
+     _shift("scan", "--z", "1e-6", "--T", "0.5,2,8"), {}),
     ("scan 25 z x 500 K",
      _shift("scan", "--z-range", "1e-7:1e-5:25log", "--T", "500",
             "--format", "csv"), {}),
