@@ -62,39 +62,23 @@ def green_nonretarded(m, z, omega):
     return GreenTensor3(gxx, 2.0 * gxx)
 
 
-def _quad_complex(f, a, b, epsabs, label, part=None):
-    """quad of the complex integrand f to QUAD_REL_TOL that escalates the
+def _quad(f, a, b, epsabs, label):
+    """quad of the real integrand f to QUAD_REL_TOL that escalates the
     subdivision limit once from QUAD_LIMIT, then raises.
 
-    Each part of f is one real QUADPACK pass, as quad(..., complex_func=True)
-    runs them: the real part, then the imaginary one.  part=None integrates
-    both; part="real" or "imag" runs that pass alone and returns NaN in the
-    other part.  The tolerance check covers the parts integrated.
-
     scipy.integrate is imported here, on the first full-route call, so that
-    the nonretarded route never loads scipy; ROADMAP item 7's fixed-node
+    the nonretarded route never loads scipy; ROADMAP item 8's fixed-node
     rules take its place.
     """
     from scipy.integrate import IntegrationWarning, quad
 
-    def real(x):
-        return f(x).real
-
-    def imag(x):
-        return f(x).imag
-
-    def run(g, lim):
-        return quad(g, a, b, epsabs=epsabs, epsrel=QUAD_REL_TOL, limit=lim)
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         for lim in (QUAD_LIMIT, 8 * QUAD_LIMIT):
-            re, re_err = (0.0, 0.0) if part == "imag" else run(real, lim)
-            im, im_err = (0.0, 0.0) if part == "real" else run(imag, lim)
-            scale = max(epsabs, QUAD_REL_TOL * abs(complex(re, im)))
-            if max(re_err, im_err) <= scale * 10.0:
-                return complex(math.nan if part == "imag" else re,
-                               math.nan if part == "real" else im)
+            val, err = quad(f, a, b, epsabs=epsabs, epsrel=QUAD_REL_TOL,
+                            limit=lim)
+            if err <= max(epsabs, QUAD_REL_TOL * abs(val)) * 10.0:
+                return val
     raise QuadratureFailure(
         f"green_full quadrature ({label}) did not reach tolerance "
         f"epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} subdivisions")
@@ -113,12 +97,11 @@ def green_full(m, z, omega, *, part=None):
     eps(omega) and (c/omega)^2 do not depend on k_rho, so they are evaluated
     once per call, not at every quadrature node.
 
-    Each of the four integrals has a real and an imaginary QUADPACK pass.
-    part=None runs both; part="real" or "imag" runs only the passes of that
-    part of G, half the k_rho nodes, and leaves NaN in the other part.  A
-    caller that reads only Re G (the photon line) or only Im G (the
-    resonant amplitude) asks for that part alone; the part it asks for is
-    bit-identical to that part of the part=None tensor.
+    Each of the four integrals is two real quadratures, one per part of G.
+    part="real" or "imag" runs only that part's, half the k_rho nodes, and
+    leaves NaN in the other part; part=None is both single-part integrals.
+    A caller that reads only Re G (the photon line) or only Im G (the
+    resonant amplitude) asks for that part alone.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
@@ -157,14 +140,21 @@ def green_full(m, z, omega, *, part=None):
             return common * r_p * cw2 * 2.0 * k_rho**2
         return common * (r_s + r_p * cw2 * kappa**2)
 
-    gxx = (_quad_complex(lambda t: prop(t, False), 0.0, math.pi / 2,
-                         epsabs, "xx propagating", part)
-           + _quad_complex(lambda u: evan(u, False), 0.0, math.inf,
-                           epsabs, "xx evanescent", part))
-    gzz = (_quad_complex(lambda t: prop(t, True), 0.0, math.pi / 2,
-                         epsabs, "zz propagating", part)
-           + _quad_complex(lambda u: evan(u, True), 0.0, math.inf,
-                           epsabs, "zz evanescent", part))
+    def integral(f, a, b, label):
+        re = math.nan if part == "imag" else \
+            _quad(lambda x: f(x).real, a, b, epsabs, label)
+        im = math.nan if part == "real" else \
+            _quad(lambda x: f(x).imag, a, b, epsabs, label)
+        return complex(re, im)
+
+    gxx = (integral(lambda t: prop(t, False), 0.0, math.pi / 2,
+                    "xx propagating")
+           + integral(lambda u: evan(u, False), 0.0, math.inf,
+                      "xx evanescent"))
+    gzz = (integral(lambda t: prop(t, True), 0.0, math.pi / 2,
+                    "zz propagating")
+           + integral(lambda u: evan(u, True), 0.0, math.inf,
+                      "zz evanescent"))
     return GreenTensor3(gxx, gzz)
 
 
@@ -174,8 +164,8 @@ def green_full_imag_axis(m, z, xi):
     With kappa_v = sqrt(xi^2/c^2 + k_rho^2), kappa_d = sqrt(eps(i xi) xi^2/c^2
     + k_rho^2) the integrand is (1/8 pi)(k_rho/kappa_v) e^{-2 kappa_v z}
     [r_s diag(1,1,0) - (c/xi)^2 r_p diag(kappa_v^2, kappa_v^2, 2 k_rho^2)].
-    The integrand is real, so only its real part is integrated, and the
-    imaginary part of the tensor is exactly 0.
+    The integrand is real, and the imaginary part of the tensor is exactly
+    0.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
@@ -200,8 +190,8 @@ def green_full_imag_axis(m, z, xi):
             return -common * cx2 * r_p * 2.0 * k_rho**2
         return common * (r_s - cx2 * r_p * kv**2)
 
-    gxx = _quad_complex(lambda u: integrand(u, False), 0.0, math.inf,
-                        epsabs, "xx imag-axis", "real").real
-    gzz = _quad_complex(lambda u: integrand(u, True), 0.0, math.inf,
-                        epsabs, "zz imag-axis", "real").real
+    gxx = _quad(lambda u: integrand(u, False), 0.0, math.inf, epsabs,
+                "xx imag-axis")
+    gzz = _quad(lambda u: integrand(u, True), 0.0, math.inf, epsabs,
+                "zz imag-axis")
     return GreenTensor3(complex(gxx, 0.0), complex(gzz, 0.0))

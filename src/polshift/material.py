@@ -114,35 +114,29 @@ def permittivity(m, omega):
 
     eps = 1 + sum_j omega_Pj^2 / (omega_Tj^2 - omega^2 - i omega Gamma_j).
     Raises PoleHit when an undamped oscillator is evaluated exactly on its
-    resonance.  Accepts scalars or numpy arrays; a number gives
-    np.complex128.
-
-    A real Python number (np.float64 included) is worked in numpy complex128
-    scalars, with the same bits as an array element: the mode finder calls
-    it one value at a time, and green_full once per call for the eps it
-    hands to fresnel at every k_rho node; numpy's per-call overhead on a
-    0-d array costs several times the arithmetic.
-    Plain Python complex would divide with other rounding.  A complex omega
-    stays on the array path, whose loop squares a complex number with other
-    rounding than the scalar product does.
+    resonance.  A number (int, float or complex) gives np.complex128, worked
+    in numpy complex128 scalars: plain Python complex would divide with
+    other rounding.  An array gives an array, one number at a time.
     """
-    if isinstance(omega, (int, float)):
-        w = np.complex128(omega)
-        w2, eps = w * w, np.complex128(1.0)
-        for j, (p2, t2, g) in enumerate(m._coeffs):
-            denom = t2 - w2 - 1j * omega * g
-            if denom == 0:
-                raise _pole_hit(m, j)
-            eps = eps + p2 / denom
-        return eps
-    omega = np.asarray(omega)
-    eps = np.ones(omega.shape, dtype=complex)
+    if not isinstance(omega, (int, float, complex)):
+        return _each(permittivity, m, omega, complex)
+    w = np.complex128(omega)
+    w2, eps = w * w, np.complex128(1.0)
     for j, (p2, t2, g) in enumerate(m._coeffs):
-        denom = t2 - omega.astype(complex)**2 - 1j * omega * g
-        if np.any(denom == 0):
+        denom = t2 - w2 - 1j * omega * g
+        if denom == 0:
             raise _pole_hit(m, j)
         eps = eps + p2 / denom
-    return eps[()] if eps.ndim == 0 else eps
+    return eps
+
+
+def _each(f, m, x, dtype):
+    """f(m, v) at each element v of the array x, as an array of x's shape
+    and of dtype; a 0-d array gives a number.  The array forms of the
+    material functions are this loop over their number path."""
+    x = np.asarray(x)
+    return np.array([f(m, v) for v in x.ravel().tolist()],
+                    dtype=dtype).reshape(x.shape)[()]
 
 
 def _pole_hit(m, j):
@@ -153,36 +147,27 @@ def _pole_hit(m, j):
 def permittivity_imag_axis(m, xi):
     """eps(i*xi) on the imaginary axis: real, > 1, decreasing in xi >= 0.
 
-    An array xi gives an array.  A Python number is worked in floats, with
-    the same bits: the Matsubara sum hands over one xi per call, and numpy's
-    per-call overhead on a 0-d array (about 10 us against 0.4 us for the two
-    oscillators of material_broad on a 2-core Xeon) would cost more than the
-    sum's whole block engine saves.
+    A number gives a float, an array an array, one number at a time.
     """
-    if isinstance(xi, (int, float)):
-        xi = float(xi)
-        if xi < 0:
-            raise ValueError("xi must be >= 0")
-        eps = 1.0
-    else:
-        xi = np.asarray(xi, dtype=float)
-        if np.any(xi < 0):
-            raise ValueError("xi must be >= 0")
-        eps = np.ones(xi.shape)[()]
-    xi2 = xi * xi
+    if not isinstance(xi, (int, float)):
+        return _each(permittivity_imag_axis, m, xi, float)
+    xi = float(xi)
+    if xi < 0:
+        raise ValueError("xi must be >= 0")
+    eps, xi2 = 1.0, xi * xi
     for p2, t2, g in m._coeffs:
         eps = eps + p2 / (t2 + xi2 + xi * g)
     return eps
 
 
 def _permittivity_derivative(m, omega):
-    """Analytic d eps / d omega (complex)."""
-    omega = np.asarray(omega)
-    d = np.zeros(omega.shape, dtype=complex)
+    """Analytic d eps / d omega (np.complex128) at one real omega."""
+    w = np.complex128(omega)
+    w2, d = w * w, np.complex128(0.0)
     for p2, t2, g in m._coeffs:
-        denom = t2 - omega.astype(complex)**2 - 1j * omega * g
-        d = d + p2 * (2.0 * omega + 1j * g) / denom**2
-    return d[()] if d.ndim == 0 else d
+        denom = t2 - w2 - 1j * omega * g
+        d = d + p2 * (2.0 * w + 1j * g) / (denom * denom)
+    return d
 
 
 # --- reflection ---------------------------------------------------------------
@@ -191,21 +176,15 @@ def reflection_nonretarded(m, omega):
     """Nonretarded p-reflection (eps - 1)/(eps + 1).
 
     Raises SurfaceModePole when |eps + 1| < POLE_RTOL * |eps - 1|, i.e. the
-    evaluation sits numerically on a surface-mode pole.
-
-    A scalar omega (a number or a 0-d array) gives an np.complex128 eps,
-    whose pole check is one comparison of np.float64 magnitudes with the
-    bits of the array check: the mode finder calls it one omega at a time,
-    and np.any over np.abs would cost more than the permittivity itself.
+    evaluation sits numerically on a surface-mode pole.  A number gives
+    np.complex128, an array an array, one number at a time.
     """
+    if not isinstance(omega, (int, float, complex)):
+        return _each(reflection_nonretarded, m, omega, complex)
     eps = permittivity(m, omega)
     num = eps - 1.0
     den = eps + 1.0
-    if isinstance(eps, np.complex128):
-        on_pole = abs(den) < POLE_RTOL * abs(num)
-    else:
-        on_pole = np.any(np.abs(den) < POLE_RTOL * np.abs(num))
-    if on_pole:
+    if abs(den) < POLE_RTOL * abs(num):
         raise SurfaceModePole(
             "reflection_nonretarded evaluated on a surface-mode pole "
             f"(|eps+1| < {POLE_RTOL:g}*|eps-1|)")

@@ -29,8 +29,7 @@ from .atoms import channels as atom_channels
 from .atoms import polarizability_iso, transitions_from
 from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
                      NoModeFound, OffResonance, ZeroTemperature)
-from .greens import (GreenTensor3, green_full, green_full_imag_axis,
-                     green_nonretarded)
+from .greens import green_full, green_full_imag_axis, green_nonretarded
 from .material import find_polariton_modes, reflection_imag_axis
 from .units import C, HBAR, KB, MU0, energy_report
 
@@ -298,13 +297,8 @@ def _nonretarded_green(m, z, omega, part):
 
 
 def _full_green(m, z, omega, part):
-    """green_full(..., part=part) at a real omega, or at each omega of an
-    array, one quadrature each (the xx and zz of the result are then
-    arrays)."""
-    if np.ndim(omega) == 0:
-        return green_full(m, z, omega, part=part)
-    tensors = [green_full(m, z, w, part=part) for w in omega.tolist()]
-    return GreenTensor3(*(np.array(entry) for entry in zip(*tensors)))
+    """green_full(..., part=part) at one real omega."""
+    return green_full(m, z, omega, part=part)
 
 
 def _green_route(green_mode):
@@ -312,14 +306,13 @@ def _green_route(green_mode):
     Green tensor.
 
     The one place a green_mode is resolved.  green(m, z, omega, part) is the
-    GreenTensor3 on the real axis, at one omega or at each omega of an
-    array, where part ("real" or "imag") is the part of G the caller reads:
-    the full route integrates that part alone, and the closed form gives
-    both anyway; xi2_trace(m, z, xi) is xi^2 Tr G(i xi) for an array of xi,
-    finite at xi = 0; block is the longest block of j the Matsubara engine
-    hands it.  The full route's quadrature takes one xi at a time, so longer
-    blocks would save nothing there and would run quadratures past the
-    stopping j.  unit_z is UNIT_Z where every line of a report scales
+    GreenTensor3 at one real omega, where part ("real" or "imag") is the
+    part of G the caller reads: the full route integrates that part alone,
+    and the closed form gives both anyway; xi2_trace(m, z, xi) is
+    xi^2 Tr G(i xi) for an array of xi, finite at xi = 0; block is the
+    longest block of j the Matsubara engine hands it.  The full route's
+    quadrature takes one xi at a time, so longer blocks would save nothing
+    there and would run quadratures past the stopping j.  unit_z is UNIT_Z where every line of a report scales
     exactly as z^-3, and None where retardation ties the lines to z.
     """
     if green_mode == "nonretarded":
@@ -376,13 +369,12 @@ def nonresonant_shift_parts(atom, n, m, env, cutoff=MATSUBARA_CUTOFF,
 
     mats = MU0 * KB * T * _matsubara_sum(term, cutoff, block)
 
-    gxx, gzz = green(m, z, np.abs([w_kn for _, w_kn, _ in trans]), "real")
     photon = 0.0
-    for (k_label, w_kn, _), xx, zz in zip(trans, gxx.real.tolist(),
-                                        gzz.real.tolist()):
+    for k_label, w_kn, _ in trans:
+        g = green(m, z, abs(w_kn), "real")
         dip = atom.dipole(n, k_label)
         photon += w_kn * w_kn * thermal_occupation(w_kn, T) \
-            * _contract(dip, dip, xx, zz)
+            * _contract(dip, dip, g.xx.real, g.zz.real)
     return mats, MU0 * photon
 
 
