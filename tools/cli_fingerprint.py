@@ -4,8 +4,8 @@
 Each run calls ``polshift.cli.main`` in-process, writes its output into a
 temporary directory, and prints one line: the run's name, its exit code,
 the sha256 of the output file (empty when none was written) and the sha256
-of what it wrote to stderr.  One run reads a lossless material that the tool
-writes into the same directory.  Two checkouts whose listings are identical
+of what it wrote to stderr.  Two runs read materials that the tool writes
+into the same directory: a lossless pair and four oscillators.  Two checkouts whose listings are identical
 produce byte-identical CLI output on these runs, so diffing the listings of
 a parent and a change checks that a refactor left the output unchanged.
 
@@ -61,6 +61,13 @@ RUNS = (
     # the run exits 3 with NoModeFound and stderr prints both values
     ("point --green full 50 um",
      _shift("point", "--z", "5e-5", "--T", "500", "--green", "full"), {}),
+    # the photon line reads G once per transition, on other materials too
+    ("point narrow",
+     _shift("point", "--z", "1e-6", "--T", "500",
+            material="material_narrow"), {}),
+    ("point toy",
+     _shift("point", "--z", "1e-6", "--T", "500", material="material_toy"),
+     {}),
     ("point 0.1 K", _shift("point", "--z", "1e-6", "--T", "0.1"), {}),
     # long Matsubara sums, whose last block ends near the stopping j: about
     # 16000 and 18000 terms (27S and 26S) at 0.35 K, 11000 to 12600 at
@@ -109,15 +116,42 @@ LOSSLESS = {
     ],
 }
 
+#: four damped oscillators over two decades: the Re eps = -1 crossings come
+#: from a degree-8 polynomial, and each is polished between cell edges
+QUARTET = {
+    "schema_version": 1,
+    "name": "four oscillators",
+    "oscillators": [
+        {"omega_P": 1.5e13, "omega_T": 8.0e12, "gamma": 1.0e9,
+         "unit": "rad/s"},
+        {"omega_P": 2.2e13, "omega_T": 1.6e13, "gamma": 6.0e11,
+         "unit": "rad/s"},
+        {"omega_P": 5.0e13, "omega_T": 4.1e13, "gamma": 2.0e12,
+         "unit": "rad/s"},
+        {"omega_P": 3.0e14, "omega_T": 1.9e14, "gamma": 9.0e12,
+         "unit": "rad/s"},
+    ],
+}
+
+
+def _write(workdir, name, doc):
+    path = os.path.join(workdir, name + ".json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
 
 def runs(workdir):
-    """RUNS, then a scan on LOSSLESS written into workdir (exit 3)."""
-    lossless = os.path.join(workdir, "lossless.json")
-    with open(lossless, "w", encoding="utf-8") as fh:
-        json.dump(LOSSLESS, fh)
+    """RUNS, then a scan on LOSSLESS (exit 3) and the modes of QUARTET, both
+    written into workdir."""
     argv = _shift("scan", "--z", "1e-6", "--T", "500")
-    argv[argv.index("--material") + 1] = lossless
-    return RUNS + (("scan lossless material", argv, {}),)
+    argv[argv.index("--material") + 1] = _write(workdir, "lossless",
+                                                LOSSLESS)
+    return RUNS + (
+        ("scan lossless material", argv, {}),
+        ("modes four oscillators",
+         ["modes", "--material", _write(workdir, "quartet", QUARTET)], {}),
+    )
 
 
 def fingerprint(argv, env, output):
