@@ -15,7 +15,7 @@ import numpy as np
 from .errors import QuadratureFailure
 from .material import (fresnel, permittivity, permittivity_imag_axis,
                        reflection_nonretarded)
-from .units import C
+from .units import C, cube
 
 #: relative accuracy target of every k_rho quadrature: quad's epsrel, and
 #: epsabs = QUAD_REL_TOL times the nonretarded scale c^2/(32 pi w^2 z^3)
@@ -58,7 +58,7 @@ def green_nonretarded(m, z, omega):
     r_p = reflection_nonretarded(m, omega)
     if np.ndim(r_p) == 0:
         r_p = complex(r_p)
-    gxx = C**2 / (32.0 * math.pi * omega**2 * z**3) * r_p
+    gxx = C**2 / (32.0 * math.pi * (omega * omega) * cube(z)) * r_p
     return GreenTensor3(gxx, 2.0 * gxx)
 
 
@@ -110,9 +110,9 @@ def green_full(m, z, omega, *, part=None):
     if part not in (None, "real", "imag"):
         raise ValueError(f"part must be None, 'real' or 'imag', not {part!r}")
     eps = permittivity(m, omega)
-    k0 = omega / C
-    cw2 = (C / omega) ** 2
-    scale = C**2 / (32.0 * math.pi * omega**2 * z**3)
+    k0, cw = omega / C, C / omega
+    cw2 = cw * cw
+    scale = C**2 / (32.0 * math.pi * (omega * omega) * cube(z))
     epsabs = QUAD_REL_TOL * scale
 
     # propagating side: k_rho = k0 sin(theta), k_vz = k0 cos(theta),
@@ -137,8 +137,8 @@ def green_full(m, z, omega, *, part=None):
         r_s, r_p = fresnel(eps, omega, k_rho)
         common = math.exp(-u) / (8.0 * math.pi) / (2.0 * z)
         if want_zz:
-            return common * r_p * cw2 * 2.0 * k_rho**2
-        return common * (r_s + r_p * cw2 * kappa**2)
+            return common * r_p * cw2 * 2.0 * (k_rho * k_rho)
+        return common * (r_s + r_p * cw2 * (kappa * kappa))
 
     def integral(f, a, b, label):
         re = math.nan if part == "imag" else \
@@ -172,9 +172,9 @@ def green_full_imag_axis(m, z, xi):
     if not xi > 0:
         raise ValueError("xi must be > 0")
     eps = float(permittivity_imag_axis(m, xi))
-    k0 = xi / C
-    cx2 = (C / xi) ** 2
-    scale = C**2 / (32.0 * math.pi * xi**2 * z**3)
+    k0, cx = xi / C, C / xi
+    cx2 = cx * cx
+    scale = C**2 / (32.0 * math.pi * (xi * xi) * cube(z))
     epsabs = QUAD_REL_TOL * scale
 
     # rescale to u = 2 k_rho z so the e^{-2 kappa_v z} damping has O(1) width
@@ -187,8 +187,8 @@ def green_full_imag_axis(m, z, xi):
         common = ((k_rho / kv) * math.exp(-2.0 * kv * z)
                   / (8.0 * math.pi) / (2.0 * z))
         if want_zz:
-            return -common * cx2 * r_p * 2.0 * k_rho**2
-        return common * (r_s - cx2 * r_p * kv**2)
+            return -common * cx2 * r_p * 2.0 * (k_rho * k_rho)
+        return common * (r_s - cx2 * r_p * (kv * kv))
 
     gxx = _quad(lambda u: integrand(u, False), 0.0, math.inf, epsabs,
                 "xx imag-axis")

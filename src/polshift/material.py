@@ -65,7 +65,9 @@ class MaterialModel:
     order, built once, so that the permittivity, which the Matsubara sum and
     the mode finder call one value at a time, reads three floats per
     oscillator instead of squaring two attributes; it takes no part in
-    equality, hashing or repr.
+    equality, hashing or repr.  Each square is one correctly rounded
+    product, so it scales exactly when every frequency is scaled by 2^k
+    (x**2 goes through libm pow, which misrounds some x).
     """
 
     name: str
@@ -80,7 +82,8 @@ class MaterialModel:
         oscs = tuple(sorted(oscs, key=lambda o: o.omega_T))
         object.__setattr__(self, "oscillators", oscs)
         object.__setattr__(self, "_coeffs", tuple(
-            (o.omega_P**2, o.omega_T**2, o.gamma_damp) for o in oscs))
+            (o.omega_P * o.omega_P, o.omega_T * o.omega_T, o.gamma_damp)
+            for o in oscs))
 
 
 @dataclass(frozen=True)

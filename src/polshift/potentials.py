@@ -31,7 +31,7 @@ from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
                      NoModeFound, OffResonance, ZeroTemperature)
 from .greens import green_full, green_full_imag_axis, green_nonretarded
 from .material import find_polariton_modes, reflection_imag_axis
-from .units import C, HBAR, KB, MU0, energy_report
+from .units import C, HBAR, KB, MU0, cube, energy_report
 
 
 #: the atom-surface distances (m) accepted: far wider than any physical
@@ -121,7 +121,7 @@ class ShiftReport:
         if self.meta.get("z") != unit_distance(self.meta.get("green_mode")):
             raise ValueError("only a nonretarded report evaluated at UNIT_Z "
                              "can be moved to another distance")
-        z3 = z**3
+        z3 = cube(z)
         mats = self.nr_matsubara / z3
         photon = self.nr_resonant_photon / z3
         u = self.u_eff / z3
@@ -275,7 +275,7 @@ def _nonretarded_xi2_trace(m, z, xi):
     counts terms; a scalar call reads the material's coefficient table in
     floats and costs about half a microsecond on material_broad."""
     r_p = [reflection_imag_axis(m, x) for x in xi.tolist()]
-    return -(C**2 / (8.0 * math.pi * z**3)) * np.array(r_p)
+    return -(C**2 / (8.0 * math.pi * cube(z))) * np.array(r_p)
 
 
 def _full_xi2_trace(m, z, xi):
@@ -485,7 +485,7 @@ def resonant_shift_closed_form(*, omega_P1, omega_P2, Omega1, Omega2, gamma1,
     """
     if not z > 0:
         raise ValueError("z must be > 0")
-    pref = -(MU0 * C**2 / (128.0 * math.pi * z**3)) \
+    pref = -(MU0 * C**2 / (128.0 * math.pi * cube(z))) \
         * omega_P1 * omega_P2 / math.sqrt(Omega1 * Omega2)
     return pref * _channel_sum(channels, Omega1, gamma1,
                                lambda ch: 5.0 * ch.d_0k * ch.d_k1 / 12.0)

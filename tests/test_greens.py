@@ -53,8 +53,10 @@ def test_nonretarded_distance_scaling(material_toy):
 
 def test_nonretarded_array_matches_scalar_calls(material_broad):
     """An array of omega gives the scalar calls' values bit for bit; a
-    number still gives Python complex."""
-    omegas = np.geomspace(1e11, 1e15, 25)
+    number still gives Python complex.  The last omega is one whose square
+    libm pow misrounds, so omega**2 of a number would differ from numpy's
+    square of an array element."""
+    omegas = np.append(np.geomspace(1e11, 1e15, 25), 1118743162712.3804)
     g = ps.green_nonretarded(material_broad, Z, omegas)
     for w, xx, zz in zip(omegas.tolist(), g.xx.tolist(), g.zz.tolist()):
         one = ps.green_nonretarded(material_broad, Z, w)

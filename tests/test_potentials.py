@@ -6,7 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar as HBAR_SI
 from scipy.constants import k as KB_SI
@@ -954,6 +954,9 @@ def _assert_shift_scales_as_cube(atom, m, z, T, k, green_mode):
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(-30, 25), broad=st.booleans(),
        z=st.floats(1e-7, 1e-5), T=st.floats(50.0, 600.0))
+# (z/2)**3 != z**3/8 through libm pow at this z, so a cube taken as z**3
+# misses lam^3 by one rounding in nr_matsubara
+@example(k=1, broad=False, z=2.7635121522307025e-06, T=50.0)
 def test_total_shift_scales_exactly_by_powers_of_two(rb_atom, material_broad,
                                                      material_narrow, k,
                                                      broad, z, T):
