@@ -242,7 +242,7 @@ def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
     routine behind scipy.optimize.brentq, so that the mode finder gets the
     same roots without importing scipy.  As there, a NaN value or ends of
     the same sign raise ValueError, and no convergence within maxiter
-    iterations raises RuntimeError.  ROADMAP item 5's rational finder
+    iterations raises RuntimeError.  ROADMAP item 6's rational finder
     deletes it.
     """
     def call(x):
@@ -314,7 +314,7 @@ def _bounded_minimum(f, lo, hi, xatol, maxfun=500):
     minimize_scalar(method="bounded"), so that the mode finder gets the same
     minimum without importing scipy.  As there, non-finite bounds raise
     ValueError, and the search stops after maxfun calls without an error.
-    ROADMAP item 5's rational finder deletes it.
+    ROADMAP item 6's rational finder deletes it.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("optimization bounds must be finite scalars")

@@ -482,7 +482,7 @@ def test_modes_found_for_oscillators_decades_apart():
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 5: the in-module bounded minimiser refines the peak in "
+    "ROADMAP item 6: the in-module bounded minimiser refines the peak in "
     "absolute omega, where its tolerance sqrt(eps)*omega ~ 1.8e5 rad/s "
     "exceeds the linewidth; minimizing in the offset from the crossing "
     "fixes it but moves window-edge centres in the modes_sweep references"))
