@@ -47,8 +47,8 @@ _DIPOLE_FACTORS = {
 def cube(x):
     """x^3 that scales exactly: cube(2^k x) == 8^k cube(x) bit for bit
     while neither overflows nor underflows.  x**3 goes through libm pow,
-    which misrounds some x but not 2^k x; here pow sees only the mantissa
-    of x, which 2^k leaves as it is."""
+    which can misround x**3 and not (2^k x)**3; here pow sees only the
+    mantissa of x, which 2^k leaves as it is."""
     mant, exp = math.frexp(x)
     return math.ldexp(mant**3, 3 * exp)
 
