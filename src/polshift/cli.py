@@ -19,9 +19,9 @@ from .atoms import load_atom
 from .errors import SCHEMA_VERSION, ParseError, PhysicsError
 from .material import find_polariton_modes, load_material
 from .potentials import (ENERGY_LINES, MATSUBARA_CUTOFF, T_MAX, Z_RANGE,
-                         Environment, total_shift, unit_distance,
-                         valid_distance, valid_temperature)
-from .units import CM1, HBAR
+                         Environment, distance_terms, total_shift,
+                         unit_distance, valid_distance, valid_temperature)
+from .units import CM1, HBAR, cube
 
 #: fixed scan/point CSV header (all shift columns are E/hbar in s^-1)
 SCAN_COLUMNS = (
@@ -106,11 +106,16 @@ def parse_values(single, rng, what):
     return tuple(vals)
 
 
-def _report_row(z, T, report):
+#: the CSV column of each of ENERGY_LINES, in that order
+_LINE_COLUMNS = tuple(f"{line}_s^-1" for line in ENERGY_LINES)
+
+
+def _report_row(z, T, report, z3=1.0):
+    """The row of report's lines_at(z3): with z3 = 1 the report's own."""
     row = {"z_m": z, "T_K": T, "thermal_factor": report.thermal_factor,
            "error": ""}
-    for line in ENERGY_LINES:
-        row[f"{line}_s^-1"] = getattr(report, line) / HBAR
+    for column, value in zip(_LINE_COLUMNS, report.lines_at(z3)):
+        row[column] = value / HBAR
     return row
 
 
@@ -123,16 +128,21 @@ def _error_row(z, T, exc):
 
 
 def _evaluate(cfg):
-    """Yield (z, T, ShiftReport or the PhysicsError it raised) for every
-    (z, T) pair of a validated RunConfig, in input order.
+    """Yield (z, T, result, z3) for every (z, T) pair of a validated
+    RunConfig, in input order: result is the ShiftReport or the
+    PhysicsError of total_shift, and the pair's lines are the report's
+    lines_at(z3).
 
     The files are read, both state labels looked up and the modes found
     once per request, before the first pair; a failure there propagates
-    instead of being yielded.  On the nonretarded route each distinct T is
-    evaluated once, at UNIT_Z, and moved to every z by
-    ShiftReport.at_distance, the arithmetic total_shift itself runs; a
-    PhysicsError there does not depend on z and is yielded for every z of
-    its T.  The full route evaluates every pair.
+    instead of being yielded.  The temperature-free half of the reports,
+    distance_terms, is evaluated once per request at UNIT_Z on the
+    nonretarded route and once per z on the full route, and total_shift
+    adds each T to it.  On the nonretarded route each distinct T is
+    evaluated once, at UNIT_Z, and z3 = cube(z) moves it to every z by the
+    arithmetic of ShiftReport.at_distance; a PhysicsError there does not
+    depend on z and is yielded for every z of its T.  The full route
+    evaluates every pair at its own z, with z3 = 1.
     """
     m = load_material(cfg.material)
     atom = load_atom(cfg.atom)
@@ -140,28 +150,36 @@ def _evaluate(cfg):
     atom.state(cfg.lower)
     modes = find_polariton_modes(m)
 
-    def shift(z, T):
-        try:
-            return total_shift(
-                atom, cfg.upper, cfg.lower, m, Environment(z=z, T=T),
-                cutoff=cfg.matsubara_cutoff, green_mode=cfg.green_mode,
-                resonance_tol=cfg.resonance_tol,
-                use_closed_form=cfg.closed_form, modes=modes)
-        except PhysicsError as exc:
-            return exc
+    def shifts(z):
+        """shift(T) at z, sharing one distance_terms across T."""
+        terms = distance_terms(atom, cfg.upper, cfg.lower, m, z,
+                               cfg.green_mode, cfg.resonance_tol,
+                               cfg.closed_form, modes)
+
+        def shift(T):
+            try:
+                return total_shift(
+                    atom, cfg.upper, cfg.lower, m, Environment(z=z, T=T),
+                    cutoff=cfg.matsubara_cutoff, green_mode=cfg.green_mode,
+                    resonance_tol=cfg.resonance_tol,
+                    use_closed_form=cfg.closed_form, per_distance=terms)
+            except PhysicsError as exc:
+                return exc
+        return shift
 
     unit_z = unit_distance(cfg.green_mode)
-    if unit_z is not None:
-        unit = {T: shift(unit_z, T) for T in dict.fromkeys(cfg.T_values)}
+    if unit_z is None:
+        for z in cfg.z_values:
+            shift = shifts(z)
+            for T in cfg.T_values:
+                yield z, T, shift(T), 1.0
+        return
+    shift = shifts(unit_z)
+    unit = {T: shift(T) for T in dict.fromkeys(cfg.T_values)}
     for z in cfg.z_values:
+        z3 = cube(z)
         for T in cfg.T_values:
-            if unit_z is None:
-                result = shift(z, T)
-            else:
-                result = unit[T]
-                if not isinstance(result, PhysicsError):
-                    result = result.at_distance(z)
-            yield z, T, result
+            yield z, T, unit[T], z3
 
 
 def run_point(cfg):
@@ -169,10 +187,12 @@ def run_point(cfg):
     cfg.validate()
     if len(cfg.z_values) != 1 or len(cfg.T_values) != 1:
         raise ValueError("point needs exactly one z and one T")
-    [(_, _, report)] = _evaluate(cfg)
+    [(z, _, report, _)] = _evaluate(cfg)
     if isinstance(report, PhysicsError):
         raise report
-    return report
+    if unit_distance(cfg.green_mode) is None:
+        return report
+    return report.at_distance(z)
 
 
 def run_scan(cfg):
@@ -184,8 +204,8 @@ def run_scan(cfg):
     """
     cfg.validate()
     return [_error_row(z, T, result) if isinstance(result, PhysicsError)
-            else _report_row(z, T, result)
-            for z, T, result in _evaluate(cfg)]
+            else _report_row(z, T, result, z3)
+            for z, T, result, z3 in _evaluate(cfg)]
 
 
 def modes_report(material_path):

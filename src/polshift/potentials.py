@@ -21,14 +21,14 @@ Conventions used throughout:
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .atoms import channels as atom_channels
 from .atoms import polarizability_iso, transitions_from
 from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
-                     NoModeFound, OffResonance, ZeroTemperature)
+                     NoModeFound, OffResonance, PhysicsError,
+                     ZeroTemperature)
 from .greens import green_full, green_full_imag_axis, green_nonretarded
 from .material import find_polariton_modes, reflection_imag_axis
 from .units import C, HBAR, KB, MU0, cube, energy_report
@@ -109,27 +109,32 @@ class ShiftReport:
             doc["meta"] = dict(self.meta)
         return doc
 
-    def at_distance(self, z):
-        """This report, evaluated at UNIT_Z on the nonretarded route, moved
-        to the distance z.
-
-        nr_matsubara, nr_resonant_photon and u_eff are divided by z^3, the
-        thermal factor does not depend on z, and r_shift and total are
-        recomputed from the moved lines, so that r_shift = u_eff *
-        thermal_factor and the sum identity stay exact.
-        """
-        if self.meta.get("z") != unit_distance(self.meta.get("green_mode")):
-            raise ValueError("only a nonretarded report evaluated at UNIT_Z "
-                             "can be moved to another distance")
-        z3 = cube(z)
+    def lines_at(self, z3):
+        """The ENERGY_LINES of this report with its three z^-3 lines
+        (nr_matsubara, nr_resonant_photon and u_eff) divided by z3, and
+        r_shift = u_eff * thermal_factor and total recomputed from them, so
+        that both identities stay exact.  This is the one scaling
+        arithmetic: at_distance builds its report from it, and a scan
+        builds its rows from it with z3 = cube(z) taken once per z."""
         mats = self.nr_matsubara / z3
         photon = self.nr_resonant_photon / z3
         u = self.u_eff / z3
         r = u * self.thermal_factor
+        return mats, photon, u, r, mats + photon + r
+
+    def at_distance(self, z):
+        """This report, evaluated at UNIT_Z on the nonretarded route, moved
+        to the distance z: the lines_at cube(z), with the same thermal
+        factor, which does not depend on z, and meta["z"] set to z.
+        """
+        if self.meta.get("z") != unit_distance(self.meta.get("green_mode")):
+            raise ValueError("only a nonretarded report evaluated at UNIT_Z "
+                             "can be moved to another distance")
+        mats, photon, u, r, total = self.lines_at(cube(z))
         return ShiftReport(
             nr_matsubara=mats, nr_resonant_photon=photon, u_eff=u,
-            thermal_factor=self.thermal_factor, r_shift=r,
-            total=mats + photon + r, meta={**self.meta, "z": z})
+            thermal_factor=self.thermal_factor, r_shift=r, total=total,
+            meta={**self.meta, "z": z})
 
 
 def matsubara_xi(T, j):
@@ -312,8 +317,9 @@ def _green_route(green_mode):
     xi^2 Tr G(i xi) for an array of xi, finite at xi = 0; block is the
     longest block of j the Matsubara engine hands it.  The full route's
     quadrature takes one xi at a time, so longer blocks would save nothing
-    there and would run quadratures past the stopping j.  unit_z is UNIT_Z where every line of a report scales
-    exactly as z^-3, and None where retardation ties the lines to z.
+    there and would run quadratures past the stopping j.  unit_z is UNIT_Z
+    where every line of a report scales exactly as z^-3, and None where
+    retardation ties the lines to z.
     """
     if green_mode == "nonretarded":
         return _nonretarded_green, _nonretarded_xi2_trace, _MAX_BLOCK, UNIT_Z
@@ -352,15 +358,40 @@ def nonresonant_shift_parts(atom, n, m, env, cutoff=MATSUBARA_CUTOFF,
     j = cutoff (>= 1) and raises ConvergenceFailure when its tail has not
     dropped below MATSUBARA_TOL.
     """
+    photon = _photon_terms(atom, n, m, env.z, green_mode)
+    return _nonresonant_lines(atom, n, m, env.z, env.T, cutoff, green_mode,
+                              photon)
+
+
+def _photon_terms(atom, n, m, z, green_mode):
+    """The temperature-free factors of the photon line of level n at z:
+    (omega_kn, omega_kn^2, d_nk . Re G(|omega_kn|) . d_kn) for every
+    transition, in transition order, or the PhysicsError a Green tensor
+    raised."""
+    green = _green_route(green_mode)[0]
+    terms = []
+    for k_label, w_kn, _ in transitions_from(atom, n):
+        try:
+            g = green(m, z, abs(w_kn), "real")
+        except PhysicsError as exc:
+            return exc
+        dip = atom.dipole(n, k_label)
+        terms.append((w_kn, w_kn * w_kn,
+                      _contract(dip, dip, g.xx.real, g.zz.real)))
+    return tuple(terms)
+
+
+def _nonresonant_lines(atom, n, m, z, T, cutoff, green_mode, photon):
+    """(matsubara, resonant_photon) of level n at (z, T), the photon line
+    summed from _photon_terms' photon.  The Matsubara line's errors come
+    first, then the one photon holds."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    if env.T == 0:
+    if T == 0:
         raise ZeroTemperature("nonresonant shift is defined here for T > 0")
-    green, xi2_trace, block, _ = _green_route(green_mode)
-    trans = transitions_from(atom, n)
-    if not trans:
+    _, xi2_trace, block, _ = _green_route(green_mode)
+    if not photon:
         return 0.0, 0.0
-    z, T = env.z, env.T
     xi1 = matsubara_xi(T, 1)
 
     def term(j):
@@ -368,14 +399,12 @@ def nonresonant_shift_parts(atom, n, m, env, cutoff=MATSUBARA_CUTOFF,
         return polarizability_iso(atom, n, xi) * xi2_trace(m, z, xi)
 
     mats = MU0 * KB * T * _matsubara_sum(term, cutoff, block)
-
-    photon = 0.0
-    for k_label, w_kn, _ in trans:
-        g = green(m, z, abs(w_kn), "real")
-        dip = atom.dipole(n, k_label)
-        photon += w_kn * w_kn * thermal_occupation(w_kn, T) \
-            * _contract(dip, dip, g.xx.real, g.zz.real)
-    return mats, MU0 * photon
+    if isinstance(photon, PhysicsError):
+        raise photon.with_traceback(None)
+    total = 0.0
+    for w_kn, w2, c in photon:
+        total += w2 * thermal_occupation(w_kn, T) * c
+    return mats, MU0 * total
 
 
 def _lorentz_weight(x, gamma1):
@@ -534,9 +563,93 @@ def find_resonant_pair(modes, omega_10):
     return best[1], best[2]
 
 
+@dataclass(frozen=True)
+class DistanceTerms:
+    """The temperature-free half of a total_shift report at the distance z.
+
+    photon holds the photon line's (omega_kn, omega_kn^2, d.Re G.d) of the
+    upper level's transitions, in transition order; pair is the resonant
+    mode pair, None when the resonant line is skipped (meta says why);
+    u_eff is the pair's amplitude (J), or 0.0 when skipped; meta holds
+    every report entry but z and T.  photon and u_eff each hold instead the
+    PhysicsError their evaluation raised, which the report at every T
+    raises after the Matsubara line's own errors: photon's first, then
+    u_eff's (find_polariton_modes' included).
+    """
+
+    z: float
+    green_mode: str
+    photon: object
+    pair: object
+    u_eff: object
+    meta: dict
+
+
+def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
+                   resonance_tol=1.0, use_closed_form=False, modes=None):
+    """The DistanceTerms of total_shift at z: the photon line's factors, the
+    mode pair and its amplitude, none of which depends on T.  The arguments
+    are those of total_shift."""
+    photon = _photon_terms(atom, upper, m, z, green_mode)
+    pair, meta, u = None, {}, 0.0
+    try:
+        if modes is None:
+            modes = find_polariton_modes(m)
+        omega_10 = atom.transition_frequency(upper, lower)
+        pair = find_resonant_pair(modes, omega_10)
+        meta = {"upper": upper, "lower": lower, "omega_10": omega_10,
+                "green_mode": green_mode, "n_modes": len(modes)}
+        if pair is None:
+            meta["resonant_skipped"] = "fewer than two polariton modes"
+        else:
+            mode1, mode2 = pair
+            meta.update({
+                "Omega1": mode1.omega_center, "gamma1": mode1.linewidth,
+                "Omega2": mode2.omega_center, "gamma2": mode2.linewidth,
+                "detuning": mode1.omega_center
+                - (omega_10 + mode2.omega_center),
+            })
+            if use_closed_form:
+                chans = _resonance_gate(atom, upper, lower, mode1, mode2,
+                                        resonance_tol)
+                osc1, osc2 = attribute_modes(m, [mode1, mode2])
+                u = resonant_shift_closed_form(
+                    omega_P1=osc1.omega_P, omega_P2=osc2.omega_P,
+                    Omega1=mode1.omega_center, Omega2=mode2.omega_center,
+                    gamma1=mode1.linewidth, channels=chans, z=z)
+            else:
+                # the amplitude reads env.z alone
+                u = u_eff(atom, upper, lower, mode1, mode2, m,
+                          Environment(z=z, T=0.0), green_mode=green_mode,
+                          resonance_tol=resonance_tol)
+    except NoChannels:
+        meta["resonant_skipped"] = "no channels"
+        pair = None
+    except PhysicsError as exc:
+        u = exc
+    return DistanceTerms(z, green_mode, photon, pair, u, meta)
+
+
+def _thermal_report(terms, atom, upper, m, T, cutoff):
+    """The ShiftReport at (terms.z, T): the Matsubara line, the photon line
+    summed from terms, and the thermal factor that weights terms.u_eff."""
+    mats, photon = _nonresonant_lines(atom, upper, m, terms.z, T, cutoff,
+                                      terms.green_mode, terms.photon)
+    if isinstance(terms.u_eff, PhysicsError):
+        raise terms.u_eff.with_traceback(None)
+    u = tf = 0.0
+    if terms.pair is not None:
+        u, tf = terms.u_eff, thermal_factor(*terms.pair, T)
+    r = u * tf
+    return ShiftReport(
+        nr_matsubara=mats, nr_resonant_photon=photon, u_eff=u,
+        thermal_factor=tf, r_shift=r, total=mats + photon + r,
+        meta={"z": terms.z, "T": T, **terms.meta})
+
+
 def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,
                 green_mode="nonretarded", resonance_tol=1.0,
-                use_closed_form=False, modes=None):
+                use_closed_form=False, modes=None, *, per_distance=None):
     """Compose the nonresonant and resonant parts into a ShiftReport.
 
     The nonresonant part is the shift of the ``upper`` level.  The resonant
@@ -551,68 +664,33 @@ def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,
     On the nonretarded route the report is evaluated at UNIT_Z and moved to
     env.z by ShiftReport.at_distance, so every z of a temperature runs the
     same arithmetic on the same unit-distance report.  The full route
-    evaluates at env.z.
+    evaluates at env.z.  per_distance, the distance_terms of the same
+    arguments at that distance, saves evaluating them again for each T;
+    modes is then unused.
     """
-    evaluate = partial(_shift_report, atom, upper, lower, m, cutoff=cutoff,
-                       green_mode=green_mode, resonance_tol=resonance_tol,
-                       use_closed_form=use_closed_form, modes=modes)
     unit_z = unit_distance(green_mode)
+    z = env.z if unit_z is None else unit_z
+    if per_distance is not None and \
+            (per_distance.z, per_distance.green_mode) != (z, green_mode):
+        raise ValueError(f"per_distance holds the {per_distance.green_mode} "
+                         f"terms at z={per_distance.z:g} m, not the "
+                         f"{green_mode} terms at z={z:g} m")
+
+    def evaluate(z, terms=None):
+        if terms is None:
+            terms = distance_terms(atom, upper, lower, m, z, green_mode,
+                                   resonance_tol, use_closed_form, modes)
+        return _thermal_report(terms, atom, upper, m, env.T, cutoff)
+
     if unit_z is None:
-        return evaluate(env)
+        return evaluate(z, per_distance)
     try:
-        report = evaluate(Environment(z=unit_z, T=env.T))
+        report = evaluate(z, per_distance)
     except NoModeFound:
+        if env.z == z:
+            raise
         # of the errors, only u_eff's Tr Im G check names z, and on this
         # route it fails at every z alike: taken at env.z, its message
         # names the distance asked for
-        return evaluate(env)
+        return evaluate(env.z)
     return report.at_distance(env.z)
-
-
-def _shift_report(atom, upper, lower, m, env, cutoff, green_mode,
-                  resonance_tol, use_closed_form, modes):
-    """The ShiftReport of total_shift, every line evaluated at env.z."""
-    mats, photon = nonresonant_shift_parts(atom, upper, m, env, cutoff,
-                                           green_mode)
-
-    if modes is None:
-        modes = find_polariton_modes(m)
-    omega_10 = atom.transition_frequency(upper, lower)
-    pair = find_resonant_pair(modes, omega_10)
-
-    meta = {"z": env.z, "T": env.T, "upper": upper, "lower": lower,
-            "omega_10": omega_10, "green_mode": green_mode,
-            "n_modes": len(modes)}
-    u = tf = r = 0.0
-    if pair is not None:
-        mode1, mode2 = pair
-        meta.update({
-            "Omega1": mode1.omega_center, "gamma1": mode1.linewidth,
-            "Omega2": mode2.omega_center, "gamma2": mode2.linewidth,
-            "detuning": mode1.omega_center
-            - (omega_10 + mode2.omega_center),
-        })
-        tf = thermal_factor(mode1, mode2, env.T)
-        try:
-            if use_closed_form:
-                chans = _resonance_gate(atom, upper, lower, mode1, mode2,
-                                        resonance_tol)
-                osc1, osc2 = attribute_modes(m, [mode1, mode2])
-                u = resonant_shift_closed_form(
-                    omega_P1=osc1.omega_P, omega_P2=osc2.omega_P,
-                    Omega1=mode1.omega_center, Omega2=mode2.omega_center,
-                    gamma1=mode1.linewidth, channels=chans, z=env.z)
-            else:
-                u = u_eff(atom, upper, lower, mode1, mode2, m, env,
-                          green_mode=green_mode,
-                          resonance_tol=resonance_tol)
-            r = resonant_shift(u, mode1, mode2, env.T)
-        except NoChannels:
-            meta["resonant_skipped"] = "no channels"
-            u = tf = r = 0.0
-    else:
-        meta["resonant_skipped"] = "fewer than two polariton modes"
-
-    return ShiftReport(
-        nr_matsubara=mats, nr_resonant_photon=photon, u_eff=u,
-        thermal_factor=tf, r_shift=r, total=mats + photon + r, meta=meta)

@@ -13,6 +13,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polshift import cli
 from polshift.potentials import ENERGY_LINES
@@ -464,6 +466,90 @@ def test_full_route_scan_evaluates_every_pair(monkeypatch):
                      for T in (500.0, 350.0, 500.0)]
     assert all(r["error"] == "ConvergenceFailure: not evaluated"
                for r in rows)
+
+
+def _counting_greens(monkeypatch):
+    """Wrap potentials.green_nonretarded and green_full; return the list of
+    (route, part) of every call."""
+    from polshift import potentials
+    calls = []
+    nonretarded, full = potentials.green_nonretarded, potentials.green_full
+
+    def counted_nonretarded(m, z, omega):
+        calls.append(("nonretarded", None))
+        return nonretarded(m, z, omega)
+
+    def counted_full(m, z, omega, *, part=None):
+        calls.append(("full", part))
+        return full(m, z, omega, part=part)
+
+    monkeypatch.setattr(potentials, "green_nonretarded", counted_nonretarded)
+    monkeypatch.setattr(potentials, "green_full", counted_full)
+    return calls
+
+
+def test_nonretarded_scan_reads_each_green_tensor_once(monkeypatch):
+    """The photon line's 10 transitions of 27S and u_eff's 2 mode centres
+    read G once per request, at UNIT_Z, whatever its z and T."""
+    calls = _counting_greens(monkeypatch)
+    rows = cli.run_scan(_scan_config((1e-7, 1e-6, 1e-5),
+                                     (50.0, 120.0, 300.0, 500.0, 600.0)))
+    assert len(rows) == 15 and all(r["error"] == "" for r in rows)
+    assert calls == [("nonretarded", None)] * 12
+
+
+def test_full_route_scan_reads_each_green_tensor_once_per_z(monkeypatch):
+    """On the full route the T-free quadratures run once per z: Re G at the
+    10 transition frequencies, then Im G at the 2 mode centres."""
+    calls = _counting_greens(monkeypatch)
+    rows = cli.run_scan(_scan_config((1e-6,), (350.0, 500.0, 600.0),
+                                     green_mode="full"))
+    assert len(rows) == 3 and all(r["error"] == "" for r in rows)
+    assert calls == [("full", "real")] * 10 + [("full", "imag")] * 2
+
+
+def test_scan_row_reports_the_matsubara_error_before_the_resonant_one():
+    """With --resonance-tol 0 the resonant line fails at every T, and the
+    T-free half holds its OffResonance once per request.  At 0.1 K the
+    Matsubara line fails first, so that row reports ConvergenceFailure, as
+    the library does at each (z, T)."""
+    import polshift as ps
+    zs, Ts = (1e-6, 2e-6), (0.1, 300.0)
+    rows = cli.run_scan(_scan_config(zs, Ts, resonance_tol=0.0))
+    atom = ps.load_atom(ROOT / FIX / "rb_rydberg.json")
+    m = ps.load_material(ROOT / FIX / "material_broad.json")
+    assert [r["error"].split(":")[0] for r in rows] == \
+        ["ConvergenceFailure", "OffResonance"] * 2
+    for row in rows:
+        with pytest.raises(ps.PhysicsError) as err:
+            ps.total_shift(atom, "27S1/2", "26S1/2", m,
+                           ps.Environment(z=row["z_m"], T=row["T_K"]),
+                           resonance_tol=0.0)
+        assert row["error"] == f"{type(err.value).__name__}: {err.value}"
+
+
+_SCAN_T = st.sampled_from((50.0, 120.0, 350.0, 500.0)) \
+    | st.floats(40.0, 700.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(zs=st.lists(st.floats(1e-8, 1e-4), min_size=1, max_size=3),
+       Ts=st.lists(_SCAN_T, min_size=1, max_size=4),
+       closed_form=st.booleans())
+def test_scan_rows_are_the_library_rows_bit_for_bit(zs, Ts, closed_form):
+    """Every nonretarded scan row, built from the unit report of its T,
+    is _report_row of the library total_shift at its (z, T), whatever
+    the order and the repeats of the T list; repr tells 0.0 from -0.0."""
+    import polshift as ps
+    rows = cli.run_scan(_scan_config(tuple(zs), tuple(Ts),
+                                     closed_form=closed_form))
+    atom = ps.load_atom(ROOT / FIX / "rb_rydberg.json")
+    m = ps.load_material(ROOT / FIX / "material_broad.json")
+    want = [cli._report_row(z, T, ps.total_shift(
+        atom, "27S1/2", "26S1/2", m, ps.Environment(z=z, T=T),
+        use_closed_form=closed_form)) for z in zs for T in Ts]
+    assert [json.dumps(r, sort_keys=True) for r in rows] == \
+        [json.dumps(r, sort_keys=True) for r in want]
 
 
 def test_scan_cutoff_error_is_the_same_at_every_z():

@@ -1,5 +1,6 @@
 """Energy-shift formulas: nonresonant, resonant, closed forms, totals."""
 
+import dataclasses
 import json
 import math
 from functools import partial
@@ -984,6 +985,149 @@ def test_full_total_shift_scales_exactly_by_powers_of_two(request, rb_atom,
                                  z, T, k, "full")
 
 
+# ---------------------------------------------------------------------------
+# The lam^3 law at lam = 3, where no rounding scales exactly
+# ---------------------------------------------------------------------------
+
+#: unit roundoff of a double
+_U = 2.0**-53
+#: the stopping rule of the mode finder's bounded minimiser
+#: (material._bounded_minimum) ends within 2 (sqrt_eps |x| + xatol/3) of
+#: the peak; find_polariton_modes passes xatol = 1e-13 r, r the Re eps = -1
+#: crossing, and finds each half-maximum point to xtol + rtol |w| with
+#: xtol = 1e-13 Omega and rtol = 8.9e-16
+_SQRT_EPS, _XATOL, _XTOL, _RTOL = math.sqrt(2.2e-16), 1e-13, 1e-13, 8.9e-16
+_LAM3_LINES = potentials.ENERGY_LINES + ("thermal_factor",)
+
+
+def _flat_inputs(atom, m, z, T):
+    """Every number total_shift reads, keyed by what it is."""
+    x = {("E", s.label): s.energy for s in atom.states}
+    x.update({("d", i): d.magnitude for i, d in enumerate(atom.dipoles)})
+    x.update({("osc", i, f): getattr(o, f) for i, o in enumerate(m.oscillators)
+              for f in ("omega_P", "omega_T", "gamma_damp")})
+    x["z"], x["T"] = z, T
+    return x
+
+
+def _shift_of(atom, m, x, modes=None):
+    """total_shift of 27S -> 26S with the inputs x in place of atom's, m's
+    and the environment's."""
+    a = ps.AtomSpec(atom.name, states=tuple(
+        ps.AtomicState(s.label, x["E", s.label]) for s in atom.states),
+        dipoles=tuple(dataclasses.replace(d, magnitude=x["d", i])
+                      for i, d in enumerate(atom.dipoles)))
+    mm = ps.MaterialModel(m.name, oscillators=tuple(
+        ps.Oscillator(*(x["osc", i, f]
+                        for f in ("omega_P", "omega_T", "gamma_damp")))
+        for i in range(len(m.oscillators))))
+    return ps.total_shift(a, "27S1/2", "26S1/2", mm,
+                          ps.Environment(z=x["z"], T=x["T"]), modes=modes)
+
+
+def _slopes(base, evaluate, h=1e-6):
+    """|d ln L / d ln p| of every line L, by central differences, where
+    evaluate(f) is the report with the one input p multiplied by f."""
+    lo, hi = evaluate(1.0 - h), evaluate(1.0 + h)
+    return {line: abs(getattr(hi, line) - getattr(lo, line))
+            / (2.0 * h * abs(getattr(base, line))) for line in _LAM3_LINES}
+
+
+@pytest.mark.parametrize("material, z, T", [
+    ("material_broad", 1e-6, 500.0),
+    ("material_narrow", 3e-7, 120.0),
+])
+def test_total_shift_follows_the_lam_cubed_law_at_lam_3(request, rb_atom,
+                                                        material, z, T):
+    """E(3 omega, 3 T, z/3) = 27 E(omega, T, z) for every line, to within
+    what each evaluation is accurate to.
+
+    At lam = 3 the scaled inputs round and so does every step, so the two
+    evaluations differ by up to the sum of their errors: |L_3/27 - L_1| <=
+    2 e_L |L_1|, where e_L bounds one evaluation's relative error.  e_L adds
+    the tolerances of the algorithms to the rounding:
+
+    * the Matsubara sum stops once |t_j| j <= MATSUBARA_TOL max_i |S_i|,
+      which bounds its tail by the same amount (the terms fall at least as
+      j^-2), and max_i |S_i| <= sum_j |t_j|; so nr_matsubara, and total
+      through it, is off by at most MATSUBARA_TOL sum_j |t_j| / |S| of the
+      line;
+    * each mode centre lies within tol2 = 2 (sqrt_eps Omega + xatol/3) of
+      the peak, with xatol = 1e-13 r and r < 2 Omega, so it is the
+      minimiser's sqrt_eps = 1.5e-8, not xatol, that sets the bound; each
+      half-maximum point lies within xtol + rtol (Omega + gamma) of its
+      root, and a peak height misread at a centre tol2 away moves both
+      points by at most 2 tol2^2 / gamma (a Lorentzian top); these move
+      u_eff, the thermal factor and the lines built on them through their
+      slopes in Omega and gamma;
+    * the photon line reads the closed-form G, with no tolerance;
+      QUAD_REL_TOL bounds the full route's quadratures only, which this
+      route never runs;
+    * rounding: each input (state energies, dipoles, oscillator
+      parameters, z, T) meets at most 16 roundings before it enters a sum
+      of at most n terms (the Matsubara terms to the stop, the transitions
+      and the channels), whose additions round n more times, so to first
+      order a line is off by (16 + n) u sum_x |d ln L / d ln x|.
+    """
+    m = request.getfixturevalue(material)
+    base = ps.total_shift(rb_atom, "27S1/2", "26S1/2", m,
+                          ps.Environment(z=z, T=T))
+    scaled = ps.total_shift(
+        _scaled_atom(rb_atom, 3.0), "27S1/2", "26S1/2",
+        _scaled_material(m, 3.0), ps.Environment(z=z / 3.0, T=3.0 * T))
+
+    # the Matsubara sum's terms to its stopping j
+    term = _mats_term(rb_atom, "27S1/2", m, ps.Environment(z=z, T=T))
+    total, stop = _oracle_and_stop(term, potentials.MATSUBARA_CUTOFF)
+    t = np.abs(term(np.arange(stop + 1)))
+    t[0] *= 0.5
+    mats_err = potentials.MATSUBARA_TOL * t.sum() / abs(total) \
+        * abs(base.nr_matsubara)
+    n = stop + len(ps.transitions_from(rb_atom, "27S1/2")) \
+        + len(ps.channels(rb_atom, "27S1/2", "26S1/2"))
+
+    # rounding: the slopes in every input; the modes depend on the
+    # oscillators alone, so only those re-run the mode finder
+    modes = ps.find_polariton_modes(m)
+    x = _flat_inputs(rb_atom, m, z, T)
+    kappa = dict.fromkeys(_LAM3_LINES, 0.0)
+    for key in x:
+        def evaluate(f, key=key):
+            return _shift_of(rb_atom, m, {**x, key: x[key] * f},
+                             None if key[0] == "osc" else modes)
+        for line, s in _slopes(base, evaluate).items():
+            kappa[line] += s
+
+    # the mode finder: the slopes in each centre and width, times the
+    # bound on how far one run places it
+    err = {line: (16 + n) * _U * kappa[line] for line in _LAM3_LINES}
+    err["nr_matsubara"] += mats_err / abs(base.nr_matsubara)
+    err["total"] += mats_err / abs(base.total)
+    for i, mode in enumerate(modes):
+        omega, gamma = mode.omega_center, mode.linewidth
+        tol2 = 2.0 * (_SQRT_EPS * omega + _XATOL * 2.0 * omega / 3.0)
+        moves = {
+            "omega_center": tol2 / omega,
+            "linewidth": (2.0 * (_XTOL * omega + _RTOL * (omega + gamma))
+                          + 4.0 * tol2 * tol2 / gamma) / gamma,
+        }
+        for field, move in moves.items():
+            def evaluate(f, i=i, field=field):
+                moved = list(modes)
+                moved[i] = dataclasses.replace(
+                    mode, **{field: getattr(mode, field) * f})
+                return ps.total_shift(rb_atom, "27S1/2", "26S1/2", m,
+                                      ps.Environment(z=z, T=T), modes=moved)
+            for line, s in _slopes(base, evaluate).items():
+                err[line] += s * move
+
+    for line in _LAM3_LINES:
+        want = getattr(base, line) * (1.0 if line == "thermal_factor"
+                                      else 27.0)
+        assert abs(getattr(scaled, line) - want) \
+            <= 2.0 * err[line] * abs(want), line
+
+
 def test_each_line_asks_green_full_for_the_part_it_reads(rb_atom,
                                                          material_broad,
                                                          broad_modes,
@@ -1060,6 +1204,71 @@ def test_at_distance_needs_a_nonretarded_unit_report(rb_atom,
         meta={"z": potentials.UNIT_Z, "green_mode": "full"})
     with pytest.raises(ValueError):
         full.at_distance(2.0 * Z)
+
+
+@pytest.mark.parametrize("green_mode, z", [("nonretarded", potentials.UNIT_Z),
+                                           ("full", Z)])
+@pytest.mark.parametrize("closed", [False, True])
+def test_total_shift_with_distance_terms_is_total_shift(
+        rb_atom, material_broad, broad_modes, green_mode, z, closed):
+    """The T-free half evaluated once and handed to total_shift gives the
+    report total_shift evaluates itself, at every T."""
+    kw = {"green_mode": green_mode, "use_closed_form": closed}
+    terms = potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
+                                      material_broad, z, modes=broad_modes,
+                                      **kw)
+    for T in (350.0, 500.0):
+        env = ps.Environment(z=Z, T=T)
+        assert ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad,
+                              env, per_distance=terms, **kw) == \
+            ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, env,
+                           **kw)
+
+
+def test_total_shift_rejects_distance_terms_of_another_distance(
+        rb_atom, material_broad, broad_modes):
+    terms = potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
+                                      material_broad, Z, modes=broad_modes)
+    with pytest.raises(ValueError, match="per_distance"):
+        ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, ENV,
+                       per_distance=terms)
+    with pytest.raises(ValueError, match="per_distance"):
+        ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, ENV,
+                       green_mode="full", per_distance=terms)
+
+
+def test_total_shift_raises_matsubara_then_photon_then_resonant_errors(
+        rb_atom, material_broad, broad_modes, monkeypatch):
+    """The T-free half holds the photon line's and the resonant line's
+    errors, and every T raises the first of: a Matsubara error
+    (ConvergenceFailure at cutoff 3), the photon line's (a PoleHit from G
+    at a transition frequency), the resonant line's (OffResonance with a
+    zero window)."""
+    real = potentials.green_nonretarded
+    photon_omegas = {abs(w) for _, w, _ in
+                     ps.transitions_from(rb_atom, "27S1/2")}
+
+    def failing(m, z, omega):
+        if omega in photon_omegas:
+            raise ps.PoleHit("G at a transition frequency")
+        return real(m, z, omega)
+
+    def raised(cutoff):
+        terms = potentials.distance_terms(
+            rb_atom, "27S1/2", "26S1/2", material_broad, potentials.UNIT_Z,
+            resonance_tol=0.0, modes=broad_modes)
+        for per_distance in (None, terms):
+            with pytest.raises(ps.PhysicsError) as err:
+                ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad,
+                               ENV, cutoff=cutoff, resonance_tol=0.0,
+                               modes=broad_modes, per_distance=per_distance)
+            yield type(err.value)
+
+    assert set(raised(3)) == {ps.ConvergenceFailure}
+    assert set(raised(20000)) == {ps.OffResonance}
+    monkeypatch.setattr(potentials, "green_nonretarded", failing)
+    assert set(raised(3)) == {ps.ConvergenceFailure}
+    assert set(raised(20000)) == {ps.PoleHit}
 
 
 def test_total_shift_trace_error_names_the_requested_distance(

@@ -5,9 +5,10 @@ Each run calls ``polshift.cli.main`` in-process, writes its output into a
 temporary directory, and prints one line: the run's name, its exit code,
 the sha256 of the output file (empty when none was written) and the sha256
 of what it wrote to stderr.  Two runs read materials that the tool writes
-into the same directory: a lossless pair and four oscillators.  Two checkouts whose listings are identical
-produce byte-identical CLI output on these runs, so diffing the listings of
-a parent and a change checks that a refactor left the output unchanged.
+into the same directory: a lossless pair and four oscillators.  Two
+checkouts whose listings are identical produce byte-identical CLI output on
+these runs, so diffing the listings of a parent and a change checks that a
+refactor left the output unchanged.
 
 Run from any directory, against the polshift on the import path:
 
@@ -97,6 +98,15 @@ RUNS = (
      {}),
     ("scan --resonance-tol 0",
      _shift("scan", "--z", "1e-6", "--T", "350,500", "--resonance-tol", "0",
+            "--format", "csv"), {}),
+    # the T-free half of a full-route scan is evaluated once per z
+    ("scan --green full 2 z x 3 T",
+     _shift("scan", "--z", "1e-6,3e-6", "--T", "350,500,600", "--green",
+            "full", "--format", "csv"), {}),
+    # the row at 0.1 K reports the Matsubara line's ConvergenceFailure, the
+    # row at 300 K the OffResonance that the T-free half holds
+    ("scan 0.1,300 K res-tol 0",
+     _shift("scan", "--z", "1e-6", "--T", "0.1,300", "--resonance-tol", "0",
             "--format", "csv"), {}),
 ) + tuple((f"modes {name}", ["modes", "--material", _fixture(name)], {})
           for name in MATERIALS) + (
