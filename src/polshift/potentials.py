@@ -574,7 +574,8 @@ class DistanceTerms:
     every report entry but z and T.  photon and u_eff each hold instead the
     PhysicsError their evaluation raised, which the report at every T
     raises after the Matsubara line's own errors: photon's first, then
-    u_eff's (find_polariton_modes' included).
+    u_eff's (find_polariton_modes' included).  args holds the other
+    arguments they were evaluated for, in the order of _TERMS_ARGS.
     """
 
     z: float
@@ -583,6 +584,13 @@ class DistanceTerms:
     pair: object
     u_eff: object
     meta: dict
+    args: tuple
+
+
+# the distance_terms arguments that a DistanceTerms must match, besides z
+# and green_mode, for total_shift to use it
+_TERMS_ARGS = ("atom", "upper", "lower", "m", "resonance_tol",
+              "use_closed_form")
 
 
 def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
@@ -627,7 +635,9 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
         pair = None
     except PhysicsError as exc:
         u = exc
-    return DistanceTerms(z, green_mode, photon, pair, u, meta)
+    return DistanceTerms(z, green_mode, photon, pair, u, meta,
+                         (atom, upper, lower, m, resonance_tol,
+                          use_closed_form))
 
 
 def _thermal_report(terms, atom, upper, m, T, cutoff):
@@ -666,15 +676,23 @@ def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,
     same arithmetic on the same unit-distance report.  The full route
     evaluates at env.z.  per_distance, the distance_terms of the same
     arguments at that distance, saves evaluating them again for each T;
-    modes is then unused.
+    modes is then unused.  Terms of another distance, route or argument
+    raise ValueError.
     """
     unit_z = unit_distance(green_mode)
     z = env.z if unit_z is None else unit_z
-    if per_distance is not None and \
-            (per_distance.z, per_distance.green_mode) != (z, green_mode):
-        raise ValueError(f"per_distance holds the {per_distance.green_mode} "
-                         f"terms at z={per_distance.z:g} m, not the "
-                         f"{green_mode} terms at z={z:g} m")
+    if per_distance is not None:
+        args = (atom, upper, lower, m, resonance_tol, use_closed_form)
+        if (per_distance.z, per_distance.green_mode) != (z, green_mode):
+            raise ValueError(
+                f"per_distance holds the {per_distance.green_mode} terms at "
+                f"z={per_distance.z:g} m, not the {green_mode} terms at "
+                f"z={z:g} m")
+        if per_distance.args != args:
+            other = [name for name, held, asked in
+                     zip(_TERMS_ARGS, per_distance.args, args) if held != asked]
+            raise ValueError("per_distance holds the terms of another "
+                             + ", ".join(other))
 
     def evaluate(z, terms=None):
         if terms is None:

@@ -1237,6 +1237,28 @@ def test_total_shift_rejects_distance_terms_of_another_distance(
                        green_mode="full", per_distance=terms)
 
 
+def test_total_shift_rejects_distance_terms_of_other_arguments(
+        rb_atom, toy_atom, material_broad, material_narrow, broad_modes):
+    """Terms at the right distance but of another atom, state, material,
+    resonance window or amplitude formula raise ValueError naming that
+    argument, before any line is evaluated."""
+    unit = potentials.UNIT_Z
+    terms = potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
+                                      material_broad, unit, modes=broad_modes)
+    asked = dict(atom=rb_atom, upper="27S1/2", lower="26S1/2",
+                 m=material_broad, resonance_tol=1.0, use_closed_form=False)
+    for name, value in [("atom", toy_atom), ("upper", "26P1/2"),
+                        ("lower", "25P1/2"), ("m", material_narrow),
+                        ("resonance_tol", 0.5), ("use_closed_form", True)]:
+        kw = {**asked, name: value}
+        with pytest.raises(ValueError,
+                           match=f"per_distance holds the terms of another "
+                                 f"{name}$"):
+            ps.total_shift(kw.pop("atom"), kw.pop("upper"), kw.pop("lower"),
+                           kw.pop("m"), ENV, per_distance=terms, **kw)
+    ps.total_shift(**asked, env=ENV, per_distance=terms)
+
+
 def test_total_shift_raises_matsubara_then_photon_then_resonant_errors(
         rb_atom, material_broad, broad_modes, monkeypatch):
     """The T-free half holds the photon line's and the resonant line's

@@ -14,8 +14,10 @@ on one machine by this script compare like for like:
 
 ``--root`` is the checkout to measure (default: the one holding this
 script); the commit is its ``git rev-parse --short HEAD``, and the file
-notes whether its tracked files differed from that commit.  A full
-recording takes about 4 x 6 runs of ``--seconds`` each, plus setup.
+notes whether its tracked files differed from that commit.  Every run
+lasts SECONDS, the default run length of perfbench/run.py, so files of
+different commits compare; a full recording takes about 4 x 6 x 20 s,
+plus setup.
 """
 
 import argparse
@@ -29,6 +31,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("scan", "cold_points", "retarded_points", "modes_sweep")
 SEEDS = (1, 2, 3, 4, 5)
 END_TO_END = ("setup_s", "ops_per_s", "latency_ms_p50", "peak_rss_mb")
+SECONDS = 20
 
 
 def _git(root, *args):
@@ -36,13 +39,13 @@ def _git(root, *args):
                           capture_output=True, text=True).stdout.strip()
 
 
-def run_once(root, workload, seed, seconds, trace):
+def run_once(root, workload, seed, trace):
     """The JSON line of one perfbench run, or {"error": ...} if it printed
     none (a traced run on a commit whose wrapped names are gone)."""
     proc = subprocess.run(
         [sys.executable, os.path.join(root, "perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
@@ -83,7 +86,6 @@ def main(argv=None):
                    help="checkout to measure")
     p.add_argument("--out-dir", default=None,
                    help="where BENCH_<commit>.json goes (default: --root)")
-    p.add_argument("--seconds", type=float, default=20.0)
     args = p.parse_args(argv)
     root = os.path.abspath(args.root)
     commit = _git(root, "rev-parse", "--short", "HEAD")
@@ -95,15 +97,15 @@ def main(argv=None):
                               "--untracked-files=no")),
            "machine": run.machine_info(),
            "command": "perfbench/run.py --workload W --seed S "
-                      f"--seconds {args.seconds:g} --trace T",
+                      f"--seconds {SECONDS} --trace T",
            "seeds": list(SEEDS), "workloads": {}}
     for workload in WORKLOADS:
         untraced = []
         for seed in SEEDS:
-            untraced.append(run_once(root, workload, seed, args.seconds, 0))
+            untraced.append(run_once(root, workload, seed, 0))
             print(f"{workload} seed {seed}: {json.dumps(untraced[-1])}",
                   file=sys.stderr)
-        traced = run_once(root, workload, 1, args.seconds, 1)
+        traced = run_once(root, workload, 1, 1)
         doc["workloads"][workload] = {"summary": summary(untraced),
                                       "untraced": untraced,
                                       "traced_seed_1": traced}
