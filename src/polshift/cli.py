@@ -19,7 +19,7 @@ from .atoms import load_atom
 from .errors import SCHEMA_VERSION, ParseError, PhysicsError
 from .material import find_polariton_modes, load_material
 from .potentials import (ENERGY_LINES, MATSUBARA_CUTOFF, T_MAX, Z_RANGE,
-                         Environment, distance_terms, total_shift,
+                         Environment, distance_terms, report_at, total_shift,
                          unit_distance, valid_distance, valid_temperature)
 from .units import CM1, HBAR, cube
 
@@ -127,85 +127,81 @@ def _error_row(z, T, exc):
     return row
 
 
-def _evaluate(cfg):
-    """Yield (z, T, result, z3) for every (z, T) pair of a validated
-    RunConfig, in input order: result is the ShiftReport or the
-    PhysicsError of total_shift, and the pair's lines are the report's
-    lines_at(z3).
-
-    The files are read, both state labels looked up and the modes found
-    once per request, before the first pair; a failure there propagates
-    instead of being yielded.  The temperature-free half of the reports,
-    distance_terms, is evaluated once per request at UNIT_Z on the
-    nonretarded route and once per z on the full route, and total_shift
-    adds each T to it.  On the nonretarded route each distinct T is
-    evaluated once, at UNIT_Z, and z3 = cube(z) moves it to every z by the
-    arithmetic of ShiftReport.at_distance; a PhysicsError there does not
-    depend on z and is yielded for every z of its T.  The full route
-    evaluates every pair at its own z, with z3 = 1.
-    """
+def _inputs(cfg):
+    """(atom, material, modes) of a RunConfig: the files read, both state
+    labels looked up and the modes found, in that order."""
     m = load_material(cfg.material)
     atom = load_atom(cfg.atom)
     atom.state(cfg.upper)
     atom.state(cfg.lower)
-    modes = find_polariton_modes(m)
-
-    def shifts(z):
-        """shift(T) at z, sharing one distance_terms across T."""
-        terms = distance_terms(atom, cfg.upper, cfg.lower, m, z,
-                               cfg.green_mode, cfg.resonance_tol,
-                               cfg.closed_form, modes)
-
-        def shift(T):
-            try:
-                return total_shift(
-                    atom, cfg.upper, cfg.lower, m, Environment(z=z, T=T),
-                    cutoff=cfg.matsubara_cutoff, green_mode=cfg.green_mode,
-                    resonance_tol=cfg.resonance_tol,
-                    use_closed_form=cfg.closed_form, per_distance=terms)
-            except PhysicsError as exc:
-                return exc
-        return shift
-
-    unit_z = unit_distance(cfg.green_mode)
-    if unit_z is None:
-        for z in cfg.z_values:
-            shift = shifts(z)
-            for T in cfg.T_values:
-                yield z, T, shift(T), 1.0
-        return
-    shift = shifts(unit_z)
-    unit = {T: shift(T) for T in dict.fromkeys(cfg.T_values)}
-    for z in cfg.z_values:
-        z3 = cube(z)
-        for T in cfg.T_values:
-            yield z, T, unit[T], z3
+    return atom, m, find_polariton_modes(m)
 
 
 def run_point(cfg):
-    """Compute a single ShiftReport from a RunConfig."""
+    """Compute a single ShiftReport from a RunConfig: the library's
+    total_shift at its one (z, T), once _inputs has succeeded."""
     cfg.validate()
     if len(cfg.z_values) != 1 or len(cfg.T_values) != 1:
         raise ValueError("point needs exactly one z and one T")
-    [(z, _, report, _)] = _evaluate(cfg)
-    if isinstance(report, PhysicsError):
-        raise report
-    if unit_distance(cfg.green_mode) is None:
-        return report
-    return report.at_distance(z)
+    atom, m, modes = _inputs(cfg)
+    return total_shift(
+        atom, cfg.upper, cfg.lower, m,
+        Environment(z=cfg.z_values[0], T=cfg.T_values[0]),
+        cutoff=cfg.matsubara_cutoff, green_mode=cfg.green_mode,
+        resonance_tol=cfg.resonance_tol, use_closed_form=cfg.closed_form,
+        modes=modes)
 
 
 def run_scan(cfg):
     """One row per (z, T) pair, in deterministic input order.
 
-    A physics failure at one point fills that row's error column instead of
-    aborting the scan; configuration-level failures, and a material without
-    modes, still propagate.
+    _inputs runs once per request, before the first row; a failure there
+    (a configuration error, or a material without modes) propagates.  The
+    temperature-free half of the reports, distance_terms, is evaluated once
+    per request at UNIT_Z on the nonretarded route and once per z on the
+    full route, and report_at adds each T to it.  On the nonretarded route
+    each distinct T is reported once, at UNIT_Z, and its row at each z is
+    the report's lines_at(cube(z)), the arithmetic of
+    ShiftReport.at_distance.  The full route reports every pair at its own
+    z.  A PhysicsError of a report fills the error column of its rows
+    instead of aborting the scan; on the nonretarded route it does not
+    depend on z and fills every z of its T.
     """
     cfg.validate()
-    return [_error_row(z, T, result) if isinstance(result, PhysicsError)
-            else _report_row(z, T, result, z3)
-            for z, T, result, z3 in _evaluate(cfg)]
+    atom, m, modes = _inputs(cfg)
+
+    def reports(z):
+        """report(T) at z, the report or its PhysicsError, sharing one
+        distance_terms across T."""
+        terms = distance_terms(atom, cfg.upper, cfg.lower, m, z,
+                               cfg.green_mode, cfg.resonance_tol,
+                               cfg.closed_form, modes)
+
+        def report(T):
+            try:
+                return report_at(terms, T, cfg.matsubara_cutoff)
+            except PhysicsError as exc:
+                return exc
+        return report
+
+    def row(z, T, result, z3=1.0):
+        if isinstance(result, PhysicsError):
+            return _error_row(z, T, result)
+        return _report_row(z, T, result, z3)
+
+    rows = []
+    unit_z = unit_distance(cfg.green_mode)
+    if unit_z is None:
+        for z in cfg.z_values:
+            report = reports(z)
+            rows.extend(row(z, T, report(T)) for T in cfg.T_values)
+        return rows
+    report = reports(unit_z)
+    unit = {T: report(T) for T in dict.fromkeys(cfg.T_values)}
+    for z in cfg.z_values:
+        z3 = cube(z)
+        rows.extend(row(z, T, unit[T], z3) for T in cfg.T_values)
+    return rows
 
 
 def modes_report(material_path):

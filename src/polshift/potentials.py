@@ -565,7 +565,10 @@ def find_resonant_pair(modes, omega_10):
 
 @dataclass(frozen=True)
 class DistanceTerms:
-    """The temperature-free half of a total_shift report at the distance z.
+    """The temperature-free half of a total_shift report at the distance z,
+    with the atom, upper level and material m that report_at reads to add
+    a temperature, so that a report only ever combines these terms with
+    the arguments they were evaluated for.
 
     photon holds the photon line's (omega_kn, omega_kn^2, d.Re G.d) of the
     upper level's transitions, in transition order; pair is the resonant
@@ -574,23 +577,18 @@ class DistanceTerms:
     every report entry but z and T.  photon and u_eff each hold instead the
     PhysicsError their evaluation raised, which the report at every T
     raises after the Matsubara line's own errors: photon's first, then
-    u_eff's (find_polariton_modes' included).  args holds the other
-    arguments they were evaluated for, in the order of _TERMS_ARGS.
+    u_eff's (find_polariton_modes' included).
     """
 
+    atom: object
+    upper: str
+    m: object
     z: float
     green_mode: str
     photon: object
     pair: object
     u_eff: object
     meta: dict
-    args: tuple
-
-
-# the distance_terms arguments that a DistanceTerms must match, besides z
-# and green_mode, for total_shift to use it
-_TERMS_ARGS = ("atom", "upper", "lower", "m", "resonance_tol",
-              "use_closed_form")
 
 
 def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
@@ -635,16 +633,20 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
         pair = None
     except PhysicsError as exc:
         u = exc
-    return DistanceTerms(z, green_mode, photon, pair, u, meta,
-                         (atom, upper, lower, m, resonance_tol,
-                          use_closed_form))
+    return DistanceTerms(atom, upper, m, z, green_mode, photon, pair, u, meta)
 
 
-def _thermal_report(terms, atom, upper, m, T, cutoff):
+def report_at(terms, T, cutoff=MATSUBARA_CUTOFF):
     """The ShiftReport at (terms.z, T): the Matsubara line, the photon line
-    summed from terms, and the thermal factor that weights terms.u_eff."""
-    mats, photon = _nonresonant_lines(atom, upper, m, terms.z, T, cutoff,
-                                      terms.green_mode, terms.photon)
+    summed from terms, and the thermal factor that weights terms.u_eff.
+
+    This is the one place a temperature enters a report.  The Matsubara
+    line's errors come first, then the photon line's and then the resonant
+    line's that terms holds.
+    """
+    mats, photon = _nonresonant_lines(terms.atom, terms.upper, terms.m,
+                                      terms.z, T, cutoff, terms.green_mode,
+                                      terms.photon)
     if isinstance(terms.u_eff, PhysicsError):
         raise terms.u_eff.with_traceback(None)
     u = tf = 0.0
@@ -659,7 +661,7 @@ def _thermal_report(terms, atom, upper, m, T, cutoff):
 
 def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,
                 green_mode="nonretarded", resonance_tol=1.0,
-                use_closed_form=False, modes=None, *, per_distance=None):
+                use_closed_form=False, modes=None):
     """Compose the nonresonant and resonant parts into a ShiftReport.
 
     The nonresonant part is the shift of the ``upper`` level.  The resonant
@@ -671,41 +673,24 @@ def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,
     instead of the Green-tensor channel sum; both pass the same resonance
     gate.
 
-    On the nonretarded route the report is evaluated at UNIT_Z and moved to
-    env.z by ShiftReport.at_distance, so every z of a temperature runs the
-    same arithmetic on the same unit-distance report.  The full route
-    evaluates at env.z.  per_distance, the distance_terms of the same
-    arguments at that distance, saves evaluating them again for each T;
-    modes is then unused.  Terms of another distance, route or argument
-    raise ValueError.
+    The report is report_at(distance_terms(...), env.T, cutoff).  On the
+    nonretarded route it is evaluated at UNIT_Z and moved to env.z by
+    ShiftReport.at_distance, so every z of a temperature runs the same
+    arithmetic on the same unit-distance report.  The full route evaluates
+    at env.z.
     """
+    def evaluate(z):
+        terms = distance_terms(atom, upper, lower, m, z, green_mode,
+                               resonance_tol, use_closed_form, modes)
+        return report_at(terms, env.T, cutoff)
+
     unit_z = unit_distance(green_mode)
-    z = env.z if unit_z is None else unit_z
-    if per_distance is not None:
-        args = (atom, upper, lower, m, resonance_tol, use_closed_form)
-        if (per_distance.z, per_distance.green_mode) != (z, green_mode):
-            raise ValueError(
-                f"per_distance holds the {per_distance.green_mode} terms at "
-                f"z={per_distance.z:g} m, not the {green_mode} terms at "
-                f"z={z:g} m")
-        if per_distance.args != args:
-            other = [name for name, held, asked in
-                     zip(_TERMS_ARGS, per_distance.args, args) if held != asked]
-            raise ValueError("per_distance holds the terms of another "
-                             + ", ".join(other))
-
-    def evaluate(z, terms=None):
-        if terms is None:
-            terms = distance_terms(atom, upper, lower, m, z, green_mode,
-                                   resonance_tol, use_closed_form, modes)
-        return _thermal_report(terms, atom, upper, m, env.T, cutoff)
-
     if unit_z is None:
-        return evaluate(z, per_distance)
+        return evaluate(env.z)
     try:
-        report = evaluate(z, per_distance)
+        report = evaluate(unit_z)
     except NoModeFound:
-        if env.z == z:
+        if env.z == unit_z:
             raise
         # of the errors, only u_eff's Tr Im G check names z, and on this
         # route it fails at every z alike: taken at env.z, its message

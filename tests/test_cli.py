@@ -428,27 +428,27 @@ def test_scan_rows_equal_point_and_library_bit_for_bit(closed_form):
                 assert row[f"{line}_s^-1"] == getattr(rep, line) / HBAR
 
 
-def _counting_total_shift(monkeypatch, compute):
-    """Replace cli.total_shift by a wrapper that records each (z, T) it is
+def _counting_report_at(monkeypatch, compute):
+    """Replace cli.report_at by a wrapper that records each (z, T) it is
     called at; when compute is false it raises ConvergenceFailure instead
     of evaluating."""
     import polshift as ps
     calls = []
-    real = cli.total_shift
+    real = cli.report_at
 
-    def counted(atom, upper, lower, m, env, **kw):
-        calls.append((env.z, env.T))
+    def counted(terms, T, *args):
+        calls.append((terms.z, T))
         if not compute:
             raise ps.ConvergenceFailure("not evaluated")
-        return real(atom, upper, lower, m, env, **kw)
+        return real(terms, T, *args)
 
-    monkeypatch.setattr(cli, "total_shift", counted)
+    monkeypatch.setattr(cli, "report_at", counted)
     return calls
 
 
 def test_nonretarded_scan_evaluates_each_distinct_T_once(monkeypatch):
     from polshift.potentials import UNIT_Z
-    calls = _counting_total_shift(monkeypatch, compute=True)
+    calls = _counting_report_at(monkeypatch, compute=True)
     rows = cli.run_scan(_scan_config((1e-7, 1e-6, 1e-5),
                                      (500.0, 350.0, 500.0)))
     assert calls == [(UNIT_Z, 500.0), (UNIT_Z, 350.0)]
@@ -459,7 +459,7 @@ def test_nonretarded_scan_evaluates_each_distinct_T_once(monkeypatch):
 
 
 def test_full_route_scan_evaluates_every_pair(monkeypatch):
-    calls = _counting_total_shift(monkeypatch, compute=False)
+    calls = _counting_report_at(monkeypatch, compute=False)
     rows = cli.run_scan(_scan_config((1e-7, 1e-6), (500.0, 350.0, 500.0),
                                      green_mode="full"))
     assert calls == [(z, T) for z in (1e-7, 1e-6)

@@ -1211,52 +1211,20 @@ def test_at_distance_needs_a_nonretarded_unit_report(rb_atom,
 @pytest.mark.parametrize("closed", [False, True])
 def test_total_shift_with_distance_terms_is_total_shift(
         rb_atom, material_broad, broad_modes, green_mode, z, closed):
-    """The T-free half evaluated once and handed to total_shift gives the
-    report total_shift evaluates itself, at every T."""
+    """The T-free half evaluated once and reported at each T by report_at
+    (moved by at_distance on the nonretarded route) gives the report
+    total_shift evaluates itself, at every T."""
     kw = {"green_mode": green_mode, "use_closed_form": closed}
     terms = potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
                                       material_broad, z, modes=broad_modes,
                                       **kw)
     for T in (350.0, 500.0):
-        env = ps.Environment(z=Z, T=T)
-        assert ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad,
-                              env, per_distance=terms, **kw) == \
-            ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, env,
-                           **kw)
-
-
-def test_total_shift_rejects_distance_terms_of_another_distance(
-        rb_atom, material_broad, broad_modes):
-    terms = potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
-                                      material_broad, Z, modes=broad_modes)
-    with pytest.raises(ValueError, match="per_distance"):
-        ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, ENV,
-                       per_distance=terms)
-    with pytest.raises(ValueError, match="per_distance"):
-        ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, ENV,
-                       green_mode="full", per_distance=terms)
-
-
-def test_total_shift_rejects_distance_terms_of_other_arguments(
-        rb_atom, toy_atom, material_broad, material_narrow, broad_modes):
-    """Terms at the right distance but of another atom, state, material,
-    resonance window or amplitude formula raise ValueError naming that
-    argument, before any line is evaluated."""
-    unit = potentials.UNIT_Z
-    terms = potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
-                                      material_broad, unit, modes=broad_modes)
-    asked = dict(atom=rb_atom, upper="27S1/2", lower="26S1/2",
-                 m=material_broad, resonance_tol=1.0, use_closed_form=False)
-    for name, value in [("atom", toy_atom), ("upper", "26P1/2"),
-                        ("lower", "25P1/2"), ("m", material_narrow),
-                        ("resonance_tol", 0.5), ("use_closed_form", True)]:
-        kw = {**asked, name: value}
-        with pytest.raises(ValueError,
-                           match=f"per_distance holds the terms of another "
-                                 f"{name}$"):
-            ps.total_shift(kw.pop("atom"), kw.pop("upper"), kw.pop("lower"),
-                           kw.pop("m"), ENV, per_distance=terms, **kw)
-    ps.total_shift(**asked, env=ENV, per_distance=terms)
+        rep = potentials.report_at(terms, T)
+        if green_mode == "nonretarded":
+            rep = rep.at_distance(Z)
+        assert rep == ps.total_shift(rb_atom, "27S1/2", "26S1/2",
+                                     material_broad, ps.Environment(z=Z, T=T),
+                                     **kw)
 
 
 def test_total_shift_raises_matsubara_then_photon_then_resonant_errors(
@@ -1265,7 +1233,7 @@ def test_total_shift_raises_matsubara_then_photon_then_resonant_errors(
     errors, and every T raises the first of: a Matsubara error
     (ConvergenceFailure at cutoff 3), the photon line's (a PoleHit from G
     at a transition frequency), the resonant line's (OffResonance with a
-    zero window)."""
+    zero window); report_at of the terms and total_shift alike."""
     real = potentials.green_nonretarded
     photon_omegas = {abs(w) for _, w, _ in
                      ps.transitions_from(rb_atom, "27S1/2")}
@@ -1279,12 +1247,13 @@ def test_total_shift_raises_matsubara_then_photon_then_resonant_errors(
         terms = potentials.distance_terms(
             rb_atom, "27S1/2", "26S1/2", material_broad, potentials.UNIT_Z,
             resonance_tol=0.0, modes=broad_modes)
-        for per_distance in (None, terms):
-            with pytest.raises(ps.PhysicsError) as err:
-                ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad,
-                               ENV, cutoff=cutoff, resonance_tol=0.0,
-                               modes=broad_modes, per_distance=per_distance)
-            yield type(err.value)
+        with pytest.raises(ps.PhysicsError) as err:
+            potentials.report_at(terms, ENV.T, cutoff).at_distance(ENV.z)
+        yield type(err.value)
+        with pytest.raises(ps.PhysicsError) as err:
+            ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, ENV,
+                           cutoff=cutoff, resonance_tol=0.0, modes=broad_modes)
+        yield type(err.value)
 
     assert set(raised(3)) == {ps.ConvergenceFailure}
     assert set(raised(20000)) == {ps.OffResonance}

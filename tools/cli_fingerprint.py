@@ -4,8 +4,9 @@
 Each run calls ``polshift.cli.main`` in-process, writes its output into a
 temporary directory, and prints one line: the run's name, its exit code,
 the sha256 of the output file (empty when none was written) and the sha256
-of what it wrote to stderr.  Two runs read materials that the tool writes
-into the same directory: a lossless pair and four oscillators.  Two
+of what it wrote to stderr.  Three runs read materials that the tool writes
+into the same directory: a lossless pair (a point and a scan) and four
+oscillators.  Two
 checkouts whose listings are identical produce byte-identical CLI output on
 these runs, so diffing the listings of a parent and a change checks that a
 refactor left the output unchanged.
@@ -70,6 +71,10 @@ RUNS = (
      _shift("point", "--z", "1e-6", "--T", "500", material="material_toy"),
      {}),
     ("point 0.1 K", _shift("point", "--z", "1e-6", "--T", "0.1"), {}),
+    # the resonant line's OffResonance, held by the T-free half, exits 3
+    ("point --resonance-tol 0",
+     _shift("point", "--z", "1e-6", "--T", "500", "--resonance-tol", "0"),
+     {}),
     # long Matsubara sums, whose last block ends near the stopping j: about
     # 16000 and 18000 terms (27S and 26S) at 0.35 K, 11000 to 12600 at
     # 0.5 K and 520 to 620 at 8 K
@@ -152,13 +157,20 @@ def _write(workdir, name, doc):
 
 
 def runs(workdir):
-    """RUNS, then a scan on LOSSLESS (exit 3) and the modes of QUARTET, both
-    written into workdir."""
-    argv = _shift("scan", "--z", "1e-6", "--T", "500")
-    argv[argv.index("--material") + 1] = _write(workdir, "lossless",
-                                                LOSSLESS)
+    """RUNS, then a point and a scan on LOSSLESS (both exit 3 with
+    NoModeFound before any pair is evaluated) and the modes of QUARTET,
+    the materials written into workdir."""
+    lossless = _write(workdir, "lossless", LOSSLESS)
+
+    def on_lossless(argv):
+        argv[argv.index("--material") + 1] = lossless
+        return argv
+
     return RUNS + (
-        ("scan lossless material", argv, {}),
+        ("point lossless material",
+         on_lossless(_shift("point", "--z", "1e-6", "--T", "500")), {}),
+        ("scan lossless material",
+         on_lossless(_shift("scan", "--z", "1e-6", "--T", "500")), {}),
         ("modes four oscillators",
          ["modes", "--material", _write(workdir, "quartet", QUARTET)], {}),
     )
