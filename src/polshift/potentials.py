@@ -46,6 +46,12 @@ def valid_distance(z):
     return Z_RANGE[0] <= z <= Z_RANGE[1]
 
 
+def _check_distance(z):
+    """Raise ValueError unless valid_distance(z)."""
+    if not valid_distance(z):
+        raise ValueError(f"z must lie in [{Z_RANGE[0]:g}, {Z_RANGE[1]:g}] m")
+
+
 #: the distance (m) at which the nonretarded route evaluates a report: every
 #: line of it is exactly proportional to z^-3, so ShiftReport.at_distance
 #: moves the one report at UNIT_Z to any z
@@ -73,9 +79,7 @@ class Environment:
     T: float
 
     def __post_init__(self):
-        if not valid_distance(self.z):
-            raise ValueError(
-                f"z must lie in [{Z_RANGE[0]:g}, {Z_RANGE[1]:g}] m")
+        _check_distance(self.z)
         if not valid_temperature(self.T):
             raise ValueError(f"T must lie in [0, {T_MAX:g}] K")
 
@@ -125,11 +129,13 @@ class ShiftReport:
     def at_distance(self, z):
         """This report, evaluated at UNIT_Z on the nonretarded route, moved
         to the distance z: the lines_at cube(z), with the same thermal
-        factor, which does not depend on z, and meta["z"] set to z.
+        factor, which does not depend on z, and meta["z"] set to z.  A z
+        outside Z_RANGE raises the ValueError of Environment.
         """
         if self.meta.get("z") != unit_distance(self.meta.get("green_mode")):
             raise ValueError("only a nonretarded report evaluated at UNIT_Z "
                              "can be moved to another distance")
+        _check_distance(z)
         mats, photon, u, r, total = self.lines_at(cube(z))
         return ShiftReport(
             nr_matsubara=mats, nr_resonant_photon=photon, u_eff=u,
@@ -356,11 +362,14 @@ def nonresonant_shift_parts(atom, n, m, env, cutoff=MATSUBARA_CUTOFF,
     green_mode; the photon line reads Re G alone, so the full route
     integrates only the real part there.  The primed sum runs to at most
     j = cutoff (>= 1) and raises ConvergenceFailure when its tail has not
-    dropped below MATSUBARA_TOL.
+    dropped below MATSUBARA_TOL.  The two lines are those of report_at on
+    the photon line's terms with no mode pair.
     """
-    photon = _photon_terms(atom, n, m, env.z, green_mode)
-    return _nonresonant_lines(atom, n, m, env.z, env.T, cutoff, green_mode,
-                              photon)
+    terms = DistanceTerms(atom, n, m, env.z, green_mode,
+                          _photon_terms(atom, n, m, env.z, green_mode),
+                          None, 0.0, {})
+    rep = report_at(terms, env.T, cutoff)
+    return rep.nr_matsubara, rep.nr_resonant_photon
 
 
 def _photon_terms(atom, n, m, z, green_mode):
@@ -379,32 +388,6 @@ def _photon_terms(atom, n, m, z, green_mode):
         terms.append((w_kn, w_kn * w_kn,
                       _contract(dip, dip, g.xx.real, g.zz.real)))
     return tuple(terms)
-
-
-def _nonresonant_lines(atom, n, m, z, T, cutoff, green_mode, photon):
-    """(matsubara, resonant_photon) of level n at (z, T), the photon line
-    summed from _photon_terms' photon.  The Matsubara line's errors come
-    first, then the one photon holds."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    if T == 0:
-        raise ZeroTemperature("nonresonant shift is defined here for T > 0")
-    _, xi2_trace, block, _ = _green_route(green_mode)
-    if not photon:
-        return 0.0, 0.0
-    xi1 = matsubara_xi(T, 1)
-
-    def term(j):
-        xi = j * xi1
-        return polarizability_iso(atom, n, xi) * xi2_trace(m, z, xi)
-
-    mats = MU0 * KB * T * _matsubara_sum(term, cutoff, block)
-    if isinstance(photon, PhysicsError):
-        raise photon.with_traceback(None)
-    total = 0.0
-    for w_kn, w2, c in photon:
-        total += w2 * thermal_occupation(w_kn, T) * c
-    return mats, MU0 * total
 
 
 def _lorentz_weight(x, gamma1):
@@ -572,7 +555,8 @@ class DistanceTerms:
 
     photon holds the photon line's (omega_kn, omega_kn^2, d.Re G.d) of the
     upper level's transitions, in transition order; pair is the resonant
-    mode pair, None when the resonant line is skipped (meta says why);
+    mode pair, None when the resonant line is skipped (meta says why, but
+    for nonresonant_shift_parts' terms, whose meta is empty);
     u_eff is the pair's amplitude (J), or 0.0 when skipped; meta holds
     every report entry but z and T.  photon and u_eff each hold instead the
     PhysicsError their evaluation raised, which the report at every T
@@ -640,13 +624,30 @@ def report_at(terms, T, cutoff=MATSUBARA_CUTOFF):
     """The ShiftReport at (terms.z, T): the Matsubara line, the photon line
     summed from terms, and the thermal factor that weights terms.u_eff.
 
-    This is the one place a temperature enters a report.  The Matsubara
-    line's errors come first, then the photon line's and then the resonant
-    line's that terms holds.
+    This is the one place a temperature enters a report, and the one body
+    of the two nonresonant lines.  The Matsubara line's errors come first,
+    then the photon line's and then the resonant line's that terms holds.
     """
-    mats, photon = _nonresonant_lines(terms.atom, terms.upper, terms.m,
-                                      terms.z, T, cutoff, terms.green_mode,
-                                      terms.photon)
+    if cutoff < 1:
+        raise ValueError("cutoff must be >= 1")
+    if T == 0:
+        raise ZeroTemperature("nonresonant shift is defined here for T > 0")
+    _, xi2_trace, block, _ = _green_route(terms.green_mode)
+    mats = photon = 0.0
+    if terms.photon:
+        xi1 = matsubara_xi(T, 1)
+
+        def term(j):
+            xi = j * xi1
+            return polarizability_iso(terms.atom, terms.upper, xi) \
+                * xi2_trace(terms.m, terms.z, xi)
+
+        mats = MU0 * KB * T * _matsubara_sum(term, cutoff, block)
+        if isinstance(terms.photon, PhysicsError):
+            raise terms.photon.with_traceback(None)
+        for w_kn, w2, c in terms.photon:
+            photon += w2 * thermal_occupation(w_kn, T) * c
+        photon *= MU0
     if isinstance(terms.u_eff, PhysicsError):
         raise terms.u_eff.with_traceback(None)
     u = tf = 0.0
@@ -679,21 +680,14 @@ def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,
     arithmetic on the same unit-distance report.  The full route evaluates
     at env.z.
     """
-    def evaluate(z):
-        terms = distance_terms(atom, upper, lower, m, z, green_mode,
+    terms = distance_terms(atom, upper, lower, m,
+                           unit_distance(green_mode) or env.z, green_mode,
+                           resonance_tol, use_closed_form, modes)
+    if isinstance(terms.u_eff, NoModeFound) and terms.z != env.z:
+        # only u_eff's Tr Im G check names z, and on this route it fails at
+        # every z alike: taken at env.z, its message names the distance
+        # asked for
+        terms = distance_terms(atom, upper, lower, m, env.z, green_mode,
                                resonance_tol, use_closed_form, modes)
-        return report_at(terms, env.T, cutoff)
-
-    unit_z = unit_distance(green_mode)
-    if unit_z is None:
-        return evaluate(env.z)
-    try:
-        report = evaluate(unit_z)
-    except NoModeFound:
-        if env.z == unit_z:
-            raise
-        # of the errors, only u_eff's Tr Im G check names z, and on this
-        # route it fails at every z alike: taken at env.z, its message
-        # names the distance asked for
-        return evaluate(env.z)
-    return report.at_distance(env.z)
+    report = report_at(terms, env.T, cutoff)
+    return report if terms.z == env.z else report.at_distance(env.z)

@@ -8,6 +8,7 @@ round-trip and line-shape tests.
 
 import math
 
+import mpmath
 import numpy as np
 
 import polshift as ps
@@ -79,6 +80,97 @@ def nonresonant_parts_per_transition(atom, n, m, env):
         photon += ps.thermal_occupation(w_kn, T) * d * d * rp.real
     photon *= MU0 * C**2 / (24.0 * math.pi * z**3)
     return mats, photon
+
+
+def _polymul(a, b):
+    """Product of two polynomials given as coefficients, highest first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _polyadd(a, b):
+    """Sum of two polynomials given as coefficients, highest first."""
+    n = max(len(a), len(b))
+    a, b = [0] * (n - len(a)) + list(a), [0] * (n - len(b)) + list(b)
+    return [x + y for x, y in zip(a, b)]
+
+
+def matsubara_line_closed_form(atom, n, m, dps=40):
+    """The nonretarded Matsubara line of level n, summed exactly: returns
+    line(z, T), the nr_matsubara (J) at (z, T).
+
+    In units of W, the largest omega_T, with x = xi/W, the summand
+    alpha(i xi) xi^2 Tr G(i xi) is -(2/(3 hbar)) (c^2/(8 pi z^3)) / W^2
+    times the rational function
+
+        h(x) = sum_k c_k A(x) / ((x^2 + w_k^2) E(x)),
+
+    c_k = omega_kn |d_nk|^2, w_k = |omega_kn|/W, and r_p(i xi) = A/E with
+    A = sum_o P_o prod_{o' != o} Q_o', E = 2 prod_o Q_o + A and
+    Q_o = x^2 + g_o x + T_o (P, T and g the oscillator's omega_P^2,
+    omega_T^2 and gamma in units of W).  h falls as x^-4, so its partial
+    fractions sum_p R_p/(x - p) have sum_p R_p = sum_p R_p p = 0, and with
+    x_1 = xi_1/W the primed sum is exact:
+
+        sum'_j h(j x_1) = -(1/x_1) sum_p R_p psi(-p/x_1) - h(0)/2.
+
+    The poles are the roots of E (mpmath.polyroots at dps digits) and
+    +-i w_k; each residue is N(p)/D'(p) of its transition's term N/D, with
+    N = c_k A and D = (x^2 + w_k^2) E.  The poles and residues do not
+    depend on T, so they are built once here.  ArithmeticError when
+    sum_p R_p or sum_p R_p p does not vanish to working precision.
+    """
+    trans = ps.transitions_from(atom, n)
+    with mpmath.workdps(dps):
+        w = max(mpmath.mpf(o.omega_T) for o in m.oscillators)
+        quads = [[1, mpmath.mpf(o.gamma_damp) / w, (o.omega_T / w) ** 2]
+                 for o in m.oscillators]
+        prod = [1]
+        for q in quads:
+            prod = _polymul(prod, q)
+        a = [0]
+        for i, o in enumerate(m.oscillators):
+            others = [1]
+            for q in quads[:i] + quads[i + 1:]:
+                others = _polymul(others, q)
+            a = _polyadd(a, [(o.omega_P / w) ** 2 * c for c in others])
+        e = _polyadd([2 * c for c in prod], a)
+        roots = mpmath.polyroots(e, maxsteps=200, extraprec=2 * dps)
+        poles, residues, h0 = [], [], 0
+        for _, w_kn, d in trans:
+            c = mpmath.mpf(w_kn) * mpmath.mpf(d) ** 2
+            wk = abs(mpmath.mpf(w_kn)) / w
+            num = [c * x for x in a]
+            den = _polymul([1, 0, wk * wk], e)
+            for p in list(roots) + [1j * wk, -1j * wk]:
+                poles.append(p)
+                residues.append(mpmath.polyval(num, p)
+                                / mpmath.polyval(den, p, derivative=True)[1])
+            h0 += mpmath.polyval(num, 0) / mpmath.polyval(den, 0)
+        scale = mpmath.mpf(10) ** (10 - dps)
+        for k in (0, 1):
+            moment = mpmath.fsum(r * p ** k for r, p in zip(residues, poles))
+            size = mpmath.fsum(abs(r * p ** k)
+                               for r, p in zip(residues, poles))
+            if abs(moment) > scale * size:
+                raise ArithmeticError(
+                    f"sum_p R_p p^{k} = {mpmath.nstr(moment, 5)} does not "
+                    "vanish")
+
+    def line(z, T):
+        with mpmath.workdps(dps):
+            x1 = 2 * mpmath.pi * mpmath.mpf(KB) * T / mpmath.mpf(HBAR) / w
+            total = -mpmath.fsum(r * mpmath.digamma(-p / x1)
+                                 for r, p in zip(residues, poles)) / x1 \
+                - h0 / 2
+            pref = -(mpmath.mpf(MU0) * KB * T * 2 / (3 * mpmath.mpf(HBAR))
+                     * mpmath.mpf(C) ** 2 / (8 * mpmath.pi * mpmath.mpf(z) ** 3)
+                     / w ** 2)
+            return float(mpmath.re(pref * total))
+    return line
 
 
 def u_eff_nonretarded_form(atom, upper, lower, mode1, mode2, m, z):

@@ -14,8 +14,8 @@ from scipy.constants import k as KB_SI
 from scipy.integrate import quad
 
 import polshift as ps
-from oracles import (MATSUBARA_TOL, matsubara_sum_reference,
-                     nonresonant_one_polariton,
+from oracles import (MATSUBARA_TOL, matsubara_line_closed_form,
+                     matsubara_sum_reference, nonresonant_one_polariton,
                      nonresonant_parts_per_transition, u_eff_nonretarded_form)
 from polshift import potentials
 from polshift.units import C, CM1, HBAR, KB, MU0
@@ -260,6 +260,55 @@ def test_matsubara_engine_matches_oracle_toy(toy_atom, material_toy, n, T):
             potentials._matsubara_sum(term, 20000)
     else:
         _assert_engine_matches_oracle(term)
+
+
+@pytest.fixture(scope="module")
+def rb_matsubara_closed_forms(rb_atom, material_broad, material_narrow):
+    """The exact Matsubara line of Rb 27S1/2 on each two-oscillator fixture,
+    its poles and residues built once per material."""
+    return {name: matsubara_line_closed_form(rb_atom, "27S1/2", m)
+            for name, m in (("material_broad", material_broad),
+                            ("material_narrow", material_narrow))}
+
+
+@pytest.mark.parametrize("T", [0.35, 3.0, 30.0, 300.0])
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow"])
+def test_matsubara_line_matches_closed_form(request, rb_atom,
+                                            rb_matsubara_closed_forms,
+                                            material, T):
+    """nr_matsubara against the partial-fraction sum, to within the stop
+    rule's tail bound and the engine's rounding.
+
+    * The sum stops at the first j with |t_j| j <= MATSUBARA_TOL
+      max_i |S_i|; with the terms falling at least as j^-p past it, p >= 2
+      (_matsubara_sum's docstring), the tail is at most MATSUBARA_TOL
+      max_i |S_i| / (p - 1), taken here at p = 2.
+    * Rounding: a term rounds at most 64 times (ten transitions, two
+      oscillators and the prefactors), relative to the term with every
+      transition's share of alpha taken in absolute value, and the sum
+      rounds once per term; so (stop + 64) u sum_j |t_j|_abs.  The oracle
+      works at 40 digits and rounds once, to a float.
+    """
+    m = request.getfixturevalue(material)
+    env = ps.Environment(z=Z, T=T)
+    want = rb_matsubara_closed_forms[material](Z, T)
+    got = ps.nonresonant_shift_parts(rb_atom, "27S1/2", m, env)[0]
+
+    term = _mats_term(rb_atom, "27S1/2", m, env)
+    _, stop = _oracle_and_stop(term, potentials.MATSUBARA_CUTOFF)
+    j = np.arange(stop + 1)
+    t = term(j)
+    t[0] *= 0.5
+    xi = j * ps.matsubara_xi(T, 1)
+    alpha_abs = 2.0 / (3.0 * HBAR) * sum(
+        abs(w) * d * d / (w * w + xi * xi)
+        for _, w, d in ps.transitions_from(rb_atom, "27S1/2"))
+    t_abs = np.abs(t) * alpha_abs / np.abs(
+        ps.polarizability_iso(rb_atom, "27S1/2", xi))
+    tail = potentials.MATSUBARA_TOL * np.max(np.abs(np.cumsum(t)))
+    rounding = (stop + 64) * _U * np.sum(t_abs)
+    assert abs(got - want) <= MU0 * KB * T * (tail + rounding) \
+        + _U * abs(want)
 
 
 def test_matsubara_engine_matches_oracle_full_green(toy_atom, material_toy):
@@ -1281,6 +1330,48 @@ def test_total_shift_trace_error_names_the_requested_distance(
     msg = str(err.value)
     assert "green_mode='nonretarded', z=3e-07 m" in msg
     assert "z=1 m" not in msg
+
+
+def test_total_shift_sums_matsubara_once_on_the_no_mode_path(rb_atom,
+                                                              monkeypatch):
+    """With no modes= the undamped pair raises NoModeFound from the mode
+    finder; total_shift still runs the Matsubara sum once, as one
+    nonresonant_shift_parts call at the same point does."""
+    undamped = ps.material_from_dict({
+        "name": "undamped pair",
+        "oscillators": [
+            {"omega_P": 53.4, "omega_T": 65.0, "gamma": 0.0,
+             "unit": "cm^-1"},
+            {"omega_P": 33.3, "omega_T": 85.0, "gamma": 0.0,
+             "unit": "cm^-1"},
+        ]})
+    env = ps.Environment(z=1e-6, T=0.35)
+    calls = []
+    real = potentials.reflection_imag_axis
+
+    def counted(m, xi):
+        calls.append(xi)
+        return real(m, xi)
+
+    monkeypatch.setattr(potentials, "reflection_imag_axis", counted)
+    ps.nonresonant_shift_parts(rb_atom, "27S1/2", undamped, env)
+    once = len(calls)
+    calls.clear()
+    with pytest.raises(ps.NoModeFound):
+        ps.total_shift(rb_atom, "27S1/2", "26S1/2", undamped, env)
+    assert once > 4 and len(calls) == once
+
+
+@pytest.mark.parametrize("z", [-1e-6, math.nan, 0.0, 1e-200, 1e200])
+def test_at_distance_rejects_distances_outside_z_range(rb_atom,
+                                                       material_broad,
+                                                       broad_modes, z):
+    unit = potentials.report_at(
+        potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
+                                  material_broad, potentials.UNIT_Z,
+                                  modes=broad_modes), 500.0)
+    with pytest.raises(ValueError, match=r"z must lie in \[1e-15, 1e\+15\] m"):
+        unit.at_distance(z)
 
 
 def test_report_unit_consistency(rb_atom, material_broad):
