@@ -49,12 +49,6 @@ class Oscillator:
             raise ValueError(f"omega_P, omega_T and a nonzero gamma must lie "
                              f"in [{lo:g}, {hi:g}] rad/s")
 
-    @property
-    def omega_surface(self):
-        """Surface-mode frequency sqrt(omega_T^2 + omega_P^2/2) of this term
-        alone in the undamped limit (root of eps = -1)."""
-        return math.sqrt(self.omega_T**2 + 0.5 * self.omega_P**2)
-
 
 @dataclass(frozen=True)
 class MaterialModel:
@@ -235,75 +229,38 @@ def fresnel(eps, omega, k_rho):
 
 # --- surface-mode extraction ----------------------------------------------------
 
-def _brentq(f, xa, xb, xtol, rtol, maxiter=100):
-    """Root of f between xa and xb by Brent's method.
+def _polish(f, x, a, b, xtol, maxiter=100):
+    """Root of f between a and b by Newton steps kept inside the bracket.
 
-    A step-for-step transcription of scipy's optimize/Zeros/brentq.c, the
-    routine behind scipy.optimize.brentq, so that the mode finder gets the
-    same roots without importing scipy.  As there, a NaN value or ends of
-    the same sign raise ValueError, and no convergence within maxiter
-    iterations raises RuntimeError.  ROADMAP item 6's rational finder
-    deletes it.
+    f(x) returns (value, slope), with f(a) < 0 <= f(b) and a on either side
+    of b; x is a start between them.  Each value narrows the bracket, and a
+    step that would leave it bisects it instead.  Once a step x - f/f' is
+    shorter than xtol, the stepped point, clipped to the bracket, is the
+    root: this test comes before the bracket test, because below one ulp
+    the stepped point equals a bracket end.  Once a bisected bracket is
+    shorter than xtol, its midpoint is the root.  A NaN value raises
+    ValueError, and maxiter values without convergence raise RuntimeError.
     """
-    def call(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; "
-                             "solver cannot continue")
-        return fx
-
-    def signbit(v):
-        return math.copysign(1.0, v) < 0
-
-    xpre, xcur = float(xa), float(xb)
-    xtol, rtol = float(xtol), float(rtol)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = call(xpre), call(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if signbit(fpre) == signbit(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and signbit(fpre) != signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:  # C gets inf or NaN, and bisects
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
+        fx, slope = map(float, f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x!r} is NaN")
+        if fx == 0:
+            return float(x)
+        if fx < 0:
+            a = x
         else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = call(xcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
-                       f"value is {xcur!r}")
+            b = x
+        lo, hi = min(a, b), max(a, b)
+        step = fx / slope if slope else math.inf
+        if abs(step) < xtol:
+            return float(min(max(x - step, lo), hi))
+        x = x - step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if hi - lo < xtol:
+                return float(x)
+    raise RuntimeError(f"no convergence after {maxiter} steps, at x={x!r}")
 
 
 def _bounded_minimum(f, lo, hi, xatol, maxfun=500):
@@ -408,10 +365,11 @@ def _ascending_eps_roots(m):
     omega_T), whose positive real roots are all the crossings, wherever they
     lie.  For an undamped oscillator |D_j|^2 = (T_j - s)^2 would add its pole
     s = T_j as a root, so it contributes the factor T_j - s once instead, and
-    its omega_T is kept apart as a pole.  Each root is polished by brentq on
-    Re eps + 1 over its cell, which reaches halfway to the neighbouring roots
-    and poles, so it holds one crossing and no pole; the root is ascending
-    when Re eps + 1 rises across the cell.
+    its omega_T is kept apart as a pole.  Each root is polished by Newton
+    steps on Re eps + 1, with slope Re eps', inside its cell, which reaches
+    halfway to the neighbouring roots and poles, so it holds one crossing
+    and no pole; the root is ascending when Re eps + 1 rises across the
+    cell.
     """
     unit = max(o.omega_T for o in m.oscillators)
     factors, numerators = [], []  # coefficients, highest power first
@@ -447,12 +405,10 @@ def _ascending_eps_roots(m):
     # apart; it is then not evaluated, and its cells are dropped
     edges[np.isin(edges, poles)] = np.nan
     f = _re_eps_plus_one(m, edges)
-    out = []
-    for i in np.flatnonzero(is_root & (f[:-1] < 0) & (f[1:] >= 0)):
-        out.append(_brentq(lambda w: _re_eps_plus_one(m, w),
-                           edges[i], edges[i + 1],
-                           xtol=1e-13 * fences[i], rtol=8.9e-16))
-    return out
+    return [_polish(lambda w: (_re_eps_plus_one(m, w),
+                               _permittivity_derivative(m, w).real),
+                    fences[i], edges[i], edges[i + 1], xtol=1e-13 * fences[i])
+            for i in np.flatnonzero(is_root & (f[:-1] < 0) & (f[1:] >= 0))]
 
 
 def _width_estimate(m, omega0):
@@ -464,17 +420,30 @@ def _width_estimate(m, omega0):
     return 2.0 * im_eps / deps
 
 
-def _bracket_half_max(m, center, half, step, direction, limit):
-    """March from the peak until Im r_p drops below half; return bracket."""
-    prev = center
-    width = step
+def _half_max_point(m, center, peak, step, direction):
+    """The omega on one side (direction -1 or +1) of the peak where Im r_p
+    falls to half of peak, or None when the march reaches omega <= 0 or
+    takes 80 steps.  The march goes out from the centre in steps that
+    double from step until Im r_p drops below half; the polish starts from
+    the secant point of its last step, with slope
+    d Im r_p/d omega = Im[eps' (1 - r_p)^2 / 2]."""
+    half = 0.5 * peak
+
+    def f(w):
+        r = reflection_nonretarded(m, w)
+        return r.imag - half, 0.5 * (
+            (1.0 - r) * (1.0 - r) * _permittivity_derivative(m, w)).imag
+
+    prev, f_prev, width = center, peak - half, step
     for _ in range(80):
         w = center + direction * width
-        if w <= limit[0] or w >= limit[1]:
+        if not 0.0 < w < math.inf:
             return None
-        if _im_rp(m, w) < half:
-            return (min(prev, w), max(prev, w))
-        prev = w
+        f_w = _im_rp(m, w) - half
+        if f_w < 0:
+            start = prev + (w - prev) * f_prev / (f_prev - f_w)
+            return _polish(f, start, w, prev, xtol=1e-13 * center)
+        prev, f_prev = w, f_w
         width *= 2.0
     return None
 
@@ -482,12 +451,14 @@ def _bracket_half_max(m, center, half, step, direction, limit):
 def find_polariton_modes(m):
     """Locate surface-polariton modes of the material.
 
-    Centers are the interior local maxima of Im r_p (refined from the
-    ascending roots of Re eps = -1); linewidths are the full widths at half
-    maximum of the Im r_p peak, found by bracketed root finding.  Modes are
-    returned ascending in center frequency.  Band edges are the midpoints
-    between neighbouring centers; the outermost edges are clipped at
-    center +/- 5*linewidth.
+    Centers are the interior local maxima of Im r_p, each found by Brent's
+    bounded method within +/-5 g0 of an ascending root of Re eps = -1, g0
+    being the width estimate 2 Im eps / Re eps' there.  Linewidths are the
+    full widths at half maximum of the Im r_p peak: each half-maximum point
+    is bracketed by a march out of the peak and polished by bracketed Newton
+    steps, as is each root of Re eps = -1.  Modes are returned ascending in
+    center frequency.  Band edges are the midpoints between neighbouring
+    centers; the outermost edges are clipped at center +/- 5*linewidth.
 
     Im r_p vanishes identically for a fully undamped material, so there is
     no peak to find and NoModeFound is raised.
@@ -508,17 +479,11 @@ def find_polariton_modes(m):
         wlo, whi = r - 5.0 * g0, r + 5.0 * g0
         center, fun = _bounded_minimum(lambda w: -_im_rp(m, w), wlo, whi,
                                        xatol=1e-13 * r)
-        center = float(center)
-        peak = -float(fun)
-        half = 0.5 * peak
-        lb = _bracket_half_max(m, center, half, g0, -1.0, (0.0, np.inf))
-        rb = _bracket_half_max(m, center, half, g0, +1.0, (0.0, np.inf))
-        if lb is None or rb is None:
+        center, peak = float(center), -float(fun)
+        wl = _half_max_point(m, center, peak, g0, -1.0)
+        wr = _half_max_point(m, center, peak, g0, +1.0)
+        if wl is None or wr is None:
             continue
-        wl = _brentq(lambda w: _im_rp(m, w) - half, *lb,
-                     xtol=1e-13 * center, rtol=8.9e-16)
-        wr = _brentq(lambda w: _im_rp(m, w) - half, *rb,
-                     xtol=1e-13 * center, rtol=8.9e-16)
         centers.append(center)
         widths.append(wr - wl)
         peaks.append(peak)

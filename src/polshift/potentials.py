@@ -71,6 +71,12 @@ def valid_temperature(T):
     return 0.0 <= T <= T_MAX
 
 
+def _check_temperature(T):
+    """Raise ValueError unless valid_temperature(T)."""
+    if not valid_temperature(T):
+        raise ValueError(f"T must lie in [0, {T_MAX:g}] K")
+
+
 @dataclass(frozen=True)
 class Environment:
     """Atom-surface distance z (m) and temperature T (K)."""
@@ -80,8 +86,7 @@ class Environment:
 
     def __post_init__(self):
         _check_distance(self.z)
-        if not valid_temperature(self.T):
-            raise ValueError(f"T must lie in [0, {T_MAX:g}] K")
+        _check_temperature(self.T)
 
 
 #: the ShiftReport fields that are energies (J), in report order; the JSON
@@ -579,7 +584,9 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
                    resonance_tol=1.0, use_closed_form=False, modes=None):
     """The DistanceTerms of total_shift at z: the photon line's factors, the
     mode pair and its amplitude, none of which depends on T.  The arguments
-    are those of total_shift."""
+    are those of total_shift; z outside Z_RANGE raises the ValueError of
+    Environment."""
+    _check_distance(z)
     photon = _photon_terms(atom, upper, m, z, green_mode)
     pair, meta, u = None, {}, 0.0
     try:
@@ -627,9 +634,11 @@ def report_at(terms, T, cutoff=MATSUBARA_CUTOFF):
     This is the one place a temperature enters a report, and the one body
     of the two nonresonant lines.  The Matsubara line's errors come first,
     then the photon line's and then the resonant line's that terms holds.
+    T outside [0, T_MAX] raises the ValueError of Environment.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    _check_temperature(T)
     if T == 0:
         raise ZeroTemperature("nonresonant shift is defined here for T > 0")
     _, xi2_trace, block, _ = _green_route(terms.green_mode)
@@ -683,10 +692,11 @@ def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,
     terms = distance_terms(atom, upper, lower, m,
                            unit_distance(green_mode) or env.z, green_mode,
                            resonance_tol, use_closed_form, modes)
-    if isinstance(terms.u_eff, NoModeFound) and terms.z != env.z:
-        # only u_eff's Tr Im G check names z, and on this route it fails at
-        # every z alike: taken at env.z, its message names the distance
-        # asked for
+    if (isinstance(terms.u_eff, NoModeFound) and terms.pair is not None
+            and terms.z != env.z):
+        # only u_eff's Tr Im G check, which runs once a pair was found,
+        # names z, and on this route it fails at every z alike: taken at
+        # env.z, its message names the distance asked for
         terms = distance_terms(atom, upper, lower, m, env.z, green_mode,
                                resonance_tol, use_closed_form, modes)
     report = report_at(terms, env.T, cutoff)

@@ -236,6 +236,45 @@ def nonresonant_one_polariton(*, omega_P, omega_T, gamma_damp, transitions,
     return out1 + out2
 
 
+def omega_surface(osc):
+    """Surface-mode frequency sqrt(omega_T^2 + omega_P^2/2) of the
+    oscillator osc alone in the undamped limit (the root of eps = -1)."""
+    return math.sqrt(osc.omega_T**2 + 0.5 * osc.omega_P**2)
+
+
+def _mp_eps(m, w):
+    """eps(w) = 1 + sum_j omega_Pj^2 / (omega_Tj^2 - w^2 - i w gamma_j) at
+    real w, in the working precision of mpmath."""
+    return 1 + mpmath.fsum(
+        mpmath.mpf(o.omega_P) ** 2
+        / (mpmath.mpf(o.omega_T) ** 2 - w * w - 1j * w * o.gamma_damp)
+        for o in m.oscillators)
+
+
+def _mp_root(f, omega, dps):
+    """(root, f', f'') of the real function f next to omega, each an mpf
+    of dps digits: the secant method from omega, derivatives by
+    mpmath.diff."""
+    with mpmath.workdps(dps):
+        root = mpmath.findroot(f, mpmath.mpf(omega))
+        return root, mpmath.diff(f, root), mpmath.diff(f, root, 2)
+
+
+def eps_crossing(m, omega, dps=40):
+    """(root, f', f'') of f = Re eps + 1 at the Re eps = -1 crossing next
+    to omega, at dps digits."""
+    return _mp_root(lambda w: mpmath.re(_mp_eps(m, w)) + 1, omega, dps)
+
+
+def half_max_point(m, level, omega, dps=40):
+    """(root, f', f'') of f = Im r_p - level at the root next to omega, at
+    dps digits, r_p = (eps - 1)/(eps + 1); level is taken exactly."""
+    def f(w):
+        eps = _mp_eps(m, w)
+        return mpmath.im((eps - 1) / (eps + 1)) - mpmath.mpf(level)
+    return _mp_root(f, omega, dps)
+
+
 def mode_width_from_pole(m, mode, max_iter=100):
     """Alternative width estimate from the complex root of eps(omega) = -1.
 

@@ -13,8 +13,9 @@ from scipy.integrate import quad
 
 import polshift as ps
 from polshift import material
-from oracles import (fresnel_array, lorentzian_ldos_factor, material_to_dict,
-                     mode_width_from_pole)
+from oracles import (eps_crossing, fresnel_array, half_max_point,
+                     lorentzian_ldos_factor, material_to_dict,
+                     mode_width_from_pole, omega_surface)
 from polshift.units import CM1, C
 
 # ---------------------------------------------------------------------------
@@ -109,7 +110,7 @@ def _assert_permittivity_scalar_equals_array(m):
     omegas = np.concatenate((
         [0.0], np.geomspace(1e9, 1e17, 801),
         [o.omega_T for o in m.oscillators],
-        [o.omega_surface for o in m.oscillators]))
+        [omega_surface(o) for o in m.oscillators]))
     for w in set(poles):
         for x in (w, np.float64(w), np.array([w])):
             with pytest.raises(ps.PoleHit):
@@ -524,7 +525,7 @@ def test_mode_width_from_pole_agrees_with_fwhm():
 
 
 # ---------------------------------------------------------------------------
-# the mode finder's solvers against scipy, and its exact scaling
+# the mode finder's solvers against scipy and mpmath, and its exact scaling
 # ---------------------------------------------------------------------------
 
 #: Drude-Lorentz materials of 1-4 oscillators as (omega_P, omega_T, gamma):
@@ -558,21 +559,12 @@ def _recorded(f, xs):
 
 
 def _modes_checked_against_scipy(m):
-    """find_polariton_modes(m), with every _brentq and _bounded_minimum call
-    repeated by scipy on the finder's own callback, ends and tolerances:
-    the points evaluated and the result must be the same bits.  Returns the
-    names of the checked calls."""
-    brentq, bounded = material._brentq, material._bounded_minimum
+    """find_polariton_modes(m), with every _bounded_minimum call repeated by
+    scipy's bounded minimize_scalar on the finder's own callback, ends and
+    tolerance: the points evaluated and the result must be the same bits.
+    Returns the number of checked calls."""
+    bounded = material._bounded_minimum
     checked = []
-
-    def brentq_vs_scipy(f, xa, xb, xtol, rtol):
-        ours, theirs = [], []
-        got = brentq(_recorded(f, ours), xa, xb, xtol=xtol, rtol=rtol)
-        want = optimize.brentq(_recorded(f, theirs), xa, xb, xtol=xtol,
-                               rtol=rtol)
-        assert (got, ours) == (want, theirs)
-        checked.append("brentq")
-        return got
 
     def bounded_vs_scipy(f, lo, hi, xatol):
         ours, theirs = [], []
@@ -581,25 +573,20 @@ def _modes_checked_against_scipy(m):
             _recorded(f, theirs), bounds=(lo, hi), method="bounded",
             options={"xatol": xatol})
         assert (got, ours) == ((res.x, res.fun), theirs)
-        checked.append("bounded")
+        checked.append((lo, hi))
         return got
 
-    with mock.patch.object(material, "_brentq", brentq_vs_scipy), \
-            mock.patch.object(material, "_bounded_minimum", bounded_vs_scipy):
+    with mock.patch.object(material, "_bounded_minimum", bounded_vs_scipy):
         _modes_or_error(m)
-    return checked
+    return len(checked)
 
 
-@pytest.mark.parametrize("name", ["material_broad", "material_narrow",
-                                  "material_toy", "material_ldos"])
+@pytest.mark.parametrize("name", FIXTURE_MATERIALS)
 def test_solver_ports_equal_scipy_on_fixtures(request, name):
-    """Each of the finder's root and minimum searches takes the steps and
-    gives the result of scipy's brentq and bounded minimize_scalar, bit for
-    bit: per mode one crossing, one peak and two half-maximum roots."""
-    modes = ps.find_polariton_modes(request.getfixturevalue(name))
-    checked = _modes_checked_against_scipy(request.getfixturevalue(name))
-    assert sorted(checked) == sorted(["brentq"] * 3 * len(modes)
-                                     + ["bounded"] * len(modes))
+    """Each of the finder's peak searches takes the steps and gives the
+    result of scipy's bounded minimize_scalar, bit for bit: one per mode."""
+    m = request.getfixturevalue(name)
+    assert _modes_checked_against_scipy(m) == len(ps.find_polariton_modes(m))
 
 
 @settings(max_examples=40, deadline=None)
@@ -607,22 +594,6 @@ def test_solver_ports_equal_scipy_on_fixtures(request, name):
 def test_solver_ports_equal_scipy_on_drawn_materials(oscillators):
     _modes_checked_against_scipy(_drawn(oscillators))
 
-
-def _outcome(solver, *args, **kwargs):
-    try:
-        return solver(*args, **kwargs)
-    except (ValueError, RuntimeError) as exc:
-        return type(exc)
-
-
-BRENTQ_AWKWARD = (
-    lambda x: -1.0 if x < 0.3 else 2.0,
-    lambda x: math.floor(8.0 * x) - 2.5,
-    lambda x: (x - 0.3) ** 3,
-    lambda x: x**9 - 1e-9,
-    lambda x: math.tanh(50.0 * (x - 0.7)),
-    lambda x: 1e-200 * (math.exp(x) - 1.5),
-)
 
 BOUNDED_AWKWARD = (
     lambda x: 1.0,
@@ -632,22 +603,6 @@ BOUNDED_AWKWARD = (
     lambda x: math.cos(30.0 * x) + 0.1 * x,
     lambda x: (x - 0.999999) ** 2,
 )
-
-
-@pytest.mark.parametrize("f", BRENTQ_AWKWARD)
-@pytest.mark.parametrize("xtol", [1e-300, 1e-12, 1e-3])
-def test_brentq_port_equals_scipy_on_awkward_functions(f, xtol):
-    """Steps, plateaus with tied values, a triple root, a steep front and
-    values near 1e-200, where the extrapolation's denominator underflows to
-    zero: the same points evaluated and the same root, bit for bit, or the
-    same exception type (the triple root does not converge in 100
-    iterations at the smaller tolerances)."""
-    ours, theirs = [], []
-    got = _outcome(material._brentq, _recorded(f, ours), 0.0, 1.0,
-                   xtol=xtol, rtol=8.9e-16)
-    want = _outcome(optimize.brentq, _recorded(f, theirs), 0.0, 1.0,
-                    xtol=xtol, rtol=8.9e-16)
-    assert (got, ours) == (want, theirs)
 
 
 @pytest.mark.parametrize("f", BOUNDED_AWKWARD)
@@ -662,27 +617,6 @@ def test_bounded_minimum_port_equals_scipy_on_awkward_functions(f, xatol):
                                    method="bounded",
                                    options={"xatol": xatol})
     assert (got, ours) == ((res.x, res.fun), theirs)
-
-
-def test_brentq_port_raises_like_scipy():
-    """A NaN value (at an end or at a step), ends of one sign and running
-    out of iterations raise the exception type scipy raises."""
-    def nan_inside(x):
-        return math.nan if 0.4 < x < 0.6 else x - 0.5
-
-    cases = [
-        (lambda x: math.nan if x > 0.9 else x - 0.5, 0.0, 1.0, {},
-         ValueError),
-        (nan_inside, 0.0, 1.0, {}, ValueError),
-        (lambda x: x * x + 1.0, -1.0, 1.0, {}, ValueError),
-        (lambda x: x**3 - 0.3, 0.0, 1.0, {"maxiter": 2}, RuntimeError),
-        (lambda x: x - 0.3, 0.0, 1.0, {"maxiter": 0}, RuntimeError),
-    ]
-    for f, a, b, kw, exc in cases:
-        with pytest.raises(exc):
-            optimize.brentq(f, a, b, xtol=1e-14, rtol=8.9e-16, **kw)
-        with pytest.raises(exc):
-            material._brentq(f, a, b, xtol=1e-14, rtol=8.9e-16, **kw)
 
 
 @pytest.mark.parametrize("bounds", [(-math.inf, 1.0), (0.0, math.inf),
@@ -707,6 +641,160 @@ def test_bounded_minimum_port_stops_at_maxfun_like_scipy():
     assert res.nfev == 7
     assert material._bounded_minimum(f, 0.0, 10.0, xatol=1e-300,
                                      maxfun=7) == (res.x, res.fun)
+
+
+#: the unit roundoff of a double
+U = 2.0**-53
+
+
+def _eps_rounding(m, w):
+    """A first-order bound on |eps(w) as computed - eps(w)| at real w.
+
+    Each oscillator's D = omega_T^2 - w^2 - i w gamma is computed from three
+    rounded products and one rounded difference, so it is off by at most
+    2u S with S = omega_T^2 + w^2 + w gamma; omega_P^2 adds u and the
+    complex division at most 5u, so P/D is off by |P/D| (2 S/|D| + 6) u.
+    The n additions of 1 + sum_j P/D add at most n u (1 + sum_j |P/D|)."""
+    n, err, size = len(m.oscillators), 0.0, 0.0
+    for o in m.oscillators:
+        p, t, g = o.omega_P**2, o.omega_T**2, o.gamma_damp
+        d = abs(complex(t - w * w, -w * g))
+        err += p / d * (2.0 * (t + w * w + w * g) / d + 6.0)
+        size += p / d
+    return U * (err + n * (1.0 + size))
+
+
+def _root_bound(f_err, root, xtol):
+    """The bound on |omega found - root| for a polish whose values are off
+    by at most f_err: the root of the computed function lies within
+    f_err/|f'| of the true one, the Newton step after the last one, shorter
+    than xtol, is at most |f''|/(2|f'|) xtol^2, and the result is rounded
+    to a double, u omega.  root is (root, f', f'') from the oracle."""
+    w, d1, d2 = (abs(float(v)) for v in root)
+    return f_err / d1 + d2 / (2.0 * d1) * xtol * xtol + U * w
+
+
+def _assert_polished_roots_match_mpmath(m):
+    """Every Re eps = -1 crossing and every half-maximum point the finder
+    polishes lies within twice its _root_bound of the 40-digit root
+    (twice, for the second-order terms the bound leaves out).
+
+    A crossing's value Re eps + 1 is off by _eps_rounding + u.  A
+    half-maximum point solves Im r_p = level for the finder's own level,
+    half its peak; r_p = (eps - 1)/(eps + 1) is off by
+    |dr_p/d eps| _eps_rounding + 7u |r_p| (two rounded sums and one
+    complex division), dr_p/d eps = 2/(eps + 1)^2, and subtracting level
+    adds u level."""
+    for r in material._ascending_eps_roots(m):
+        ref = eps_crossing(m, r)
+        bound = _root_bound(_eps_rounding(m, r) + U, ref, 1e-13 * r)
+        assert abs(float(r - ref[0])) <= 2.0 * bound, (r, ref[0], bound)
+    points = []
+    half_max_point_of = material._half_max_point
+
+    def recorded(m, center, peak, step, direction):
+        w = half_max_point_of(m, center, peak, step, direction)
+        points.append((center, 0.5 * peak, w))
+        return w
+
+    with mock.patch.object(material, "_half_max_point", recorded):
+        modes = _modes_or_error(m)
+    if modes is not ps.NoModeFound:
+        assert len(points) >= 2 * len(modes)
+    for center, level, w in points:
+        if w is None:
+            continue
+        ref = half_max_point(m, level, w)
+        eps = complex(ps.permittivity(m, w))
+        r_p = (eps - 1.0) / (eps + 1.0)
+        err = abs(2.0 / (eps + 1.0) ** 2) * _eps_rounding(m, w) \
+            + 7.0 * U * abs(r_p) + U * level
+        bound = _root_bound(err, ref, 1e-13 * center)
+        assert abs(float(w - ref[0])) <= 2.0 * bound, (w, ref[0], bound)
+
+
+@pytest.mark.parametrize("name", FIXTURE_MATERIALS)
+def test_polished_roots_match_mpmath_on_fixtures(request, name):
+    _assert_polished_roots_match_mpmath(request.getfixturevalue(name))
+
+
+@settings(max_examples=30, deadline=None)
+@given(oscillators=OSCILLATORS)
+def test_polished_roots_match_mpmath_on_drawn_materials(oscillators):
+    _assert_polished_roots_match_mpmath(_drawn(oscillators))
+
+
+#: (f, root) on [0, 1]: f(x) is (value, slope), value < 0 left of the root
+#: (or of the jump, for the last) and >= 0 right of it
+POLISH_AWKWARD = (
+    (lambda x: (x - 0.3, 1.0), 0.3),
+    (lambda x: (x - 0.3, -1.0), 0.3),  # every step leaves the bracket
+    (lambda x: (x - 0.3, 0.0), 0.3),
+    (lambda x: (x - 0.3, math.nan), 0.3),
+    (lambda x: (math.tanh(50.0 * (x - 0.7)), 1e-3), 0.7),
+    (lambda x: ((x - 0.3) ** 3, 3.0 * (x - 0.3) ** 2), 0.3),
+    (lambda x: (1e-200 * (math.exp(x) - 1.5), 1e-200 * math.exp(x)),
+     math.log(1.5)),
+    (lambda x: (-1.0 if x < 0.3 else 2.0, 1.0), 0.3),
+)
+
+
+@pytest.mark.parametrize("f, root", POLISH_AWKWARD)
+@pytest.mark.parametrize("start", [0.0, 0.45, 1.0])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_polish_evaluates_only_inside_its_bracket(f, root, start, mirrored):
+    """Slopes of the wrong sign, zero, NaN or far too small, a triple root,
+    values near 1e-200 and a jump: every point evaluated lies in [0, 1],
+    and the polish returns a float within 3 xtol of the root or the jump
+    (the triple root converges linearly, by 2/3 a step; where no step is
+    usable, the bisected bracket gets shorter than xtol).  mirrored runs
+    f(1 - x) with the bracket given as (1, 0), value < 0 at the first
+    end."""
+    xs, xtol = [], 1e-12
+
+    def g(x):
+        xs.append(x)
+        if not mirrored:
+            return f(x)
+        value, slope = f(1.0 - x)
+        return value, -slope
+
+    a, b = (1.0, 0.0) if mirrored else (0.0, 1.0)
+    want = 1.0 - root if mirrored else root
+    got = material._polish(g, start, a, b, xtol)
+    assert all(0.0 <= x <= 1.0 for x in xs)
+    assert type(got) is float and abs(got - want) <= 3.0 * xtol
+
+
+def test_polish_raises_on_a_nan_value():
+    def f(x):
+        return (math.nan if 0.4 < x < 0.6 else x - 0.5), 1.0
+
+    for start in (0.1, 0.5):
+        with pytest.raises(ValueError, match="NaN"):
+            material._polish(f, start, 0.0, 1.0, 1e-12)
+
+
+def test_polish_raises_after_100_steps():
+    """x^2 - 2 has no root among the doubles, so with xtol = 0 no step is
+    short enough: the polish takes 100 values and raises RuntimeError."""
+    xs = []
+    with pytest.raises(RuntimeError):
+        material._polish(_recorded(lambda x: (x * x - 2.0, 2.0 * x), xs),
+                         1.5, 1.0, 2.0, 0.0)
+    assert len(xs) == 100 and all(1.0 <= x <= 2.0 for x in xs)
+
+
+def test_polish_returns_a_float():
+    """numpy values and a numpy start give a Python float, whether the
+    polish stops on a short step or on a zero value."""
+    def f(x):
+        return np.float64(x) - 0.25, np.float64(1.0)
+
+    for start in (np.float64(0.5), np.float64(0.25)):
+        got = material._polish(f, start, np.float64(0.0), np.float64(1.0),
+                               1e-12)
+        assert type(got) is float and got == 0.25
 
 
 @settings(max_examples=40, deadline=None)

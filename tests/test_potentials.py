@@ -1362,6 +1362,60 @@ def test_total_shift_sums_matsubara_once_on_the_no_mode_path(rb_atom,
     assert once > 4 and len(calls) == once
 
 
+def test_total_shift_finds_modes_once_on_the_no_mode_path(rb_atom,
+                                                          monkeypatch):
+    """A NoModeFound of the mode finder names no distance, so total_shift
+    does not evaluate the temperature-free half again at env.z: one mode
+    finder call and one Green tensor per transition of 27S1/2 (10)."""
+    undamped = ps.material_from_dict({
+        "name": "undamped pair",
+        "oscillators": [
+            {"omega_P": 53.4, "omega_T": 65.0, "gamma": 0.0,
+             "unit": "cm^-1"},
+            {"omega_P": 33.3, "omega_T": 85.0, "gamma": 0.0,
+             "unit": "cm^-1"},
+        ]})
+    calls = []
+
+    def counted(name):
+        real = getattr(potentials, name)
+
+        def f(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(potentials, name, f)
+
+    counted("find_polariton_modes")
+    counted("green_nonretarded")
+    with pytest.raises(ps.NoModeFound, match="no resolvable interior"):
+        ps.total_shift(rb_atom, "27S1/2", "26S1/2", undamped,
+                       ps.Environment(z=1e-6, T=300.0))
+    assert calls.count("find_polariton_modes") == 1
+    assert calls.count("green_nonretarded") == 10
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, 1e300, -1.0])
+def test_report_at_rejects_temperatures_outside_range(rb_atom,
+                                                      material_broad,
+                                                      broad_modes, T):
+    terms = potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
+                                      material_broad, potentials.UNIT_Z,
+                                      modes=broad_modes)
+    with pytest.raises(ValueError, match=r"T must lie in \[0, 1e\+15\] K"):
+        potentials.report_at(terms, T)
+    with pytest.raises(ps.ZeroTemperature):
+        potentials.report_at(terms, 0.0)
+
+
+@pytest.mark.parametrize("z", [-1e-6, math.nan, 0.0, 1e-200, 1e200])
+def test_distance_terms_rejects_distances_outside_z_range(rb_atom,
+                                                          material_broad,
+                                                          broad_modes, z):
+    with pytest.raises(ValueError, match=r"z must lie in \[1e-15, 1e\+15\] m"):
+        potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
+                                  material_broad, z, modes=broad_modes)
+
+
 @pytest.mark.parametrize("z", [-1e-6, math.nan, 0.0, 1e-200, 1e200])
 def test_at_distance_rejects_distances_outside_z_range(rb_atom,
                                                        material_broad,
