@@ -27,9 +27,8 @@ QUAD_LIMIT = 200
 
 
 class GreenTensor3(NamedTuple):
-    """Coincident-point Green tensor diag(xx, xx, zz): for the planar
-    geometry it is diagonal with G_yy = G_xx.  At an array of frequencies
-    xx and zz are arrays, and trace and im_trace do not apply.
+    """Coincident-point Green tensor diag(xx, xx, zz) at one frequency: for
+    the planar geometry it is diagonal with G_yy = G_xx.
 
     A tensor from green_full(..., part="real") or part="imag" holds NaN in
     the part that was not integrated, never 0, so that reading it shows."""
@@ -50,14 +49,11 @@ class GreenTensor3(NamedTuple):
 
 
 def green_nonretarded(m, z, omega):
-    """Nonretarded closed form z^-3 (c^2/(32 pi omega^2)) r_p diag(1,1,2);
-    omega may be complex.  A number gives Python complex xx and zz, an
-    array of omega gives arrays."""
+    """Nonretarded closed form z^-3 (c^2/(32 pi omega^2)) r_p diag(1,1,2)
+    at one omega, which may be complex; xx and zz are complex numbers."""
     if not z > 0:
         raise ValueError("z must be > 0")
-    r_p = reflection_nonretarded(m, omega)
-    if np.ndim(r_p) == 0:
-        r_p = complex(r_p)
+    r_p = complex(reflection_nonretarded(m, omega))
     gxx = C**2 / (32.0 * math.pi * (omega * omega) * cube(z)) * r_p
     return GreenTensor3(gxx, 2.0 * gxx)
 
@@ -67,7 +63,7 @@ def _quad(f, a, b, epsabs, label):
     subdivision limit once from QUAD_LIMIT, then raises.
 
     scipy.integrate is imported here, on the first full-route call, so that
-    the nonretarded route never loads scipy; ROADMAP item 8's fixed-node
+    the nonretarded route never loads scipy; ROADMAP item 10's fixed-node
     rules take its place.
     """
     from scipy.integrate import IntegrationWarning, quad
@@ -171,7 +167,7 @@ def green_full_imag_axis(m, z, xi):
         raise ValueError("z must be > 0")
     if not xi > 0:
         raise ValueError("xi must be > 0")
-    eps = float(permittivity_imag_axis(m, xi))
+    eps = permittivity_imag_axis(m, xi)
     k0, cx = xi / C, C / xi
     cx2 = cx * cx
     scale = C**2 / (32.0 * math.pi * (xi * xi) * cube(z))

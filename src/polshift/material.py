@@ -111,12 +111,13 @@ def permittivity(m, omega):
 
     eps = 1 + sum_j omega_Pj^2 / (omega_Tj^2 - omega^2 - i omega Gamma_j).
     Raises PoleHit when an undamped oscillator is evaluated exactly on its
-    resonance.  A number (int, float or complex) gives np.complex128, worked
-    in numpy complex128 scalars: plain Python complex would divide with
-    other rounding.  An array gives an array, one number at a time.
+    resonance.  One number (int, float or complex, np.float64 and
+    np.complex128 included) gives np.complex128, worked in numpy complex128
+    scalars: plain Python complex would divide with other rounding.  Any
+    other argument, an array or a list among them, raises TypeError.
     """
     if not isinstance(omega, (int, float, complex)):
-        return _each(permittivity, m, omega, complex)
+        raise TypeError(f"omega must be one number, not {type(omega)!r}")
     w = np.complex128(omega)
     w2, eps = w * w, np.complex128(1.0)
     for j, (p2, t2, g) in enumerate(m._coeffs):
@@ -127,15 +128,6 @@ def permittivity(m, omega):
     return eps
 
 
-def _each(f, m, x, dtype):
-    """f(m, v) at each element v of the array x, as an array of x's shape
-    and of dtype; a 0-d array gives a number.  The array forms of the
-    material functions are this loop over their number path."""
-    x = np.asarray(x)
-    return np.array([f(m, v) for v in x.ravel().tolist()],
-                    dtype=dtype).reshape(x.shape)[()]
-
-
 def _pole_hit(m, j):
     return PoleHit(f"permittivity pole of undamped oscillator {j} "
                    f"(omega_T={m.oscillators[j].omega_T!r}) hit exactly")
@@ -144,10 +136,11 @@ def _pole_hit(m, j):
 def permittivity_imag_axis(m, xi):
     """eps(i*xi) on the imaginary axis: real, > 1, decreasing in xi >= 0.
 
-    A number gives a float, an array an array, one number at a time.
+    One real number (int or float, np.float64 included) gives a float; any
+    other argument, an array or a list among them, raises TypeError.
     """
     if not isinstance(xi, (int, float)):
-        return _each(permittivity_imag_axis, m, xi, float)
+        raise TypeError(f"xi must be one real number, not {type(xi)!r}")
     xi = float(xi)
     if xi < 0:
         raise ValueError("xi must be >= 0")
@@ -173,11 +166,9 @@ def reflection_nonretarded(m, omega):
     """Nonretarded p-reflection (eps - 1)/(eps + 1).
 
     Raises SurfaceModePole when |eps + 1| < POLE_RTOL * |eps - 1|, i.e. the
-    evaluation sits numerically on a surface-mode pole.  A number gives
-    np.complex128, an array an array, one number at a time.
+    evaluation sits numerically on a surface-mode pole.  One number gives
+    np.complex128; permittivity raises TypeError for anything else.
     """
-    if not isinstance(omega, (int, float, complex)):
-        return _each(reflection_nonretarded, m, omega, complex)
     eps = permittivity(m, omega)
     num = eps - 1.0
     den = eps + 1.0
@@ -271,7 +262,7 @@ def _bounded_minimum(f, lo, hi, xatol, maxfun=500):
     minimize_scalar(method="bounded"), so that the mode finder gets the same
     minimum without importing scipy.  As there, non-finite bounds raise
     ValueError, and the search stops after maxfun calls without an error.
-    ROADMAP item 6's rational finder deletes it.
+    ROADMAP item 4's peak search deletes it.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("optimization bounds must be finite scalars")
@@ -404,7 +395,7 @@ def _ascending_eps_roots(m):
     # a midpoint can round onto a pole only when two fences are a few ulp
     # apart; it is then not evaluated, and its cells are dropped
     edges[np.isin(edges, poles)] = np.nan
-    f = _re_eps_plus_one(m, edges)
+    f = np.array([_re_eps_plus_one(m, e) for e in edges.tolist()])
     return [_polish(lambda w: (_re_eps_plus_one(m, w),
                                _permittivity_derivative(m, w).real),
                     fences[i], edges[i], edges[i + 1], xtol=1e-13 * fences[i])

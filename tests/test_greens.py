@@ -9,7 +9,7 @@ import pytest
 import polshift as ps
 from polshift import greens
 from oracles import lorentzian_ldos_factor, tensor_to_jsonable
-from polshift.units import C
+from polshift.units import C, cube
 
 Z = 1e-6
 
@@ -52,16 +52,18 @@ def test_nonretarded_distance_scaling(material_toy):
 
 
 def test_nonretarded_array_matches_scalar_calls(material_broad):
-    """An array of omega gives the scalar calls' values bit for bit; a
-    number still gives Python complex.  The last omega is one whose square
-    libm pow misrounds, so omega**2 of a number would differ from numpy's
-    square of an array element."""
-    omegas = np.append(np.geomspace(1e11, 1e15, 25), 1118743162712.3804)
-    g = ps.green_nonretarded(material_broad, Z, omegas)
-    for w, xx, zz in zip(omegas.tolist(), g.xx.tolist(), g.zz.tolist()):
+    """A float gives Python complex xx and zz = 2 xx, and an np.float64 the
+    same bits, equal to the closed form with omega^2 as one product.  The
+    last omega is one whose square libm pow misrounds, so omega**2 would
+    give other bits there.  An array of omega raises TypeError
+    (test_material.py::test_number_functions_reject_arrays)."""
+    for w in [*np.geomspace(1e11, 1e15, 25).tolist(), 1118743162712.3804]:
+        r_p = complex(ps.reflection_nonretarded(material_broad, w))
+        want = C**2 / (32.0 * math.pi * (w * w) * cube(Z)) * r_p
         one = ps.green_nonretarded(material_broad, Z, w)
         assert type(one.xx) is complex and type(one.zz) is complex
-        assert (one.xx, one.zz) == (xx, zz)
+        assert (one.xx, one.zz) == (want, 2.0 * want)
+        assert ps.green_nonretarded(material_broad, Z, np.float64(w)) == one
 
 
 def test_nonretarded_trace_closed_form(material_toy):
