@@ -179,7 +179,7 @@ def polarizability_iso(atom, n, xi):
     xi may be a scalar or an array; the result has the shape of xi.
     """
     xi = np.asarray(xi, dtype=float)
-    if np.any(xi < 0):
+    if (xi < 0).any():
         raise ValueError("xi must be >= 0")
     atom.state(n)  # ValueError for an unknown label
     w2, num = atom._alpha_terms[n]

@@ -19,7 +19,7 @@ from .atoms import load_atom
 from .errors import SCHEMA_VERSION, ParseError, PhysicsError
 from .material import find_polariton_modes, load_material
 from .potentials import (ENERGY_LINES, MATSUBARA_CUTOFF, T_MAX, Z_RANGE,
-                         Environment, distance_terms, report_at, total_shift,
+                         Environment, distance_terms, reports_at, total_shift,
                          unit_distance, valid_distance, valid_temperature)
 from .units import CM1, HBAR, cube
 
@@ -109,14 +109,28 @@ def parse_values(single, rng, what):
 #: the CSV column of each of ENERGY_LINES, in that order
 _LINE_COLUMNS = tuple(f"{line}_s^-1" for line in ENERGY_LINES)
 
+#: the z3 of a report evaluated at its own distance
+_OWN_DISTANCE = np.ones(1)
 
-def _report_row(z, T, report, z3=1.0):
-    """The row of report's lines_at(z3): with z3 = 1 the report's own."""
-    row = {"z_m": z, "T_K": T, "thermal_factor": report.thermal_factor,
-           "error": ""}
-    for column, value in zip(_LINE_COLUMNS, report.lines_at(z3)):
-        row[column] = value / HBAR
-    return row
+
+def _rows(zs, z3, Ts, results):
+    """The rows of zs x Ts, z outer, from the report or PhysicsError of
+    each T: a report's row at each z holds its lines_at(z3), z3 the array
+    of the z's z^3 (_OWN_DISTANCE for a report at its own z), in s^-1; an
+    error fills the error column of its T's rows."""
+    c_mats, c_photon, c_u, c_r, c_total = _LINE_COLUMNS
+    by_T = []
+    for T, result in zip(Ts, results):
+        if isinstance(result, PhysicsError):
+            by_T.append([_error_row(z, T, result) for z in zs])
+            continue
+        tf = result.thermal_factor
+        lines = [(line / HBAR).tolist() for line in result.lines_at(z3)]
+        by_T.append([{"z_m": z, "T_K": T, c_mats: mats, c_photon: photon,
+                      c_u: u, "thermal_factor": tf, c_r: r, c_total: total,
+                      "error": ""}
+                     for z, mats, photon, u, r, total in zip(zs, *lines)])
+    return [row for at_z in zip(*by_T) for row in at_z]
 
 
 def _error_row(z, T, exc):
@@ -159,48 +173,32 @@ def run_scan(cfg):
     (a configuration error, or a material without modes) propagates.  The
     temperature-free half of the reports, distance_terms, is evaluated once
     per request at UNIT_Z on the nonretarded route and once per z on the
-    full route, and report_at adds each T to it.  On the nonretarded route
-    each distinct T is reported once, at UNIT_Z, and its row at each z is
-    the report's lines_at(cube(z)), the arithmetic of
-    ShiftReport.at_distance.  The full route reports every pair at its own
-    z.  A PhysicsError of a report fills the error column of its rows
-    instead of aborting the scan; on the nonretarded route it does not
-    depend on z and fills every z of its T.
+    full route, and one reports_at adds every distinct T to it, their
+    Matsubara sums advancing together.  On the nonretarded route the row of
+    a T at each z is its report's lines_at(z3), the arithmetic of
+    ShiftReport.at_distance, taken in one array step over the z^3 of every
+    z.  The full route reports every pair at its own z.  A PhysicsError of a
+    report fills the error column of its rows instead of aborting the
+    scan; on the nonretarded route it does not depend on z and fills every
+    z of its T.
     """
     cfg.validate()
     atom, m, modes = _inputs(cfg)
-
-    def reports(z):
-        """report(T) at z, the report or its PhysicsError, sharing one
-        distance_terms across T."""
-        terms = distance_terms(atom, cfg.upper, cfg.lower, m, z,
-                               cfg.green_mode, cfg.resonance_tol,
-                               cfg.closed_form, modes)
-
-        def report(T):
-            try:
-                return report_at(terms, T, cfg.matsubara_cutoff)
-            except PhysicsError as exc:
-                return exc
-        return report
-
-    def row(z, T, result, z3=1.0):
-        if isinstance(result, PhysicsError):
-            return _error_row(z, T, result)
-        return _report_row(z, T, result, z3)
-
-    rows = []
+    Ts = tuple(dict.fromkeys(cfg.T_values))
     unit_z = unit_distance(cfg.green_mode)
     if unit_z is None:
-        for z in cfg.z_values:
-            report = reports(z)
-            rows.extend(row(z, T, report(T)) for T in cfg.T_values)
-        return rows
-    report = reports(unit_z)
-    unit = {T: report(T) for T in dict.fromkeys(cfg.T_values)}
-    for z in cfg.z_values:
-        z3 = cube(z)
-        rows.extend(row(z, T, unit[T], z3) for T in cfg.T_values)
+        groups = [(z, (z,), _OWN_DISTANCE) for z in cfg.z_values]
+    else:
+        groups = [(unit_z, cfg.z_values,
+                   np.array([cube(z) for z in cfg.z_values]))]
+    rows = []
+    for at, zs, z3 in groups:
+        terms = distance_terms(atom, cfg.upper, cfg.lower, m, at,
+                               cfg.green_mode, cfg.resonance_tol,
+                               cfg.closed_form, modes)
+        by_T = dict(zip(Ts, reports_at(terms, Ts, cfg.matsubara_cutoff)))
+        rows.extend(_rows(zs, z3, cfg.T_values,
+                          [by_T[T] for T in cfg.T_values]))
     return rows
 
 
@@ -346,7 +344,8 @@ def main(argv=None):
             cfg = _config_from_args(args, scan=False)
             report = run_point(cfg)
             z, T = cfg.z_values[0], cfg.T_values[0]
-            columns, rows = SCAN_COLUMNS, [_report_row(z, T, report)]
+            columns = SCAN_COLUMNS
+            rows = _rows((z,), _OWN_DISTANCE, (T,), (report,))
             doc = {
                 "inputs": {
                     "material": os.path.basename(cfg.material),

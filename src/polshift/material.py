@@ -137,11 +137,14 @@ def permittivity_imag_axis(m, xi):
     """eps(i*xi) on the imaginary axis: real, > 1, decreasing in xi >= 0.
 
     One real number (int or float, np.float64 included) gives a float; any
-    other argument, an array or a list among them, raises TypeError.
+    other argument, an array or a list among them, raises TypeError.  A
+    float, what every Matsubara term hands over, skips the type test and
+    the conversion, which are a sixth of a call.
     """
-    if not isinstance(xi, (int, float)):
-        raise TypeError(f"xi must be one real number, not {type(xi)!r}")
-    xi = float(xi)
+    if type(xi) is not float:
+        if not isinstance(xi, (int, float)):
+            raise TypeError(f"xi must be one real number, not {type(xi)!r}")
+        xi = float(xi)
     if xi < 0:
         raise ValueError("xi must be >= 0")
     eps, xi2 = 1.0, xi * xi
@@ -444,7 +447,10 @@ def find_polariton_modes(m):
 
     Centers are the interior local maxima of Im r_p, each found by Brent's
     bounded method within +/-5 g0 of an ascending root of Re eps = -1, g0
-    being the width estimate 2 Im eps / Re eps' there.  Linewidths are the
+    being the width estimate 2 Im eps / Re eps' there.  Brent stops once
+    the bracket is within 2 (sqrt(eps) |w| + xatol/3) of its best point, so
+    a centre is accurate to about 2 sqrt(eps) |w|, 3e-8 relative, and not
+    to the 1e-13 relative of its xatol (ROADMAP item 4).  Linewidths are the
     full widths at half maximum of the Im r_p peak: each half-maximum point
     is bracketed by a march out of the peak and polished by bracketed Newton
     steps, as is each root of Re eps = -1.  Modes are returned ascending in
@@ -468,6 +474,9 @@ def find_polariton_modes(m):
             continue
         # refine the peak of Im r_p inside a window around the crossing
         wlo, whi = r - 5.0 * g0, r + 5.0 * g0
+        # the sqrt(eps) |w| term of Brent's tolerance dominates this xatol:
+        # the centre is good to about 3e-8 relative, not 1e-13 (ROADMAP
+        # item 4)
         center, fun = _bounded_minimum(lambda w: -_im_rp(m, w), wlo, whi,
                                        xatol=1e-13 * r)
         center, peak = float(center), -float(fun)

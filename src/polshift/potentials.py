@@ -199,88 +199,154 @@ _MIN_BLOCK = 16
 _STOP_MARGIN = 1.02
 
 
-def _matsubara_sum(term, cutoff, block=_MAX_BLOCK):
-    """Primed sum over j of term(j) with a power-law tail stop rule.
+def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK):
+    """n primed sums over j, advanced together, each with a power-law tail
+    stop rule: a list of n entries, each the float value of its sum or the
+    ConvergenceFailure of a sum that no j <= cutoff stops.
 
-    term maps an integer array of j to the array of terms; term(0) enters at
-    half weight.  Terms decay like j^-p with p >= 2 for every integrand used
-    here, so once |t_j| * j drops below MATSUBARA_TOL * |sum| the remaining
-    tail is bounded by that same quantity (up to the 1/(p-1) < 1 factor).
-    The sum stops at the first j >= 4 with
+    term(rows, j, live) gives the terms of the sums numbered rows (an
+    integer array) at j, an integer array with one row of j per sum; the
+    term at j = 0 enters at half weight.  Where live is False an entry of j
+    only pads its row to the longest: its term is ignored, and term need
+    not evaluate it.  live is None when no row is padded.
+
+    Terms decay like j^-p with p >= 2 for every integrand used here, so
+    once |t_j| * j drops below MATSUBARA_TOL * |sum| the remaining tail is
+    bounded by that same quantity (up to the 1/(p-1) < 1 factor).  Each sum
+    stops at the first j >= 4 with
 
         |t_j| * j <= MATSUBARA_TOL * max(max_{i <= j} |S_i|, 1e-300),
 
-    S_i being the partial sums, and raises ConvergenceFailure if no
-    j <= cutoff meets the rule.
+    S_i being its partial sums, and fails if no j <= cutoff meets the rule.
 
-    The terms are evaluated in blocks of j: first j = 0..4, the earliest
-    point at which the rule can stop, then blocks as long as the count so
-    far (at most ``block``), none of them past cutoff.  A block ends earlier
-    when the terms of the block before predict the stop sooner:
-    _predicted_stop fits a power law through that block's first and last
-    nonzero j, and the next block then ends _STOP_MARGIN past the predicted
-    j, but holds at least _MIN_BLOCK terms.  If the stop is not in a block
-    shortened that way, the next block doubles again, so there are at most
-    twice as many blocks as on the doubling schedule alone.  Within a block
-    the partial sums come from np.cumsum, which adds in order from the
-    carried total, and the running maximum from np.maximum.accumulate, so
-    the value and the stopping j are those of a term-by-term loop, wherever
-    the blocks end.  The terms past the stopping j in the last block are
-    evaluated but not added: a few percent of the stopping j plus at most
-    _MIN_BLOCK when the prediction holds, and up to the stopping j itself
-    (the doubling schedule's overshoot) when it does not.
+    Each sum evaluates its terms in blocks of j: first j = 0..4, the
+    earliest point at which the rule can stop, then blocks as long as the
+    count so far (at most ``block``), none of them past cutoff.  A block
+    ends earlier when the terms of the block before predict the stop
+    sooner: _predicted_stops fits a power law through that block's first
+    and last nonzero j, and the next block then ends _STOP_MARGIN past the
+    predicted j, but holds at least _MIN_BLOCK terms.  If the stop is not in
+    a block shortened that way, the next block doubles again, so there are
+    at most twice as many blocks as on the doubling schedule alone.  Within
+    a block the partial sums come from np.add.accumulate along the row,
+    which adds in order from the carried total, and the running maximum from
+    np.maximum.accumulate, so the value and the stopping j are those of a
+    term-by-term loop, wherever the blocks end.  The terms past the stopping
+    j in the last block are evaluated but not added: a few percent of the
+    stopping j plus at most _MIN_BLOCK when the prediction holds, and up to
+    the stopping j itself (the doubling schedule's overshoot) when it does
+    not.
+
+    The sums share every numpy call: each pass stacks the next block of
+    every sum still running into one array, padded to the longest, and
+    makes one call of term, one cumsum and one stop scan on it.  The
+    carried totals, the stops, the predictions and the next blocks are
+    arrays over the running sums, so a sum keeps the blocks, the value and
+    the stopping j it has alone; it leaves the array when it stops or fails.
     """
-    total = scale = 0.0
-    lo, hi, shortened = 0, min(4, cutoff), False
-    while lo <= hi:
-        j = np.arange(lo, hi + 1)
-        t = np.array(term(j), dtype=float)
-        if lo == 0:
-            t[0] *= 0.5
-        partial = np.cumsum(np.concatenate(([total], t)))[1:]
-        running = np.maximum.accumulate(
-            np.concatenate(([scale], np.abs(partial))))[1:]
-        stop = np.flatnonzero(
-            (j >= 4)
-            & (np.abs(t) * j <= MATSUBARA_TOL * np.maximum(running, 1e-300)))
-        if stop.size:
-            return float(partial[stop[0]])
-        total, scale = partial[-1], running[-1]
-        doubling = hi + min(hi, block)
-        guess = _STOP_MARGIN * _predicted_stop(j, t, scale)
-        end = doubling if shortened or not guess < doubling else \
-            min(doubling, max(hi + _MIN_BLOCK, math.ceil(guess)))
-        shortened = end < doubling
-        lo, hi = hi + 1, min(end, cutoff)
-    raise ConvergenceFailure(
-        f"Matsubara tail estimate exceeds convergence_tol={MATSUBARA_TOL:g} "
-        f"at cutoff={cutoff}")
+    sums, done = np.zeros(n), np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    # scale, the running max of |S_i|, starts at the rule's floor 1e-300
+    total, scale = np.zeros(n), np.full(n, 1e-300)
+    lo = np.zeros(n, dtype=np.int64)
+    hi = np.full(n, min(4, cutoff), dtype=np.int64)
+    whole = np.ones(n, dtype=bool)  # the block was not shortened
+    # the column of each block's first nonzero j: 1 in the opening block,
+    # whose column 0 is j = 0, and 0 after it
+    first = 1
+    while rows.size:
+        last = hi - lo
+        cols = np.arange(int(last.max()) + 1)
+        j = lo[:, None] + cols
+        live = None
+        if rows.size > 1 and last.min() < cols[-1]:
+            live = cols <= last[:, None]
+        t = term(rows, j, live)
+        if live is not None:
+            # x + -0.0 is x for every x, so the padding moves no partial
+            # sum and the last column holds each row's carried values
+            t = np.where(live, t, -0.0)
+        if first:
+            t[:, 0] *= 0.5
+        size = np.abs(t)
+        t[:, 0] += total
+        partial = np.add.accumulate(t, axis=1)
+        running = np.maximum(np.maximum.accumulate(np.abs(partial), axis=1),
+                             scale[:, None])
+        bound = MATSUBARA_TOL * running
+        hit = size * j <= bound
+        if first:
+            hit[:, :4] = False  # the rule holds from j = 4 on
+        if live is not None:
+            hit &= live
+        stopped = None
+        if hit.any():
+            # each row's first hit, or column 0 (a garbage sum that a later
+            # pass or the failure overwrites) where it has none
+            r = np.arange(rows.size)
+            at = hit.argmax(axis=1)
+            stopped = hit[r, at]
+            sums[rows], done[rows] = partial[r, at], stopped
+            if stopped.all():
+                break
+        total, scale = partial[:, -1], running[:, -1]
+        step = np.minimum(hi, block)
+        ends = doubling = hi + step
+        # a block that doubles by at most _MIN_BLOCK is never shortened
+        free = whole & (step > _MIN_BLOCK)
+        if free.any():
+            # a prediction is never nan, so a guess at or past doubling
+            # leaves the block at doubling, as an inf one does
+            guess = _STOP_MARGIN * _predicted_stops(
+                lo + first, hi, size[:, first],
+                size[np.arange(rows.size), last], bound[:, -1])
+            ends = np.where(free, np.minimum(
+                doubling, np.maximum(hi + _MIN_BLOCK, np.ceil(guess))),
+                doubling).astype(np.int64)
+        whole = ends == doubling
+        lo, hi = hi + 1, np.minimum(ends, cutoff)
+        going = lo <= hi
+        if stopped is not None:
+            going &= ~stopped
+        if not going.all():
+            rows, total, scale, lo, hi, whole = (
+                v[going] for v in (rows, total, scale, lo, hi, whole))
+        first = 0
+    sums = sums.tolist()
+    for i in np.flatnonzero(~done).tolist():
+        sums[i] = ConvergenceFailure(
+            f"Matsubara tail estimate exceeds "
+            f"convergence_tol={MATSUBARA_TOL:g} at cutoff={cutoff}")
+    return sums
 
 
-def _predicted_stop(j, t, scale):
-    """The j at which |t_j| * j falls to MATSUBARA_TOL * scale if the terms
-    go on falling as the power law j^-p through the block's first nonzero j
-    and its last; inf when they do not fall faster than 1/j, or when the
-    two terms cannot be fitted.
+def _predicted_stops(a, b, ta, tb, bound):
+    """Per row, the j at which |t_j| * j falls to bound = MATSUBARA_TOL *
+    scale if the terms go on falling as the power law j^-p through |t_a| at
+    the block's first nonzero j, a, and |t_b| at its last, b; inf where they
+    do not fall faster than 1/j, or where the two terms cannot be fitted.
 
     With |t_j| = |t_b| (b/j)^p the rule |t_j| j = tol * scale holds at
     j = b (|t_b| b / (tol * scale))^(1/(p-1)).  The running max of the
     partial sums only grows, which brings the stop earlier, and every
     summand here falls ever faster as the atom's and the material's
     resonances drop out, so the prediction errs late.
+
+    The fit asks b > a, 0 < tb < ta < inf, 0 < excess < inf and p > 1.
+    With b > a, p > 1 gives ta > tb; a finite log(excess) gives
+    0 < excess < inf, and so tb > 0; and ta = inf makes the running max of
+    the block, and so bound, inf or nan, which leaves excess 0 or nan.
     """
-    k = 1 if j[0] == 0 else 0
-    a, b = int(j[k]), int(j[-1])
-    ta, tb = abs(float(t[k])), abs(float(t[-1]))
-    excess = tb * b / (MATSUBARA_TOL * max(scale, 1e-300))
-    if not (b > a and 0.0 < tb < ta < math.inf and 0.0 < excess < math.inf):
-        return math.inf
-    p = math.log(ta / tb) / math.log(b / a)
-    if not p > 1.0:
-        return math.inf
-    # past 2b the doubling schedule ends the block first, and the power
-    # would overflow for p close to 1
-    return b * math.exp(min(math.log(excess) / (p - 1.0), math.log(2.0)))
+    with np.errstate(all="ignore"):
+        excess = tb * b / bound
+        log_ba = np.log(b / a)
+        p = np.log(ta / tb) / log_ba
+        log_excess = np.log(excess)
+        # past 2b the doubling schedule ends the block first, and the power
+        # would overflow for p close to 1
+        stop = b * np.exp(np.minimum(log_excess / (p - 1.0), math.log(2.0)))
+    fits = (log_ba > 0.0) & (p > 1.0) & np.isfinite(log_excess)
+    return np.where(fits, stop, math.inf)
 
 
 def _nonretarded_xi2_trace(m, z, xi):
@@ -627,38 +693,64 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
     return DistanceTerms(atom, upper, m, z, green_mode, photon, pair, u, meta)
 
 
-def report_at(terms, T, cutoff=MATSUBARA_CUTOFF):
-    """The ShiftReport at (terms.z, T): the Matsubara line, the photon line
-    summed from terms, and the thermal factor that weights terms.u_eff.
+def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
+    """The report_at(terms, T, cutoff) of each temperature of Ts, in order:
+    the ShiftReport at (terms.z, T), or the PhysicsError it raises.
 
-    This is the one place a temperature enters a report, and the one body
-    of the two nonresonant lines.  The Matsubara line's errors come first,
-    then the photon line's and then the resonant line's that terms holds.
-    T outside [0, T_MAX] raises the ValueError of Environment.
+    The Matsubara sums of all the temperatures run together in one
+    _matsubara_sums, each with the blocks, value and stopping j it has
+    alone.  cutoff < 1, or a T outside [0, T_MAX], raises the ValueError of
+    Environment for the whole call.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    _check_temperature(T)
+    Ts = tuple(Ts)
+    for T in Ts:
+        _check_temperature(T)
+    sums = [0.0] * len(Ts)
+    if terms.photon:
+        hot = [i for i, T in enumerate(Ts) if T > 0]
+        xi1 = np.array([matsubara_xi(Ts[i], 1) for i in hot])
+        xi2_trace, block = _green_route(terms.green_mode)[1:3]
+
+        def term(rows, j, live):
+            xi = j * xi1[rows, None]
+            if live is None:
+                trace = xi2_trace(terms.m, terms.z, xi.ravel()) \
+                    .reshape(xi.shape)
+            else:
+                trace = np.zeros(xi.shape)
+                trace[live] = xi2_trace(terms.m, terms.z, xi[live])
+            return polarizability_iso(terms.atom, terms.upper, xi) * trace
+
+        for i, s in zip(hot, _matsubara_sums(term, len(hot), cutoff, block)):
+            sums[i] = s
+    return [_report_or_error(terms, T, s) for T, s in zip(Ts, sums)]
+
+
+def _report_or_error(terms, T, s):
+    """The ShiftReport at (terms.z, T), given the sum s of its Matsubara
+    line, or the first PhysicsError: zero temperature, then the Matsubara
+    line's (s itself), then the photon line's and then the resonant line's
+    that terms holds.
+
+    This is the one place a temperature enters a report, and the one body
+    of the two nonresonant lines.
+    """
     if T == 0:
-        raise ZeroTemperature("nonresonant shift is defined here for T > 0")
-    _, xi2_trace, block, _ = _green_route(terms.green_mode)
+        return ZeroTemperature("nonresonant shift is defined here for T > 0")
+    if isinstance(s, PhysicsError):
+        return s
     mats = photon = 0.0
     if terms.photon:
-        xi1 = matsubara_xi(T, 1)
-
-        def term(j):
-            xi = j * xi1
-            return polarizability_iso(terms.atom, terms.upper, xi) \
-                * xi2_trace(terms.m, terms.z, xi)
-
-        mats = MU0 * KB * T * _matsubara_sum(term, cutoff, block)
+        mats = MU0 * KB * T * s
         if isinstance(terms.photon, PhysicsError):
-            raise terms.photon.with_traceback(None)
+            return terms.photon
         for w_kn, w2, c in terms.photon:
             photon += w2 * thermal_occupation(w_kn, T) * c
         photon *= MU0
     if isinstance(terms.u_eff, PhysicsError):
-        raise terms.u_eff.with_traceback(None)
+        return terms.u_eff
     u = tf = 0.0
     if terms.pair is not None:
         u, tf = terms.u_eff, thermal_factor(*terms.pair, T)
@@ -667,6 +759,21 @@ def report_at(terms, T, cutoff=MATSUBARA_CUTOFF):
         nr_matsubara=mats, nr_resonant_photon=photon, u_eff=u,
         thermal_factor=tf, r_shift=r, total=mats + photon + r,
         meta={"z": terms.z, "T": T, **terms.meta})
+
+
+def report_at(terms, T, cutoff=MATSUBARA_CUTOFF):
+    """The ShiftReport at (terms.z, T): the Matsubara line, the photon line
+    summed from terms, and the thermal factor that weights terms.u_eff.
+
+    It is reports_at for the one temperature T, whose PhysicsError it
+    raises: the Matsubara line's errors first, then the photon line's and
+    then the resonant line's that terms holds.  T outside [0, T_MAX] raises
+    the ValueError of Environment.
+    """
+    (report,) = reports_at(terms, (T,), cutoff)
+    if isinstance(report, PhysicsError):
+        raise report.with_traceback(None)
+    return report
 
 
 def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,

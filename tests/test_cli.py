@@ -428,30 +428,30 @@ def test_scan_rows_equal_point_and_library_bit_for_bit(closed_form):
                 assert row[f"{line}_s^-1"] == getattr(rep, line) / HBAR
 
 
-def _counting_report_at(monkeypatch, compute):
-    """Replace cli.report_at by a wrapper that records each (z, T) it is
-    called at; when compute is false it raises ConvergenceFailure instead
-    of evaluating."""
+def _counting_reports_at(monkeypatch, compute):
+    """Replace cli.reports_at by a wrapper that records the (z, Ts) of each
+    call; when compute is false it gives every T a ConvergenceFailure
+    instead of evaluating."""
     import polshift as ps
     calls = []
-    real = cli.report_at
+    real = cli.reports_at
 
-    def counted(terms, T, *args):
-        calls.append((terms.z, T))
+    def counted(terms, Ts, *args):
+        calls.append((terms.z, tuple(Ts)))
         if not compute:
-            raise ps.ConvergenceFailure("not evaluated")
-        return real(terms, T, *args)
+            return [ps.ConvergenceFailure("not evaluated") for _ in Ts]
+        return real(terms, Ts, *args)
 
-    monkeypatch.setattr(cli, "report_at", counted)
+    monkeypatch.setattr(cli, "reports_at", counted)
     return calls
 
 
 def test_nonretarded_scan_evaluates_each_distinct_T_once(monkeypatch):
     from polshift.potentials import UNIT_Z
-    calls = _counting_report_at(monkeypatch, compute=True)
+    calls = _counting_reports_at(monkeypatch, compute=True)
     rows = cli.run_scan(_scan_config((1e-7, 1e-6, 1e-5),
                                      (500.0, 350.0, 500.0)))
-    assert calls == [(UNIT_Z, 500.0), (UNIT_Z, 350.0)]
+    assert calls == [(UNIT_Z, (500.0, 350.0))]
     assert len(rows) == 9 and all(r["error"] == "" for r in rows)
     # a repeated T gives the same row at each z
     for i in range(0, 9, 3):
@@ -459,11 +459,14 @@ def test_nonretarded_scan_evaluates_each_distinct_T_once(monkeypatch):
 
 
 def test_full_route_scan_evaluates_every_pair(monkeypatch):
-    calls = _counting_report_at(monkeypatch, compute=False)
+    """The full route makes one reports_at per z, over every distinct T,
+    and a repeated T fills its rows from that one report."""
+    calls = _counting_reports_at(monkeypatch, compute=False)
     rows = cli.run_scan(_scan_config((1e-7, 1e-6), (500.0, 350.0, 500.0),
                                      green_mode="full"))
-    assert calls == [(z, T) for z in (1e-7, 1e-6)
-                     for T in (500.0, 350.0, 500.0)]
+    assert calls == [(z, (500.0, 350.0)) for z in (1e-7, 1e-6)]
+    assert [(r["z_m"], r["T_K"]) for r in rows] == \
+        [(z, T) for z in (1e-7, 1e-6) for T in (500.0, 350.0, 500.0)]
     assert all(r["error"] == "ConvergenceFailure: not evaluated"
                for r in rows)
 
@@ -538,16 +541,16 @@ _SCAN_T = st.sampled_from((50.0, 120.0, 350.0, 500.0)) \
        closed_form=st.booleans())
 def test_scan_rows_are_the_library_rows_bit_for_bit(zs, Ts, closed_form):
     """Every nonretarded scan row, built from the unit report of its T,
-    is _report_row of the library total_shift at its (z, T), whatever
-    the order and the repeats of the T list; repr tells 0.0 from -0.0."""
+    is the row of the library total_shift at its (z, T), whatever the
+    order and the repeats of the T list; repr tells 0.0 from -0.0."""
     import polshift as ps
     rows = cli.run_scan(_scan_config(tuple(zs), tuple(Ts),
                                      closed_form=closed_form))
     atom = ps.load_atom(ROOT / FIX / "rb_rydberg.json")
     m = ps.load_material(ROOT / FIX / "material_broad.json")
-    want = [cli._report_row(z, T, ps.total_shift(
+    want = [cli._rows((z,), cli._OWN_DISTANCE, (T,), (ps.total_shift(
         atom, "27S1/2", "26S1/2", m, ps.Environment(z=z, T=T),
-        use_closed_form=closed_form)) for z in zs for T in Ts]
+        use_closed_form=closed_form),))[0] for z in zs for T in Ts]
     assert [json.dumps(r, sort_keys=True) for r in rows] == \
         [json.dumps(r, sort_keys=True) for r in want]
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -230,14 +231,36 @@ def _oracle_and_stop(term, cutoff, tol=MATSUBARA_TOL):
     return matsubara_sum_reference(one, cutoff, tol), seen[-1]
 
 
+def _rows_term(*terms):
+    """The engine's term(rows, j, live) over the one-row summands terms,
+    each a map of a 1-D array of j to its terms: each row's live j go to
+    its own summand, in one call, so no summand sees padding."""
+    def term(rows, j, live):
+        out = np.zeros(j.shape)
+        for k, row in enumerate(rows.tolist()):
+            js = j[k] if live is None else j[k][live[k]]
+            out[k, :js.size] = terms[row](js)
+        return out
+    return term
+
+
+def _engine_sum(term, cutoff=20000):
+    """The engine on the one summand term: its value, or its
+    ConvergenceFailure raised."""
+    (value,) = potentials._matsubara_sums(_rows_term(term), 1, cutoff)
+    if isinstance(value, ps.ConvergenceFailure):
+        raise value
+    return value
+
+
 def _assert_engine_matches_oracle(term, cutoff=20000, tol=MATSUBARA_TOL):
     """The engine, at its MATSUBARA_TOL, against the oracle at tol."""
     want, stop = _oracle_and_stop(term, cutoff, tol)
-    assert potentials._matsubara_sum(term, cutoff) == want
+    assert _engine_sum(term, cutoff) == want
     # the same stopping j: a cutoff there suffices, one below does not
-    assert potentials._matsubara_sum(term, stop) == want
+    assert _engine_sum(term, stop) == want
     with pytest.raises(ps.ConvergenceFailure):
-        potentials._matsubara_sum(term, stop - 1)
+        _engine_sum(term, stop - 1)
     return stop
 
 
@@ -257,7 +280,7 @@ def test_matsubara_engine_matches_oracle_toy(toy_atom, material_toy, n, T):
         with pytest.raises(ps.ConvergenceFailure):
             _oracle_and_stop(term, 20000)
         with pytest.raises(ps.ConvergenceFailure):
-            potentials._matsubara_sum(term, 20000)
+            _engine_sum(term, 20000)
     else:
         _assert_engine_matches_oracle(term)
 
@@ -281,7 +304,7 @@ def test_matsubara_line_matches_closed_form(request, rb_atom,
 
     * The sum stops at the first j with |t_j| j <= MATSUBARA_TOL
       max_i |S_i|; with the terms falling at least as j^-p past it, p >= 2
-      (_matsubara_sum's docstring), the tail is at most MATSUBARA_TOL
+      (_matsubara_sums' docstring), the tail is at most MATSUBARA_TOL
       max_i |S_i| / (p - 1), taken here at p = 2.
     * Rounding: a term rounds at most 64 times (ten transitions, two
       oscillators and the prefactors), relative to the term with every
@@ -397,12 +420,12 @@ def test_matsubara_engine_never_evaluates_past_cutoff(monkeypatch):
     assert 512 < stop < 1024  # inside the block j = 513..1024
     seen.clear()
     with pytest.raises(ps.ConvergenceFailure):
-        potentials._matsubara_sum(term, stop - 1)
+        _engine_sum(term, stop - 1)
     assert max(seen) == stop - 1
     assert sorted(seen) == list(range(stop))
     seen.clear()
     with pytest.raises(ps.ConvergenceFailure):
-        potentials._matsubara_sum(term, 3)
+        _engine_sum(term, 3)
     assert seen == [0, 1, 2, 3]
 
 
@@ -440,7 +463,7 @@ def test_matsubara_blocks_end_near_the_stopping_j(rb_atom, material_broad,
                       ps.Environment(z=Z, T=T))
     want, stop = _oracle_and_stop(term, 20000)
     counted, blocks = _blocks_of(term)
-    assert potentials._matsubara_sum(counted, 20000) == want
+    assert _engine_sum(counted, 20000) == want
     seen = [j for b in blocks for j in b]
     assert seen == list(range(len(seen)))
     assert stop < len(seen) <= 1.05 * stop + potentials._MIN_BLOCK
@@ -457,7 +480,7 @@ def test_matsubara_blocks_never_outnumber_doubling(rb_atom, material_broad):
                               ps.Environment(z=Z, T=float(T)))
             want, stop = _oracle_and_stop(term, 20000)
             counted, blocks = _blocks_of(term)
-            assert potentials._matsubara_sum(counted, 20000) == want
+            assert _engine_sum(counted, 20000) == want
             assert len(blocks) <= _doubling_blocks(stop)
 
 
@@ -488,7 +511,7 @@ def test_matsubara_engine_exact_where_the_prediction_is_wrong(name):
     counted, blocks = _blocks_of(WRONG_PREDICTIONS[name])
     stop = _assert_engine_matches_oracle(counted)
     blocks.clear()
-    potentials._matsubara_sum(counted, 20000)
+    _engine_sum(counted, 20000)
     seen = [j for b in blocks for j in b]
     assert seen == list(range(len(seen))) and stop < len(seen) <= 20001
     assert len(blocks) <= 2 * _doubling_blocks(stop)
@@ -496,7 +519,7 @@ def test_matsubara_engine_exact_where_the_prediction_is_wrong(name):
         assert len(blocks) > _doubling_blocks(stop)  # a block fell short
     blocks.clear()
     with pytest.raises(ps.ConvergenceFailure):
-        potentials._matsubara_sum(counted, stop - 1)
+        _engine_sum(counted, stop - 1)
     assert [j for b in blocks for j in b] == list(range(stop))
 
 
@@ -506,8 +529,174 @@ def test_matsubara_engine_stops_at_cutoff_under_a_wrong_prediction():
     the cutoff once and none past it."""
     counted, blocks = _blocks_of(partial(_power_then_slower, p=1.2))
     with pytest.raises(ps.ConvergenceFailure):
-        potentials._matsubara_sum(counted, 20000)
+        _engine_sum(counted, 20000)
     assert [j for b in blocks for j in b] == list(range(20001))
+
+
+def test_matsubara_engine_lockstep_keeps_each_rows_solo_run():
+    """The three WRONG_PREDICTIONS summands as three rows of one call: each
+    row is handed the blocks it is handed alone, in order, and gives the
+    value it gives alone; and at a shared cutoff each row stops or fails
+    as it does alone, a cutoff at its own stopping j sufficing and one
+    below it not."""
+    names = list(WRONG_PREDICTIONS)
+    solo = {}
+    for name in names:
+        counted, blocks = _blocks_of(WRONG_PREDICTIONS[name])
+        value = _engine_sum(counted)
+        solo[name] = value, blocks, _oracle_and_stop(
+            WRONG_PREDICTIONS[name], 20000)[1]
+    counted = [_blocks_of(WRONG_PREDICTIONS[name]) for name in names]
+    values = potentials._matsubara_sums(
+        _rows_term(*(term for term, _ in counted)), 3, 20000)
+    for name, value, (_, blocks) in zip(names, values, counted):
+        assert value == solo[name][0]
+        assert blocks == solo[name][1]
+    summands = _rows_term(*(WRONG_PREDICTIONS[name] for name in names))
+    for i, name in enumerate(names):
+        want, _, stop = solo[name]
+        for cutoff in (stop, stop - 1):
+            got = potentials._matsubara_sums(summands, 3, cutoff)
+            for other, value in zip(names, got):
+                if solo[other][2] <= cutoff:
+                    assert value == solo[other][0]
+                else:
+                    assert isinstance(value, ps.ConvergenceFailure)
+            assert (got[i] == want) is (cutoff == stop)
+
+
+# ---------------------------------------------------------------------------
+# reports_at: every temperature's Matsubara sum in one lockstep pass
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def unit_terms(rb_atom, material_broad, material_narrow):
+    """The nonretarded distance terms at UNIT_Z on each two-oscillator
+    fixture."""
+    return {name: potentials.distance_terms(rb_atom, "27S1/2", "26S1/2", m,
+                                    potentials.UNIT_Z)
+            for name, m in (("material_broad", material_broad),
+                            ("material_narrow", material_narrow))}
+
+
+def _solo(terms, T, cutoff=potentials.MATSUBARA_CUTOFF):
+    """report_at(terms, T, cutoff), or the PhysicsError it raises."""
+    try:
+        return potentials.report_at(terms, T, cutoff)
+    except ps.PhysicsError as exc:
+        return exc
+
+
+def _same(got, want):
+    """got and want are the same report bit for bit (repr tells 0.0 from
+    -0.0), or errors of one type and message."""
+    if isinstance(want, ps.PhysicsError):
+        return type(got) is type(want) and str(got) == str(want)
+    return repr(got) == repr(want)
+
+
+@settings(max_examples=15, deadline=None)
+@given(material=st.sampled_from(["material_broad", "material_narrow"]),
+       Ts=st.lists(st.sampled_from((0.35, 3.0, 30.0, 600.0))
+                   | st.floats(0.35, 600.0), min_size=1, max_size=6)
+       .flatmap(lambda Ts: st.permutations(Ts + Ts[:1])))
+def test_reports_at_is_report_at_at_each_T(unit_terms, material, Ts):
+    """reports_at over an unsorted T list with a repeat is report_at at
+    each of its temperatures, bit for bit."""
+    terms = unit_terms[material]
+    got = potentials.reports_at(terms, Ts)
+    assert len(got) == len(Ts)
+    assert [repr(r) for r in got] == \
+        [repr(potentials.report_at(terms, T)) for T in Ts]
+
+
+def test_reports_at_full_route_is_report_at_at_each_T(rb_atom,
+                                                      material_broad):
+    """Two temperatures on the full route, whose sums take one quadrature
+    per term."""
+    terms = potentials.distance_terms(rb_atom, "27S1/2", "26S1/2", material_broad,
+                              Z, green_mode="full")
+    Ts = (500.0, 50.0)
+    assert [repr(r) for r in potentials.reports_at(terms, Ts)] == \
+        [repr(potentials.report_at(terms, T)) for T in Ts]
+
+
+def test_reports_at_fails_only_the_temperatures_that_fail(unit_terms):
+    """At 0.1 K no j up to the cutoff stops the sum, and T = 0 has no
+    Matsubara frequencies: those entries are report_at's errors, and the
+    temperatures beside them are its reports.  A cutoff of 20 fails the
+    cold sums and keeps the hot one, each as report_at does."""
+    terms = unit_terms["material_broad"]
+    for Ts, cutoff, kinds in (
+            ((300.0, 0.1, 50.0, 0.0, 600.0), potentials.MATSUBARA_CUTOFF,
+             ["ShiftReport", "ConvergenceFailure", "ShiftReport",
+              "ZeroTemperature", "ShiftReport"]),
+            ((600.0, 50.0, 3.0), 20,
+             ["ShiftReport", "ConvergenceFailure", "ConvergenceFailure"])):
+        got = potentials.reports_at(terms, Ts, cutoff)
+        assert [type(g).__name__ for g in got] == kinds
+        assert all(_same(g, _solo(terms, T, cutoff))
+                   for g, T in zip(got, Ts))
+    with pytest.raises(ps.ConvergenceFailure, match="cutoff=20000"):
+        potentials.report_at(terms, 0.1)
+
+
+def test_reports_at_rejects_a_bad_cutoff_or_temperature(unit_terms):
+    terms = unit_terms["material_broad"]
+    with pytest.raises(ValueError, match="cutoff must be >= 1"):
+        potentials.reports_at(terms, (300.0,), 0)
+    with pytest.raises(ValueError, match=r"T must lie in"):
+        potentials.reports_at(terms, (300.0, math.nan))
+    assert potentials.reports_at(terms, ()) == []
+
+
+def test_reports_at_hands_each_T_its_solo_xis(monkeypatch, unit_terms):
+    """For each temperature, the multiset of xi handed to
+    reflection_imag_axis is the one its report_at hands over, so no padding
+    is ever evaluated; and the sums share one polarizability_iso call per
+    pass, as many as the longest solo run makes."""
+    terms = unit_terms["material_narrow"]
+    # irrational ratios, so that no j xi_1 of one temperature is exactly
+    # a j' xi_1 of another
+    Ts = (600.0, 0.35, 30.0 * math.sqrt(2.0), 3.0 * math.sqrt(3.0), 600.0,
+          10.0 * math.pi)
+    xis, alphas = [], []
+    reflection, alpha = potentials.reflection_imag_axis, \
+        potentials.polarizability_iso
+
+    def counted_reflection(m, xi):
+        xis.append(xi)
+        return reflection(m, xi)
+
+    def counted_alpha(atom, n, xi):
+        alphas.append(np.shape(xi))
+        return alpha(atom, n, xi)
+
+    monkeypatch.setattr(potentials, "reflection_imag_axis",
+                        counted_reflection)
+    monkeypatch.setattr(potentials, "polarizability_iso", counted_alpha)
+    want, passes = {}, []
+    for T in Ts:
+        xis.clear()
+        alphas.clear()
+        potentials.report_at(terms, T)
+        want.setdefault(T, Counter()).update(xis)
+        passes.append(len(alphas))
+    xis.clear()
+    alphas.clear()
+    potentials.reports_at(terms, Ts)
+    assert len(alphas) == max(passes)
+    # xi = 0, each sum's first term, is every temperature's; any other xi
+    # is j xi_1 of exactly one of these temperatures
+    got = {T: Counter() for T in want}
+    for xi in xis:
+        owners = [T for T in want if xi and round(xi / ps.matsubara_xi(T, 1))
+                  * ps.matsubara_xi(T, 1) == xi]
+        assert len(owners) == (1 if xi else 0)
+        got[owners[0] if xi else Ts[0]][xi] += 1
+    assert got[Ts[0]].pop(0.0) == sum(c.pop(0.0) for c in want.values())
+    assert got == want
 
 
 def test_unknown_green_mode_rejected(toy_atom, material_toy):

@@ -113,6 +113,12 @@ RUNS = (
     ("scan 0.1,300 K res-tol 0",
      _shift("scan", "--z", "1e-6", "--T", "0.1,300", "--resonance-tol", "0",
             "--format", "csv"), {}),
+    # the Matsubara sums of 8 T run together, each on its own blocks: from
+    # 5 terms at 600 K to about 16000 at 0.35 K, and at 0.1 K none stops
+    # by the cutoff, so that T fails at every z
+    ("scan 5 z x 8 T 0.1-600 K",
+     _shift("scan", "--z-range", "1e-7:1e-5:5log",
+            "--T", "30,0.35,600,0.1,3,120,1,8", "--format", "csv"), {}),
 ) + tuple((f"modes {name}", ["modes", "--material", _fixture(name)], {})
           for name in MATERIALS) + (
     ("modes material_narrow csv",
