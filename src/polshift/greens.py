@@ -4,10 +4,14 @@ Two routes are provided on purpose and kept independent: the full k_rho
 quadrature of the reflected-wave integral, and the nonretarded closed form
 G = z^-3 * (c^2/(32 pi w^2)) r_p * diag(1,1,2).  Their agreement for
 w z / c << 1 is a consistency check, not a shared code path.
+
+Each k_rho integral is one pass of polshift.quadpack, the package's
+transcription of QUADPACK's DQAGSE and DQAGIE, so the full route needs
+numpy alone.  Its integrands take the array of a panel pair's nodes, and
+each node keeps the bits a scalar evaluation would give.
 """
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -59,25 +63,43 @@ def green_nonretarded(m, z, omega):
 
 
 def _quad(f, a, b, epsabs, label):
-    """quad of the real integrand f to QUAD_REL_TOL that escalates the
+    """Integral of the real integrand f over [a, b] (b finite or inf) to
+    QUAD_REL_TOL by the package's QUADPACK pass, which escalates the
     subdivision limit once from QUAD_LIMIT, then raises.
 
-    scipy.integrate is imported here, on the first full-route call, so that
-    the nonretarded route never loads scipy; ROADMAP item 10's fixed-node
-    rules take its place.
-    """
-    from scipy.integrate import IntegrationWarning, quad
+    f takes the float64 array of a panel pair's nodes and returns their
+    values; the pass is scipy.integrate.quad's, step for step, so every
+    value, error estimate and subdivision is the one quad would give.
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lim in (QUAD_LIMIT, 8 * QUAD_LIMIT):
-            val, err = quad(f, a, b, epsabs=epsabs, epsrel=QUAD_REL_TOL,
-                            limit=lim)
-            if err <= max(epsabs, QUAD_REL_TOL * abs(val)) * 10.0:
-                return val
+    quadpack is imported here, on the first full-route call, so that a
+    nonretarded command does not load it while it starts up.
+    """
+    from . import quadpack
+
+    for lim in (QUAD_LIMIT, 8 * QUAD_LIMIT):
+        val, err = quadpack.quad(f, a, b, epsabs, QUAD_REL_TOL, lim)[:2]
+        if err <= max(epsabs, QUAD_REL_TOL * abs(val)) * 10.0:
+            return val
     raise QuadratureFailure(
         f"green_full quadrature ({label}) did not reach tolerance "
         f"epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} subdivisions")
+
+
+def _each(fn, x):
+    """fn (a math function) at every node of the float array x: numpy's
+    own exp and hypot round some values otherwise than libm, and each node
+    must keep the bits of a scalar evaluation."""
+    return np.fromiter(map(fn, x.tolist()), float, len(x))
+
+
+def _times(a, b):
+    """a * b of two complex arrays, each product rounded on its own as in
+    a complex scalar product: numpy's vector loop may fuse a multiply and an
+    add there.  Products with one real or imaginary factor need no care."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def green_full(m, z, omega, *, part=None):
@@ -91,7 +113,8 @@ def green_full(m, z, omega, *, part=None):
     exponentially damped function of kappa.
 
     eps(omega) and (c/omega)^2 do not depend on k_rho, so they are evaluated
-    once per call, not at every quadrature node.
+    once per call, not at every quadrature node.  The integrands work on
+    the array of nodes of a panel pair, one fresnel call per array.
 
     Each of the four integrals is two real quadratures, one per part of G.
     part="real" or "imag" runs only that part's, half the k_rho nodes, and
@@ -114,14 +137,13 @@ def green_full(m, z, omega, *, part=None):
     # propagating side: k_rho = k0 sin(theta), k_vz = k0 cos(theta),
     # (k_rho/k_vz) dk_rho = k0 sin(theta) dtheta
     def prop(theta, want_zz):
-        s, c_ = math.sin(theta), math.cos(theta)
-        k_rho = k0 * s
-        r_s, r_p = fresnel(eps, omega, k_rho)
-        phase = np.exp(2j * k0 * c_ * z)
-        common = 1j / (8.0 * math.pi) * k0 * s * phase
+        s, c_ = _each(math.sin, theta), _each(math.cos, theta)
+        r_s, r_p = fresnel(eps, omega, k0 * s)
+        phase = np.exp(1j * (2.0 * k0 * c_ * z))
+        common = 1j * (1.0 / (8.0 * math.pi) * k0 * s) * phase
         if want_zz:
-            return common * r_p * (2.0 * s * s)
-        return common * (r_s - r_p * c_ * c_)
+            return _times(common, r_p) * (2.0 * s * s)
+        return _times(common, r_s - r_p * c_ * c_)
 
     # evanescent side: k_vz = i kappa, k_rho^2 = kappa^2 + k0^2,
     # (i/8 pi)(k_rho/k_vz) dk_rho = (1/8 pi) dkappa.  Rescaling to the
@@ -129,9 +151,9 @@ def green_full(m, z, omega, *, part=None):
     # the infinite-interval transform samples well at any z.
     def evan(u, want_zz):
         kappa = u / (2.0 * z)
-        k_rho = math.hypot(kappa, k0)
+        k_rho = np.array([math.hypot(k, k0) for k in kappa.tolist()])
         r_s, r_p = fresnel(eps, omega, k_rho)
-        common = math.exp(-u) / (8.0 * math.pi) / (2.0 * z)
+        common = _each(math.exp, -u) / (8.0 * math.pi) / (2.0 * z)
         if want_zz:
             return common * r_p * cw2 * 2.0 * (k_rho * k_rho)
         return common * (r_s + r_p * cw2 * (kappa * kappa))
@@ -176,11 +198,12 @@ def green_full_imag_axis(m, z, xi):
     # rescale to u = 2 k_rho z so the e^{-2 kappa_v z} damping has O(1) width
     def integrand(u, want_zz):
         k_rho = u / (2.0 * z)
-        kv = math.hypot(k_rho, k0)
-        kd = math.sqrt(eps * k0 * k0 + k_rho * k_rho)
+        kv = np.array([math.hypot(k, k0) for k in k_rho.tolist()])
+        kd = np.sqrt(eps * k0 * k0 + k_rho * k_rho)
         r_s = (kv - kd) / (kv + kd)
-        r_p = (eps * kv - kd) / (eps * kv + kd)
-        common = ((k_rho / kv) * math.exp(-2.0 * kv * z)
+        e_kv = eps * kv
+        r_p = (e_kv - kd) / (e_kv + kd)
+        common = ((k_rho / kv) * _each(math.exp, -2.0 * kv * z)
                   / (8.0 * math.pi) / (2.0 * z))
         if want_zz:
             return -common * cx2 * r_p * 2.0 * (k_rho * k_rho)

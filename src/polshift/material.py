@@ -190,34 +190,39 @@ def reflection_imag_axis(m, xi):
 
 def fresnel(eps, omega, k_rho):
     """Fresnel reflection coefficients (r_s, r_p) of the half-space of
-    permittivity eps = permittivity(m, omega) at one real omega > 0 and one
-    k_rho >= 0, as np.complex128.
+    permittivity eps = permittivity(m, omega) at one real omega > 0, over
+    an array of k_rho >= 0 (a number gives numpy scalars).
 
     k_vz = sqrt(omega^2/c^2 - k_rho^2), k_dz = sqrt(eps omega^2/c^2 - k_rho^2),
     both on the branch Im k >= 0;
     r_p = (eps k_vz - k_dz)/(eps k_vz + k_dz), r_s = (k_vz - k_dz)/(k_vz + k_dz).
 
-    QUADPACK calls it once per k_rho node of each real pass of green_full at
-    one fixed omega (a pass per part of G its caller reads, so a real-only
-    or imaginary-only tensor takes half the nodes of both parts), so
-    green_full evaluates eps once and hands it in, and the rest works in
-    numpy scalars: a 0-d array would spend most of each call in numpy's
-    per-call overhead.  NaN is rejected with the other bad values of omega
-    and k_rho.
+    green_full's QUADPACK pass calls it once per panel pair, on the 42 or
+    30 k_rho nodes of one part of G at one fixed omega, so green_full
+    evaluates eps once and hands it in.  Each node gets the bits of a
+    scalar evaluation: eps k_vz has a real or an imaginary k_vz, so numpy's
+    vector loop rounds it as a scalar product would.  NaN is rejected with
+    the other bad values of omega and k_rho.
     """
     if not omega > 0:
         raise ValueError("omega must be > 0")
-    if not k_rho >= 0:
+    k_rho = np.asarray(k_rho, dtype=float)
+    if not k_rho.min() >= 0:
         raise ValueError("k_rho must be >= 0")
     k0 = omega / C
     k2, kr2 = k0 * k0, k_rho * k_rho  # numpy squares as x*x; pow may not
     # the principal root of a real number already has Im >= 0
-    k_vz = np.sqrt(np.complex128(k2 - kr2))
-    k_dz = np.sqrt(eps * k2 - kr2)
-    if k_dz.imag < 0:
-        k_dz = -k_dz
+    k_vz = np.sqrt((k2 - kr2).astype(complex))
+    # every eps k2 - k_rho^2 has the imaginary part of eps k2, sign of zero
+    # included, and a principal root the sign of that part: only a negative
+    # sign leaves roots to flip to Im >= 0
+    ek2 = eps * k2
+    k_dz = np.sqrt(ek2 - kr2)
+    if math.copysign(1.0, ek2.imag) < 0:
+        k_dz = np.where(k_dz.imag < 0, -k_dz, k_dz)
     r_s = (k_vz - k_dz) / (k_vz + k_dz)
-    r_p = (eps * k_vz - k_dz) / (eps * k_vz + k_dz)
+    e_vz = eps * k_vz
+    r_p = (e_vz - k_dz) / (e_vz + k_dz)
     return r_s, r_p
 
 

@@ -305,9 +305,10 @@ def mode_width_from_pole(m, mode, max_iter=100):
 def fresnel_array(m, omega, k_rho):
     """Fresnel (r_s, r_p) on numpy arrays, elementwise over omega and k_rho.
 
-    The library's former array body, kept as the reference for its scalar
-    fresnel: the same formulas on an array of eps, taken one omega at a
-    time from permittivity, with each root flipped to Im >= 0 by np.where.
+    The library's former body over arrays of omega, kept as the reference
+    for fresnel over an array of k_rho at one omega: the same formulas on
+    an array of eps, taken one omega at a time from permittivity, with each
+    root flipped to Im >= 0 by np.where.
     """
     def upper_sqrt(arg):
         root = np.sqrt(np.asarray(arg, dtype=complex))

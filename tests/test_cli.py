@@ -715,21 +715,20 @@ def run_fresh(args):
     return json.loads(proc.stdout)
 
 
+SCAN_ARGS = ["scan", *POINT_ARGS[1:-4], "--z-range", "1e-7:1e-5:5log",
+             "--T", "350,500"]
+
+
 @pytest.mark.parametrize("args", [
     POINT_ARGS,
-    ["scan", *POINT_ARGS[1:-4], "--z-range", "1e-7:1e-5:5log",
-     "--T", "350,500"],
+    SCAN_ARGS,
     ["modes", "--material", f"{FIX}/material_broad.json"],
-], ids=["point", "scan", "modes"])
+    [*POINT_ARGS, "--green", "full"],
+    [*SCAN_ARGS, "--green", "full"],
+], ids=["point", "scan", "modes", "point-green-full", "scan-green-full"])
 def test_nonretarded_commands_load_no_scipy(args):
-    """A nonretarded point, a scan and a modes run exit 0 with no scipy
-    module loaded: the constants are literals, the mode finder's solvers
-    live in polshift.material, and only the full route imports quad."""
+    """A point, a scan and a modes run exit 0 with no scipy module loaded,
+    on either Green route: the constants are literals, the mode finder's
+    solvers live in polshift.material, and the full route's k_rho
+    quadrature is polshift.quadpack."""
     assert run_fresh(args) == [0, []]
-
-
-def test_full_route_point_exits_0_in_a_fresh_interpreter():
-    """--green full imports scipy.integrate on its first quadrature; which
-    other scipy modules that import pulls in is scipy's business."""
-    code, _ = run_fresh([*POINT_ARGS, "--green", "full"])
-    assert code == 0

@@ -166,7 +166,7 @@ def test_full_part_is_that_part_of_both(request, rb_atom, material,
     nodes = []
 
     def counted(eps, omega, k_rho):
-        nodes.append(k_rho)
+        nodes.append(np.size(k_rho))
         return ps.fresnel(eps, omega, k_rho)
 
     monkeypatch.setattr(greens, "fresnel", counted)
@@ -175,7 +175,7 @@ def test_full_part_is_that_part_of_both(request, rb_atom, material,
         for part in (None, "real", "imag"):
             nodes.clear()
             g[part] = ps.green_full(m, z, omega, part=part)
-            count[part] = len(nodes)
+            count[part] = sum(nodes)
         both, re, im = g[None], g["real"], g["imag"]
         assert (re.xx.real, re.zz.real) == (both.xx.real, both.zz.real)
         assert (im.xx.imag, im.zz.imag) == (both.xx.imag, both.zz.imag)

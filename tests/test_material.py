@@ -378,10 +378,11 @@ def test_fresnel_normal_incidence_eps_4():
 
 @pytest.mark.parametrize("material", ["material_broad", "material_narrow"])
 def test_fresnel_equals_array_oracle(request, material):
-    """The scalar fresnel gives the bits of the former array body
-    (oracles.fresnel_array) at k_rho = 0, exactly on the light line and on
-    both sides of it up to 1e9 omega/c, at each mode centre, at half the
-    lower one and at twice the upper one."""
+    """fresnel over an array of k_rho gives complex128 arrays with the bits
+    of the array oracle (oracles.fresnel_array), and each number k_rho the
+    same bits: at k_rho = 0, exactly on the light line and on both sides of
+    it up to 1e9 omega/c, at each mode centre, at half the lower one and at
+    twice the upper one."""
     m = request.getfixturevalue(material)
     modes = ps.find_polariton_modes(m)
     omegas = [0.5 * modes[0].omega_center,
@@ -392,12 +393,13 @@ def test_fresnel_equals_array_oracle(request, material):
         k_rho = np.concatenate((
             [0.0, k0], k0 * np.geomspace(1e-6, 1.0 - 1e-12, 150),
             k0 * np.geomspace(1.0 + 1e-12, 1e9, 300)))
-        r_s, r_p = fresnel_array(m, np.full(k_rho.shape, omega), k_rho)
+        want = fresnel_array(m, np.full(k_rho.shape, omega), k_rho)
         eps = ps.permittivity(m, omega)
-        for k, want in zip(k_rho.tolist(), zip(r_s.tolist(), r_p.tolist())):
-            got = ps.fresnel(eps, omega, k)
-            assert all(type(r) is np.complex128 for r in got)
-            assert got == want
+        got = ps.fresnel(eps, omega, k_rho)
+        assert all(r.dtype == np.complex128 for r in got)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for k, r_s, r_p in zip(k_rho.tolist(), *want):
+            assert ps.fresnel(eps, omega, k) == (r_s, r_p)
 
 
 def test_fresnel_rejects_bad_arguments(material_broad):
