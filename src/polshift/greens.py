@@ -17,8 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import QuadratureFailure
-from .material import (fresnel, permittivity, permittivity_imag_axis,
-                       reflection_nonretarded)
+from .material import _rp, fresnel, permittivity, permittivity_imag_axis
 from .units import C, cube
 
 #: relative accuracy target of every k_rho quadrature: quad's epsrel, and
@@ -54,10 +53,11 @@ class GreenTensor3(NamedTuple):
 
 def green_nonretarded(m, z, omega):
     """Nonretarded closed form z^-3 (c^2/(32 pi omega^2)) r_p diag(1,1,2)
-    at one omega, which may be complex; xx and zz are complex numbers."""
+    at one omega, which may be complex; xx and zz are complex numbers.
+    r_p has the bits of reflection_nonretarded, read as a float pair."""
     if not z > 0:
         raise ValueError("z must be > 0")
-    r_p = complex(reflection_nonretarded(m, omega))
+    r_p = complex(*_rp(m, omega))
     gxx = C**2 / (32.0 * math.pi * (omega * omega) * cube(z)) * r_p
     return GreenTensor3(gxx, 2.0 * gxx)
 

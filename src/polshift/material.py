@@ -56,12 +56,13 @@ class MaterialModel:
 
     Oscillators are stored sorted ascending by omega_T (canonical form).
     _coeffs holds (omega_P^2, omega_T^2, gamma) of each oscillator in that
-    order, built once, so that the permittivity, which the Matsubara sum and
-    the mode finder call one value at a time, reads three floats per
-    oscillator instead of squaring two attributes; it takes no part in
-    equality, hashing or repr.  Each square is one correctly rounded
-    product, so it scales exactly when every frequency is scaled by 2^k
-    (x**2 goes through libm pow, which misrounds some x).
+    order, built once, so that the float bodies of eps on either axis, of
+    eps' and of r_p, which the Matsubara sum, the mode finder and the
+    nonretarded Green tensor call one value at a time, read three Python
+    floats per oscillator instead of squaring two attributes; it takes no
+    part in equality, hashing or repr.  Each square is one correctly
+    rounded product, so it scales exactly when every frequency is scaled
+    by 2^k (x**2 goes through libm pow, which misrounds some x).
     """
 
     name: str
@@ -106,26 +107,82 @@ class PolaritonMode:
 
 # --- permittivity -------------------------------------------------------------
 
+# The real-axis bodies below work in Python floats and return (re, im).  Each
+# transcribes, operation for operation, the numpy complex128 scalar
+# expression it replaced (tests/oracles.py keeps those expressions), zero
+# parts and signs of zero included: complex products as (ar br - ai bi,
+# ar bi + ai br), a real x taken as (x, 0), and quotients by _quotient.  So
+# they give numpy's bits at a fraction of the cost, and keep those bits
+# under a numpy whose scalars round otherwise.
+
+def _quotient(ar, ai, br, bi):
+    """(ar + i ai)/(br + i bi) as numpy's complex128 scalar division
+    (CDOUBLE_divide) rounds it: Smith's scaled division by the larger part
+    of the divisor, and x/0 as x/+0 in IEEE arithmetic."""
+    if abs(br) >= abs(bi):
+        if br == 0 and bi == 0:  # x/+0 = x*inf: +-inf, or NaN for 0 and NaN
+            return ar * math.inf, ai * math.inf
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return (ar + ai * rat) * scl, (ai - ar * rat) * scl
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return (ar * rat + ai) * scl, (ai * rat - ar) * scl
+
+
+def _omega_parts(omega):
+    """(Re omega, Im omega) as Python floats, for one int, float or complex
+    (np.float64 and np.complex128 included); TypeError for anything else."""
+    if type(omega) is float:
+        return omega, 0.0
+    if isinstance(omega, complex):
+        return float(omega.real), float(omega.imag)
+    if isinstance(omega, (int, float)):
+        return float(omega), 0.0
+    raise TypeError(f"omega must be one number, not {type(omega)!r}")
+
+
+def _eps(m, omega):
+    """(Re, Im) of eps(omega) at one real or complex omega, as permittivity
+    defines it, in Python floats."""
+    wr, wi = _omega_parts(omega)
+    w2r, w2i = wr * wr - wi * wi, wr * wi + wi * wr  # w*w
+    iwr, iwi = 0.0 * wr - wi, 0.0 * wi + wr  # 1j*omega
+    er, ei = 1.0, 0.0
+    for j, (p2, t2, g) in enumerate(m._coeffs):
+        # t2 - w*w - (1j*omega)*g, the last a product with (g, 0)
+        br = t2 - w2r - (iwr * g - iwi * 0.0)
+        bi = (0.0 - w2i) - (iwr * 0.0 + iwi * g)
+        # _quotient(p2, 0.0, br, bi), written out: this is the hot loop
+        if abs(br) >= abs(bi):
+            if br == 0 and bi == 0:
+                raise _pole_hit(m, j)
+            rat = bi / br
+            scl = 1.0 / (br + bi * rat)
+            er += (p2 + 0.0 * rat) * scl
+            ei += (0.0 - p2 * rat) * scl
+        else:
+            rat = br / bi
+            scl = 1.0 / (bi + br * rat)
+            er += (p2 * rat + 0.0) * scl
+            ei += (0.0 * rat - p2) * scl
+    return er, ei
+
+
 def permittivity(m, omega):
     """Drude-Lorentz permittivity eps(omega) for complex angular frequency.
 
     eps = 1 + sum_j omega_Pj^2 / (omega_Tj^2 - omega^2 - i omega Gamma_j).
-    Raises PoleHit when an undamped oscillator is evaluated exactly on its
-    resonance.  One number (int, float or complex, np.float64 and
-    np.complex128 included) gives np.complex128, worked in numpy complex128
-    scalars: plain Python complex would divide with other rounding.  Any
-    other argument, an array or a list among them, raises TypeError.
+    Raises PoleHit, naming the oscillator, when an undamped oscillator is
+    evaluated exactly on its resonance.  One number (int, float or
+    complex, np.float64 and np.complex128 included) gives np.complex128;
+    any other argument, an array or a list among them, raises TypeError.
+    The value is worked in Python floats by a body that transcribes
+    numpy's complex128 scalar rounding op for op (plain Python complex
+    would divide with other rounding), so it has the bits numpy's scalars
+    give here, and keeps them under a numpy whose scalars round otherwise.
     """
-    if not isinstance(omega, (int, float, complex)):
-        raise TypeError(f"omega must be one number, not {type(omega)!r}")
-    w = np.complex128(omega)
-    w2, eps = w * w, np.complex128(1.0)
-    for j, (p2, t2, g) in enumerate(m._coeffs):
-        denom = t2 - w2 - 1j * omega * g
-        if denom == 0:
-            raise _pole_hit(m, j)
-        eps = eps + p2 / denom
-    return eps
+    return np.complex128(complex(*_eps(m, omega)))
 
 
 def _pole_hit(m, j):
@@ -153,33 +210,58 @@ def permittivity_imag_axis(m, xi):
     return eps
 
 
-def _permittivity_derivative(m, omega):
-    """Analytic d eps / d omega (np.complex128) at one real omega."""
-    w = np.complex128(omega)
-    w2, d = w * w, np.complex128(0.0)
+def _deps(m, omega):
+    """(Re, Im) of d eps/d omega = sum_j omega_Pj^2 (2 omega + i Gamma_j)
+    / D_j^2 at one real or complex omega, in Python floats; D_j is
+    permittivity's denominator, rounded as there."""
+    wr, wi = _omega_parts(omega)
+    w2r, w2i = wr * wr - wi * wi, wr * wi + wi * wr  # w*w
+    iwr, iwi = 0.0 * wr - wi, 0.0 * wi + wr  # 1j*omega
+    tr, ti = 2.0 * wr - 0.0 * wi, 2.0 * wi + 0.0 * wr  # 2.0*w
+    dr, di = 0.0, 0.0
     for p2, t2, g in m._coeffs:
-        denom = t2 - w2 - 1j * omega * g
-        d = d + p2 * (2.0 * w + 1j * g) / (denom * denom)
-    return d
+        br = t2 - w2r - (iwr * g - iwi * 0.0)
+        bi = (0.0 - w2i) - (iwr * 0.0 + iwi * g)
+        nr, ni = tr + (0.0 * g - 0.0), ti + (0.0 + g)  # 2.0*w + 1j*g
+        qr, qi = _quotient(p2 * nr - 0.0 * ni, p2 * ni + 0.0 * nr,
+                           br * br - bi * bi, br * bi + bi * br)
+        dr, di = dr + qr, di + qi
+    return dr, di
+
+
+def _permittivity_derivative(m, omega):
+    """Analytic d eps / d omega (np.complex128) at one real omega, worked
+    in Python floats with numpy's complex128 scalar rounding, as
+    permittivity is."""
+    return np.complex128(complex(*_deps(m, omega)))
 
 
 # --- reflection ---------------------------------------------------------------
+
+def _rp(m, omega):
+    """(Re, Im) of the nonretarded r_p at one real or complex omega, as
+    reflection_nonretarded defines it, in Python floats."""
+    er, ei = _eps(m, omega)
+    nr, ni = er - 1.0, ei - 0.0  # eps - 1.0
+    dr, di = er + 1.0, ei + 0.0  # eps + 1.0
+    # abs of a Python complex is libm hypot, as numpy's abs is
+    if abs(complex(dr, di)) < POLE_RTOL * abs(complex(nr, ni)):
+        raise SurfaceModePole(
+            "reflection_nonretarded evaluated on a surface-mode pole "
+            f"(|eps+1| < {POLE_RTOL:g}*|eps-1|)")
+    return _quotient(nr, ni, dr, di)
+
 
 def reflection_nonretarded(m, omega):
     """Nonretarded p-reflection (eps - 1)/(eps + 1).
 
     Raises SurfaceModePole when |eps + 1| < POLE_RTOL * |eps - 1|, i.e. the
     evaluation sits numerically on a surface-mode pole.  One number gives
-    np.complex128; permittivity raises TypeError for anything else.
+    np.complex128, worked in Python floats with numpy's complex128 scalar
+    rounding, as permittivity is; permittivity raises TypeError for
+    anything else.
     """
-    eps = permittivity(m, omega)
-    num = eps - 1.0
-    den = eps + 1.0
-    if abs(den) < POLE_RTOL * abs(num):
-        raise SurfaceModePole(
-            "reflection_nonretarded evaluated on a surface-mode pole "
-            f"(|eps+1| < {POLE_RTOL:g}*|eps-1|)")
-    return num / den
+    return np.complex128(complex(*_rp(m, omega)))
 
 
 def reflection_imag_axis(m, xi):
@@ -241,7 +323,7 @@ def _polish(f, x, a, b, xtol, maxiter=100):
     ValueError, and maxiter values without convergence raise RuntimeError.
     """
     for _ in range(maxiter):
-        fx, slope = map(float, f(x))
+        fx, slope = f(x)
         if math.isnan(fx):
             raise ValueError(f"the function value at x={x!r} is NaN")
         if fx == 0:
@@ -345,11 +427,11 @@ def _bounded_minimum(f, lo, hi, xatol, maxfun=500):
 
 
 def _im_rp(m, omega):
-    return reflection_nonretarded(m, omega).imag
+    return _rp(m, omega)[1]
 
 
 def _re_eps_plus_one(m, omega):
-    return permittivity(m, omega).real + 1.0
+    return _eps(m, omega)[0] + 1.0
 
 
 def _ascending_eps_roots(m):
@@ -403,17 +485,17 @@ def _ascending_eps_roots(m):
     # a midpoint can round onto a pole only when two fences are a few ulp
     # apart; it is then not evaluated, and its cells are dropped
     edges[np.isin(edges, poles)] = np.nan
-    f = np.array([_re_eps_plus_one(m, e) for e in edges.tolist()])
-    return [_polish(lambda w: (_re_eps_plus_one(m, w),
-                               _permittivity_derivative(m, w).real),
+    fences, edges = fences.tolist(), edges.tolist()
+    f = np.array([_re_eps_plus_one(m, e) for e in edges])
+    return [_polish(lambda w: (_re_eps_plus_one(m, w), _deps(m, w)[0]),
                     fences[i], edges[i], edges[i + 1], xtol=1e-13 * fences[i])
             for i in np.flatnonzero(is_root & (f[:-1] < 0) & (f[1:] >= 0))]
 
 
 def _width_estimate(m, omega0):
     """FWHM estimate 2 Im eps / Re eps' at an ascending eps = -1 crossing."""
-    im_eps = float(np.imag(permittivity(m, omega0)))
-    deps = float(np.real(_permittivity_derivative(m, omega0)))
+    im_eps = _eps(m, omega0)[1]
+    deps = _deps(m, omega0)[0]
     if im_eps <= 0 or deps <= 0:
         return None
     return 2.0 * im_eps / deps
@@ -429,9 +511,11 @@ def _half_max_point(m, center, peak, step, direction):
     half = 0.5 * peak
 
     def f(w):
-        r = reflection_nonretarded(m, w)
-        return r.imag - half, 0.5 * (
-            (1.0 - r) * (1.0 - r) * _permittivity_derivative(m, w)).imag
+        rr, ri = _rp(m, w)
+        dr, di = _deps(m, w)
+        ar, ai = 1.0 - rr, 0.0 - ri  # 1.0 - r_p
+        sr, si = ar * ar - ai * ai, ar * ai + ai * ar  # (1.0 - r_p)^2
+        return ri - half, 0.5 * (sr * di + si * dr)  # 0.5 Im[(1 - r_p)^2 eps']
 
     prev, f_prev, width = center, peak - half, step
     for _ in range(80):
@@ -464,6 +548,10 @@ def find_polariton_modes(m):
 
     Im r_p vanishes identically for a fully undamped material, so there is
     no peak to find and NoModeFound is raised.
+
+    Every eps, eps' and r_p the search reads is a pair of Python floats
+    from the float bodies behind permittivity and reflection_nonretarded,
+    with the bits of numpy's complex128 scalars and without their cost.
     """
     if not m.oscillators:
         raise NoModeFound("vacuum half-space: r_p vanishes identically")
@@ -484,7 +572,7 @@ def find_polariton_modes(m):
         # item 4)
         center, fun = _bounded_minimum(lambda w: -_im_rp(m, w), wlo, whi,
                                        xatol=1e-13 * r)
-        center, peak = float(center), -float(fun)
+        peak = -fun
         wl = _half_max_point(m, center, peak, g0, -1.0)
         wr = _half_max_point(m, center, peak, g0, +1.0)
         if wl is None or wr is None:

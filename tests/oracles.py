@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 
 import polshift as ps
+from polshift import material
 from polshift.errors import SCHEMA_VERSION
 from polshift.units import C, HBAR, KB, MU0
 
@@ -234,6 +235,48 @@ def nonresonant_one_polariton(*, omega_P, omega_T, gamma_damp, transitions,
     out1 = -(MU0 * C**2 / (48.0 * math.pi * z**3)) * (KB * T / HBAR) * line1
     out2 = (MU0 * C**2 / (24.0 * math.pi * z**3)) * line2
     return out1 + out2
+
+
+def permittivity_numpy(m, omega):
+    """eps(omega) worked in numpy complex128 scalars: the library's former
+    body of permittivity, kept as the bit-for-bit reference of its float
+    transcription (one number gives np.complex128, an undamped oscillator
+    hit exactly raises PoleHit, anything else TypeError)."""
+    if not isinstance(omega, (int, float, complex)):
+        raise TypeError(f"omega must be one number, not {type(omega)!r}")
+    w = np.complex128(omega)
+    w2, eps = w * w, np.complex128(1.0)
+    for j, (p2, t2, g) in enumerate(m._coeffs):
+        denom = t2 - w2 - 1j * omega * g
+        if denom == 0:
+            raise material._pole_hit(m, j)
+        eps = eps + p2 / denom
+    return eps
+
+
+def permittivity_derivative_numpy(m, omega):
+    """d eps/d omega worked in numpy complex128 scalars: the library's
+    former body of _permittivity_derivative."""
+    w = np.complex128(omega)
+    w2, d = w * w, np.complex128(0.0)
+    for p2, t2, g in m._coeffs:
+        denom = t2 - w2 - 1j * omega * g
+        d = d + p2 * (2.0 * w + 1j * g) / (denom * denom)
+    return d
+
+
+def reflection_nonretarded_numpy(m, omega):
+    """(eps - 1)/(eps + 1) worked in numpy complex128 scalars: the
+    library's former body of reflection_nonretarded, SurfaceModePole
+    included."""
+    eps = permittivity_numpy(m, omega)
+    num = eps - 1.0
+    den = eps + 1.0
+    if abs(den) < material.POLE_RTOL * abs(num):
+        raise ps.SurfaceModePole(
+            "reflection_nonretarded evaluated on a surface-mode pole "
+            f"(|eps+1| < {material.POLE_RTOL:g}*|eps-1|)")
+    return num / den
 
 
 def omega_surface(osc):

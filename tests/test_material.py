@@ -2,6 +2,8 @@
 
 import json
 import math
+import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,9 @@ import polshift as ps
 from polshift import material
 from oracles import (eps_crossing, fresnel_array, half_max_point,
                      lorentzian_ldos_factor, material_to_dict,
-                     mode_width_from_pole, omega_surface)
+                     mode_width_from_pole, omega_surface,
+                     permittivity_derivative_numpy, permittivity_numpy,
+                     reflection_nonretarded_numpy)
 from polshift.units import CM1, C
 
 # ---------------------------------------------------------------------------
@@ -249,6 +253,116 @@ def test_permittivity_absorptive_sign(omega_P, omega_T, gamma, omega):
     m = ps.MaterialModel(
         "h", oscillators=(ps.Oscillator(omega_P, omega_T, gamma),))
     assert ps.permittivity(m, omega).imag > 0.0
+
+
+#: each real-axis function of the material and its numpy-scalar oracle
+NUMPY_ORACLES = (
+    (ps.permittivity, permittivity_numpy),
+    (material._permittivity_derivative, permittivity_derivative_numpy),
+    (ps.reflection_nonretarded, reflection_nonretarded_numpy),
+)
+
+
+def _outcome(f, m, omega):
+    """f(m, omega), or the (type, message) of the PoleHit or SurfaceModePole
+    it raised; numpy's warnings (x/0 in the derivative at a pole) are
+    silenced for the oracles."""
+    try:
+        with np.errstate(all="ignore"):
+            return f(m, omega)
+    except (ps.PoleHit, ps.SurfaceModePole) as exc:
+        return type(exc), str(exc)
+
+
+def _same_bits(got, want):
+    """Equal part by part, sign of zero included; NaN matches NaN."""
+    return all((x == y and math.copysign(1.0, x) == math.copysign(1.0, y))
+               or (x != x and y != y)
+               for x, y in ((got.real, want.real), (got.imag, want.imag)))
+
+
+def _assert_float_bodies_equal_numpy(m, n_geom):
+    """permittivity, _permittivity_derivative and reflection_nonretarded
+    give np.complex128 with the bits of their numpy-scalar oracles, and
+    raise PoleHit or SurfaceModePole, with the same message, on exactly the
+    inputs where the oracle does: at 0, -0.0, negative omega, n_geom omega
+    from 1e9 to 1e17 rad/s, each omega_T, each single-oscillator surface
+    frequency, and complex omega above, below and on the real axis."""
+    real = [0.0, -0.0, *np.geomspace(1e9, 1e17, n_geom).tolist(),
+            *(o.omega_T for o in m.oscillators),
+            *(omega_surface(o) for o in m.oscillators)]
+    omegas = [*real, *(-w for w in real[2:]),
+              *(complex(w, s * 0.03 * w) for w in real[2:] for s in (1, -1)),
+              *(complex(w, -0.0) for w in real[2:]), complex(0.0, 1e13)]
+    for new, old in NUMPY_ORACLES:
+        for w in omegas:
+            got, want = _outcome(new, m, w), _outcome(old, m, w)
+            if isinstance(want, tuple):
+                assert got == want, (new.__name__, w)
+            else:
+                assert type(got) is np.complex128 and _same_bits(got, want), \
+                    (new.__name__, w, got, want)
+
+
+@pytest.mark.parametrize("name", FIXTURE_MATERIALS)
+def test_float_bodies_equal_numpy_oracle_on_fixtures(request, name):
+    _assert_float_bodies_equal_numpy(request.getfixturevalue(name), 801)
+
+
+def test_float_bodies_equal_numpy_oracle_on_random_materials():
+    """2000 seeded materials of 1-4 oscillators in the ranges of the
+    benchmark's modes_sweep pool (omega_T 30-300 cm^-1, omega_P/omega_T
+    0.4-1.6, gamma/omega_T 0.5-5 %), one oscillator in five undamped."""
+    rng = random.Random(20240601)
+    for _ in range(2000):
+        oscs = []
+        for _ in range(rng.randint(1, 4)):
+            t = rng.uniform(30.0, 300.0) * CM1
+            g = 0.0 if rng.random() < 0.2 else t * rng.uniform(0.005, 0.05)
+            oscs.append(ps.Oscillator(t * rng.uniform(0.4, 1.6), t, g))
+        _assert_float_bodies_equal_numpy(
+            ps.MaterialModel("random", oscillators=tuple(oscs)), 9)
+
+
+@pytest.mark.parametrize("undamped", [0, 1])
+def test_pole_hit_names_the_undamped_oscillator(undamped):
+    """Of two oscillators, the undamped one hit exactly is named in the
+    PoleHit by its index and its omega_T, whether it is the first or the
+    second, through every function that evaluates eps."""
+    w_T = (5e12, 1e13)
+    m = ps.MaterialModel("pair", oscillators=tuple(
+        ps.Oscillator(2e13, t, 0.0 if j == undamped else 1e11)
+        for j, t in enumerate(w_T)))
+    pole = w_T[undamped]
+    message = re.escape(f"oscillator {undamped} (omega_T={pole!r})")
+    for f in (ps.permittivity, ps.reflection_nonretarded,
+              lambda m, w: ps.green_nonretarded(m, 1e-6, w)):
+        with pytest.raises(ps.PoleHit, match=message):
+            f(m, pole)
+
+
+#: real omega of either sign, 1e8 to 1e18 rad/s in magnitude
+REAL_OMEGA = st.floats(8.0, 18.0).flatmap(
+    lambda e: st.sampled_from((10**e, -10**e)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oscillators=DAMPED_OR_NOT, omega=REAL_OMEGA)
+def test_permittivity_conjugate_symmetry_and_absorption(oscillators, omega):
+    """eps(-omega) = conj eps(omega) and r_p(-omega) = conj r_p(omega)
+    exactly (== counts +0 and -0 as equal), each pole raising on both
+    sides, and Im eps >= 0 for omega > 0: the transcribed division keeps
+    both properties, so a reordering of it shows here."""
+    m = ps.MaterialModel("drawn", oscillators=tuple(
+        ps.Oscillator(*o) for o in oscillators))
+    for f in (ps.permittivity, ps.reflection_nonretarded):
+        up, down = _outcome(f, m, omega), _outcome(f, m, -omega)
+        if isinstance(up, tuple):
+            assert isinstance(down, tuple) and down[0] is up[0]
+        else:
+            assert down == up.conjugate()
+    eps = _outcome(ps.permittivity, m, abs(omega))
+    assert isinstance(eps, tuple) or eps.imag >= 0.0
 
 
 # ---------------------------------------------------------------------------
