@@ -210,30 +210,37 @@ def permittivity_imag_axis(m, xi):
     return eps
 
 
-def _deps(m, omega):
-    """(Re, Im) of d eps/d omega = sum_j omega_Pj^2 (2 omega + i Gamma_j)
-    / D_j^2 at one real or complex omega, in Python floats; D_j is
-    permittivity's denominator, rounded as there."""
+def _eps_deps(m, omega):
+    """(Re eps, Im eps, Re eps', Im eps') at one real or complex omega, in
+    Python floats, from one pass over the oscillators: each denominator
+    D_j of permittivity is worked out once and serves both sums.  eps is
+    rounded as in _eps, and eps' = sum_j omega_Pj^2 (2 omega + i Gamma_j)
+    / D_j^2 as numpy's complex128 scalars round it.  An undamped
+    oscillator hit exactly raises _eps's PoleHit, before its eps' term is
+    taken."""
     wr, wi = _omega_parts(omega)
     w2r, w2i = wr * wr - wi * wi, wr * wi + wi * wr  # w*w
     iwr, iwi = 0.0 * wr - wi, 0.0 * wi + wr  # 1j*omega
     tr, ti = 2.0 * wr - 0.0 * wi, 2.0 * wi + 0.0 * wr  # 2.0*w
-    dr, di = 0.0, 0.0
-    for p2, t2, g in m._coeffs:
+    er, ei, dr, di = 1.0, 0.0, 0.0, 0.0
+    for j, (p2, t2, g) in enumerate(m._coeffs):
         br = t2 - w2r - (iwr * g - iwi * 0.0)
         bi = (0.0 - w2i) - (iwr * 0.0 + iwi * g)
+        if br == 0 and bi == 0:
+            raise _pole_hit(m, j)
+        qr, qi = _quotient(p2, 0.0, br, bi)
+        er, ei = er + qr, ei + qi
         nr, ni = tr + (0.0 * g - 0.0), ti + (0.0 + g)  # 2.0*w + 1j*g
         qr, qi = _quotient(p2 * nr - 0.0 * ni, p2 * ni + 0.0 * nr,
                            br * br - bi * bi, br * bi + bi * br)
         dr, di = dr + qr, di + qi
-    return dr, di
+    return er, ei, dr, di
 
 
 def _permittivity_derivative(m, omega):
-    """Analytic d eps / d omega (np.complex128) at one real omega, worked
-    in Python floats with numpy's complex128 scalar rounding, as
-    permittivity is."""
-    return np.complex128(complex(*_deps(m, omega)))
+    """Analytic d eps / d omega (np.complex128) at one real or complex
+    omega, from _eps_deps, so PoleHit where permittivity raises it."""
+    return np.complex128(complex(*_eps_deps(m, omega)[2:]))
 
 
 # --- reflection ---------------------------------------------------------------
@@ -241,7 +248,12 @@ def _permittivity_derivative(m, omega):
 def _rp(m, omega):
     """(Re, Im) of the nonretarded r_p at one real or complex omega, as
     reflection_nonretarded defines it, in Python floats."""
-    er, ei = _eps(m, omega)
+    return _rp_of_eps(*_eps(m, omega))
+
+
+def _rp_of_eps(er, ei):
+    """(Re, Im) of (eps - 1)/(eps + 1) from eps = er + i ei, or the
+    SurfaceModePole of _rp."""
     nr, ni = er - 1.0, ei - 0.0  # eps - 1.0
     dr, di = er + 1.0, ei + 0.0  # eps + 1.0
     # abs of a Python complex is libm hypot, as numpy's abs is
@@ -434,6 +446,51 @@ def _re_eps_plus_one(m, omega):
     return _eps(m, omega)[0] + 1.0
 
 
+def _re_eps_plus_one_and_slope(m, omega):
+    """(Re eps + 1, Re eps') at omega, from one _eps_deps pass."""
+    er, _, dr, _ = _eps_deps(m, omega)
+    return er + 1.0, dr
+
+
+def _over_common_denominator(lead, factors, numerators):
+    """The numerator of lead + sum_j n_j / f_j over the common denominator
+    prod_j f_j: lead prod_j f_j + sum_j n_j prod_{k != j} f_k, each
+    polynomial a coefficient sequence, highest power first, and every
+    n_j prod_{k != j} f_k of lower degree than prod_j f_j.  The products
+    are np.convolve chains, and the n_j terms add in order, each aligned
+    at the constant term."""
+    poly = np.array([lead])
+    for f in factors:
+        poly = np.convolve(poly, f)
+    for j, num in enumerate(numerators):
+        for k, f in enumerate(factors):
+            if k != j:
+                num = np.convolve(num, f)
+        poly[-len(num):] += num
+    return poly
+
+
+def _imag_axis_rational(m):
+    """(unit, a, e): r_p(i xi) = A(x)/E(x) at x = xi/unit, unit the
+    largest omega_T, with A and E coefficient arrays, highest power first.
+
+    With Q_j(x) = x^2 + g_j x + t_j^2 and P_j = p_j^2 (p, t and g the
+    oscillator's omega_P, omega_T and gamma over unit), eps(i xi) - 1 is
+    sum_j P_j/Q_j, so A = sum_j P_j prod_{k != j} Q_k, of degree
+    2 N_osc - 2, and E = 2 prod_j Q_j + A, of degree 2 N_osc.  Every
+    coefficient is a ratio of frequencies, so scaling all of them by 2^k
+    leaves both arrays unchanged bit for bit.
+    """
+    unit = max(o.omega_T for o in m.oscillators)
+    factors, numerators = [], []
+    for o in m.oscillators:
+        t, p = o.omega_T / unit, o.omega_P / unit
+        factors.append([1.0, o.gamma_damp / unit, t * t])
+        numerators.append([p * p])
+    return (unit, _over_common_denominator(0.0, factors, numerators),
+            _over_common_denominator(2.0, factors, numerators))
+
+
 def _ascending_eps_roots(m):
     """Real frequencies where Re eps crosses -1 from below (ascending).
 
@@ -462,15 +519,7 @@ def _ascending_eps_roots(m):
         else:
             factors.append([-1.0, t])
             numerators.append([p])
-    poly = np.array([2.0])
-    for f in factors:
-        poly = np.convolve(poly, f)
-    for j, num in enumerate(numerators):
-        for k, f in enumerate(factors):
-            if k != j:
-                num = np.convolve(num, f)
-        poly[1:] += num  # one degree below 2 prod_j |D_j|^2
-    s = np.roots(poly)
+    s = np.roots(_over_common_denominator(2.0, factors, numerators))
     s = s.real[(np.abs(s.imag) <= 1e-9 * np.abs(s)) & (s.real > 0)]
     roots = unit * np.sqrt(s)
     poles = [o.omega_T for o in m.oscillators if not o.gamma_damp]
@@ -487,15 +536,14 @@ def _ascending_eps_roots(m):
     edges[np.isin(edges, poles)] = np.nan
     fences, edges = fences.tolist(), edges.tolist()
     f = np.array([_re_eps_plus_one(m, e) for e in edges])
-    return [_polish(lambda w: (_re_eps_plus_one(m, w), _deps(m, w)[0]),
+    return [_polish(lambda w: _re_eps_plus_one_and_slope(m, w),
                     fences[i], edges[i], edges[i + 1], xtol=1e-13 * fences[i])
             for i in np.flatnonzero(is_root & (f[:-1] < 0) & (f[1:] >= 0))]
 
 
 def _width_estimate(m, omega0):
     """FWHM estimate 2 Im eps / Re eps' at an ascending eps = -1 crossing."""
-    im_eps = _eps(m, omega0)[1]
-    deps = _deps(m, omega0)[0]
+    _, im_eps, deps, _ = _eps_deps(m, omega0)
     if im_eps <= 0 or deps <= 0:
         return None
     return 2.0 * im_eps / deps
@@ -511,8 +559,8 @@ def _half_max_point(m, center, peak, step, direction):
     half = 0.5 * peak
 
     def f(w):
-        rr, ri = _rp(m, w)
-        dr, di = _deps(m, w)
+        er, ei, dr, di = _eps_deps(m, w)
+        rr, ri = _rp_of_eps(er, ei)
         ar, ai = 1.0 - rr, 0.0 - ri  # 1.0 - r_p
         sr, si = ar * ar - ai * ai, ar * ai + ai * ar  # (1.0 - r_p)^2
         return ri - half, 0.5 * (sr * di + si * dr)  # 0.5 Im[(1 - r_p)^2 eps']

@@ -21,6 +21,7 @@ Conventions used throughout:
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,7 +31,8 @@ from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
                      NoModeFound, OffResonance, PhysicsError,
                      ZeroTemperature)
 from .greens import green_full, green_full_imag_axis, green_nonretarded
-from .material import find_polariton_modes, reflection_imag_axis
+from .material import (_imag_axis_rational, find_polariton_modes,
+                       reflection_imag_axis)
 from .units import C, HBAR, KB, MU0, cube, energy_report
 
 
@@ -204,6 +206,11 @@ def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK):
     stop rule: a list of n entries, each the float value of its sum or the
     ConvergenceFailure of a sum that no j <= cutoff stops.
 
+    It sums the full route's Matsubara line, one j per block, and the
+    nonretarded line where _closed_form_sums cannot (a _pole_table guard
+    fails, or alpha(i xi) may change sign inside the sum); the stop rule
+    below is the cutoff contract that _closed_form_sums keeps.
+
     term(rows, j, live) gives the terms of the sums numbered rows (an
     integer array) at j, an integer array with one row of j per sum; the
     term at j = 0 enters at half weight.  Where live is False an entry of j
@@ -314,10 +321,15 @@ def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK):
         first = 0
     sums = sums.tolist()
     for i in np.flatnonzero(~done).tolist():
-        sums[i] = ConvergenceFailure(
-            f"Matsubara tail estimate exceeds "
-            f"convergence_tol={MATSUBARA_TOL:g} at cutoff={cutoff}")
+        sums[i] = _cutoff_failure(cutoff)
     return sums
+
+
+def _cutoff_failure(cutoff):
+    """The ConvergenceFailure of a sum that no j <= cutoff stops."""
+    return ConvergenceFailure(
+        f"Matsubara tail estimate exceeds "
+        f"convergence_tol={MATSUBARA_TOL:g} at cutoff={cutoff}")
 
 
 def _predicted_stops(a, b, ta, tb, bound):
@@ -347,6 +359,230 @@ def _predicted_stops(a, b, ta, tb, bound):
         stop = b * np.exp(np.minimum(log_excess / (p - 1.0), math.log(2.0)))
     fits = (log_ba > 0.0) & (p > 1.0) & np.isfinite(log_excess)
     return np.where(fits, stop, math.inf)
+
+
+#: the first j of the closed-form tail; the terms j < _HEAD are the
+#: engine's opening block, summed term by term
+_HEAD = 5
+
+#: two poles of the summand closer than this, relative to the larger,
+#: count as one: closer poles have residues that cancel to fewer than
+#: about twelve digits, and the closed form gives way to the engine
+_POLE_SEP = 1e-4
+
+#: the largest |sum_p R_p| / sum_p |R_p| (and the same with R_p p) that
+#: counts as zero: about a thousand roundings of the residues, where the
+#: fixtures' tables reach 2e-16
+_MOMENT_TOL = 1e-13
+
+#: B_2n / (2n) for n = 1..8, the coefficients of psi's asymptotic series
+_PSI_SERIES = (1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0,
+               1.0 / 132.0, -691.0 / 32760.0, 1.0 / 12.0, -3617.0 / 8160.0)
+
+
+def _digamma(z):
+    """psi(z) over a complex array z with Re z >= 5 (up to rounding).
+
+    Five steps of the recurrence psi(z) = psi(z + 1) - 1/z take the
+    argument to w = z + 5, |w| >= 10, where the asymptotic series
+
+        psi(w) = log w - 1/(2w) - sum_{n=1}^{8} B_2n / (2n w^2n)
+
+    is cut after its w^-16 term; the next one, B_18/(18 w^18), is below
+    3.1e-18, so each value is good to a few roundings of its terms.
+    """
+    shift = 1.0 / z
+    for i in range(1, 5):
+        shift = shift + 1.0 / (z + float(i))
+    w = z + 5.0
+    v = 1.0 / (w * w)
+    series = 0.0
+    for b in reversed(_PSI_SERIES):
+        series = series * v + b
+    return np.log(w) - 0.5 / w - v * series - shift
+
+
+class _PoleTable(NamedTuple):
+    """The nonretarded Matsubara summand of one level on one material as
+    partial fractions: f(xi) = scale * Re sum_p residues_p / (xi/unit - p).
+
+    poles are those of the 2 N_osc roots of E (material._imag_axis_rational)
+    and of +-i w_k, one pair per transition, that lie on or above the real
+    axis; the residue of a pole above it is doubled, to stand for its
+    conjugate too.  c and wk hold each transition's omega_kn |d_nk|^2 and
+    w_k = |omega_kn|/unit (see _pole_table)."""
+
+    unit: float
+    scale: float
+    poles: np.ndarray
+    residues: np.ndarray
+    c: np.ndarray
+    wk: np.ndarray
+
+
+def _pole_table(terms):
+    """The _PoleTable of terms' Matsubara summand on the nonretarded route,
+    or None when the closed form cannot be trusted to rounding.
+
+    In units of unit = max omega_T, with x = xi/unit, the summand
+    alpha(i xi) xi^2 Tr G(i xi) is scale * h(x) with
+
+        h(x) = sum_k c_k A(x) / ((x^2 + w_k^2) E(x)),
+
+    c_k = omega_kn |d_nk|^2, scale = -(2/(3 hbar)) (c^2/(8 pi z^3))/unit^2
+    and r_p(i xi) = A/E.  h falls as x^-4, so its partial fractions
+    sum_p R_p/(x - p) have sum_p R_p = sum_p R_p p = 0.  At a root p of E
+    the residue is A(p)/E'(p) sum_k c_k/(p^2 + w_k^2); at p = +-i w_k it
+    is c_k A(p)/(2 p E(p)).
+
+    None when a guard fails: the material is the vacuum, a transition
+    frequency is 0, two roots of E or a root of E and +-i w_k lie within
+    _POLE_SEP of each other, or sum_p R_p or sum_p R_p p exceeds
+    _MOMENT_TOL of its size.  Every quantity is a ratio of frequencies or
+    scales as c_k does, so scaling all frequencies by 2^k leaves the
+    poles as they are bit for bit.
+    """
+    m = terms.m
+    if not m.oscillators:
+        return None
+    unit, a, e = _imag_axis_rational(m)
+    trans = transitions_from(terms.atom, terms.upper)
+    c = np.array([w * d * d for _, w, d in trans])
+    wk = np.array([abs(w) / unit for _, w, _ in trans])
+    if not wk.all():
+        return None
+    roots, iw = np.roots(e), 1j * wk
+    poles = np.concatenate((roots, iw, -iw))
+    gaps = np.abs(roots[:, None] - poles)
+    np.fill_diagonal(gaps, np.inf)  # a root and itself
+    if (gaps <= _POLE_SEP * np.maximum(np.abs(roots[:, None]),
+                                       np.abs(poles))).any():
+        return None
+    # A, E and E' at the roots and at +i w_k, in one Horner pass
+    coeffs = np.stack((a, e, np.append(0.0, e[:-1] * np.arange(
+        e.size - 1, 0, -1))))
+    at = poles[:-wk.size]
+    vals = np.zeros((3, at.size), dtype=complex)
+    for col in coeffs.T:
+        vals = vals * at + col[:, None]
+    r = roots.size
+    at_roots = vals[0, :r] / vals[2, :r] \
+        * (c / (roots[:, None] * roots[:, None] + wk * wk)).sum(axis=1)
+    at_atom = c * vals[0, r:] / (2.0 * iw * vals[1, r:])
+    residues = np.concatenate((at_roots, at_atom, at_atom.conjugate()))
+    moments = np.stack((residues, residues * poles))
+    if (np.abs(moments.sum(axis=1))
+            > _MOMENT_TOL * np.abs(moments).sum(axis=1)).any():
+        return None
+    # E has real coefficients, so its complex roots come in conjugate
+    # pairs, with conjugate residues, as +-i w_k do: the upper member of
+    # each pair, counted twice, gives the real part of the sum
+    upper = poles.imag >= 0.0
+    weights = np.where(poles.imag > 0.0, 2.0, 1.0)[upper]
+    scale = -(C**2 / (8.0 * math.pi * cube(terms.z))) \
+        * (2.0 / (3.0 * HBAR)) / (unit * unit)
+    return _PoleTable(unit, scale, poles[upper], weights * residues[upper],
+                      c, wk)
+
+
+def _alpha_flips(table):
+    """The x = xi/unit > 0 at which alpha(i xi) may change sign: |y|^(1/2)
+    of the roots y of sum_k c_k prod_{k' != k} (y + w_k'^2), alpha's
+    numerator in y = x^2, that lie within 1e-3 rad of the positive axis,
+    so that a root pair next to the axis, where |alpha| dips towards 0
+    without a sign change, counts too.  A numerator of degree d whose
+    coefficients all have one sign has none: it has no root within
+    pi/d of the positive axis (Descartes' rule for the axis itself), so
+    its roots are not taken.  The products are built for all k at once:
+    the factor of k itself enters as y + 0, which makes the product of
+    every row y times the one wanted."""
+    n = table.wk.size
+    v = np.broadcast_to(table.wk * table.wk, (n, n)).copy()
+    np.fill_diagonal(v, 0.0)
+    prods = np.zeros((n, n + 1))
+    prods[:, 0] = 1.0
+    for j in range(n):
+        prods[:, 1:j + 2] += v[:, j, None] * prods[:, :j + 1]
+    numerator = table.c @ prods[:, :-1]
+    if (numerator > 0).all() or (numerator < 0).all():
+        return np.zeros(0)
+    y = np.roots(numerator)
+    return np.sqrt(np.abs(y[np.abs(y.imag) <= 1e-3 * y.real]))
+
+
+def _closed_form_sums(table, term, xi1, cutoff):
+    """The n = xi1.size sums of _matsubara_sums(term, n, cutoff), each
+    summed exactly from table (a _PoleTable) past its first _HEAD terms,
+    with the ConvergenceFailure of exactly the sums the engine fails.
+
+    One term call evaluates, for every sum, the head j = 0.._HEAD-1 (at
+    most cutoff), the engine's opening block, whose partial sums S_j and
+    running max M_j = max(max_{i <= j} |S_i|, 1e-300) it takes as the
+    engine does, and the term at j = cutoff.  The tail: with
+    x_1 = xi_1/unit,
+
+        sum_{j >= _HEAD} h(j x_1) = -(1/x_1) sum_p R_p psi(_HEAD - p/x_1),
+
+    since sum_p R_p = 0; every root of E lies in Re p <= 0 (passivity)
+    and +-i w_k on the axis, so _digamma sees Re >= _HEAD.  The sum is
+    S = S_4 + scale * tail.
+
+    The stop rule: the engine stops at the first j >= 4 with
+    |t_j| j <= MATSUBARA_TOL M_j and fails when no j <= cutoff does.  A
+    cutoff below 4 fails every sum, after the head; a sum the rule stops
+    at j = 4 is the engine's too.  Otherwise the rule is tested once, at
+    j = cutoff (on the engine's bits of t_cutoff), with M_cutoff taken as
+    max(M_4, |S|).  Where alpha(i xi) keeps one sign on
+    [_HEAD xi_1, cutoff xi_1], so do the terms past the head
+    (r_p(i xi) > 0): the partial sums then run monotonically from S_4
+    towards S, their running max is max(M_4, |S_cutoff|), which |S|
+    matches to MATSUBARA_TOL^2 relative where the test is close, and
+    |t_j| j falls past the summand's resonances, where the rule first
+    holds.  A sign change is where |t_j| j can dip below the rule at some
+    j < cutoff and rise again, so that the engine stops and the test at
+    the cutoff fails: where a root of _alpha_flips(table) lies within a
+    factor 2 of that interval, the sum is the engine's, from j = 0.
+    tests/test_potentials.py checks the two decisions against each other
+    on the fixtures from 0.1 to 600 K and cutoff 3 to 20000.
+    """
+    n = xi1.size
+    x1 = xi1 / table.unit
+    last = min(_HEAD - 1, cutoff)
+    cols = np.arange(last + 1)
+    out = [None] * n
+    flipped = np.zeros(n, dtype=bool)
+    if cutoff > last:
+        flips = _alpha_flips(table)
+        flipped = ((flips >= 0.5 * _HEAD * x1[:, None])
+                   & (flips <= 2.0 * cutoff * x1[:, None])).any(axis=1)
+        cols = np.append(cols, cutoff)  # the term the test at cutoff reads
+    fall = np.flatnonzero(flipped)
+    if fall.size:
+        got = _matsubara_sums(lambda r, j, live: term(fall[r], j, live),
+                              fall.size, cutoff)
+        for i, s in zip(fall.tolist(), got):
+            out[i] = s
+    rows = np.flatnonzero(~flipped)
+    if not rows.size:
+        return out
+    t = term(rows, np.broadcast_to(cols, (rows.size, cols.size)), None)
+    if last < _HEAD - 1:  # the rule holds from j = 4 on
+        for i in rows.tolist():
+            out[i] = _cutoff_failure(cutoff)
+        return out
+    t[:, 0] *= 0.5
+    partial = np.add.accumulate(t[:, :_HEAD], axis=1)
+    running = np.maximum(np.abs(partial).max(axis=1), 1e-300)
+    psi = _digamma(_HEAD - table.poles / x1[rows, None])
+    sums = partial[:, -1] + table.scale * (
+        -(psi * table.residues).sum(axis=1).real / x1[rows])
+    stopped = np.abs(t[:, last]) * last <= MATSUBARA_TOL * running
+    if cutoff > last:
+        scale = np.maximum(running, np.abs(sums))
+        stopped |= np.abs(t[:, -1]) * cutoff <= MATSUBARA_TOL * scale
+    for i, s, ok in zip(rows.tolist(), sums.tolist(), stopped.tolist()):
+        out[i] = s if ok else _cutoff_failure(cutoff)
+    return out
 
 
 def _nonretarded_xi2_trace(m, z, xi):
@@ -383,25 +619,42 @@ def _full_green(m, z, omega, part):
     return green_full(m, z, omega, part=part)
 
 
+def _nonretarded_line(terms, xi1, term, cutoff):
+    """The nonretarded route's Matsubara sums: _closed_form_sums on the
+    _pole_table of terms, or the engine where the table's guards fail."""
+    table = _pole_table(terms)
+    if table is None:
+        return _matsubara_sums(term, xi1.size, cutoff)
+    return _closed_form_sums(table, term, xi1, cutoff)
+
+
+def _full_line(terms, xi1, term, cutoff):
+    """The full route's Matsubara sums: the engine, one j per block."""
+    return _matsubara_sums(term, xi1.size, cutoff, block=1)
+
+
 def _green_route(green_mode):
-    """(green, xi2_trace, block, unit_z) of the "nonretarded" or "full"
+    """(green, xi2_trace, line, unit_z) of the "nonretarded" or "full"
     Green tensor.
 
     The one place a green_mode is resolved.  green(m, z, omega, part) is the
     GreenTensor3 at one real omega, where part ("real" or "imag") is the
     part of G the caller reads: the full route integrates that part alone,
     and the closed form gives both anyway; xi2_trace(m, z, xi) is
-    xi^2 Tr G(i xi) for an array of xi, finite at xi = 0; block is the
-    longest block of j the Matsubara engine hands it.  The full route's
-    quadrature takes one xi at a time, so longer blocks would save nothing
-    there and would run quadratures past the stopping j.  unit_z is UNIT_Z
-    where every line of a report scales exactly as z^-3, and None where
-    retardation ties the lines to z.
+    xi^2 Tr G(i xi) for an array of xi, finite at xi = 0.
+    line(terms, xi1, term, cutoff) gives the Matsubara sums of reports_at,
+    one per xi_1 of the array xi1: the nonretarded route sums five terms
+    and the closed-form tail (_closed_form_sums), the full route runs the
+    engine one j at a time, since its quadrature takes one xi at a time and
+    longer blocks would run quadratures past the stopping j.  unit_z is
+    UNIT_Z where every line of a report scales exactly as z^-3, and None
+    where retardation ties the lines to z.
     """
     if green_mode == "nonretarded":
-        return _nonretarded_green, _nonretarded_xi2_trace, _MAX_BLOCK, UNIT_Z
+        return _nonretarded_green, _nonretarded_xi2_trace, \
+            _nonretarded_line, UNIT_Z
     if green_mode == "full":
-        return _full_green, _full_xi2_trace, 1, None
+        return _full_green, _full_xi2_trace, _full_line, None
     raise ValueError(f"unknown green_mode {green_mode!r}")
 
 
@@ -697,10 +950,15 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
     """The report_at(terms, T, cutoff) of each temperature of Ts, in order:
     the ShiftReport at (terms.z, T), or the PhysicsError it raises.
 
-    The Matsubara sums of all the temperatures run together in one
-    _matsubara_sums, each with the blocks, value and stopping j it has
-    alone.  cutoff < 1, or a T outside [0, T_MAX], raises the ValueError of
-    Environment for the whole call.
+    The Matsubara sums of all the temperatures T > 0 come from one call of
+    the route's line (_green_route).  On the nonretarded route that builds
+    the summand's _pole_table once, sums the five-term head of every T in
+    one term call and adds each T's closed-form tail, with one more term
+    per T for the stop rule's test at the cutoff (_closed_form_sums); the
+    full route runs the engine, _matsubara_sums, over all the T together,
+    each with the blocks, value and stopping j it has alone.  cutoff < 1,
+    or a T outside [0, T_MAX], raises the ValueError of Environment for
+    the whole call.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -708,10 +966,10 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
     for T in Ts:
         _check_temperature(T)
     sums = [0.0] * len(Ts)
-    if terms.photon:
-        hot = [i for i, T in enumerate(Ts) if T > 0]
+    hot = [i for i, T in enumerate(Ts) if T > 0]
+    if terms.photon and hot:
         xi1 = np.array([matsubara_xi(Ts[i], 1) for i in hot])
-        xi2_trace, block = _green_route(terms.green_mode)[1:3]
+        xi2_trace, line = _green_route(terms.green_mode)[1:3]
 
         def term(rows, j, live):
             xi = j * xi1[rows, None]
@@ -723,7 +981,7 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
                 trace[live] = xi2_trace(terms.m, terms.z, xi[live])
             return polarizability_iso(terms.atom, terms.upper, xi) * trace
 
-        for i, s in zip(hot, _matsubara_sums(term, len(hot), cutoff, block)):
+        for i, s in zip(hot, line(terms, xi1, term, cutoff)):
             sums[i] = s
     return [_report_or_error(terms, T, s) for T, s in zip(Ts, sums)]
 

@@ -53,7 +53,7 @@ def tensor_to_jsonable(g):
     return [[float(c.real), float(c.imag)] for c in g]
 
 
-def nonresonant_parts_per_transition(atom, n, m, env):
+def nonresonant_parts_per_transition(atom, n, m, env, dps=40):
     """Nonretarded (matsubara, resonant_photon) from the per-transition
     z^-3 closed form:
 
@@ -61,20 +61,20 @@ def nonresonant_parts_per_transition(atom, n, m, env):
             sum'_j [omega_kn/(omega_kn^2+xi_j^2)] (eps(i xi_j)-1)/(eps(i xi_j)+1)
         + (mu0 c^2)/(24 pi z^3) * sum_k nbar(omega_kn) |d_nk|^2 Re r_p(|omega_kn|)
 
+    Each transition's primed sum over j is exact: its own partial
+    fractions at dps digits (_matsubara_partial_fractions), summed with
+    mpmath.digamma, which is sum'_j h_k(j x_1) / W^2 in the units there.
     Valid for isotropic dipoles (no Cartesian components).
     """
     trans = ps.transitions_from(atom, n)
     z, T = env.z, env.T
-    xi1 = ps.matsubara_xi(T, 1)
-    d2 = [(w_kn, d * d) for _, w_kn, d in trans]
-
-    def term(j):
-        xi = j * xi1
-        rt = float(ps.reflection_imag_axis(m, xi))
-        return sum(dd * w / (w * w + xi * xi) for w, dd in d2) * rt
-
+    w, parts = _matsubara_partial_fractions(atom, n, m, dps)
+    with mpmath.workdps(dps):
+        x1 = 2 * mpmath.pi * mpmath.mpf(KB) * T / mpmath.mpf(HBAR) / w
+        sums = mpmath.fsum(mpmath.re(_primed_sum(part, x1))
+                           for part in parts) / w ** 2
     mats = -(MU0 * C**2 * KB * T / (12.0 * math.pi * HBAR * z**3)) \
-        * matsubara_sum_reference(term, 20000)
+        * float(sums)
     photon = 0.0
     for _, w_kn, d in trans:
         rp = complex(ps.reflection_nonretarded(m, abs(w_kn)))
@@ -99,6 +99,71 @@ def _polyadd(a, b):
     return [x + y for x, y in zip(a, b)]
 
 
+def _matsubara_partial_fractions(atom, n, m, dps):
+    """(w, parts) of the nonretarded Matsubara summand of level n, at dps
+    digits: w is the largest omega_T, and parts holds, per transition in
+    transition order, the (poles, residues, h_k(0)) of its term
+
+        h_k(x) = c_k A(x) / ((x^2 + w_k^2) E(x)),
+
+    in x = xi/w, with c_k = omega_kn |d_nk|^2, w_k = |omega_kn|/w and
+    r_p(i xi) = A/E (see matsubara_line_closed_form).  The poles are the
+    roots of E (mpmath.polyroots) and +-i w_k; each residue is N(p)/D'(p)
+    with N = c_k A and D = (x^2 + w_k^2) E.  ArithmeticError when
+    sum_p R_p or sum_p R_p p, over the poles of all transitions, does not
+    vanish to working precision.
+    """
+    trans = ps.transitions_from(atom, n)
+    with mpmath.workdps(dps):
+        w = max(mpmath.mpf(o.omega_T) for o in m.oscillators)
+        quads = [[1, mpmath.mpf(o.gamma_damp) / w, (o.omega_T / w) ** 2]
+                 for o in m.oscillators]
+        prod = [1]
+        for q in quads:
+            prod = _polymul(prod, q)
+        a = [0]
+        for i, o in enumerate(m.oscillators):
+            others = [1]
+            for q in quads[:i] + quads[i + 1:]:
+                others = _polymul(others, q)
+            a = _polyadd(a, [(o.omega_P / w) ** 2 * c for c in others])
+        e = _polyadd([2 * c for c in prod], a)
+        roots = mpmath.polyroots(e, maxsteps=200, extraprec=2 * dps)
+        parts = []
+        for _, w_kn, d in trans:
+            c = mpmath.mpf(w_kn) * mpmath.mpf(d) ** 2
+            wk = abs(mpmath.mpf(w_kn)) / w
+            num = [c * x for x in a]
+            den = _polymul([1, 0, wk * wk], e)
+            poles = list(roots) + [1j * wk, -1j * wk]
+            residues = [mpmath.polyval(num, p)
+                        / mpmath.polyval(den, p, derivative=True)[1]
+                        for p in poles]
+            parts.append((poles, residues,
+                          mpmath.polyval(num, 0) / mpmath.polyval(den, 0)))
+        poles = [p for part in parts for p in part[0]]
+        residues = [r for part in parts for r in part[1]]
+        scale = mpmath.mpf(10) ** (10 - dps)
+        for k in (0, 1):
+            moment = mpmath.fsum(r * p ** k for r, p in zip(residues, poles))
+            size = mpmath.fsum(abs(r * p ** k)
+                               for r, p in zip(residues, poles))
+            if abs(moment) > scale * size:
+                raise ArithmeticError(
+                    f"sum_p R_p p^{k} = {mpmath.nstr(moment, 5)} does not "
+                    "vanish")
+    return w, parts
+
+
+def _primed_sum(part, x1):
+    """sum'_j h_k(j x1) of one transition's (poles, residues, h_k(0)),
+    exactly: -(1/x1) sum_p R_p psi(-p/x1) - h_k(0)/2, in the working
+    precision of mpmath."""
+    poles, residues, h0 = part
+    return -mpmath.fsum(r * mpmath.digamma(-p / x1)
+                        for r, p in zip(residues, poles)) / x1 - h0 / 2
+
+
 def matsubara_line_closed_form(atom, n, m, dps=40):
     """The nonretarded Matsubara line of level n, summed exactly: returns
     line(z, T), the nr_matsubara (J) at (z, T).
@@ -118,60 +183,42 @@ def matsubara_line_closed_form(atom, n, m, dps=40):
 
         sum'_j h(j x_1) = -(1/x_1) sum_p R_p psi(-p/x_1) - h(0)/2.
 
-    The poles are the roots of E (mpmath.polyroots at dps digits) and
-    +-i w_k; each residue is N(p)/D'(p) of its transition's term N/D, with
-    N = c_k A and D = (x^2 + w_k^2) E.  The poles and residues do not
-    depend on T, so they are built once here.  ArithmeticError when
-    sum_p R_p or sum_p R_p p does not vanish to working precision.
+    The poles and residues (_matsubara_partial_fractions) do not depend on
+    T, so they are built once here.
     """
-    trans = ps.transitions_from(atom, n)
-    with mpmath.workdps(dps):
-        w = max(mpmath.mpf(o.omega_T) for o in m.oscillators)
-        quads = [[1, mpmath.mpf(o.gamma_damp) / w, (o.omega_T / w) ** 2]
-                 for o in m.oscillators]
-        prod = [1]
-        for q in quads:
-            prod = _polymul(prod, q)
-        a = [0]
-        for i, o in enumerate(m.oscillators):
-            others = [1]
-            for q in quads[:i] + quads[i + 1:]:
-                others = _polymul(others, q)
-            a = _polyadd(a, [(o.omega_P / w) ** 2 * c for c in others])
-        e = _polyadd([2 * c for c in prod], a)
-        roots = mpmath.polyroots(e, maxsteps=200, extraprec=2 * dps)
-        poles, residues, h0 = [], [], 0
-        for _, w_kn, d in trans:
-            c = mpmath.mpf(w_kn) * mpmath.mpf(d) ** 2
-            wk = abs(mpmath.mpf(w_kn)) / w
-            num = [c * x for x in a]
-            den = _polymul([1, 0, wk * wk], e)
-            for p in list(roots) + [1j * wk, -1j * wk]:
-                poles.append(p)
-                residues.append(mpmath.polyval(num, p)
-                                / mpmath.polyval(den, p, derivative=True)[1])
-            h0 += mpmath.polyval(num, 0) / mpmath.polyval(den, 0)
-        scale = mpmath.mpf(10) ** (10 - dps)
-        for k in (0, 1):
-            moment = mpmath.fsum(r * p ** k for r, p in zip(residues, poles))
-            size = mpmath.fsum(abs(r * p ** k)
-                               for r, p in zip(residues, poles))
-            if abs(moment) > scale * size:
-                raise ArithmeticError(
-                    f"sum_p R_p p^{k} = {mpmath.nstr(moment, 5)} does not "
-                    "vanish")
+    w, parts = _matsubara_partial_fractions(atom, n, m, dps)
 
     def line(z, T):
         with mpmath.workdps(dps):
             x1 = 2 * mpmath.pi * mpmath.mpf(KB) * T / mpmath.mpf(HBAR) / w
-            total = -mpmath.fsum(r * mpmath.digamma(-p / x1)
-                                 for r, p in zip(residues, poles)) / x1 \
-                - h0 / 2
+            total = mpmath.fsum(_primed_sum(part, x1) for part in parts)
             pref = -(mpmath.mpf(MU0) * KB * T * 2 / (3 * mpmath.mpf(HBAR))
                      * mpmath.mpf(C) ** 2 / (8 * mpmath.pi * mpmath.mpf(z) ** 3)
                      / w ** 2)
             return float(mpmath.re(pref * total))
     return line
+
+
+def matsubara_tail_size(atom, n, m, head=5, dps=20):
+    """size(z, T): (number of poles, sum_p |R_p psi(head - p/x_1)| / x_1
+    in the units of nr_matsubara, J), over the per-transition poles and
+    residues of _matsubara_partial_fractions.  It is the size of the terms
+    whose sum is the exact tail sum_{j >= head} of the line, the scale of
+    that sum's rounding in float64."""
+    w, parts = _matsubara_partial_fractions(atom, n, m, dps)
+    count = sum(len(part[0]) for part in parts)
+
+    def size(z, T):
+        with mpmath.workdps(dps):
+            x1 = 2 * mpmath.pi * mpmath.mpf(KB) * T / mpmath.mpf(HBAR) / w
+            total = mpmath.fsum(abs(r * mpmath.digamma(head - p / x1))
+                                for poles, residues, _ in parts
+                                for r, p in zip(residues, poles)) / x1
+            pref = (mpmath.mpf(MU0) * KB * T * 2 / (3 * mpmath.mpf(HBAR))
+                    * mpmath.mpf(C) ** 2 / (8 * mpmath.pi * mpmath.mpf(z) ** 3)
+                    / w ** 2)
+            return count, float(pref * total)
+    return size
 
 
 def u_eff_nonretarded_form(atom, upper, lower, mode1, mode2, m, z):
@@ -256,11 +303,14 @@ def permittivity_numpy(m, omega):
 
 def permittivity_derivative_numpy(m, omega):
     """d eps/d omega worked in numpy complex128 scalars: the library's
-    former body of _permittivity_derivative."""
+    former body of _permittivity_derivative, with permittivity_numpy's
+    PoleHit, since the library takes eps' only together with eps."""
     w = np.complex128(omega)
     w2, d = w * w, np.complex128(0.0)
-    for p2, t2, g in m._coeffs:
+    for j, (p2, t2, g) in enumerate(m._coeffs):
         denom = t2 - w2 - 1j * omega * g
+        if denom == 0:
+            raise material._pole_hit(m, j)
         d = d + p2 * (2.0 * w + 1j * g) / (denom * denom)
     return d
 

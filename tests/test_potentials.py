@@ -16,7 +16,8 @@ from scipy.integrate import quad
 
 import polshift as ps
 from oracles import (MATSUBARA_TOL, matsubara_line_closed_form,
-                     matsubara_sum_reference, nonresonant_one_polariton,
+                     matsubara_sum_reference, matsubara_tail_size,
+                     nonresonant_one_polariton,
                      nonresonant_parts_per_transition, u_eff_nonretarded_form)
 from polshift import potentials
 from polshift.units import C, CM1, HBAR, KB, MU0
@@ -186,7 +187,8 @@ def test_nonresonant_golden_toy(golden, toy_atom, material_toy):
 
 
 def test_nonresonant_routes_agree(toy_atom, material_toy):
-    """Per-transition closed form vs tensor route: independent code paths."""
+    """Per-transition closed form vs tensor route: independent code paths,
+    each summing the Matsubara line exactly."""
     env = ps.Environment(z=Z, T=400.0)
     a = nonresonant_parts_per_transition(toy_atom, "g", material_toy, env)
     b = ps.nonresonant_shift_parts(toy_atom, "g", material_toy, env)
@@ -195,8 +197,9 @@ def test_nonresonant_routes_agree(toy_atom, material_toy):
 
 
 def test_nonresonant_routes_agree_multilevel(rb_atom, material_broad):
-    """The per-transition form on the ten-transition Rb level, where alpha
-    is summed over xi blocks and the sum runs to about 1800 terms."""
+    """The per-transition form on the ten-transition Rb level at 3 K,
+    where the stop rule's sum runs to about 1800 terms: both sides give
+    the exact line, not two truncations that stop alike."""
     env = ps.Environment(z=Z, T=3.0)
     a = nonresonant_parts_per_transition(rb_atom, "27S1/2", material_broad,
                                          env)
@@ -332,6 +335,167 @@ def test_matsubara_line_matches_closed_form(request, rb_atom,
     rounding = (stop + 64) * _U * np.sum(t_abs)
     assert abs(got - want) <= MU0 * KB * T * (tail + rounding) \
         + _U * abs(want)
+
+
+_LINE_CASES = [("rb_atom", "27S1/2", "material_broad"),
+               ("rb_atom", "26S1/2", "material_broad"),
+               ("rb_atom", "27S1/2", "material_narrow"),
+               ("rb_atom", "26S1/2", "material_narrow"),
+               ("toy_atom", "g", "material_toy"),
+               ("toy_atom", "e", "material_toy")]
+
+
+@pytest.fixture(scope="module")
+def exact_lines(request):
+    """(line, tail size) of matsubara_line_closed_form and
+    matsubara_tail_size for each of _LINE_CASES, built once."""
+    out = {}
+    for atom, n, m in _LINE_CASES:
+        a, mat = (request.getfixturevalue(atom),
+                  request.getfixturevalue(m))
+        out[atom, n, m] = (matsubara_line_closed_form(a, n, mat),
+                           matsubara_tail_size(a, n, mat))
+    return out
+
+
+@pytest.mark.parametrize("T", [0.35, 3.0, 30.0, 300.0, 600.0])
+@pytest.mark.parametrize("atom, n, material", _LINE_CASES)
+def test_nonretarded_line_is_the_exact_sum(request, exact_lines, atom, n,
+                                           material, T):
+    """nr_matsubara against the 40-digit partial-fraction sum, to within
+    the float64 rounding of the five-term head and the psi tail.
+
+    The line is S_4 + scale * (-(1/x_1) sum_p R_p psi(5 - p/x_1)), times
+    mu0 kB T.  Rounding, in units of u = 2^-53:
+
+    * the head: each of its terms t_0..t_4 rounds at most 64 times
+      relative to |t_j|_abs, the term with every transition's share of
+      alpha taken in absolute value (as in
+      test_matsubara_line_matches_closed_form), and the partial sum five
+      times: 69 u sum_{j<=4} |t_j|_abs;
+    * the tail: each psi value takes at most 32 roundings relative to
+      |psi| (five recurrence steps of a complex division and an addition,
+      the log, the 1/w and the eight Horner steps of the series), each
+      residue at most 32 relative to |R_p| (the Horner values of A, E and
+      E' at a polished root and the sum over the transitions), and the sum
+      over the poles one per pole: (poles + 64) u sum_p |R_p psi_p| / x_1,
+      with sum_p |R_p psi_p| taken over the oracle's per-transition poles,
+      which bound the library's merged ones;
+    * the last steps (S_4 + tail, the scale, mu0 kB T and the oracle's own
+      rounding to a float): 8 u |line|.
+
+    The cutoff is raised to 10^8 so that the two-level sums below 10 K,
+    which the default cutoff stops short of, are compared too; the
+    closed form's value does not depend on it.
+    """
+    a, m = request.getfixturevalue(atom), request.getfixturevalue(material)
+    line, tail_size = exact_lines[atom, n, material]
+    env = ps.Environment(z=Z, T=T)
+    want = line(Z, T)
+    got = ps.nonresonant_shift_parts(a, n, m, env, cutoff=10**8)[0]
+
+    j = np.arange(5)
+    xi = j * ps.matsubara_xi(T, 1)
+    t = _mats_term(a, n, m, env)(j)
+    alpha_abs = 2.0 / (3.0 * HBAR) * sum(
+        abs(w) * d * d / (w * w + xi * xi)
+        for _, w, d in ps.transitions_from(a, n))
+    t_abs = np.abs(t) * alpha_abs / np.abs(ps.polarizability_iso(a, n, xi))
+    poles, size = tail_size(Z, T)
+    bound = 69 * _U * MU0 * KB * T * np.sum(t_abs) \
+        + (poles + 64) * _U * size + 8 * _U * abs(want)
+    assert abs(got - want) <= bound
+
+
+def _line_terms(atom, n, m):
+    """The DistanceTerms of nonresonant_shift_parts at Z: the photon line
+    of level n and no mode pair."""
+    return potentials.DistanceTerms(
+        atom, n, m, Z, "nonretarded",
+        potentials._photon_terms(atom, n, m, Z, "nonretarded"), None, 0.0,
+        {})
+
+
+def _engine_line(atom, n, m, Ts, cutoff):
+    """The block engine's sums on _mats_term, one row per T, in lockstep:
+    the Matsubara line as it was summed before the closed form."""
+    terms = [_mats_term(atom, n, m, ps.Environment(z=Z, T=T)) for T in Ts]
+    return potentials._matsubara_sums(_rows_term(*terms), len(Ts), cutoff)
+
+
+def _assert_same_contract(atom, n, m, Ts, cutoff):
+    """reports_at's Matsubara line and the engine's fail on the same T,
+    with the same error and message, and agree to the engine's
+    truncation (MATSUBARA_TOL max|S_i| / (p - 1) at p = 2, 1e-9
+    relative) elsewhere."""
+    got = potentials.reports_at(_line_terms(atom, n, m), Ts, cutoff)
+    want = _engine_line(atom, n, m, Ts, cutoff)
+    for T, report, s in zip(Ts, got, want):
+        if isinstance(s, ps.ConvergenceFailure):
+            assert type(report) is ps.ConvergenceFailure, (T, cutoff)
+            assert str(report) == str(s)
+        else:
+            assert isinstance(report, ps.ShiftReport), (T, cutoff, report)
+            assert report.nr_matsubara == pytest.approx(
+                MU0 * KB * T * s, rel=1e-9, abs=0)
+    return sum(isinstance(s, ps.ConvergenceFailure) for s in want)
+
+
+@pytest.mark.parametrize("atom, n, material", _LINE_CASES)
+def test_nonretarded_line_keeps_the_cutoff_contract(request, atom, n,
+                                                    material):
+    """The closed form raises ConvergenceFailure on exactly the inputs
+    where the engine's first-hit stop rule does, from cutoffs below the
+    rule's first j = 4 to the default, at temperatures down to where
+    the default cutoff no longer suffices (about 0.28 K for Rb)."""
+    a, m = request.getfixturevalue(atom), request.getfixturevalue(material)
+    Ts = (0.1, 0.2, 0.25, 0.28, 0.3, 0.35, 5.0, 50.0, 600.0)
+    failed = [_assert_same_contract(a, n, m, Ts, cutoff)
+              for cutoff in (3, 4, 5, 20, 150, 20000)]
+    assert failed[0] == len(Ts) and 0 < failed[-1] < len(Ts)
+
+
+@pytest.fixture(scope="module")
+def flipping_atom():
+    """Three levels whose middle one has alpha(i xi) < 0 at xi = 0 (its
+    downward transition at 1e12 rad/s dominates) and > 0 for large xi
+    (its upward one at 1e14 rad/s carries five times the oscillator
+    strength): alpha(i xi) changes sign once, near 5e13 rad/s."""
+    d = 1e-29
+    return ps.AtomSpec(
+        name="sign-changing alpha",
+        states=(ps.AtomicState("l", 0.0), ps.AtomicState("m", 1e12),
+                ps.AtomicState("h", 1.01e14)),
+        dipoles=(ps.DipoleElement("l", "m", d),
+                 ps.DipoleElement("m", "h", 0.2236 * d)))
+
+
+def test_nonretarded_line_falls_back_where_alpha_changes_sign(
+        flipping_atom, material_toy, monkeypatch):
+    """At the T where alpha(i xi) vanishes at xi = 6 xi_1, the engine's
+    first-hit rule stops at j = 6, while |t_20| 20 is still above the
+    rule: with cutoff 20 the engine converges and a test at j = cutoff
+    alone would fail.  _alpha_flips finds the sign change inside
+    [5 xi_1, cutoff xi_1], and the line is the engine's, bit for bit;
+    without the guard the at-cutoff test raises."""
+    terms = _line_terms(flipping_atom, "m", material_toy)
+    table = potentials._pole_table(terms)
+    (flip,) = potentials._alpha_flips(table) * table.unit
+    assert flip == pytest.approx(5e13, rel=1e-3)
+    T = flip / (6.0 * ps.matsubara_xi(1.0, 1))
+    assert _assert_same_contract(flipping_atom, "m", material_toy, (T,),
+                                 20) == 0
+    (report,) = potentials.reports_at(terms, (T,), 20)
+    (s,) = _engine_line(flipping_atom, "m", material_toy, (T,), 20)
+    assert report.nr_matsubara == MU0 * KB * T * s
+    # far from the sign change the closed form, not the engine, gives it
+    (hot,) = potentials.reports_at(terms, (300.0,), 20000)
+    (s,) = _engine_line(flipping_atom, "m", material_toy, (300.0,), 20000)
+    assert hot.nr_matsubara != MU0 * KB * 300.0 * s
+    monkeypatch.setattr(potentials, "_alpha_flips",
+                        lambda table: np.zeros(0))
+    (report,) = potentials.reports_at(terms, (T,), 20)
+    assert isinstance(report, ps.ConvergenceFailure)
 
 
 def test_matsubara_engine_matches_oracle_full_green(toy_atom, material_toy):
