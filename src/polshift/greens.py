@@ -7,8 +7,13 @@ w z / c << 1 is a consistency check, not a shared code path.
 
 Each k_rho integral is one pass of polshift.quadpack, the package's
 transcription of QUADPACK's DQAGSE and DQAGIE, so the full route needs
-numpy alone.  Its integrands take the array of a panel pair's nodes, and
-each node keeps the bits a scalar evaluation would give.
+numpy alone.  The passes of one Green call run in one lockstep; the one
+departure from one pass per integral is how the integrand is called.  Each
+side of the light line is an integrand family that takes the nodes of
+every panel a round asks for, at every frequency of the call, and returns
+xx and zz, real and imaginary parts, at each; each node keeps the bits a
+scalar evaluation would give, so every integral has the bits of its own
+pass.
 """
 
 import math
@@ -16,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import PhysicsError, QuadratureFailure
 from .material import _rp, fresnel, permittivity, permittivity_imag_axis
 from .units import C, cube
 
@@ -62,27 +67,42 @@ def green_nonretarded(m, z, omega):
     return GreenTensor3(gxx, 2.0 * gxx)
 
 
-def _quad(f, a, b, epsabs, label):
-    """Integral of the real integrand f over [a, b] (b finite or inf) to
-    QUAD_REL_TOL by the package's QUADPACK pass, which escalates the
-    subdivision limit once from QUAD_LIMIT, then raises.
+def _integrate(integrals):
+    """The value of each (f, key, comp, a, b, epsabs, label) of integrals,
+    the quadpack.Integral of its first six fields, to QUAD_REL_TOL by the
+    package's QUADPACK passes, all in one lockstep.
 
-    f takes the float64 array of a panel pair's nodes and returns their
-    values; the pass is scipy.integrate.quad's, step for step, so every
-    value, error estimate and subdivision is the one quad would give.
+    An integral that misses the tolerance is run again, in one lockstep
+    with the others that missed it, at 8 * QUAD_LIMIT subdivisions; if any
+    misses it there too, the first of them in the order of integrals
+    raises QuadratureFailure, naming its label.  Each value, error estimate
+    and subdivision is the one scipy.integrate.quad gives the integral
+    alone.
 
     quadpack is imported here, on the first full-route call, so that a
     nonretarded command does not load it while it starts up.
     """
     from . import quadpack
 
+    values = [None] * len(integrals)
+    todo = range(len(integrals))
     for lim in (QUAD_LIMIT, 8 * QUAD_LIMIT):
-        val, err = quadpack.quad(f, a, b, epsabs, QUAD_REL_TOL, lim)[:2]
-        if err <= max(epsabs, QUAD_REL_TOL * abs(val)) * 10.0:
-            return val
+        got = quadpack.lockstep([quadpack.Integral(
+            *integrals[i][:6], QUAD_REL_TOL, lim) for i in todo])
+        missed = []
+        for i, res in zip(todo, got):
+            epsabs = integrals[i][5]
+            if res.abserr <= max(epsabs, QUAD_REL_TOL * abs(res.value)) * 10.0:
+                values[i] = res.value
+            else:
+                missed.append(i)
+        todo = missed
+        if not todo:
+            return values
     raise QuadratureFailure(
-        f"green_full quadrature ({label}) did not reach tolerance "
-        f"epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} subdivisions")
+        f"green_full quadrature ({integrals[todo[0]][6]}) did not reach "
+        f"tolerance epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} "
+        "subdivisions")
 
 
 def _each(fn, x):
@@ -112,68 +132,99 @@ def green_full(m, z, omega, *, part=None):
     on the evanescent side k_vz = i kappa turns the integrand into a smooth
     exponentially damped function of kappa.
 
-    eps(omega) and (c/omega)^2 do not depend on k_rho, so they are evaluated
-    once per call, not at every quadrature node.  The integrands work on
-    the array of nodes of a panel pair, one fresnel call per array.
+    omega is one real number, which gives one GreenTensor3, or a 1-D
+    sequence of them, which gives the list of their tensors, each bit for
+    bit the one its own call gives.  eps(omega) and (c/omega)^2 do not
+    depend on k_rho, so they are evaluated once per omega, not at every
+    quadrature node.
 
     Each of the four integrals is two real quadratures, one per part of G.
-    part="real" or "imag" runs only that part's, half the k_rho nodes, and
-    leaves NaN in the other part; part=None is both single-part integrals.
-    A caller that reads only Re G (the photon line) or only Im G (the
-    resonant amplitude) asks for that part alone.
+    part="real" or "imag" runs only that part's and leaves NaN in the
+    other part; part=None is both single-part integrals.  A caller that
+    reads only Re G (the photon line) or only Im G (the resonant amplitude)
+    asks for that part alone.  Every quadrature of the call runs in one
+    lockstep, one integrand call per side and round on the nodes of all of
+    them, so each side evaluates a panel that several quadratures share
+    (xx and zz, Re and Im) once.  A failure is the one the calls one omega
+    at a time would raise first.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
-    if not omega > 0:
-        raise ValueError("omega must be > 0 (real) for the full quadrature")
+    single = np.ndim(omega) == 0
+    omegas = [omega] if single else list(omega)
+    for w in omegas:
+        if not w > 0:
+            raise ValueError(
+                "omega must be > 0 (real) for the full quadrature")
     if part not in (None, "real", "imag"):
         raise ValueError(f"part must be None, 'real' or 'imag', not {part!r}")
-    eps = permittivity(m, omega)
-    k0, cw = omega / C, C / omega
-    cw2 = cw * cw
-    scale = C**2 / (32.0 * math.pi * (omega * omega) * cube(z))
-    epsabs = QUAD_REL_TOL * scale
+    # the calls one omega at a time would raise a PhysicsError of eps
+    # after the quadratures of the omegas before it
+    eps, failure = [], None
+    for w in omegas:
+        try:
+            eps.append(permittivity(m, w))
+        except PhysicsError as exc:
+            failure = exc
+            break
+    omegas = [float(w) for w in omegas[:len(eps)]]
+    eps = np.array(eps)
+    ws = np.array(omegas)
+    k0 = ws / C
+    cw2 = (C / ws) * (C / ws)
 
     # propagating side: k_rho = k0 sin(theta), k_vz = k0 cos(theta),
-    # (k_rho/k_vz) dk_rho = k0 sin(theta) dtheta
-    def prop(theta, want_zz):
+    # (k_rho/k_vz) dk_rho = k0 sin(theta) dtheta.  at holds the index of
+    # the omega of each node.
+    def prop(theta, at):
+        k0_at = k0[at]
         s, c_ = _each(math.sin, theta), _each(math.cos, theta)
-        r_s, r_p = fresnel(eps, omega, k0 * s)
-        phase = np.exp(1j * (2.0 * k0 * c_ * z))
-        common = 1j * (1.0 / (8.0 * math.pi) * k0 * s) * phase
-        if want_zz:
-            return _times(common, r_p) * (2.0 * s * s)
-        return _times(common, r_s - r_p * c_ * c_)
+        r_s, r_p = fresnel(eps[at], ws[at], k0_at * s)
+        phase = np.exp(1j * (2.0 * k0_at * c_ * z))
+        common = 1j * (1.0 / (8.0 * math.pi) * k0_at * s) * phase
+        gxx = _times(common, r_s - r_p * c_ * c_)
+        gzz = _times(common, r_p) * (2.0 * s * s)
+        return gxx.real, gxx.imag, gzz.real, gzz.imag
 
     # evanescent side: k_vz = i kappa, k_rho^2 = kappa^2 + k0^2,
     # (i/8 pi)(k_rho/k_vz) dk_rho = (1/8 pi) dkappa.  Rescaling to the
     # dimensionless u = 2 kappa z gives an O(1)-width e^{-u} integrand that
     # the infinite-interval transform samples well at any z.
-    def evan(u, want_zz):
+    def evan(u, at):
         kappa = u / (2.0 * z)
-        k_rho = np.array([math.hypot(k, k0) for k in kappa.tolist()])
-        r_s, r_p = fresnel(eps, omega, k_rho)
+        k_rho = np.array(list(map(math.hypot, kappa.tolist(),
+                                  k0[at].tolist())))
+        r_s, r_p = fresnel(eps[at], ws[at], k_rho)
         common = _each(math.exp, -u) / (8.0 * math.pi) / (2.0 * z)
-        if want_zz:
-            return common * r_p * cw2 * 2.0 * (k_rho * k_rho)
-        return common * (r_s + r_p * cw2 * (kappa * kappa))
+        cw2_at = cw2[at]
+        gxx = common * (r_s + r_p * cw2_at * (kappa * kappa))
+        gzz = common * r_p * cw2_at * 2.0 * (k_rho * k_rho)
+        return gxx.real, gxx.imag, gzz.real, gzz.imag
 
-    def integral(f, a, b, label):
-        re = math.nan if part == "imag" else \
-            _quad(lambda x: f(x).real, a, b, epsabs, label)
-        im = math.nan if part == "real" else \
-            _quad(lambda x: f(x).imag, a, b, epsabs, label)
+    # one omega's integrals in the order its own call runs them: xx, then
+    # zz, the propagating side before the evanescent one, Re before Im
+    parts = {None: (0, 1), "real": (0,), "imag": (1,)}[part]
+    sides = ((prop, 0.0, math.pi / 2, "propagating"),
+             (evan, 0.0, math.inf, "evanescent"))
+    integrals = []
+    for at, w in enumerate(omegas):
+        epsabs = QUAD_REL_TOL * (C**2 / (32.0 * math.pi * (w * w) * cube(z)))
+        integrals += [(f, at, comp + p, a, b, epsabs, f"{name} {side}")
+                      for comp, name in ((0, "xx"), (2, "zz"))
+                      for f, a, b, side in sides for p in parts]
+    values = iter(_integrate(integrals))
+
+    def integral():
+        re = math.nan if part == "imag" else next(values)
+        im = math.nan if part == "real" else next(values)
         return complex(re, im)
 
-    gxx = (integral(lambda t: prop(t, False), 0.0, math.pi / 2,
-                    "xx propagating")
-           + integral(lambda u: evan(u, False), 0.0, math.inf,
-                      "xx evanescent"))
-    gzz = (integral(lambda t: prop(t, True), 0.0, math.pi / 2,
-                    "zz propagating")
-           + integral(lambda u: evan(u, True), 0.0, math.inf,
-                      "zz evanescent"))
-    return GreenTensor3(gxx, gzz)
+    # each entry is its propagating integral plus its evanescent one
+    tensors = [GreenTensor3(integral() + integral(), integral() + integral())
+               for _ in omegas]
+    if failure is not None:
+        raise failure
+    return tensors[0] if single else tensors
 
 
 def green_full_imag_axis(m, z, xi):
@@ -183,7 +234,7 @@ def green_full_imag_axis(m, z, xi):
     + k_rho^2) the integrand is (1/8 pi)(k_rho/kappa_v) e^{-2 kappa_v z}
     [r_s diag(1,1,0) - (c/xi)^2 r_p diag(kappa_v^2, kappa_v^2, 2 k_rho^2)].
     The integrand is real, and the imaginary part of the tensor is exactly
-    0.
+    0.  The xx and zz integrals run in one lockstep on shared nodes.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
@@ -196,7 +247,7 @@ def green_full_imag_axis(m, z, xi):
     epsabs = QUAD_REL_TOL * scale
 
     # rescale to u = 2 k_rho z so the e^{-2 kappa_v z} damping has O(1) width
-    def integrand(u, want_zz):
+    def integrand(u, _):
         k_rho = u / (2.0 * z)
         kv = np.array([math.hypot(k, k0) for k in k_rho.tolist()])
         kd = np.sqrt(eps * k0 * k0 + k_rho * k_rho)
@@ -205,12 +256,10 @@ def green_full_imag_axis(m, z, xi):
         r_p = (e_kv - kd) / (e_kv + kd)
         common = ((k_rho / kv) * _each(math.exp, -2.0 * kv * z)
                   / (8.0 * math.pi) / (2.0 * z))
-        if want_zz:
-            return -common * cx2 * r_p * 2.0 * (k_rho * k_rho)
-        return common * (r_s - cx2 * r_p * (kv * kv))
+        return (common * (r_s - cx2 * r_p * (kv * kv)),
+                -common * cx2 * r_p * 2.0 * (k_rho * k_rho))
 
-    gxx = _quad(lambda u: integrand(u, False), 0.0, math.inf, epsabs,
-                "xx imag-axis")
-    gzz = _quad(lambda u: integrand(u, True), 0.0, math.inf, epsabs,
-                "zz imag-axis")
+    gxx, gzz = _integrate([
+        (integrand, 0, 0, 0.0, math.inf, epsabs, "xx imag-axis"),
+        (integrand, 0, 1, 0.0, math.inf, epsabs, "zz imag-axis")])
     return GreenTensor3(complex(gxx, 0.0), complex(gzz, 0.0))

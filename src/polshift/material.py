@@ -237,12 +237,6 @@ def _eps_deps(m, omega):
     return er, ei, dr, di
 
 
-def _permittivity_derivative(m, omega):
-    """Analytic d eps / d omega (np.complex128) at one real or complex
-    omega, from _eps_deps, so PoleHit where permittivity raises it."""
-    return np.complex128(complex(*_eps_deps(m, omega)[2:]))
-
-
 # --- reflection ---------------------------------------------------------------
 
 def _rp(m, omega):
@@ -284,21 +278,24 @@ def reflection_imag_axis(m, xi):
 
 def fresnel(eps, omega, k_rho):
     """Fresnel reflection coefficients (r_s, r_p) of the half-space of
-    permittivity eps = permittivity(m, omega) at one real omega > 0, over
-    an array of k_rho >= 0 (a number gives numpy scalars).
+    permittivity eps = permittivity(m, omega) at real omega > 0, over an
+    array of k_rho >= 0 (a number gives numpy scalars).  eps and omega are
+    one value each, or arrays of the shape of k_rho that give each node its
+    own frequency.
 
     k_vz = sqrt(omega^2/c^2 - k_rho^2), k_dz = sqrt(eps omega^2/c^2 - k_rho^2),
     both on the branch Im k >= 0;
     r_p = (eps k_vz - k_dz)/(eps k_vz + k_dz), r_s = (k_vz - k_dz)/(k_vz + k_dz).
 
-    green_full's QUADPACK pass calls it once per panel pair, on the 42 or
-    30 k_rho nodes of one part of G at one fixed omega, so green_full
-    evaluates eps once and hands it in.  Each node gets the bits of a
-    scalar evaluation: eps k_vz has a real or an imaginary k_vz, so numpy's
-    vector loop rounds it as a scalar product would.  NaN is rejected with
-    the other bad values of omega and k_rho.
+    green_full's QUADPACK passes call it once per side and round, on the
+    k_rho nodes of every frequency of the call, so green_full evaluates
+    eps once per frequency and hands it in at each node.  Each node gets
+    the bits of a scalar evaluation: omega^2/c^2 is real and k_vz real or
+    imaginary, so numpy's vector loop rounds eps omega^2/c^2 and eps k_vz as
+    a scalar product would.  NaN is rejected with the other bad values of
+    omega and k_rho.
     """
-    if not omega > 0:
+    if not np.min(omega) > 0:
         raise ValueError("omega must be > 0")
     k_rho = np.asarray(k_rho, dtype=float)
     if not k_rho.min() >= 0:
@@ -308,12 +305,11 @@ def fresnel(eps, omega, k_rho):
     # the principal root of a real number already has Im >= 0
     k_vz = np.sqrt((k2 - kr2).astype(complex))
     # every eps k2 - k_rho^2 has the imaginary part of eps k2, sign of zero
-    # included, and a principal root the sign of that part: only a negative
-    # sign leaves roots to flip to Im >= 0
+    # included, and a principal root the sign of that part: only roots of
+    # a part of negative sign need a flip to Im >= 0
     ek2 = eps * k2
     k_dz = np.sqrt(ek2 - kr2)
-    if math.copysign(1.0, ek2.imag) < 0:
-        k_dz = np.where(k_dz.imag < 0, -k_dz, k_dz)
+    k_dz = np.where(k_dz.imag < 0, -k_dz, k_dz)
     r_s = (k_vz - k_dz) / (k_vz + k_dz)
     e_vz = eps * k_vz
     r_p = (e_vz - k_dz) / (e_vz + k_dz)
@@ -364,7 +360,7 @@ def _bounded_minimum(f, lo, hi, xatol, maxfun=500):
     minimize_scalar(method="bounded"), so that the mode finder gets the same
     minimum without importing scipy.  As there, non-finite bounds raise
     ValueError, and the search stops after maxfun calls without an error.
-    ROADMAP item 4's peak search deletes it.
+    ROADMAP item 6's peak search deletes it.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("optimization bounds must be finite scalars")
@@ -587,7 +583,7 @@ def find_polariton_modes(m):
     being the width estimate 2 Im eps / Re eps' there.  Brent stops once
     the bracket is within 2 (sqrt(eps) |w| + xatol/3) of its best point, so
     a centre is accurate to about 2 sqrt(eps) |w|, 3e-8 relative, and not
-    to the 1e-13 relative of its xatol (ROADMAP item 4).  Linewidths are the
+    to the 1e-13 relative of its xatol (ROADMAP item 6).  Linewidths are the
     full widths at half maximum of the Im r_p peak: each half-maximum point
     is bracketed by a march out of the peak and polished by bracketed Newton
     steps, as is each root of Re eps = -1.  Modes are returned ascending in
@@ -617,7 +613,7 @@ def find_polariton_modes(m):
         wlo, whi = r - 5.0 * g0, r + 5.0 * g0
         # the sqrt(eps) |w| term of Brent's tolerance dominates this xatol:
         # the centre is good to about 3e-8 relative, not 1e-13 (ROADMAP
-        # item 4)
+        # item 6)
         center, fun = _bounded_minimum(lambda w: -_im_rp(m, w), wlo, whi,
                                        xatol=1e-13 * r)
         peak = -fun

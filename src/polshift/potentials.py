@@ -608,15 +608,16 @@ def _full_xi2_trace(m, z, xi):
     return out
 
 
-def _nonretarded_green(m, z, omega, part):
-    """green_nonretarded: the closed form gives both parts of G at once, so
-    it has no use for part."""
-    return green_nonretarded(m, z, omega)
+def _nonretarded_green(m, z, omegas, part):
+    """green_nonretarded at each omega, in order: the closed form gives
+    both parts of G at once, so it has no use for part."""
+    return [green_nonretarded(m, z, w) for w in omegas]
 
 
-def _full_green(m, z, omega, part):
-    """green_full(..., part=part) at one real omega."""
-    return green_full(m, z, omega, part=part)
+def _full_green(m, z, omegas, part):
+    """green_full(..., part=part) over the sequence of real omegas, one
+    call whose quadratures run in one lockstep."""
+    return green_full(m, z, omegas, part=part)
 
 
 def _nonretarded_line(terms, xi1, term, cutoff):
@@ -637,10 +638,12 @@ def _green_route(green_mode):
     """(green, xi2_trace, line, unit_z) of the "nonretarded" or "full"
     Green tensor.
 
-    The one place a green_mode is resolved.  green(m, z, omega, part) is the
-    GreenTensor3 at one real omega, where part ("real" or "imag") is the
-    part of G the caller reads: the full route integrates that part alone,
-    and the closed form gives both anyway; xi2_trace(m, z, xi) is
+    The one place a green_mode is resolved.  green(m, z, omegas, part) is
+    the list of GreenTensor3 at a sequence of real omegas, where part
+    ("real" or "imag") is the part of G the caller reads: the full route
+    integrates that part alone, and the closed form gives both anyway; a
+    PhysicsError is the first that one call per omega would raise.
+    xi2_trace(m, z, xi) is
     xi^2 Tr G(i xi) for an array of xi, finite at xi = 0.
     line(terms, xi1, term, cutoff) gives the Matsubara sums of reports_at,
     one per xi_1 of the array xi1: the nonretarded route sums five terms
@@ -700,14 +703,15 @@ def _photon_terms(atom, n, m, z, green_mode):
     """The temperature-free factors of the photon line of level n at z:
     (omega_kn, omega_kn^2, d_nk . Re G(|omega_kn|) . d_kn) for every
     transition, in transition order, or the PhysicsError a Green tensor
-    raised."""
+    raised.  The route's green takes every |omega_kn| in one call."""
     green = _green_route(green_mode)[0]
+    trans = transitions_from(atom, n)
+    try:
+        gs = green(m, z, [abs(w_kn) for _, w_kn, _ in trans], "real")
+    except PhysicsError as exc:
+        return exc
     terms = []
-    for k_label, w_kn, _ in transitions_from(atom, n):
-        try:
-            g = green(m, z, abs(w_kn), "real")
-        except PhysicsError as exc:
-            return exc
+    for (k_label, w_kn, _), g in zip(trans, gs):
         dip = atom.dipole(n, k_label)
         terms.append((w_kn, w_kn * w_kn,
                       _contract(dip, dip, g.xx.real, g.zz.real)))
@@ -765,13 +769,13 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     satisfying Omega1 ~ omega_10 + Omega2 within resonance_tol*(gamma1+gamma2).
     green_mode selects the Im G tensors (nonretarded closed form or full
     quadrature); the amplitude reads Im G alone, so the full route
-    integrates only the imaginary part.
+    integrates only the imaginary part, at Omega1 and Omega2 in one call.
     """
     green = _green_route(green_mode)[0]
     chans = _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol)
     o1, o2 = mode1.omega_center, mode2.omega_center
     g1, g2 = mode1.linewidth, mode2.linewidth
-    t1, t2 = green(m, env.z, o1, "imag"), green(m, env.z, o2, "imag")
+    t1, t2 = green(m, env.z, (o1, o2), "imag")
     tr1, tr2 = t1.im_trace, t2.im_trace
     if tr1 <= 0.0 or tr2 <= 0.0:
         raise NoModeFound(

@@ -1,5 +1,5 @@
-"""QUADPACK's DQAGSE and DQAGIE, with both panels of a bisection in one
-array call of the integrand.
+"""QUADPACK's DQAGSE and DQAGIE, with many integrals run in lockstep and
+each round's panels in one array call of each integrand.
 
 A transcription of the adaptive integrators of QUADPACK (Piessens,
 de Doncker-Kapenga, Ueberhuber and Kahaner, Springer 1983): DQAGSE on a
@@ -12,12 +12,16 @@ integrand values the result, the error estimate and every subdivision
 decision are those of ``scipy.integrate.quad``, which runs the same
 routines; tests/test_quadpack.py checks that bit for bit.
 
-The one departure is how the integrand is called.  f takes a float64 array
-of abscissae and returns the float64 array of its values at them, each the
-value a scalar call would give.  The first panel is one call (21 or 15
-nodes), and each bisection evaluates both new panels in one call (42 or 30
-nodes).  A panel's sums then run over Python floats, term by term in
-QUADPACK's sequence.
+The one departure is how the integrand is called.  Each integral's pass
+(_adaptive) is a generator that yields the panels it wants, the first panel
+alone and then both halves of each bisection, and receives their sums.
+lockstep advances many passes together: in each round it evaluates every
+distinct panel they ask for once, in one call of each integrand family on
+all of its nodes, and forms the Kronrod sums of every requested panel as
+arrays, added left to right in QUADPACK's sequence.  An integrand takes a
+float64 array of abscissae and returns the values a scalar call would give
+at each.  quad is the case of one integral: its first panel is one call
+(21 or 15 nodes), and each bisection one call of 42 or 30.
 
 The routine keeps 1-based lists, as the Fortran does, so that the indices
 read as in the original.
@@ -85,6 +89,26 @@ class QuadResult(NamedTuple):
     last: int
 
 
+class Integral(NamedTuple):
+    """One integral of a lockstep run: component comp of the integrand
+    family f at the parameter key, over [a, b] (a finite, b finite or inf),
+    to max(epsabs, epsrel |integral|) within limit subintervals.
+
+    f(x, keys) takes the float64 array x of abscissae and the int array
+    keys of the parameter at each, and returns a sequence of float64
+    arrays, one per component, with the value at each abscissa that a
+    scalar call would give.  The integrals of one f share its calls."""
+
+    f: object
+    key: int
+    comp: int
+    a: float
+    b: float
+    epsabs: float
+    epsrel: float
+    limit: int
+
+
 def quad(f, a, b, epsabs, epsrel, limit):
     """Integral of f over [a, b], a finite and b finite (DQAGSE) or inf
     (DQAGIE), to max(epsabs, epsrel |integral|) within limit subintervals.
@@ -94,11 +118,61 @@ def quad(f, a, b, epsabs, epsrel, limit):
     and weight, and on the same integrand values the QuadResult holds its
     (y, abserr) and its infodict's neval and last, bit for bit.
     """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    if b == math.inf:
-        return _adaptive(_qk15i, f, a, 0.0, 1.0, epsabs, epsrel, limit)
-    return _adaptive(_qk21, f, 0.0, a, b, epsabs, epsrel, limit)
+    return lockstep([Integral(lambda x, _: (f(x),), 0, 0, a, b, epsabs,
+                              epsrel, limit)])[0]
+
+
+def lockstep(integrals):
+    """The QuadResult of each Integral of integrals, bit for bit the one
+    its pass gives alone (quad on the one component at the one key).
+
+    The passes advance together.  Each round collects the panels that
+    every unfinished pass asks for, evaluates each distinct (f, key, rule,
+    panel) once, with one call of each f on the nodes of all of its
+    panels, and hands every pass the sums of its panels.
+    """
+    passes, specs = [], []
+    for f, key, comp, a, b, epsabs, epsrel, limit in integrals:
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
+        if b == math.inf:
+            passes.append(_adaptive(15, 0.0, 1.0, epsabs, epsrel, limit))
+            specs.append((f, _DQK15I, key, comp, a))
+        else:
+            passes.append(_adaptive(21, a, b, epsabs, epsrel, limit))
+            specs.append((f, _DQK21, key, comp, 0.0))
+    results = [None] * len(passes)
+    replies = dict.fromkeys(range(len(passes)))
+    while replies:
+        asks = {}
+        for i, reply in replies.items():
+            try:
+                asks[i] = passes[i].send(reply)
+            except StopIteration as done:
+                results[i] = done.value
+        replies = _round(asks, specs)
+    return results
+
+
+def _round(asks, specs):
+    """{pass: [(result, abserr, resabs, resasc) of each panel it asked
+    for]}, from one call of each (f, rule) on its distinct panels."""
+    groups = {}
+    for i, panels in asks.items():
+        f, rule, key, comp, boun = specs[i]
+        index, rows, owners = groups.setdefault((f, rule), ({}, [], []))
+        for a, b in panels:
+            rows.append((comp, index.setdefault((key, boun, a, b),
+                                                len(index))))
+        owners.append((i, len(panels)))
+    replies = {}
+    for (f, rule), (index, rows, owners) in groups.items():
+        sums = _kronrod(rule, f, list(index), rows)
+        k = 0
+        for i, count in owners:
+            replies[i] = sums[k:k + count]
+            k += count
+    return replies
 
 
 # --- the rules ---------------------------------------------------------------
@@ -120,80 +194,95 @@ def _finish(resk, resg, resabs, resasc, hlgth, dhlgth):
     return result, abserr, resabs, resasc
 
 
-def _panel_nodes(panels, xgk):
-    """The abscissae of each (a, b) of panels in one list, panel by panel
-    (centr, then centr - hlgth xgk(j) for every j, then centr + hlgth
-    xgk(j)), and the list of each panel's hlgth."""
-    nodes, halves = [], []
-    for a, b in panels:
-        centr = 0.5 * (a + b)
-        hlgth = 0.5 * (b - a)
-        absc = [hlgth * x for x in xgk]
-        nodes.append(centr)
-        nodes.extend([centr - x for x in absc])
-        nodes.extend([centr + x for x in absc])
-        halves.append(hlgth)
-    return nodes, halves
+class _Rule:
+    """A Gauss-Kronrod rule laid out for the sums of many panels at once.
+
+    A panel's values sit in a row: the centre, the h nodes centr - hlgth
+    xgk(j), then the h nodes centr + hlgth xgk(j), and two more columns
+    that hold +0.0 and -0.0.  Each term of resg, resk and resabs is a
+    weight times the sum of two columns of that row (abs of both for
+    resabs): the centre pairs with -0.0, and +0.0 + -0.0 starts DQK21's
+    resg at 0.0.  Adding -0.0 leaves every number as it is, so -0.0 pairs
+    pad resg to the length of the others.  pairs lists the columns, and
+    weights the weights, in the order QUADPACK adds the terms.
+    """
+
+    def __init__(self, xgk, wgk, resk_order, resg_centre, resg_terms,
+                 infinite):
+        h = len(xgk)
+        zero, negzero = 2 * h + 1, 2 * h + 2
+        self.npanel = 2 * h + 1
+        # each node's offset from centr in units of hlgth
+        self.offsets = np.array([0.0, *(-x for x in xgk), *xgk])
+        self.infinite = infinite
+        # resg starts at resg_centre fc, or at 0.0 where that is None, and
+        # adds w (fv1(j) + fv2(j)) for each (j, w) of resg_terms
+        head, w_head = (zero, 1.0) if resg_centre is None else \
+            (0, resg_centre)
+        pad = h - len(resg_terms)
+        resg = ([(head, negzero)] + [(1 + j, 1 + h + j) for j, _ in resg_terms]
+                + [(negzero, negzero)] * pad)
+        resk = [(0, negzero)] + [(1 + j, 1 + h + j) for j in resk_order]
+        self.pairs = np.array([resg, resk, resk]).transpose(2, 0, 1).ravel()
+        self.weights = np.array([
+            [w_head] + [w for _, w in resg_terms] + [1.0] * pad,
+            [wgk[h]] + [wgk[j] for j in resk_order],
+            [wgk[h]] + [wgk[j] for j in resk_order]])
+        # resasc: wgk(centre) |fc - reskh|, then j in order
+        self.resasc_weights = np.array([wgk[h], *wgk[:h]])
 
 
-def _qk21(f, _boun, panels):
-    """DQK21 on each (a, b) of panels, all nodes in one call of f."""
-    nodes, halves = _panel_nodes(panels, _XGK21)
-    values = f(np.array(nodes)).tolist()
-    out = []
-    for p, hlgth in enumerate(halves):
-        fc = values[21 * p]
-        fv1 = values[21 * p + 1:21 * p + 11]
-        fv2 = values[21 * p + 11:21 * p + 21]
-        resg = 0.0
-        resk = _WGK21[10] * fc
-        resabs = abs(resk)
-        for j in range(5):
-            jtw = 2 * j + 1
-            fsum = fv1[jtw] + fv2[jtw]
-            resg = resg + _WG10[j] * fsum
-            resk = resk + _WGK21[jtw] * fsum
-            resabs = resabs + _WGK21[jtw] * (abs(fv1[jtw]) + abs(fv2[jtw]))
-        for j in range(5):
-            jtwm1 = 2 * j
-            fsum = fv1[jtwm1] + fv2[jtwm1]
-            resk = resk + _WGK21[jtwm1] * fsum
-            resabs = resabs + _WGK21[jtwm1] * (abs(fv1[jtwm1])
-                                               + abs(fv2[jtwm1]))
-        reskh = resk * 0.5
-        resasc = _WGK21[10] * abs(fc - reskh)
-        for w, f1, f2 in zip(_WGK21, fv1, fv2):
-            resasc = resasc + w * (abs(f1 - reskh) + abs(f2 - reskh))
-        out.append(_finish(resk, resg, resabs, resasc, hlgth, abs(hlgth)))
-    return out
+# DQK21 adds the odd-numbered xgk(j) first, then the even-numbered ones,
+# and its Gauss sum only the odd-numbered ones
+_DQK21 = _Rule(_XGK21, _WGK21, [1, 3, 5, 7, 9, 0, 2, 4, 6, 8], None,
+               [(j, _WG10[j // 2]) for j in (1, 3, 5, 7, 9)], False)
+_DQK15I = _Rule(_XGK15, _WGK15, range(7), _WG15[7],
+                list(enumerate(_WG15[:7])), True)
 
 
-def _qk15i(f, boun, panels):
-    """DQK15I (inf = 1) on each (a, b) of panels in t, all nodes in one
-    call of f at x = boun + (1 - t)/t."""
-    nodes, halves = _panel_nodes(panels, _XGK15)
-    t = np.array(nodes)
-    # dinf * (1 - t) is 1 - t exactly for dinf = 1
-    values = (f(boun + (1.0 - t) / t) / t / t).tolist()
-    out = []
-    for p, hlgth in enumerate(halves):
-        fc = values[15 * p]
-        fv1 = values[15 * p + 1:15 * p + 8]
-        fv2 = values[15 * p + 8:15 * p + 15]
-        resg = _WG15[7] * fc
-        resk = _WGK15[7] * fc
-        resabs = abs(resk)
-        for wg, wgk, f1, f2 in zip(_WG15, _WGK15, fv1, fv2):
-            fsum = f1 + f2
-            resg = resg + wg * fsum
-            resk = resk + wgk * fsum
-            resabs = resabs + wgk * (abs(f1) + abs(f2))
-        reskh = resk * 0.5
-        resasc = _WGK15[7] * abs(fc - reskh)
-        for wgk, f1, f2 in zip(_WGK15, fv1, fv2):
-            resasc = resasc + wgk * (abs(f1 - reskh) + abs(f2 - reskh))
-        out.append(_finish(resk, resg, resabs, resasc, hlgth, hlgth))
-    return out
+def _kronrod(rule, f, panels, rows):
+    """DQK21 or DQK15I (inf = 1, in t) on each (comp, panel) of rows, for
+    the distinct (key, boun, a, b) of panels: all of their nodes in one
+    call of f, at x = boun + (1 - t)/t for DQK15I, and the (result, abserr,
+    resabs, resasc) of every row."""
+    keys, bouns, a, b = np.array(panels).T
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    # centr + hlgth (-xgk(j)) is centr - hlgth xgk(j) exactly; the centre
+    # is set apart, since centr + 0.0 turns a centr of -0.0 into +0.0
+    x = centr[:, None] + hlgth[:, None] * rule.offsets
+    x[:, 0] = centr
+    t = x
+    if rule.infinite:
+        # dinf * (1 - t) is 1 - t exactly for dinf = 1
+        x = bouns[:, None] + (1.0 - t) / t
+    keys = np.repeat(keys.astype(np.intp), rule.npanel)
+    values = np.asarray(f(x.ravel(), keys), dtype=float).reshape(-1, *x.shape)
+    comp, panel = np.array(rows).T
+    fv = values[comp, panel]
+    if rule.infinite:
+        t = t[panel]
+        fv = fv / t / t
+    n = len(fv)
+    # the sums of Python floats they transcribe overflow and make NaN
+    # silently
+    with np.errstate(all="ignore"):
+        cols = np.concatenate((fv, np.zeros((n, 2))), axis=1)
+        cols[:, -1] = -0.0
+        terms = cols[:, rule.pairs].reshape(n, 2, 3, -1)
+        np.abs(terms[:, :, 2], out=terms[:, :, 2])
+        terms = (terms[:, 0] + terms[:, 1]) * rule.weights
+        resg, resk, resabs = np.add.accumulate(terms, axis=2)[:, :, -1].T
+        reskh = (resk * 0.5)[:, None]
+        dev = np.abs(fv - reskh)
+        h = rule.npanel // 2
+        dev[:, 1:h + 1] += dev[:, h + 1:]
+        dev = dev[:, :h + 1] * rule.resasc_weights
+        resasc = np.add.accumulate(dev, axis=1)[:, -1]
+    # DQK15I's hlgth is > 0, so abs(hlgth) is DQK21's dhlgth and DQK15I's
+    return [_finish(k, g, s, c, hl, abs(hl)) for k, g, s, c, hl in zip(
+        resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist(),
+        hlgth[panel].tolist())]
 
 
 # --- DQPSRT and DQELG --------------------------------------------------------
@@ -329,15 +418,17 @@ def _ratio(x, y):
     return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
-def _adaptive(rule, f, boun, a, b, epsabs, epsrel, limit):
+def _adaptive(npanel, a, b, epsabs, epsrel, limit):
     """The body DQAGSE and DQAGIE share, over [a, b] of the rule's
-    variable (x for DQK21, t in [0, 1] for DQK15I)."""
-    npanel = 21 if rule is _qk21 else 15
+    variable (x for DQK21, t in [0, 1] for DQK15I), npanel the rule's 21
+    or 15 nodes.  A generator: it yields the panels ((a1, b1), ...) whose
+    (result, abserr, resabs, resasc) it needs next, receives them in that
+    order, and returns the QuadResult."""
     if epsabs <= 0.0 and epsrel < max(50.0 * EPMACH, 0.5e-28):
         return QuadResult(0.0, 0.0, 0, 6, 0)
 
     # first approximation to the integral
-    (result, abserr, defabs, resabs), = rule(f, boun, ((a, b),))
+    (result, abserr, defabs, resabs), = yield ((a, b),)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     last = 1
@@ -379,8 +470,8 @@ def _adaptive(rule, f, boun, a, b, epsabs, epsrel, limit):
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        (area1, error1, _, defab1), (area2, error2, _, defab2) = rule(
-            f, boun, ((a1, b1), (a2, b2)))
+        (area1, error1, _, defab1), (area2, error2, _, defab2) = yield (
+            (a1, b1), (a2, b2))
 
         # improve previous approximations to integral and error and test
         # for accuracy

@@ -301,6 +301,14 @@ def permittivity_numpy(m, omega):
     return eps
 
 
+def permittivity_derivative(m, omega):
+    """d eps/d omega as the library takes it, np.complex128 of the last two
+    fields of material._eps_deps: the form in which the bit-for-bit checks
+    compare it with permittivity_derivative_numpy.  PoleHit where
+    permittivity raises it."""
+    return np.complex128(complex(*material._eps_deps(m, omega)[2:]))
+
+
 def permittivity_derivative_numpy(m, omega):
     """d eps/d omega worked in numpy complex128 scalars: the library's
     former body of _permittivity_derivative, with permittivity_numpy's

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -262,7 +263,8 @@ def test_criterion_09_ratio_and_temperature_scan(material_broad, rb_atom):
          "--atom", str(FIX / "rb_rydberg.json"),
          "--upper", "27S1/2", "--lower", "26S1/2",
          "--z", "1e-6", "--T", "350,500,600", "--format", "csv"],
-        capture_output=True, text=True, cwd=REPO_ROOT, timeout=300)
+        capture_output=True, text=True, cwd=REPO_ROOT,
+        env=dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src")), timeout=300)
     dt = _elapsed(t0)
     assert proc.returncode == 0, proc.stderr
     rows = list(csv.DictReader(io.StringIO(proc.stdout)))

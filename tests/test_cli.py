@@ -473,17 +473,18 @@ def test_full_route_scan_evaluates_every_pair(monkeypatch):
 
 def _counting_greens(monkeypatch):
     """Wrap potentials.green_nonretarded and green_full; return the list of
-    (route, part) of every call."""
+    (route, part, omega) of every frequency a Green tensor is asked at,
+    green_full taking a sequence of them."""
     from polshift import potentials
     calls = []
     nonretarded, full = potentials.green_nonretarded, potentials.green_full
 
     def counted_nonretarded(m, z, omega):
-        calls.append(("nonretarded", None))
+        calls.append(("nonretarded", None, omega))
         return nonretarded(m, z, omega)
 
     def counted_full(m, z, omega, *, part=None):
-        calls.append(("full", part))
+        calls.extend(("full", part, w) for w in omega)
         return full(m, z, omega, part=part)
 
     monkeypatch.setattr(potentials, "green_nonretarded", counted_nonretarded)
@@ -498,17 +499,22 @@ def test_nonretarded_scan_reads_each_green_tensor_once(monkeypatch):
     rows = cli.run_scan(_scan_config((1e-7, 1e-6, 1e-5),
                                      (50.0, 120.0, 300.0, 500.0, 600.0)))
     assert len(rows) == 15 and all(r["error"] == "" for r in rows)
-    assert calls == [("nonretarded", None)] * 12
+    assert [c[:2] for c in calls] == [("nonretarded", None)] * 12
+    assert len({c[2] for c in calls}) == 12
 
 
 def test_full_route_scan_reads_each_green_tensor_once_per_z(monkeypatch):
     """On the full route the T-free quadratures run once per z: Re G at the
-    10 transition frequencies, then Im G at the 2 mode centres."""
+    10 transition frequencies, then Im G at the 2 mode centres, each
+    frequency once."""
     calls = _counting_greens(monkeypatch)
     rows = cli.run_scan(_scan_config((1e-6,), (350.0, 500.0, 600.0),
                                      green_mode="full"))
     assert len(rows) == 3 and all(r["error"] == "" for r in rows)
-    assert calls == [("full", "real")] * 10 + [("full", "imag")] * 2
+    assert [c[:2] for c in calls] == \
+        [("full", "real")] * 10 + [("full", "imag")] * 2
+    assert len({c[2] for c in calls[:10]}) == 10
+    assert len({c[2] for c in calls[10:]}) == 2
 
 
 def test_scan_row_reports_the_matsubara_error_before_the_resonant_one():

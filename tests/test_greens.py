@@ -160,22 +160,27 @@ def test_full_part_is_that_part_of_both(request, rb_atom, material,
                                         monkeypatch):
     """part="real" gives the real parts of the part=None tensor bit for bit
     and NaN for the imaginary ones, and part="imag" the other way round:
-    each part is its own QUADPACK passes, untouched by the other, so the
-    k_rho nodes of the two parts add up to those of part=None."""
+    each part is its own QUADPACK passes, untouched by the other.  So the
+    (omega, k_rho) nodes of part=None are those of the two parts together,
+    and the panels the two parts share are evaluated once: fewer nodes
+    than the two parts take alone, never fewer than either."""
     m = request.getfixturevalue(material)
-    nodes = []
+    nodes, seen = [], set()
 
     def counted(eps, omega, k_rho):
         nodes.append(np.size(k_rho))
+        seen.update(zip(np.broadcast_to(omega, np.shape(k_rho)).tolist(),
+                        np.ravel(k_rho).tolist()))
         return ps.fresnel(eps, omega, k_rho)
 
     monkeypatch.setattr(greens, "fresnel", counted)
     for z, omega in _part_cases(m, rb_atom):
-        g, count = {}, {}
+        g, count, at = {}, {}, {}
         for part in (None, "real", "imag"):
             nodes.clear()
+            seen.clear()
             g[part] = ps.green_full(m, z, omega, part=part)
-            count[part] = sum(nodes)
+            count[part], at[part] = sum(nodes), set(seen)
         both, re, im = g[None], g["real"], g["imag"]
         assert (re.xx.real, re.zz.real) == (both.xx.real, both.zz.real)
         assert (im.xx.imag, im.zz.imag) == (both.xx.imag, both.zz.imag)
@@ -183,8 +188,144 @@ def test_full_part_is_that_part_of_both(request, rb_atom, material,
                                     im.zz.real, re.im_trace,
                                     im.trace.real)))
         assert im.im_trace == both.im_trace
-        assert count["real"] + count["imag"] == count[None]
+        assert at[None] == at["real"] | at["imag"]
+        assert max(count["real"], count["imag"]) <= count[None] \
+            < count["real"] + count["imag"]
         assert count["real"] > 0 and count["imag"] > 0
+
+
+def _bits(tensors):
+    """The bytes of every entry of a list of tensors: equal bytes are
+    equal bits, sign of zero and NaN included."""
+    return np.array([_entries(g) for g in tensors]).tobytes()
+
+
+def _sequence_omegas(m):
+    """Every mode centre of m and one omega above them where
+    0 < Re eps < 1."""
+    centres = [mode.omega_center for mode in ps.find_polariton_modes(m)]
+    thin = next(w for w in np.geomspace(centres[-1], 100.0 * centres[-1],
+                                        400).tolist()
+                if 0.0 < ps.permittivity(m, w).real < 1.0)
+    return [*centres, thin]
+
+
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow",
+                                      "material_toy", "material_ldos"])
+def test_full_over_a_sequence_is_each_omega_alone(request, material):
+    """green_full over a sequence of omega (a list, a tuple or an array)
+    returns the list of the tensors of one call per omega, bit for bit, for
+    each part, though all of their quadratures run in one lockstep."""
+    m = request.getfixturevalue(material)
+    omegas = _sequence_omegas(m)
+    for z in (0.5e-6, 2e-6, 20e-6):
+        for part in (None, "real", "imag"):
+            alone = [ps.green_full(m, z, w, part=part) for w in omegas]
+            assert all(isinstance(g, ps.GreenTensor3) for g in alone)
+            for seq, want in ((omegas, alone),
+                              (tuple(omegas[::-1]), alone[::-1]),
+                              (np.array(omegas), alone)):
+                got = ps.green_full(m, z, seq, part=part)
+                assert isinstance(got, list)
+                assert _bits(got) == _bits(want)
+    assert ps.green_full(m, 2e-6, []) == []
+
+
+def test_full_escalates_only_the_missed_integrals(material_broad,
+                                                  monkeypatch):
+    """An integral that misses the tolerance within QUAD_LIMIT runs again
+    at 8 QUAD_LIMIT, in one lockstep with the others that missed it and
+    with no other: at QUAD_LIMIT = 5 and z = 20 um two of the sixteen
+    integrals of the two mode centres do.  Every integral of either
+    lockstep, of whatever limit and length, gets the QuadResult of its own
+    quad."""
+    from polshift import quadpack
+    monkeypatch.setattr(greens, "QUAD_LIMIT", 5)
+    runs = []
+    lockstep = quadpack.lockstep
+
+    def recording(batch):
+        got = lockstep(batch)
+        runs.append(list(zip(batch, got)))
+        return got
+
+    monkeypatch.setattr(quadpack, "lockstep", recording)
+    omegas = [md.omega_center for md in ps.find_polariton_modes(
+        material_broad)]
+    g = ps.green_full(material_broad, 20e-6, omegas)
+    first, again = runs
+    missed = [i for i, r in first
+              if r.abserr > max(i.epsabs, i.epsrel * abs(r.value)) * 10.0]
+    assert len(first) == 16 and {i.limit for i, _ in first} == {5}
+    assert [i._replace(limit=5) for i, _ in again] == missed
+    assert len(missed) == 2 and {i.limit for i, _ in again} == {40}
+    assert any(r.ier == 1 for _, r in first)
+    for i, got in first + again:
+        alone = quadpack.quad(
+            lambda x, i=i: i.f(x, np.full(len(x), i.key))[i.comp], i.a, i.b,
+            i.epsabs, i.epsrel, i.limit)
+        assert got == alone
+    monkeypatch.setattr(quadpack, "lockstep", lockstep)
+    assert _bits(g) == _bits([ps.green_full(material_broad, 20e-6, w)
+                              for w in omegas])
+
+
+#: the labels of one omega's integrals, in the order a QuadratureFailure
+#: takes them: xx before zz, propagating before evanescent, Re before Im
+_ORDER = [(tensor, side, p) for tensor in ("xx", "zz")
+          for side in ("propagating", "evanescent") for p in (0, 1)]
+
+
+@pytest.mark.parametrize("failing, want", [
+    # the first omega's failure, though the second fails earlier in _ORDER
+    ({(1, "zz", "evanescent", 1), (2, "xx", "propagating", 0)},
+     "zz evanescent"),
+    ({(0, "zz", "propagating", 0), (0, "xx", "evanescent", 1)},
+     "xx evanescent"),
+    ({(2, "zz", "evanescent", 0), (2, "zz", "propagating", 1)},
+     "zz propagating"),
+    ({(0, "xx", "propagating", 1)}, "xx propagating"),
+])
+def test_full_failure_is_the_first_in_call_order(material_broad, monkeypatch,
+                                                 failing, want):
+    """Of integrals that miss the tolerance at both limits, the one named
+    is the first that one call per omega would run: omegas in order, then
+    _ORDER."""
+    from polshift import quadpack
+    lockstep = quadpack.lockstep
+    omegas = _sequence_omegas(material_broad)
+    labels = [(k, *order) for k in range(len(omegas)) for order in _ORDER]
+
+    def failing_some(batch):
+        # the first run holds the call's integrals in call order, and the
+        # second the ones of them that missed, all of them made to miss
+        got = lockstep(batch)
+        miss = [lab in failing for lab in labels] if len(batch) == \
+            len(labels) else [True] * len(batch)
+        return [r._replace(abserr=math.inf) if m else r
+                for r, m in zip(got, miss)]
+
+    monkeypatch.setattr(quadpack, "lockstep", failing_some)
+    with pytest.raises(ps.QuadratureFailure, match=f"[(]{want}[)]"):
+        ps.green_full(material_broad, 2e-6, omegas)
+
+
+def test_full_pole_hit_keeps_its_place_in_call_order(monkeypatch):
+    """eps raising PoleHit at one omega of a sequence raises it after the
+    quadratures of the omegas before it, as one call per omega would: an
+    earlier quadrature failure comes first."""
+    m = ps.MaterialModel("undamped", oscillators=(
+        ps.Oscillator(omega_P=8e12, omega_T=1e13),))
+    with pytest.raises(ps.PoleHit):
+        ps.green_full(m, Z, [5e12, 1e13, 2e13])
+    with pytest.raises(ps.PoleHit):
+        ps.green_full(m, Z, [1e13, 5e12])
+    monkeypatch.setattr(greens, "QUAD_REL_TOL", 1e-16)
+    monkeypatch.setattr(greens, "QUAD_LIMIT", 1)
+    with pytest.raises(ps.QuadratureFailure):
+        ps.green_full(m, Z, [5e12, 1e13])
+    with pytest.raises(ps.PoleHit):
+        ps.green_full(m, Z, [1e13, 5e12])
 
 
 def test_full_evaluates_permittivity_once(material_narrow, monkeypatch):

@@ -18,7 +18,8 @@ from polshift import material
 from oracles import (eps_crossing, fresnel_array, half_max_point,
                      lorentzian_ldos_factor, material_to_dict,
                      mode_width_from_pole, omega_surface,
-                     permittivity_derivative_numpy, permittivity_numpy,
+                     permittivity_derivative, permittivity_derivative_numpy,
+                     permittivity_numpy,
                      reflection_nonretarded_numpy)
 from polshift.units import CM1, C
 
@@ -258,7 +259,7 @@ def test_permittivity_absorptive_sign(omega_P, omega_T, gamma, omega):
 #: each real-axis function of the material and its numpy-scalar oracle
 NUMPY_ORACLES = (
     (ps.permittivity, permittivity_numpy),
-    (material._permittivity_derivative, permittivity_derivative_numpy),
+    (permittivity_derivative, permittivity_derivative_numpy),
     (ps.reflection_nonretarded, reflection_nonretarded_numpy),
 )
 
@@ -282,7 +283,7 @@ def _same_bits(got, want):
 
 
 def _assert_float_bodies_equal_numpy(m, n_geom):
-    """permittivity, _permittivity_derivative and reflection_nonretarded
+    """permittivity, eps' from _eps_deps and reflection_nonretarded
     give np.complex128 with the bits of their numpy-scalar oracles, and
     raise PoleHit or SurfaceModePole, with the same message, on exactly the
     inputs where the oracle does: at 0, -0.0, negative omega, n_geom omega
@@ -516,11 +517,42 @@ def test_fresnel_equals_array_oracle(request, material):
             assert ps.fresnel(eps, omega, k) == (r_s, r_p)
 
 
+@pytest.mark.parametrize("material", FIXTURE_MATERIALS)
+def test_fresnel_per_node_frequencies_equal_each_alone(request, material):
+    """eps and omega given per node, as green_full hands them over for all
+    of its frequencies at once, give each node the bits of fresnel at its
+    own omega alone, sign of zero included: at half the lower mode centre,
+    at each centre and where 0 < Re eps < 1, on both sides of the light
+    line."""
+    m = request.getfixturevalue(material)
+    modes = ps.find_polariton_modes(m)
+    omegas = [0.5 * modes[0].omega_center,
+              *(mode.omega_center for mode in modes)]
+    omegas.append(next(
+        w for w in np.geomspace(omegas[-1], 100.0 * omegas[-1],
+                                400).tolist()
+        if 0.0 < ps.permittivity(m, w).real < 1.0))
+    eps, omega, k_rho, want = [], [], [], []
+    for w in omegas:
+        k = (w / C) * np.concatenate(([0.0, 1.0], np.geomspace(1e-6, 1e6, 60)))
+        e = ps.permittivity(m, w)
+        want.append(ps.fresnel(e, w, k))
+        eps += [e] * len(k)
+        omega += [w] * len(k)
+        k_rho.append(k)
+    got = ps.fresnel(np.array(eps), np.array(omega), np.concatenate(k_rho))
+    for g, part in zip(got, zip(*want)):
+        assert g.tobytes() == np.concatenate(part).tobytes()
+
+
 def test_fresnel_rejects_bad_arguments(material_broad):
-    """NaN, omega <= 0 and k_rho < 0 raise ValueError, never a NaN."""
+    """NaN, omega <= 0 and k_rho < 0 raise ValueError, never a NaN, also
+    at one node of a per-node omega."""
     eps = ps.permittivity(material_broad, 1e13)
     for omega, k_rho in ((math.nan, 1.0), (1e13, math.nan), (0.0, 1.0),
-                         (-1e13, 1.0), (1e13, -1.0), (1e13, -1e-300)):
+                         (-1e13, 1.0), (1e13, -1.0), (1e13, -1e-300),
+                         (np.array([1e13, math.nan]), np.ones(2)),
+                         (np.array([1e13, 0.0]), np.ones(2))):
         with pytest.raises(ValueError):
             ps.fresnel(eps, omega, k_rho)
 
@@ -612,7 +644,7 @@ def test_modes_found_for_oscillators_decades_apart():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 4: the in-module bounded minimiser refines the peak in "
+    "ROADMAP item 6: the in-module bounded minimiser refines the peak in "
     "absolute omega, where its tolerance sqrt(eps)*omega ~ 1.8e5 rad/s "
     "exceeds the linewidth; minimizing in the offset from the crossing "
     "fixes it but moves window-edge centres in the modes_sweep references"))
@@ -680,7 +712,7 @@ def _damping_limit_values(m, atom, s):
 
 @pytest.mark.xfail(strict=True, raises=(AssertionError, ps.SurfaceModePole),
                    reason=(
-    "ROADMAP item 4: the peak search stops within sqrt(eps)*omega of the "
+    "ROADMAP item 6: the peak search stops within sqrt(eps)*omega of the "
     "peak, which misplaces the half-maximum level once the linewidth "
     "nears it, and POLE_RTOL refuses the peak of a weakly damped mode"))
 def test_modes_converge_as_damping_vanishes(request, rb_atom):

@@ -1534,24 +1534,27 @@ def test_each_line_asks_green_full_for_the_part_it_reads(rb_atom,
                                                          material_broad,
                                                          broad_modes,
                                                          monkeypatch):
-    """On the full route the photon line integrates only Re G at each
-    |omega_kn| and u_eff only Im G at the two mode centres."""
-    parts = []
+    """On the full route the photon line integrates only Re G, at each
+    |omega_kn| in one green_full call, and u_eff only Im G, at the two mode
+    centres in one call."""
+    calls = []
     full = potentials.green_full
 
     def recorded(m, z, omega, *, part=None):
-        parts.append(part)
+        calls.append((part, list(omega)))
         return full(m, z, omega, part=part)
 
     monkeypatch.setattr(potentials, "green_full", recorded)
     ps.nonresonant_shift_parts(rb_atom, "27S1/2", material_broad, ENV,
                                green_mode="full")
-    assert parts == ["real"] * len(ps.transitions_from(rb_atom, "27S1/2"))
-    parts.clear()
+    omegas = [abs(w) for _, w, _ in ps.transitions_from(rb_atom, "27S1/2")]
+    assert len(set(omegas)) == len(omegas) == 10
+    assert calls == [("real", omegas)]
+    calls.clear()
     lo, hi = broad_modes
     ps.u_eff(rb_atom, "27S1/2", "26S1/2", hi, lo, material_broad, ENV,
              green_mode="full")
-    assert parts == ["imag", "imag"]
+    assert calls == [("imag", [hi.omega_center, lo.omega_center])]
 
 
 def test_nonretarded_route_never_reaches_green_full(rb_atom, material_broad,

@@ -1,10 +1,11 @@
 """polshift.quadpack against scipy.integrate.quad, bit for bit.
 
 quadpack transcribes the QUADPACK routines that quad runs (DQAGSE on a
-finite interval, DQAGIE on [a, inf)), with both panels of a bisection in one
-array call of the integrand.  On the same integrand values it must return
-quad's value and error estimate to the last bit, take as many integrand
-values as quad's infodict neval says and end with as many subintervals.  The
+finite interval, DQAGIE on [a, inf)), with many integrals run in lockstep
+and each round's panels in one array call of each integrand.  On the same
+integrand values every integral must return quad's value and error estimate
+to the last bit, take as many integrand values as quad's infodict neval says
+and end with as many subintervals, alone or in lockstep with others.  The
 integrand families below reach each way out of the routines; the Green
 integrands are every one that green_full and green_full_imag_axis build on
 the four material fixtures.
@@ -99,6 +100,11 @@ FAMILIES = {
         lambda x: math.cos(100.0 * x) * math.exp(-x), 0.0, 10.0, 1e-300,
         1e-12, 200, 2),
     "zero integrand": (lambda x: 0.0, 0.0, 1.0, 1.49e-8, 1.49e-8, 50, 0),
+    # the signs of zero of QUADPACK's sums
+    "negative zero integrand": (lambda x: -0.0, 0.0, 1.0, 1.49e-8, 1.49e-8,
+                                50, 0),
+    "negative zero integrand, [0, inf)": (lambda x: -0.0, 0.0, math.inf,
+                                          1.49e-8, 1.49e-8, 50, 0),
 }
 
 
@@ -107,7 +113,8 @@ def test_quadpack_equals_scipy_quad(name):
     f, a, b, epsabs, epsrel, limit, ier = FAMILIES[name]
     want = scipy_reference(f, a, b, epsabs, epsrel, limit)
     got = quadpack.quad(on_nodes(f), a, b, epsabs, epsrel, limit)
-    assert tuple(got) == want
+    # repr tells the signs of zero apart
+    assert repr(tuple(got)) == repr(want)
     assert got.ier == ier
 
 
@@ -125,6 +132,17 @@ def test_quadpack_calls_each_panel_pair_once():
                             50)
         assert sizes == [first] + [2 * first] * (got.last - 1)
         assert sum(sizes) == got.neval
+
+
+def test_quadpack_nodes_keep_the_sign_of_zero():
+    """On [-0.0, -0.0] QUADPACK's centre node is centr = -0.0, its left
+    nodes centr - 0.0 = -0.0 and its right ones centr + 0.0 = +0.0.  So
+    -copysign(1, x) cancels in each pair of nodes and leaves the centre's
+    +1, and the integral is +0.0; a centre node of +0.0 would make it
+    -0.0.  (quad itself returns 0.0 for a == b before QUADPACK runs.)"""
+    got = quadpack.quad(lambda x: -np.copysign(1.0, x), -0.0, -0.0, 1.49e-8,
+                        1.49e-8, 50)
+    assert repr(got.value) == "0.0" and got.neval == 21
 
 
 def test_quadpack_rejects_a_limit_below_1():
@@ -147,23 +165,79 @@ def _green_cases(m):
                                       "material_toy", "material_ldos"])
 def test_green_integrands_equal_scipy_quad(request, material, monkeypatch):
     """Every k_rho integral of green_full (both parts) and of
-    green_full_imag_axis (at xi = omega) gives quad's value, error estimate
-    and neval, quad calling the same integrand one node at a time."""
+    green_full_imag_axis (at xi = omega), each run in the lockstep of its
+    Green call, gives quad's value, error estimate and neval, quad calling
+    the same integrand, at the integral's key and component, one node at a
+    time."""
     m = request.getfixturevalue(material)
-    calls = []
-    real_quad = quadpack.quad
+    integrals = []
+    real_lockstep = quadpack.lockstep
 
-    def recording(f, a, b, epsabs, epsrel, limit):
-        got = real_quad(f, a, b, epsabs, epsrel, limit)
-        calls.append((f, a, b, epsabs, epsrel, limit, got))
+    def recording(batch):
+        got = real_lockstep(batch)
+        integrals.extend(zip(batch, got))
         return got
 
-    monkeypatch.setattr(quadpack, "quad", recording)
+    monkeypatch.setattr(quadpack, "lockstep", recording)
     for z, omega in _green_cases(m):
         ps.green_full(m, z, omega)
         ps.green_full_imag_axis(m, z, omega)
-    assert len(calls) == 10 * len(_green_cases(m))
-    for f, a, b, epsabs, epsrel, limit, got in calls:
-        want = scipy_reference(lambda x: f(np.array([x]))[0], a, b, epsabs,
-                               epsrel, limit)
+    assert len(integrals) == 10 * len(_green_cases(m))
+    for (f, key, comp, a, b, epsabs, epsrel, limit), got in integrals:
+        want = scipy_reference(
+            lambda x: f(np.array([x]), np.array([key]))[comp][0], a, b,
+            epsabs, epsrel, limit)
         assert tuple(got) == want
+
+
+def _family(names):
+    """The integrand family of the FAMILIES named in names: key k is
+    names[k], component 0 its integrand and component 1 twice it."""
+    def f(x, keys):
+        one = np.array([FAMILIES[names[k]][0](v)
+                        for v, k in zip(x.tolist(), keys.tolist())])
+        return one, 2.0 * one
+    return f
+
+
+def test_lockstep_gives_each_integral_its_solo_result():
+    """Integrals of every exit path, of different intervals, limits and
+    lengths (the first panel alone, up to the limit, ier 1 to 5), run in
+    one lockstep, two components of one family and the same integral
+    twice among them: each gets quad's QuadResult of its own, and each
+    round calls the family once per rule."""
+    names = list(FAMILIES)
+    f = _family(names)
+    calls = []
+
+    def counted(x, keys):
+        calls.append(len(x))
+        return f(x, keys)
+
+    batch, want = [], []
+    for k, name in enumerate(names):
+        g, a, b, epsabs, epsrel, limit, ier = FAMILIES[name]
+        for comp in (0, 1, 0):
+            batch.append(quadpack.Integral(counted, k, comp, a, b, epsabs,
+                                           epsrel, limit))
+            want.append(scipy_reference(
+                (lambda v, g=g: 2.0 * g(v)) if comp else g, a, b, epsabs,
+                epsrel, limit))
+    got = quadpack.lockstep(batch)
+    assert repr([tuple(r) for r in got]) == repr(want)
+    assert {r.ier for r in got} == set(range(6))
+    # one call per rule and round: the rounds of DQAGSE's 21-point panels
+    # and those of DQAGIE's 15-point ones
+    rounds = [max(r.last for r, i in zip(got, batch) if (i.b == math.inf)
+                  == inf) for inf in (False, True)]
+    assert len(calls) == sum(rounds)
+    # twice an integrand scales every sum exactly, so the three integrals
+    # of a name bisect alike, and each of their panels is evaluated once
+    assert 3 * sum(calls) == sum(r.neval for r in got)
+
+
+def test_lockstep_of_nothing_and_bad_limit():
+    assert quadpack.lockstep([]) == []
+    with pytest.raises(ValueError, match="limit"):
+        quadpack.lockstep([quadpack.Integral(
+            lambda x, k: (x,), 0, 0, 0.0, 1.0, 1e-8, 1e-8, 0)])
