@@ -53,7 +53,11 @@ class DipoleElement:
 class AtomSpec:
     """Immutable collection of states and dipole couplings.
 
-    Lookup of dipoles is orientation-agnostic: |d_ab| = |d_ba|.
+    Lookup of dipoles is orientation-agnostic: |d_ab| = |d_ba|.  The
+    constructor checks labels and dipoles at once; a level's transitions
+    and polarizability table are built the first time one of them is read
+    (transitions_from, polarizability_iso), since a shift reads only the
+    levels it joins.
     """
 
     def __init__(self, name, states, dipoles):
@@ -66,6 +70,8 @@ class AtomSpec:
                 raise ValueError(f"duplicate state label {s.label!r}")
             self._by_label[s.label] = s
         self._pairs = {}
+        # per label: (partner, |d|) of each of its dipoles with |d| > 0
+        self._partners = {lab: [] for lab in self._by_label}
         for d in self.dipoles:
             for lab in (d.from_state, d.to_state):
                 if lab not in self._by_label:
@@ -78,23 +84,29 @@ class AtomSpec:
                     f"duplicate dipole between {d.from_state!r} and "
                     f"{d.to_state!r}")
             self._pairs[key] = d
-        self._transitions = {s.label: self._transitions_of(s)
-                             for s in self.states}
-        # per state: (omega_kn^2, omega_kn |d_nk|^2) as column arrays, which
-        # polarizability_iso broadcasts over an array of xi
-        self._alpha_terms = {
-            lab: (np.array([[w * w] for _, w, _ in trans]),
-                  np.array([[w * d * d] for _, w, d in trans]))
-            for lab, trans in self._transitions.items()}
+            if d.magnitude > 0.0:
+                self._partners[d.from_state].append((d.to_state, d.magnitude))
+                self._partners[d.to_state].append((d.from_state, d.magnitude))
+        self._levels = {}
 
-    def _transitions_of(self, n):
-        out = []
-        for s in self.states:
-            d = self.dipole_magnitude(n.label, s.label)
-            if s is not n and d > 0.0:
-                out.append((s.label, s.energy - n.energy, d))
-        out.sort(key=lambda t: (t[1], t[0]))
-        return tuple(out)
+    def _level(self, n):
+        """(transitions, (omega_kn^2, omega_kn |d_nk|^2)) of level n, built
+        on its first read: the (k, omega_kn, |d_nk|) sorted by (omega_kn,
+        k), and the two column arrays polarizability_iso broadcasts over
+        an array of xi.  ValueError for an unknown label."""
+        try:
+            return self._levels[n]
+        except KeyError:
+            pass
+        e_n = self.state(n).energy
+        trans = tuple(sorted(
+            ((k, self._by_label[k].energy - e_n, d)
+             for k, d in self._partners[n]),
+            key=lambda t: (t[1], t[0])))
+        level = (trans, (np.array([[w * w] for _, w, _ in trans]),
+                         np.array([[w * d * d] for _, w, d in trans])))
+        self._levels[n] = level
+        return level
 
     def __eq__(self, other):
         return (isinstance(other, AtomSpec)
@@ -165,10 +177,10 @@ def channels(atom, upper, lower):
 
 def transitions_from(atom, n):
     """(k_label, omega_kn, |d_nk|) for every state k with a dipole to n,
-    sorted by omega_kn (ties by label).  The lists are built once, with the
-    AtomSpec, so evaluating many xi never re-filters the dipoles."""
-    atom.state(n)  # ValueError for an unknown label
-    return list(atom._transitions[n])
+    sorted by omega_kn (ties by label).  A level's list is built the first
+    time the level is read and kept on the AtomSpec, so evaluating many xi
+    never re-filters the dipoles."""
+    return list(atom._level(n)[0])
 
 
 def polarizability_iso(atom, n, xi):
@@ -181,8 +193,7 @@ def polarizability_iso(atom, n, xi):
     xi = np.asarray(xi, dtype=float)
     if (xi < 0).any():
         raise ValueError("xi must be >= 0")
-    atom.state(n)  # ValueError for an unknown label
-    w2, num = atom._alpha_terms[n]
+    w2, num = atom._level(n)[1]
     if not len(w2):
         return np.zeros(xi.shape)[()]
     terms = num / (w2 + xi.reshape(-1) ** 2)

@@ -493,18 +493,38 @@ def _alpha_flips(table):
     without a sign change, counts too.  A numerator of degree d whose
     coefficients all have one sign has none: it has no root within
     pi/d of the positive axis (Descartes' rule for the axis itself), so
-    its roots are not taken.  The products are built for all k at once:
-    the factor of k itself enters as y + 0, which makes the product of
-    every row y times the one wanted."""
-    n = table.wk.size
-    v = np.broadcast_to(table.wk * table.wk, (n, n)).copy()
-    np.fill_diagonal(v, 0.0)
-    prods = np.zeros((n, n + 1))
-    prods[:, 0] = 1.0
-    for j in range(n):
-        prods[:, 1:j + 2] += v[:, j, None] * prods[:, :j + 1]
-    numerator = table.c @ prods[:, :-1]
-    if (numerator > 0).all() or (numerator < 0).all():
+    its roots are not taken.
+
+    The numerator is built in floats from P = prod_k (y + w_k^2), one
+    synthetic division by y + w_k^2 per k.  Every coefficient of P and of
+    each quotient q is positive, and a division step subtracts: from the
+    leading end, q_i = P_i - w_k^2 q_(i-1) cancels once w_k^2 exceeds
+    q_i/q_(i-1), about the i-th largest of the other w^2, and from the
+    constant end q_(i-1) = (P_i - q_i)/w_k^2 cancels below it.  So, with
+    the w_k^2 in descending order, the quotient of the m-th takes q_0..q_m
+    from the leading end and the rest from the constant end, and each step
+    subtracts a smaller positive number from a larger one."""
+    pairs = sorted(zip([w * w for w in table.wk.tolist()], table.c.tolist()),
+                   reverse=True)
+    n = len(pairs)
+    p = [1.0] + [0.0] * n
+    for j, (aj, _) in enumerate(pairs, 1):
+        for i in range(j, 0, -1):
+            p[i] += aj * p[i - 1]
+    numerator = [0.0] * n
+    for m, (ak, ck) in enumerate(pairs):
+        q = 1.0
+        numerator[0] += ck
+        for i in range(1, m + 1):
+            q = p[i] - ak * q
+            numerator[i] += ck * q
+        if m + 1 < n:
+            q = p[n] / ak
+            numerator[n - 1] += ck * q
+            for i in range(n - 1, m + 1, -1):
+                q = (p[i] - q) / ak
+                numerator[i - 1] += ck * q
+    if all(x > 0 for x in numerator) or all(x < 0 for x in numerator):
         return np.zeros(0)
     y = np.roots(numerator)
     return np.sqrt(np.abs(y[np.abs(y.imag) <= 1e-3 * y.real]))

@@ -69,3 +69,18 @@ def toy_atom():
         states=(ps.AtomicState("g", 0.0), ps.AtomicState("e", 2.4e14)),
         dipoles=(ps.DipoleElement("g", "e", 1.0e-29),),
     )
+
+
+@pytest.fixture(scope="session")
+def flipping_atom():
+    """Three levels whose middle one has alpha(i xi) < 0 at xi = 0 (its
+    downward transition at 1e12 rad/s dominates) and > 0 for large xi
+    (its upward one at 1e14 rad/s carries five times the oscillator
+    strength): alpha(i xi) changes sign once, near 5e13 rad/s."""
+    d = 1e-29
+    return ps.AtomSpec(
+        name="sign-changing alpha",
+        states=(ps.AtomicState("l", 0.0), ps.AtomicState("m", 1e12),
+                ps.AtomicState("h", 1.01e14)),
+        dipoles=(ps.DipoleElement("l", "m", d),
+                 ps.DipoleElement("m", "h", 0.2236 * d)))

@@ -6,6 +6,7 @@ The serializers and the Lorentzian line shape at the end are used only by
 round-trip and line-shape tests.
 """
 
+import cmath
 import math
 
 import mpmath
@@ -221,6 +222,56 @@ def matsubara_tail_size(atom, n, m, head=5, dps=20):
     return size
 
 
+def level_tables_by_scan(atom, n):
+    """(transitions, (omega_kn^2, omega_kn |d_nk|^2)) of level n, built as
+    the AtomSpec constructor once built every level's: a scan over all
+    states with dipole_magnitude, keeping |d| > 0, sorted by (omega_kn, k),
+    and the polarizability columns from the sorted list."""
+    e_n = atom.energy(n)
+    trans = []
+    for s in atom.states:
+        d = atom.dipole_magnitude(n, s.label)
+        if s.label != n and d > 0.0:
+            trans.append((s.label, s.energy - e_n, d))
+    trans.sort(key=lambda t: (t[1], t[0]))
+    return tuple(trans), (np.array([[w * w] for _, w, _ in trans]),
+                          np.array([[w * d * d] for _, w, d in trans]))
+
+
+def polarizability_by_scan(atom, n, xi):
+    """polarizability_iso of level n on the columns of level_tables_by_scan,
+    with the library's arithmetic: the transitions added one after another
+    (np.add.accumulate), then 2/(3 hbar); zeros in xi's shape for a level
+    with no dipole."""
+    xi = np.asarray(xi, dtype=float)
+    w2, num = level_tables_by_scan(atom, n)[1]
+    if not len(w2):
+        return np.zeros(xi.shape)[()]
+    terms = num / (w2 + xi.reshape(-1) ** 2)
+    total = np.add.accumulate(terms, axis=0)[-1].reshape(xi.shape)
+    return 2.0 / (3.0 * HBAR) * total[()]
+
+
+def alpha_flips_numpy(table):
+    """potentials._alpha_flips as it was written on numpy arrays, kept as
+    the reference for its decisions and roots: the products of every
+    (y + w_k'^2) for all k at once, the factor of k itself entering as
+    y + 0 (which makes the product of every row y times the one wanted),
+    and the numerator as c @ prods."""
+    n = table.wk.size
+    v = np.broadcast_to(table.wk * table.wk, (n, n)).copy()
+    np.fill_diagonal(v, 0.0)
+    prods = np.zeros((n, n + 1))
+    prods[:, 0] = 1.0
+    for j in range(n):
+        prods[:, 1:j + 2] += v[:, j, None] * prods[:, :j + 1]
+    numerator = table.c @ prods[:, :-1]
+    if (numerator > 0).all() or (numerator < 0).all():
+        return np.zeros(0)
+    y = np.roots(numerator)
+    return np.sqrt(np.abs(y[np.abs(y.imag) <= 1e-3 * y.real]))
+
+
 def u_eff_nonretarded_form(atom, upper, lower, mode1, mode2, m, z):
     """Nonretarded amplitude on the z-free tensors
     G'(omega) = (c^2/(32 pi omega^2)) r_p diag(1,1,2) with the explicit z^-3
@@ -431,6 +482,22 @@ def fresnel_array(m, omega, k_rho):
     if r_s.ndim == 0:
         return r_s[()], r_p[()]
     return r_s, r_p
+
+
+def fresnel_cmath(eps, omega, k_rho):
+    """Fresnel (r_s, r_p) at one omega and one k_rho in cmath scalars, for
+    any complex eps: k_vz and k_dz are the roots of omega^2/c^2 - k_rho^2
+    and eps omega^2/c^2 - k_rho^2 with Im >= 0, taken by negating the
+    principal root where its Im < 0, as for a gain medium (Im eps < 0)."""
+    def upper_sqrt(arg):
+        root = cmath.sqrt(arg)
+        return -root if root.imag < 0 else root
+
+    k2 = (omega / C) ** 2
+    k_vz = upper_sqrt(complex(k2 - k_rho * k_rho))
+    k_dz = upper_sqrt(eps * k2 - k_rho * k_rho)
+    return ((k_vz - k_dz) / (k_vz + k_dz),
+            (eps * k_vz - k_dz) / (eps * k_vz + k_dz))
 
 
 def lorentzian_ldos_factor(mode, omega):

@@ -13,7 +13,8 @@ from scipy.constants import hbar as HBAR
 from scipy.constants import physical_constants
 
 import polshift as ps
-from oracles import atom_to_dict
+from oracles import (atom_to_dict, level_tables_by_scan,
+                     polarizability_by_scan)
 from polshift.units import CM1
 
 A0 = physical_constants["Bohr radius"][0]
@@ -336,3 +337,98 @@ def test_polarizability_ground_state_decreasing(toy_atom, xi, step):
 def test_polarizability_excited_state_sign(toy_atom):
     # For the upper level the single transition is downward: negative value.
     assert ps.polarizability_iso(toy_atom, "e", 0.0) < 0.0
+
+
+# ---------------------------------------------------------------------------
+# level tables
+# ---------------------------------------------------------------------------
+
+
+def _sparse_atom():
+    """Six levels: "dark" couples to "g" only with |d| = 0, "lone" has no
+    dipole, and "b" and "c" share an energy (ties go by label)."""
+    return ps.AtomSpec(
+        name="sparse",
+        states=(ps.AtomicState("g", 0.0), ps.AtomicState("c", 3e13),
+                ps.AtomicState("dark", 1e13), ps.AtomicState("b", 3e13),
+                ps.AtomicState("lone", 2e13), ps.AtomicState("e", 5e13)),
+        dipoles=(ps.DipoleElement("g", "c", 1e-29),
+                 ps.DipoleElement("dark", "g", 0.0),
+                 ps.DipoleElement("b", "g", 2e-29),
+                 ps.DipoleElement("e", "b", 3e-29),
+                 ps.DipoleElement("c", "e", 4e-29),
+                 ps.DipoleElement("e", "dark", 5e-29)))
+
+
+_XI = [0.0, 1e12, np.array(0.0), np.array([0.0, 1e9, 1e13, 1e16]),
+       np.array([[0.0, 1e14], [3e11, 1e15]])]
+
+
+@pytest.mark.parametrize("atom", ["rb_atom", "toy_atom", "flipping_atom",
+                                  "sparse"])
+def test_level_tables_equal_the_eager_scan(request, atom):
+    """Every level's transitions and alpha, read from a fresh AtomSpec,
+    have the bits of the scan over all states that once built every
+    level in the constructor (oracles.level_tables_by_scan), for scalar
+    and array xi, xi = 0 included."""
+    a = _sparse_atom() if atom == "sparse" else request.getfixturevalue(atom)
+    a = ps.AtomSpec(a.name, a.states, a.dipoles)
+    for n in a.labels():
+        assert ps.transitions_from(a, n) == list(level_tables_by_scan(a, n)[0])
+        for xi in _XI:
+            got = ps.polarizability_iso(a, n, xi)
+            want = polarizability_by_scan(a, n, xi)
+            assert np.shape(got) == np.shape(xi)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_level_tables_leave_out_zero_and_missing_dipoles():
+    """A level with no dipole has no transitions and alpha = 0 in xi's
+    shape; a dipole of magnitude 0 enters neither table, on either side."""
+    a = _sparse_atom()
+    assert ps.transitions_from(a, "lone") == []
+    for xi in _XI:
+        zeros = ps.polarizability_iso(a, "lone", xi)
+        assert np.shape(zeros) == np.shape(xi)
+        assert not np.any(zeros)
+    assert [k for k, _, _ in ps.transitions_from(a, "g")] == ["b", "c"]
+    assert [k for k, _, _ in ps.transitions_from(a, "dark")] == ["e"]
+    without = ps.AtomSpec(a.name, a.states,
+                          [d for d in a.dipoles if d.magnitude > 0.0])
+    for n in ("g", "dark"):
+        assert ps.transitions_from(a, n) == ps.transitions_from(without, n)
+        xi = _XI[3]
+        assert ps.polarizability_iso(a, n, xi).tobytes() == \
+            ps.polarizability_iso(without, n, xi).tobytes()
+
+
+def test_level_tables_are_built_once(rb_atom):
+    """A level's tables are built on its first read and kept: a second
+    read returns them again, and a caller's list is its own copy."""
+    a = ps.AtomSpec(rb_atom.name, rb_atom.states, rb_atom.dipoles)
+    first = ps.transitions_from(a, "27S1/2")
+    level = a._level("27S1/2")
+    first.clear()
+    assert ps.transitions_from(a, "27S1/2") == \
+        list(level_tables_by_scan(a, "27S1/2")[0])
+    ps.polarizability_iso(a, "27S1/2", 1e12)
+    assert a._level("27S1/2") is level
+    assert a == rb_atom and repr(a) == repr(rb_atom)
+
+
+_AB = (ps.AtomicState("a", 0.0), ps.AtomicState("b", 1e14))
+
+
+@pytest.mark.parametrize("states, dipoles, error, match", [
+    (_AB, (ps.DipoleElement("a", "x", 1e-29),), ps.DanglingReference,
+     "unknown state 'x'"),
+    (_AB, (ps.DipoleElement("a", "b", 1e-29), ps.DipoleElement("b", "a", 0.0)),
+     ValueError, "duplicate dipole"),
+    ((ps.AtomicState("a", 0.0), ps.AtomicState("a", 1e14)), (), ValueError,
+     "duplicate state label"),
+])
+def test_constructor_checks_before_any_read(states, dipoles, error, match):
+    """The constructor checks every label and dipole itself: a dangling or
+    duplicate dipole and a duplicate label raise with no level read."""
+    with pytest.raises(error, match=match):
+        ps.AtomSpec("bad", states, dipoles)

@@ -1,5 +1,6 @@
 """Dielectric response, reflection coefficients, and polariton modes."""
 
+import cmath
 import json
 import math
 import random
@@ -15,7 +16,8 @@ from scipy.integrate import quad
 
 import polshift as ps
 from polshift import material
-from oracles import (eps_crossing, fresnel_array, half_max_point,
+from oracles import (eps_crossing, fresnel_array, fresnel_cmath,
+                     half_max_point,
                      lorentzian_ldos_factor, material_to_dict,
                      mode_width_from_pole, omega_surface,
                      permittivity_derivative, permittivity_derivative_numpy,
@@ -543,6 +545,29 @@ def test_fresnel_per_node_frequencies_equal_each_alone(request, material):
     got = ps.fresnel(np.array(eps), np.array(omega), np.concatenate(k_rho))
     for g, part in zip(got, zip(*want)):
         assert g.tobytes() == np.concatenate(part).tobytes()
+
+
+def test_fresnel_takes_the_upper_root_for_a_gain_medium():
+    """With Im eps < 0, as for a gain medium, the principal root of
+    eps omega^2/c^2 - k_rho^2 has Im < 0, and fresnel flips k_dz to
+    Im >= 0: r_s and r_p agree with the cmath scalars of
+    oracles.fresnel_cmath at k_rho on both sides of the light line and of
+    sqrt(Re eps) omega/c, and the k_dz each of them gives back,
+    k_vz (1 - r_s)/(1 + r_s) and eps k_vz (1 - r_p)/(1 + r_p), has
+    Im > 0 off the light line.  Without the flip r_s would be 1/r_s."""
+    eps, omega = 2.0 - 0.5j, 1e13
+    k0 = omega / C
+    k_rho = k0 * np.array([0.0, 0.3, 0.9, 1.0, 1.1, 1.4, 2.0, 10.0, 1e4])
+    got = ps.fresnel(eps, omega, k_rho)
+    for k, r_s, r_p in zip(k_rho.tolist(), *got):
+        want_s, want_p = fresnel_cmath(eps, omega, k)
+        assert r_s == pytest.approx(want_s, rel=1e-14, abs=0)
+        assert r_p == pytest.approx(want_p, rel=1e-14, abs=0)
+        k_vz = cmath.sqrt(complex(k0 * k0 - k * k))
+        if k_vz:  # on the light line r_s = r_p = -1 whatever k_dz
+            r_s, r_p = complex(r_s), complex(r_p)
+            assert (k_vz * (1 - r_s) / (1 + r_s)).imag > 0
+            assert (eps * k_vz * (1 - r_p) / (1 + r_p)).imag > 0
 
 
 def test_fresnel_rejects_bad_arguments(material_broad):

@@ -15,7 +15,8 @@ from scipy.constants import k as KB_SI
 from scipy.integrate import quad
 
 import polshift as ps
-from oracles import (MATSUBARA_TOL, matsubara_line_closed_form,
+from oracles import (MATSUBARA_TOL, alpha_flips_numpy,
+                     matsubara_line_closed_form,
                      matsubara_sum_reference, matsubara_tail_size,
                      nonresonant_one_polariton,
                      nonresonant_parts_per_transition, u_eff_nonretarded_form)
@@ -455,21 +456,6 @@ def test_nonretarded_line_keeps_the_cutoff_contract(request, atom, n,
     assert failed[0] == len(Ts) and 0 < failed[-1] < len(Ts)
 
 
-@pytest.fixture(scope="module")
-def flipping_atom():
-    """Three levels whose middle one has alpha(i xi) < 0 at xi = 0 (its
-    downward transition at 1e12 rad/s dominates) and > 0 for large xi
-    (its upward one at 1e14 rad/s carries five times the oscillator
-    strength): alpha(i xi) changes sign once, near 5e13 rad/s."""
-    d = 1e-29
-    return ps.AtomSpec(
-        name="sign-changing alpha",
-        states=(ps.AtomicState("l", 0.0), ps.AtomicState("m", 1e12),
-                ps.AtomicState("h", 1.01e14)),
-        dipoles=(ps.DipoleElement("l", "m", d),
-                 ps.DipoleElement("m", "h", 0.2236 * d)))
-
-
 def test_nonretarded_line_falls_back_where_alpha_changes_sign(
         flipping_atom, material_toy, monkeypatch):
     """At the T where alpha(i xi) vanishes at xi = 6 xi_1, the engine's
@@ -496,6 +482,65 @@ def test_nonretarded_line_falls_back_where_alpha_changes_sign(
                         lambda table: np.zeros(0))
     (report,) = potentials.reports_at(terms, (T,), 20)
     assert isinstance(report, ps.ConvergenceFailure)
+
+
+def _flip_table(atom, n, unit):
+    """A _PoleTable holding what _alpha_flips reads, as _pole_table builds
+    it: level n's c_k = omega_kn |d_nk|^2 and w_k = |omega_kn|/unit."""
+    trans = ps.transitions_from(atom, n)
+    return potentials._PoleTable(
+        unit, 1.0, np.zeros(0), np.zeros(0),
+        np.array([w * d * d for _, w, d in trans]),
+        np.array([abs(w) / unit for _, w, _ in trans]))
+
+
+def _random_atoms(count, seed=27):
+    """count atoms of 2-6 levels at energies of either sign from 1e11 to
+    1e15 rad/s, each pair joined by a dipole of 1e-30 to 1e-28 C.m with
+    probability 0.7."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        size = int(rng.integers(2, 7))
+        energy = rng.choice([-1.0, 1.0], size) \
+            * 10.0 ** rng.uniform(11.0, 15.0, size)
+        yield ps.AtomSpec(
+            f"random {i}",
+            [ps.AtomicState(f"s{j}", e)
+             for j, e in enumerate(energy.tolist())],
+            [ps.DipoleElement(f"s{j}", f"s{k}",
+                              float(10.0 ** rng.uniform(-30.0, -28.0)))
+             for j in range(size) for k in range(j + 1, size)
+             if rng.random() < 0.7])
+
+
+def test_alpha_flips_keep_the_numpy_decisions(request, flipping_atom):
+    """_alpha_flips, built in floats by synthetic division, finds a sign
+    change where the numpy product matrix (oracles.alpha_flips_numpy)
+    does, and the same flips to rounding: on every level of the fixture
+    atoms and of 300 seeded random atoms whose w_k span eight decades of
+    w_k^2.  A division from the leading end alone loses up to 1e26 u of
+    some coefficients there and fails both checks; the split division
+    keeps each within a few u of its size, as the product matrix does."""
+    cases = [(request.getfixturevalue(atom), m)
+             for atom, m in (("rb_atom", "material_broad"),
+                             ("toy_atom", "material_toy"),
+                             ("flipping_atom", "material_toy"))]
+    cases = [(a, max(o.omega_T for o in request.getfixturevalue(m)
+                     .oscillators)) for a, m in cases]
+    cases += [(a, 1e13) for a in _random_atoms(300)]
+    changes = 0
+    for atom, unit in cases:
+        for n in atom.labels():
+            table = _flip_table(atom, n, unit)
+            got, want = (np.sort(f(table)) for f in
+                         (potentials._alpha_flips, alpha_flips_numpy))
+            assert got.size == want.size, (atom.name, n)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+            changes += bool(want.size)
+    assert changes > 100
+    (flip,) = potentials._alpha_flips(
+        _flip_table(flipping_atom, "m", cases[2][1]))
+    assert flip * cases[2][1] == pytest.approx(5e13, rel=1e-3)
 
 
 def test_matsubara_engine_matches_oracle_full_green(toy_atom, material_toy):
