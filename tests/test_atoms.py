@@ -395,9 +395,9 @@ def test_level_tables_leave_out_zero_and_missing_dipoles():
     assert [k for k, _, _ in ps.transitions_from(a, "dark")] == ["e"]
     without = ps.AtomSpec(a.name, a.states,
                           [d for d in a.dipoles if d.magnitude > 0.0])
+    xi = _XI[3]
     for n in ("g", "dark"):
         assert ps.transitions_from(a, n) == ps.transitions_from(without, n)
-        xi = _XI[3]
         assert ps.polarizability_iso(a, n, xi).tobytes() == \
             ps.polarizability_iso(without, n, xi).tobytes()
 
