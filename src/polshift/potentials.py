@@ -193,13 +193,6 @@ MATSUBARA_CUTOFF = 20000
 #: largest block of j the Matsubara engine evaluates at once
 _MAX_BLOCK = 4096
 
-#: shortest block the Matsubara engine ends at a predicted stop, so that a
-#: prediction a few terms short does not cost a block of one or two terms
-_MIN_BLOCK = 16
-
-#: how far past a predicted stopping j the block that should hold it ends
-_STOP_MARGIN = 1.02
-
 
 def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK):
     """n primed sums over j, advanced together, each with a power-law tail
@@ -211,11 +204,9 @@ def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK):
     fails, or alpha(i xi) may change sign inside the sum); the stop rule
     below is the cutoff contract that _closed_form_sums keeps.
 
-    term(rows, j, live) gives the terms of the sums numbered rows (an
-    integer array) at j, an integer array with one row of j per sum; the
-    term at j = 0 enters at half weight.  Where live is False an entry of j
-    only pads its row to the longest: its term is ignored, and term need
-    not evaluate it.  live is None when no row is padded.
+    term(rows, j) gives the terms of the sums numbered rows (an integer
+    array) at each j of the integer array j, as a (rows.size, j.size)
+    array; the term at j = 0 enters at half weight.
 
     Terms decay like j^-p with p >= 2 for every integrand used here, so
     once |t_j| * j drops below MATSUBARA_TOL * |sum| the remaining tail is
@@ -226,99 +217,42 @@ def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK):
 
     S_i being its partial sums, and fails if no j <= cutoff meets the rule.
 
-    Each sum evaluates its terms in blocks of j: first j = 0..4, the
-    earliest point at which the rule can stop, then blocks as long as the
-    count so far (at most ``block``), none of them past cutoff.  A block
-    ends earlier when the terms of the block before predict the stop
-    sooner: _predicted_stops fits a power law through that block's first
-    and last nonzero j, and the next block then ends _STOP_MARGIN past the
-    predicted j, but holds at least _MIN_BLOCK terms.  If the stop is not in
-    a block shortened that way, the next block doubles again, so there are
-    at most twice as many blocks as on the doubling schedule alone.  Within
-    a block the partial sums come from np.add.accumulate along the row,
-    which adds in order from the carried total, and the running maximum from
-    np.maximum.accumulate, so the value and the stopping j are those of a
-    term-by-term loop, wherever the blocks end.  The terms past the stopping
-    j in the last block are evaluated but not added: a few percent of the
-    stopping j plus at most _MIN_BLOCK when the prediction holds, and up to
-    the stopping j itself (the doubling schedule's overshoot) when it does
-    not.
-
-    The sums share every numpy call: each pass stacks the next block of
-    every sum still running into one array, padded to the longest, and
-    makes one call of term, one cumsum and one stop scan on it.  The
-    carried totals, the stops, the predictions and the next blocks are
-    arrays over the running sums, so a sum keeps the blocks, the value and
-    the stopping j it has alone; it leaves the array when it stops or fails.
+    The sums share one schedule of blocks of j: j = 0..4, the earliest
+    point at which the rule can stop, then blocks as long as the count so
+    far (at most ``block``), none past cutoff.  Each pass makes one term
+    call on the block of every sum still running; a sum leaves when it
+    stops.  np.add.accumulate adds each row in order from its carried
+    total, so the value and the stopping j are those of a term-by-term
+    loop, and fewer terms than the stopping j are evaluated past it.
     """
     sums, done = np.zeros(n), np.zeros(n, dtype=bool)
     rows = np.arange(n)
     # scale, the running max of |S_i|, starts at the rule's floor 1e-300
     total, scale = np.zeros(n), np.full(n, 1e-300)
-    lo = np.zeros(n, dtype=np.int64)
-    hi = np.full(n, min(4, cutoff), dtype=np.int64)
-    whole = np.ones(n, dtype=bool)  # the block was not shortened
-    # the column of each block's first nonzero j: 1 in the opening block,
-    # whose column 0 is j = 0, and 0 after it
-    first = 1
-    while rows.size:
-        last = hi - lo
-        cols = np.arange(int(last.max()) + 1)
-        j = lo[:, None] + cols
-        live = None
-        if rows.size > 1 and last.min() < cols[-1]:
-            live = cols <= last[:, None]
-        t = term(rows, j, live)
-        if live is not None:
-            # x + -0.0 is x for every x, so the padding moves no partial
-            # sum and the last column holds each row's carried values
-            t = np.where(live, t, -0.0)
-        if first:
+    lo, hi = 0, min(4, cutoff)
+    while rows.size and lo <= hi:
+        j = np.arange(lo, hi + 1)
+        t = term(rows, j)
+        if lo == 0:
             t[:, 0] *= 0.5
         size = np.abs(t)
         t[:, 0] += total
         partial = np.add.accumulate(t, axis=1)
         running = np.maximum(np.maximum.accumulate(np.abs(partial), axis=1),
                              scale[:, None])
-        bound = MATSUBARA_TOL * running
-        hit = size * j <= bound
-        if first:
+        hit = size * j <= MATSUBARA_TOL * running
+        if lo == 0:
             hit[:, :4] = False  # the rule holds from j = 4 on
-        if live is not None:
-            hit &= live
-        stopped = None
+        total, scale = partial[:, -1], running[:, -1]
         if hit.any():
-            # each row's first hit, or column 0 (a garbage sum that a later
-            # pass or the failure overwrites) where it has none
+            # each row's first hit; a row with none stores a sum that a
+            # later pass or the failure overwrites
             r = np.arange(rows.size)
             at = hit.argmax(axis=1)
-            stopped = hit[r, at]
-            sums[rows], done[rows] = partial[r, at], stopped
-            if stopped.all():
-                break
-        total, scale = partial[:, -1], running[:, -1]
-        step = np.minimum(hi, block)
-        ends = doubling = hi + step
-        # a block that doubles by at most _MIN_BLOCK is never shortened
-        free = whole & (step > _MIN_BLOCK)
-        if free.any():
-            # a prediction is never nan, so a guess at or past doubling
-            # leaves the block at doubling, as an inf one does
-            guess = _STOP_MARGIN * _predicted_stops(
-                lo + first, hi, size[:, first],
-                size[np.arange(rows.size), last], bound[:, -1])
-            ends = np.where(free, np.minimum(
-                doubling, np.maximum(hi + _MIN_BLOCK, np.ceil(guess))),
-                doubling).astype(np.int64)
-        whole = ends == doubling
-        lo, hi = hi + 1, np.minimum(ends, cutoff)
-        going = lo <= hi
-        if stopped is not None:
-            going &= ~stopped
-        if not going.all():
-            rows, total, scale, lo, hi, whole = (
-                v[going] for v in (rows, total, scale, lo, hi, whole))
-        first = 0
+            sums[rows], done[rows] = partial[r, at], hit[r, at]
+            left = ~hit[r, at]  # the rows still running
+            rows, total, scale = rows[left], total[left], scale[left]
+        lo, hi = hi + 1, min(hi + min(hi, block), cutoff)
     sums = sums.tolist()
     for i in np.flatnonzero(~done).tolist():
         sums[i] = _cutoff_failure(cutoff)
@@ -330,35 +264,6 @@ def _cutoff_failure(cutoff):
     return ConvergenceFailure(
         f"Matsubara tail estimate exceeds "
         f"convergence_tol={MATSUBARA_TOL:g} at cutoff={cutoff}")
-
-
-def _predicted_stops(a, b, ta, tb, bound):
-    """Per row, the j at which |t_j| * j falls to bound = MATSUBARA_TOL *
-    scale if the terms go on falling as the power law j^-p through |t_a| at
-    the block's first nonzero j, a, and |t_b| at its last, b; inf where they
-    do not fall faster than 1/j, or where the two terms cannot be fitted.
-
-    With |t_j| = |t_b| (b/j)^p the rule |t_j| j = tol * scale holds at
-    j = b (|t_b| b / (tol * scale))^(1/(p-1)).  The running max of the
-    partial sums only grows, which brings the stop earlier, and every
-    summand here falls ever faster as the atom's and the material's
-    resonances drop out, so the prediction errs late.
-
-    The fit asks b > a, 0 < tb < ta < inf, 0 < excess < inf and p > 1.
-    With b > a, p > 1 gives ta > tb; a finite log(excess) gives
-    0 < excess < inf, and so tb > 0; and ta = inf makes the running max of
-    the block, and so bound, inf or nan, which leaves excess 0 or nan.
-    """
-    with np.errstate(all="ignore"):
-        excess = tb * b / bound
-        log_ba = np.log(b / a)
-        p = np.log(ta / tb) / log_ba
-        log_excess = np.log(excess)
-        # past 2b the doubling schedule ends the block first, and the power
-        # would overflow for p close to 1
-        stop = b * np.exp(np.minimum(log_excess / (p - 1.0), math.log(2.0)))
-    fits = (log_ba > 0.0) & (p > 1.0) & np.isfinite(log_excess)
-    return np.where(fits, stop, math.inf)
 
 
 #: the first j of the closed-form tail; the terms j < _HEAD are the
@@ -578,14 +483,14 @@ def _closed_form_sums(table, term, xi1, cutoff):
         cols = np.append(cols, cutoff)  # the term the test at cutoff reads
     fall = np.flatnonzero(flipped)
     if fall.size:
-        got = _matsubara_sums(lambda r, j, live: term(fall[r], j, live),
-                              fall.size, cutoff)
+        got = _matsubara_sums(lambda r, j: term(fall[r], j), fall.size,
+                              cutoff)
         for i, s in zip(fall.tolist(), got):
             out[i] = s
     rows = np.flatnonzero(~flipped)
     if not rows.size:
         return out
-    t = term(rows, np.broadcast_to(cols, (rows.size, cols.size)), None)
+    t = term(rows, cols)
     if last < _HEAD - 1:  # the rule holds from j = 4 on
         for i in rows.tolist():
             out[i] = _cutoff_failure(cutoff)
@@ -668,7 +573,7 @@ def _green_route(green_mode):
     line(terms, xi1, term, cutoff) gives the Matsubara sums of reports_at,
     one per xi_1 of the array xi1: the nonretarded route sums five terms
     and the closed-form tail (_closed_form_sums), the full route runs the
-    engine one j at a time, since its quadrature takes one xi at a time and
+    engine one j per pass, since its quadrature takes one xi at a time and
     longer blocks would run quadratures past the stopping j.  unit_z is
     UNIT_Z where every line of a report scales exactly as z^-3, and None
     where retardation ties the lines to z.
@@ -979,10 +884,10 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
     the summand's _pole_table once, sums the five-term head of every T in
     one term call and adds each T's closed-form tail, with one more term
     per T for the stop rule's test at the cutoff (_closed_form_sums); the
-    full route runs the engine, _matsubara_sums, over all the T together,
-    each with the blocks, value and stopping j it has alone.  cutoff < 1,
-    or a T outside [0, T_MAX], raises the ValueError of Environment for
-    the whole call.
+    full route runs the engine, _matsubara_sums, over all the T together on
+    one schedule of j, each with the value and stopping j it has alone.
+    cutoff < 1, or a T outside [0, T_MAX], raises the ValueError of
+    Environment for the whole call.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -995,14 +900,9 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
         xi1 = np.array([matsubara_xi(Ts[i], 1) for i in hot])
         xi2_trace, line = _green_route(terms.green_mode)[1:3]
 
-        def term(rows, j, live):
+        def term(rows, j):
             xi = j * xi1[rows, None]
-            if live is None:
-                trace = xi2_trace(terms.m, terms.z, xi.ravel()) \
-                    .reshape(xi.shape)
-            else:
-                trace = np.zeros(xi.shape)
-                trace[live] = xi2_trace(terms.m, terms.z, xi[live])
+            trace = xi2_trace(terms.m, terms.z, xi.ravel()).reshape(xi.shape)
             return polarizability_iso(terms.atom, terms.upper, xi) * trace
 
         for i, s in zip(hot, line(terms, xi1, term, cutoff)):

@@ -236,15 +236,12 @@ def _oracle_and_stop(term, cutoff, tol=MATSUBARA_TOL):
 
 
 def _rows_term(*terms):
-    """The engine's term(rows, j, live) over the one-row summands terms,
-    each a map of a 1-D array of j to its terms: each row's live j go to
-    its own summand, in one call, so no summand sees padding."""
-    def term(rows, j, live):
-        out = np.zeros(j.shape)
-        for k, row in enumerate(rows.tolist()):
-            js = j[k] if live is None else j[k][live[k]]
-            out[k, :js.size] = terms[row](js)
-        return out
+    """The engine's term(rows, j) over the one-row summands terms, each a
+    map of a 1-D array of j to its terms: the block j goes to the summand
+    of each row, in order."""
+    def term(rows, j):
+        return np.array([terms[row](j) for row in rows.tolist()],
+                        dtype=float)
     return term
 
 
@@ -544,7 +541,7 @@ def test_alpha_flips_keep_the_numpy_decisions(request, flipping_atom):
 
 
 def test_matsubara_engine_matches_oracle_full_green(toy_atom, material_toy):
-    """One green_mode="full" point, whose sum spans several blocks."""
+    """One green_mode="full" point, whose sum spans several blocks of j."""
     term = _mats_term(toy_atom, "g", material_toy,
                       ps.Environment(z=1e-8, T=400.0), green_mode="full")
     assert _assert_engine_matches_oracle(term) > 8
@@ -568,9 +565,10 @@ def test_matsubara_engine_stops_against_the_running_max(monkeypatch):
 def test_full_route_runs_one_quadrature_per_term(request, monkeypatch, case,
                                                  stop):
     """The full route runs one quadrature for each j = 1 .. the oracle's
-    stopping j and none past it: the first block ends where the rule can
-    first stop (Rb, 500 K: j = 4), and later blocks hold one j (toy,
-    10 nm, 400 K: j = 87, past the first doubling blocks)."""
+    stopping j and none past it: the opening block of j ends where the rule
+    can first stop (Rb, 500 K: j = 4), and later blocks hold one j (toy,
+    10 nm, 400 K: j = 87, past where the engine's default blocks would have
+    doubled four times)."""
     atom, n, m, env = {
         "rb": ("rb_atom", "27S1/2", "material_broad",
                ps.Environment(z=Z, T=500.0)),
@@ -596,7 +594,7 @@ def test_full_route_runs_one_quadrature_per_term(request, monkeypatch, case,
 def test_nonretarded_trace_one_reflection_call_per_term(rb_atom,
                                                         material_broad,
                                                         monkeypatch):
-    """Each Matsubara xi of a block is one scalar reflection_imag_axis
+    """Each Matsubara xi of a block of j is one scalar reflection_imag_axis
     call, in the order of j, so the material layer counts terms by calls."""
     xis = []
     reflection = potentials.reflection_imag_axis
@@ -616,8 +614,8 @@ def test_nonretarded_trace_one_reflection_call_per_term(rb_atom,
 
 
 def test_matsubara_engine_never_evaluates_past_cutoff(monkeypatch):
-    """A block that would run past cutoff is clamped there, and a cutoff
-    below 4 raises without a term past it."""
+    """A block of j that would run past cutoff is clamped there, and a
+    cutoff below 4 raises without a term past it."""
     monkeypatch.setattr(potentials, "MATSUBARA_TOL", 1e-3)
     seen = []
 
@@ -649,40 +647,42 @@ def _blocks_of(term):
     return counted, blocks
 
 
-def _doubling_blocks(stop, block=potentials._MAX_BLOCK):
-    """How many blocks the doubling schedule alone (j = 0..4, 5..8, 9..16,
-    and so on, at most block long) needs to reach j = stop."""
-    count, hi = 1, 4
+def _doubling_blocks(stop):
+    """The engine's schedule at cutoff 20000, up to the block that holds
+    j = stop: j = 0..4, 5..8, 9..16, and so on, each block as long as the
+    count so far, at most _MAX_BLOCK long and none past the cutoff."""
+    blocks, hi = [list(range(5))], 4
     while hi < stop:
-        hi += min(hi, block)
-        count += 1
-    return count
+        lo, hi = hi + 1, min(hi + min(hi, potentials._MAX_BLOCK), 20000)
+        blocks.append(list(range(lo, hi + 1)))
+    return blocks
 
 
 @pytest.mark.parametrize("T", [0.35, 1.07, 3.0, 30.0])
 def test_matsubara_blocks_end_near_the_stopping_j(rb_atom, material_broad,
                                                   T):
-    """On Rb 27S1/2, whose terms fall as a power law, the block that holds
-    the stop ends within a few percent of the oracle's stopping j, plus at
-    most one shortest block, where the doubling schedule alone would run up
-    to the next power of two (to j = 8192 for a stop at j = 5167 at 1.07 K).
-    Each j is evaluated once, in order, and there are no more blocks than
-    on the doubling schedule."""
+    """On Rb 27S1/2 the engine is handed exactly the shared schedule of
+    blocks of j (j = 0..4, 5..8, 9..16, and so on, capped at _MAX_BLOCK
+    terms), up to the block that holds the oracle's stopping j, and gives
+    the oracle's value.  Each j is evaluated once, in order, and at most
+    stop + min(stop, _MAX_BLOCK) of them: the last block ends at j = 8192
+    for a stop at j = 5167 at 1.07 K, and at j = 16 384 for a stop at
+    j = 15 796 at 0.35 K, where blocks are _MAX_BLOCK long."""
     term = _mats_term(rb_atom, "27S1/2", material_broad,
                       ps.Environment(z=Z, T=T))
     want, stop = _oracle_and_stop(term, 20000)
     counted, blocks = _blocks_of(term)
     assert _engine_sum(counted, 20000) == want
+    assert blocks == _doubling_blocks(stop)
     seen = [j for b in blocks for j in b]
     assert seen == list(range(len(seen)))
-    assert stop < len(seen) <= 1.05 * stop + potentials._MIN_BLOCK
-    assert len(blocks) <= _doubling_blocks(stop)
+    assert stop < len(seen) <= stop + min(stop, potentials._MAX_BLOCK)
 
 
 def test_matsubara_blocks_never_outnumber_doubling(rb_atom, material_broad):
     """At 20 temperatures from 50 to 600 K, on both levels of the Rb
-    transition, the engine equals the oracle and ends no later than the
-    doubling schedule alone, in no more blocks."""
+    transition, the engine equals the oracle on the doubling schedule's
+    blocks of j, ending with the block that holds the stop."""
     for T in np.linspace(50.0, 600.0, 20):
         for n in ("27S1/2", "26S1/2"):
             term = _mats_term(rb_atom, n, material_broad,
@@ -690,20 +690,18 @@ def test_matsubara_blocks_never_outnumber_doubling(rb_atom, material_broad):
             want, stop = _oracle_and_stop(term, 20000)
             counted, blocks = _blocks_of(term)
             assert _engine_sum(counted, 20000) == want
-            assert len(blocks) <= _doubling_blocks(stop)
+            assert blocks == _doubling_blocks(stop)
 
 
 def _power_then_slower(j, kink=600.0, p=2.0):
-    """j^-4 up to the kink, then a tail falling as j^-p only: the power law
-    fitted before the kink predicts a stop that comes far too early."""
+    """j^-4 up to the kink, then a tail falling as j^-p only."""
     j = np.maximum(np.asarray(j, dtype=float), 1.0)
     return np.where(j <= kink, j**-4, kink**(p - 4.0) * j**-p)
 
 
-#: summands on which the power-law prediction of the stop is wrong: an
-#: exponential (the prediction errs late), a power law that turns slower
-#: (it errs early, and a block ends before the stop), and a wavy power law
-WRONG_PREDICTIONS = {
+#: summands whose terms do not fall as one power law: an exponential, a
+#: power law that turns slower, and a wavy power law
+NON_POWER_LAWS = {
     "exponential": lambda j: np.exp(-np.asarray(j, dtype=float) / 400.0),
     "slower tail": _power_then_slower,
     "wavy": lambda j: (2.0 + np.sin(np.asarray(j, dtype=float) / 7.0))
@@ -711,21 +709,17 @@ WRONG_PREDICTIONS = {
 }
 
 
-@pytest.mark.parametrize("name", WRONG_PREDICTIONS)
-def test_matsubara_engine_exact_where_the_prediction_is_wrong(name):
+@pytest.mark.parametrize("name", NON_POWER_LAWS)
+def test_matsubara_engine_exact_on_non_power_laws(name):
     """Where the terms do not fall as one power law, the engine still gives
     the oracle's value and stopping j bit for bit, evaluates each j once,
-    never runs past cutoff, and needs at most twice the doubling
-    schedule's blocks."""
-    counted, blocks = _blocks_of(WRONG_PREDICTIONS[name])
+    and never runs past cutoff."""
+    counted, blocks = _blocks_of(NON_POWER_LAWS[name])
     stop = _assert_engine_matches_oracle(counted)
     blocks.clear()
     _engine_sum(counted, 20000)
     seen = [j for b in blocks for j in b]
     assert seen == list(range(len(seen))) and stop < len(seen) <= 20001
-    assert len(blocks) <= 2 * _doubling_blocks(stop)
-    if name == "slower tail":
-        assert len(blocks) > _doubling_blocks(stop)  # a block fell short
     blocks.clear()
     with pytest.raises(ps.ConvergenceFailure):
         _engine_sum(counted, stop - 1)
@@ -733,35 +727,37 @@ def test_matsubara_engine_exact_where_the_prediction_is_wrong(name):
 
 
 def test_matsubara_engine_stops_at_cutoff_under_a_wrong_prediction():
-    """A tail that turns to j^-1.2 after a j^-4 start does not converge by
-    the default cutoff: the engine raises, having evaluated every j up to
-    the cutoff once and none past it."""
+    """A tail that turns to j^-1.2 after a j^-4 start, where the terms
+    before the turn point to an early stop, does not converge by the
+    default cutoff: the engine raises, having evaluated every j up to the
+    cutoff once and none past it, its last block clamped at the cutoff."""
     counted, blocks = _blocks_of(partial(_power_then_slower, p=1.2))
     with pytest.raises(ps.ConvergenceFailure):
         _engine_sum(counted, 20000)
     assert [j for b in blocks for j in b] == list(range(20001))
+    assert blocks == _doubling_blocks(20000)
 
 
 def test_matsubara_engine_lockstep_keeps_each_rows_solo_run():
-    """The three WRONG_PREDICTIONS summands as three rows of one call: each
-    row is handed the blocks it is handed alone, in order, and gives the
-    value it gives alone; and at a shared cutoff each row stops or fails
-    as it does alone, a cutoff at its own stopping j sufficing and one
-    below it not."""
-    names = list(WRONG_PREDICTIONS)
+    """The three NON_POWER_LAWS summands as three rows of one call: each
+    row is handed the blocks of j it is handed alone, until it stops, and
+    gives the value it gives alone; and at a shared cutoff each row stops
+    or fails as it does alone, a cutoff at its own stopping j sufficing
+    and one below it not."""
+    names = list(NON_POWER_LAWS)
     solo = {}
     for name in names:
-        counted, blocks = _blocks_of(WRONG_PREDICTIONS[name])
+        counted, blocks = _blocks_of(NON_POWER_LAWS[name])
         value = _engine_sum(counted)
         solo[name] = value, blocks, _oracle_and_stop(
-            WRONG_PREDICTIONS[name], 20000)[1]
-    counted = [_blocks_of(WRONG_PREDICTIONS[name]) for name in names]
+            NON_POWER_LAWS[name], 20000)[1]
+    counted = [_blocks_of(NON_POWER_LAWS[name]) for name in names]
     values = potentials._matsubara_sums(
         _rows_term(*(term for term, _ in counted)), 3, 20000)
     for name, value, (_, blocks) in zip(names, values, counted):
         assert value == solo[name][0]
         assert blocks == solo[name][1]
-    summands = _rows_term(*(WRONG_PREDICTIONS[name] for name in names))
+    summands = _rows_term(*(NON_POWER_LAWS[name] for name in names))
     for i, name in enumerate(names):
         want, _, stop = solo[name]
         for cutoff in (stop, stop - 1):
@@ -862,9 +858,10 @@ def test_reports_at_rejects_a_bad_cutoff_or_temperature(unit_terms):
 
 def test_reports_at_hands_each_T_its_solo_xis(monkeypatch, unit_terms):
     """For each temperature, the multiset of xi handed to
-    reflection_imag_axis is the one its report_at hands over, so no padding
-    is ever evaluated; and the sums share one polarizability_iso call per
-    pass, as many as the longest solo run makes."""
+    reflection_imag_axis is the one its report_at hands over, so no sum
+    evaluates a term its solo run does not; and the sums share one
+    polarizability_iso call per pass, as many as the longest solo run
+    makes."""
     terms = unit_terms["material_narrow"]
     # irrational ratios, so that no j xi_1 of one temperature is exactly
     # a j' xi_1 of another

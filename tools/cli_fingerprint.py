@@ -4,9 +4,9 @@
 Each run calls ``polshift.cli.main`` in-process, writes its output into a
 temporary directory, and prints one line: the run's name, its exit code,
 the sha256 of the output file (empty when none was written) and the sha256
-of what it wrote to stderr.  Three runs read materials that the tool writes
-into the same directory: a lossless pair (a point and a scan) and four
-oscillators.  Two
+of what it wrote to stderr.  Four runs read inputs that the tool writes
+into the same directory: a lossless pair (a point and a scan), four
+oscillators, and an atom whose alpha(i xi) changes sign (a scan).  Two
 checkouts whose listings are identical produce byte-identical CLI output on
 these runs, so diffing the listings of a parent and a change checks that a
 refactor left the output unchanged.
@@ -75,9 +75,9 @@ RUNS = (
     ("point --resonance-tol 0",
      _shift("point", "--z", "1e-6", "--T", "500", "--resonance-tol", "0"),
      {}),
-    # long Matsubara sums, whose last block ends near the stopping j: about
-    # 16000 and 18000 terms (27S and 26S) at 0.35 K, 11000 to 12600 at
-    # 0.5 K and 520 to 620 at 8 K
+    # low T, where the closed-form tail stands for long Matsubara sums:
+    # about 16000 and 18000 terms (27S and 26S) at 0.35 K, 11000 to 12600
+    # at 0.5 K and 520 to 620 at 8 K
     ("point 0.35 K", _shift("point", "--z", "1e-6", "--T", "0.35"), {}),
     ("scan 1 um x 0.5,2,8 K",
      _shift("scan", "--z", "1e-6", "--T", "0.5,2,8"), {}),
@@ -113,9 +113,9 @@ RUNS = (
     ("scan 0.1,300 K res-tol 0",
      _shift("scan", "--z", "1e-6", "--T", "0.1,300", "--resonance-tol", "0",
             "--format", "csv"), {}),
-    # the Matsubara sums of 8 T run together, each on its own blocks: from
-    # 5 terms at 600 K to about 16000 at 0.35 K, and at 0.1 K none stops
-    # by the cutoff, so that T fails at every z
+    # the Matsubara lines of 8 T in one closed-form call: sums of 5 terms
+    # at 600 K to about 16000 at 0.35 K, and at 0.1 K the stop rule fails
+    # at the cutoff, so that T fails at every z
     ("scan 5 z x 8 T 0.1-600 K",
      _shift("scan", "--z-range", "1e-7:1e-5:5log",
             "--T", "30,0.35,600,0.1,3,120,1,8", "--format", "csv"), {}),
@@ -134,6 +134,23 @@ LOSSLESS = {
     "oscillators": [
         {"omega_P": 53.4, "omega_T": 65.0, "gamma": 0.0, "unit": "cm^-1"},
         {"omega_P": 33.3, "omega_T": 85.0, "gamma": 0.0, "unit": "cm^-1"},
+    ],
+}
+
+#: three levels whose middle one, m, has alpha(i xi) < 0 at xi = 0 and
+#: > 0 for large xi (tests/conftest.py's flipping_atom): the sign change
+#: near 5e13 rad/s sends the nonretarded Matsubara line to the engine
+FLIPPING = {
+    "schema_version": 1,
+    "name": "sign-changing alpha",
+    "states": [
+        {"label": "l", "energy": 0.0, "unit": "rad/s"},
+        {"label": "m", "energy": 1e12, "unit": "rad/s"},
+        {"label": "h", "energy": 1.01e14, "unit": "rad/s"},
+    ],
+    "dipoles": [
+        {"from": "l", "to": "m", "magnitude": 1e-29, "unit": "C*m"},
+        {"from": "m", "to": "h", "magnitude": 0.2236 * 1e-29, "unit": "C*m"},
     ],
 }
 
@@ -164,8 +181,8 @@ def _write(workdir, name, doc):
 
 def runs(workdir):
     """RUNS, then a point and a scan on LOSSLESS (both exit 3 with
-    NoModeFound before any pair is evaluated) and the modes of QUARTET,
-    the materials written into workdir."""
+    NoModeFound before any pair is evaluated), the modes of QUARTET and a
+    scan of FLIPPING, the inputs written into workdir."""
     lossless = _write(workdir, "lossless", LOSSLESS)
 
     def on_lossless(argv):
@@ -179,6 +196,14 @@ def runs(workdir):
          on_lossless(_shift("scan", "--z", "1e-6", "--T", "500")), {}),
         ("modes four oscillators",
          ["modes", "--material", _write(workdir, "quartet", QUARTET)], {}),
+        # the sign change lies in the sums from 0.35 to 10.1305 K (there at
+        # j = 6), which the engine runs together and does not stop by the
+        # cutoff at 0.35 K; 30 and 300 K take the closed form
+        ("scan sign-changing alpha",
+         ["scan", "--material", _fixture("material_toy"),
+          "--atom", _write(workdir, "flipping", FLIPPING),
+          "--upper", "m", "--lower", "l", "--z", "1e-7,1e-6",
+          "--T", "0.35,0.5,2,10.1305,30,300", "--format", "json"], {}),
     )
 
 
