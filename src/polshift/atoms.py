@@ -54,7 +54,9 @@ class AtomSpec:
     """Immutable collection of states and dipole couplings.
 
     Lookup of dipoles is orientation-agnostic: |d_ab| = |d_ba|.  The
-    constructor checks labels and dipoles at once; a level's transitions
+    constructor checks labels and dipoles at once, and rejects a dipole
+    with |d| > 0 between two states of equal energy, a transition at
+    omega = 0 that no shift formula admits; a level's transitions
     and polarizability table are built the first time one of them is read
     (transitions_from, polarizability_iso), since a shift reads only the
     levels it joins.
@@ -85,6 +87,11 @@ class AtomSpec:
                     f"{d.to_state!r}")
             self._pairs[key] = d
             if d.magnitude > 0.0:
+                if (self._by_label[d.from_state].energy
+                        == self._by_label[d.to_state].energy):
+                    raise ValueError(
+                        f"dipole between {d.from_state!r} and {d.to_state!r}"
+                        ", two states of equal energy")
                 self._partners[d.from_state].append((d.to_state, d.magnitude))
                 self._partners[d.to_state].append((d.from_state, d.magnitude))
         self._levels = {}

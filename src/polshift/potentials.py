@@ -200,9 +200,8 @@ def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK):
     ConvergenceFailure of a sum that no j <= cutoff stops.
 
     It sums the full route's Matsubara line, one j per block, and the
-    nonretarded line where _closed_form_sums cannot (a _pole_table guard
-    fails, or alpha(i xi) may change sign inside the sum); the stop rule
-    below is the cutoff contract that _closed_form_sums keeps.
+    nonretarded line where a _pole_table guard fails; the stop rule below
+    is the cutoff contract that _closed_form_sums keeps.
 
     term(rows, j) gives the terms of the sums numbered rows (an integer
     array) at each j of the integer array j, as a (rows.size, j.size)
@@ -216,6 +215,8 @@ def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK):
         |t_j| * j <= MATSUBARA_TOL * max(max_{i <= j} |S_i|, 1e-300),
 
     S_i being its partial sums, and fails if no j <= cutoff meets the rule.
+    A term that vanishes, at a zero of alpha(i xi), meets the rule too, so
+    such a sum stops short of its tail.
 
     The sums share one schedule of blocks of j: j = 0..4, the earliest
     point at which the rule can stop, then blocks as long as the count so
@@ -390,55 +391,11 @@ def _pole_table(terms):
                       c, wk)
 
 
-def _alpha_flips(table):
-    """The x = xi/unit > 0 at which alpha(i xi) may change sign: |y|^(1/2)
-    of the roots y of sum_k c_k prod_{k' != k} (y + w_k'^2), alpha's
-    numerator in y = x^2, that lie within 1e-3 rad of the positive axis,
-    so that a root pair next to the axis, where |alpha| dips towards 0
-    without a sign change, counts too.  A numerator of degree d whose
-    coefficients all have one sign has none: it has no root within
-    pi/d of the positive axis (Descartes' rule for the axis itself), so
-    its roots are not taken.
-
-    The numerator is built in floats from P = prod_k (y + w_k^2), one
-    synthetic division by y + w_k^2 per k.  Every coefficient of P and of
-    each quotient q is positive, and a division step subtracts: from the
-    leading end, q_i = P_i - w_k^2 q_(i-1) cancels once w_k^2 exceeds
-    q_i/q_(i-1), about the i-th largest of the other w^2, and from the
-    constant end q_(i-1) = (P_i - q_i)/w_k^2 cancels below it.  So, with
-    the w_k^2 in descending order, the quotient of the m-th takes q_0..q_m
-    from the leading end and the rest from the constant end, and each step
-    subtracts a smaller positive number from a larger one."""
-    pairs = sorted(zip([w * w for w in table.wk.tolist()], table.c.tolist()),
-                   reverse=True)
-    n = len(pairs)
-    p = [1.0] + [0.0] * n
-    for j, (aj, _) in enumerate(pairs, 1):
-        for i in range(j, 0, -1):
-            p[i] += aj * p[i - 1]
-    numerator = [0.0] * n
-    for m, (ak, ck) in enumerate(pairs):
-        q = 1.0
-        numerator[0] += ck
-        for i in range(1, m + 1):
-            q = p[i] - ak * q
-            numerator[i] += ck * q
-        if m + 1 < n:
-            q = p[n] / ak
-            numerator[n - 1] += ck * q
-            for i in range(n - 1, m + 1, -1):
-                q = (p[i] - q) / ak
-                numerator[i - 1] += ck * q
-    if all(x > 0 for x in numerator) or all(x < 0 for x in numerator):
-        return np.zeros(0)
-    y = np.roots(numerator)
-    return np.sqrt(np.abs(y[np.abs(y.imag) <= 1e-3 * y.real]))
-
-
 def _closed_form_sums(table, term, xi1, cutoff):
-    """The n = xi1.size sums of _matsubara_sums(term, n, cutoff), each
+    """The n = xi1.size Matsubara sums of term, one per xi_1 of xi1, each
     summed exactly from table (a _PoleTable) past its first _HEAD terms,
-    with the ConvergenceFailure of exactly the sums the engine fails.
+    or the ConvergenceFailure of a sum that the stop rule does not stop by
+    the cutoff.
 
     One term call evaluates, for every sum, the head j = 0.._HEAD-1 (at
     most cutoff), the engine's opening block, whose partial sums S_j and
@@ -463,51 +420,32 @@ def _closed_form_sums(table, term, xi1, cutoff):
     towards S, their running max is max(M_4, |S_cutoff|), which |S|
     matches to MATSUBARA_TOL^2 relative where the test is close, and
     |t_j| j falls past the summand's resonances, where the rule first
-    holds.  A sign change is where |t_j| j can dip below the rule at some
-    j < cutoff and rise again, so that the engine stops and the test at
-    the cutoff fails: where a root of _alpha_flips(table) lies within a
-    factor 2 of that interval, the sum is the engine's, from j = 0.
-    tests/test_potentials.py checks the two decisions against each other
-    on the fixtures from 0.1 to 600 K and cutoff 3 to 20000.
+    holds, so the engine fails the same sums.  Where alpha changes sign,
+    |t_j| j passes through 0 at its zero, where the engine's first hit
+    stops short of the sum; the value here is still the exact sum, and
+    the test at the cutoff still decides.
     """
     n = xi1.size
     x1 = xi1 / table.unit
     last = min(_HEAD - 1, cutoff)
     cols = np.arange(last + 1)
-    out = [None] * n
-    flipped = np.zeros(n, dtype=bool)
     if cutoff > last:
-        flips = _alpha_flips(table)
-        flipped = ((flips >= 0.5 * _HEAD * x1[:, None])
-                   & (flips <= 2.0 * cutoff * x1[:, None])).any(axis=1)
         cols = np.append(cols, cutoff)  # the term the test at cutoff reads
-    fall = np.flatnonzero(flipped)
-    if fall.size:
-        got = _matsubara_sums(lambda r, j: term(fall[r], j), fall.size,
-                              cutoff)
-        for i, s in zip(fall.tolist(), got):
-            out[i] = s
-    rows = np.flatnonzero(~flipped)
-    if not rows.size:
-        return out
-    t = term(rows, cols)
+    t = term(np.arange(n), cols)
     if last < _HEAD - 1:  # the rule holds from j = 4 on
-        for i in rows.tolist():
-            out[i] = _cutoff_failure(cutoff)
-        return out
+        return [_cutoff_failure(cutoff) for _ in range(n)]
     t[:, 0] *= 0.5
     partial = np.add.accumulate(t[:, :_HEAD], axis=1)
     running = np.maximum(np.abs(partial).max(axis=1), 1e-300)
-    psi = _digamma(_HEAD - table.poles / x1[rows, None])
+    psi = _digamma(_HEAD - table.poles / x1[:, None])
     sums = partial[:, -1] + table.scale * (
-        -(psi * table.residues).sum(axis=1).real / x1[rows])
+        -(psi * table.residues).sum(axis=1).real / x1)
     stopped = np.abs(t[:, last]) * last <= MATSUBARA_TOL * running
     if cutoff > last:
         scale = np.maximum(running, np.abs(sums))
         stopped |= np.abs(t[:, -1]) * cutoff <= MATSUBARA_TOL * scale
-    for i, s, ok in zip(rows.tolist(), sums.tolist(), stopped.tolist()):
-        out[i] = s if ok else _cutoff_failure(cutoff)
-    return out
+    return [s if ok else _cutoff_failure(cutoff)
+            for s, ok in zip(sums.tolist(), stopped.tolist())]
 
 
 def _nonretarded_xi2_trace(m, z, xi):
@@ -547,7 +485,9 @@ def _full_green(m, z, omegas, part):
 
 def _nonretarded_line(terms, xi1, term, cutoff):
     """The nonretarded route's Matsubara sums: _closed_form_sums on the
-    _pole_table of terms, or the engine where the table's guards fail."""
+    _pole_table of terms, or the engine where the table's guards fail
+    (the vacuum, or poles too close for the residues to hold to
+    rounding)."""
     table = _pole_table(terms)
     if table is None:
         return _matsubara_sums(term, xi1.size, cutoff)

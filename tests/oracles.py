@@ -252,26 +252,6 @@ def polarizability_by_scan(atom, n, xi):
     return 2.0 / (3.0 * HBAR) * total[()]
 
 
-def alpha_flips_numpy(table):
-    """potentials._alpha_flips as it was written on numpy arrays, kept as
-    the reference for its decisions and roots: the products of every
-    (y + w_k'^2) for all k at once, the factor of k itself entering as
-    y + 0 (which makes the product of every row y times the one wanted),
-    and the numerator as c @ prods."""
-    n = table.wk.size
-    v = np.broadcast_to(table.wk * table.wk, (n, n)).copy()
-    np.fill_diagonal(v, 0.0)
-    prods = np.zeros((n, n + 1))
-    prods[:, 0] = 1.0
-    for j in range(n):
-        prods[:, 1:j + 2] += v[:, j, None] * prods[:, :j + 1]
-    numerator = table.c @ prods[:, :-1]
-    if (numerator > 0).all() or (numerator < 0).all():
-        return np.zeros(0)
-    y = np.roots(numerator)
-    return np.sqrt(np.abs(y[np.abs(y.imag) <= 1e-3 * y.real]))
-
-
 def u_eff_nonretarded_form(atom, upper, lower, mode1, mode2, m, z):
     """Nonretarded amplitude on the z-free tensors
     G'(omega) = (c^2/(32 pi omega^2)) r_p diag(1,1,2) with the explicit z^-3

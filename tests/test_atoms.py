@@ -108,6 +108,33 @@ def test_load_missing_field_path(tmp_path):
     assert "states[0].energy" in str(err.value)
 
 
+#: a ground state g with a degenerate partner g2 and an upper state e
+_DEGENERATE = {
+    "name": "degenerate pair",
+    "states": [{"label": "g", "energy": 0.0, "unit": "rad/s"},
+               {"label": "g2", "energy": 0.0, "unit": "rad/s"},
+               {"label": "e", "energy": 2.4e14, "unit": "rad/s"}],
+    "dipoles": [{"from": "g", "to": "e", "magnitude": 1e-29, "unit": "C*m"},
+                {"from": "g", "to": "g2", "magnitude": 1e-29,
+                 "unit": "C*m"}],
+}
+
+
+def test_dipole_between_equal_energies_rejected(tmp_path):
+    """A dipole of |d| > 0 between two states of equal energy would put a
+    transition at omega = 0: AtomSpec raises ValueError, and the loader a
+    ParseError.  A dipole of magnitude 0 there stays accepted."""
+    states = (ps.AtomicState("g", 0.0), ps.AtomicState("g2", 0.0))
+    with pytest.raises(ValueError, match="two states of equal energy"):
+        ps.AtomSpec("bad", states, (ps.DipoleElement("g", "g2", 1e-29),))
+    with pytest.raises(ps.ParseError, match="two states of equal energy"):
+        ps.load_atom(_write(tmp_path, _DEGENERATE))
+    doc = json.loads(json.dumps(_DEGENERATE))
+    doc["dipoles"][1]["magnitude"] = 0.0
+    atom = ps.load_atom(_write(tmp_path, doc, "zero.json"))
+    assert [k for k, _, _ in ps.transitions_from(atom, "g")] == ["e"]
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         ps.AtomSpec("dup",

@@ -225,6 +225,31 @@ def test_point_lossless_material_is_physics_error(tmp_path):
     assert "NoModeFound" in r.stderr
 
 
+@pytest.mark.parametrize("green", ["nonretarded", "full"])
+def test_point_dipole_between_equal_energies_is_config_error(tmp_path,
+                                                              green):
+    """An atom file with a dipole between two states of equal energy exits
+    2 on either route, naming the pair, before any Green tensor is read at
+    omega = 0."""
+    atom = tmp_path / "degenerate.json"
+    atom.write_text(json.dumps({
+        "name": "degenerate pair",
+        "states": [{"label": "g", "energy": 0.0, "unit": "rad/s"},
+                   {"label": "g2", "energy": 0.0, "unit": "rad/s"},
+                   {"label": "e", "energy": 2.4e14, "unit": "rad/s"}],
+        "dipoles": [
+            {"from": "g", "to": "e", "magnitude": 1e-29, "unit": "C*m"},
+            {"from": "g", "to": "g2", "magnitude": 1e-29, "unit": "C*m"}],
+    }))
+    r = run_cli("point", "--material", f"{FIX}/material_toy.json",
+                "--atom", str(atom), "--upper", "g", "--lower", "e",
+                "--z", "1e-6", "--T", "300", "--green", green)
+    assert r.returncode == 2, r.stderr
+    assert "error in point" in r.stderr
+    assert "two states of equal energy" in r.stderr
+    assert r.stdout == ""
+
+
 def test_point_convergence_failure_via_env():
     r = run_cli(*POINT_ARGS, env={"SHIFT_MATSUBARA_CUTOFF": "3"})
     assert r.returncode == 3

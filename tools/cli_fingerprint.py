@@ -138,8 +138,8 @@ LOSSLESS = {
 }
 
 #: three levels whose middle one, m, has alpha(i xi) < 0 at xi = 0 and
-#: > 0 for large xi (tests/conftest.py's flipping_atom): the sign change
-#: near 5e13 rad/s sends the nonretarded Matsubara line to the engine
+#: > 0 for large xi (tests/conftest.py's flipping_atom): alpha changes sign
+#: near 5e13 rad/s, and so do the terms of its Matsubara sums
 FLIPPING = {
     "schema_version": 1,
     "name": "sign-changing alpha",
@@ -196,14 +196,15 @@ def runs(workdir):
          on_lossless(_shift("scan", "--z", "1e-6", "--T", "500")), {}),
         ("modes four oscillators",
          ["modes", "--material", _write(workdir, "quartet", QUARTET)], {}),
-        # the sign change lies in the sums from 0.35 to 10.1305 K (there at
-        # j = 6), which the engine runs together and does not stop by the
-        # cutoff at 0.35 K; 30 and 300 K take the closed form
+        # at 10.128372692288949 K alpha vanishes at xi_6, so t_6 = 0 there,
+        # where the engine's first hit would stop the sum; every T takes
+        # the closed form, and at 0.35 K the cutoff does not stop the sum
         ("scan sign-changing alpha",
          ["scan", "--material", _fixture("material_toy"),
           "--atom", _write(workdir, "flipping", FLIPPING),
           "--upper", "m", "--lower", "l", "--z", "1e-7,1e-6",
-          "--T", "0.35,0.5,2,10.1305,30,300", "--format", "json"], {}),
+          "--T", "0.35,0.5,2,10.1305,10.128372692288949,30,300",
+          "--format", "json"], {}),
     )
 
 
