@@ -193,15 +193,19 @@ MATSUBARA_CUTOFF = 20000
 #: largest block of j the Matsubara engine evaluates at once
 _MAX_BLOCK = 4096
 
+#: the engine's opening block is j = 0.._HEAD - 1, ending where its stop
+#: rule can first stop a sum; an exact tail starts at j = _HEAD
+_HEAD = 5
 
-def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK):
+
+def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK, tail=None):
     """n primed sums over j, advanced together, each with a power-law tail
     stop rule: a list of n entries, each the float value of its sum or the
     ConvergenceFailure of a sum that no j <= cutoff stops.
 
     It sums the full route's Matsubara line, one j per block, and the
-    nonretarded line where a _pole_table guard fails; the stop rule below
-    is the cutoff contract that _closed_form_sums keeps.
+    nonretarded line, with _nonretarded_line's exact tail or, where a
+    _pole_table guard fails, without one.
 
     term(rows, j) gives the terms of the sums numbered rows (an integer
     array) at each j of the integer array j, as a (rows.size, j.size)
@@ -210,41 +214,64 @@ def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK):
     Terms decay like j^-p with p >= 2 for every integrand used here, so
     once |t_j| * j drops below MATSUBARA_TOL * |sum| the remaining tail is
     bounded by that same quantity (up to the 1/(p-1) < 1 factor).  Each sum
-    stops at the first j >= 4 with
+    stops at the first j >= _HEAD - 1 with
 
-        |t_j| * j <= MATSUBARA_TOL * max(max_{i <= j} |S_i|, 1e-300),
+        |t_j| * j <= MATSUBARA_TOL * M_j,
+        M_j = max(max_{i <= j} |S_i|, 1e-300),
 
     S_i being its partial sums, and fails if no j <= cutoff meets the rule.
     A term that vanishes, at a zero of alpha(i xi), meets the rule too, so
     such a sum stops short of its tail.
 
-    The sums share one schedule of blocks of j: j = 0..4, the earliest
-    point at which the rule can stop, then blocks as long as the count so
-    far (at most ``block``), none past cutoff.  Each pass makes one term
-    call on the block of every sum still running; a sum leaves when it
-    stops.  np.add.accumulate adds each row in order from its carried
-    total, so the value and the stopping j are those of a term-by-term
-    loop, and fewer terms than the stopping j are evaluated past it.
+    The sums share one schedule of blocks of j: the opening block
+    j = 0.._HEAD - 1, the earliest point at which the rule can stop, then
+    blocks as long as the count so far (at most ``block``), none past
+    cutoff.  Each pass makes one term call on the block of every sum still
+    running; a sum leaves when it stops.  np.add.accumulate adds each row
+    in order from its carried total, so the value and the stopping j are
+    those of a term-by-term loop, and fewer terms than the stopping j are
+    evaluated past it.
+
+    tail(rows, j), when given, is each sum's exact sum_{i >= j} t_i at each
+    j >= _HEAD, laid out as term's.  The opening block is then the only
+    one, and its term call also reads t_cutoff when cutoff >= _HEAD.  Every
+    sum is S_{_HEAD - 1} plus its tail at _HEAD.  The rule is tested at
+    j = _HEAD - 1, then once at j = cutoff with M_cutoff taken as
+    max(M_{_HEAD - 1}, |S_cutoff|), S_cutoff being the sum less its tail at
+    cutoff + 1.  Where the terms past the head keep one sign, that is the
+    running max, since the partial sums run monotonically to S_cutoff, and
+    |t_j| j first meets the rule past the summand's poles; so the engine
+    without the tail fails the same sums.  A NaN tail fails the test at
+    the cutoff.
     """
     sums, done = np.zeros(n), np.zeros(n, dtype=bool)
     rows = np.arange(n)
     # scale, the running max of |S_i|, starts at the rule's floor 1e-300
     total, scale = np.zeros(n), np.full(n, 1e-300)
-    lo, hi = 0, min(4, cutoff)
+    lo, hi = 0, min(_HEAD - 1, cutoff)
     while rows.size and lo <= hi:
         j = np.arange(lo, hi + 1)
-        t = term(rows, j)
+        at_cutoff = tail is not None and cutoff > hi
+        t = term(rows, np.append(j, cutoff) if at_cutoff else j)
         if lo == 0:
             t[:, 0] *= 0.5
         size = np.abs(t)
         t[:, 0] += total
-        partial = np.add.accumulate(t, axis=1)
+        partial = np.add.accumulate(t[:, :j.size], axis=1)
         running = np.maximum(np.maximum.accumulate(np.abs(partial), axis=1),
                              scale[:, None])
-        hit = size * j <= MATSUBARA_TOL * running
+        hit = size[:, :j.size] * j <= MATSUBARA_TOL * running
         if lo == 0:
-            hit[:, :4] = False  # the rule holds from j = 4 on
+            hit[:, :_HEAD - 1] = False  # the rule holds from _HEAD - 1 on
         total, scale = partial[:, -1], running[:, -1]
+        if tail is not None:  # the opening block is the only one
+            if hi == _HEAD - 1:  # a cutoff below it fails every sum
+                head, past = tail(rows, np.array([_HEAD, cutoff + 1])).T
+                sums, done = total + head, hit[:, -1]
+                if at_cutoff:
+                    scale = np.maximum(scale, np.abs(sums - past))
+                    done |= size[:, -1] * cutoff <= MATSUBARA_TOL * scale
+            break
         if hit.any():
             # each row's first hit; a row with none stores a sum that a
             # later pass or the failure overwrites
@@ -267,13 +294,9 @@ def _cutoff_failure(cutoff):
         f"convergence_tol={MATSUBARA_TOL:g} at cutoff={cutoff}")
 
 
-#: the first j of the closed-form tail; the terms j < _HEAD are the
-#: engine's opening block, summed term by term
-_HEAD = 5
-
 #: two poles of the summand closer than this, relative to the larger,
 #: count as one: closer poles have residues that cancel to fewer than
-#: about twelve digits, and the closed form gives way to the engine
+#: about twelve digits, and the engine runs without the exact tail
 _POLE_SEP = 1e-4
 
 #: the largest |sum_p R_p| / sum_p |R_p| (and the same with R_p p) that
@@ -391,63 +414,6 @@ def _pole_table(terms):
                       c, wk)
 
 
-def _closed_form_sums(table, term, xi1, cutoff):
-    """The n = xi1.size Matsubara sums of term, one per xi_1 of xi1, each
-    summed exactly from table (a _PoleTable) past its first _HEAD terms,
-    or the ConvergenceFailure of a sum that the stop rule does not stop by
-    the cutoff.
-
-    One term call evaluates, for every sum, the head j = 0.._HEAD-1 (at
-    most cutoff), the engine's opening block, whose partial sums S_j and
-    running max M_j = max(max_{i <= j} |S_i|, 1e-300) it takes as the
-    engine does, and the term at j = cutoff.  The tail: with
-    x_1 = xi_1/unit,
-
-        sum_{j >= _HEAD} h(j x_1) = -(1/x_1) sum_p R_p psi(_HEAD - p/x_1),
-
-    since sum_p R_p = 0; every root of E lies in Re p <= 0 (passivity)
-    and +-i w_k on the axis, so _digamma sees Re >= _HEAD.  The sum is
-    S = S_4 + scale * tail.
-
-    The stop rule: the engine stops at the first j >= 4 with
-    |t_j| j <= MATSUBARA_TOL M_j and fails when no j <= cutoff does.  A
-    cutoff below 4 fails every sum, after the head; a sum the rule stops
-    at j = 4 is the engine's too.  Otherwise the rule is tested once, at
-    j = cutoff (on the engine's bits of t_cutoff), with M_cutoff taken as
-    max(M_4, |S|).  Where alpha(i xi) keeps one sign on
-    [_HEAD xi_1, cutoff xi_1], so do the terms past the head
-    (r_p(i xi) > 0): the partial sums then run monotonically from S_4
-    towards S, their running max is max(M_4, |S_cutoff|), which |S|
-    matches to MATSUBARA_TOL^2 relative where the test is close, and
-    |t_j| j falls past the summand's resonances, where the rule first
-    holds, so the engine fails the same sums.  Where alpha changes sign,
-    |t_j| j passes through 0 at its zero, where the engine's first hit
-    stops short of the sum; the value here is still the exact sum, and
-    the test at the cutoff still decides.
-    """
-    n = xi1.size
-    x1 = xi1 / table.unit
-    last = min(_HEAD - 1, cutoff)
-    cols = np.arange(last + 1)
-    if cutoff > last:
-        cols = np.append(cols, cutoff)  # the term the test at cutoff reads
-    t = term(np.arange(n), cols)
-    if last < _HEAD - 1:  # the rule holds from j = 4 on
-        return [_cutoff_failure(cutoff) for _ in range(n)]
-    t[:, 0] *= 0.5
-    partial = np.add.accumulate(t[:, :_HEAD], axis=1)
-    running = np.maximum(np.abs(partial).max(axis=1), 1e-300)
-    psi = _digamma(_HEAD - table.poles / x1[:, None])
-    sums = partial[:, -1] + table.scale * (
-        -(psi * table.residues).sum(axis=1).real / x1)
-    stopped = np.abs(t[:, last]) * last <= MATSUBARA_TOL * running
-    if cutoff > last:
-        scale = np.maximum(running, np.abs(sums))
-        stopped |= np.abs(t[:, -1]) * cutoff <= MATSUBARA_TOL * scale
-    return [s if ok else _cutoff_failure(cutoff)
-            for s, ok in zip(sums.tolist(), stopped.tolist())]
-
-
 def _nonretarded_xi2_trace(m, z, xi):
     """xi^2 Tr G(i xi) = -(c^2/(8 pi z^3)) r_p(i xi) of the closed form, with
     the 1/xi^2 of the tensor cancelled so that xi = 0 is regular, for an
@@ -484,14 +450,30 @@ def _full_green(m, z, omegas, part):
 
 
 def _nonretarded_line(terms, xi1, term, cutoff):
-    """The nonretarded route's Matsubara sums: _closed_form_sums on the
-    _pole_table of terms, or the engine where the table's guards fail
-    (the vacuum, or poles too close for the residues to hold to
-    rounding)."""
+    """The nonretarded route's Matsubara sums: the engine with the exact
+    tail of the _pole_table of terms, or without one where the table's
+    guards fail (the vacuum, or poles too close for the residues to hold
+    to rounding).
+
+    With x_1 = xi_1/unit and j >= _HEAD, the tail is
+
+        sum_{i >= j} h(i x_1) = -(1/x_1) sum_p R_p psi(j - p/x_1),
+
+    since sum_p R_p = 0; every root of E lies in Re p <= 0 (passivity) and
+    +-i w_k on the axis, so _digamma sees Re >= _HEAD.  Where x_1 is so
+    small that psi overflows, the tail is NaN, and its sum fails.
+    """
     table = _pole_table(terms)
     if table is None:
         return _matsubara_sums(term, xi1.size, cutoff)
-    return _closed_form_sums(table, term, xi1, cutoff)
+    x1 = xi1 / table.unit
+
+    def tail(rows, j):
+        with np.errstate(all="ignore"):
+            psi = _digamma(j[:, None] - table.poles / x1[rows, None, None])
+            return table.scale * (
+                -(psi * table.residues).sum(axis=2).real / x1[rows, None])
+    return _matsubara_sums(term, xi1.size, cutoff, tail=tail)
 
 
 def _full_line(terms, xi1, term, cutoff):
@@ -512,7 +494,7 @@ def _green_route(green_mode):
     xi^2 Tr G(i xi) for an array of xi, finite at xi = 0.
     line(terms, xi1, term, cutoff) gives the Matsubara sums of reports_at,
     one per xi_1 of the array xi1: the nonretarded route sums five terms
-    and the closed-form tail (_closed_form_sums), the full route runs the
+    and the exact tail (_nonretarded_line), the full route runs the
     engine one j per pass, since its quadrature takes one xi at a time and
     longer blocks would run quadratures past the stopping j.  unit_z is
     UNIT_Z where every line of a report scales exactly as z^-3, and None
@@ -820,12 +802,13 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
     the ShiftReport at (terms.z, T), or the PhysicsError it raises.
 
     The Matsubara sums of all the temperatures T > 0 come from one call of
-    the route's line (_green_route).  On the nonretarded route that builds
-    the summand's _pole_table once, sums the five-term head of every T in
-    one term call and adds each T's closed-form tail, with one more term
-    per T for the stop rule's test at the cutoff (_closed_form_sums); the
-    full route runs the engine, _matsubara_sums, over all the T together on
-    one schedule of j, each with the value and stopping j it has alone.
+    the route's line (_green_route), which runs the engine,
+    _matsubara_sums, over all the T together.  On the nonretarded route
+    _nonretarded_line builds the summand's _pole_table once, and the engine
+    sums the five-term head of every T in one term call, with one more term
+    per T for the stop rule's test at the cutoff, and adds each T's exact
+    tail; the full route runs it on one schedule of j, each T with the
+    value and stopping j it has alone.
     cutoff < 1, or a T outside [0, T_MAX], raises the ValueError of
     Environment for the whole call.
     """

@@ -454,12 +454,31 @@ def test_nonretarded_line_keeps_the_cutoff_contract(request, atom, n,
     """The closed form raises ConvergenceFailure on exactly the inputs
     where the engine's first-hit stop rule does, from cutoffs below the
     rule's first j = 4 to the default, at temperatures down to where
-    the default cutoff no longer suffices (about 0.28 K for Rb)."""
+    the default cutoff no longer suffices (about 0.28 K for Rb), and far
+    below, where cutoff xi_1 lies under the summand's poles and the terms
+    up to the cutoff sit on their plateau, so that |S_cutoff| is far below
+    the exact sum |S|."""
     a, m = request.getfixturevalue(atom), request.getfixturevalue(material)
-    Ts = (0.1, 0.2, 0.25, 0.28, 0.3, 0.35, 5.0, 50.0, 600.0)
+    Ts = (1e-16, 1e-13, 1e-10, 0.1, 0.2, 0.25, 0.28, 0.3, 0.35, 5.0, 50.0,
+          600.0)
     failed = [_assert_same_contract(a, n, m, Ts, cutoff)
               for cutoff in (3, 4, 5, 20, 150, 20000)]
     assert failed[0] == len(Ts) and 0 < failed[-1] < len(Ts)
+
+
+@pytest.mark.parametrize("T", [1e-160, 1e-300, 5e-324])
+@pytest.mark.parametrize("n, material, z", [
+    ("27S1/2", "material_broad", 1e-6), ("26S1/2", "material_narrow", 1e-7)])
+def test_nonretarded_line_fails_without_a_warning_at_tiny_T(
+        request, rb_atom, n, material, z, T):
+    """Below about 1e-152 K the psi sum's argument j - p/x_1 squares past
+    the float range, and at 5e-324 K xi_1 itself underflows to 0; the tail
+    is then NaN, and the sum fails at the cutoff with ConvergenceFailure
+    rather than a RuntimeWarning (an error under pytest), as the
+    term-by-term rule fails there."""
+    m = request.getfixturevalue(material)
+    with pytest.raises(ps.ConvergenceFailure, match="at cutoff=20000"):
+        ps.nonresonant_shift_parts(rb_atom, n, m, ps.Environment(z=z, T=T))
 
 
 def _alpha_zero_temperature(atom, j):
@@ -781,6 +800,47 @@ def test_matsubara_engine_lockstep_keeps_each_rows_solo_run():
             assert (got[i] == want) is (cutoff == stop)
 
 
+def _telescoping(spikes):
+    """term(rows, j) and tail(rows, j) of t_j = 1/((j+1)(j+2)) plus
+    spikes[row] at j = 0: past j = 0 the terms telescope, so the exact sum
+    from j >= 1 on is 1/(j+1)."""
+    spikes = np.asarray(spikes, dtype=float)
+
+    def term(rows, j):
+        return 1.0 / ((j + 1.0) * (j + 2.0)) \
+            + np.where(j == 0, spikes[rows, None], 0.0)
+
+    def tail(rows, j):
+        return np.ones((rows.size, 1)) / (j + 1.0)
+    return term, tail
+
+
+def test_matsubara_engine_tail_is_the_exact_sum_past_the_head():
+    """With a telescoping summand's exact tail, each sum is its head S_4
+    plus the tail 1/6 from j = 5 on, and at every cutoff each sum stops
+    or fails as the engine without the tail does.  The spike at j = 0
+    raises the running max, so that the rule stops a sum near j = 1000
+    (spike 2e6) or at j = 4 (spike 1e9); without one it needs j of about
+    1e9."""
+    spikes = (0.0, 2e6, 1e9)
+    term, tail = _telescoping(spikes)
+    rows = np.arange(len(spikes))
+    head = term(rows, np.arange(5))
+    head[:, 0] *= 0.5
+    want = (np.add.accumulate(head, axis=1)[:, -1] + 1.0 / 6.0).tolist()
+    assert potentials._matsubara_sums(term, 3, 10**10, tail=tail) == want
+    _, stop = _oracle_and_stop(lambda j: term(rows[1:2], j)[0], 20000)
+    assert 900 < stop < 1100
+    for cutoff in (3, 4, 5, stop - 1, stop, stop + 1, 20000):
+        got = potentials._matsubara_sums(term, 3, cutoff, tail=tail)
+        alone = potentials._matsubara_sums(term, 3, cutoff)
+        for g, a in zip(got, alone):
+            failed = isinstance(a, ps.ConvergenceFailure)
+            assert isinstance(g, ps.ConvergenceFailure) is failed, cutoff
+        assert isinstance(got[1], ps.ConvergenceFailure) is (cutoff < stop)
+        assert isinstance(got[2], ps.ConvergenceFailure) is (cutoff < 4)
+
+
 # ---------------------------------------------------------------------------
 # reports_at: every temperature's Matsubara sum in one lockstep pass
 # ---------------------------------------------------------------------------
@@ -914,6 +974,38 @@ def test_reports_at_hands_each_T_its_solo_xis(monkeypatch, unit_terms):
         got[owners[0] if xi else Ts[0]][xi] += 1
     assert got[Ts[0]].pop(0.0) == sum(c.pop(0.0) for c in want.values())
     assert got == want
+
+
+@pytest.mark.parametrize("cutoff, per_T", [(3, 4), (4, 5), (5, 6),
+                                            (20000, 6)])
+def test_nonretarded_line_is_one_term_call_per_request(monkeypatch,
+                                                       unit_terms, cutoff,
+                                                       per_T):
+    """The nonretarded line hands the engine its exact tail and makes one
+    term call for all the temperatures of a request: per T the head
+    j = 0..min(4, cutoff) and, where cutoff > 4, the term at j = cutoff,
+    one reflection_imag_axis call each."""
+    Ts = (0.35, 3.0, 500.0)
+    calls = Counter()
+    reflection, engine = potentials.reflection_imag_axis, \
+        potentials._matsubara_sums
+
+    def counted_reflection(m, xi):
+        calls["reflection"] += 1
+        return reflection(m, xi)
+
+    def counted_engine(term, *args, **kwargs):
+        def counted_term(rows, j):
+            calls["term"] += 1
+            return term(rows, j)
+        calls["tail"] += kwargs.get("tail") is not None
+        return engine(counted_term, *args, **kwargs)
+
+    monkeypatch.setattr(potentials, "reflection_imag_axis",
+                        counted_reflection)
+    monkeypatch.setattr(potentials, "_matsubara_sums", counted_engine)
+    potentials.reports_at(unit_terms["material_broad"], Ts, cutoff)
+    assert calls == {"reflection": per_T * len(Ts), "term": 1, "tail": 1}
 
 
 def test_unknown_green_mode_rejected(toy_atom, material_toy):

@@ -84,6 +84,10 @@ RUNS = (
     ("scan 25 z x 500 K",
      _shift("scan", "--z-range", "1e-7:1e-5:25log", "--T", "500",
             "--format", "csv"), {}),
+    # far below the default cutoff's reach: the rows at 1e-16, 1e-12 and
+    # 1e-8 K fail with ConvergenceFailure, as the term-by-term rule does
+    ("scan 1 um x 1e-16,1e-12,1e-8,0.35 K",
+     _shift("scan", "--z", "1e-6", "--T", "1e-16,1e-12,1e-8,0.35"), {}),
     ("scan 1 um x 350,500,600 K",
      _shift("scan", "--z", "1e-6", "--T", "350,500,600"), {}),
     ("scan repeated T",
