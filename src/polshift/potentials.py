@@ -190,22 +190,18 @@ MATSUBARA_TOL = 1e-9
 #: the Rb example of the README)
 MATSUBARA_CUTOFF = 20000
 
-#: largest block of j the Matsubara engine evaluates at once
-_MAX_BLOCK = 4096
-
 #: the engine's opening block is j = 0.._HEAD - 1, ending where its stop
 #: rule can first stop a sum; an exact tail starts at j = _HEAD
 _HEAD = 5
 
 
-def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK, tail=None):
+def _matsubara_sums(term, n, cutoff, tail=None):
     """n primed sums over j, advanced together, each with a power-law tail
     stop rule: a list of n entries, each the float value of its sum or the
     ConvergenceFailure of a sum that no j <= cutoff stops.
 
-    It sums the full route's Matsubara line, one j per block, and the
-    nonretarded line, with _nonretarded_line's exact tail or, where a
-    _pole_table guard fails, without one.
+    It sums the nonretarded route's Matsubara line with _nonretarded_tail's
+    exact tail, and the full route's without a tail.
 
     term(rows, j) gives the terms of the sums numbered rows (an integer
     array) at each j of the integer array j, as a (rows.size, j.size)
@@ -223,14 +219,14 @@ def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK, tail=None):
     A term that vanishes, at a zero of alpha(i xi), meets the rule too, so
     such a sum stops short of its tail.
 
-    The sums share one schedule of blocks of j: the opening block
+    Without a tail the sums share one schedule of j: the opening block
     j = 0.._HEAD - 1, the earliest point at which the rule can stop, then
-    blocks as long as the count so far (at most ``block``), none past
-    cutoff.  Each pass makes one term call on the block of every sum still
-    running; a sum leaves when it stops.  np.add.accumulate adds each row
-    in order from its carried total, so the value and the stopping j are
-    those of a term-by-term loop, and fewer terms than the stopping j are
-    evaluated past it.
+    one j per pass up to cutoff, since the full route's quadrature takes
+    one xi at a time and a longer block would run quadratures past the
+    stopping j.  Each pass makes one term call on every sum still running;
+    a sum leaves when it stops.  np.add.accumulate adds each row in order
+    from its carried total, so the value and the stopping j are those of a
+    term-by-term loop, and no term past the stopping j is evaluated.
 
     tail(rows, j), when given, is each sum's exact sum_{i >= j} t_i at each
     j >= _HEAD, laid out as term's.  The opening block is then the only
@@ -280,7 +276,7 @@ def _matsubara_sums(term, n, cutoff, block=_MAX_BLOCK, tail=None):
             sums[rows], done[rows] = partial[r, at], hit[r, at]
             left = ~hit[r, at]  # the rows still running
             rows, total, scale = rows[left], total[left], scale[left]
-        lo, hi = hi + 1, min(hi + min(hi, block), cutoff)
+        lo, hi = hi + 1, min(hi + 1, cutoff)
     sums = sums.tolist()
     for i in np.flatnonzero(~done).tolist():
         sums[i] = _cutoff_failure(cutoff)
@@ -294,14 +290,17 @@ def _cutoff_failure(cutoff):
         f"convergence_tol={MATSUBARA_TOL:g} at cutoff={cutoff}")
 
 
-#: two poles of the summand closer than this, relative to the larger,
-#: count as one: closer poles have residues that cancel to fewer than
-#: about twelve digits, and the engine runs without the exact tail
-_POLE_SEP = 1e-4
+#: two poles of one transition's share of the summand closer than this,
+#: relative to the larger, are summed as a pair (_pole_table).  As simple
+#: poles at a relative gap d their residues lose about u/d^2 of the line
+#: (u = 2^-53): near a double root of E, 0.011 apart, the line was 1.3e-11
+#: off, beyond the rounding bound of the closed form, and 0.11 apart
+#: 1.4e-14, within it
+_POLE_SEP = 0.1
 
-#: the largest |sum_p R_p| / sum_p |R_p| (and the same with R_p p) that
-#: counts as zero: about a thousand roundings of the residues, where the
-#: fixtures' tables reach 2e-16
+#: the largest |m| / size of each moment of the pole table that counts as
+#: zero (_pole_table): about a thousand roundings of its coefficients,
+#: where the fixtures' tables reach 2e-16
 _MOMENT_TOL = 1e-13
 
 #: B_2n / (2n) for n = 1..8, the coefficients of psi's asymptotic series
@@ -331,78 +330,187 @@ def _digamma(z):
     return np.log(w) - 0.5 / w - v * series - shift
 
 
+def _psi_divided(a, b):
+    """psi[a, b] = sum_{n >= 0} 1/((a + n)(b + n)) over complex arrays a
+    and b with Re a, Re b >= 5 (up to rounding): the divided difference
+    (psi(b) - psi(a))/(b - a), and psi'(a) at b = a.
+
+    Ten terms of the sum take the arguments to A = a + 10 and B = b + 10,
+    |A|, |B| >= 15, where Euler-Maclaurin gives the rest,
+
+        sum_{n >= 0} f(A + n) = L + f(A)/2 + sum_{k=1}^{8} B_2k/(2k) S_2k,
+
+    with f(x) = 1/(x (x + b - a)), u = 1/A, v = 1/B and
+    S_n = sum_{i=0}^{n-1} u^(i+1) v^(n-i) = -f^(n-1)(A)/(n-1)!, built as
+    u v h_{n-1} from h_m = v^m + u h_{m-1}.  The integral
+    L = log(B/A)/(B - A) is taken as (2/(A + B)) atanh(y)/y with
+    y = (b - a)/(A + B), |y| < 1, and atanh(y)/y = 1 at y = 0; for
+    |y| >= 1/2, atanh(y) is log(B/A)/2, since 1 - y or 1 + y would lose the
+    digits of y's rounding.  No difference of nearby values is divided by
+    b - a, so one formula holds at every separation, zero included.  The
+    first term left out, B_18/18 S_18, is below 55 |A|^-19 against the
+    1/|A| of L.
+    """
+    total = 0.0
+    for i in range(10):
+        total = total + 1.0 / ((a + float(i)) * (b + float(i)))
+    big_a, big_b = a + 10.0, b + 10.0
+    u, v = 1.0 / big_a, 1.0 / big_b
+    y = (b - a) / (big_a + big_b)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(y == 0.0, 1.0, np.where(
+            abs(y) < 0.5, np.arctanh(y), 0.5 * np.log(big_b / big_a)) / y)
+    h = power = 1.0
+    series = 0.0
+    for m in range(1, 2 * len(_PSI_SERIES)):
+        power = power * v
+        h = u * h + power  # h_m(u, v)
+        if m % 2:
+            series = series + _PSI_SERIES[m // 2] * h
+    return total + 2.0 / (big_a + big_b) * ratio + u * v * (0.5 + series)
+
+
+def _quotient(p, z):
+    """The quotient of the polynomial p (coefficients, highest power first)
+    by x - z, by synthetic division with the remainder p(z) dropped: its
+    value at x is the divided difference p[x, z] = (p(x) - p(z))/(x - z),
+    and p'(z) at x = z.  (np.polydiv gives the same bits, some 40 times
+    slower.)"""
+    q, acc = [], 0.0
+    for coef in p[:-1]:
+        acc = acc * z + coef
+        q.append(acc)
+    return np.array(q, dtype=complex)
+
+
 class _PoleTable(NamedTuple):
     """The nonretarded Matsubara summand of one level on one material as
-    partial fractions: f(xi) = scale * Re sum_p residues_p / (xi/unit - p).
+    partial fractions in x = xi/unit:
 
-    poles are those of the 2 N_osc roots of E (material._imag_axis_rational)
-    and of +-i w_k, one pair per transition, that lie on or above the real
-    axis; the residue of a pole above it is doubled, to stand for its
-    conjugate too.  c and wk hold each transition's omega_kn |d_nk|^2 and
-    w_k = |omega_kn|/unit (see _pole_table)."""
+        f(xi) = scale * Re [sum_p residues_p / (x - p)
+                            + sum_q tau_q / ((x - s_q)(x - t_q))].
+
+    poles holds those of the 2 N_osc roots of E
+    (material._imag_axis_rational) and of +-i w_k, one pair per transition,
+    that lie on or above the real axis, with the residues left once the
+    pairs are taken out; the residue of a pole above the axis is doubled,
+    to stand for its conjugate too.  Then come the first member s_q of each
+    pair (s_q, t_q) of near poles and its sigma (see _pole_table); the
+    pairs are few, and each is listed with its conjugate.  The vacuum's
+    table is empty."""
 
     unit: float
     scale: float
     poles: np.ndarray
     residues: np.ndarray
-    c: np.ndarray
-    wk: np.ndarray
+    s: np.ndarray
+    t: np.ndarray
+    tau: np.ndarray
 
 
 def _pole_table(terms):
-    """The _PoleTable of terms' Matsubara summand on the nonretarded route,
-    or None when the closed form cannot be trusted to rounding.
+    """The _PoleTable of terms' Matsubara summand on the nonretarded route.
 
     In units of unit = max omega_T, with x = xi/unit, the summand
     alpha(i xi) xi^2 Tr G(i xi) is scale * h(x) with
 
-        h(x) = sum_k c_k A(x) / ((x^2 + w_k^2) E(x)),
+        h(x) = sum_k h_k(x),  h_k(x) = c_k A(x) / ((x^2 + w_k^2) E(x)),
 
-    c_k = omega_kn |d_nk|^2, scale = -(2/(3 hbar)) (c^2/(8 pi z^3))/unit^2
-    and r_p(i xi) = A/E.  h falls as x^-4, so its partial fractions
-    sum_p R_p/(x - p) have sum_p R_p = sum_p R_p p = 0.  At a root p of E
-    the residue is A(p)/E'(p) sum_k c_k/(p^2 + w_k^2); at p = +-i w_k it
-    is c_k A(p)/(2 p E(p)).
+    c_k = omega_kn |d_nk|^2, w_k = |omega_kn|/unit, scale = -(2/(3 hbar))
+    (c^2/(8 pi z^3))/unit^2 and r_p(i xi) = A/E.  Transition k's share h_k
+    has a simple pole at each root p of E, with residue
+    A(p)/E'(p) c_k/(p^2 + w_k^2), and at p = +-i w_k, with residue
+    c_k A(p)/(2 p E(p)); the residues of the shares add at each root.
 
-    None when a guard fails: the material is the vacuum, a transition
-    frequency is 0, two roots of E or a root of E and +-i w_k lie within
-    _POLE_SEP of each other, or sum_p R_p or sum_p R_p p exceeds
-    _MOMENT_TOL of its size.  Every quantity is a ratio of frequencies or
-    scales as c_k does, so scaling all frequencies by 2^k leaves the
-    poles as they are bit for bit.
+    A pole of h_k whose partner, another pole of h_k, lies within _POLE_SEP
+    of it (relative to the larger) would have a residue that cancels
+    against the partner's.  Such a pair s, t (t = +-i w_k where the pair
+    holds one) is summed as
+
+        sigma/(x - s) + tau/((x - s)(x - t)),  sigma = F[s, t], tau = F(t),
+
+    with F = h_k (x - s)(x - t) = N/D, N = c_k A and D the quotient of
+    (x^2 + w_k^2) E by x - s and x - t.  sigma is
+    (N[s, t] - F(t) D[s, t])/D(s), each divided difference of a
+    polynomial its _quotient by x - t taken at s, so no difference of
+    nearby values is formed.  Every other pole keeps its simple residue.
+
+    h falls as x^-4, so the moments m_0 = sum R_p + sum sigma and
+    m_1 = sum R_p p + sum (sigma s + tau) vanish; each is checked against
+    _MOMENT_TOL of the sum of the magnitudes of its terms.  A pole with two
+    partners in one share, or a moment that fails the check (a non-finite
+    coefficient does, as when |omega_kn|/unit underflows to 0), raises
+    ConvergenceFailure naming the cause.  Every quantity is a ratio of
+    frequencies or scales as c_k does, so scaling all frequencies by 2^k
+    leaves the poles, s and t as they are bit for bit and scales residues,
+    sigma and tau by 2^k exactly.
     """
-    m = terms.m
-    if not m.oscillators:
-        return None
-    unit, a, e = _imag_axis_rational(m)
+    if not terms.m.oscillators:  # the vacuum: r_p = 0
+        none = np.zeros(0, dtype=complex)
+        return _PoleTable(1.0, 0.0, none, none, none, none, none)
     trans = transitions_from(terms.atom, terms.upper)
     c = np.array([w * d * d for _, w, d in trans])
+    unit, a, e = _imag_axis_rational(terms.m)
     wk = np.array([abs(w) / unit for _, w, _ in trans])
-    if not wk.all():
-        return None
     roots, iw = np.roots(e), 1j * wk
     poles = np.concatenate((roots, iw, -iw))
+    r, n = roots.size, wk.size
     gaps = np.abs(roots[:, None] - poles)
     np.fill_diagonal(gaps, np.inf)  # a root and itself
-    if (gaps <= _POLE_SEP * np.maximum(np.abs(roots[:, None]),
-                                       np.abs(poles))).any():
-        return None
+    near = gaps <= _POLE_SEP * np.maximum(np.abs(roots[:, None]),
+                                          np.abs(poles))
+    # share[i, k]: transition k's share of the residue at root i, not
+    # finite where the root sits on i w_k (and pairs with it)
+    with np.errstate(all="ignore"):
+        share = c / (roots[:, None] * roots[:, None] + wk * wk)
+    keep, pairs = np.ones(poles.size, dtype=bool), []
+    if near.any():
+        # partners[i, k]: those of root i in transition k's share of h,
+        # which holds the roots and +-i w_k; atom_partners: those of each
+        # of +-i w_k
+        partners = near[:, :r].sum(axis=1)[:, None] + near[:, r:r + n] \
+            + near[:, r + n:]
+        atom_partners = near[:, r:].sum(axis=0)
+        if (partners > 1).any() or (atom_partners > 1).any():
+            raise ConvergenceFailure(
+                f"a pole of the Matsubara summand has two others within "
+                f"_POLE_SEP={_POLE_SEP:g} of it; the closed form sums near "
+                f"poles in pairs only")
+        paired = partners > 0
+        share[paired] = 0.0
+        keep = ~np.concatenate((paired.all(axis=1), atom_partners > 0))
+        for k in np.flatnonzero(paired.any(axis=0)).tolist():
+            own = np.append(roots, (iw[k], -iw[k]))
+            den = np.polymul([1.0, 0.0, wk[k] * wk[k]], e)
+            for i, j in zip(*np.nonzero(np.triu(
+                    near[:, np.r_[:r, r + k, r + n + k]], 1))):
+                s, t = own[i], own[j]
+                num, d = c[k] * a, _quotient(_quotient(den, s), t)
+                f_t = np.polyval(num, t) / np.polyval(d, t)
+                sigma = (np.polyval(_quotient(num, t), s)
+                         - f_t * np.polyval(_quotient(d, t), s)) \
+                    / np.polyval(d, s)
+                pairs.append((s, t, sigma, f_t))
     # A, E and E' at the roots and at +i w_k, in one Horner pass
     coeffs = np.stack((a, e, np.append(0.0, e[:-1] * np.arange(
         e.size - 1, 0, -1))))
-    at = poles[:-wk.size]
+    at = poles[:-n]
     vals = np.zeros((3, at.size), dtype=complex)
     for col in coeffs.T:
         vals = vals * at + col[:, None]
-    r = roots.size
-    at_roots = vals[0, :r] / vals[2, :r] \
-        * (c / (roots[:, None] * roots[:, None] + wk * wk)).sum(axis=1)
-    at_atom = c * vals[0, r:] / (2.0 * iw * vals[1, r:])
-    residues = np.concatenate((at_roots, at_atom, at_atom.conjugate()))
-    moments = np.stack((residues, residues * poles))
-    if (np.abs(moments.sum(axis=1))
-            > _MOMENT_TOL * np.abs(moments).sum(axis=1)).any():
-        return None
+    with np.errstate(all="ignore"):  # E'(p) of a paired root may be 0
+        at_roots = vals[0, :r] / vals[2, :r] * share.sum(axis=1)
+        at_atom = c * vals[0, r:] / (2.0 * iw * vals[1, r:])
+    poles = poles[keep]
+    residues = np.concatenate((at_roots, at_atom, at_atom.conjugate()))[keep]
+    s, t, sigma, tau = np.array(pairs, dtype=complex).reshape(-1, 4).T
+    for moment in (np.concatenate((residues, sigma)),
+                   np.concatenate((residues * poles, sigma * s, tau))):
+        if not abs(moment.sum()) <= _MOMENT_TOL * np.abs(moment).sum():
+            raise ConvergenceFailure(
+                f"the moments of the Matsubara summand's pole table do "
+                f"not vanish to _MOMENT_TOL={_MOMENT_TOL:g} of their size, "
+                f"so its residues do not hold to rounding")
     # E has real coefficients, so its complex roots come in conjugate
     # pairs, with conjugate residues, as +-i w_k do: the upper member of
     # each pair, counted twice, gives the real part of the sum
@@ -410,8 +518,9 @@ def _pole_table(terms):
     weights = np.where(poles.imag > 0.0, 2.0, 1.0)[upper]
     scale = -(C**2 / (8.0 * math.pi * cube(terms.z))) \
         * (2.0 / (3.0 * HBAR)) / (unit * unit)
-    return _PoleTable(unit, scale, poles[upper], weights * residues[upper],
-                      c, wk)
+    return _PoleTable(unit, scale, np.concatenate((poles[upper], s)),
+                      np.concatenate((weights * residues[upper], sigma)),
+                      s, t, tau)
 
 
 def _nonretarded_xi2_trace(m, z, xi):
@@ -449,40 +558,43 @@ def _full_green(m, z, omegas, part):
     return green_full(m, z, omegas, part=part)
 
 
-def _nonretarded_line(terms, xi1, term, cutoff):
-    """The nonretarded route's Matsubara sums: the engine with the exact
-    tail of the _pole_table of terms, or without one where the table's
-    guards fail (the vacuum, or poles too close for the residues to hold
-    to rounding).
+def _nonretarded_tail(terms, xi1):
+    """The exact tail of the nonretarded route's Matsubara sums, one per
+    xi_1 of the array xi1, as _matsubara_sums' tail=; a refused
+    _pole_table raises its ConvergenceFailure.
 
-    With x_1 = xi_1/unit and j >= _HEAD, the tail is
+    With the table of terms, x_1 = xi_1/unit and j >= _HEAD, the tail is
 
-        sum_{i >= j} h(i x_1) = -(1/x_1) sum_p R_p psi(j - p/x_1),
+        sum_{i >= j} h(i x_1) = -(1/x_1) sum_p R_p psi(j - p/x_1)
+                                + (1/x_1^2) sum_q tau_q psi[j - s_q/x_1,
+                                                            j - t_q/x_1],
 
-    since sum_p R_p = 0; every root of E lies in Re p <= 0 (passivity) and
-    +-i w_k on the axis, so _digamma sees Re >= _HEAD.  Where x_1 is so
-    small that psi overflows, the tail is NaN, and its sum fails.
+    since the simple coefficients R_p sum to 0 and
+    sum_{i >= j} 1/((i x_1 - s)(i x_1 - t)) = psi[j - s/x_1, j - t/x_1]
+    / x_1^2 (_psi_divided).  Every root of E lies in Re p <= 0 (passivity)
+    and +-i w_k on the axis, so _digamma and _psi_divided see Re >= _HEAD.
+    Where x_1 is so small that psi overflows, the tail is NaN, and its
+    sum fails.
     """
     table = _pole_table(terms)
-    if table is None:
-        return _matsubara_sums(term, xi1.size, cutoff)
     x1 = xi1 / table.unit
 
     def tail(rows, j):
+        x = x1[rows, None, None]
         with np.errstate(all="ignore"):
-            psi = _digamma(j[:, None] - table.poles / x1[rows, None, None])
-            return table.scale * (
-                -(psi * table.residues).sum(axis=2).real / x1[rows, None])
-    return _matsubara_sums(term, xi1.size, cutoff, tail=tail)
-
-
-def _full_line(terms, xi1, term, cutoff):
-    """The full route's Matsubara sums: the engine, one j per block."""
-    return _matsubara_sums(term, xi1.size, cutoff, block=1)
+            psi = _digamma(j[:, None] - table.poles / x)
+            out = -(psi * table.residues).sum(axis=2).real / x1[rows, None]
+            if table.tau.size:
+                pairs = _psi_divided(j[:, None] - table.s / x,
+                                     j[:, None] - table.t / x)
+                out = out + (pairs * table.tau).sum(axis=2).real \
+                    / (x1[rows, None] * x1[rows, None])
+            return table.scale * out
+    return tail
 
 
 def _green_route(green_mode):
-    """(green, xi2_trace, line, unit_z) of the "nonretarded" or "full"
+    """(green, xi2_trace, tail, unit_z) of the "nonretarded" or "full"
     Green tensor.
 
     The one place a green_mode is resolved.  green(m, z, omegas, part) is
@@ -492,19 +604,18 @@ def _green_route(green_mode):
     PhysicsError is the first that one call per omega would raise.
     xi2_trace(m, z, xi) is
     xi^2 Tr G(i xi) for an array of xi, finite at xi = 0.
-    line(terms, xi1, term, cutoff) gives the Matsubara sums of reports_at,
-    one per xi_1 of the array xi1: the nonretarded route sums five terms
-    and the exact tail (_nonretarded_line), the full route runs the
-    engine one j per pass, since its quadrature takes one xi at a time and
-    longer blocks would run quadratures past the stopping j.  unit_z is
-    UNIT_Z where every line of a report scales exactly as z^-3, and None
-    where retardation ties the lines to z.
+    tail(terms, xi1) is the exact tail of the Matsubara sums of reports_at,
+    one per xi_1 of the array xi1, that _matsubara_sums adds after its
+    five-term head (_nonretarded_tail); the full route has none, and its
+    engine runs one j per pass.  unit_z is UNIT_Z where every line of a
+    report scales exactly as z^-3, and None where retardation ties the
+    lines to z.
     """
     if green_mode == "nonretarded":
         return _nonretarded_green, _nonretarded_xi2_trace, \
-            _nonretarded_line, UNIT_Z
+            _nonretarded_tail, UNIT_Z
     if green_mode == "full":
-        return _full_green, _full_xi2_trace, _full_line, None
+        return _full_green, _full_xi2_trace, None, None
     raise ValueError(f"unknown green_mode {green_mode!r}")
 
 
@@ -802,13 +913,13 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
     the ShiftReport at (terms.z, T), or the PhysicsError it raises.
 
     The Matsubara sums of all the temperatures T > 0 come from one call of
-    the route's line (_green_route), which runs the engine,
-    _matsubara_sums, over all the T together.  On the nonretarded route
-    _nonretarded_line builds the summand's _pole_table once, and the engine
-    sums the five-term head of every T in one term call, with one more term
-    per T for the stop rule's test at the cutoff, and adds each T's exact
-    tail; the full route runs it on one schedule of j, each T with the
-    value and stopping j it has alone.
+    the engine, _matsubara_sums, over all the T together.  On the
+    nonretarded route _nonretarded_tail builds the summand's _pole_table
+    once, and the engine sums the five-term head of every T in one term
+    call, with one more term per T for the stop rule's test at the cutoff,
+    and adds each T's exact tail; a refused table is every T's
+    ConvergenceFailure.  The full route runs the engine on one schedule of
+    j, each T with the value and stopping j it has alone.
     cutoff < 1, or a T outside [0, T_MAX], raises the ValueError of
     Environment for the whole call.
     """
@@ -821,14 +932,20 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
     hot = [i for i, T in enumerate(Ts) if T > 0]
     if terms.photon and hot:
         xi1 = np.array([matsubara_xi(Ts[i], 1) for i in hot])
-        xi2_trace, line = _green_route(terms.green_mode)[1:3]
+        xi2_trace, make_tail = _green_route(terms.green_mode)[1:3]
 
         def term(rows, j):
             xi = j * xi1[rows, None]
             trace = xi2_trace(terms.m, terms.z, xi.ravel()).reshape(xi.shape)
             return polarizability_iso(terms.atom, terms.upper, xi) * trace
 
-        for i, s in zip(hot, line(terms, xi1, term, cutoff)):
+        try:
+            tail = make_tail(terms, xi1) if make_tail else None
+        except ConvergenceFailure as exc:  # a refused pole table
+            line = [exc] * xi1.size
+        else:
+            line = _matsubara_sums(term, xi1.size, cutoff, tail=tail)
+        for i, s in zip(hot, line):
             sums[i] = s
     return [_report_or_error(terms, T, s) for T, s in zip(Ts, sums)]
 

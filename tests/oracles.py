@@ -109,10 +109,18 @@ def _matsubara_partial_fractions(atom, n, m, dps):
 
     in x = xi/w, with c_k = omega_kn |d_nk|^2, w_k = |omega_kn|/w and
     r_p(i xi) = A/E (see matsubara_line_closed_form).  The poles are the
-    roots of E (mpmath.polyroots) and +-i w_k; each residue is N(p)/D'(p)
-    with N = c_k A and D = (x^2 + w_k^2) E.  ArithmeticError when
-    sum_p R_p or sum_p R_p p, over the poles of all transitions, does not
-    vanish to working precision.
+    roots of E (mpmath.polyroots) and +-i w_k.  A pole closer than
+    split = 10^(-dps/3) to an earlier pole of its transition, as at a
+    double root of E or a root of E at +-i w_k, is moved split away from
+    it.  Each residue is N(p) / (2 prod_{q != p} (p - q)), N = c_k A and 2
+    the leading coefficient of D = (x^2 + w_k^2) E: the partial fractions
+    of N over 2 prod_q (x - q), the roots as computed, which stay exact
+    where poles coincide or nearly so.  A residue carries about
+    10^-dps / delta_p of relative error, delta_p the distance from p to
+    the nearest other pole, so the line is good to about dps/3 digits
+    (to 50 digits at dps = 150) however close its poles lie.
+    ArithmeticError when sum_p R_p or sum_p R_p p, over the poles of all
+    transitions, exceeds 10^(10 - dps) sum_p |R_p p^k| / min(delta_p, 1).
     """
     trans = ps.transitions_from(atom, n)
     with mpmath.workdps(dps):
@@ -129,27 +137,32 @@ def _matsubara_partial_fractions(atom, n, m, dps):
                 others = _polymul(others, q)
             a = _polyadd(a, [(o.omega_P / w) ** 2 * c for c in others])
         e = _polyadd([2 * c for c in prod], a)
-        roots = mpmath.polyroots(e, maxsteps=200, extraprec=2 * dps)
-        parts = []
+        roots = mpmath.polyroots(e, maxsteps=50 * dps, extraprec=2 * dps)
+        split = mpmath.mpf(10) ** (-dps / 3)
+        parts, checks = [], []
         for _, w_kn, d in trans:
             c = mpmath.mpf(w_kn) * mpmath.mpf(d) ** 2
             wk = abs(mpmath.mpf(w_kn)) / w
             num = [c * x for x in a]
-            den = _polymul([1, 0, wk * wk], e)
-            poles = list(roots) + [1j * wk, -1j * wk]
-            residues = [mpmath.polyval(num, p)
-                        / mpmath.polyval(den, p, derivative=True)[1]
-                        for p in poles]
-            parts.append((poles, residues,
-                          mpmath.polyval(num, 0) / mpmath.polyval(den, 0)))
-        poles = [p for part in parts for p in part[0]]
-        residues = [r for part in parts for r in part[1]]
-        scale = mpmath.mpf(10) ** (10 - dps)
+            poles = []
+            for p in list(roots) + [1j * wk, -1j * wk]:
+                if any(abs(p - q) < split for q in poles):
+                    p += split
+                poles.append(mpmath.mpc(p))
+            residues = []
+            for p in poles:
+                gaps = [p - q for q in poles if q is not p]
+                residues.append(mpmath.polyval(num, p)
+                                / (2 * mpmath.fprod(gaps)))
+                checks.append((p, residues[-1],
+                               min([abs(g) for g in gaps] + [1])))
+            parts.append((poles, residues, mpmath.polyval(num, 0)
+                          / (wk * wk * mpmath.polyval(e, 0))))
         for k in (0, 1):
-            moment = mpmath.fsum(r * p ** k for r, p in zip(residues, poles))
-            size = mpmath.fsum(abs(r * p ** k)
-                               for r, p in zip(residues, poles))
-            if abs(moment) > scale * size:
+            moment = mpmath.fsum(r * p ** k for p, r, _ in checks)
+            size = mpmath.fsum(abs(r * p ** k) / gap
+                               for p, r, gap in checks)
+            if abs(moment) > mpmath.mpf(10) ** (10 - dps) * size:
                 raise ArithmeticError(
                     f"sum_p R_p p^{k} = {mpmath.nstr(moment, 5)} does not "
                     "vanish")
@@ -200,25 +213,48 @@ def matsubara_line_closed_form(atom, n, m, dps=40):
     return line
 
 
-def matsubara_tail_size(atom, n, m, head=5, dps=20):
-    """size(z, T): (number of poles, sum_p |R_p psi(head - p/x_1)| / x_1
-    in the units of nr_matsubara, J), over the per-transition poles and
-    residues of _matsubara_partial_fractions.  It is the size of the terms
-    whose sum is the exact tail sum_{j >= head} of the line, the scale of
-    that sum's rounding in float64."""
+def matsubara_tail_size(atom, n, m, head=5, dps=20, sep=0.0):
+    """size(z, T): (number of terms, their sum of magnitudes in the units
+    of nr_matsubara, J), the terms being those whose sum is the exact tail
+    sum_{j >= head} of the line over the per-transition poles and residues
+    of _matsubara_partial_fractions, the scale of that sum's rounding in
+    float64.  A simple pole gives |R_p psi(head - p/x_1)| / x_1.  Two
+    poles s, t of one transition within sep of each other, relative to
+    the larger, give the terms of the pair sigma/(x - s) +
+    tau/((x - s)(x - t)), sigma = R_s + R_t and tau = R_t (t - s):
+    |sigma psi(head - s/x_1)| / x_1 and
+    |tau psi[head - s/x_1, head - t/x_1]| / x_1^2, with the divided
+    difference psi[a, b] = (psi(b) - psi(a))/(b - a)."""
     w, parts = _matsubara_partial_fractions(atom, n, m, dps)
-    count = sum(len(part[0]) for part in parts)
+    entries = []  # (s, coefficient, t), t None for a simple pole
+    for poles, residues, _ in parts:
+        left = list(zip(poles, residues))
+        while left:
+            s, r_s = left.pop(0)
+            near = [i for i, (t, _) in enumerate(left)
+                    if abs(s - t) <= sep * max(abs(s), abs(t))]
+            if near:
+                t, r_t = left.pop(near[0])
+                entries += [(s, r_s + r_t, None), (s, r_t * (t - s), t)]
+            else:
+                entries.append((s, r_s, None))
 
     def size(z, T):
         with mpmath.workdps(dps):
             x1 = 2 * mpmath.pi * mpmath.mpf(KB) * T / mpmath.mpf(HBAR) / w
-            total = mpmath.fsum(abs(r * mpmath.digamma(head - p / x1))
-                                for poles, residues, _ in parts
-                                for r, p in zip(residues, poles)) / x1
+
+            def psi(s, t):
+                a = head - s / x1
+                if t is None:
+                    return mpmath.digamma(a)
+                b = head - t / x1
+                return (mpmath.digamma(b) - mpmath.digamma(a)) / (b - a) / x1
+            total = mpmath.fsum(abs(r * psi(s, t))
+                                for s, r, t in entries) / x1
             pref = (mpmath.mpf(MU0) * KB * T * 2 / (3 * mpmath.mpf(HBAR))
                     * mpmath.mpf(C) ** 2 / (8 * mpmath.pi * mpmath.mpf(z) ** 3)
                     / w ** 2)
-            return count, float(pref * total)
+            return len(entries), float(pref * total)
     return size
 
 

@@ -6,6 +6,7 @@ import math
 from collections import Counter
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -210,7 +211,7 @@ def test_nonresonant_routes_agree_multilevel(rb_atom, material_broad):
 
 
 # ---------------------------------------------------------------------------
-# Matsubara block engine against the term-by-term oracle
+# Matsubara engine against the term-by-term oracle
 # ---------------------------------------------------------------------------
 
 
@@ -344,25 +345,49 @@ _LINE_CASES = [("rb_atom", "27S1/2", "material_broad"),
                ("flipping_atom", "m", "material_toy")]
 
 
+def _exact(atom, n, m, dps=40):
+    """(line, tail size) of matsubara_line_closed_form and
+    matsubara_tail_size, the size counting the library's pairs."""
+    return (matsubara_line_closed_form(atom, n, m, dps),
+            matsubara_tail_size(atom, n, m, dps=max(dps, 20),
+                                sep=potentials._POLE_SEP))
+
+
 @pytest.fixture(scope="module")
 def exact_lines(request):
-    """(line, tail size) of matsubara_line_closed_form and
-    matsubara_tail_size for each of _LINE_CASES, built once."""
+    """_exact for each of _LINE_CASES, built once."""
     out = {}
     for atom, n, m in _LINE_CASES:
-        a, mat = (request.getfixturevalue(atom),
-                  request.getfixturevalue(m))
-        out[atom, n, m] = (matsubara_line_closed_form(a, n, mat),
-                           matsubara_tail_size(a, n, mat))
+        out[atom, n, m] = _exact(request.getfixturevalue(atom), n,
+                                 request.getfixturevalue(m))
     return out
+
+
+def _line_terms(atom, n, m, z=Z):
+    """DistanceTerms of level n at z on the nonretarded route whose photon
+    line has its transitions' frequencies and zero Green factors, so that
+    reports_at gives the Matsubara line alone, which no photon-line error
+    (as on a lossless surface-mode pole) hides."""
+    photon = tuple((w, w * w, 0.0) for _, w, _ in ps.transitions_from(atom, n))
+    return potentials.DistanceTerms(atom, n, m, z, "nonretarded", photon,
+                                    None, 0.0, {})
+
+
+def _matsubara_lines(atom, n, m, Ts, cutoff, z=Z):
+    """reports_at's nr_matsubara of level n at (z, T) for each T of Ts, or
+    the PhysicsError of its Matsubara line."""
+    return [r.nr_matsubara if isinstance(r, ps.ShiftReport) else r
+            for r in potentials.reports_at(_line_terms(atom, n, m, z), Ts,
+                                           cutoff)]
 
 
 def _assert_exact_line(a, n, m, T, exact, cutoff):
     """nr_matsubara of level n at (Z, T) against exact, the (line, tail
-    size) of matsubara_line_closed_form and matsubara_tail_size, to
-    within the float64 rounding of the five-term head and the psi tail.
+    size) of _exact, to within the float64 rounding of the five-term head
+    and the psi tail.
 
-    The line is S_4 + scale * (-(1/x_1) sum_p R_p psi(5 - p/x_1)), times
+    The line is S_4 + scale * (-(1/x_1) sum_p R_p psi(5 - p/x_1)
+    + (1/x_1^2) sum_q tau_q psi[5 - s_q/x_1, 5 - t_q/x_1]), times
     mu0 kB T.  Rounding, in units of u = 2^-53:
 
     * the head: each of its terms t_0..t_4 rounds at most 64 times
@@ -370,21 +395,26 @@ def _assert_exact_line(a, n, m, T, exact, cutoff):
       alpha taken in absolute value (as in
       test_matsubara_line_matches_closed_form), and the partial sum five
       times: 69 u sum_{j<=4} |t_j|_abs;
-    * the tail: each psi value takes at most 32 roundings relative to
-      |psi| (five recurrence steps of a complex division and an addition,
-      the log, the 1/w and the eight Horner steps of the series), each
-      residue at most 32 relative to |R_p| (the Horner values of A, E and
-      E' at a polished root and the sum over the transitions), and the sum
-      over the poles one per pole: (poles + 64) u sum_p |R_p psi_p| / x_1,
-      with sum_p |R_p psi_p| taken over the oracle's per-transition poles,
-      which bound the library's merged ones;
+    * the tail: each psi value, and each psi[a, b] of a pair, takes at
+      most 32 roundings relative to its magnitude (five recurrence steps
+      of a complex division and an addition, the log, the 1/w and the
+      eight Horner steps of the series; for psi[a, b] ten terms, the
+      integral and the series), each residue at most 32 relative to |R_p|
+      (the Horner values of A, E and E' at a root and the sum over the
+      transitions), each pair's sigma and tau at most 32 relative to
+      theirs (the synthetic divisions of N and D and their Horner values
+      at s and t), and the sum over the terms one per term:
+      (terms + 64) u times the size of matsubara_tail_size, the sum of
+      |R_p psi_p| / x_1 and, for a pair, |sigma psi| / x_1 and
+      |tau psi[a, b]| / x_1^2, taken over the oracle's per-transition
+      poles, which bound the library's merged ones;
     * the last steps (S_4 + tail, the scale, mu0 kB T and the oracle's own
       rounding to a float): 8 u |line|.
     """
     line, tail_size = exact
     env = ps.Environment(z=Z, T=T)
     want = line(Z, T)
-    got = ps.nonresonant_shift_parts(a, n, m, env, cutoff=cutoff)[0]
+    (got,) = _matsubara_lines(a, n, m, (T,), cutoff)
 
     j = np.arange(5)
     xi = j * ps.matsubara_xi(T, 1)
@@ -393,9 +423,9 @@ def _assert_exact_line(a, n, m, T, exact, cutoff):
         abs(w) * d * d / (w * w + xi * xi)
         for _, w, d in ps.transitions_from(a, n))
     t_abs = np.abs(t) * alpha_abs / np.abs(ps.polarizability_iso(a, n, xi))
-    poles, size = tail_size(Z, T)
+    terms, size = tail_size(Z, T)
     bound = 69 * _U * MU0 * KB * T * np.sum(t_abs) \
-        + (poles + 64) * _U * size + 8 * _U * abs(want)
+        + (terms + 64) * _U * size + 8 * _U * abs(want)
     assert abs(got - want) <= bound, (T, got, want)
 
 
@@ -414,56 +444,212 @@ def test_nonretarded_line_is_the_exact_sum(request, exact_lines, atom, n,
     _assert_exact_line(a, n, m, T, exact_lines[atom, n, material], 10**8)
 
 
-def _line_terms(atom, n, m):
-    """The DistanceTerms of nonresonant_shift_parts at Z: the photon line
-    of level n and no mode pair."""
-    return potentials.DistanceTerms(
-        atom, n, m, Z, "nonretarded",
-        potentials._photon_terms(atom, n, m, Z, "nonretarded"), None, 0.0,
-        {})
+def _near_mode_atom(gap):
+    """A two-level atom whose transition lies a relative gap above the
+    surface mode sqrt(omega_T^2 + omega_P^2/2) of an oscillator with
+    omega_P = omega_T = 1e13 rad/s."""
+    w = math.sqrt(1.5) * 1e13 * (1.0 + gap)
+    return ps.AtomSpec(
+        "near the surface mode",
+        (ps.AtomicState("g", 0.0), ps.AtomicState("e", w)),
+        (ps.DipoleElement("g", "e", 1e-29),))
 
 
-def _engine_line(atom, n, m, Ts, cutoff):
-    """The block engine's sums on _mats_term, one row per T, in lockstep:
-    the Matsubara line as it was summed before the closed form."""
-    terms = [_mats_term(atom, n, m, ps.Environment(z=Z, T=T)) for T in Ts]
-    return potentials._matsubara_sums(_rows_term(*terms), len(Ts), cutoff)
+#: gamma_crit = 2 sqrt(omega_T^2 + omega_P^2/2) of an oscillator with
+#: omega_P = 4e13 and omega_T = 1e13 rad/s, a double root of E at
+#: xi = -3e13 rad/s; 6e13 is a float, so the root is exactly double
+_GAMMA_CRIT = 6e13
+
+#: the nonretarded lines whose summand has a pair of near poles: the atom
+#: a relative gap above the surface mode at gamma 0, 1e9 and 1e10 rad/s,
+#: and the toy atom on an oscillator damped gamma/gamma_crit - 1 from
+#: critical
+_PAIRED_CASES = [f"near {gap:g} {gamma:g}" for gap in (1e-3, 1e-6, 1e-9,
+                                                      1e-12, 0.0)
+                 for gamma in (0.0, 1e9, 1e10)] \
+    + [f"critical {d:+g}" for d in (1e-4, -1e-4, 1e-8, -1e-8, 0.0)]
+
+
+def _paired_case(case):
+    """(atom, level, material) of one of _PAIRED_CASES, or of "vacuum"."""
+    kind, *args = case.split()
+    two_level = ps.AtomSpec(
+        "two-level toy",
+        (ps.AtomicState("g", 0.0), ps.AtomicState("e", 2.4e14)),
+        (ps.DipoleElement("g", "e", 1.0e-29),))
+    if kind == "vacuum":
+        return two_level, "g", ps.MaterialModel("vacuum", ())
+    if kind == "near":
+        gap, gamma = map(float, args)
+        return _near_mode_atom(gap), "g", ps.MaterialModel(
+            case, (ps.Oscillator(1e13, 1e13, gamma),))
+    gamma = _GAMMA_CRIT * (1.0 + float(args[0]))
+    return two_level, "g", ps.MaterialModel(
+        case, (ps.Oscillator(4e13, 1e13, gamma),))
+
+
+@pytest.mark.parametrize("case", ["vacuum"] + _PAIRED_CASES)
+def test_nonretarded_line_is_exact_where_poles_pair(case):
+    """Where a root of E lies near +-i w_k or near another root, the table
+    sums the two as a pair, and the line matches the oracle's exact sum
+    (poles split by 1e-50 where they coincide, at 150 digits) to within
+    _assert_exact_line's rounding at 0.35, 3, 30 and 300 K.  The vacuum's
+    table is empty and its line 0.  Each case forms a pair; at gap 1e-6
+    with gamma 0 or 1e9 rad/s, as on the vacuum, the table used to be
+    refused, and the line was the engine's without a tail."""
+    atom, n, m = _paired_case(case)
+    table = potentials._pole_table(_line_terms(atom, n, m))
+    Ts = (0.35, 3.0, 30.0, 300.0)
+    if case == "vacuum":
+        assert table.poles.size == table.tau.size == 0
+        assert _matsubara_lines(atom, n, m, Ts, 20000) == [0.0] * len(Ts)
+        return
+    # a root of E and i w_k, and their conjugates; or two roots of E
+    assert table.tau.size == (1 if case.startswith("critical") else 2)
+    # at 150 digits, where the oracle splits a coincident pole
+    exact = _exact(atom, n, m, dps=150)
+    for T in Ts:
+        _assert_exact_line(atom, n, m, T, exact, 10**8)
+
+
+def _term_by_term(atom, n, m, Ts, cutoff):
+    """The term-by-term rule (matsubara_sum_reference) on _mats_term of
+    each T of Ts: its sum, or its ConvergenceFailure.  Every term
+    j = 0..cutoff comes from one call, and np.add.accumulate adds them in
+    the loop's order, so each value is the loop's bit for bit."""
+    j = np.arange(cutoff + 1)
+    out = []
+    for T in Ts:
+        t = _mats_term(atom, n, m, ps.Environment(z=Z, T=T))(j)
+        t[0] *= 0.5
+        partial_sums = np.add.accumulate(t)
+        running = np.maximum(np.maximum.accumulate(np.abs(partial_sums)),
+                             1e-300)
+        hit = np.abs(t) * j <= MATSUBARA_TOL * running
+        hit[:4] = False
+        out.append(partial_sums[hit.argmax()] if hit.any()
+                   else potentials._cutoff_failure(cutoff))
+    return out
 
 
 def _assert_same_contract(atom, n, m, Ts, cutoff):
-    """reports_at's Matsubara line and the engine's fail on the same T,
-    with the same error and message, and agree to the engine's
-    truncation (MATSUBARA_TOL max|S_i| / (p - 1) at p = 2, 1e-9
-    relative) elsewhere."""
-    got = potentials.reports_at(_line_terms(atom, n, m), Ts, cutoff)
-    want = _engine_line(atom, n, m, Ts, cutoff)
-    for T, report, s in zip(Ts, got, want):
+    """reports_at's Matsubara line and the term-by-term rule fail on the
+    same T, with the same error and message, and agree to the rule's
+    truncation (MATSUBARA_TOL max|S_i| / (p - 1) at p = 2, 1e-9 relative)
+    elsewhere."""
+    got = _matsubara_lines(atom, n, m, Ts, cutoff)
+    want = _term_by_term(atom, n, m, Ts, cutoff)
+    for T, g, s in zip(Ts, got, want):
         if isinstance(s, ps.ConvergenceFailure):
-            assert type(report) is ps.ConvergenceFailure, (T, cutoff)
-            assert str(report) == str(s)
+            assert type(g) is ps.ConvergenceFailure, (T, cutoff)
+            assert str(g) == str(s)
         else:
-            assert isinstance(report, ps.ShiftReport), (T, cutoff, report)
-            assert report.nr_matsubara == pytest.approx(
-                MU0 * KB * T * s, rel=1e-9, abs=0)
+            assert not isinstance(g, ps.PhysicsError), (T, cutoff, g)
+            assert g == pytest.approx(MU0 * KB * T * s, rel=1e-9, abs=0)
     return sum(isinstance(s, ps.ConvergenceFailure) for s in want)
 
 
-@pytest.mark.parametrize("atom, n, material", _LINE_CASES)
-def test_nonretarded_line_keeps_the_cutoff_contract(request, atom, n,
-                                                    material):
+@pytest.mark.parametrize("case", [
+    pytest.param(case, id="-".join(case)) for case in _LINE_CASES] + [
+    "near 1e-06 1e+09", "near 0 0", "critical -1e-08", "critical +0"])
+def test_nonretarded_line_keeps_the_cutoff_contract(request, case):
     """The closed form raises ConvergenceFailure on exactly the inputs
-    where the engine's first-hit stop rule does, from cutoffs below the
-    rule's first j = 4 to the default, at temperatures down to where
-    the default cutoff no longer suffices (about 0.28 K for Rb), and far
-    below, where cutoff xi_1 lies under the summand's poles and the terms
-    up to the cutoff sit on their plateau, so that |S_cutoff| is far below
-    the exact sum |S|."""
-    a, m = request.getfixturevalue(atom), request.getfixturevalue(material)
+    where the term-by-term stop rule does, from cutoffs below the rule's
+    first j = 4 to the default, at temperatures down to where the default
+    cutoff no longer suffices (about 0.28 K for Rb), and far below, where
+    cutoff xi_1 lies under the summand's poles and the terms up to the
+    cutoff sit on their plateau, so that |S_cutoff| is far below the exact
+    sum |S|; on the fixtures and on four tables with a pair of near
+    poles."""
+    if isinstance(case, str):
+        a, n, m = _paired_case(case)
+    else:
+        atom, n, material = case
+        a, m = request.getfixturevalue(atom), request.getfixturevalue(material)
     Ts = (1e-16, 1e-13, 1e-10, 0.1, 0.2, 0.25, 0.28, 0.3, 0.35, 5.0, 50.0,
           600.0)
     failed = [_assert_same_contract(a, n, m, Ts, cutoff)
               for cutoff in (3, 4, 5, 20, 150, 20000)]
     assert failed[0] == len(Ts) and 0 < failed[-1] < len(Ts)
+
+
+@pytest.mark.parametrize("k", [-3, 1, 7])
+@pytest.mark.parametrize("case", ["near 1e-06 1e+09", "near 0 0",
+                                  "critical +0", "critical -1e-08"])
+def test_paired_line_scales_exactly_by_powers_of_two(case, k):
+    """With every frequency and T scaled by lam = 2^k and z by 1/lam, a
+    table with a pair keeps its poles, pairs and s, t bit for bit, its
+    residues, sigmas and taus scale by lam, and the Matsubara line by
+    lam^3, at 0.35, 3, 30 and 300 K (cutoff 10^8, which the two-level
+    sums below 10 K need)."""
+    lam = 2.0**k
+    atom, n, m = _paired_case(case)
+    scaled_atom, scaled_m = _scaled_atom(atom, lam), _scaled_material(m, lam)
+    base = potentials._pole_table(_line_terms(atom, n, m))
+    scaled = potentials._pole_table(
+        _line_terms(scaled_atom, n, scaled_m, Z / lam))
+    assert base.tau.size
+    for field in ("poles", "s", "t"):
+        assert np.array_equal(getattr(scaled, field), getattr(base, field))
+    for field in ("residues", "tau"):
+        assert np.array_equal(getattr(scaled, field),
+                              lam * getattr(base, field))
+    Ts = (0.35, 3.0, 30.0, 300.0)
+    want = _matsubara_lines(atom, n, m, Ts, 10**8)
+    got = _matsubara_lines(scaled_atom, n, scaled_m, [lam * T for T in Ts],
+                           10**8, Z / lam)
+    assert got == [lam**3 * w for w in want]
+
+
+@pytest.mark.parametrize("im", [0.0, 1.0, 1e3, 1e5, -1e7, 1e7])
+@pytest.mark.parametrize("re", [5.0, 5.5, 40.0, 1e4, 1e7])
+def test_psi_divided_difference_matches_mpmath(re, im):
+    """_psi_divided(a, b) against the 40-digit (psi(b) - psi(a))/(b - a),
+    and psi'(a) at b = a, at separations 0, 1e-12, 1e-6, 0.5 and |a| along
+    four directions (those that leave Re b >= 5), to 8 roundings."""
+    a = complex(re, im)
+    bs = [a + sep * d for sep in (0.0, 1e-12, 1e-6, 0.5, abs(a))
+          for d in (1.0, 1j, -1j, -1.0) if (a + sep * d).real >= 5.0]
+    got = potentials._psi_divided(np.full(len(bs), a), np.array(bs))
+    with mpmath.workdps(40):
+        for b, g in zip(bs, got):
+            if b == a:
+                want = mpmath.psi(1, a)
+            else:
+                want = (mpmath.digamma(b) - mpmath.digamma(a)) / (
+                    mpmath.mpc(b) - mpmath.mpc(a))
+            assert abs(g - complex(want)) <= 8 * _U * abs(want), (a, b)
+
+
+def test_pole_table_refuses_a_pole_with_two_partners():
+    """Two weak oscillators put roots of E at 1.0022e13 and 1.0227e13 rad/s
+    (2 % apart), and the atom's transition at 1.01e13 rad/s lies within
+    _POLE_SEP of both: a pole with two partners, which the table does not
+    sum, so the line is every T's ConvergenceFailure naming the cause."""
+    m = ps.MaterialModel("two weak oscillators", (
+        ps.Oscillator(1e12, 1e13, 1e9), ps.Oscillator(1e12, 1.02e13, 1e9)))
+    atom = ps.AtomSpec(
+        "between the modes",
+        (ps.AtomicState("g", 0.0), ps.AtomicState("e", 1.01e13)),
+        (ps.DipoleElement("g", "e", 1e-29),))
+    got = _matsubara_lines(atom, "g", m, (3.0, 300.0), 20000)
+    for line in got:
+        assert type(line) is ps.ConvergenceFailure
+        assert "has two others within _POLE_SEP" in str(line)
+
+
+def test_pole_table_refuses_a_transition_frequency_that_underflows(
+        material_toy):
+    """A transition of 5e-324 rad/s gives w_k = |omega_kn|/unit = 0, whose
+    residue at +-i w_k is not finite: the moment check fails, and the line
+    is ConvergenceFailure naming it, where the atom's alpha(0) overflows."""
+    atom = ps.AtomSpec(
+        "underflowing transition",
+        (ps.AtomicState("g", 0.0), ps.AtomicState("e", 5e-324)),
+        (ps.DipoleElement("g", "e", 1e-29),))
+    (line,) = _matsubara_lines(atom, "g", material_toy, (3.0,), 20000)
+    assert type(line) is ps.ConvergenceFailure
+    assert "moments of the Matsubara summand's pole table" in str(line)
 
 
 @pytest.mark.parametrize("T", [1e-160, 1e-300, 5e-324])
@@ -516,7 +702,7 @@ def test_nonretarded_line_is_exact_across_a_zero_of_alpha(
     "the engine's first-hit stop rule stops at the zero of the summand "
     "where alpha(i xi) changes sign: at xi* = 6 xi_1 the full route's "
     "line is 5.3e-5 above the exact nonretarded one, against -3.1e-7 at "
-    "10 K (ROADMAP item 4)"))
+    "10 K (ROADMAP item 2)"))
 def test_full_route_line_is_not_cut_at_a_zero_of_alpha(flipping_atom,
                                                         material_toy):
     """At 100 nm and 10 K the full route's Matsubara line is 3.1e-7 from
@@ -529,49 +715,9 @@ def test_full_route_line_is_not_cut_at_a_zero_of_alpha(flipping_atom,
     assert abs(full / nr - 1.0) <= 1e-5
 
 
-def _near_mode_atom(gap):
-    """A two-level atom whose transition lies a relative gap above the
-    surface mode sqrt(omega_T^2 + omega_P^2/2) of an oscillator with
-    omega_P = omega_T = 1e13 rad/s."""
-    w = math.sqrt(1.5) * 1e13 * (1.0 + gap)
-    return ps.AtomSpec(
-        "near the surface mode",
-        (ps.AtomicState("g", 0.0), ps.AtomicState("e", w)),
-        (ps.DipoleElement("g", "e", 1e-29),))
-
-
-@pytest.mark.parametrize("case", ["vacuum", "gamma 0", "gamma 1e9"])
-def test_nonretarded_line_is_the_engines_where_the_table_is_refused(
-        toy_atom, case):
-    """Where _pole_table returns None, on the vacuum and where a pole of
-    r_p lies within _POLE_SEP of the atom's +-i w_k (1e-6 relative; at
-    1e-3 the table is built), the nonretarded line is the engine's, bit
-    for bit, errors included."""
-    if case == "vacuum":
-        atom, m = toy_atom, ps.MaterialModel("vacuum", ())
-    else:
-        gamma = 0.0 if case == "gamma 0" else 1e9
-        atom = _near_mode_atom(1e-6)
-        m = ps.MaterialModel(case, (ps.Oscillator(1e13, 1e13, gamma),))
-        assert potentials._pole_table(
-            _line_terms(_near_mode_atom(1e-3), "g", m)) is not None
-    terms = _line_terms(atom, "g", m)
-    assert potentials._pole_table(terms) is None
-    Ts = (0.35, 3.0, 30.0, 300.0)
-    got = potentials.reports_at(terms, Ts, potentials.MATSUBARA_CUTOFF)
-    want = _engine_line(atom, "g", m, Ts, potentials.MATSUBARA_CUTOFF)
-    for T, report, s in zip(Ts, got, want):
-        if isinstance(s, ps.ConvergenceFailure):
-            assert type(report) is ps.ConvergenceFailure, T
-            assert str(report) == str(s)
-        else:
-            assert report.nr_matsubara == MU0 * KB * T * s, T
-            if case == "vacuum":
-                assert report.nr_matsubara == 0.0
-
-
 def test_matsubara_engine_matches_oracle_full_green(toy_atom, material_toy):
-    """One green_mode="full" point, whose sum spans several blocks of j."""
+    """One green_mode="full" point, whose sum runs past the opening block
+    of j, one j per pass."""
     term = _mats_term(toy_atom, "g", material_toy,
                       ps.Environment(z=1e-8, T=400.0), green_mode="full")
     assert _assert_engine_matches_oracle(term) > 8
@@ -596,9 +742,8 @@ def test_full_route_runs_one_quadrature_per_term(request, monkeypatch, case,
                                                  stop):
     """The full route runs one quadrature for each j = 1 .. the oracle's
     stopping j and none past it: the opening block of j ends where the rule
-    can first stop (Rb, 500 K: j = 4), and later blocks hold one j (toy,
-    10 nm, 400 K: j = 87, past where the engine's default blocks would have
-    doubled four times)."""
+    can first stop (Rb, 500 K: j = 4), and each later pass holds one j
+    (toy, 10 nm, 400 K: j = 87)."""
     atom, n, m, env = {
         "rb": ("rb_atom", "27S1/2", "material_broad",
                ps.Environment(z=Z, T=500.0)),
@@ -644,8 +789,9 @@ def test_nonretarded_trace_one_reflection_call_per_term(rb_atom,
 
 
 def test_matsubara_engine_never_evaluates_past_cutoff(monkeypatch):
-    """A block of j that would run past cutoff is clamped there, and a
-    cutoff below 4 raises without a term past it."""
+    """The engine evaluates j = 0..stop once each, in order, and none past
+    the stopping j; a cutoff below the stop raises after j = cutoff, and a
+    cutoff below 4 without a term past it."""
     monkeypatch.setattr(potentials, "MATSUBARA_TOL", 1e-3)
     seen = []
 
@@ -654,12 +800,14 @@ def test_matsubara_engine_never_evaluates_past_cutoff(monkeypatch):
         return 1.0 / (1.0 + np.asarray(j, dtype=float)) ** 2
 
     stop = _assert_engine_matches_oracle(term, cutoff=5000, tol=1e-3)
-    assert 512 < stop < 1024  # inside the block j = 513..1024
+    assert 512 < stop < 1024
+    seen.clear()
+    _engine_sum(term, 5000)
+    assert seen == list(range(stop + 1))
     seen.clear()
     with pytest.raises(ps.ConvergenceFailure):
         _engine_sum(term, stop - 1)
-    assert max(seen) == stop - 1
-    assert sorted(seen) == list(range(stop))
+    assert seen == list(range(stop))
     seen.clear()
     with pytest.raises(ps.ConvergenceFailure):
         _engine_sum(term, 3)
@@ -677,50 +825,25 @@ def _blocks_of(term):
     return counted, blocks
 
 
-def _doubling_blocks(stop):
-    """The engine's schedule at cutoff 20000, up to the block that holds
-    j = stop: j = 0..4, 5..8, 9..16, and so on, each block as long as the
-    count so far, at most _MAX_BLOCK long and none past the cutoff."""
-    blocks, hi = [list(range(5))], 4
-    while hi < stop:
-        lo, hi = hi + 1, min(hi + min(hi, potentials._MAX_BLOCK), 20000)
-        blocks.append(list(range(lo, hi + 1)))
-    return blocks
+def _one_j_blocks(stop):
+    """The engine's schedule without a tail, up to j = stop: the opening
+    block j = 0..4, then one j per pass."""
+    return [list(range(5))] + [[j] for j in range(5, stop + 1)]
 
 
 @pytest.mark.parametrize("T", [0.35, 1.07, 3.0, 30.0])
 def test_matsubara_blocks_end_near_the_stopping_j(rb_atom, material_broad,
                                                   T):
-    """On Rb 27S1/2 the engine is handed exactly the shared schedule of
-    blocks of j (j = 0..4, 5..8, 9..16, and so on, capped at _MAX_BLOCK
-    terms), up to the block that holds the oracle's stopping j, and gives
-    the oracle's value.  Each j is evaluated once, in order, and at most
-    stop + min(stop, _MAX_BLOCK) of them: the last block ends at j = 8192
-    for a stop at j = 5167 at 1.07 K, and at j = 16 384 for a stop at
-    j = 15 796 at 0.35 K, where blocks are _MAX_BLOCK long."""
+    """On Rb 27S1/2 the engine without a tail is handed the opening block
+    j = 0..4, then one j per pass, ending at the oracle's stopping j
+    (j = 5167 at 1.07 K, 15 796 at 0.35 K), and gives the oracle's value:
+    each j is evaluated once, in order, and none past the stop."""
     term = _mats_term(rb_atom, "27S1/2", material_broad,
                       ps.Environment(z=Z, T=T))
     want, stop = _oracle_and_stop(term, 20000)
     counted, blocks = _blocks_of(term)
     assert _engine_sum(counted, 20000) == want
-    assert blocks == _doubling_blocks(stop)
-    seen = [j for b in blocks for j in b]
-    assert seen == list(range(len(seen)))
-    assert stop < len(seen) <= stop + min(stop, potentials._MAX_BLOCK)
-
-
-def test_matsubara_blocks_never_outnumber_doubling(rb_atom, material_broad):
-    """At 20 temperatures from 50 to 600 K, on both levels of the Rb
-    transition, the engine equals the oracle on the doubling schedule's
-    blocks of j, ending with the block that holds the stop."""
-    for T in np.linspace(50.0, 600.0, 20):
-        for n in ("27S1/2", "26S1/2"):
-            term = _mats_term(rb_atom, n, material_broad,
-                              ps.Environment(z=Z, T=float(T)))
-            want, stop = _oracle_and_stop(term, 20000)
-            counted, blocks = _blocks_of(term)
-            assert _engine_sum(counted, 20000) == want
-            assert blocks == _doubling_blocks(stop)
+    assert blocks == _one_j_blocks(stop)
 
 
 def _power_then_slower(j, kink=600.0, p=2.0):
@@ -743,13 +866,12 @@ NON_POWER_LAWS = {
 def test_matsubara_engine_exact_on_non_power_laws(name):
     """Where the terms do not fall as one power law, the engine still gives
     the oracle's value and stopping j bit for bit, evaluates each j once,
-    and never runs past cutoff."""
+    and none past the stopping j or the cutoff."""
     counted, blocks = _blocks_of(NON_POWER_LAWS[name])
     stop = _assert_engine_matches_oracle(counted)
     blocks.clear()
     _engine_sum(counted, 20000)
-    seen = [j for b in blocks for j in b]
-    assert seen == list(range(len(seen))) and stop < len(seen) <= 20001
+    assert blocks == _one_j_blocks(stop)
     blocks.clear()
     with pytest.raises(ps.ConvergenceFailure):
         _engine_sum(counted, stop - 1)
@@ -760,12 +882,11 @@ def test_matsubara_engine_stops_at_cutoff_under_a_wrong_prediction():
     """A tail that turns to j^-1.2 after a j^-4 start, where the terms
     before the turn point to an early stop, does not converge by the
     default cutoff: the engine raises, having evaluated every j up to the
-    cutoff once and none past it, its last block clamped at the cutoff."""
+    cutoff once and none past it."""
     counted, blocks = _blocks_of(partial(_power_then_slower, p=1.2))
     with pytest.raises(ps.ConvergenceFailure):
         _engine_sum(counted, 20000)
-    assert [j for b in blocks for j in b] == list(range(20001))
-    assert blocks == _doubling_blocks(20000)
+    assert blocks == _one_j_blocks(20000)
 
 
 def test_matsubara_engine_lockstep_keeps_each_rows_solo_run():

@@ -4,9 +4,11 @@
 Each run calls ``polshift.cli.main`` in-process, writes its output into a
 temporary directory, and prints one line: the run's name, its exit code,
 the sha256 of the output file (empty when none was written) and the sha256
-of what it wrote to stderr.  Four runs read inputs that the tool writes
+of what it wrote to stderr.  Seven runs read inputs that the tool writes
 into the same directory: a lossless pair (a point and a scan), four
-oscillators, and an atom whose alpha(i xi) changes sign (a scan).  Two
+oscillators, an atom whose alpha(i xi) changes sign (a scan), an atom
+just above a surface mode (a point and a scan), and a nearly critically
+damped oscillator (a scan).  Two
 checkouts whose listings are identical produce byte-identical CLI output on
 these runs, so diffing the listings of a parent and a change checks that a
 refactor left the output unchanged.
@@ -20,6 +22,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -176,6 +179,47 @@ QUARTET = {
 }
 
 
+#: one oscillator with omega_P = omega_T = 1e13 rad/s, whose surface mode
+#: sits at sqrt(1.5) 1e13 rad/s with a width of 1e9 rad/s
+NEAR_MODE_MATERIAL = {
+    "schema_version": 1,
+    "name": "one sharp surface mode",
+    "oscillators": [
+        {"omega_P": 1e13, "omega_T": 1e13, "gamma": 1e9, "unit": "rad/s"},
+    ],
+}
+
+#: a two-level atom 1e-6 above NEAR_MODE_MATERIAL's surface mode: a root
+#: of its Matsubara summand's E lies next to +-i omega_eg, and the closed
+#: form sums the two as a pair
+NEAR_MODE_ATOM = {
+    "schema_version": 1,
+    "name": "near the surface mode",
+    "states": [
+        {"label": "g", "energy": 0.0, "unit": "rad/s"},
+        {"label": "e", "energy": math.sqrt(1.5) * 1e13 * (1.0 + 1e-6),
+         "unit": "rad/s"},
+    ],
+    "dipoles": [
+        {"from": "g", "to": "e", "magnitude": 1e-29, "unit": "C*m"},
+    ],
+}
+
+#: two oscillators, the first damped 1e-8 above the gamma (5.18e13 rad/s,
+#: found at 40 digits) at which E has a double root at xi = -2.46e13
+#: rad/s, so two roots of E lie 2.9e-4 apart and form a pair; the second
+#: gives the mode finder its one surface mode
+NEAR_CRITICAL = {
+    "schema_version": 1,
+    "name": "nearly critically damped",
+    "oscillators": [
+        {"omega_P": 4e13, "omega_T": 1e13, "gamma": 51825063262563.95,
+         "unit": "rad/s"},
+        {"omega_P": 5e13, "omega_T": 5e13, "gamma": 5e11, "unit": "rad/s"},
+    ],
+}
+
+
 def _write(workdir, name, doc):
     path = os.path.join(workdir, name + ".json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -185,19 +229,26 @@ def _write(workdir, name, doc):
 
 def runs(workdir):
     """RUNS, then a point and a scan on LOSSLESS (both exit 3 with
-    NoModeFound before any pair is evaluated), the modes of QUARTET and a
-    scan of FLIPPING, the inputs written into workdir."""
+    NoModeFound before any pair is evaluated), the modes of QUARTET, a
+    scan of FLIPPING, a point and a scan of NEAR_MODE_ATOM on
+    NEAR_MODE_MATERIAL and a scan on NEAR_CRITICAL, the inputs written
+    into workdir."""
     lossless = _write(workdir, "lossless", LOSSLESS)
+    near_critical = _write(workdir, "near_critical", NEAR_CRITICAL)
+    near_mode = ["--material",
+                 _write(workdir, "near_mode_material", NEAR_MODE_MATERIAL),
+                 "--atom", _write(workdir, "near_mode_atom", NEAR_MODE_ATOM),
+                 "--upper", "e", "--lower", "g", "--z", "1e-6"]
 
-    def on_lossless(argv):
-        argv[argv.index("--material") + 1] = lossless
+    def on(material, argv):
+        argv[argv.index("--material") + 1] = material
         return argv
 
     return RUNS + (
         ("point lossless material",
-         on_lossless(_shift("point", "--z", "1e-6", "--T", "500")), {}),
+         on(lossless, _shift("point", "--z", "1e-6", "--T", "500")), {}),
         ("scan lossless material",
-         on_lossless(_shift("scan", "--z", "1e-6", "--T", "500")), {}),
+         on(lossless, _shift("scan", "--z", "1e-6", "--T", "500")), {}),
         ("modes four oscillators",
          ["modes", "--material", _write(workdir, "quartet", QUARTET)], {}),
         # at 10.128372692288949 K alpha vanishes at xi_6, so t_6 = 0 there,
@@ -209,6 +260,17 @@ def runs(workdir):
           "--upper", "m", "--lower", "l", "--z", "1e-7,1e-6",
           "--T", "0.35,0.5,2,10.1305,10.128372692288949,30,300",
           "--format", "json"], {}),
+        # the surface mode's pole and the atom's are summed as a pair; one
+        # mode, so the resonant line is skipped, and at 0.35 K the
+        # two-level sum needs more terms than the default cutoff
+        ("point near a surface mode", ["point", *near_mode, "--T", "3"], {}),
+        ("scan near a surface mode",
+         ["scan", *near_mode, "--T", "0.35,3,30,300", "--format", "csv"],
+         {}),
+        # Rb 27S1/2 on a pair of nearly coincident roots of E
+        ("scan near critical damping",
+         on(near_critical, _shift("scan", "--z", "1e-6", "--T",
+                                  "0.35,3,30,300", "--format", "csv")), {}),
     )
 
 
