@@ -298,9 +298,20 @@ def _cutoff_failure(cutoff):
 #: 1.4e-14, within it
 _POLE_SEP = 0.1
 
+#: two poles of one share closer than this, relative to the larger, that
+#: _nearest_pairs cannot pair (one of them is paired with a third, or a
+#: real root lies between a conjugate pair) raise ConvergenceFailure.
+#: Left simple, they cost the line up to about 2u/d^2 at a relative gap d
+#: (measured for an atom line between two surface modes: 2.3e-13 at
+#: d = 1.8e-2, 1.8e-11 at 1.8e-3 and 6.8e-9 at 1.7e-4), which at d = 1e-3
+#: is 2.2e-10, below MATSUBARA_TOL
+_POLE_CLASH = 1e-3
+
 #: the largest |m| / size of each moment of the pole table that counts as
 #: zero (_pole_table): about a thousand roundings of its coefficients,
-#: where the fixtures' tables reach 2e-16
+#: where the fixtures' tables reach 2e-16; a residue left simple at a
+#: relative gap d < _POLE_SEP to a near pole counts _POLE_SEP/d times its
+#: size, as it carries that many more roundings
 _MOMENT_TOL = 1e-13
 
 #: B_2n / (2n) for n = 1..8, the coefficients of psi's asymptotic series
@@ -383,6 +394,45 @@ def _quotient(p, z):
     return np.array(q, dtype=complex)
 
 
+def _nearest_pairs(gaps, size, mirror):
+    """The pairs (i, j), i < j, of near poles in one transition's share of
+    the summand, which _pole_table sums together.  The share's poles are
+    the roots of E and then +-i w_k; gaps[i, j] is the distance from root
+    i to pole j, size[i, j] the larger magnitude of the two, and mirror[j]
+    the index of pole j's conjugate.
+
+    Poles within _POLE_SEP of each other, relative to the larger, are
+    matched nearest first, each to one partner, and each pair with its
+    conjugate pair, so that the table stays real; a pair whose conjugate
+    shares one pole with it, but not both, is not matched.  A pole left
+    without a partner keeps its simple residue, which at a relative gap d
+    to its nearest pole loses about u/d^2 of the line (u = 2^-53).
+    Returns (pairs, loose), loose holding (d, i, j) for each near pair
+    left unmatched; one within _POLE_CLASH raises ConvergenceFailure.
+    """
+    i, j = np.nonzero(np.triu(gaps <= _POLE_SEP * size, 1))
+    free = np.ones(gaps.shape[1], dtype=bool)
+    pairs, loose = set(), []
+    for rel, a, b in sorted(zip((gaps[i, j] / size[i, j]).tolist(),
+                                i.tolist(), j.tolist())):
+        if (a, b) in pairs:  # the conjugate of a pair already taken
+            continue
+        mirrored = tuple(sorted((int(mirror[a]), int(mirror[b]))))
+        ends = list({a, b, *mirrored})
+        if free[ends].all() and len(ends) != 3:
+            free[ends] = False
+            pairs.update(((a, b), mirrored))
+        elif rel <= _POLE_CLASH:
+            raise ConvergenceFailure(
+                f"two poles of the Matsubara summand lie within "
+                f"_POLE_CLASH={_POLE_CLASH:g} of each other but cannot "
+                f"be paired; the closed form sums near poles in pairs "
+                f"only")
+        else:
+            loose.append((rel, a, b))
+    return sorted(pairs), loose
+
+
 class _PoleTable(NamedTuple):
     """The nonretarded Matsubara summand of one level on one material as
     partial fractions in x = xi/unit:
@@ -424,8 +474,9 @@ def _pole_table(terms):
 
     A pole of h_k whose partner, another pole of h_k, lies within _POLE_SEP
     of it (relative to the larger) would have a residue that cancels
-    against the partner's.  Such a pair s, t (t = +-i w_k where the pair
-    holds one) is summed as
+    against the partner's.  Such a pair s, t, each pole paired with its
+    nearest (_nearest_pairs) and t = +-i w_k where the pair holds one, is
+    summed as
 
         sigma/(x - s) + tau/((x - s)(x - t)),  sigma = F[s, t], tau = F(t),
 
@@ -437,9 +488,11 @@ def _pole_table(terms):
 
     h falls as x^-4, so the moments m_0 = sum R_p + sum sigma and
     m_1 = sum R_p p + sum (sigma s + tau) vanish; each is checked against
-    _MOMENT_TOL of the sum of the magnitudes of its terms.  A pole with two
-    partners in one share, or a moment that fails the check (a non-finite
-    coefficient does, as when |omega_kn|/unit underflows to 0), raises
+    _MOMENT_TOL of the sum of the magnitudes of its terms, each simple
+    residue within _POLE_SEP of a pole it is not paired with weighted as
+    _MOMENT_TOL says.  Two poles within _POLE_CLASH of each other that
+    cannot both be paired, or a moment that fails the check (a non-finite
+    coefficient does, as when |omega_kn|/unit underflows to 0), raise
     ConvergenceFailure naming the cause.  Every quantity is a ratio of
     frequencies or scales as c_k does, so scaling all frequencies by 2^k
     leaves the poles, s and t as they are bit for bit and scales residues,
@@ -457,33 +510,35 @@ def _pole_table(terms):
     r, n = roots.size, wk.size
     gaps = np.abs(roots[:, None] - poles)
     np.fill_diagonal(gaps, np.inf)  # a root and itself
-    near = gaps <= _POLE_SEP * np.maximum(np.abs(roots[:, None]),
-                                          np.abs(poles))
+    size = np.maximum(np.abs(roots[:, None]), np.abs(poles))
+    near = gaps <= _POLE_SEP * size
     # share[i, k]: transition k's share of the residue at root i, not
     # finite where the root sits on i w_k (and pairs with it)
     with np.errstate(all="ignore"):
         share = c / (roots[:, None] * roots[:, None] + wk * wk)
     keep, pairs = np.ones(poles.size, dtype=bool), []
+    weight = 1.0  # each residue's in the moment check (_MOMENT_TOL)
     if near.any():
-        # partners[i, k]: those of root i in transition k's share of h,
-        # which holds the roots and +-i w_k; atom_partners: those of each
-        # of +-i w_k
-        partners = near[:, :r].sum(axis=1)[:, None] + near[:, r:r + n] \
-            + near[:, r + n:]
-        atom_partners = near[:, r:].sum(axis=0)
-        if (partners > 1).any() or (atom_partners > 1).any():
-            raise ConvergenceFailure(
-                f"a pole of the Matsubara summand has two others within "
-                f"_POLE_SEP={_POLE_SEP:g} of it; the closed form sums near "
-                f"poles in pairs only")
-        paired = partners > 0
-        share[paired] = 0.0
-        keep = ~np.concatenate((paired.all(axis=1), atom_partners > 0))
-        for k in np.flatnonzero(paired.any(axis=0)).tolist():
-            own = np.append(roots, (iw[k], -iw[k]))
+        weight = np.ones(poles.size)
+        # paired[i, k]: root i is paired in transition k's share of h,
+        # which holds the roots and +-i w_k; atom_paired: each of +-i w_k
+        paired = np.zeros((r, n), dtype=bool)
+        atom_paired = np.zeros(2 * n, dtype=bool)
+        # the conjugate of each of the share's poles, by index; a real
+        # root is its own, also where E has it twice
+        mirror = np.append(np.where(
+            roots.imag == 0.0, np.arange(r),
+            np.abs(roots[:, None] - roots.conj()).argmin(axis=1)), (r + 1, r))
+        for k in np.flatnonzero(near[:, r:r + n].any(axis=0)
+                                | near[:, r + n:].any(axis=0)
+                                | near[:, :r].any()).tolist():
+            cols = np.r_[:r, r + k, r + n + k]
+            own = poles[cols]
             den = np.polymul([1.0, 0.0, wk[k] * wk[k]], e)
-            for i, j in zip(*np.nonzero(np.triu(
-                    near[:, np.r_[:r, r + k, r + n + k]], 1))):
+            matched, loose = _nearest_pairs(gaps[:, cols], size[:, cols],
+                                            mirror)
+            taken = np.zeros(r + 2, dtype=bool)
+            for i, j in matched:
                 s, t = own[i], own[j]
                 num, d = c[k] * a, _quotient(_quotient(den, s), t)
                 f_t = np.polyval(num, t) / np.polyval(d, t)
@@ -491,6 +546,14 @@ def _pole_table(terms):
                          - f_t * np.polyval(_quotient(d, t), s)) \
                     / np.polyval(d, s)
                 pairs.append((s, t, sigma, f_t))
+                taken[[i, j]] = True
+            for rel, i, j in loose:
+                for at in cols[[i, j]][~taken[[i, j]]]:
+                    weight[at] = max(weight[at], _POLE_SEP / rel)
+            paired[:, k], atom_paired[[k, n + k]] = taken[:r], taken[r:]
+        share[paired] = 0.0
+        keep = ~np.concatenate((paired.all(axis=1), atom_paired))
+        weight = weight[keep]
     # A, E and E' at the roots and at +i w_k, in one Horner pass
     coeffs = np.stack((a, e, np.append(0.0, e[:-1] * np.arange(
         e.size - 1, 0, -1))))
@@ -504,9 +567,10 @@ def _pole_table(terms):
     poles = poles[keep]
     residues = np.concatenate((at_roots, at_atom, at_atom.conjugate()))[keep]
     s, t, sigma, tau = np.array(pairs, dtype=complex).reshape(-1, 4).T
-    for moment in (np.concatenate((residues, sigma)),
-                   np.concatenate((residues * poles, sigma * s, tau))):
-        if not abs(moment.sum()) <= _MOMENT_TOL * np.abs(moment).sum():
+    for simple, joint in ((residues, sigma),
+                          (residues * poles, np.append(sigma * s, tau))):
+        size = (np.abs(simple) * weight).sum() + np.abs(joint).sum()
+        if not abs(simple.sum() + joint.sum()) <= _MOMENT_TOL * size:
             raise ConvergenceFailure(
                 f"the moments of the Matsubara summand's pole table do "
                 f"not vanish to _MOMENT_TOL={_MOMENT_TOL:g} of their size, "

@@ -24,21 +24,29 @@ MATSUBARA_TOL = 1e-9
 
 
 def matsubara_sum_reference(term, cutoff, tol=MATSUBARA_TOL):
-    """Primed sum over j of the scalar term(j), one term at a time.
+    """(sum, stopping j) of the primed sum over j of term, a map of an
+    integer array of j to its terms, by the term-by-term stop rule.
 
     term(0) enters at half weight; the sum stops at the first j >= 4 with
     |t_j| * j <= tol * max(max_{i <= j} |S_i|, 1e-300), S_i the partial
     sums, and raises ConvergenceFailure if no j <= cutoff meets the rule.
+    The terms come in blocks j = 0..4, 5..14, 15..34, ..., each about
+    twice the last, and np.add.accumulate adds each block in order from
+    the carried total, so the sum is that of a loop over one term at a
+    time, bit for bit, in few calls of term.
     """
-    t0 = 0.5 * term(0)
-    total = t0
-    scale = abs(t0)
-    for j in range(1, cutoff + 1):
-        tj = term(j)
-        total += tj
-        scale = max(scale, abs(total))
-        if j >= 4 and abs(tj) * j <= tol * max(scale, 1e-300):
-            return total
+    total, scale, lo = 0.0, 1e-300, 0
+    while lo <= cutoff:
+        j = np.arange(lo, min(2 * lo + 5, cutoff + 1))
+        t = np.array(term(j), dtype=float)
+        if lo == 0:
+            t[0] *= 0.5
+        partial = np.add.accumulate(np.append(total, t))[1:]
+        running = np.maximum(np.maximum.accumulate(np.abs(partial)), scale)
+        hit = (np.abs(t) * j <= tol * running) & (j >= 4)
+        if hit.any():
+            return float(partial[hit.argmax()]), int(j[hit.argmax()])
+        total, scale, lo = partial[-1], running[-1], lo + j.size
     raise ps.ConvergenceFailure(
         f"Matsubara tail estimate exceeds convergence_tol={tol:g} "
         f"at cutoff={cutoff}")
@@ -218,26 +226,34 @@ def matsubara_tail_size(atom, n, m, head=5, dps=20, sep=0.0):
     of nr_matsubara, J), the terms being those whose sum is the exact tail
     sum_{j >= head} of the line over the per-transition poles and residues
     of _matsubara_partial_fractions, the scale of that sum's rounding in
-    float64.  A simple pole gives |R_p psi(head - p/x_1)| / x_1.  Two
-    poles s, t of one transition within sep of each other, relative to
-    the larger, give the terms of the pair sigma/(x - s) +
-    tau/((x - s)(x - t)), sigma = R_s + R_t and tau = R_t (t - s):
-    |sigma psi(head - s/x_1)| / x_1 and
+    float64.  A simple pole gives |R_p psi(head - p/x_1)| / x_1.  Poles
+    of one transition within sep of each other, relative to the larger,
+    are paired nearest first, each with one partner; a pair s, t gives the
+    terms of sigma/(x - s) + tau/((x - s)(x - t)), sigma = R_s + R_t and
+    tau = R_t (t - s): |sigma psi(head - s/x_1)| / x_1 and
     |tau psi[head - s/x_1, head - t/x_1]| / x_1^2, with the divided
-    difference psi[a, b] = (psi(b) - psi(a))/(b - a)."""
+    difference psi[a, b] = (psi(b) - psi(a))/(b - a).  A pole left simple
+    at a relative gap d < sep to its nearest counts sep/d times, since its
+    residue carries that many more roundings (as in the library's moment
+    check)."""
     w, parts = _matsubara_partial_fractions(atom, n, m, dps)
-    entries = []  # (s, coefficient, t), t None for a simple pole
+    entries = []  # (s, coefficient, t, weight), t None for a simple pole
     for poles, residues, _ in parts:
-        left = list(zip(poles, residues))
-        while left:
-            s, r_s = left.pop(0)
-            near = [i for i, (t, _) in enumerate(left)
-                    if abs(s - t) <= sep * max(abs(s), abs(t))]
-            if near:
-                t, r_t = left.pop(near[0])
-                entries += [(s, r_s + r_t, None), (s, r_t * (t - s), t)]
-            else:
-                entries.append((s, r_s, None))
+        rel = {(i, j): abs(p - q) / max(abs(p), abs(q))
+               for i, p in enumerate(poles) for j, q in enumerate(poles)
+               if i != j}
+        partner = {}
+        for g, i, j in sorted((g, i, j) for (i, j), g in rel.items()):
+            if g <= sep and i not in partner and j not in partner:
+                partner[i], partner[j] = j, i
+        for i, (s, r_s) in enumerate(zip(poles, residues)):
+            j = partner.get(i)
+            if j is None:
+                gap = min(g for (a, _), g in rel.items() if a == i)
+                entries.append((s, r_s, None, max(1, sep / gap)))
+            elif i < j:
+                t, r_t = poles[j], residues[j]
+                entries += [(s, r_s + r_t, None, 1), (s, r_t * (t - s), t, 1)]
 
     def size(z, T):
         with mpmath.workdps(dps):
@@ -249,8 +265,8 @@ def matsubara_tail_size(atom, n, m, head=5, dps=20, sep=0.0):
                     return mpmath.digamma(a)
                 b = head - t / x1
                 return (mpmath.digamma(b) - mpmath.digamma(a)) / (b - a) / x1
-            total = mpmath.fsum(abs(r * psi(s, t))
-                                for s, r, t in entries) / x1
+            total = mpmath.fsum(abs(r * psi(s, t)) * weight
+                                for s, r, t, weight in entries) / x1
             pref = (mpmath.mpf(MU0) * KB * T * 2 / (3 * mpmath.mpf(HBAR))
                     * mpmath.mpf(C) ** 2 / (8 * mpmath.pi * mpmath.mpf(z) ** 3)
                     / w ** 2)

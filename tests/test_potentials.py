@@ -226,16 +226,6 @@ def _mats_term(atom, n, m, env, green_mode="nonretarded"):
     return term
 
 
-def _oracle_and_stop(term, cutoff, tol=MATSUBARA_TOL):
-    """(value, stopping j) of the term-by-term oracle on the same summand."""
-    seen = []
-
-    def one(j):
-        seen.append(j)
-        return term(np.array([j]))[0]
-    return matsubara_sum_reference(one, cutoff, tol), seen[-1]
-
-
 def _rows_term(*terms):
     """The engine's term(rows, j) over the one-row summands terms, each a
     map of a 1-D array of j to its terms: the block j goes to the summand
@@ -257,7 +247,7 @@ def _engine_sum(term, cutoff=20000):
 
 def _assert_engine_matches_oracle(term, cutoff=20000, tol=MATSUBARA_TOL):
     """The engine, at its MATSUBARA_TOL, against the oracle at tol."""
-    want, stop = _oracle_and_stop(term, cutoff, tol)
+    want, stop = matsubara_sum_reference(term, cutoff, tol)
     assert _engine_sum(term, cutoff) == want
     # the same stopping j: a cutoff there suffices, one below does not
     assert _engine_sum(term, stop) == want
@@ -280,7 +270,7 @@ def test_matsubara_engine_matches_oracle_toy(toy_atom, material_toy, n, T):
     if T < 10.0:
         # the two-level sums need more than the default cutoff here
         with pytest.raises(ps.ConvergenceFailure):
-            _oracle_and_stop(term, 20000)
+            matsubara_sum_reference(term, 20000)
         with pytest.raises(ps.ConvergenceFailure):
             _engine_sum(term, 20000)
     else:
@@ -320,7 +310,7 @@ def test_matsubara_line_matches_closed_form(request, rb_atom,
     got = ps.nonresonant_shift_parts(rb_atom, "27S1/2", m, env)[0]
 
     term = _mats_term(rb_atom, "27S1/2", m, env)
-    _, stop = _oracle_and_stop(term, potentials.MATSUBARA_CUTOFF)
+    _, stop = matsubara_sum_reference(term, potentials.MATSUBARA_CUTOFF)
     j = np.arange(stop + 1)
     t = term(j)
     t[0] *= 0.5
@@ -461,13 +451,16 @@ def _near_mode_atom(gap):
 _GAMMA_CRIT = 6e13
 
 #: the nonretarded lines whose summand has a pair of near poles: the atom
-#: a relative gap above the surface mode at gamma 0, 1e9 and 1e10 rad/s,
-#: and the toy atom on an oscillator damped gamma/gamma_crit - 1 from
-#: critical
+#: a relative gap above the surface mode at gamma 0, 1e9 and 1e10 rad/s;
+#: the toy atom on an oscillator damped gamma/gamma_crit - 1 from
+#: critical; and an atom line halfway between two surface modes, a root
+#: of E within 1.8 % (0.01) or 1.8e-3 (0.001) on either side, so that it
+#: pairs with the nearer and leaves the other simple
 _PAIRED_CASES = [f"near {gap:g} {gamma:g}" for gap in (1e-3, 1e-6, 1e-9,
                                                       1e-12, 0.0)
                  for gamma in (0.0, 1e9, 1e10)] \
-    + [f"critical {d:+g}" for d in (1e-4, -1e-4, 1e-8, -1e-8, 0.0)]
+    + [f"critical {d:+g}" for d in (1e-4, -1e-4, 1e-8, -1e-8, 0.0)] \
+    + ["between 0.01", "between 0.001"]
 
 
 def _paired_case(case):
@@ -483,6 +476,14 @@ def _paired_case(case):
         gap, gamma = map(float, args)
         return _near_mode_atom(gap), "g", ps.MaterialModel(
             case, (ps.Oscillator(1e13, 1e13, gamma),))
+    if kind == "between":
+        # a weak second oscillator d above the first one's surface mode
+        # puts a root of E about 1.7 d above the atom, which sits d/2
+        # above the mode, and pushes the mode's root as far below it
+        d = float(args[0])
+        return _near_mode_atom(d / 2.0), "g", ps.MaterialModel(case, (
+            ps.Oscillator(1e13, 1e13, 1e9),
+            ps.Oscillator(1e14 * d, math.sqrt(1.5) * 1e13 * (1.0 + d), 1e9)))
     gamma = _GAMMA_CRIT * (1.0 + float(args[0]))
     return two_level, "g", ps.MaterialModel(
         case, (ps.Oscillator(4e13, 1e13, gamma),))
@@ -493,7 +494,9 @@ def test_nonretarded_line_is_exact_where_poles_pair(case):
     """Where a root of E lies near +-i w_k or near another root, the table
     sums the two as a pair, and the line matches the oracle's exact sum
     (poles split by 1e-50 where they coincide, at 150 digits) to within
-    _assert_exact_line's rounding at 0.35, 3, 30 and 300 K.  The vacuum's
+    _assert_exact_line's rounding at 0.35, 3, 30 and 300 K; between two
+    surface modes, the root left simple counts as the oracle's tail size
+    says.  The vacuum's
     table is empty and its line 0.  Each case forms a pair; at gap 1e-6
     with gamma 0 or 1e9 rad/s, as on the vacuum, the table used to be
     refused, and the line was the engine's without a tail."""
@@ -512,33 +515,19 @@ def test_nonretarded_line_is_exact_where_poles_pair(case):
         _assert_exact_line(atom, n, m, T, exact, 10**8)
 
 
-def _term_by_term(atom, n, m, Ts, cutoff):
-    """The term-by-term rule (matsubara_sum_reference) on _mats_term of
-    each T of Ts: its sum, or its ConvergenceFailure.  Every term
-    j = 0..cutoff comes from one call, and np.add.accumulate adds them in
-    the loop's order, so each value is the loop's bit for bit."""
-    j = np.arange(cutoff + 1)
-    out = []
-    for T in Ts:
-        t = _mats_term(atom, n, m, ps.Environment(z=Z, T=T))(j)
-        t[0] *= 0.5
-        partial_sums = np.add.accumulate(t)
-        running = np.maximum(np.maximum.accumulate(np.abs(partial_sums)),
-                             1e-300)
-        hit = np.abs(t) * j <= MATSUBARA_TOL * running
-        hit[:4] = False
-        out.append(partial_sums[hit.argmax()] if hit.any()
-                   else potentials._cutoff_failure(cutoff))
-    return out
-
-
 def _assert_same_contract(atom, n, m, Ts, cutoff):
     """reports_at's Matsubara line and the term-by-term rule fail on the
     same T, with the same error and message, and agree to the rule's
     truncation (MATSUBARA_TOL max|S_i| / (p - 1) at p = 2, 1e-9 relative)
     elsewhere."""
     got = _matsubara_lines(atom, n, m, Ts, cutoff)
-    want = _term_by_term(atom, n, m, Ts, cutoff)
+    want = []
+    for T in Ts:
+        term = _mats_term(atom, n, m, ps.Environment(z=Z, T=T))
+        try:
+            want.append(matsubara_sum_reference(term, cutoff)[0])
+        except ps.ConvergenceFailure as exc:
+            want.append(exc)
     for T, g, s in zip(Ts, got, want):
         if isinstance(s, ps.ConvergenceFailure):
             assert type(g) is ps.ConvergenceFailure, (T, cutoff)
@@ -551,7 +540,8 @@ def _assert_same_contract(atom, n, m, Ts, cutoff):
 
 @pytest.mark.parametrize("case", [
     pytest.param(case, id="-".join(case)) for case in _LINE_CASES] + [
-    "near 1e-06 1e+09", "near 0 0", "critical -1e-08", "critical +0"])
+    "near 1e-06 1e+09", "near 0 0", "critical -1e-08", "critical +0",
+    "between 0.01"])
 def test_nonretarded_line_keeps_the_cutoff_contract(request, case):
     """The closed form raises ConvergenceFailure on exactly the inputs
     where the term-by-term stop rule does, from cutoffs below the rule's
@@ -559,8 +549,8 @@ def test_nonretarded_line_keeps_the_cutoff_contract(request, case):
     cutoff no longer suffices (about 0.28 K for Rb), and far below, where
     cutoff xi_1 lies under the summand's poles and the terms up to the
     cutoff sit on their plateau, so that |S_cutoff| is far below the exact
-    sum |S|; on the fixtures and on four tables with a pair of near
-    poles."""
+    sum |S|; on the fixtures, on four tables with a pair of near poles,
+    and on one where a third pole lies within 1.8 % of a pair."""
     if isinstance(case, str):
         a, n, m = _paired_case(case)
     else:
@@ -575,7 +565,8 @@ def test_nonretarded_line_keeps_the_cutoff_contract(request, case):
 
 @pytest.mark.parametrize("k", [-3, 1, 7])
 @pytest.mark.parametrize("case", ["near 1e-06 1e+09", "near 0 0",
-                                  "critical +0", "critical -1e-08"])
+                                  "critical +0", "critical -1e-08",
+                                  "between 0.001"])
 def test_paired_line_scales_exactly_by_powers_of_two(case, k):
     """With every frequency and T scaled by lam = 2^k and z by 1/lam, a
     table with a pair keeps its poles, pairs and s, t bit for bit, its
@@ -621,21 +612,16 @@ def test_psi_divided_difference_matches_mpmath(re, im):
             assert abs(g - complex(want)) <= 8 * _U * abs(want), (a, b)
 
 
-def test_pole_table_refuses_a_pole_with_two_partners():
-    """Two weak oscillators put roots of E at 1.0022e13 and 1.0227e13 rad/s
-    (2 % apart), and the atom's transition at 1.01e13 rad/s lies within
-    _POLE_SEP of both: a pole with two partners, which the table does not
-    sum, so the line is every T's ConvergenceFailure naming the cause."""
-    m = ps.MaterialModel("two weak oscillators", (
-        ps.Oscillator(1e12, 1e13, 1e9), ps.Oscillator(1e12, 1.02e13, 1e9)))
-    atom = ps.AtomSpec(
-        "between the modes",
-        (ps.AtomicState("g", 0.0), ps.AtomicState("e", 1.01e13)),
-        (ps.DipoleElement("g", "e", 1e-29),))
-    got = _matsubara_lines(atom, "g", m, (3.0, 300.0), 20000)
+def test_pole_table_refuses_a_near_pole_it_cannot_pair():
+    """Between two surface modes 3.5e-5 apart, the atom's transition lies
+    1.7e-5 from each root of E: it pairs with one, and the other, within
+    _POLE_CLASH of it, would cost the line about u/d^2 = 4e-7 as a simple
+    pole, so the line is every T's ConvergenceFailure naming the cause."""
+    atom, n, m = _paired_case("between 1e-05")
+    got = _matsubara_lines(atom, n, m, (3.0, 300.0), 20000)
     for line in got:
         assert type(line) is ps.ConvergenceFailure
-        assert "has two others within _POLE_SEP" in str(line)
+        assert "within _POLE_CLASH=0.001 of each other" in str(line)
 
 
 def test_pole_table_refuses_a_transition_frequency_that_underflows(
@@ -751,7 +737,7 @@ def test_full_route_runs_one_quadrature_per_term(request, monkeypatch, case,
                 ps.Environment(z=1e-8, T=400.0)),
     }[case]
     atom, m = request.getfixturevalue(atom), request.getfixturevalue(m)
-    assert _oracle_and_stop(_mats_term(atom, n, m, env, "full"),
+    assert matsubara_sum_reference(_mats_term(atom, n, m, env, "full"),
                             20000)[1] == stop
     xis = []
     quadrature = potentials.green_full_imag_axis
@@ -840,7 +826,7 @@ def test_matsubara_blocks_end_near_the_stopping_j(rb_atom, material_broad,
     each j is evaluated once, in order, and none past the stop."""
     term = _mats_term(rb_atom, "27S1/2", material_broad,
                       ps.Environment(z=Z, T=T))
-    want, stop = _oracle_and_stop(term, 20000)
+    want, stop = matsubara_sum_reference(term, 20000)
     counted, blocks = _blocks_of(term)
     assert _engine_sum(counted, 20000) == want
     assert blocks == _one_j_blocks(stop)
@@ -900,7 +886,7 @@ def test_matsubara_engine_lockstep_keeps_each_rows_solo_run():
     for name in names:
         counted, blocks = _blocks_of(NON_POWER_LAWS[name])
         value = _engine_sum(counted)
-        solo[name] = value, blocks, _oracle_and_stop(
+        solo[name] = value, blocks, matsubara_sum_reference(
             NON_POWER_LAWS[name], 20000)[1]
     counted = [_blocks_of(NON_POWER_LAWS[name]) for name in names]
     values = potentials._matsubara_sums(
@@ -950,7 +936,7 @@ def test_matsubara_engine_tail_is_the_exact_sum_past_the_head():
     head[:, 0] *= 0.5
     want = (np.add.accumulate(head, axis=1)[:, -1] + 1.0 / 6.0).tolist()
     assert potentials._matsubara_sums(term, 3, 10**10, tail=tail) == want
-    _, stop = _oracle_and_stop(lambda j: term(rows[1:2], j)[0], 20000)
+    _, stop = matsubara_sum_reference(lambda j: term(rows[1:2], j)[0], 20000)
     assert 900 < stop < 1100
     for cutoff in (3, 4, 5, stop - 1, stop, stop + 1, 20000):
         got = potentials._matsubara_sums(term, 3, cutoff, tail=tail)
@@ -1746,7 +1732,7 @@ def test_total_shift_follows_the_lam_cubed_law_at_lam_3(request, rb_atom,
 
     # the Matsubara sum's terms to its stopping j
     term = _mats_term(rb_atom, "27S1/2", m, ps.Environment(z=z, T=T))
-    total, stop = _oracle_and_stop(term, potentials.MATSUBARA_CUTOFF)
+    total, stop = matsubara_sum_reference(term, potentials.MATSUBARA_CUTOFF)
     t = np.abs(term(np.arange(stop + 1)))
     t[0] *= 0.5
     mats_err = potentials.MATSUBARA_TOL * t.sum() / abs(total) \
