@@ -6,6 +6,7 @@ omega_ab = omega_a - omega_b and are always computed, never stored.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,10 @@ class AtomSpec:
     Lookup of dipoles is orientation-agnostic: |d_ab| = |d_ba|.  The
     constructor checks labels and dipoles at once, and rejects a dipole
     with |d| > 0 between two states of equal energy, a transition at
-    omega = 0 that no shift formula admits; a level's transitions
+    omega = 0 that no shift formula admits, or between two states so close
+    that omega^2 is not a normal float (|omega| below about 1.5e-154
+    rad/s), where alpha(0) = (2/3 hbar) sum |d|^2/omega would be
+    infinite; a level's transitions
     and polarizability table are built the first time one of them is read
     (transitions_from, polarizability_iso), since a shift reads only the
     levels it joins.
@@ -87,11 +91,17 @@ class AtomSpec:
                     f"{d.to_state!r}")
             self._pairs[key] = d
             if d.magnitude > 0.0:
-                if (self._by_label[d.from_state].energy
-                        == self._by_label[d.to_state].energy):
+                omega = (self._by_label[d.to_state].energy
+                         - self._by_label[d.from_state].energy)
+                if omega == 0.0:
                     raise ValueError(
                         f"dipole between {d.from_state!r} and {d.to_state!r}"
                         ", two states of equal energy")
+                if omega * omega < sys.float_info.min:
+                    raise ValueError(
+                        f"dipole between {d.from_state!r} and {d.to_state!r}"
+                        f", whose transition frequency {abs(omega)!r} rad/s "
+                        "squares below the smallest normal float")
                 self._partners[d.from_state].append((d.to_state, d.magnitude))
                 self._partners[d.to_state].append((d.from_state, d.magnitude))
         self._levels = {}

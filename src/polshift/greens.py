@@ -7,13 +7,16 @@ w z / c << 1 is a consistency check, not a shared code path.
 
 Each k_rho integral is one pass of polshift.quadpack, the package's
 transcription of QUADPACK's DQAGSE and DQAGIE, so the full route needs
-numpy alone.  The passes of one Green call run in one lockstep; the one
+numpy alone.  The passes of one Green call run in one lockstep, also
+when the call takes several frequencies (green_full and
+green_full_imag_axis over a sequence) or several groups of them
+(_green_full_groups, the full route's one call per distance); the one
 departure from one pass per integral is how the integrand is called.  Each
-side of the light line is an integrand family that takes the nodes of
-every panel a round asks for, at every frequency of the call, and returns
-xx and zz, real and imaginary parts, at each; each node keeps the bits a
-scalar evaluation would give, so every integral has the bits of its own
-pass.
+side of the light line, and the imaginary axis, is an integrand family
+that takes the nodes of every panel a round asks for, at every frequency
+of the call, and returns xx and zz (real and imaginary parts on the real
+axis) at each; each node keeps the bits a scalar evaluation would give, so
+every integral has the bits of its own pass.
 """
 
 import math
@@ -70,14 +73,13 @@ def green_nonretarded(m, z, omega):
 def _integrate(integrals):
     """The value of each (f, key, comp, a, b, epsabs, label) of integrals,
     the quadpack.Integral of its first six fields, to QUAD_REL_TOL by the
-    package's QUADPACK passes, all in one lockstep.
+    package's QUADPACK passes, all in one lockstep; None for an integral
+    that misses the tolerance at both limits.
 
     An integral that misses the tolerance is run again, in one lockstep
-    with the others that missed it, at 8 * QUAD_LIMIT subdivisions; if any
-    misses it there too, the first of them in the order of integrals
-    raises QuadratureFailure, naming its label.  Each value, error estimate
-    and subdivision is the one scipy.integrate.quad gives the integral
-    alone.
+    with the others that missed it, at 8 * QUAD_LIMIT subdivisions.  Each
+    value, error estimate and subdivision is the one scipy.integrate.quad
+    gives the integral alone.  An empty list runs no lockstep.
 
     quadpack is imported here, on the first full-route call, so that a
     nonretarded command does not load it while it starts up.
@@ -87,6 +89,8 @@ def _integrate(integrals):
     values = [None] * len(integrals)
     todo = range(len(integrals))
     for lim in (QUAD_LIMIT, 8 * QUAD_LIMIT):
+        if not todo:
+            break
         got = quadpack.lockstep([quadpack.Integral(
             *integrals[i][:6], QUAD_REL_TOL, lim) for i in todo])
         missed = []
@@ -97,12 +101,19 @@ def _integrate(integrals):
             else:
                 missed.append(i)
         todo = missed
-        if not todo:
-            return values
-    raise QuadratureFailure(
-        f"green_full quadrature ({integrals[todo[0]][6]}) did not reach "
-        f"tolerance epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} "
-        "subdivisions")
+    return values
+
+
+def _first_failure(integrals, values):
+    """The QuadratureFailure of the first of integrals that _integrate left
+    without a value, naming its label, or None when every one has one."""
+    for spec, value in zip(integrals, values):
+        if value is None:
+            return QuadratureFailure(
+                f"green_full quadrature ({spec[6]}) did not reach "
+                f"tolerance epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} "
+                "subdivisions")
+    return None
 
 
 def _each(fn, x):
@@ -146,30 +157,55 @@ def green_full(m, z, omega, *, part=None):
     lockstep, one integrand call per side and round on the nodes of all of
     them, so each side evaluates a panel that several quadratures share
     (xx and zz, Re and Im) once.  A failure is the one the calls one omega
-    at a time would raise first.
+    at a time would raise first.  It is _green_full_groups on one group.
+    """
+    single = np.ndim(omega) == 0
+    (got,) = _green_full_groups(m, z, [([omega] if single else omega, part)])
+    if isinstance(got, PhysicsError):
+        raise got
+    return got[0] if single else got
+
+
+def _green_full_groups(m, z, groups):
+    """green_full(m, z, omegas, part=part) of each (omegas, part) of groups,
+    a sequence of real omegas and its part, in order: the list of the
+    group's tensors, or the PhysicsError its own call raises, so that one
+    group's failure leaves the others' tensors.  Within a group an earlier
+    omega's QuadratureFailure comes before a later omega's error of eps.
+    An argument green_full rejects raises its ValueError, the first in
+    group order, before any quadrature runs.
+
+    The quadratures of all the groups run in one lockstep: each side of
+    the light line is one integrand family, keyed by the index of omega
+    over all the groups, and each integral has the bits of its own pass.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
-    single = np.ndim(omega) == 0
-    omegas = [omega] if single else list(omega)
-    for w in omegas:
-        if not w > 0:
+    groups = [(list(omegas), part) for omegas, part in groups]
+    for omegas, part in groups:
+        for w in omegas:
+            if not w > 0:
+                raise ValueError(
+                    "omega must be > 0 (real) for the full quadrature")
+        if part not in (None, "real", "imag"):
             raise ValueError(
-                "omega must be > 0 (real) for the full quadrature")
-    if part not in (None, "real", "imag"):
-        raise ValueError(f"part must be None, 'real' or 'imag', not {part!r}")
-    # the calls one omega at a time would raise a PhysicsError of eps
-    # after the quadratures of the omegas before it
-    eps, failure = [], None
-    for w in omegas:
-        try:
-            eps.append(permittivity(m, w))
-        except PhysicsError as exc:
-            failure = exc
-            break
-    omegas = [float(w) for w in omegas[:len(eps)]]
+                f"part must be None, 'real' or 'imag', not {part!r}")
+    # a group's call would raise a PhysicsError of eps after the
+    # quadratures of the omegas before it; spans holds each group's
+    # (first omega, past its last, part, that error or None)
+    eps, omegas_all, spans = [], [], []
+    for omegas, part in groups:
+        first, failure = len(eps), None
+        for w in omegas:
+            try:
+                eps.append(permittivity(m, w))
+            except PhysicsError as exc:
+                failure = exc
+                break
+            omegas_all.append(float(w))
+        spans.append((first, len(eps), part, failure))
     eps = np.array(eps)
-    ws = np.array(omegas)
+    ws = np.array(omegas_all)
     k0 = ws / C
     cw2 = (C / ws) * (C / ws)
 
@@ -203,28 +239,40 @@ def green_full(m, z, omega, *, part=None):
 
     # one omega's integrals in the order its own call runs them: xx, then
     # zz, the propagating side before the evanescent one, Re before Im
-    parts = {None: (0, 1), "real": (0,), "imag": (1,)}[part]
     sides = ((prop, 0.0, math.pi / 2, "propagating"),
              (evan, 0.0, math.inf, "evanescent"))
-    integrals = []
-    for at, w in enumerate(omegas):
-        epsabs = QUAD_REL_TOL * (C**2 / (32.0 * math.pi * (w * w) * cube(z)))
-        integrals += [(f, at, comp + p, a, b, epsabs, f"{name} {side}")
-                      for comp, name in ((0, "xx"), (2, "zz"))
-                      for f, a, b, side in sides for p in parts]
-    values = iter(_integrate(integrals))
+    integrals, bounds = [], []
+    for first, past, part, _ in spans:
+        parts = {None: (0, 1), "real": (0,), "imag": (1,)}[part]
+        lo = len(integrals)
+        for at in range(first, past):
+            w = omegas_all[at]
+            epsabs = QUAD_REL_TOL * (C**2 / (32.0 * math.pi * (w * w)
+                                             * cube(z)))
+            integrals += [(f, at, comp + p, a, b, epsabs, f"{name} {side}")
+                          for comp, name in ((0, "xx"), (2, "zz"))
+                          for f, a, b, side in sides for p in parts]
+        bounds.append((lo, len(integrals)))
+    values = _integrate(integrals)
 
-    def integral():
-        re = math.nan if part == "imag" else next(values)
-        im = math.nan if part == "real" else next(values)
-        return complex(re, im)
+    out = []
+    for (first, past, part, failure), (lo, hi) in zip(spans, bounds):
+        failure = _first_failure(integrals[lo:hi], values[lo:hi]) or failure
+        if failure is not None:
+            out.append(failure)
+            continue
+        group = iter(values[lo:hi])
 
-    # each entry is its propagating integral plus its evanescent one
-    tensors = [GreenTensor3(integral() + integral(), integral() + integral())
-               for _ in omegas]
-    if failure is not None:
-        raise failure
-    return tensors[0] if single else tensors
+        def integral():
+            re = math.nan if part == "imag" else next(group)
+            im = math.nan if part == "real" else next(group)
+            return complex(re, im)
+
+        # each entry is its propagating integral plus its evanescent one
+        out.append([GreenTensor3(integral() + integral(),
+                                 integral() + integral())
+                    for _ in range(first, past)])
+    return out
 
 
 def green_full_imag_axis(m, z, xi):
@@ -234,32 +282,53 @@ def green_full_imag_axis(m, z, xi):
     + k_rho^2) the integrand is (1/8 pi)(k_rho/kappa_v) e^{-2 kappa_v z}
     [r_s diag(1,1,0) - (c/xi)^2 r_p diag(kappa_v^2, kappa_v^2, 2 k_rho^2)].
     The integrand is real, and the imaginary part of the tensor is exactly
-    0.  The xx and zz integrals run in one lockstep on shared nodes.
+    0.
+
+    xi is one real number, which gives one GreenTensor3, or a 1-D sequence
+    of them, which gives the list of their tensors, each bit for bit the
+    one its own call gives.  A xi <= 0 anywhere raises ValueError before
+    any quadrature runs.  The xx and zz integrals of every xi run in one
+    lockstep, one integrand family keyed by the index of xi, and a
+    QuadratureFailure is the one the calls one xi at a time would raise
+    first.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
-    if not xi > 0:
-        raise ValueError("xi must be > 0")
-    eps = permittivity_imag_axis(m, xi)
-    k0, cx = xi / C, C / xi
+    single = np.ndim(xi) == 0
+    xis = [xi] if single else list(xi)
+    for x in xis:
+        if not x > 0:
+            raise ValueError("xi must be > 0")
+    eps = np.array([permittivity_imag_axis(m, x) for x in xis])
+    xis = [float(x) for x in xis]
+    xs = np.array(xis)
+    k0, cx = xs / C, C / xs
     cx2 = cx * cx
-    scale = C**2 / (32.0 * math.pi * (xi * xi) * cube(z))
-    epsabs = QUAD_REL_TOL * scale
 
     # rescale to u = 2 k_rho z so the e^{-2 kappa_v z} damping has O(1) width
-    def integrand(u, _):
+    def integrand(u, at):
         k_rho = u / (2.0 * z)
-        kv = np.array([math.hypot(k, k0) for k in k_rho.tolist()])
-        kd = np.sqrt(eps * k0 * k0 + k_rho * k_rho)
+        k0_at, eps_at, cx2_at = k0[at], eps[at], cx2[at]
+        kv = np.array(list(map(math.hypot, k_rho.tolist(), k0_at.tolist())))
+        kd = np.sqrt(eps_at * k0_at * k0_at + k_rho * k_rho)
         r_s = (kv - kd) / (kv + kd)
-        e_kv = eps * kv
+        e_kv = eps_at * kv
         r_p = (e_kv - kd) / (e_kv + kd)
         common = ((k_rho / kv) * _each(math.exp, -2.0 * kv * z)
                   / (8.0 * math.pi) / (2.0 * z))
-        return (common * (r_s - cx2 * r_p * (kv * kv)),
-                -common * cx2 * r_p * 2.0 * (k_rho * k_rho))
+        return (common * (r_s - cx2_at * r_p * (kv * kv)),
+                -common * cx2_at * r_p * 2.0 * (k_rho * k_rho))
 
-    gxx, gzz = _integrate([
-        (integrand, 0, 0, 0.0, math.inf, epsabs, "xx imag-axis"),
-        (integrand, 0, 1, 0.0, math.inf, epsabs, "zz imag-axis")])
-    return GreenTensor3(complex(gxx, 0.0), complex(gzz, 0.0))
+    integrals = []
+    for at, x in enumerate(xis):
+        epsabs = QUAD_REL_TOL * (C**2 / (32.0 * math.pi * (x * x) * cube(z)))
+        integrals += [(integrand, at, comp, 0.0, math.inf, epsabs,
+                       f"{name} imag-axis")
+                      for comp, name in ((0, "xx"), (1, "zz"))]
+    values = _integrate(integrals)
+    failure = _first_failure(integrals, values)
+    if failure is not None:
+        raise failure
+    tensors = [GreenTensor3(complex(gxx, 0.0), complex(gzz, 0.0))
+               for gxx, gzz in zip(values[::2], values[1::2])]
+    return tensors[0] if single else tensors

@@ -30,7 +30,10 @@ from .atoms import polarizability_iso, transitions_from
 from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
                      NoModeFound, OffResonance, PhysicsError,
                      ZeroTemperature)
-from .greens import green_full, green_full_imag_axis, green_nonretarded
+# perfbench/tracing.py wraps green_full in this namespace; the full route
+# itself calls _green_full_groups
+from .greens import (_green_full_groups, green_full,  # noqa: F401
+                     green_full_imag_axis, green_nonretarded)
 from .material import (_imag_axis_rational, find_polariton_modes,
                        reflection_imag_axis)
 from .units import C, HBAR, KB, MU0, cube, energy_report
@@ -221,12 +224,13 @@ def _matsubara_sums(term, n, cutoff, tail=None):
 
     Without a tail the sums share one schedule of j: the opening block
     j = 0.._HEAD - 1, the earliest point at which the rule can stop, then
-    one j per pass up to cutoff, since the full route's quadrature takes
-    one xi at a time and a longer block would run quadratures past the
-    stopping j.  Each pass makes one term call on every sum still running;
-    a sum leaves when it stops.  np.add.accumulate adds each row in order
-    from its carried total, so the value and the stopping j are those of a
-    term-by-term loop, and no term past the stopping j is evaluated.
+    one j per pass up to cutoff, since a longer block would run the full
+    route's quadratures past the stopping j.  Each pass makes one term call
+    on every sum still running, which on the full route is one lockstep of
+    quadratures; a sum leaves when it stops.  np.add.accumulate adds each
+    row in order from its carried total, so the value and the stopping j
+    are those of a term-by-term loop, and no term past the stopping j is
+    evaluated.
 
     tail(rows, j), when given, is each sum's exact sum_{i >= j} t_i at each
     j >= _HEAD, laid out as term's.  The opening block is then the only
@@ -599,27 +603,31 @@ def _nonretarded_xi2_trace(m, z, xi):
 
 
 def _full_xi2_trace(m, z, xi):
-    """xi^2 Tr G(i xi) by quadrature, one xi of the array at a time; at
+    """xi^2 Tr G(i xi) by quadrature, every nonzero xi of the array in one
+    green_full_imag_axis call, whose quadratures run in one lockstep; at
     xi = 0 retardation drops out and the closed form is the exact
     electrostatic limit."""
     static = xi == 0.0
     out = np.empty(xi.shape)
     out[static] = _nonretarded_xi2_trace(m, z, xi[static])
-    out[~static] = [x * x * green_full_imag_axis(m, z, x).trace.real
-                    for x in xi[~static].tolist()]
+    moving = xi[~static]
+    out[~static] = [x * x * g.trace.real for x, g in zip(
+        moving.tolist(), green_full_imag_axis(m, z, moving))]
     return out
 
 
-def _nonretarded_green(m, z, omegas, part):
-    """green_nonretarded at each omega, in order: the closed form gives
-    both parts of G at once, so it has no use for part."""
-    return [green_nonretarded(m, z, w) for w in omegas]
-
-
-def _full_green(m, z, omegas, part):
-    """green_full(..., part=part) over the sequence of real omegas, one
-    call whose quadratures run in one lockstep."""
-    return green_full(m, z, omegas, part=part)
+def _nonretarded_green(m, z, groups):
+    """green_nonretarded at each omega of each (omegas, part) of groups:
+    the list of the group's tensors, in order, or the PhysicsError its
+    first omega to fail raised.  The closed form gives both parts of G at
+    once, so it has no use for part."""
+    out = []
+    for omegas, _ in groups:
+        try:
+            out.append([green_nonretarded(m, z, w) for w in omegas])
+        except PhysicsError as exc:
+            out.append(exc)
+    return out
 
 
 def _nonretarded_tail(terms, xi1):
@@ -661,13 +669,16 @@ def _green_route(green_mode):
     """(green, xi2_trace, tail, unit_z) of the "nonretarded" or "full"
     Green tensor.
 
-    The one place a green_mode is resolved.  green(m, z, omegas, part) is
-    the list of GreenTensor3 at a sequence of real omegas, where part
-    ("real" or "imag") is the part of G the caller reads: the full route
-    integrates that part alone, and the closed form gives both anyway; a
-    PhysicsError is the first that one call per omega would raise.
-    xi2_trace(m, z, xi) is
-    xi^2 Tr G(i xi) for an array of xi, finite at xi = 0.
+    The one place a green_mode is resolved.  green(m, z, groups) takes a
+    sequence of groups (omegas, part), each a sequence of real omegas and
+    the part of G ("real" or "imag") that the caller reads there: the full
+    route integrates that part alone, and the closed form gives both
+    anyway.  It returns, per group, the list of its GreenTensor3 or the
+    PhysicsError that one call per omega would raise first, so one
+    group's failure leaves the others' tensors; on the full route every
+    quadrature of every group runs in one lockstep (_green_full_groups).
+    xi2_trace(m, z, xi) is xi^2 Tr G(i xi) for an array of xi, finite at
+    xi = 0; on the full route its quadratures run in one lockstep.
     tail(terms, xi1) is the exact tail of the Matsubara sums of reports_at,
     one per xi_1 of the array xi1, that _matsubara_sums adds after its
     five-term head (_nonretarded_tail); the full route has none, and its
@@ -679,7 +690,7 @@ def _green_route(green_mode):
         return _nonretarded_green, _nonretarded_xi2_trace, \
             _nonretarded_tail, UNIT_Z
     if green_mode == "full":
-        return _full_green, _full_xi2_trace, None, None
+        return _green_full_groups, _full_xi2_trace, None, None
     raise ValueError(f"unknown green_mode {green_mode!r}")
 
 
@@ -725,13 +736,24 @@ def _photon_terms(atom, n, m, z, green_mode):
     """The temperature-free factors of the photon line of level n at z:
     (omega_kn, omega_kn^2, d_nk . Re G(|omega_kn|) . d_kn) for every
     transition, in transition order, or the PhysicsError a Green tensor
-    raised.  The route's green takes every |omega_kn| in one call."""
+    raised.  The route's green takes every |omega_kn| in one group."""
     green = _green_route(green_mode)[0]
     trans = transitions_from(atom, n)
-    try:
-        gs = green(m, z, [abs(w_kn) for _, w_kn, _ in trans], "real")
-    except PhysicsError as exc:
-        return exc
+    (gs,) = green(m, z, [_photon_group(trans)])
+    return _photon_from(atom, n, trans, gs)
+
+
+def _photon_group(trans):
+    """The route's green group of the photon line of the transitions
+    trans: Re G at every |omega_kn|."""
+    return [abs(w_kn) for _, w_kn, _ in trans], "real"
+
+
+def _photon_from(atom, n, trans, gs):
+    """_photon_terms' factors of level n from gs, the tensors of its
+    _photon_group, or gs itself when it is the group's PhysicsError."""
+    if isinstance(gs, PhysicsError):
+        return gs
     terms = []
     for (k_label, w_kn, _), g in zip(trans, gs):
         dip = atom.dipole(n, k_label)
@@ -791,18 +813,36 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     satisfying Omega1 ~ omega_10 + Omega2 within resonance_tol*(gamma1+gamma2).
     green_mode selects the Im G tensors (nonretarded closed form or full
     quadrature); the amplitude reads Im G alone, so the full route
-    integrates only the imaginary part, at Omega1 and Omega2 in one call.
+    integrates only the imaginary part, at Omega1 and Omega2 in one group.
     """
     green = _green_route(green_mode)[0]
     chans = _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol)
+    (tensors,) = green(m, env.z, [_pair_group(mode1, mode2)])
+    return _amplitude(atom, upper, lower, chans, mode1, mode2, tensors,
+                      green_mode, env.z)
+
+
+def _pair_group(mode1, mode2):
+    """The route's green group of the resonant amplitude on the pair
+    (mode1, mode2): Im G at Omega1 and Omega2."""
+    return (mode1.omega_center, mode2.omega_center), "imag"
+
+
+def _amplitude(atom, upper, lower, chans, mode1, mode2, tensors, green_mode,
+               z):
+    """u_eff's amplitude on the channels chans from tensors, the Green
+    tensors of its _pair_group at z; tensors that are the group's
+    PhysicsError raise it, and a Tr Im G <= 0 raises NoModeFound."""
+    if isinstance(tensors, PhysicsError):
+        raise tensors
     o1, o2 = mode1.omega_center, mode2.omega_center
     g1, g2 = mode1.linewidth, mode2.linewidth
-    t1, t2 = green(m, env.z, (o1, o2), "imag")
+    t1, t2 = tensors
     tr1, tr2 = t1.im_trace, t2.im_trace
     if tr1 <= 0.0 or tr2 <= 0.0:
         raise NoModeFound(
             f"scattered Tr Im G is {tr1:.6g} m^-1 at Omega1 and {tr2:.6g} "
-            f"m^-1 at Omega2 (green_mode={green_mode!r}, z={env.z:g} m); "
+            f"m^-1 at Omega2 (green_mode={green_mode!r}, z={z:g} m); "
             "the normalisation sqrt(gamma1 gamma2 / (TrImG1 TrImG2)) needs "
             "both to be positive")
     wxx, wzz = t1.xx.imag * t2.xx.imag, t1.zz.imag * t2.zz.imag
@@ -930,10 +970,18 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
     """The DistanceTerms of total_shift at z: the photon line's factors, the
     mode pair and its amplitude, none of which depends on T.  The arguments
     are those of total_shift; z outside Z_RANGE raises the ValueError of
-    Environment."""
+    Environment.
+
+    The mode pair and the resonance gate come first; then one call of the
+    route's green takes the photon line's group and, when the amplitude
+    reads Green tensors, the pair's, so on the full route every k_rho
+    quadrature of the distance runs in one lockstep.  Each line holds what
+    its own call, _photon_terms or u_eff, gives or raises.
+    """
     _check_distance(z)
-    photon = _photon_terms(atom, upper, m, z, green_mode)
-    pair, meta, u = None, {}, 0.0
+    green = _green_route(green_mode)[0]
+    trans = transitions_from(atom, upper)
+    pair, meta, u, chans = None, {}, 0.0, None
     try:
         if modes is None:
             modes = find_polariton_modes(m)
@@ -951,24 +999,32 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
                 "detuning": mode1.omega_center
                 - (omega_10 + mode2.omega_center),
             })
+            chans = _resonance_gate(atom, upper, lower, mode1, mode2,
+                                    resonance_tol)
             if use_closed_form:
-                chans = _resonance_gate(atom, upper, lower, mode1, mode2,
-                                        resonance_tol)
                 osc1, osc2 = attribute_modes(m, [mode1, mode2])
                 u = resonant_shift_closed_form(
                     omega_P1=osc1.omega_P, omega_P2=osc2.omega_P,
                     Omega1=mode1.omega_center, Omega2=mode2.omega_center,
                     gamma1=mode1.linewidth, channels=chans, z=z)
-            else:
-                # the amplitude reads env.z alone
-                u = u_eff(atom, upper, lower, mode1, mode2, m,
-                          Environment(z=z, T=0.0), green_mode=green_mode,
-                          resonance_tol=resonance_tol)
     except NoChannels:
         meta["resonant_skipped"] = "no channels"
         pair = None
     except PhysicsError as exc:
         u = exc
+    # the channel sum still needs the pair's Green tensors
+    amplitude = chans is not None and not use_closed_form
+    groups = [_photon_group(trans)]
+    if amplitude:
+        groups.append(_pair_group(*pair))
+    got = green(m, z, groups)
+    photon = _photon_from(atom, upper, trans, got[0])
+    if amplitude:
+        try:
+            u = _amplitude(atom, upper, lower, chans, *pair, got[1],
+                           green_mode, z)
+        except PhysicsError as exc:
+            u = exc
     return DistanceTerms(atom, upper, m, z, green_mode, photon, pair, u, meta)
 
 
@@ -983,7 +1039,10 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
     call, with one more term per T for the stop rule's test at the cutoff,
     and adds each T's exact tail; a refused table is every T's
     ConvergenceFailure.  The full route runs the engine on one schedule of
-    j, each T with the value and stopping j it has alone.
+    j, each T with the value and stopping j it has alone; the head
+    j = 1..4 of every T, and each later pass over every T still running,
+    is one green_full_imag_axis call, whose quadratures run in one
+    lockstep.
     cutoff < 1, or a T outside [0, T_MAX], raises the ValueError of
     Environment for the whole call.
     """

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +134,35 @@ def test_dipole_between_equal_energies_rejected(tmp_path):
     doc["dipoles"][1]["magnitude"] = 0.0
     atom = ps.load_atom(_write(tmp_path, doc, "zero.json"))
     assert [k for k, _, _ in ps.transitions_from(atom, "g")] == ["e"]
+
+
+#: the smallest |omega| whose square is a normal float, and the float below
+_OMEGA_NORMAL = math.sqrt(sys.float_info.min)
+_OMEGA_SUBNORMAL = math.nextafter(_OMEGA_NORMAL, 0.0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dipole_whose_frequency_squares_below_normal_rejected(sign):
+    """A dipole of |d| > 0 at a transition frequency whose square is not a
+    normal float would make alpha(0) infinite: AtomSpec raises ValueError.
+    One ulp higher the square is normal, and alpha(0) is finite."""
+    def atom(omega):
+        return ps.AtomSpec("close", (ps.AtomicState("g", 0.0),
+                                     ps.AtomicState("e", sign * omega)),
+                           (ps.DipoleElement("g", "e", 1e-29),))
+
+    assert _OMEGA_NORMAL * _OMEGA_NORMAL >= sys.float_info.min
+    assert 0.0 < _OMEGA_SUBNORMAL * _OMEGA_SUBNORMAL < sys.float_info.min
+    with pytest.raises(ValueError, match="squares below the smallest "
+                                         "normal float"):
+        atom(_OMEGA_SUBNORMAL)
+    ok = atom(_OMEGA_NORMAL)
+    for level in ("g", "e"):
+        assert math.isfinite(ps.polarizability_iso(ok, level, 0.0))
+    # a dipole of magnitude 0 there stays accepted
+    ps.AtomSpec("close", (ps.AtomicState("g", 0.0),
+                          ps.AtomicState("e", _OMEGA_SUBNORMAL)),
+                (ps.DipoleElement("g", "e", 0.0),))
 
 
 def test_duplicate_labels_rejected():

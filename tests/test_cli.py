@@ -250,6 +250,39 @@ def test_point_dipole_between_equal_energies_is_config_error(tmp_path,
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("below, code", [(True, 2), (False, 0)])
+def test_point_frequency_squaring_below_normal_is_config_error(tmp_path,
+                                                              below, code):
+    """An atom file with a dipole at a transition frequency whose square is
+    not a normal float exits 2, naming the pair, where alpha(0) would be
+    infinite and the report would read nr_matsubara = -inf; one ulp higher
+    the point runs, with a finite Matsubara line."""
+    omega = math.sqrt(sys.float_info.min)
+    if below:
+        omega = math.nextafter(omega, 0.0)
+    atom = tmp_path / "close.json"
+    atom.write_text(json.dumps({
+        "name": "close pair",
+        "states": [{"label": "g", "energy": 0.0, "unit": "rad/s"},
+                   {"label": "g2", "energy": omega, "unit": "rad/s"},
+                   {"label": "e", "energy": 2.4e14, "unit": "rad/s"}],
+        "dipoles": [
+            {"from": "g", "to": "e", "magnitude": 1e-29, "unit": "C*m"},
+            {"from": "g", "to": "g2", "magnitude": 1e-29, "unit": "C*m"}],
+    }))
+    r = run_cli("point", "--material", f"{FIX}/material_toy.json",
+                "--atom", str(atom), "--upper", "g", "--lower", "e",
+                "--z", "1e-6", "--T", "300", "--format", "json")
+    assert r.returncode == code, r.stderr
+    if below:
+        assert "error in point" in r.stderr
+        assert "squares below the smallest normal float" in r.stderr
+        assert r.stdout == ""
+    else:
+        report = json.loads(r.stdout)["report"]
+        assert math.isfinite(report["nr_matsubara"]["J"])
+
+
 def test_point_convergence_failure_via_env():
     r = run_cli(*POINT_ARGS, env={"SHIFT_MATSUBARA_CUTOFF": "3"})
     assert r.returncode == 3
@@ -497,23 +530,26 @@ def test_full_route_scan_evaluates_every_pair(monkeypatch):
 
 
 def _counting_greens(monkeypatch):
-    """Wrap potentials.green_nonretarded and green_full; return the list of
-    (route, part, omega) of every frequency a Green tensor is asked at,
-    green_full taking a sequence of them."""
+    """Wrap potentials.green_nonretarded and _green_full_groups, the full
+    route's green; return the list of (route, part, omega) of every
+    frequency a Green tensor is asked at, _green_full_groups taking a
+    sequence of (omegas, part) groups."""
     from polshift import potentials
     calls = []
-    nonretarded, full = potentials.green_nonretarded, potentials.green_full
+    nonretarded = potentials.green_nonretarded
+    full = potentials._green_full_groups
 
     def counted_nonretarded(m, z, omega):
         calls.append(("nonretarded", None, omega))
         return nonretarded(m, z, omega)
 
-    def counted_full(m, z, omega, *, part=None):
-        calls.extend(("full", part, w) for w in omega)
-        return full(m, z, omega, part=part)
+    def counted_full(m, z, groups):
+        calls.extend(("full", part, w) for omegas, part in groups
+                     for w in omegas)
+        return full(m, z, groups)
 
     monkeypatch.setattr(potentials, "green_nonretarded", counted_nonretarded)
-    monkeypatch.setattr(potentials, "green_full", counted_full)
+    monkeypatch.setattr(potentials, "_green_full_groups", counted_full)
     return calls
 
 
@@ -540,6 +576,25 @@ def test_full_route_scan_reads_each_green_tensor_once_per_z(monkeypatch):
         [("full", "real")] * 10 + [("full", "imag")] * 2
     assert len({c[2] for c in calls[:10]}) == 10
     assert len({c[2] for c in calls[10:]}) == 2
+
+
+def test_full_route_point_runs_two_locksteps(monkeypatch):
+    """A full-route point whose Matsubara sum stops at j = 4 (Rb 27S1/2 on
+    material_broad at 1 um and 500 K, inside the retarded_points pool) runs
+    two QUADPACK locksteps: one for every k_rho integral of the distance,
+    Re G at the 10 transitions and Im G at the 2 mode centres, 4 integrals
+    each, and one for the Matsubara head j = 1..4, xx and zz at each xi."""
+    from polshift import quadpack
+    lockstep, batches = quadpack.lockstep, []
+
+    def counted(batch):
+        batches.append(len(batch))
+        return lockstep(batch)
+
+    monkeypatch.setattr(quadpack, "lockstep", counted)
+    report = cli.run_point(_scan_config((1e-6,), (500.0,), green_mode="full"))
+    assert math.isfinite(report.total)
+    assert batches == [4 * (10 + 2), 2 * 4]
 
 
 def test_scan_row_reports_the_matsubara_error_before_the_resonant_one():

@@ -446,3 +446,86 @@ def test_imag_axis_full_retardation_suppression(material_toy):
     target = -(C**2 / (8.0 * math.pi * Z**3)) * rp
     ratio = xi**2 * g.trace.real / target
     assert 0.0 < ratio < 0.9
+
+
+def _matsubara_like_xis(T, count):
+    """count Matsubara frequencies j xi_1 at T, j = 1..count, as floats."""
+    xi1 = ps.matsubara_xi(T, 1)
+    return [j * xi1 for j in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow",
+                                      "material_toy", "material_ldos"])
+def test_imag_axis_over_a_sequence_is_each_xi_alone(request, material):
+    """green_full_imag_axis over a sequence of xi (a list, a tuple or an
+    array) returns the list of the tensors of one call per xi, bit for bit,
+    though all of their quadratures run in one lockstep; an empty sequence
+    gives an empty list."""
+    m = request.getfixturevalue(material)
+    xis = _matsubara_like_xis(300.0, 4) + _matsubara_like_xis(30.0, 3) \
+        + [3e15]
+    for z in (1e-8, 1e-6, 20e-6):
+        alone = [ps.green_full_imag_axis(m, z, x) for x in xis]
+        assert all(isinstance(g, ps.GreenTensor3) for g in alone)
+        for seq, want in ((xis, alone), (tuple(xis[::-1]), alone[::-1]),
+                          (np.array(xis), alone)):
+            got = ps.green_full_imag_axis(m, z, seq)
+            assert isinstance(got, list)
+            assert _bits(got) == _bits(want)
+    for empty in ([], (), np.array([])):
+        assert ps.green_full_imag_axis(m, 2e-6, empty) == []
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e13, math.nan])
+@pytest.mark.parametrize("at", [0, 2])
+def test_imag_axis_rejects_a_bad_xi_before_any_quadrature(
+        material_broad, monkeypatch, bad, at):
+    """A xi <= 0 (or NaN) anywhere in the sequence raises ValueError before
+    any quadrature runs."""
+    from polshift import quadpack
+
+    def unreachable(batch):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(quadpack, "lockstep", unreachable)
+    xis = _matsubara_like_xis(300.0, 3)
+    xis[at] = bad
+    with pytest.raises(ValueError, match="xi must be > 0"):
+        ps.green_full_imag_axis(material_broad, Z, xis)
+    with pytest.raises(ValueError, match="z must be > 0"):
+        ps.green_full_imag_axis(material_broad, -Z, xis)
+
+
+@pytest.mark.parametrize("failing, want", [
+    # the first xi's failure, though the later one fails earlier in xx, zz
+    ({(1, "zz"), (2, "xx")}, "zz imag-axis"),
+    ({(0, "xx"), (0, "zz")}, "xx imag-axis"),
+    ({(2, "zz"), (3, "xx")}, "zz imag-axis"),
+    ({(3, "xx")}, "xx imag-axis"),
+])
+def test_imag_axis_failure_is_the_first_in_call_order(material_broad,
+                                                      monkeypatch, failing,
+                                                      want):
+    """Of integrals that miss the tolerance at both limits, the one named
+    is the first that one call per xi would run: xi in order, then xx
+    before zz."""
+    from polshift import quadpack
+    lockstep = quadpack.lockstep
+    xis = _matsubara_like_xis(300.0, 4)
+    labels = [(k, comp) for k in range(len(xis)) for comp in ("xx", "zz")]
+    runs = []
+
+    def failing_some(batch):
+        # the first run holds the call's integrals in call order, and the
+        # second the ones of them that missed, all of them made to miss
+        got = lockstep(batch)
+        miss = [lab in failing for lab in labels] if not runs else \
+            [True] * len(batch)
+        runs.append(len(batch))
+        return [r._replace(abserr=math.inf) if m else r
+                for r, m in zip(got, miss)]
+
+    monkeypatch.setattr(quadpack, "lockstep", failing_some)
+    with pytest.raises(ps.QuadratureFailure, match=f"[(]{want}[)]"):
+        ps.green_full_imag_axis(material_broad, Z, xis)
+    assert runs == [len(labels), len(failing)]

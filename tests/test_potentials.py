@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import sys
 from collections import Counter
 from functools import partial
 
@@ -624,18 +625,24 @@ def test_pole_table_refuses_a_near_pole_it_cannot_pair():
         assert "within _POLE_CLASH=0.001 of each other" in str(line)
 
 
-def test_pole_table_refuses_a_transition_frequency_that_underflows(
+def test_pole_table_never_sees_a_transition_frequency_that_underflows(
         material_toy):
-    """A transition of 5e-324 rad/s gives w_k = |omega_kn|/unit = 0, whose
-    residue at +-i w_k is not finite: the moment check fails, and the line
-    is ConvergenceFailure naming it, where the atom's alpha(0) overflows."""
-    atom = ps.AtomSpec(
-        "underflowing transition",
-        (ps.AtomicState("g", 0.0), ps.AtomicState("e", 5e-324)),
-        (ps.DipoleElement("g", "e", 1e-29),))
-    (line,) = _matsubara_lines(atom, "g", material_toy, (3.0,), 20000)
-    assert type(line) is ps.ConvergenceFailure
-    assert "moments of the Matsubara summand's pole table" in str(line)
+    """A transition of 5e-324 rad/s would give w_k = |omega_kn|/unit = 0,
+    whose residue at +-i w_k is not finite, and an alpha(0) that
+    overflows: AtomSpec refuses it, as it refuses every |omega_kn| whose
+    square is not a normal float.  At the smallest |omega_kn| it accepts,
+    alpha(0) and the Matsubara line are finite at every T."""
+    def atom(omega):
+        return ps.AtomSpec(
+            "close transition",
+            (ps.AtomicState("g", 0.0), ps.AtomicState("e", omega)),
+            (ps.DipoleElement("g", "e", 1e-29),))
+
+    with pytest.raises(ValueError, match="squares below the smallest"):
+        atom(5e-324)
+    lines = _matsubara_lines(atom(math.sqrt(sys.float_info.min)), "g",
+                             material_toy, (0.35, 3.0, 300.0), 20000)
+    assert all(math.isfinite(line) for line in lines)
 
 
 @pytest.mark.parametrize("T", [1e-160, 1e-300, 5e-324])
@@ -743,13 +750,89 @@ def test_full_route_runs_one_quadrature_per_term(request, monkeypatch, case,
     quadrature = potentials.green_full_imag_axis
 
     def counted(m, z, xi):
-        xis.append(xi)
+        xis.extend(xi.tolist())
         return quadrature(m, z, xi)
 
     monkeypatch.setattr(potentials, "green_full_imag_axis", counted)
     ps.nonresonant_shift_parts(atom, n, m, env, green_mode="full")
     xi1 = ps.matsubara_xi(env.T, 1)
     assert xis == [j * xi1 for j in range(1, stop + 1)]
+
+
+def _counting_locksteps(monkeypatch):
+    """Wrap quadpack.lockstep; return the list of the number of integrals
+    of each of its calls."""
+    from polshift import quadpack
+    lockstep, batches = quadpack.lockstep, []
+
+    def counted(batch):
+        batches.append(len(batch))
+        return lockstep(batch)
+
+    monkeypatch.setattr(quadpack, "lockstep", counted)
+    return batches
+
+
+def test_full_route_runs_one_lockstep_per_matsubara_pass(rb_atom,
+                                                         material_broad,
+                                                         monkeypatch):
+    """On the full route the head j = 1..4 of every T is one QUADPACK
+    lockstep, and so is each later pass, over every T still running: the
+    xx and zz integrals of each of its xi.  At 1 um the sums of 30, 100 and
+    300 K stop at j = 34, 9 and 4, so j = 5..9 hold two rows and j = 10..34
+    one."""
+    Ts = (30.0, 100.0, 300.0)
+    stops = [matsubara_sum_reference(
+        _mats_term(rb_atom, "27S1/2", material_broad, ps.Environment(Z, T),
+                   "full"), 20000)[1] for T in Ts]
+    assert stops == [34, 9, 4]
+    terms = potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
+                                      material_broad, Z, "full")
+    batches = _counting_locksteps(monkeypatch)
+    reports = potentials.reports_at(terms, Ts)
+    assert all(isinstance(r, ps.ShiftReport) for r in reports)
+    live = [sum(stop >= j for stop in stops)
+            for j in range(5, max(stops) + 1)]
+    assert batches == [2 * 4 * len(Ts)] + [2 * n for n in live]
+    assert batches[1:6] == [4] * 5 and batches[6:] == [2] * 25
+
+
+@pytest.mark.parametrize("failing", ["pair", "photon"])
+def test_distance_terms_keeps_the_line_whose_group_holds(
+        rb_atom, material_broad, monkeypatch, failing):
+    """distance_terms takes the photon line's Re G and the pair's Im G in
+    one lockstep, yet each line holds what its own call gives: with only
+    the pair's integrals (Im G) failing, photon is _photon_terms' and
+    u_eff the QuadratureFailure that u_eff raises; with only the photon's
+    (Re G) failing, the other way round."""
+    from polshift import quadpack
+    lockstep = quadpack.lockstep
+    odd = failing == "pair"  # the components of Im G are odd
+
+    def failing_one_group(batch):
+        got = lockstep(batch)
+        return [r._replace(abserr=math.inf) if i.comp % 2 == odd else r
+                for i, r in zip(batch, got)]
+
+    args = (rb_atom, "27S1/2", "26S1/2", material_broad)
+    held = potentials.distance_terms(*args, Z, "full")
+    monkeypatch.setattr(quadpack, "lockstep", failing_one_group)
+    terms = potentials.distance_terms(*args, Z, "full")
+    photon = potentials._photon_terms(rb_atom, "27S1/2", material_broad, Z,
+                                      "full")
+    try:
+        u = ps.u_eff(*args[:3], *terms.pair, material_broad,
+                     ps.Environment(Z, 0.0), green_mode="full")
+    except ps.PhysicsError as exc:
+        u = exc
+    (failed, alone), (kept, own) = (("u_eff", u), ("photon", photon)) \
+        if odd else (("photon", photon), ("u_eff", u))
+    error = getattr(terms, failed)
+    assert isinstance(error, ps.QuadratureFailure)
+    assert isinstance(alone, ps.QuadratureFailure)
+    assert str(error) == str(alone)
+    assert getattr(terms, kept) == getattr(held, kept) == own
+    assert terms.pair == held.pair and terms.meta == held.meta
 
 
 def test_nonretarded_trace_one_reflection_call_per_term(rb_atom,
@@ -1787,26 +1870,32 @@ def test_each_line_asks_green_full_for_the_part_it_reads(rb_atom,
                                                          broad_modes,
                                                          monkeypatch):
     """On the full route the photon line integrates only Re G, at each
-    |omega_kn| in one green_full call, and u_eff only Im G, at the two mode
-    centres in one call."""
+    |omega_kn| in one group of one call of the route's green, and u_eff
+    only Im G, at the two mode centres in one group of one call;
+    distance_terms asks for both groups in one call."""
     calls = []
-    full = potentials.green_full
+    full = potentials._green_full_groups
 
-    def recorded(m, z, omega, *, part=None):
-        calls.append((part, list(omega)))
-        return full(m, z, omega, part=part)
+    def recorded(m, z, groups):
+        calls.append([(part, list(omegas)) for omegas, part in groups])
+        return full(m, z, groups)
 
-    monkeypatch.setattr(potentials, "green_full", recorded)
+    monkeypatch.setattr(potentials, "_green_full_groups", recorded)
     ps.nonresonant_shift_parts(rb_atom, "27S1/2", material_broad, ENV,
                                green_mode="full")
     omegas = [abs(w) for _, w, _ in ps.transitions_from(rb_atom, "27S1/2")]
     assert len(set(omegas)) == len(omegas) == 10
-    assert calls == [("real", omegas)]
+    assert calls == [[("real", omegas)]]
     calls.clear()
     lo, hi = broad_modes
     ps.u_eff(rb_atom, "27S1/2", "26S1/2", hi, lo, material_broad, ENV,
              green_mode="full")
-    assert calls == [("imag", [hi.omega_center, lo.omega_center])]
+    assert calls == [[("imag", [hi.omega_center, lo.omega_center])]]
+    calls.clear()
+    potentials.distance_terms(rb_atom, "27S1/2", "26S1/2", material_broad,
+                              ENV.z, "full")
+    assert calls == [[("real", omegas),
+                      ("imag", [hi.omega_center, lo.omega_center])]]
 
 
 def test_nonretarded_route_never_reaches_green_full(rb_atom, material_broad,

@@ -115,6 +115,12 @@ RUNS = (
     ("scan --green full 2 z x 3 T",
      _shift("scan", "--z", "1e-6,3e-6", "--T", "350,500,600", "--green",
             "full", "--format", "csv"), {}),
+    # low T on the full route: the sums of 3, 10 and 30 K stop at j = 433,
+    # 117 and 34, so the Matsubara passes past the head hold one to three
+    # rows, each pass one lockstep of imaginary-axis quadratures
+    ("scan --green full 1 um x 3,10,30 K",
+     _shift("scan", "--z", "1e-6", "--T", "3,10,30", "--green", "full",
+            "--format", "csv"), {}),
     # the row at 0.1 K reports the Matsubara line's ConvergenceFailure, the
     # row at 300 K the OffResonance that the T-free half holds
     ("scan 0.1,300 K res-tol 0",
