@@ -8,15 +8,14 @@ w z / c << 1 is a consistency check, not a shared code path.
 Each k_rho integral is one pass of polshift.quadpack, the package's
 transcription of QUADPACK's DQAGSE and DQAGIE, so the full route needs
 numpy alone.  The passes of one Green call run in one lockstep, also
-when the call takes several frequencies (green_full and
-green_full_imag_axis over a sequence) or several groups of them
-(_green_full_groups, the full route's one call per distance); the one
-departure from one pass per integral is how the integrand is called.  Each
-side of the light line, and the imaginary axis, is an integrand family
-that takes the nodes of every panel a round asks for, at every frequency
-of the call, and returns xx and zz (real and imaginary parts on the real
-axis) at each; each node keeps the bits a scalar evaluation would give, so
-every integral has the bits of its own pass.
+when the call takes a sequence of frequencies (green_full and
+green_full_imag_axis); the one departure from one pass per integral is how
+the integrand is called.  Each side of the light line, and the imaginary
+axis, is an integrand family that takes the nodes of every panel a round
+asks for, at every frequency of the call, and returns xx and zz (real and
+imaginary parts on the real axis) at each; each node keeps the bits a
+scalar evaluation would give, so every integral has the bits of its own
+pass.
 """
 
 import math
@@ -73,13 +72,14 @@ def green_nonretarded(m, z, omega):
 def _integrate(integrals):
     """The value of each (f, key, comp, a, b, epsabs, label) of integrals,
     the quadpack.Integral of its first six fields, to QUAD_REL_TOL by the
-    package's QUADPACK passes, all in one lockstep; None for an integral
-    that misses the tolerance at both limits.
+    package's QUADPACK passes, all in one lockstep.
 
     An integral that misses the tolerance is run again, in one lockstep
-    with the others that missed it, at 8 * QUAD_LIMIT subdivisions.  Each
-    value, error estimate and subdivision is the one scipy.integrate.quad
-    gives the integral alone.  An empty list runs no lockstep.
+    with the others that missed it, at 8 * QUAD_LIMIT subdivisions; if any
+    misses it there too, the first of them in the order of integrals
+    raises QuadratureFailure, naming its label.  Each value, error estimate
+    and subdivision is the one scipy.integrate.quad gives the integral
+    alone.  An empty list runs no lockstep.
 
     quadpack is imported here, on the first full-route call, so that a
     nonretarded command does not load it while it starts up.
@@ -90,7 +90,7 @@ def _integrate(integrals):
     todo = range(len(integrals))
     for lim in (QUAD_LIMIT, 8 * QUAD_LIMIT):
         if not todo:
-            break
+            return values
         got = quadpack.lockstep([quadpack.Integral(
             *integrals[i][:6], QUAD_REL_TOL, lim) for i in todo])
         missed = []
@@ -101,19 +101,12 @@ def _integrate(integrals):
             else:
                 missed.append(i)
         todo = missed
-    return values
-
-
-def _first_failure(integrals, values):
-    """The QuadratureFailure of the first of integrals that _integrate left
-    without a value, naming its label, or None when every one has one."""
-    for spec, value in zip(integrals, values):
-        if value is None:
-            return QuadratureFailure(
-                f"green_full quadrature ({spec[6]}) did not reach "
-                f"tolerance epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} "
-                "subdivisions")
-    return None
+    if not todo:
+        return values
+    raise QuadratureFailure(
+        f"green_full quadrature ({integrals[todo[0]][6]}) did not reach "
+        f"tolerance epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} "
+        "subdivisions")
 
 
 def _each(fn, x):
@@ -131,6 +124,11 @@ def _times(a, b):
     out.real = a.real * b.real - a.imag * b.imag
     out.imag = a.real * b.imag + a.imag * b.real
     return out
+
+
+#: the offsets of the real and imaginary quadratures that each part of
+#: green_full runs, after the xx or zz offset of an integrand's output
+_COMPONENTS = {None: (0, 1), "real": (0,), "imag": (1,)}
 
 
 def green_full(m, z, omega, *, part=None):
@@ -153,59 +151,43 @@ def green_full(m, z, omega, *, part=None):
     part="real" or "imag" runs only that part's and leaves NaN in the
     other part; part=None is both single-part integrals.  A caller that
     reads only Re G (the photon line) or only Im G (the resonant amplitude)
-    asks for that part alone.  Every quadrature of the call runs in one
+    asks for that part alone.  With a sequence of omegas, part may also be
+    a list or tuple of as many parts, one per omega, so that callers that
+    read different parts at different omegas share one call (the full
+    route's distance_terms).  Every quadrature of the call runs in one
     lockstep, one integrand call per side and round on the nodes of all of
     them, so each side evaluates a panel that several quadratures share
     (xx and zz, Re and Im) once.  A failure is the one the calls one omega
-    at a time would raise first.  It is _green_full_groups on one group.
-    """
-    single = np.ndim(omega) == 0
-    (got,) = _green_full_groups(m, z, [([omega] if single else omega, part)])
-    if isinstance(got, PhysicsError):
-        raise got
-    return got[0] if single else got
-
-
-def _green_full_groups(m, z, groups):
-    """green_full(m, z, omegas, part=part) of each (omegas, part) of groups,
-    a sequence of real omegas and its part, in order: the list of the
-    group's tensors, or the PhysicsError its own call raises, so that one
-    group's failure leaves the others' tensors.  Within a group an earlier
-    omega's QuadratureFailure comes before a later omega's error of eps.
-    An argument green_full rejects raises its ValueError, the first in
-    group order, before any quadrature runs.
-
-    The quadratures of all the groups run in one lockstep: each side of
-    the light line is one integrand family, keyed by the index of omega
-    over all the groups, and each integral has the bits of its own pass.
+    at a time would raise first.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
-    groups = [(list(omegas), part) for omegas, part in groups]
-    for omegas, part in groups:
-        for w in omegas:
-            if not w > 0:
-                raise ValueError(
-                    "omega must be > 0 (real) for the full quadrature")
-        if part not in (None, "real", "imag"):
+    single = np.ndim(omega) == 0
+    omegas = [omega] if single else list(omega)
+    for w in omegas:
+        if not w > 0:
             raise ValueError(
-                f"part must be None, 'real' or 'imag', not {part!r}")
-    # a group's call would raise a PhysicsError of eps after the
-    # quadratures of the omegas before it; spans holds each group's
-    # (first omega, past its last, part, that error or None)
-    eps, omegas_all, spans = [], [], []
-    for omegas, part in groups:
-        first, failure = len(eps), None
-        for w in omegas:
-            try:
-                eps.append(permittivity(m, w))
-            except PhysicsError as exc:
-                failure = exc
-                break
-            omegas_all.append(float(w))
-        spans.append((first, len(eps), part, failure))
+                "omega must be > 0 (real) for the full quadrature")
+    parts = list(part) if not single and isinstance(part, (list, tuple)) \
+        else [part] * len(omegas)
+    if len(parts) != len(omegas):
+        raise ValueError("part must give one part per omega")
+    for p in parts:
+        if p not in (None, "real", "imag"):
+            raise ValueError(
+                f"part must be None, 'real' or 'imag', not {p!r}")
+    # the calls one omega at a time would raise a PhysicsError of eps
+    # after the quadratures of the omegas before it
+    eps, failure = [], None
+    for w in omegas:
+        try:
+            eps.append(permittivity(m, w))
+        except PhysicsError as exc:
+            failure = exc
+            break
+    omegas = [float(w) for w in omegas[:len(eps)]]
     eps = np.array(eps)
-    ws = np.array(omegas_all)
+    ws = np.array(omegas)
     k0 = ws / C
     cw2 = (C / ws) * (C / ws)
 
@@ -241,38 +223,26 @@ def _green_full_groups(m, z, groups):
     # zz, the propagating side before the evanescent one, Re before Im
     sides = ((prop, 0.0, math.pi / 2, "propagating"),
              (evan, 0.0, math.inf, "evanescent"))
-    integrals, bounds = [], []
-    for first, past, part, _ in spans:
-        parts = {None: (0, 1), "real": (0,), "imag": (1,)}[part]
-        lo = len(integrals)
-        for at in range(first, past):
-            w = omegas_all[at]
-            epsabs = QUAD_REL_TOL * (C**2 / (32.0 * math.pi * (w * w)
-                                             * cube(z)))
-            integrals += [(f, at, comp + p, a, b, epsabs, f"{name} {side}")
-                          for comp, name in ((0, "xx"), (2, "zz"))
-                          for f, a, b, side in sides for p in parts]
-        bounds.append((lo, len(integrals)))
-    values = _integrate(integrals)
+    integrals = []
+    for at, (w, p) in enumerate(zip(omegas, parts)):
+        epsabs = QUAD_REL_TOL * (C**2 / (32.0 * math.pi * (w * w) * cube(z)))
+        integrals += [(f, at, comp + q, a, b, epsabs, f"{name} {side}")
+                      for comp, name in ((0, "xx"), (2, "zz"))
+                      for f, a, b, side in sides for q in _COMPONENTS[p]]
+    values = iter(_integrate(integrals))
 
-    out = []
-    for (first, past, part, failure), (lo, hi) in zip(spans, bounds):
-        failure = _first_failure(integrals[lo:hi], values[lo:hi]) or failure
-        if failure is not None:
-            out.append(failure)
-            continue
-        group = iter(values[lo:hi])
+    def integral(p):
+        re = math.nan if p == "imag" else next(values)
+        im = math.nan if p == "real" else next(values)
+        return complex(re, im)
 
-        def integral():
-            re = math.nan if part == "imag" else next(group)
-            im = math.nan if part == "real" else next(group)
-            return complex(re, im)
-
-        # each entry is its propagating integral plus its evanescent one
-        out.append([GreenTensor3(integral() + integral(),
-                                 integral() + integral())
-                    for _ in range(first, past)])
-    return out
+    # each entry is its propagating integral plus its evanescent one
+    tensors = [GreenTensor3(integral(p) + integral(p),
+                            integral(p) + integral(p))
+               for p in parts[:len(omegas)]]
+    if failure is not None:
+        raise failure
+    return tensors[0] if single else tensors
 
 
 def green_full_imag_axis(m, z, xi):
@@ -326,9 +296,6 @@ def green_full_imag_axis(m, z, xi):
                        f"{name} imag-axis")
                       for comp, name in ((0, "xx"), (1, "zz"))]
     values = _integrate(integrals)
-    failure = _first_failure(integrals, values)
-    if failure is not None:
-        raise failure
     tensors = [GreenTensor3(complex(gxx, 0.0), complex(gzz, 0.0))
                for gxx, gzz in zip(values[::2], values[1::2])]
     return tensors[0] if single else tensors

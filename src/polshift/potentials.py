@@ -30,10 +30,7 @@ from .atoms import polarizability_iso, transitions_from
 from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
                      NoModeFound, OffResonance, PhysicsError,
                      ZeroTemperature)
-# perfbench/tracing.py wraps green_full in this namespace; the full route
-# itself calls _green_full_groups
-from .greens import (_green_full_groups, green_full,  # noqa: F401
-                     green_full_imag_axis, green_nonretarded)
+from .greens import green_full, green_full_imag_axis, green_nonretarded
 from .material import (_imag_axis_rational, find_polariton_modes,
                        reflection_imag_axis)
 from .units import C, HBAR, KB, MU0, cube, energy_report
@@ -630,6 +627,24 @@ def _nonretarded_green(m, z, groups):
     return out
 
 
+def _full_green(m, z, groups):
+    """green_full at each omega of each (omegas, part) of groups, all in
+    one call whose quadratures run in one lockstep: per group, the list of
+    its tensors, or the PhysicsError that its own green_full call raises.
+    When the one call raises, each group of several runs again in a call
+    of its own, so that one group's failure leaves the others' tensors;
+    each integral keeps its bits in either call."""
+    omegas = [w for ws, _ in groups for w in ws]
+    parts = [part for ws, part in groups for _ in ws]
+    try:
+        tensors = iter(green_full(m, z, omegas, part=parts))
+    except PhysicsError as exc:
+        if len(groups) == 1:
+            return [exc]
+        return [_full_green(m, z, [group])[0] for group in groups]
+    return [[next(tensors) for _ in ws] for ws, _ in groups]
+
+
 def _nonretarded_tail(terms, xi1):
     """The exact tail of the nonretarded route's Matsubara sums, one per
     xi_1 of the array xi1, as _matsubara_sums' tail=; a refused
@@ -676,7 +691,7 @@ def _green_route(green_mode):
     anyway.  It returns, per group, the list of its GreenTensor3 or the
     PhysicsError that one call per omega would raise first, so one
     group's failure leaves the others' tensors; on the full route every
-    quadrature of every group runs in one lockstep (_green_full_groups).
+    quadrature of every group runs in one lockstep (_full_green).
     xi2_trace(m, z, xi) is xi^2 Tr G(i xi) for an array of xi, finite at
     xi = 0; on the full route its quadratures run in one lockstep.
     tail(terms, xi1) is the exact tail of the Matsubara sums of reports_at,
@@ -690,7 +705,7 @@ def _green_route(green_mode):
         return _nonretarded_green, _nonretarded_xi2_trace, \
             _nonretarded_tail, UNIT_Z
     if green_mode == "full":
-        return _green_full_groups, _full_xi2_trace, None, None
+        return _full_green, _full_xi2_trace, None, None
     raise ValueError(f"unknown green_mode {green_mode!r}")
 
 

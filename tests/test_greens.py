@@ -231,6 +231,28 @@ def test_full_over_a_sequence_is_each_omega_alone(request, material):
     assert ps.green_full(m, 2e-6, []) == []
 
 
+@pytest.mark.parametrize("material", ["material_broad", "material_toy"])
+def test_full_with_one_part_per_omega_is_each_omega_alone(request, material):
+    """part may be a list or tuple of one part per omega of a sequence:
+    each tensor is bit for bit the one its own call gives with its part,
+    though all of their quadratures run in one lockstep."""
+    m = request.getfixturevalue(material)
+    omegas = _sequence_omegas(m)
+    parts = [(None, "real", "imag")[i % 3] for i in range(len(omegas))]
+    for z in (0.5e-6, 20e-6):
+        want = [ps.green_full(m, z, w, part=p) for w, p in zip(omegas, parts)]
+        for seq in (parts, tuple(parts)):
+            assert _bits(ps.green_full(m, z, omegas, part=seq)) == \
+                _bits(want)
+        # the photon line's and the resonant pair's shape: Re G, then Im G
+        split = ["real"] * 2 + ["imag"] * (len(omegas) - 2)
+        got = ps.green_full(m, z, omegas, part=split)
+        assert _bits(got) == _bits(
+            ps.green_full(m, z, omegas[:2], part="real")
+            + ps.green_full(m, z, omegas[2:], part="imag"))
+    assert ps.green_full(m, 2e-6, [], part=[]) == []
+
+
 def test_full_escalates_only_the_missed_integrals(material_broad,
                                                   monkeypatch):
     """An integral that misses the tolerance within QUAD_LIMIT runs again
@@ -364,6 +386,14 @@ def test_full_rejects_bad_arguments(material_toy):
         ps.green_full(material_toy, Z, 0.0)
     with pytest.raises(ValueError, match="part"):
         ps.green_full(material_toy, Z, 1e13, part="Re")
+    # one part per omega: as many parts as omegas, each a valid one, and
+    # never for a single omega
+    with pytest.raises(ValueError, match="one part per omega"):
+        ps.green_full(material_toy, Z, [1e13, 2e13], part=["real"])
+    with pytest.raises(ValueError, match="not 'Re'"):
+        ps.green_full(material_toy, Z, [1e13, 2e13], part=("real", "Re"))
+    with pytest.raises(ValueError, match="part"):
+        ps.green_full(material_toy, Z, 1e13, part=["real"])
 
 
 # ---------------------------------------------------------------------------

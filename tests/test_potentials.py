@@ -1870,32 +1870,32 @@ def test_each_line_asks_green_full_for_the_part_it_reads(rb_atom,
                                                          broad_modes,
                                                          monkeypatch):
     """On the full route the photon line integrates only Re G, at each
-    |omega_kn| in one group of one call of the route's green, and u_eff
-    only Im G, at the two mode centres in one group of one call;
-    distance_terms asks for both groups in one call."""
+    |omega_kn| in one green_full call, and u_eff only Im G, at the two mode
+    centres in one call; distance_terms asks for both in one call, with
+    one part per omega."""
     calls = []
-    full = potentials._green_full_groups
+    full = potentials.green_full
 
-    def recorded(m, z, groups):
-        calls.append([(part, list(omegas)) for omegas, part in groups])
-        return full(m, z, groups)
+    def recorded(m, z, omega, *, part=None):
+        calls.append((list(part), list(omega)))
+        return full(m, z, omega, part=part)
 
-    monkeypatch.setattr(potentials, "_green_full_groups", recorded)
+    monkeypatch.setattr(potentials, "green_full", recorded)
     ps.nonresonant_shift_parts(rb_atom, "27S1/2", material_broad, ENV,
                                green_mode="full")
     omegas = [abs(w) for _, w, _ in ps.transitions_from(rb_atom, "27S1/2")]
     assert len(set(omegas)) == len(omegas) == 10
-    assert calls == [[("real", omegas)]]
+    assert calls == [(["real"] * 10, omegas)]
     calls.clear()
     lo, hi = broad_modes
     ps.u_eff(rb_atom, "27S1/2", "26S1/2", hi, lo, material_broad, ENV,
              green_mode="full")
-    assert calls == [[("imag", [hi.omega_center, lo.omega_center])]]
+    centres = [hi.omega_center, lo.omega_center]
+    assert calls == [(["imag"] * 2, centres)]
     calls.clear()
     potentials.distance_terms(rb_atom, "27S1/2", "26S1/2", material_broad,
                               ENV.z, "full")
-    assert calls == [[("real", omegas),
-                      ("imag", [hi.omega_center, lo.omega_center])]]
+    assert calls == [(["real"] * 10 + ["imag"] * 2, omegas + centres)]
 
 
 def test_nonretarded_route_never_reaches_green_full(rb_atom, material_broad,
