@@ -6,7 +6,6 @@ omega_ab = omega_a - omega_b and are always computed, never stored.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +13,14 @@ import numpy as np
 from .errors import (DanglingReference, ParseError, check_document, read_json,
                      require)
 from .units import HBAR, dipole_moment, level_energy
+
+
+#: the smallest |omega_kn| (rad/s) of a dipole with |d| > 0: from here up
+#: the nonretarded Green tensor's c^2/(32 pi omega^2 z^3) is finite and
+#: nonzero at every z of potentials.Z_RANGE, and one ulp below it overflows
+#: at the smallest z; omega^2 is then a normal float, so alpha(0) =
+#: (2/3 hbar) sum |d|^2/omega is finite too
+OMEGA_KN_MIN = 7.052011266387911e-125
 
 
 @dataclass(frozen=True)
@@ -58,12 +65,10 @@ class AtomSpec:
     constructor checks labels and dipoles at once, and rejects a dipole
     with |d| > 0 between two states of equal energy, a transition at
     omega = 0 that no shift formula admits, or between two states so close
-    that omega^2 is not a normal float (|omega| below about 1.5e-154
-    rad/s), where alpha(0) = (2/3 hbar) sum |d|^2/omega would be
-    infinite; a level's transitions
-    and polarizability table are built the first time one of them is read
-    (transitions_from, polarizability_iso), since a shift reads only the
-    levels it joins.
+    that |omega| < OMEGA_KN_MIN, where the photon line's Green tensor would
+    overflow; a level's transitions and polarizability table are built the
+    first time one of them is read (transitions_from, polarizability_iso),
+    since a shift reads only the levels it joins.
     """
 
     def __init__(self, name, states, dipoles):
@@ -97,11 +102,11 @@ class AtomSpec:
                     raise ValueError(
                         f"dipole between {d.from_state!r} and {d.to_state!r}"
                         ", two states of equal energy")
-                if omega * omega < sys.float_info.min:
+                if abs(omega) < OMEGA_KN_MIN:
                     raise ValueError(
                         f"dipole between {d.from_state!r} and {d.to_state!r}"
                         f", whose transition frequency {abs(omega)!r} rad/s "
-                        "squares below the smallest normal float")
+                        f"lies below OMEGA_KN_MIN = {OMEGA_KN_MIN!r} rad/s")
                 self._partners[d.from_state].append((d.to_state, d.magnitude))
                 self._partners[d.to_state].append((d.from_state, d.magnitude))
         self._levels = {}

@@ -107,13 +107,17 @@ class PolaritonMode:
 
 # --- permittivity -------------------------------------------------------------
 
-# The real-axis bodies below work in Python floats and return (re, im).  Each
+# The bodies below work in Python floats and return (re, im).  Each
 # transcribes, operation for operation, the numpy complex128 scalar
 # expression it replaced (tests/oracles.py keeps those expressions), zero
 # parts and signs of zero included: complex products as (ar br - ai bi,
 # ar bi + ai br), a real x taken as (x, 0), and quotients by _quotient.  So
 # they give numpy's bits at a fraction of the cost, and keep those bits
-# under a numpy whose scalars round otherwise.
+# under a numpy whose scalars round otherwise.  _eps and _rp take any
+# omega; the mode finder's bodies, _real_eps and _eps_deps, take a real
+# omega only, and drop each operation of that scaffolding that is an exact
+# identity there (a product with a zero part, 0.0*w or x - 0.0), so that
+# they keep the same bits, and inline their quotients.
 
 def _quotient(ar, ai, br, bi):
     """(ar + i ai)/(br + i bi) as numpy's complex128 scalar division
@@ -210,30 +214,84 @@ def permittivity_imag_axis(m, xi):
     return eps
 
 
-def _eps_deps(m, omega):
-    """(Re eps, Im eps, Re eps', Im eps') at one real or complex omega, in
-    Python floats, from one pass over the oscillators: each denominator
-    D_j of permittivity is worked out once and serves both sums.  eps is
-    rounded as in _eps, and eps' = sum_j omega_Pj^2 (2 omega + i Gamma_j)
-    / D_j^2 as numpy's complex128 scalars round it.  An undamped
-    oscillator hit exactly raises _eps's PoleHit, before its eps' term is
-    taken."""
-    wr, wi = _omega_parts(omega)
-    w2r, w2i = wr * wr - wi * wi, wr * wi + wi * wr  # w*w
-    iwr, iwi = 0.0 * wr - wi, 0.0 * wi + wr  # 1j*omega
-    tr, ti = 2.0 * wr - 0.0 * wi, 2.0 * wi + 0.0 * wr  # 2.0*w
+def _real_eps(m, w, im_rp=False):
+    """(Re eps, Im eps) at one real omega w, a Python float, or with im_rp
+    Im r_p there, SurfaceModePole included: the body behind every value of
+    Re eps + 1 and Im r_p the mode finder reads, with _eps's and _rp's
+    bits.  On the real axis _eps's denominator t2 - w*w - (1j w) g is
+    (t2 - w*w, 0.0 - w*g) to the bit for finite w, sign of zero included,
+    and NaN for w = +-inf or NaN, as there."""
+    w2 = w * w
+    er, ei = 1.0, 0.0
+    for j, (p2, t2, g) in enumerate(m._coeffs):
+        br, bi = t2 - w2, 0.0 - w * g
+        if abs(br) >= abs(bi):
+            if br == 0 and bi == 0:
+                raise _pole_hit(m, j)
+            rat = bi / br
+            scl = 1.0 / (br + bi * rat)
+            er += p2 * scl
+            ei += (0.0 - p2 * rat) * scl
+        else:
+            rat = br / bi
+            scl = 1.0 / (bi + br * rat)
+            er += (p2 * rat + 0.0) * scl
+            ei -= p2 * scl
+    if not im_rp:
+        return er, ei
+    # Im r_p = Im[(eps - 1.0)/(eps + 1.0)] as _rp_of_eps has it
+    nr, dr, di = er - 1.0, er + 1.0, ei + 0.0
+    if abs(complex(dr, di)) < POLE_RTOL * abs(complex(nr, ei)):
+        raise _surface_mode_pole()
+    if abs(dr) >= abs(di):
+        if dr == 0 and di == 0:
+            return ei * math.inf
+        rat = di / dr
+        return (ei - nr * rat) * (1.0 / (dr + di * rat))
+    rat = dr / di
+    return (ei * rat - nr) * (1.0 / (di + dr * rat))
+
+
+def _eps_deps(m, w):
+    """(Re eps, Im eps, Re eps', Im eps') at one real omega w, a Python
+    float, from one pass over the oscillators: each denominator D_j of
+    permittivity is worked out once and serves both sums.  eps has
+    _real_eps's bits, and eps' = sum_j omega_Pj^2 (2 w + i Gamma_j) / D_j^2
+    the bits of numpy's complex128 scalars at real w, where 2.0*w + 1j*g is
+    (2 w + 0.0, g + 0.0).  An undamped oscillator hit exactly raises
+    _eps's PoleHit, before its eps' term is taken."""
+    w2, tw = w * w, 2.0 * w + 0.0
     er, ei, dr, di = 1.0, 0.0, 0.0, 0.0
     for j, (p2, t2, g) in enumerate(m._coeffs):
-        br = t2 - w2r - (iwr * g - iwi * 0.0)
-        bi = (0.0 - w2i) - (iwr * 0.0 + iwi * g)
-        if br == 0 and bi == 0:
-            raise _pole_hit(m, j)
-        qr, qi = _quotient(p2, 0.0, br, bi)
-        er, ei = er + qr, ei + qi
-        nr, ni = tr + (0.0 * g - 0.0), ti + (0.0 + g)  # 2.0*w + 1j*g
-        qr, qi = _quotient(p2 * nr - 0.0 * ni, p2 * ni + 0.0 * nr,
-                           br * br - bi * bi, br * bi + bi * br)
-        dr, di = dr + qr, di + qi
+        br, bi = t2 - w2, 0.0 - w * g
+        if abs(br) >= abs(bi):
+            if br == 0 and bi == 0:
+                raise _pole_hit(m, j)
+            rat = bi / br
+            scl = 1.0 / (br + bi * rat)
+            er += p2 * scl
+            ei += (0.0 - p2 * rat) * scl
+        else:
+            rat = br / bi
+            scl = 1.0 / (bi + br * rat)
+            er += (p2 * rat + 0.0) * scl
+            ei -= p2 * scl
+        # _quotient(p2 (2 w + i g), D_j^2), written out
+        ar, ai = p2 * tw, p2 * (g + 0.0)
+        cr, ci = br * br - bi * bi, br * bi + bi * br
+        if abs(cr) >= abs(ci):
+            if cr == 0 and ci == 0:
+                dr, di = dr + ar * math.inf, di + ai * math.inf
+                continue
+            rat = ci / cr
+            scl = 1.0 / (cr + ci * rat)
+            dr += (ar + ai * rat) * scl
+            di += (ai - ar * rat) * scl
+        else:
+            rat = cr / ci
+            scl = 1.0 / (ci + cr * rat)
+            dr += (ar * rat + ai) * scl
+            di += (ai * rat - ar) * scl
     return er, ei, dr, di
 
 
@@ -250,12 +308,16 @@ def _rp_of_eps(er, ei):
     SurfaceModePole of _rp."""
     nr, ni = er - 1.0, ei - 0.0  # eps - 1.0
     dr, di = er + 1.0, ei + 0.0  # eps + 1.0
-    # abs of a Python complex is libm hypot, as numpy's abs is
+    # abs of a Python complex is libm hypot, as numpy's scalar abs is
     if abs(complex(dr, di)) < POLE_RTOL * abs(complex(nr, ni)):
-        raise SurfaceModePole(
-            "reflection_nonretarded evaluated on a surface-mode pole "
-            f"(|eps+1| < {POLE_RTOL:g}*|eps-1|)")
+        raise _surface_mode_pole()
     return _quotient(nr, ni, dr, di)
+
+
+def _surface_mode_pole():
+    return SurfaceModePole(
+        "reflection_nonretarded evaluated on a surface-mode pole "
+        f"(|eps+1| < {POLE_RTOL:g}*|eps-1|)")
 
 
 def reflection_nonretarded(m, omega):
@@ -434,18 +496,24 @@ def _bounded_minimum(f, lo, hi, xatol, maxfun=500):
     return xf, fx
 
 
-def _im_rp(m, omega):
-    return _rp(m, omega)[1]
-
-
-def _re_eps_plus_one(m, omega):
-    return _eps(m, omega)[0] + 1.0
-
-
-def _re_eps_plus_one_and_slope(m, omega):
-    """(Re eps + 1, Re eps') at omega, from one _eps_deps pass."""
-    er, _, dr, _ = _eps_deps(m, omega)
-    return er + 1.0, dr
+def _roots(p):
+    """np.roots(p), bit for bit, of a float coefficient array p (highest
+    power first) whose leading coefficient is nonzero, as every polynomial
+    of the mode finder and of the pole table is: the eigenvalues of the
+    same companion matrix by one eigvals call, then a root at 0 for each
+    trailing zero coefficient, without np.roots' general checks."""
+    n = p.size
+    while n > 1 and p[n - 1] == 0:
+        n -= 1
+    if n == 1:
+        roots = np.zeros(0)
+    else:
+        a = np.eye(n - 1, k=-1)
+        a[0] = -p[1:n] / p[0]
+        roots = np.linalg.eigvals(a)
+    if n == p.size:
+        return roots
+    return np.append(roots, np.zeros(p.size - n, roots.dtype))
 
 
 def _over_common_denominator(lead, factors, numerators):
@@ -515,26 +583,34 @@ def _ascending_eps_roots(m):
         else:
             factors.append([-1.0, t])
             numerators.append([p])
-    s = np.roots(_over_common_denominator(2.0, factors, numerators))
-    s = s.real[(np.abs(s.imag) <= 1e-9 * np.abs(s)) & (s.real > 0)]
-    roots = unit * np.sqrt(s)
-    poles = [o.omega_T for o in m.oscillators if not o.gamma_damp]
-    fences = np.concatenate((roots, poles))
-    order = np.argsort(fences)
-    fences, is_root = fences[order], order < roots.size
-    if not is_root.any():
+    s = _roots(_over_common_denominator(2.0, factors, numerators))
+    # the real positive roots, tested against numpy's complex abs, whose
+    # bits are not libm hypot's
+    roots = [unit * math.sqrt(x.real)
+             for x, size in zip(s.tolist(), np.abs(s).tolist())
+             if abs(x.imag) <= 1e-9 * size and x.real > 0]
+    if not roots:
         return []
-    edges = np.concatenate(([0.5 * fences[0]],
-                            0.5 * (fences[:-1] + fences[1:]),
-                            [2.0 * fences[-1]]))
+    poles = [o.omega_T for o in m.oscillators if not o.gamma_damp]
+    # (omega, is a root), ascending; where a root equals a pole, the edge
+    # between them is that pole, so the root's cell is dropped below in
+    # either order
+    fences = sorted([(r, True) for r in roots] + [(p, False) for p in poles])
+    w = [x for x, _ in fences]
+    edges = [0.5 * w[0], *(0.5 * (a + b) for a, b in zip(w, w[1:])),
+             2.0 * w[-1]]
     # a midpoint can round onto a pole only when two fences are a few ulp
     # apart; it is then not evaluated, and its cells are dropped
-    edges[np.isin(edges, poles)] = np.nan
-    fences, edges = fences.tolist(), edges.tolist()
-    f = np.array([_re_eps_plus_one(m, e) for e in edges])
-    return [_polish(lambda w: _re_eps_plus_one_and_slope(m, w),
-                    fences[i], edges[i], edges[i + 1], xtol=1e-13 * fences[i])
-            for i in np.flatnonzero(is_root & (f[:-1] < 0) & (f[1:] >= 0))]
+    f = [math.nan if e in poles else _real_eps(m, e)[0] + 1.0
+         for e in edges]
+
+    def slope(x):  # (Re eps + 1, Re eps')
+        er, _, dr, _ = _eps_deps(m, x)
+        return er + 1.0, dr
+
+    return [_polish(slope, w[i], edges[i], edges[i + 1], xtol=1e-13 * w[i])
+            for i, (_, root) in enumerate(fences)
+            if root and f[i] < 0 <= f[i + 1]]
 
 
 def _width_estimate(m, omega0):
@@ -566,7 +642,7 @@ def _half_max_point(m, center, peak, step, direction):
         w = center + direction * width
         if not 0.0 < w < math.inf:
             return None
-        f_w = _im_rp(m, w) - half
+        f_w = _real_eps(m, w, True) - half
         if f_w < 0:
             start = prev + (w - prev) * f_prev / (f_prev - f_w)
             return _polish(f, start, w, prev, xtol=1e-13 * center)
@@ -593,9 +669,11 @@ def find_polariton_modes(m):
     Im r_p vanishes identically for a fully undamped material, so there is
     no peak to find and NoModeFound is raised.
 
-    Every eps, eps' and r_p the search reads is a pair of Python floats
-    from the float bodies behind permittivity and reflection_nonretarded,
-    with the bits of numpy's complex128 scalars and without their cost.
+    Every omega the search evaluates is real, so each eps, eps' and Im r_p
+    it reads comes from a real-axis body, _real_eps or _eps_deps, in one
+    pass over the oscillators: Python floats with the bits of
+    permittivity, reflection_nonretarded and numpy's complex128 scalars,
+    without their cost.
     """
     if not m.oscillators:
         raise NoModeFound("vacuum half-space: r_p vanishes identically")
@@ -614,8 +692,8 @@ def find_polariton_modes(m):
         # the sqrt(eps) |w| term of Brent's tolerance dominates this xatol:
         # the centre is good to about 3e-8 relative, not 1e-13 (ROADMAP
         # item 7)
-        center, fun = _bounded_minimum(lambda w: -_im_rp(m, w), wlo, whi,
-                                       xatol=1e-13 * r)
+        center, fun = _bounded_minimum(lambda w: -_real_eps(m, w, True),
+                                       wlo, whi, xatol=1e-13 * r)
         peak = -fun
         wl = _half_max_point(m, center, peak, g0, -1.0)
         wr = _half_max_point(m, center, peak, g0, +1.0)

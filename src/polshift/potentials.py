@@ -31,7 +31,7 @@ from .errors import (ConvergenceFailure, ModeAttributionError, NoChannels,
                      NoModeFound, OffResonance, PhysicsError,
                      ZeroTemperature)
 from .greens import green_full, green_full_imag_axis, green_nonretarded
-from .material import (_imag_axis_rational, find_polariton_modes,
+from .material import (_imag_axis_rational, _roots, find_polariton_modes,
                        reflection_imag_axis)
 from .units import C, HBAR, KB, MU0, cube, energy_report
 
@@ -506,7 +506,7 @@ def _pole_table(terms):
     c = np.array([w * d * d for _, w, d in trans])
     unit, a, e = _imag_axis_rational(terms.m)
     wk = np.array([abs(w) / unit for _, w, _ in trans])
-    roots, iw = np.roots(e), 1j * wk
+    roots, iw = _roots(e), 1j * wk
     poles = np.concatenate((roots, iw, -iw))
     r, n = roots.size, wk.size
     gaps = np.abs(roots[:, None] - poles)

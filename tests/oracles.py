@@ -385,11 +385,29 @@ def permittivity_numpy(m, omega):
 
 
 def permittivity_derivative(m, omega):
-    """d eps/d omega as the library takes it, np.complex128 of the last two
-    fields of material._eps_deps: the form in which the bit-for-bit checks
-    compare it with permittivity_derivative_numpy.  PoleHit where
-    permittivity raises it."""
+    """d eps/d omega at one real omega as the library takes it,
+    np.complex128 of the last two fields of material._eps_deps: the form in
+    which the bit-for-bit checks compare it with
+    permittivity_derivative_numpy.  PoleHit where permittivity raises it."""
     return np.complex128(complex(*material._eps_deps(m, omega)[2:]))
+
+
+def permittivity_real(m, omega):
+    """eps at one real omega from the mode finder's body material._real_eps,
+    as np.complex128, to compare with permittivity_numpy."""
+    return np.complex128(complex(*material._real_eps(m, omega)))
+
+
+def im_rp_real(m, omega):
+    """Im r_p at one real omega from material._real_eps, as np.complex128
+    (Im r_p, 0), to compare with im_rp_numpy."""
+    return np.complex128(material._real_eps(m, omega, True))
+
+
+def im_rp_numpy(m, omega):
+    """Im r_p of reflection_nonretarded_numpy as np.complex128 (Im r_p, 0),
+    SurfaceModePole included."""
+    return np.complex128(reflection_nonretarded_numpy(m, omega).imag)
 
 
 def permittivity_derivative_numpy(m, omega):
@@ -410,7 +428,11 @@ def reflection_nonretarded_numpy(m, omega):
     """(eps - 1)/(eps + 1) worked in numpy complex128 scalars: the
     library's former body of reflection_nonretarded, SurfaceModePole
     included."""
-    eps = permittivity_numpy(m, omega)
+    return _rp_of_eps_numpy(permittivity_numpy(m, omega))
+
+
+def _rp_of_eps_numpy(eps):
+    """(eps - 1)/(eps + 1) of an np.complex128 eps, or SurfaceModePole."""
     num = eps - 1.0
     den = eps + 1.0
     if abs(den) < material.POLE_RTOL * abs(num):
@@ -418,6 +440,38 @@ def reflection_nonretarded_numpy(m, omega):
             "reflection_nonretarded evaluated on a surface-mode pole "
             f"(|eps+1| < {material.POLE_RTOL:g}*|eps-1|)")
     return num / den
+
+
+def finder_bodies_numpy(calls):
+    """{name: body} of the mode finder's float bodies in material
+    (_real_eps, _eps_deps and _rp_of_eps), each a wrapper that takes and
+    returns Python floats as the body does, but works its values out by
+    this module's numpy-scalar expressions.  Patched into material, they
+    make find_polariton_modes read numpy's values through the finder's own
+    sequence of evaluations; each call is appended to calls by name."""
+    def real_eps(m, w, im_rp=False):
+        calls.append("_real_eps")
+        with np.errstate(all="ignore"):
+            if im_rp:
+                return float(reflection_nonretarded_numpy(m, w).imag)
+            eps = permittivity_numpy(m, w)
+        return float(eps.real), float(eps.imag)
+
+    def eps_deps(m, w):
+        calls.append("_eps_deps")
+        with np.errstate(all="ignore"):
+            eps = permittivity_numpy(m, w)
+            d = permittivity_derivative_numpy(m, w)
+        return float(eps.real), float(eps.imag), float(d.real), float(d.imag)
+
+    def rp_of_eps(er, ei):
+        calls.append("_rp_of_eps")
+        with np.errstate(all="ignore"):
+            r = _rp_of_eps_numpy(np.complex128(complex(er, ei)))
+        return float(r.real), float(r.imag)
+
+    return {"_real_eps": real_eps, "_eps_deps": eps_deps,
+            "_rp_of_eps": rp_of_eps}
 
 
 def omega_surface(osc):

@@ -16,6 +16,8 @@ from scipy.constants import physical_constants
 import polshift as ps
 from oracles import (atom_to_dict, level_tables_by_scan,
                      polarizability_by_scan)
+from polshift.atoms import OMEGA_KN_MIN
+from polshift.potentials import UNIT_Z, Z_RANGE
 from polshift.units import CM1
 
 A0 = physical_constants["Bohr radius"][0]
@@ -141,28 +143,42 @@ _OMEGA_NORMAL = math.sqrt(sys.float_info.min)
 _OMEGA_SUBNORMAL = math.nextafter(_OMEGA_NORMAL, 0.0)
 
 
+def _two_level(omega, magnitude=1e-29):
+    return ps.AtomSpec("close", (ps.AtomicState("g", 0.0),
+                                 ps.AtomicState("e", omega)),
+                       (ps.DipoleElement("g", "e", magnitude),))
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_dipole_whose_frequency_squares_below_normal_rejected(sign):
-    """A dipole of |d| > 0 at a transition frequency whose square is not a
-    normal float would make alpha(0) infinite: AtomSpec raises ValueError.
-    One ulp higher the square is normal, and alpha(0) is finite."""
-    def atom(omega):
-        return ps.AtomSpec("close", (ps.AtomicState("g", 0.0),
-                                     ps.AtomicState("e", sign * omega)),
-                           (ps.DipoleElement("g", "e", 1e-29),))
-
-    assert _OMEGA_NORMAL * _OMEGA_NORMAL >= sys.float_info.min
+    """A dipole of |d| > 0 at a transition frequency below OMEGA_KN_MIN
+    raises ValueError, one ulp below it and where the square is not a
+    normal float (alpha(0) would be infinite) alike.  At OMEGA_KN_MIN the
+    dipole is accepted, and alpha(0) is finite."""
+    bound = OMEGA_KN_MIN
     assert 0.0 < _OMEGA_SUBNORMAL * _OMEGA_SUBNORMAL < sys.float_info.min
-    with pytest.raises(ValueError, match="squares below the smallest "
-                                         "normal float"):
-        atom(_OMEGA_SUBNORMAL)
-    ok = atom(_OMEGA_NORMAL)
+    for omega in (_OMEGA_SUBNORMAL, _OMEGA_NORMAL,
+                  math.nextafter(bound, 0.0)):
+        with pytest.raises(ValueError, match="lies below OMEGA_KN_MIN"):
+            _two_level(sign * omega)
+    ok = _two_level(sign * bound)
     for level in ("g", "e"):
         assert math.isfinite(ps.polarizability_iso(ok, level, 0.0))
     # a dipole of magnitude 0 there stays accepted
-    ps.AtomSpec("close", (ps.AtomicState("g", 0.0),
-                          ps.AtomicState("e", _OMEGA_SUBNORMAL)),
-                (ps.DipoleElement("g", "e", 0.0),))
+    _two_level(sign * _OMEGA_SUBNORMAL, 0.0)
+
+
+def test_omega_kn_min_is_where_the_green_tensor_overflows(material_toy):
+    """OMEGA_KN_MIN is the smallest omega at which green_nonretarded's
+    c^2/(32 pi omega^2 z^3) is finite and nonzero at UNIT_Z and at both
+    ends of Z_RANGE; one ulp below, it overflows at the smallest z."""
+    bound, (lo, hi) = OMEGA_KN_MIN, Z_RANGE
+    for z in (lo, UNIT_Z, hi):
+        g = ps.green_nonretarded(material_toy, z, bound)
+        assert all(math.isfinite(x) and x != 0.0
+                   for x in (g.xx.real, g.xx.imag, g.zz.real, g.zz.imag)), z
+    g = ps.green_nonretarded(material_toy, lo, math.nextafter(bound, 0.0))
+    assert not math.isfinite(abs(g.zz))
 
 
 def test_duplicate_labels_rejected():

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polshift import cli
+from polshift.atoms import OMEGA_KN_MIN
 from polshift.potentials import ENERGY_LINES
 
 FIX = "tests/fixtures"
@@ -250,17 +251,16 @@ def test_point_dipole_between_equal_energies_is_config_error(tmp_path,
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("green", ["nonretarded", "full"])
 @pytest.mark.parametrize("omega, code", [
-    (math.nextafter(math.sqrt(sys.float_info.min), 0.0), 2), (1e-140, 0)])
-def test_point_frequency_squaring_below_normal_is_config_error(tmp_path,
-                                                              omega, code):
-    """An atom file with a dipole at a transition frequency whose square is
-    not a normal float exits 2, naming the pair, where alpha(0) would be
-    infinite and the report would read nr_matsubara = -inf.  Above the
-    bound the point runs, and every line of its report is finite; the
-    accepted side is taken at 1e-140 rad/s, since just above the bound the
-    photon line's omega^2 Re G overflows to NaN (the nonretarded tensor's
-    z^-3 omega^-2 is inf there), a fault of its own."""
+    (math.nextafter(OMEGA_KN_MIN, 0.0), 2), (OMEGA_KN_MIN, 0)])
+def test_point_frequency_below_omega_kn_min_is_config_error(tmp_path, omega,
+                                                            code, green):
+    """An atom file with a dipole at a transition frequency below
+    OMEGA_KN_MIN exits 2, naming the pair, where the photon line's Green
+    tensor c^2/(32 pi omega^2 z^3) would overflow (at the smallest z) or
+    the square of omega would not be a normal float.  At the bound the
+    point runs on either route, and every line of its report is finite."""
     atom = tmp_path / "close.json"
     atom.write_text(json.dumps({
         "name": "close pair",
@@ -273,11 +273,12 @@ def test_point_frequency_squaring_below_normal_is_config_error(tmp_path,
     }))
     r = run_cli("point", "--material", f"{FIX}/material_toy.json",
                 "--atom", str(atom), "--upper", "g", "--lower", "e",
-                "--z", "1e-6", "--T", "300", "--format", "json")
+                "--z", "1e-6", "--T", "300", "--green", green,
+                "--format", "json")
     assert r.returncode == code, r.stderr
     if code:
         assert "error in point" in r.stderr
-        assert "squares below the smallest normal float" in r.stderr
+        assert "lies below OMEGA_KN_MIN" in r.stderr
         assert r.stdout == ""
     else:
         report = json.loads(r.stdout)["report"]

@@ -16,12 +16,12 @@ from scipy.integrate import quad
 
 import polshift as ps
 from polshift import material
-from oracles import (eps_crossing, fresnel_array, fresnel_cmath,
-                     half_max_point,
+from oracles import (eps_crossing, finder_bodies_numpy, fresnel_array,
+                     fresnel_cmath, half_max_point, im_rp_numpy, im_rp_real,
                      lorentzian_ldos_factor, material_to_dict,
                      mode_width_from_pole, omega_surface,
                      permittivity_derivative, permittivity_derivative_numpy,
-                     permittivity_numpy,
+                     permittivity_numpy, permittivity_real,
                      reflection_nonretarded_numpy)
 from polshift.units import CM1, C
 
@@ -258,11 +258,18 @@ def test_permittivity_absorptive_sign(omega_P, omega_T, gamma, omega):
     assert ps.permittivity(m, omega).imag > 0.0
 
 
-#: each real-axis function of the material and its numpy-scalar oracle
+#: each function of the material that takes any omega, and its
+#: numpy-scalar oracle
 NUMPY_ORACLES = (
     (ps.permittivity, permittivity_numpy),
-    (permittivity_derivative, permittivity_derivative_numpy),
     (ps.reflection_nonretarded, reflection_nonretarded_numpy),
+)
+
+#: each real-axis body of the mode finder, and its numpy-scalar oracle
+REAL_AXIS_ORACLES = (
+    (permittivity_real, permittivity_numpy),
+    (permittivity_derivative, permittivity_derivative_numpy),
+    (im_rp_real, im_rp_numpy),
 )
 
 
@@ -285,46 +292,123 @@ def _same_bits(got, want):
 
 
 def _assert_float_bodies_equal_numpy(m, n_geom):
-    """permittivity, eps' from _eps_deps and reflection_nonretarded
+    """permittivity and reflection_nonretarded, and the mode finder's
+    real-axis bodies (eps and Im r_p from _real_eps, eps' from _eps_deps),
     give np.complex128 with the bits of their numpy-scalar oracles, and
     raise PoleHit or SurfaceModePole, with the same message, on exactly the
-    inputs where the oracle does: at 0, -0.0, negative omega, n_geom omega
-    from 1e9 to 1e17 rad/s, each omega_T, each single-oscillator surface
-    frequency, and complex omega above, below and on the real axis."""
-    real = [0.0, -0.0, *np.geomspace(1e9, 1e17, n_geom).tolist(),
-            *(o.omega_T for o in m.oscillators),
-            *(omega_surface(o) for o in m.oscillators)]
-    omegas = [*real, *(-w for w in real[2:]),
-              *(complex(w, s * 0.03 * w) for w in real[2:] for s in (1, -1)),
-              *(complex(w, -0.0) for w in real[2:]), complex(0.0, 1e13)]
-    for new, old in NUMPY_ORACLES:
-        for w in omegas:
-            got, want = _outcome(new, m, w), _outcome(old, m, w)
-            if isinstance(want, tuple):
-                assert got == want, (new.__name__, w)
-            else:
-                assert type(got) is np.complex128 and _same_bits(got, want), \
-                    (new.__name__, w, got, want)
+    inputs where the oracle does: at +-0, +-inf, NaN, n_geom omega from 1e9
+    to 1e17 rad/s, each omega_T and each single-oscillator surface
+    frequency, with their negatives; the first two also at complex omega
+    above, below and on the real axis."""
+    finite = [*np.geomspace(1e9, 1e17, n_geom).tolist(),
+              *(o.omega_T for o in m.oscillators),
+              *(omega_surface(o) for o in m.oscillators)]
+    real = [0.0, -0.0, math.inf, -math.inf, math.nan,
+            *finite, *(-w for w in finite)]
+    omegas = [*real, *(complex(w, s * 0.03 * w) for w in finite
+                       for s in (1, -1)),
+              *(complex(w, -0.0) for w in finite), complex(0.0, 1e13)]
+    for oracles, inputs in ((NUMPY_ORACLES, omegas),
+                            (REAL_AXIS_ORACLES, real)):
+        for new, old in oracles:
+            for w in inputs:
+                got, want = _outcome(new, m, w), _outcome(old, m, w)
+                if isinstance(want, tuple):
+                    assert got == want, (new.__name__, w)
+                else:
+                    assert type(got) is np.complex128 \
+                        and _same_bits(got, want), (new.__name__, w, got, want)
 
 
-@pytest.mark.parametrize("name", FIXTURE_MATERIALS)
-def test_float_bodies_equal_numpy_oracle_on_fixtures(request, name):
-    _assert_float_bodies_equal_numpy(request.getfixturevalue(name), 801)
+def _assert_roots_equal_numpy(m):
+    """material._roots gives np.roots' bits, dtype included, on the
+    polynomial of _pole_table (E of _imag_axis_rational) and on the one
+    whose roots _ascending_eps_roots takes."""
+    polys = [material._imag_axis_rational(m)[2]]
+    roots_of = material._roots
+
+    def recorded(p):
+        polys.append(p.copy())
+        return roots_of(p)
+
+    with mock.patch.object(material, "_roots", recorded):
+        try:
+            material._ascending_eps_roots(m)
+        except ps.PhysicsError:
+            pass
+    assert len(polys) == 2
+    for p in polys:
+        got, want = material._roots(p), np.roots(p)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), p
 
 
-def test_float_bodies_equal_numpy_oracle_on_random_materials():
-    """2000 seeded materials of 1-4 oscillators in the ranges of the
+def _random_materials(seed, count):
+    """count seeded materials of 1-4 oscillators in the ranges of the
     benchmark's modes_sweep pool (omega_T 30-300 cm^-1, omega_P/omega_T
     0.4-1.6, gamma/omega_T 0.5-5 %), one oscillator in five undamped."""
-    rng = random.Random(20240601)
-    for _ in range(2000):
+    rng = random.Random(seed)
+    for _ in range(count):
         oscs = []
         for _ in range(rng.randint(1, 4)):
             t = rng.uniform(30.0, 300.0) * CM1
             g = 0.0 if rng.random() < 0.2 else t * rng.uniform(0.005, 0.05)
             oscs.append(ps.Oscillator(t * rng.uniform(0.4, 1.6), t, g))
-        _assert_float_bodies_equal_numpy(
-            ps.MaterialModel("random", oscillators=tuple(oscs)), 9)
+        yield ps.MaterialModel("random", oscillators=tuple(oscs))
+
+
+@pytest.mark.parametrize("name", FIXTURE_MATERIALS)
+def test_float_bodies_equal_numpy_oracle_on_fixtures(request, name):
+    m = request.getfixturevalue(name)
+    _assert_float_bodies_equal_numpy(m, 801)
+    _assert_roots_equal_numpy(m)
+
+
+def test_float_bodies_equal_numpy_oracle_on_random_materials():
+    """The float bodies and _roots on 2000 _random_materials."""
+    for m in _random_materials(20240601, 2000):
+        _assert_float_bodies_equal_numpy(m, 9)
+        _assert_roots_equal_numpy(m)
+
+
+@pytest.mark.parametrize("p", [[2.0, -3.0, 0.0], [-2.0, 1.0, 0.0, 0.0],
+                               [2.0, 0.0], [2.0, 0.0, 1.0, 0.0], [2.0],
+                               [1.0, 0.0, 1.0]])
+def test_roots_equal_numpy_with_zero_coefficients(p):
+    """Trailing zeros give roots at 0 after the companion matrix's, as
+    np.roots appends them, and a complex or real result keeps its dtype."""
+    p = np.array(p)
+    got, want = material._roots(p), np.roots(p)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def _finder_outcome(m):
+    try:
+        return ps.find_polariton_modes(m)
+    except ps.PhysicsError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_finder_equals_numpy_bodies(m):
+    """find_polariton_modes gives a repr-identical table, or the same
+    error, when every float body it reads is replaced by its numpy-scalar
+    oracle (oracles.finder_bodies_numpy), so the finder's sequence of
+    evaluations is pinned whichever body runs."""
+    want = repr(_finder_outcome(m))
+    calls = []
+    with mock.patch.multiple(material, **finder_bodies_numpy(calls)):
+        got = repr(_finder_outcome(m))
+    assert got == want, m
+    assert "_real_eps" in calls
+
+
+@pytest.mark.parametrize("name", FIXTURE_MATERIALS)
+def test_finder_on_numpy_bodies_on_fixtures(request, name):
+    _assert_finder_equals_numpy_bodies(request.getfixturevalue(name))
+
+
+def test_finder_on_numpy_bodies_on_random_materials():
+    for m in _random_materials(20240602, 200):
+        _assert_finder_equals_numpy_bodies(m)
 
 
 @pytest.mark.parametrize("undamped", [0, 1])

@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-import sys
 from collections import Counter
 from functools import partial
 
@@ -23,6 +22,7 @@ from oracles import (MATSUBARA_TOL, matsubara_line_closed_form,
                      nonresonant_one_polariton,
                      nonresonant_parts_per_transition, u_eff_nonretarded_form)
 from polshift import potentials
+from polshift.atoms import OMEGA_KN_MIN
 from polshift.units import C, CM1, HBAR, KB, MU0
 
 Z = 1e-6
@@ -163,6 +163,29 @@ def test_nonresonant_no_dipoles(material_toy):
     atom = ps.AtomSpec("bare", states=(ps.AtomicState("g", 0.0),), dipoles=())
     assert sum(ps.nonresonant_shift_parts(atom, "g", material_toy, ENV)) \
         == 0.0
+
+
+def test_nonresonant_at_the_smallest_transition_frequency(material_toy):
+    """A two-level atom at omega_kn = 1.49e-154 rad/s, where the Green
+    tensor's denominator 32 pi omega^2 z^3 underflows to 0 at 1 um, is
+    rejected by AtomSpec.  At OMEGA_KN_MIN both lines are finite on both
+    routes at 1 um, and on the nonretarded route at either end of
+    Z_RANGE."""
+    def atom(omega):
+        return ps.AtomSpec("close", (ps.AtomicState("g", 0.0),
+                                     ps.AtomicState("e", omega)),
+                           (ps.DipoleElement("g", "e", 1e-29),))
+
+    with pytest.raises(ValueError, match="lies below OMEGA_KN_MIN"):
+        atom(1.4916681462400413e-154)
+    bound = atom(OMEGA_KN_MIN)
+    for z, modes in ((1e-6, ("nonretarded", "full")),
+                     *((z, ("nonretarded",)) for z in potentials.Z_RANGE)):
+        for mode in modes:
+            lines = ps.nonresonant_shift_parts(
+                bound, "g", material_toy, ps.Environment(z=z, T=300.0),
+                green_mode=mode)
+            assert all(map(math.isfinite, lines)), (z, mode, lines)
 
 
 def test_nonresonant_requires_positive_T(toy_atom, material_toy):
@@ -629,18 +652,18 @@ def test_pole_table_never_sees_a_transition_frequency_that_underflows(
         material_toy):
     """A transition of 5e-324 rad/s would give w_k = |omega_kn|/unit = 0,
     whose residue at +-i w_k is not finite, and an alpha(0) that
-    overflows: AtomSpec refuses it, as it refuses every |omega_kn| whose
-    square is not a normal float.  At the smallest |omega_kn| it accepts,
-    alpha(0) and the Matsubara line are finite at every T."""
+    overflows: AtomSpec refuses it, as it refuses every |omega_kn| below
+    OMEGA_KN_MIN.  At the smallest |omega_kn| it accepts, alpha(0) and the
+    Matsubara line are finite at every T."""
     def atom(omega):
         return ps.AtomSpec(
             "close transition",
             (ps.AtomicState("g", 0.0), ps.AtomicState("e", omega)),
             (ps.DipoleElement("g", "e", 1e-29),))
 
-    with pytest.raises(ValueError, match="squares below the smallest"):
+    with pytest.raises(ValueError, match="lies below OMEGA_KN_MIN"):
         atom(5e-324)
-    lines = _matsubara_lines(atom(math.sqrt(sys.float_info.min)), "g",
+    lines = _matsubara_lines(atom(OMEGA_KN_MIN), "g",
                              material_toy, (0.35, 3.0, 300.0), 20000)
     assert all(math.isfinite(line) for line in lines)
 

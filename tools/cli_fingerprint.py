@@ -4,11 +4,12 @@
 Each run calls ``polshift.cli.main`` in-process, writes its output into a
 temporary directory, and prints one line: the run's name, its exit code,
 the sha256 of the output file (empty when none was written) and the sha256
-of what it wrote to stderr.  Seven runs read inputs that the tool writes
+of what it wrote to stderr.  Eight runs read inputs that the tool writes
 into the same directory: a lossless pair (a point and a scan), four
 oscillators, an atom whose alpha(i xi) changes sign (a scan), an atom
-just above a surface mode (a point and a scan), and a nearly critically
-damped oscillator (a scan).  Two
+just above a surface mode (a point and a scan), a nearly critically
+damped oscillator (a scan) and an atom whose dipole sits at the smallest
+transition frequency AtomSpec accepts (a point).  Two
 checkouts whose listings are identical produce byte-identical CLI output on
 these runs, so diffing the listings of a parent and a change checks that a
 refactor left the output unchanged.
@@ -226,6 +227,25 @@ NEAR_CRITICAL = {
 }
 
 
+#: a pair of levels OMEGA_KN_MIN = 7.052011266387911e-125 rad/s apart
+#: (polshift.atoms), the smallest transition frequency of a dipole, with a
+#: third level for the resonant line: the photon line's Green tensor is
+#: finite here at every accepted z
+BOUND_ATOM = {
+    "schema_version": 1,
+    "name": "close pair",
+    "states": [
+        {"label": "g", "energy": 0.0, "unit": "rad/s"},
+        {"label": "g2", "energy": 7.052011266387911e-125, "unit": "rad/s"},
+        {"label": "e", "energy": 2.4e14, "unit": "rad/s"},
+    ],
+    "dipoles": [
+        {"from": "g", "to": "e", "magnitude": 1e-29, "unit": "C*m"},
+        {"from": "g", "to": "g2", "magnitude": 1e-29, "unit": "C*m"},
+    ],
+}
+
+
 def _write(workdir, name, doc):
     path = os.path.join(workdir, name + ".json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -237,8 +257,8 @@ def runs(workdir):
     """RUNS, then a point and a scan on LOSSLESS (both exit 3 with
     NoModeFound before any pair is evaluated), the modes of QUARTET, a
     scan of FLIPPING, a point and a scan of NEAR_MODE_ATOM on
-    NEAR_MODE_MATERIAL and a scan on NEAR_CRITICAL, the inputs written
-    into workdir."""
+    NEAR_MODE_MATERIAL, a scan on NEAR_CRITICAL and a point of
+    BOUND_ATOM, the inputs written into workdir."""
     lossless = _write(workdir, "lossless", LOSSLESS)
     near_critical = _write(workdir, "near_critical", NEAR_CRITICAL)
     near_mode = ["--material",
@@ -277,6 +297,10 @@ def runs(workdir):
         ("scan near critical damping",
          on(near_critical, _shift("scan", "--z", "1e-6", "--T",
                                   "0.35,3,30,300", "--format", "csv")), {}),
+        ("point at OMEGA_KN_MIN",
+         ["point", "--material", _fixture("material_toy"),
+          "--atom", _write(workdir, "bound", BOUND_ATOM),
+          "--upper", "g", "--lower", "e", "--z", "1e-6", "--T", "300"], {}),
     )
 
 
