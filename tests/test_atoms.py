@@ -155,13 +155,12 @@ def test_dipole_whose_frequency_squares_below_normal_rejected(sign):
     raises ValueError, one ulp below it and where the square is not a
     normal float (alpha(0) would be infinite) alike.  At OMEGA_KN_MIN the
     dipole is accepted, and alpha(0) is finite."""
-    bound = OMEGA_KN_MIN
     assert 0.0 < _OMEGA_SUBNORMAL * _OMEGA_SUBNORMAL < sys.float_info.min
     for omega in (_OMEGA_SUBNORMAL, _OMEGA_NORMAL,
-                  math.nextafter(bound, 0.0)):
+                  math.nextafter(OMEGA_KN_MIN, 0.0)):
         with pytest.raises(ValueError, match="lies below OMEGA_KN_MIN"):
             _two_level(sign * omega)
-    ok = _two_level(sign * bound)
+    ok = _two_level(sign * OMEGA_KN_MIN)
     for level in ("g", "e"):
         assert math.isfinite(ps.polarizability_iso(ok, level, 0.0))
     # a dipole of magnitude 0 there stays accepted
@@ -172,12 +171,13 @@ def test_omega_kn_min_is_where_the_green_tensor_overflows(material_toy):
     """OMEGA_KN_MIN is the smallest omega at which green_nonretarded's
     c^2/(32 pi omega^2 z^3) is finite and nonzero at UNIT_Z and at both
     ends of Z_RANGE; one ulp below, it overflows at the smallest z."""
-    bound, (lo, hi) = OMEGA_KN_MIN, Z_RANGE
+    lo, hi = Z_RANGE
     for z in (lo, UNIT_Z, hi):
-        g = ps.green_nonretarded(material_toy, z, bound)
+        g = ps.green_nonretarded(material_toy, z, OMEGA_KN_MIN)
         assert all(math.isfinite(x) and x != 0.0
                    for x in (g.xx.real, g.xx.imag, g.zz.real, g.zz.imag)), z
-    g = ps.green_nonretarded(material_toy, lo, math.nextafter(bound, 0.0))
+    g = ps.green_nonretarded(material_toy, lo,
+                             math.nextafter(OMEGA_KN_MIN, 0.0))
     assert not math.isfinite(abs(g.zz))
 
 
