@@ -13,9 +13,15 @@ green_full_imag_axis); the one departure from one pass per integral is how
 the integrand is called.  Each side of the light line, and the imaginary
 axis, is an integrand family that takes the nodes of every panel a round
 asks for, at every frequency of the call, and returns xx and zz (real and
-imaginary parts on the real axis) at each; each node keeps the bits a
-scalar evaluation would give, so every integral has the bits of its own
-pass.
+imaginary parts on the real axis) at each.  The families evaluate their
+nodes with numpy ufuncs on the round's node arrays, and a node's value does
+not depend on the array it is evaluated in: its length, its order or the
+other nodes and frequencies in it.  So every integral has the bits of its
+own pass, and a call over a sequence of frequencies the bits of its calls
+one frequency at a time.  A node's last bits are those of numpy's float64
+sin, cos, exp and hypot, not of the math module's: where numpy dispatches
+exp to a SIMD kernel (AVX-512 on x86-64) it rounds some values otherwise
+than libm, so the full route's last bits can differ between hosts.
 """
 
 import math
@@ -109,13 +115,6 @@ def _integrate(integrals):
         "subdivisions")
 
 
-def _each(fn, x):
-    """fn (a math function) at every node of the float array x: numpy's
-    own exp and hypot round some values otherwise than libm, and each node
-    must keep the bits of a scalar evaluation."""
-    return np.fromiter(map(fn, x.tolist()), float, len(x))
-
-
 def _times(a, b):
     """a * b of two complex arrays, each product rounded on its own as in
     a complex scalar product: numpy's vector loop may fuse a multiply and an
@@ -157,8 +156,10 @@ def green_full(m, z, omega, *, part=None):
     route's distance_terms).  Every quadrature of the call runs in one
     lockstep, one integrand call per side and round on the nodes of all of
     them, so each side evaluates a panel that several quadratures share
-    (xx and zz, Re and Im) once.  A failure is the one the calls one omega
-    at a time would raise first.
+    (xx and zz, Re and Im) once.  A node's value does not depend on the
+    nodes evaluated with it, so that sharing keeps each integral's bits; its
+    last bits follow numpy's ufuncs on the host (see the module docstring).
+    A failure is the one the calls one omega at a time would raise first.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
@@ -196,7 +197,7 @@ def green_full(m, z, omega, *, part=None):
     # the omega of each node.
     def prop(theta, at):
         k0_at = k0[at]
-        s, c_ = _each(math.sin, theta), _each(math.cos, theta)
+        s, c_ = np.sin(theta), np.cos(theta)
         r_s, r_p = fresnel(eps[at], ws[at], k0_at * s)
         phase = np.exp(1j * (2.0 * k0_at * c_ * z))
         common = 1j * (1.0 / (8.0 * math.pi) * k0_at * s) * phase
@@ -210,10 +211,9 @@ def green_full(m, z, omega, *, part=None):
     # the infinite-interval transform samples well at any z.
     def evan(u, at):
         kappa = u / (2.0 * z)
-        k_rho = np.array(list(map(math.hypot, kappa.tolist(),
-                                  k0[at].tolist())))
+        k_rho = np.hypot(kappa, k0[at])
         r_s, r_p = fresnel(eps[at], ws[at], k_rho)
-        common = _each(math.exp, -u) / (8.0 * math.pi) / (2.0 * z)
+        common = np.exp(-u) / (8.0 * math.pi) / (2.0 * z)
         cw2_at = cw2[at]
         gxx = common * (r_s + r_p * cw2_at * (kappa * kappa))
         gzz = common * r_p * cw2_at * 2.0 * (k_rho * k_rho)
@@ -258,7 +258,9 @@ def green_full_imag_axis(m, z, xi):
     of them, which gives the list of their tensors, each bit for bit the
     one its own call gives.  A xi <= 0 anywhere raises ValueError before
     any quadrature runs.  The xx and zz integrals of every xi run in one
-    lockstep, one integrand family keyed by the index of xi, and a
+    lockstep, one integrand family keyed by the index of xi, whose value at
+    a node does not depend on the nodes evaluated with it (its last bits
+    follow numpy's ufuncs on the host, see the module docstring), and a
     QuadratureFailure is the one the calls one xi at a time would raise
     first.
     """
@@ -279,12 +281,12 @@ def green_full_imag_axis(m, z, xi):
     def integrand(u, at):
         k_rho = u / (2.0 * z)
         k0_at, eps_at, cx2_at = k0[at], eps[at], cx2[at]
-        kv = np.array(list(map(math.hypot, k_rho.tolist(), k0_at.tolist())))
+        kv = np.hypot(k_rho, k0_at)
         kd = np.sqrt(eps_at * k0_at * k0_at + k_rho * k_rho)
         r_s = (kv - kd) / (kv + kd)
         e_kv = eps_at * kv
         r_p = (e_kv - kd) / (e_kv + kd)
-        common = ((k_rho / kv) * _each(math.exp, -2.0 * kv * z)
+        common = ((k_rho / kv) * np.exp(-2.0 * kv * z)
                   / (8.0 * math.pi) / (2.0 * z))
         return (common * (r_s - cx2_at * r_p * (kv * kv)),
                 -common * cx2_at * r_p * 2.0 * (k_rho * k_rho))

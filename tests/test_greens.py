@@ -506,6 +506,64 @@ def test_imag_axis_over_a_sequence_is_each_xi_alone(request, material):
         assert ps.green_full_imag_axis(m, 2e-6, empty) == []
 
 
+def _largest_integrand_calls(monkeypatch, run):
+    """{(b, f): (x, keys)} of the largest call that each integrand family
+    f of the quadpack.lockstep runs of run() made, a family of
+    integrals to b = pi/2 (green_full's propagating side) or to inf (its
+    evanescent side, or the imaginary axis)."""
+    from polshift import quadpack
+    lockstep, largest = quadpack.lockstep, {}
+
+    def recording(batch):
+        def wrap(b, f):
+            def recorded(x, keys):
+                if len(x) > len(largest.get((b, f), ((),))[0]):
+                    largest[b, f] = x.copy(), keys.copy()
+                return f(x, keys)
+            return recorded
+        wrapped = {(i.b, i.f): wrap(i.b, i.f) for i in batch}
+        return lockstep([i._replace(f=wrapped[i.b, i.f]) for i in batch])
+
+    monkeypatch.setattr(quadpack, "lockstep", recording)
+    run()
+    monkeypatch.setattr(quadpack, "lockstep", lockstep)
+    return largest
+
+
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow",
+                                      "material_toy", "material_ldos"])
+def test_integrand_nodes_do_not_depend_on_their_position(request, material,
+                                                         monkeypatch):
+    """Each integrand family of the lockstep (green_full's propagating and
+    evanescent sides, green_full_imag_axis's) gives every node the bits of
+    its one-node call, whatever array it is evaluated in: the nodes of the
+    largest call the family makes, of several keys, with theta = 0 and
+    pi/2 or u = 0 and u = 800 (exp(-u) underflows) added at every key, in
+    shuffled arrays of 1, 7, 8, 9, 17, 64 nodes and all of them.  So an
+    integral keeps the bits of its own pass in any lockstep."""
+    m = request.getfixturevalue(material)
+    omegas = _sequence_omegas(m)
+    largest = _largest_integrand_calls(monkeypatch, lambda: (
+        ps.green_full(m, 2e-6, omegas),
+        ps.green_full_imag_axis(m, 2e-6, omegas)))
+    assert sorted(b for b, _ in largest) == [math.pi / 2, math.inf,
+                                              math.inf]
+    rng = np.random.default_rng(20261020)
+    for (b, f), (x, keys) in largest.items():
+        assert set(keys.tolist()) == set(range(len(omegas)))
+        ends = (0.0, b) if b < math.inf else (0.0, 800.0)
+        edge_keys = np.arange(len(omegas)).repeat(2)
+        x = np.concatenate([x, np.tile(ends, len(omegas))])
+        keys = np.concatenate([keys, edge_keys])
+        alone = np.array([[c[0] for c in f(x[i:i + 1], keys[i:i + 1])]
+                          for i in range(len(x))])
+        assert np.isfinite(alone).all()
+        for size in (1, 7, 8, 9, 17, 64, len(x)):
+            at = rng.permutation(len(x))[:size]
+            got = np.array(f(x[at], keys[at])).T
+            assert got.tobytes() == alone[at].tobytes(), (b, size)
+
+
 @pytest.mark.parametrize("bad", [0.0, -1e13, math.nan])
 @pytest.mark.parametrize("at", [0, 2])
 def test_imag_axis_rejects_a_bad_xi_before_any_quadrature(
