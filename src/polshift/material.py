@@ -302,17 +302,15 @@ def _im_rp_slope(m, w):
     _rp_of_eps's bits, SurfaceModePole included, its quotient written out;
     the slope is 0.5 Im[(1.0 - r_p)^2 eps'] of numpy's complex128 scalars."""
     er, ei, dr, di = _eps_deps(m, w)
-    # r_p = (eps - 1.0)/(eps + 1.0) as _rp_of_eps has it
+    # r_p = (eps - 1.0)/(eps + 1.0) as _rp_of_eps has it; eps + 1.0 = 0
+    # fails the pole test, so _quotient's x/0 case cannot arise
     nr, qr, qi = er - 1.0, er + 1.0, ei + 0.0
     if abs(complex(qr, qi)) < POLE_RTOL * abs(complex(nr, ei)):
         raise _surface_mode_pole()
     if abs(qr) >= abs(qi):
-        if qr == 0 and qi == 0:
-            rr, ri = nr * math.inf, ei * math.inf
-        else:
-            rat = qi / qr
-            scl = 1.0 / (qr + qi * rat)
-            rr, ri = (nr + ei * rat) * scl, (ei - nr * rat) * scl
+        rat = qi / qr
+        scl = 1.0 / (qr + qi * rat)
+        rr, ri = (nr + ei * rat) * scl, (ei - nr * rat) * scl
     else:
         rat = qr / qi
         scl = 1.0 / (qi + qr * rat)
@@ -696,9 +694,8 @@ def find_polariton_modes(m):
     Every omega the search evaluates is real, so each eps, eps' and Im r_p
     it reads comes from a real-axis body, _real_eps, _eps_deps or
     _im_rp_slope, in one pass over the oscillators: Python floats with the
-    bits of
-    permittivity, reflection_nonretarded and numpy's complex128 scalars,
-    without their cost.
+    bits of permittivity, reflection_nonretarded and numpy's complex128
+    scalars, without their cost.
     """
     if not m.oscillators:
         raise NoModeFound("vacuum half-space: r_p vanishes identically")

@@ -295,8 +295,8 @@ def _same_bits(got, want):
 def _assert_float_bodies_equal_numpy(m, n_geom):
     """permittivity and reflection_nonretarded, and the mode finder's
     real-axis bodies (eps and Im r_p from _real_eps, eps' from _eps_deps,
-    Im r_p and its slope from _im_rp_slope),
-    give np.complex128 with the bits of their numpy-scalar oracles, and
+    Im r_p and its slope from _im_rp_slope), give np.complex128 with the
+    bits of their numpy-scalar oracles, and
     raise PoleHit or SurfaceModePole, with the same message, on exactly the
     inputs where the oracle does: at +-0, +-inf, NaN, n_geom omega from 1e9
     to 1e17 rad/s, each omega_T and each single-oscillator surface
