@@ -114,10 +114,10 @@ class PolaritonMode:
 # ar bi + ai br), a real x taken as (x, 0), and quotients by _quotient.  So
 # they give numpy's bits at a fraction of the cost, and keep those bits
 # under a numpy whose scalars round otherwise.  _eps and _rp take any
-# omega; the mode finder's bodies, _real_eps, _eps_deps and _im_rp_slope,
-# take a real omega only, and drop each operation of that scaffolding that
-# is an exact identity there (a product with a zero part, 0.0*w or
-# x - 0.0), so that they keep the same bits, and inline their quotients.
+# omega; the mode finder's bodies, _real_eps and _eps_deps, take a real
+# omega only, and drop each operation of that scaffolding that is an exact
+# identity there (a product with a zero part, 0.0*w or x - 0.0), so that
+# they keep the same bits, and inline their quotients.
 
 def _quotient(ar, ai, br, bi):
     """(ar + i ai)/(br + i bi) as numpy's complex128 scalar division
@@ -293,31 +293,6 @@ def _eps_deps(m, w):
             dr += (ar * rat + ai) * scl
             di += (ai * rat - ar) * scl
     return er, ei, dr, di
-
-
-def _im_rp_slope(m, w):
-    """(Im r_p, d Im r_p/d omega) at one real omega w, a Python float, with
-    d Im r_p/d omega = Im[eps' (1 - r_p)^2 / 2]: the body behind every value
-    of the half-maximum polish.  eps and eps' are _eps_deps's and r_p has
-    _rp_of_eps's bits, SurfaceModePole included, its quotient written out;
-    the slope is 0.5 Im[(1.0 - r_p)^2 eps'] of numpy's complex128 scalars."""
-    er, ei, dr, di = _eps_deps(m, w)
-    # r_p = (eps - 1.0)/(eps + 1.0) as _rp_of_eps has it; eps + 1.0 = 0
-    # fails the pole test, so _quotient's x/0 case cannot arise
-    nr, qr, qi = er - 1.0, er + 1.0, ei + 0.0
-    if abs(complex(qr, qi)) < POLE_RTOL * abs(complex(nr, ei)):
-        raise _surface_mode_pole()
-    if abs(qr) >= abs(qi):
-        rat = qi / qr
-        scl = 1.0 / (qr + qi * rat)
-        rr, ri = (nr + ei * rat) * scl, (ei - nr * rat) * scl
-    else:
-        rat = qr / qi
-        scl = 1.0 / (qi + qr * rat)
-        rr, ri = (nr * rat + ei) * scl, (ei * rat - nr) * scl
-    ar, ai = 1.0 - rr, 0.0 - ri  # 1.0 - r_p
-    sr, si = ar * ar - ai * ai, ar * ai + ai * ar  # (1.0 - r_p)^2
-    return ri, 0.5 * (sr * di + si * dr)  # 0.5 Im[(1 - r_p)^2 eps']
 
 
 # --- reflection ---------------------------------------------------------------
@@ -656,8 +631,11 @@ def _half_max_point(m, center, peak, step, direction):
     half = 0.5 * peak
 
     def f(w):
-        im_rp, slope = _im_rp_slope(m, w)
-        return im_rp - half, slope
+        er, ei, dr, di = _eps_deps(m, w)
+        rr, ri = _rp_of_eps(er, ei)
+        ar, ai = 1.0 - rr, 0.0 - ri  # 1.0 - r_p
+        sr, si = ar * ar - ai * ai, ar * ai + ai * ar  # (1.0 - r_p)^2
+        return ri - half, 0.5 * (sr * di + si * dr)  # 0.5 Im[(1 - r_p)^2 eps']
 
     prev, f_prev, width = center, peak - half, step
     for _ in range(80):
@@ -692,10 +670,10 @@ def find_polariton_modes(m):
     no peak to find and NoModeFound is raised.
 
     Every omega the search evaluates is real, so each eps, eps' and Im r_p
-    it reads comes from a real-axis body, _real_eps, _eps_deps or
-    _im_rp_slope, in one pass over the oscillators: Python floats with the
-    bits of permittivity, reflection_nonretarded and numpy's complex128
-    scalars, without their cost.
+    it reads comes from a real-axis body, _real_eps or _eps_deps, in one
+    pass over the oscillators: Python floats with the bits of
+    permittivity, reflection_nonretarded and numpy's complex128 scalars,
+    without their cost.
     """
     if not m.oscillators:
         raise NoModeFound("vacuum half-space: r_p vanishes identically")

@@ -235,12 +235,11 @@ def _matsubara_sums(term, n, cutoff, tail=None):
     sum is S_{_HEAD - 1} plus its tail at _HEAD.  The rule is tested at
     j = _HEAD - 1, then once at j = cutoff with M_cutoff taken as
     max(M_{_HEAD - 1}, |S_cutoff|), S_cutoff being the sum less its tail at
-    cutoff + 1; one tail call reads both tails, or the one at _HEAD alone
-    when every sum stops at j = _HEAD - 1.  Where the terms past the head
-    keep one sign, that is the running max, since the partial sums run
-    monotonically to S_cutoff, and |t_j| j first meets the rule past the
-    summand's poles; so the engine without the tail fails the same sums.
-    A NaN tail fails the test at the cutoff.
+    cutoff + 1.  Where the terms past the head keep one sign, that is the
+    running max, since the partial sums run monotonically to S_cutoff, and
+    |t_j| j first meets the rule past the summand's poles; so the engine
+    without the tail fails the same sums.  A NaN tail fails the test at
+    the cutoff.
     """
     sums, done = np.zeros(n), np.zeros(n, dtype=bool)
     rows = np.arange(n)
@@ -264,14 +263,10 @@ def _matsubara_sums(term, n, cutoff, tail=None):
         total, scale = partial[:, -1], running[:, -1]
         if tail is not None:  # the opening block is the only one
             if hi == _HEAD - 1:  # a cutoff below it fails every sum
-                done = hit[:, -1]
-                # the tail at cutoff + 1 only if a sum still reads it
-                at_cutoff = at_cutoff and not done.all()
-                tails = tail(rows, np.array(
-                    [_HEAD, cutoff + 1] if at_cutoff else [_HEAD]))
-                sums = total + tails[:, 0]
+                head, past = tail(rows, np.array([_HEAD, cutoff + 1])).T
+                sums, done = total + head, hit[:, -1]
                 if at_cutoff:
-                    scale = np.maximum(scale, np.abs(sums - tails[:, 1]))
+                    scale = np.maximum(scale, np.abs(sums - past))
                     done |= size[:, -1] * cutoff <= MATSUBARA_TOL * scale
             break
         if hit.any():

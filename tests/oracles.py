@@ -410,24 +410,6 @@ def im_rp_numpy(m, omega):
     return np.complex128(reflection_nonretarded_numpy(m, omega).imag)
 
 
-def im_rp_slope(m, omega):
-    """(Im r_p, d Im r_p/d omega) at one real omega from the half-maximum
-    polish's body material._im_rp_slope, as np.complex128, to compare with
-    im_rp_slope_numpy."""
-    return np.complex128(complex(*material._im_rp_slope(m, omega)))
-
-
-def im_rp_slope_numpy(m, omega):
-    """(Im r_p, 0.5 Im[(1.0 - r_p)^2 eps']) worked in numpy complex128
-    scalars, as np.complex128: PoleHit of eps before SurfaceModePole of
-    r_p."""
-    eps = permittivity_numpy(m, omega)
-    d = permittivity_derivative_numpy(m, omega)
-    r = _rp_of_eps_numpy(eps)
-    slope = 0.5 * ((1.0 - r) * (1.0 - r) * d).imag
-    return np.complex128(complex(r.imag, slope))
-
-
 def permittivity_derivative_numpy(m, omega):
     """d eps/d omega worked in numpy complex128 scalars: the library's
     former body of _permittivity_derivative, with permittivity_numpy's
@@ -462,7 +444,7 @@ def _rp_of_eps_numpy(eps):
 
 def finder_bodies_numpy(calls):
     """{name: body} of the mode finder's float bodies in material
-    (_real_eps, _eps_deps and _im_rp_slope), each a wrapper that takes and
+    (_real_eps, _eps_deps and _rp_of_eps), each a wrapper that takes and
     returns Python floats as the body does, but works its values out by
     this module's numpy-scalar expressions.  Patched into material, they
     make find_polariton_modes read numpy's values through the finder's own
@@ -482,14 +464,14 @@ def finder_bodies_numpy(calls):
             d = permittivity_derivative_numpy(m, w)
         return float(eps.real), float(eps.imag), float(d.real), float(d.imag)
 
-    def im_rp_slope(m, w):
-        calls.append("_im_rp_slope")
+    def rp_of_eps(er, ei):
+        calls.append("_rp_of_eps")
         with np.errstate(all="ignore"):
-            got = im_rp_slope_numpy(m, w)
-        return float(got.real), float(got.imag)
+            r = _rp_of_eps_numpy(np.complex128(complex(er, ei)))
+        return float(r.real), float(r.imag)
 
     return {"_real_eps": real_eps, "_eps_deps": eps_deps,
-            "_im_rp_slope": im_rp_slope}
+            "_rp_of_eps": rp_of_eps}
 
 
 def omega_surface(osc):

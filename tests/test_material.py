@@ -18,8 +18,8 @@ import polshift as ps
 from polshift import material
 from oracles import (eps_crossing, finder_bodies_numpy, fresnel_array,
                      fresnel_cmath, half_max_point, im_rp_numpy, im_rp_real,
-                     im_rp_slope, im_rp_slope_numpy, lorentzian_ldos_factor,
-                     material_to_dict, mode_width_from_pole, omega_surface,
+                     lorentzian_ldos_factor, material_to_dict,
+                     mode_width_from_pole, omega_surface,
                      permittivity_derivative, permittivity_derivative_numpy,
                      permittivity_numpy, permittivity_real,
                      reflection_nonretarded_numpy)
@@ -270,7 +270,6 @@ REAL_AXIS_ORACLES = (
     (permittivity_real, permittivity_numpy),
     (permittivity_derivative, permittivity_derivative_numpy),
     (im_rp_real, im_rp_numpy),
-    (im_rp_slope, im_rp_slope_numpy),
 )
 
 
@@ -294,9 +293,8 @@ def _same_bits(got, want):
 
 def _assert_float_bodies_equal_numpy(m, n_geom):
     """permittivity and reflection_nonretarded, and the mode finder's
-    real-axis bodies (eps and Im r_p from _real_eps, eps' from _eps_deps,
-    Im r_p and its slope from _im_rp_slope), give np.complex128 with the
-    bits of their numpy-scalar oracles, and
+    real-axis bodies (eps and Im r_p from _real_eps, eps' from _eps_deps),
+    give np.complex128 with the bits of their numpy-scalar oracles, and
     raise PoleHit or SurfaceModePole, with the same message, on exactly the
     inputs where the oracle does: at +-0, +-inf, NaN, n_geom omega from 1e9
     to 1e17 rad/s, each omega_T and each single-oscillator surface

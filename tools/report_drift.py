@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """List the retarded_points reports that differ between two checkouts.
 
-Runs the 96 (z, T) points of the benchmark's ``retarded_points`` pool the
-way ``tools/retarded_fingerprint.py`` runs them (``polshift.cli.run_point``
-with ``--green full`` through ``perfbench/workloads.py``), once in the
-checkout that holds this script and once in PARENT_ROOT.  Each side runs in
-a fresh interpreter on its own ``src``, ``perfbench`` and reference files.
+Runs the 96 (z, T) points of the benchmark's ``retarded_points`` pool
+through ``tools/retarded_fingerprint.py``'s ``pool_reports``, once on the
+``src`` of the checkout that holds this script and once on PARENT_ROOT's
+``src``, each in a fresh interpreter.  Both sides read the pool and the
+gate from this checkout's ``perfbench``, so only the library differs.
 
 A point has moved when ``repr`` of its report, or of the typed physics
 error it raised, differs between the sides.  For each moved point one line
@@ -28,28 +28,26 @@ import sys
 HERE = os.path.normpath(os.path.join(os.path.dirname(
     os.path.abspath(__file__)), os.pardir))
 
-#: run by each side's interpreter in its checkout: one JSON line per pool
-#: point, [z, T, repr, {name: value} of the six gated values or None]
+#: run by each side's interpreter, argv[1] this checkout's tools: one JSON
+#: line per pool point, [z, T, repr, {name: value} of the six gated values
+#: or None]
 _CHILD = """
 import json, sys
-sys.path.insert(0, "perfbench")
-import gate, workloads
-ref = workloads.load_reference(("retarded_points",))
-run = workloads.Runner("retarded_points", ref)
-for i in range(len(ref["retarded_points"]["points"])):
-    out, _ = run({"i": i})
+sys.path.insert(0, sys.argv[1])
+import retarded_fingerprint, gate
+for _, (z, T), out in retarded_fingerprint.pool_reports():
     values = None if isinstance(out, Exception) else dict(zip(
         (name for name, _ in gate.FIELDS), gate.report_values(out)))
-    print(json.dumps([*run.inputs({"i": i}), repr(out), values]))
+    print(json.dumps([z, T, repr(out), values]))
 """
 
 
 def reports(root):
-    """The [z, T, repr, values] of every pool point, run in root."""
+    """The [z, T, repr, values] of every pool point, run on root's src."""
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
-    proc = subprocess.run([sys.executable, "-c", _CHILD], cwd=root,
-                          env=env, capture_output=True, text=True,
-                          check=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, os.path.join(HERE, "tools")],
+        cwd=root, env=env, capture_output=True, text=True, check=True)
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 

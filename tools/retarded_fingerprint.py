@@ -25,11 +25,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
 import workloads  # noqa: E402
 
 
-def main():
+def pool_reports():
+    """Yield (index, (z, T), report) for every pool point, the report being
+    the ShiftReport or the typed physics error the point raised."""
     ref = workloads.load_reference(("retarded_points",))
     run = workloads.Runner("retarded_points", ref)
     for i in range(len(ref["retarded_points"]["points"])):
         report, _ = run({"i": i})
+        yield i, run.inputs({"i": i}), report
+
+
+def main():
+    for i, _, report in pool_reports():
         digest = hashlib.sha256(repr(report).encode()).hexdigest()
         print(f"{i:2d} {digest}")
     return 0
