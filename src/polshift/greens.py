@@ -5,25 +5,38 @@ quadrature of the reflected-wave integral, and the nonretarded closed form
 G = z^-3 * (c^2/(32 pi w^2)) r_p * diag(1,1,2).  Their agreement for
 w z / c << 1 is a consistency check, not a shared code path.
 
-Each k_rho integral is one pass of polshift.quadpack, the package's
-transcription of QUADPACK's DQAGSE and DQAGIE, so the full route needs
-numpy alone.  The passes of one Green call run in one lockstep, also
-when the call takes a sequence of frequencies (green_full and
-green_full_imag_axis); the one departure from one pass per integral is how
-the integrand is called.  Each side of the light line, and the imaginary
-axis, is an integrand family that takes the nodes of every panel a round
-asks for, at every frequency of the call, and returns xx and zz (real and
-imaginary parts on the real axis) at each.  The families evaluate their
-nodes with numpy ufuncs on the round's node arrays, and a node's value does
-not depend on the array it is evaluated in: its length, its order or the
-other nodes and frequencies in it.  So every integral has the bits of its
-own pass, and a call over a sequence of frequencies the bits of its calls
-one frequency at a time.  A node's last bits are those of numpy's float64
-sin, cos, exp and hypot, not of the math module's: where numpy dispatches
-exp to a SIMD kernel (AVX-512 on x86-64) it rounds some values otherwise
-than libm, so the full route's last bits can differ between hosts.
+On the real axis (green_full) each k_rho integral is one pass of
+polshift.quadpack, the package's transcription of QUADPACK's DQAGSE and
+DQAGIE, so the full route needs numpy alone.  The passes of one Green call
+run in one lockstep, also when the call takes a sequence of frequencies;
+the one departure from one pass per integral is how the integrand is
+called.  Each side of the light line is an integrand family that takes the
+nodes of every panel a round asks for, at every frequency of the call, and
+returns the real and imaginary parts of xx and zz at each.
+
+On the imaginary axis (green_full_imag_axis) the integrand is real, smooth
+and e^-s damped in s = 2 z (kappa_v - xi/c), and depends on s only through
+s/a, a = 2 xi z/c, so a fixed rule serves every xi: Gauss-Legendre on
+[0, s0], s0 = 16 min(a, 1), and Gauss-Laguerre on [s0, inf), 32 nodes each
+checked against 64, one miss tried again at 64 against 128, each accepted
+as green_full's quadratures are: difference at most 10 max(epsabs,
+QUAD_REL_TOL |G|), epsabs = QUAD_REL_TOL c^2/(32 pi xi^2 z^3).  A second
+miss raises QuadratureFailure for the first xi of the call with one, xx
+before zz.  Every node of every xi of a call is one element of one array,
+and each xi's nodes are summed in order.
+
+Both routes evaluate their nodes with numpy ufuncs on node arrays, and a
+node's value does not depend on the array it is evaluated in: its length,
+its order or the other nodes and frequencies in it.  So every integral has
+the bits of its own pass, and a call over a sequence of frequencies the
+bits of its calls one frequency at a time.  A node's last bits are those
+of numpy's float64 sin, cos, exp and hypot, not of the math module's:
+where numpy dispatches exp to a SIMD kernel (AVX-512 on x86-64) it rounds
+some values otherwise than libm, so the full route's last bits can differ
+between hosts.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -245,24 +258,132 @@ def green_full(m, z, omega, *, part=None):
     return tensors[0] if single else tensors
 
 
+def _recurrence(n, x, laguerre):
+    """(p_n(x), p_n'(x)) of the Laguerre polynomial L_n, or the Legendre
+    polynomial P_n, by the three-term recurrence."""
+    prev, p = np.ones_like(x), (1.0 - x if laguerre else x)
+    for k in range(1, n):
+        prev, p = p, (((2 * k + 1 - x) if laguerre else (2 * k + 1) * x) * p
+                      - k * prev) / (k + 1)
+    if laguerre:
+        return p, n * (p - prev) / x
+    return p, n * (x * p - prev) / (x * x - 1.0)
+
+
+def _gauss(n, laguerre):
+    """(x, w) of the n-node Gauss-Laguerre rule on [0, inf) (weight e^-x),
+    or of Gauss-Legendre on [-1, 1]: the eigenvalues of the Jacobi matrix
+    (Golub-Welsch), three Newton steps on the recurrence, and each weight
+    from p_n' at its node, so that the tiny weights of the Laguerre tail
+    are good to a few ulps, as an eigenvector's components are not."""
+    k = np.arange(1.0, n)
+    off = -k if laguerre else k / np.sqrt(4.0 * k * k - 1.0)
+    jacobi = np.diag(off, 1) + np.diag(off, -1)
+    if laguerre:
+        jacobi += np.diag(2.0 * np.arange(n) + 1.0)
+    x = np.linalg.eigvalsh(jacobi)
+    for _ in range(3):
+        p, dp = _recurrence(n, x, laguerre)
+        x = x - p / dp
+    dp = _recurrence(n, x, laguerre)[1]
+    if laguerre:
+        return x, 1.0 / (x * dp * dp)
+    return x, 2.0 / ((1.0 - x * x) * dp * dp)
+
+
+#: the imaginary-axis rule: Gauss-Legendre on [0, s0] and Gauss-Laguerre on
+#: [s0, inf), _NODES nodes on each panel, checked against 2 * _NODES; a
+#: miss is tried once more, 2 * _NODES against 4 * _NODES
+_NODES = 32
+
+#: s0 = _SPLIT * min(a, 1): the Fresnel coefficients change over s of order
+#: a, and past a = 1 that is smooth on the scale of e^-s
+_SPLIT = 16.0
+
+
+@functools.cache
+def _imag_axis_nodes(sizes):
+    """(alpha, beta, gamma, delta) of the panel pairs of each size of
+    sizes, side by side: a xi whose Legendre panel ends at s0 has its nodes
+    at s = s0 alpha + beta and its weights e^-s (s0 gamma + delta), the
+    Legendre nodes and weights moved to [0, 1] and the Laguerre weights
+    scaled by e^u.  Built on the first full-route call."""
+    cols = []
+    for n in sizes:
+        x, w = _gauss(n, False)
+        u, v = _gauss(n, True)
+        zero = np.zeros(n)
+        cols += [((1.0 + x) / 2.0, zero, w / 2.0, zero),
+                 (zero + 1.0, u, zero, v * np.exp(u))]
+    return tuple(np.concatenate(c) for c in zip(*cols))
+
+
+def _imag_axis_sums(a, s0, e1, eps, sizes):
+    """For the xi of each row of the 1-D arrays a = 2 xi z/c, s0, e1 =
+    eps - 1 and eps = eps(i xi): the sums over each panel pair of sizes of
+    weight times F, F the real integrand of green_full_imag_axis in s, as a
+    list of (rows, 2) arrays of (xx, zz), one per size.
+
+    Every node of every row is one element of one array, and each row is
+    summed in node order by np.add.accumulate, so a row's sums do not
+    depend on the other rows (their last bits follow numpy's ufuncs on the
+    host, see the module docstring).
+    """
+    alpha, beta, gamma, delta = _imag_axis_nodes(sizes)
+    s0, a, e1, eps = s0[:, None], a[:, None], e1[:, None], eps[:, None]
+    s = s0 * alpha + beta
+    weight = np.exp(-s) * (s0 * gamma + delta)
+    q = s / a
+    t = q + 1.0
+    tt = t * t
+    d = np.sqrt(e1 + tt)  # kappa_d / k0
+    ts, td = t + d, eps * t + d
+    r_s = -e1 / (ts * ts)
+    r_p = e1 * ((eps + 1.0) * tt - 1.0) / (td * td)
+    f = np.empty((2, *s.shape))
+    np.multiply(weight, r_s - tt * r_p, out=f[0])
+    np.multiply(weight, -2.0 * r_p * (q * (2.0 + q)), out=f[1])
+    sums, end = [], 0
+    for n in sizes:
+        sums.append(np.add.accumulate(f[:, :, end:end + 2 * n],
+                                      axis=2)[:, :, -1].T)
+        end += 2 * n
+    return sums
+
+
 def green_full_imag_axis(m, z, xi):
     """Full reflected-wave Green tensor at omega = i*xi (xi > 0); real result.
 
-    With kappa_v = sqrt(xi^2/c^2 + k_rho^2), kappa_d = sqrt(eps(i xi) xi^2/c^2
-    + k_rho^2) the integrand is (1/8 pi)(k_rho/kappa_v) e^{-2 kappa_v z}
-    [r_s diag(1,1,0) - (c/xi)^2 r_p diag(kappa_v^2, kappa_v^2, 2 k_rho^2)].
-    The integrand is real, and the imaginary part of the tensor is exactly
-    0.
+    With k0 = xi/c, kappa_v = sqrt(k0^2 + k_rho^2) and kappa_d =
+    sqrt((eps(i xi) - 1) k0^2 + kappa_v^2) the k_rho integrand is
+    (1/8 pi)(k_rho/kappa_v) e^{-2 kappa_v z} [r_s diag(1,1,0) - (c/xi)^2 r_p
+    diag(kappa_v^2, kappa_v^2, 2 k_rho^2)].  With s = 2 z (kappa_v - k0) and
+    a = 2 xi z/c the integral is (e^{-a}/(2 z)) int_0^inf e^{-s} F ds, with
+    t = kappa_v/k0 = 1 + s/a and
+
+        F_xx = (r_s - t^2 r_p)/(8 pi),  F_zz = -2 r_p (t - 1)(t + 1)/(8 pi),
+
+    r_s = -(eps - 1)/(t + d)^2 and r_p = (eps - 1)((eps + 1) t^2 - 1)/
+    (eps t + d)^2 in cancelled forms, d = kappa_d/k0.  F is real and
+    depends on s only through s/a, and the imaginary part of the tensor is
+    exactly 0.
+
+    The integral is a fixed rule in s: Gauss-Legendre on [0, s0], s0 = 16
+    min(a, 1), which holds the Fresnel transition at s/a of order 1, and
+    Gauss-Laguerre on [s0, inf), each with 32 nodes, against the same
+    panels with 64.  The 64-node value is taken when the two differ by at
+    most 10 max(epsabs, QUAD_REL_TOL |G|) with epsabs = QUAD_REL_TOL c^2/
+    (32 pi xi^2 z^3), as green_full's quadratures are accepted; so the value
+    taken is within that bound wherever the 64-node value is nearer the
+    integral than the 32-node one.  A miss is tried once more, 64 nodes
+    against 128, and a second miss raises QuadratureFailure, for the first
+    xi of the call with one, xx before zz.
 
     xi is one real number, which gives one GreenTensor3, or a 1-D sequence
     of them, which gives the list of their tensors, each bit for bit the
-    one its own call gives.  A xi <= 0 anywhere raises ValueError before
-    any quadrature runs.  The xx and zz integrals of every xi run in one
-    lockstep, one integrand family keyed by the index of xi, whose value at
-    a node does not depend on the nodes evaluated with it (its last bits
-    follow numpy's ufuncs on the host, see the module docstring), and a
-    QuadratureFailure is the one the calls one xi at a time would raise
-    first.
+    one its own call gives: every node of every xi is one element of one
+    array (_imag_axis_sums), and each xi's sums run in node order.  A
+    xi <= 0 anywhere raises ValueError before any node is evaluated.
     """
     if not z > 0:
         raise ValueError("z must be > 0")
@@ -272,32 +393,35 @@ def green_full_imag_axis(m, z, xi):
         if not x > 0:
             raise ValueError("xi must be > 0")
     eps = np.array([permittivity_imag_axis(m, x) for x in xis])
-    xis = [float(x) for x in xis]
-    xs = np.array(xis)
-    k0, cx = xs / C, C / xs
-    cx2 = cx * cx
+    xs = np.array(xis, dtype=float)
+    a = 2.0 * z * xs / C
+    s0 = _SPLIT * np.minimum(a, 1.0)
+    scale = (np.exp(-a) / (16.0 * math.pi * z))[:, None]
+    # 10 epsabs, epsabs = QUAD_REL_TOL c^2/(32 pi xi^2 z^3)
+    floor = (10.0 * QUAD_REL_TOL * C**2 / (32.0 * math.pi * cube(z))
+             / (xs * xs))[:, None]
 
-    # rescale to u = 2 k_rho z so the e^{-2 kappa_v z} damping has O(1) width
-    def integrand(u, at):
-        k_rho = u / (2.0 * z)
-        k0_at, eps_at, cx2_at = k0[at], eps[at], cx2[at]
-        kv = np.hypot(k_rho, k0_at)
-        kd = np.sqrt(eps_at * k0_at * k0_at + k_rho * k_rho)
-        r_s = (kv - kd) / (kv + kd)
-        e_kv = eps_at * kv
-        r_p = (e_kv - kd) / (e_kv + kd)
-        common = ((k_rho / kv) * np.exp(-2.0 * kv * z)
-                  / (8.0 * math.pi) / (2.0 * z))
-        return (common * (r_s - cx2_at * r_p * (kv * kv)),
-                -common * cx2_at * r_p * 2.0 * (k_rho * k_rho))
+    def missed(rough, fine, floor):
+        """Where rough is off fine by more than the bound, NaN included."""
+        return ~(np.abs(rough - fine)
+                 <= np.maximum(floor, 10.0 * QUAD_REL_TOL * np.abs(fine)))
 
-    integrals = []
-    for at, x in enumerate(xis):
-        epsabs = QUAD_REL_TOL * (C**2 / (32.0 * math.pi * (x * x) * cube(z)))
-        integrals += [(integrand, at, comp, 0.0, math.inf, epsabs,
-                       f"{name} imag-axis")
-                      for comp, name in ((0, "xx"), (1, "zz"))]
-    values = _integrate(integrals)
+    rough, fine = (scale * v for v in _imag_axis_sums(
+        a, s0, eps - 1.0, eps, (_NODES, 2 * _NODES)))
+    miss = missed(rough, fine, floor)
+    if miss.any():
+        at = np.flatnonzero(miss.any(axis=1))
+        rough, miss = fine[at], miss[at]
+        (finer,) = _imag_axis_sums(a[at], s0[at], eps[at] - 1.0, eps[at],
+                                   (4 * _NODES,))
+        fine[at] = np.where(miss, scale[at] * finer, rough)
+        fails = miss & missed(rough, fine[at], floor[at])
+        if fails.any():
+            first = np.flatnonzero(fails)[0]
+            raise QuadratureFailure(
+                f"green_full quadrature ({('xx', 'zz')[first % 2]} "
+                f"imag-axis) did not reach tolerance "
+                f"epsrel={QUAD_REL_TOL:g} with {4 * _NODES} nodes per panel")
     tensors = [GreenTensor3(complex(gxx, 0.0), complex(gzz, 0.0))
-               for gxx, gzz in zip(values[::2], values[1::2])]
+               for gxx, gzz in fine.tolist()]
     return tensors[0] if single else tensors

@@ -195,7 +195,7 @@ MATSUBARA_CUTOFF = 20000
 _HEAD = 5
 
 
-def _matsubara_sums(term, n, cutoff, tail=None):
+def _matsubara_sums(term, n, cutoff, tail=None, flips=None):
     """n primed sums over j, advanced together, each with a power-law tail
     stop rule: a list of n entries, each the float value of its sum or the
     ConvergenceFailure of a sum that no j <= cutoff stops.
@@ -216,18 +216,24 @@ def _matsubara_sums(term, n, cutoff, tail=None):
         M_j = max(max_{i <= j} |S_i|, 1e-300),
 
     S_i being its partial sums, and fails if no j <= cutoff meets the rule.
-    A term that vanishes, at a zero of alpha(i xi), meets the rule too, so
-    such a sum stops short of its tail.
+    A term that vanishes, at a zero of alpha(i xi), meets the rule too.
+    flips(rows, j), when given, tells for each sum numbered rows whether
+    alpha(i xi) changes sign between xi_{j-1} and xi_{j+1}.  Without a
+    tail, a hit at such a j < cutoff stops its sum only when j + 1 hits
+    too, and the sum then stops at j + 1.  Where the terms' other factor
+    keeps one sign (xi^2 Tr G(i xi) < 0 on the full route), a term is
+    small near such a j only by passing through the zero, and a sum whose
+    alpha keeps one sign evaluates no extra term.
 
     Without a tail the sums share one schedule of j: the opening block
     j = 0.._HEAD - 1, the earliest point at which the rule can stop, then
     one j per pass up to cutoff, since a longer block would run the full
     route's quadratures past the stopping j.  Each pass makes one term call
-    on every sum still running, which on the full route is one lockstep of
-    quadratures; a sum leaves when it stops.  np.add.accumulate adds each
-    row in order from its carried total, so the value and the stopping j
-    are those of a term-by-term loop, and no term past the stopping j is
-    evaluated.
+    on every sum still running, which on the full route is one evaluation
+    of the imaginary-axis rule over all of the pass's xi; a sum leaves when
+    it stops.  np.add.accumulate adds each row in order from its carried
+    total, so the value and the stopping j are those of a term-by-term
+    loop, and no term past the stopping j is evaluated.
 
     tail(rows, j), when given, is each sum's exact sum_{i >= j} t_i at each
     j >= _HEAD, laid out as term's.  The opening block is then the only
@@ -242,6 +248,7 @@ def _matsubara_sums(term, n, cutoff, tail=None):
     the cutoff.
     """
     sums, done = np.zeros(n), np.zeros(n, dtype=bool)
+    held = np.zeros(n, dtype=bool)  # a hit at the last j waits for this one
     rows = np.arange(n)
     # scale, the running max of |S_i|, starts at the rule's floor 1e-300
     total, scale = np.zeros(n), np.full(n, 1e-300)
@@ -269,6 +276,13 @@ def _matsubara_sums(term, n, cutoff, tail=None):
                     scale = np.maximum(scale, np.abs(sums - past))
                     done |= size[:, -1] * cutoff <= MATSUBARA_TOL * scale
             break
+        if flips is not None and hi < cutoff:
+            # without a tail every pass can hit at its last j alone
+            wait = hit[:, -1] & ~held[rows]
+            if wait.any():
+                wait[wait] = flips(rows[wait], hi)
+            held[rows] = wait
+            hit[:, -1] &= ~wait
         if hit.any():
             # each row's first hit; a row with none stores a sum that a
             # later pass or the failure overwrites
@@ -601,7 +615,7 @@ def _nonretarded_xi2_trace(m, z, xi):
 
 def _full_xi2_trace(m, z, xi):
     """xi^2 Tr G(i xi) by quadrature, every nonzero xi of the array in one
-    green_full_imag_axis call, whose quadratures run in one lockstep; at
+    green_full_imag_axis call, one fixed-node rule over all of them; at
     xi = 0 retardation drops out and the closed form is the exact
     electrostatic limit."""
     static = xi == 0.0
@@ -693,7 +707,7 @@ def _green_route(green_mode):
     group's failure leaves the others' tensors; on the full route every
     quadrature of every group runs in one lockstep (_full_green).
     xi2_trace(m, z, xi) is xi^2 Tr G(i xi) for an array of xi, finite at
-    xi = 0; on the full route its quadratures run in one lockstep.
+    xi = 0; on the full route one fixed-node rule serves all of them.
     tail(terms, xi1) is the exact tail of the Matsubara sums of reports_at,
     one per xi_1 of the array xi1, that _matsubara_sums adds after its
     five-term head (_nonretarded_tail); the full route has none, and its
@@ -1056,8 +1070,9 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
     ConvergenceFailure.  The full route runs the engine on one schedule of
     j, each T with the value and stopping j it has alone; the head
     j = 1..4 of every T, and each later pass over every T still running,
-    is one green_full_imag_axis call, whose quadratures run in one
-    lockstep.
+    is one green_full_imag_axis call, one fixed-node rule over all of its
+    xi.  There a stop at a j where alpha(i xi) changes sign waits for the
+    next term (_matsubara_sums' flips).
     cutoff < 1, or a T outside [0, T_MAX], raises the ValueError of
     Environment for the whole call.
     """
@@ -1077,12 +1092,19 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
             trace = xi2_trace(terms.m, terms.z, xi.ravel()).reshape(xi.shape)
             return polarizability_iso(terms.atom, terms.upper, xi) * trace
 
+        def flips(rows, j):
+            alpha = polarizability_iso(terms.atom, terms.upper,
+                                       np.array([j - 1, j + 1])
+                                       * xi1[rows, None])
+            return np.sign(alpha[:, 0]) != np.sign(alpha[:, 1])
+
         try:
             tail = make_tail(terms, xi1) if make_tail else None
         except ConvergenceFailure as exc:  # a refused pole table
             line = [exc] * xi1.size
         else:
-            line = _matsubara_sums(term, xi1.size, cutoff, tail=tail)
+            line = _matsubara_sums(term, xi1.size, cutoff, tail=tail,
+                                   flips=flips)
         for i, s in zip(hot, line):
             sums[i] = s
     return [_report_or_error(terms, T, s) for T, s in zip(Ts, sums)]

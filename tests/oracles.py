@@ -221,6 +221,74 @@ def matsubara_line_closed_form(atom, n, m, dps=40):
     return line
 
 
+def zero_temperature_line(atom, n, m, dps=40):
+    """The T -> 0 limit of the nonretarded Matsubara line of level n, the
+    standard Casimir-Polder energy of the level: returns (line0, em) with
+    line0(z) its value (J) at z and em(z, T) = (first, bound2, bound4),
+    Euler-Maclaurin terms of line(z, T) - line0(z) (J).
+
+    With x_1 = xi_1/W = 2 pi kB T/(hbar W) and h of
+    matsubara_line_closed_form, the line is P x_1 sum'_j h(j x_1), P =
+    -mu0 (2/(3 hbar)) (hbar W/2 pi) (c^2/(8 pi z^3))/W^2, since kB T =
+    hbar W x_1/(2 pi).  As x_1 -> 0 the sum tends to int_0^inf h dx, and
+    with h = sum_p R_p/(x - p) over every transition's poles, each
+    transition's R_p summing to 0 (h_k falls as x^-4), that integral is
+    -sum_p R_p log(-p): every pole has Re p <= 0, so log(-p) is the
+    principal branch.  The poles and residues are the 40-digit ones of
+    _matsubara_partial_fractions.
+
+    Euler-Maclaurin: the primed sum less the integral is
+    int_0^inf P_1(x/x_1) h'(x) dx, P_1(u) = {u} - 1/2, and integrating by
+    parts against the periodic Bernoulli functions P_k = B~_k/k! gives
+
+        D = x_1 sum'_j h(j x_1) - int_0^inf h
+          = -(x_1^2/12) h^(1)(0) - x_1^2 int_0^inf P_2(x/x_1) h^(2) dx
+          = -(x_1^2/12) h^(1)(0) + (x_1^4/720) h^(3)(0)
+            - x_1^4 int_0^inf P_4(x/x_1) h^(4) dx,
+
+    with |P_2| <= 1/12 and |P_4| <= 1/720.  So with first = P (-(x_1^2/12)
+    h^(1)(0)), |line - line0| <= bound2 = |P| (x_1^2/12) (|h^(1)(0)| +
+    int |h^(2)|) and |line - line0 - first| <= bound4 = |P| (x_1^4/720)
+    (|h^(3)(0)| + int |h^(4)|).  h^(k)(x) = (-1)^k k! sum_p R_p/(x - p)^(k+1);
+    the integrals of |h^(k)| are 20-digit mpmath.quad values, split at
+    every |p|.
+    """
+    w, parts = _matsubara_partial_fractions(atom, n, m, dps)
+    with mpmath.workdps(dps):
+        pairs = [(p, r) for poles, residues, _ in parts
+                 for p, r in zip(poles, residues)]
+
+        def h(k, x):
+            return mpmath.re(mpmath.fsum(
+                (-1) ** k * mpmath.factorial(k) * r / (x - p) ** (k + 1)
+                for p, r in pairs))
+
+        cuts = [0, *sorted({abs(p) for p, _ in pairs}), mpmath.inf]
+        integral = mpmath.re(-mpmath.fsum(r * mpmath.log(-p)
+                                          for p, r in pairs))
+        h1, h3 = h(1, 0), h(3, 0)
+    with mpmath.workdps(20):  # bounds: 20 digits of them are plenty
+        a2, a4 = (mpmath.quad(lambda x: abs(h(k, x)), cuts) for k in (2, 4))
+
+    def scale(z):
+        return -(mpmath.mpf(MU0) * 2 / (3 * 2 * mpmath.pi)
+                 * mpmath.mpf(C) ** 2 / (8 * mpmath.pi * mpmath.mpf(z) ** 3)
+                 / w)
+
+    def line0(z):
+        with mpmath.workdps(dps):
+            return float(scale(z) * integral)
+
+    def em(z, T):
+        with mpmath.workdps(dps):
+            x1 = 2 * mpmath.pi * mpmath.mpf(KB) * T / mpmath.mpf(HBAR) / w
+            pz = scale(z)
+            return (float(-pz * x1 ** 2 * h1 / 12),
+                    float(abs(pz) * x1 ** 2 / 12 * (abs(h1) + a2)),
+                    float(abs(pz) * x1 ** 4 / 720 * (abs(h3) + a4)))
+    return line0, em
+
+
 def matsubara_tail_size(atom, n, m, head=5, dps=20, sep=0.0):
     """size(z, T): (number of terms, their sum of magnitudes in the units
     of nr_matsubara, J), the terms being those whose sum is the exact tail
@@ -584,6 +652,58 @@ def fresnel_cmath(eps, omega, k_rho):
     k_dz = upper_sqrt(eps * k2 - k_rho * k_rho)
     return ((k_vz - k_dz) / (k_vz + k_dz),
             (eps * k_vz - k_dz) / (eps * k_vz + k_dz))
+
+
+def _mp_eps_imag(m, xi):
+    """eps(i xi) = 1 + sum_j omega_Pj^2 / (omega_Tj^2 + xi^2 + xi gamma_j)
+    at real xi >= 0, in the working precision of mpmath."""
+    return 1 + mpmath.fsum(
+        mpmath.mpf(o.omega_P) ** 2
+        / (mpmath.mpf(o.omega_T) ** 2 + xi * xi
+           + xi * mpmath.mpf(o.gamma_damp))
+        for o in m.oscillators)
+
+
+def green_full_imag_axis_mp(m, z, xi, dps=30):
+    """(G_xx, G_zz), as floats, of the reflected Green tensor at omega =
+    i xi, by a dps-digit mpmath.quad of the k_rho integral written in s.
+
+    With k0 = xi/c, kappa_v = sqrt(k0^2 + k_rho^2), kappa_d = sqrt(eps(i xi)
+    k0^2 + k_rho^2) and the Fresnel coefficients r_s = (kappa_v - kappa_d)/
+    (kappa_v + kappa_d), r_p = (eps kappa_v - kappa_d)/(eps kappa_v +
+    kappa_d), the tensor is
+
+        (1/8 pi) int_0^inf dk_rho (k_rho/kappa_v) e^{-2 kappa_v z}
+            [r_s diag(1,1,0) - (c/xi)^2 r_p diag(kappa_v^2, kappa_v^2,
+                                               2 k_rho^2)].
+
+    k_rho dk_rho = kappa_v dkappa_v, and s = 2 z (kappa_v - k0) makes it
+    (1/(16 pi z)) int_0^inf ds e^{-a - s} [...] with a = 2 xi z/c.  The
+    Fresnel coefficients change over s of order a, so the integral is split
+    at a/4, a, 4a and 16a below s = 40, and at 40.  At 30 digits the
+    differences kappa_v - kappa_d and eps kappa_v - kappa_d lose no digit
+    that a float64 result keeps.
+    """
+    with mpmath.workdps(dps):
+        z, xi = mpmath.mpf(z), mpmath.mpf(xi)
+        k0 = xi / C
+        a = 2 * k0 * z
+        eps = _mp_eps_imag(m, xi)
+
+        def bracket(s):
+            kv = k0 + s / (2 * z)
+            k2 = kv * kv - k0 * k0
+            kd = mpmath.sqrt(eps * k0 * k0 + k2)
+            r_s = (kv - kd) / (kv + kd)
+            r_p = (eps * kv - kd) / (eps * kv + kd)
+            damp = mpmath.exp(-a - s) / (16 * mpmath.pi * z)
+            return (damp * (r_s - r_p * kv * kv / (k0 * k0)),
+                    -damp * r_p * 2 * k2 / (k0 * k0))
+
+        cuts = sorted({0, *(a * k for k in (0.25, 1, 4, 16) if a * k < 40),
+                       40, mpmath.inf})
+        return tuple(float(mpmath.quad(lambda s: bracket(s)[i], cuts))
+                     for i in (0, 1))
 
 
 def lorentzian_ldos_factor(mode, omega):

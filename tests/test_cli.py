@@ -578,23 +578,31 @@ def test_full_route_scan_reads_each_green_tensor_once_per_z(monkeypatch):
     assert len({c[2] for c in calls[10:]}) == 2
 
 
-def test_full_route_point_runs_two_locksteps(monkeypatch):
+def test_full_route_point_runs_one_lockstep(monkeypatch):
     """A full-route point whose Matsubara sum stops at j = 4 (Rb 27S1/2 on
     material_broad at 1 um and 500 K, inside the retarded_points pool) runs
-    two QUADPACK locksteps: one for every k_rho integral of the distance,
-    Re G at the 10 transitions and Im G at the 2 mode centres, 4 integrals
-    each, and one for the Matsubara head j = 1..4, xx and zz at each xi."""
-    from polshift import quadpack
+    one QUADPACK lockstep, for every k_rho integral of the distance: Re G
+    at the 10 transitions and Im G at the 2 mode centres, 4 integrals
+    each.  The Matsubara head j = 1..4 is one evaluation of the fixed-node
+    imaginary-axis rule over its 4 xi, which needs no second try."""
+    from polshift import greens, quadpack
     lockstep, batches = quadpack.lockstep, []
+    sums, rules = greens._imag_axis_sums, []
 
     def counted(batch):
         batches.append(len(batch))
         return lockstep(batch)
 
+    def counted_rule(a, s0, e1, eps, sizes):
+        rules.append((len(a), sizes))
+        return sums(a, s0, e1, eps, sizes)
+
     monkeypatch.setattr(quadpack, "lockstep", counted)
+    monkeypatch.setattr(greens, "_imag_axis_sums", counted_rule)
     report = cli.run_point(_scan_config((1e-6,), (500.0,), green_mode="full"))
     assert math.isfinite(report.total)
-    assert batches == [4 * (10 + 2), 2 * 4]
+    assert batches == [4 * (10 + 2)]
+    assert rules == [(4, (greens._NODES, 2 * greens._NODES))]
 
 
 def test_scan_row_reports_the_matsubara_error_before_the_resonant_one():

@@ -8,7 +8,8 @@ import pytest
 
 import polshift as ps
 from polshift import greens
-from oracles import lorentzian_ldos_factor, tensor_to_jsonable
+from oracles import (green_full_imag_axis_mp, lorentzian_ldos_factor,
+                     tensor_to_jsonable)
 from polshift.units import C, cube
 
 Z = 1e-6
@@ -478,6 +479,66 @@ def test_imag_axis_full_retardation_suppression(material_toy):
     assert 0.0 < ratio < 0.9
 
 
+def _imag_axis_rows(m, z, xis):
+    """The arguments (a, s0, e1, eps) that green_full_imag_axis hands
+    _imag_axis_sums for the xi of xis at z, recorded from one call."""
+    got = []
+
+    def recording(a, s0, e1, eps, sizes):
+        got.append((a, s0, e1, eps))
+        return sums(a, s0, e1, eps, sizes)
+
+    sums = greens._imag_axis_sums
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greens, "_imag_axis_sums", recording)
+        ps.green_full_imag_axis(m, z, xis)
+    return got[0]
+
+
+#: a = 2 xi z/c of the oracle check: deep in the nonretarded regime, across
+#: the Fresnel transition that the Legendre panel holds (small a), the
+#: panel's end at a = 1, and e^-a-damped terms
+_ORACLE_A = (1e-4, 1e-3, 0.01, 0.033, 0.1, 1.0, 3.82, 20.0, 60.0)
+
+
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow",
+                                      "material_toy", "material_ldos"])
+def test_imag_axis_matches_the_mp_oracle(request, material):
+    """Both components of green_full_imag_axis lie within 10 QUAD_REL_TOL
+    |G| of the 30-digit oracle, at z = 1 um and each a of _ORACLE_A, and on
+    material_broad at two points: z = 0.1 um, xi = 4.94e13 rad/s (a =
+    0.033, the 3 K line's regime, where Gauss-Laguerre alone was 4.2e-7
+    off) and z = 0.606 um, xi = 9.47e14 rad/s (a = 3.82, a retarded_points
+    head term, where QUADPACK stopped at its epsabs, 6.8e-7 off in G_zz).
+
+    The bound: the rule takes the 64-node value where it differs from the
+    32-node one by at most 10 max(epsabs, QUAD_REL_TOL |G|), epsabs =
+    QUAD_REL_TOL c^2/(32 pi xi^2 z^3), or, after one more try, the 128-node
+    value where it differs from the 64-node one by at most that much.  The
+    n-vs-2n difference bounds the error of the n-node value, and the
+    2n-node value is nearer the integral wherever the rule converges, so
+    the value taken is within that bound.  On every case here the 32-node
+    and 64-node sums agree to QUAD_REL_TOL relative (asserted), so epsabs
+    decides nothing and the bound is 10 QUAD_REL_TOL |G|.  eps(i xi) - 1,
+    which the rule takes from float64 eps, carries a few ulps of eps, 3e-10
+    of itself at the smallest eps - 1 here (a = 60 on material_toy, 8e-7),
+    far inside the bound; the oracle's 30 digits are exact at float64."""
+    m = request.getfixturevalue(material)
+    cases = [(Z, a * C / (2.0 * Z)) for a in _ORACLE_A]
+    if material == "material_broad":
+        cases += [(1e-7, 4.94e13), (0.606e-6, 9.47e14)]
+    tol = greens.QUAD_REL_TOL
+    for z, xi in cases:
+        rough, fine = greens._imag_axis_sums(*_imag_axis_rows(m, z, [xi]),
+                                             (greens._NODES,
+                                              2 * greens._NODES))
+        assert (abs(rough - fine) <= tol * abs(fine)).all(), (z, xi)
+        g = ps.green_full_imag_axis(m, z, xi)
+        for got, want in zip((g.xx.real, g.zz.real),
+                             green_full_imag_axis_mp(m, z, xi)):
+            assert abs(got - want) <= 10.0 * tol * abs(got), (z, xi)
+
+
 def _matsubara_like_xis(T, count):
     """count Matsubara frequencies j xi_1 at T, j = 1..count, as floats."""
     xi1 = ps.matsubara_xi(T, 1)
@@ -510,7 +571,7 @@ def _largest_integrand_calls(monkeypatch, run):
     """{(b, f): (x, keys)} of the largest call that each integrand family
     f of the quadpack.lockstep runs of run() made, a family of
     integrals to b = pi/2 (green_full's propagating side) or to inf (its
-    evanescent side, or the imaginary axis)."""
+    evanescent side)."""
     from polshift import quadpack
     lockstep, calls = quadpack.lockstep, {}
 
@@ -534,19 +595,21 @@ def _largest_integrand_calls(monkeypatch, run):
 def test_integrand_nodes_do_not_depend_on_their_position(request, material,
                                                          monkeypatch):
     """Each integrand family of the lockstep (green_full's propagating and
-    evanescent sides, green_full_imag_axis's) gives every node the bits of
-    its one-node call, whatever array it is evaluated in: the nodes of the
-    largest call the family makes, of several keys, with theta = 0 and
-    pi/2 or u = 0 and u = 800 (exp(-u) underflows) added at every key, in
-    shuffled arrays of 1, 7, 8, 9, 17, 64 nodes and all of them.  So an
-    integral keeps the bits of its own pass in any lockstep."""
+    evanescent sides) gives every node the bits of its one-node call,
+    whatever array it is evaluated in: the nodes of the largest call the
+    family makes, of several keys, with theta = 0 and pi/2 or u = 0 and
+    u = 800 (exp(-u) underflows) added at every key, in shuffled arrays of
+    1, 7, 8, 9, 17, 64 nodes and all of them.  So an integral keeps the
+    bits of its own pass in any lockstep.  The imaginary axis's rule gives
+    each xi's row of sums the bits of its one-row call, in shuffled arrays
+    of 1, 7, 8, 9 and all of the rows, at every rule size, for xi from
+    a = 2 xi z/c = 1e-6, through the Legendre panel's end at a = 1, to
+    e^-a underflowing at a = 800."""
     m = request.getfixturevalue(material)
     omegas = _sequence_omegas(m)
     largest = _largest_integrand_calls(monkeypatch, lambda: (
-        ps.green_full(m, 2e-6, omegas),
-        ps.green_full_imag_axis(m, 2e-6, omegas)))
-    assert sorted(b for b, _ in largest) == [math.pi / 2, math.inf,
-                                              math.inf]
+        ps.green_full(m, 2e-6, omegas)))
+    assert sorted(b for b, _ in largest) == [math.pi / 2, math.inf]
     rng = np.random.default_rng(20261020)
     for (b, f), (x, keys) in largest.items():
         assert set(keys.tolist()) == set(range(len(omegas)))
@@ -561,6 +624,20 @@ def test_integrand_nodes_do_not_depend_on_their_position(request, material,
             at = rng.permutation(len(x))[:size]
             got = np.array(f(x[at], keys[at])).T
             assert got.tobytes() == alone[at].tobytes(), (b, size)
+    z = 2e-6
+    xis = [*omegas, *(a * C / (2.0 * z)
+                      for a in (1e-6, 0.03, 1.0, 1.5, 800.0))]
+    rows = _imag_axis_rows(m, z, xis)
+    for sizes in ((greens._NODES, 2 * greens._NODES), (4 * greens._NODES,)):
+        alone = [np.stack([s[0] for s in greens._imag_axis_sums(
+            *(r[i:i + 1] for r in rows), sizes)]) for i in range(len(xis))]
+        assert np.isfinite(alone).all()
+        for size in (1, 7, 8, 9, len(xis)):
+            at = rng.permutation(len(xis))[:size]
+            got = np.stack(greens._imag_axis_sums(
+                *(r[at] for r in rows), sizes), axis=1)
+            assert got.tobytes() == np.stack([alone[i] for i in at]) \
+                .tobytes(), (sizes, size)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1e13, math.nan])
@@ -568,13 +645,12 @@ def test_integrand_nodes_do_not_depend_on_their_position(request, material,
 def test_imag_axis_rejects_a_bad_xi_before_any_quadrature(
         material_broad, monkeypatch, bad, at):
     """A xi <= 0 (or NaN) anywhere in the sequence raises ValueError before
-    any quadrature runs."""
-    from polshift import quadpack
+    eps(i xi) or any node of the rule is evaluated."""
+    def unreachable(*args):
+        raise AssertionError("the rule ran")
 
-    def unreachable(batch):
-        raise AssertionError("a quadrature ran")
-
-    monkeypatch.setattr(quadpack, "lockstep", unreachable)
+    monkeypatch.setattr(greens, "_imag_axis_sums", unreachable)
+    monkeypatch.setattr(greens, "permittivity_imag_axis", unreachable)
     xis = _matsubara_like_xis(300.0, 3)
     xis[at] = bad
     with pytest.raises(ValueError, match="xi must be > 0"):
@@ -593,26 +669,28 @@ def test_imag_axis_rejects_a_bad_xi_before_any_quadrature(
 def test_imag_axis_failure_is_the_first_in_call_order(material_broad,
                                                       monkeypatch, failing,
                                                       want):
-    """Of integrals that miss the tolerance at both limits, the one named
-    is the first that one call per xi would run: xi in order, then xx
-    before zz."""
-    from polshift import quadpack
-    lockstep = quadpack.lockstep
+    """Of the xx and zz values whose rule misses the tolerance at both sizes,
+    the one named is the first that one call per xi would evaluate: xi in
+    order, then xx before zz.  The rule is made to miss by doubling the
+    coarser sum of the chosen (xi, component) pairs, at both tries; the
+    first try holds every xi of the call, and the second only those with a
+    miss."""
     xis = _matsubara_like_xis(300.0, 4)
-    labels = [(k, comp) for k in range(len(xis)) for comp in ("xx", "zz")]
-    runs = []
+    e1 = [ps.permittivity_imag_axis(material_broad, x) - 1.0 for x in xis]
+    sums, runs = greens._imag_axis_sums, []
 
-    def failing_some(batch):
-        # the first run holds the call's integrals in call order, and the
-        # second the ones of them that missed, all of them made to miss
-        got = lockstep(batch)
-        miss = [lab in failing for lab in labels] if not runs else \
-            [True] * len(batch)
-        runs.append(len(batch))
-        return [r._replace(abserr=math.inf) if m else r
-                for r, m in zip(got, miss)]
+    def failing_some(a, s0, e1_at, eps, sizes):
+        got = sums(a, s0, e1_at, eps, sizes)
+        runs.append((len(a), sizes))
+        for row, e in enumerate(e1_at.tolist()):
+            for comp, name in enumerate(("xx", "zz")):
+                if (e1.index(e), name) in failing:
+                    got[0][row, comp] *= 2.0
+        return got
 
-    monkeypatch.setattr(quadpack, "lockstep", failing_some)
+    monkeypatch.setattr(greens, "_imag_axis_sums", failing_some)
     with pytest.raises(ps.QuadratureFailure, match=f"[(]{want}[)]"):
         ps.green_full_imag_axis(material_broad, Z, xis)
-    assert runs == [len(labels), len(failing)]
+    n = greens._NODES
+    assert runs == [(len(xis), (n, 2 * n)),
+                    (len({k for k, _ in failing}), (4 * n,))]

@@ -20,8 +20,9 @@ import polshift as ps
 from oracles import (MATSUBARA_TOL, matsubara_line_closed_form,
                      matsubara_sum_reference, matsubara_tail_size,
                      nonresonant_one_polariton,
-                     nonresonant_parts_per_transition, u_eff_nonretarded_form)
-from polshift import potentials
+                     nonresonant_parts_per_transition, u_eff_nonretarded_form,
+                     zero_temperature_line)
+from polshift import greens, potentials
 from polshift.atoms import OMEGA_KN_MIN
 from polshift.units import C, CM1, HBAR, KB, MU0
 
@@ -458,6 +459,30 @@ def test_nonretarded_line_is_the_exact_sum(request, exact_lines, atom, n,
     _assert_exact_line(a, n, m, T, exact_lines[atom, n, material], 10**8)
 
 
+@pytest.mark.parametrize("n, material", [("27S1/2", "material_broad"),
+                                         ("26S1/2", "material_narrow")])
+def test_nonretarded_line_approaches_its_zero_temperature_limit(
+        request, rb_atom, n, material):
+    """At 0.35, 1 and 3 K the nonretarded Matsubara line at 1 um lies within
+    the Euler-Maclaurin bounds of zero_temperature_line around its T -> 0
+    limit, -P sum_p R_p log(-p) (the standard Casimir-Polder energy of the
+    level): |line - line0| <= bound2, which falls as T^2, and |line -
+    line0 - first| <= bound4, as T^4, first being the T^2 term.  The
+    library's line is the exact primed sum to within the float64 bound of
+    _assert_exact_line, below 1e-13 of line0 here, so the assertions add
+    1e-12 |line0| for it."""
+    m = request.getfixturevalue(material)
+    line0, em = zero_temperature_line(rb_atom, n, m)
+    zero = line0(Z)
+    assert zero < 0.0
+    lines = _matsubara_lines(rb_atom, n, m, (0.35, 1.0, 3.0),
+                             potentials.MATSUBARA_CUTOFF)
+    for T, line in zip((0.35, 1.0, 3.0), lines):
+        first, bound2, bound4 = em(Z, T)
+        assert abs(line - zero) <= bound2 + 1e-12 * abs(zero), T
+        assert abs(line - zero - first) <= bound4 + 1e-12 * abs(zero), T
+
+
 def _near_mode_atom(gap):
     """A two-level atom whose transition lies a relative gap above the
     surface mode sqrt(omega_T^2 + omega_P^2/2) of an oscillator with
@@ -714,21 +739,38 @@ def test_nonretarded_line_is_exact_across_a_zero_of_alpha(
         assert str(report) == str(potentials._cutoff_failure(cutoff))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the engine's first-hit stop rule stops at the zero of the summand "
-    "where alpha(i xi) changes sign: at xi* = 6 xi_1 the full route's "
-    "line is 5.3e-5 above the exact nonretarded one, against -3.1e-7 at "
-    "10 K (ROADMAP item 2)"))
+@pytest.mark.parametrize("j", [6, 12, 40])
 def test_full_route_line_is_not_cut_at_a_zero_of_alpha(flipping_atom,
-                                                        material_toy):
+                                                        material_toy, j):
     """At 100 nm and 10 K the full route's Matsubara line is 3.1e-7 from
     the exact nonretarded one, so at the T where alpha(i xi) vanishes at
-    xi_6, 0.13 K away, it should be within 1e-5 too."""
-    env = ps.Environment(z=1e-7, T=_alpha_zero_temperature(flipping_atom, 6))
+    xi_j (10.1, 5.1 and 1.5 K) it should be within 1e-5 too: a hit of the
+    stop rule at the zero waits for the next term."""
+    env = ps.Environment(z=1e-7, T=_alpha_zero_temperature(flipping_atom, j))
     full = ps.nonresonant_shift_parts(flipping_atom, "m", material_toy, env,
                                       green_mode="full")[0]
     nr = ps.nonresonant_shift_parts(flipping_atom, "m", material_toy, env)[0]
     assert abs(full / nr - 1.0) <= 1e-5
+
+
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow",
+                                      "material_toy", "material_ldos"])
+def test_full_route_trace_is_negative_on_the_imaginary_axis(request,
+                                                            material):
+    """xi^2 Tr G(i xi) < 0 on the full route for every xi > 0: with
+    eps(i xi) > 1, r_s lies in (-1, 0) and r_p in (0, 1), so both terms of
+    the integrand are negative.  So a Matsubara term can vanish only where
+    alpha(i xi) does, which the stop rule's look-ahead at a sign change of
+    alpha relies on.  Over z from 1 nm to 1 mm and xi from 1e6 to 1e18
+    rad/s (a = 2 xi z/c from 7e-12 to 7e6), the rule's underflow to 0 at
+    a past about 745 aside."""
+    m = request.getfixturevalue(material)
+    xis = np.geomspace(1e6, 1e18, 49)
+    for z in (1e-9, 1e-7, 1e-5, 1e-3):
+        trace = potentials._full_xi2_trace(m, z, xis)
+        live = 2.0 * xis * z / C < 700.0
+        assert (trace[live] < 0.0).all(), z
+        assert (trace[~live] <= 0.0).all(), z
 
 
 def test_matsubara_engine_matches_oracle_full_green(toy_atom, material_toy):
@@ -799,11 +841,12 @@ def _counting_locksteps(monkeypatch):
 def test_full_route_runs_one_lockstep_per_matsubara_pass(rb_atom,
                                                          material_broad,
                                                          monkeypatch):
-    """On the full route the head j = 1..4 of every T is one QUADPACK
-    lockstep, and so is each later pass, over every T still running: the
-    xx and zz integrals of each of its xi.  At 1 um the sums of 30, 100 and
-    300 K stop at j = 34, 9 and 4, so j = 5..9 hold two rows and j = 10..34
-    one."""
+    """On the full route the head j = 1..4 of every T is one evaluation of
+    the imaginary-axis rule, over every xi of it in one array, and so is
+    each later pass, over every T still running; no QUADPACK lockstep
+    runs.  At 1 um the sums of 30, 100 and 300 K stop at j = 34, 9 and 4,
+    so j = 5..9 hold two rows and j = 10..34 one.  No xi of these sums
+    needs the rule's second try."""
     Ts = (30.0, 100.0, 300.0)
     stops = [matsubara_sum_reference(
         _mats_term(rb_atom, "27S1/2", material_broad, ps.Environment(Z, T),
@@ -812,12 +855,21 @@ def test_full_route_runs_one_lockstep_per_matsubara_pass(rb_atom,
     terms = potentials.distance_terms(rb_atom, "27S1/2", "26S1/2",
                                       material_broad, Z, "full")
     batches = _counting_locksteps(monkeypatch)
+    sums, rules = greens._imag_axis_sums, []
+
+    def counted(a, s0, e1, eps, sizes):
+        rules.append((len(a), sizes))
+        return sums(a, s0, e1, eps, sizes)
+
+    monkeypatch.setattr(greens, "_imag_axis_sums", counted)
     reports = potentials.reports_at(terms, Ts)
     assert all(isinstance(r, ps.ShiftReport) for r in reports)
     live = [sum(stop >= j for stop in stops)
             for j in range(5, max(stops) + 1)]
-    assert batches == [2 * 4 * len(Ts)] + [2 * n for n in live]
-    assert batches[1:6] == [4] * 5 and batches[6:] == [2] * 25
+    sizes = (greens._NODES, 2 * greens._NODES)
+    assert rules == [(4 * len(Ts), sizes)] + [(n, sizes) for n in live]
+    assert live[:5] == [2] * 5 and live[5:] == [1] * 25
+    assert batches == []
 
 
 @pytest.mark.parametrize("failing", ["pair", "photon"])

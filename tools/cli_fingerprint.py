@@ -67,6 +67,12 @@ RUNS = (
     # the run exits 3 with NoModeFound and stderr prints both values
     ("point --green full 50 um",
      _shift("point", "--z", "5e-5", "--T", "500", "--green", "full"), {}),
+    # the small-a regime of the imaginary axis, which no retarded_points
+    # pool point reaches: a = 2 xi_j z/c is about 0.016 j at 1 um and 3 K,
+    # so the Fresnel transition lies inside the rule's Legendre panel for
+    # the first 60 or so of the sum's 433 terms
+    ("point --green full 3 K",
+     _shift("point", "--z", "1e-6", "--T", "3", "--green", "full"), {}),
     # the photon line reads G once per transition, on other materials too
     ("point narrow",
      _shift("point", "--z", "1e-6", "--T", "500",
@@ -118,7 +124,7 @@ RUNS = (
             "full", "--format", "csv"), {}),
     # low T on the full route: the sums of 3, 10 and 30 K stop at j = 433,
     # 117 and 34, so the Matsubara passes past the head hold one to three
-    # rows, each pass one lockstep of imaginary-axis quadratures
+    # rows, each pass one evaluation of the imaginary-axis rule
     ("scan --green full 1 um x 3,10,30 K",
      _shift("scan", "--z", "1e-6", "--T", "3,10,30", "--green", "full",
             "--format", "csv"), {}),
