@@ -678,11 +678,13 @@ def green_full_imag_axis_mp(m, z, xi, dps=30):
                                                2 k_rho^2)].
 
     k_rho dk_rho = kappa_v dkappa_v, and s = 2 z (kappa_v - k0) makes it
-    (1/(16 pi z)) int_0^inf ds e^{-a - s} [...] with a = 2 xi z/c.  The
-    Fresnel coefficients change over s of order a, so the integral is split
-    at a/4, a, 4a and 16a below s = 40, and at 40.  At 30 digits the
-    differences kappa_v - kappa_d and eps kappa_v - kappa_d lose no digit
-    that a float64 result keeps.
+    (e^{-a}/(16 pi z)) int_0^inf ds e^{-s} [...] with a = 2 xi z/c; the
+    factor e^{-a}/(16 pi z) stays outside the quadrature, whose error
+    test is absolute and would stop early on an integrand of order
+    e^{-a}.  The Fresnel coefficients change over s of order a, so the
+    integral is split at a/4, a, 4a and 16a below s = 40, and at 40.  At
+    30 digits the differences kappa_v - kappa_d and eps kappa_v - kappa_d
+    lose no digit that a float64 result keeps.
     """
     with mpmath.workdps(dps):
         z, xi = mpmath.mpf(z), mpmath.mpf(xi)
@@ -696,13 +698,14 @@ def green_full_imag_axis_mp(m, z, xi, dps=30):
             kd = mpmath.sqrt(eps * k0 * k0 + k2)
             r_s = (kv - kd) / (kv + kd)
             r_p = (eps * kv - kd) / (eps * kv + kd)
-            damp = mpmath.exp(-a - s) / (16 * mpmath.pi * z)
+            damp = mpmath.exp(-s)
             return (damp * (r_s - r_p * kv * kv / (k0 * k0)),
                     -damp * r_p * 2 * k2 / (k0 * k0))
 
         cuts = sorted({0, *(a * k for k in (0.25, 1, 4, 16) if a * k < 40),
                        40, mpmath.inf})
-        return tuple(float(mpmath.quad(lambda s: bracket(s)[i], cuts))
+        scale = mpmath.exp(-a) / (16 * mpmath.pi * z)
+        return tuple(float(scale * mpmath.quad(lambda s: bracket(s)[i], cuts))
                      for i in (0, 1))
 
 
