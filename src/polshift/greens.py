@@ -364,9 +364,10 @@ def green_full_imag_axis(m, z, xi):
         F_xx = (r_s - t^2 r_p)/(8 pi),  F_zz = -2 r_p (t - 1)(t + 1)/(8 pi),
 
     r_s = -(eps - 1)/(t + d)^2 and r_p = (eps - 1)((eps + 1) t^2 - 1)/
-    (eps t + d)^2 in cancelled forms, d = kappa_d/k0.  F is real and
-    depends on s only through s/a, and the imaginary part of the tensor is
-    exactly 0.
+    (eps t + d)^2 in cancelled forms, d = kappa_d/k0, and eps - 1 the
+    oscillator sum sum_j omega_Pj^2/(omega_Tj^2 + xi^2 + gamma_j xi), which
+    keeps its digits as eps -> 1.  F is real and depends on s only through
+    s/a, and the imaginary part of the tensor is exactly 0.
 
     The integral is a fixed rule in s: Gauss-Legendre on [0, s0], s0 = 16
     min(a, 1), which holds the Fresnel transition at s/a of order 1, and
@@ -394,6 +395,9 @@ def green_full_imag_axis(m, z, xi):
             raise ValueError("xi must be > 0")
     eps = np.array([permittivity_imag_axis(m, x) for x in xis])
     xs = np.array(xis, dtype=float)
+    e1 = np.zeros(xs.size)
+    for p2, t2, g in m._coeffs:
+        e1 = e1 + p2 / (t2 + xs * xs + xs * g)
     a = 2.0 * z * xs / C
     s0 = _SPLIT * np.minimum(a, 1.0)
     scale = (np.exp(-a) / (16.0 * math.pi * z))[:, None]
@@ -407,12 +411,12 @@ def green_full_imag_axis(m, z, xi):
                  <= np.maximum(floor, 10.0 * QUAD_REL_TOL * np.abs(fine)))
 
     rough, fine = (scale * v for v in _imag_axis_sums(
-        a, s0, eps - 1.0, eps, (_NODES, 2 * _NODES)))
+        a, s0, e1, eps, (_NODES, 2 * _NODES)))
     miss = missed(rough, fine, floor)
     if miss.any():
         at = np.flatnonzero(miss.any(axis=1))
         rough, miss = fine[at], miss[at]
-        (finer,) = _imag_axis_sums(a[at], s0[at], eps[at] - 1.0, eps[at],
+        (finer,) = _imag_axis_sums(a[at], s0[at], e1[at], eps[at],
                                    (4 * _NODES,))
         fine[at] = np.where(miss, scale[at] * finer, rough)
         fails = miss & missed(rough, fine[at], floor[at])

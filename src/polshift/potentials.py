@@ -19,6 +19,7 @@ Conventions used throughout:
 * energies are joules; reports carry s^-1 (E/hbar), Hz and cm^-1 alongside.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -306,27 +307,16 @@ def _cutoff_failure(cutoff):
 
 
 #: two poles of one transition's share of the summand closer than this,
-#: relative to the larger, are summed as a pair (_pole_table).  As simple
-#: poles at a relative gap d their residues lose about u/d^2 of the line
-#: (u = 2^-53): near a double root of E, 0.011 apart, the line was 1.3e-11
-#: off, beyond the rounding bound of the closed form, and 0.11 apart
-#: 1.4e-14, within it
+#: relative to the larger, are linked, and each cluster of linked poles is
+#: summed in Newton form (_pole_table).  As simple poles at a relative gap
+#: d their residues lose about u/d^2 of the line (u = 2^-53): near a
+#: double root of E, 0.011 apart, the line was 1.3e-11 off, beyond the
+#: rounding bound of the closed form, and 0.11 apart 1.4e-14, within it
 _POLE_SEP = 0.1
-
-#: two poles of one share closer than this, relative to the larger, that
-#: _nearest_pairs cannot pair (one of them is paired with a third, or a
-#: real root lies between a conjugate pair) raise ConvergenceFailure.
-#: Left simple, they cost the line up to about 2u/d^2 at a relative gap d
-#: (measured for an atom line between two surface modes: 2.3e-13 at
-#: d = 1.8e-2, 1.8e-11 at 1.8e-3 and 6.8e-9 at 1.7e-4), which at d = 1e-3
-#: is 2.2e-10, below MATSUBARA_TOL
-_POLE_CLASH = 1e-3
 
 #: the largest |m| / size of each moment of the pole table that counts as
 #: zero (_pole_table): about a thousand roundings of its coefficients,
-#: where the fixtures' tables reach 2e-16; a residue left simple at a
-#: relative gap d < _POLE_SEP to a near pole counts _POLE_SEP/d times its
-#: size, as it carries that many more roundings
+#: where the fixtures' tables reach 2e-16
 _MOMENT_TOL = 1e-13
 
 #: B_2n / (2n) for n = 1..8, the coefficients of psi's asymptotic series
@@ -356,44 +346,73 @@ def _digamma(z):
     return np.log(w) - 0.5 / w - v * series - shift
 
 
-def _psi_divided(a, b):
-    """psi[a, b] = sum_{n >= 0} 1/((a + n)(b + n)) over complex arrays a
-    and b with Re a, Re b >= 5 (up to rounding): the divided difference
-    (psi(b) - psi(a))/(b - a), and psi'(a) at b = a.
+def _homogeneous(x):
+    """h_0, h_1, h_2, ... without end: the complete homogeneous symmetric
+    polynomials of the variables x_1..x_m on the last axis of the array x.
+    Each step takes h_s(x_i..x_m) = h_s(x_{i+1}..x_m)
+    + x_i h_{s-1}(x_i..x_m) from the last variable to the first, so that
+    at m = 2, x = (u, v), it is h_s = v^s + u h_{s-1}."""
+    g = [1.0] * x.shape[-1]  # g[i] = h_s(x_i..x_m)
+    while True:
+        yield g[0]
+        below = 0.0
+        for i in reversed(range(len(g))):
+            below = g[i] = below + x[..., i] * g[i]
 
-    Ten terms of the sum take the arguments to A = a + 10 and B = b + 10,
-    |A|, |B| >= 15, where Euler-Maclaurin gives the rest,
 
-        sum_{n >= 0} f(A + n) = L + f(A)/2 + sum_{k=1}^{8} B_2k/(2k) S_2k,
+def _cluster_sum(a):
+    """S(a_1..a_m) = sum_{n >= 0} prod_i 1/(n + a_i), m >= 2, over the last
+    axis of a complex array a with every Re a_i >= 5 (up to rounding): the
+    divided difference (-1)^m psi[a_1..a_m], at any spread, zero included.
 
-    with f(x) = 1/(x (x + b - a)), u = 1/A, v = 1/B and
-    S_n = sum_{i=0}^{n-1} u^(i+1) v^(n-i) = -f^(n-1)(A)/(n-1)!, built as
-    u v h_{n-1} from h_m = v^m + u h_{m-1}.  The integral
-    L = log(B/A)/(B - A) is taken as (2/(A + B)) atanh(y)/y with
-    y = (b - a)/(A + B), |y| < 1, and atanh(y)/y = 1 at y = 0; for
-    |y| >= 1/2, atanh(y) is log(B/A)/2, since 1 - y or 1 + y would lose the
-    digits of y's rounding.  No difference of nearby values is divided by
-    b - a, so one formula holds at every separation, zero included.  The
-    first term left out, B_18/18 S_18, is below 55 |A|^-19 against the
-    1/|A| of L.
+    Ten terms of the sum take the arguments to A_i = a_i + 10,
+    |A_i| >= 15, where Euler-Maclaurin gives the rest,
+
+        sum_{n >= 0} f(n) = L + f(0)/2 + sum_{k=1}^{8} B_2k/(2k) S_2k,
+
+    with f(t) = prod_i 1/(A_i + t), u_i = 1/A_i and S_2k =
+    -f^(2k-1)(0)/(2k-1)! = prod_i u_i h_{2k-1}(u) (_homogeneous); the
+    first term left out is below 5e-17 of L for m <= 5.  The integral
+    L = (-1)^m log[A_1..A_m] is, with centre M = mean A_i and
+    z_i = (M - A_i)/M, the divided difference of log's Taylor series,
+
+        L = M^(1-m) sum_{s >= 0} h_s(z)/(s + m - 1),
+
+    at m = 2 (2/(A + B)) atanh(y)/y, y = (B - A)/(A + B); no difference
+    of nearby values is divided by a gap between them.  Its terms past
+    s = n sum to at most C(n + m - 2, m - 2) rho^n/(1 - rho)^(m - 1)
+    of the first, rho = max |z_i| < 1/2, and n is the first at which that
+    falls below 2^-54.  For rho >= 1/2 the series would need too many
+    terms, and L is (-1)^m sum_i log(A_i/M) / prod_{l != i} (A_i - A_l),
+    NaN where two A_i coincide.
     """
+    m = a.shape[-1]
     total = 0.0
     for i in range(10):
-        total = total + 1.0 / ((a + float(i)) * (b + float(i)))
-    big_a, big_b = a + 10.0, b + 10.0
-    u, v = 1.0 / big_a, 1.0 / big_b
-    y = (b - a) / (big_a + big_b)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(y == 0.0, 1.0, np.where(
-            abs(y) < 0.5, np.arctanh(y), 0.5 * np.log(big_b / big_a)) / y)
-    h = power = 1.0
+        total = total + 1.0 / np.prod(a + float(i), axis=-1)
+    big = a + 10.0
+    u = 1.0 / big
     series = 0.0
-    for m in range(1, 2 * len(_PSI_SERIES)):
-        power = power * v
-        h = u * h + power  # h_m(u, v)
-        if m % 2:
-            series = series + _PSI_SERIES[m // 2] * h
-    return total + 2.0 / (big_a + big_b) * ratio + u * v * (0.5 + series)
+    for s, h in zip(range(2 * len(_PSI_SERIES)), _homogeneous(u)):
+        if s % 2:
+            series = series + _PSI_SERIES[s // 2] * h
+    centre = big.mean(axis=-1)
+    z = (centre[..., None] - big) / centre[..., None]
+    spread = np.abs(z).max(axis=-1)
+    rho = float(np.max(spread, where=spread < 0.5, initial=0.0))
+    n = 1
+    while math.comb(n + m - 2, m - 2) * rho**n \
+            > 2.0**-54 * (1.0 - rho)**(m - 1):
+        n += 1
+    log_dd = 0.0
+    for s, h in zip(range(n), _homogeneous(z)):
+        log_dd = log_dd + h / float(s + m - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = big[..., :, None] - big[..., None, :] + np.eye(m)
+        fractions = (-1)**m * (np.log(big / centre[..., None])
+                               / gaps.prod(axis=-1)).sum(axis=-1)
+    integral = np.where(spread < 0.5, log_dd / centre**(m - 1), fractions)
+    return total + integral + np.prod(u, axis=-1) * (0.5 + series)
 
 
 def _quotient(p, z):
@@ -409,43 +428,29 @@ def _quotient(p, z):
     return np.array(q, dtype=complex)
 
 
-def _nearest_pairs(gaps, size, mirror):
-    """The pairs (i, j), i < j, of near poles in one transition's share of
-    the summand, which _pole_table sums together.  The share's poles are
-    the roots of E and then +-i w_k; gaps[i, j] is the distance from root
-    i to pole j, size[i, j] the larger magnitude of the two, and mirror[j]
-    the index of pole j's conjugate.
+def _divided(p, nodes):
+    """The divided differences p[c_i..c_K] of the polynomial p at the
+    nodes c_1..c_K, for i = 1..K: p(c_K), then each p[c_i..c_K] the
+    _quotient of p by x - c_K, ..., x - c_{i+1} taken at c_i."""
+    out = []
+    for node in nodes[::-1]:
+        out.append(np.polyval(p, node))
+        p = _quotient(p, node)
+    return out[::-1]
 
-    Poles within _POLE_SEP of each other, relative to the larger, are
-    matched nearest first, each to one partner, and each pair with its
-    conjugate pair, so that the table stays real; a pair whose conjugate
-    shares one pole with it, but not both, is not matched.  A pole left
-    without a partner keeps its simple residue, which at a relative gap d
-    to its nearest pole loses about u/d^2 of the line (u = 2^-53).
-    Returns (pairs, loose), loose holding (d, i, j) for each near pair
-    left unmatched; one within _POLE_CLASH raises ConvergenceFailure.
-    """
-    i, j = np.nonzero(np.triu(gaps <= _POLE_SEP * size, 1))
-    free = np.ones(gaps.shape[1], dtype=bool)
-    pairs, loose = set(), []
-    for rel, a, b in sorted(zip((gaps[i, j] / size[i, j]).tolist(),
-                                i.tolist(), j.tolist())):
-        if (a, b) in pairs:  # the conjugate of a pair already taken
-            continue
-        mirrored = tuple(sorted((int(mirror[a]), int(mirror[b]))))
-        ends = list({a, b, *mirrored})
-        if free[ends].all() and len(ends) != 3:
-            free[ends] = False
-            pairs.update(((a, b), mirrored))
-        elif rel <= _POLE_CLASH:
-            raise ConvergenceFailure(
-                f"two poles of the Matsubara summand lie within "
-                f"_POLE_CLASH={_POLE_CLASH:g} of each other but cannot "
-                f"be paired; the closed form sums near poles in pairs "
-                f"only")
-        else:
-            loose.append((rel, a, b))
-    return sorted(pairs), loose
+
+def _newton(nodes, num, den):
+    """The coefficients b_m = F[c_m..c_K], m = 1..K, of the Newton form of
+    num/den about a cluster of its poles, the nodes c_1..c_K, with
+    F = num/D and D den's quotient by each x - c_i (see _pole_table)."""
+    d = functools.reduce(_quotient, nodes, den)
+    # column l of the Leibniz rule: D[c_i..c_l] for i <= l
+    cols = [_divided(d, nodes[:l + 1]) for l in range(nodes.size)]
+    b = np.zeros(nodes.size, dtype=complex)
+    for i, top in reversed(list(enumerate(_divided(num, nodes)))):
+        b[i] = (top - sum(cols[l][i] * b[l]
+                          for l in range(i + 1, nodes.size))) / cols[i][i]
+    return b
 
 
 class _PoleTable(NamedTuple):
@@ -453,24 +458,23 @@ class _PoleTable(NamedTuple):
     partial fractions in x = xi/unit:
 
         f(xi) = scale * Re [sum_p residues_p / (x - p)
-                            + sum_q tau_q / ((x - s_q)(x - t_q))].
+                            + sum_C sum_{m=2}^{K} b_m / prod_{i<=m} (x - c_i)].
 
     poles holds those of the 2 N_osc roots of E
     (material._imag_axis_rational) and of +-i w_k, one pair per transition,
     that lie on or above the real axis, with the residues left once the
-    pairs are taken out; the residue of a pole above the axis is doubled,
-    to stand for its conjugate too.  Then come the first member s_q of each
-    pair (s_q, t_q) of near poles and its sigma (see _pole_table); the
-    pairs are few, and each is listed with its conjugate.  The vacuum's
-    table is empty."""
+    clusters are taken out; the residue of a pole above the axis is
+    doubled, to stand for its conjugate too.  Then come c_1 and b_1 of
+    each cluster C of near poles, whose nodes c_1..c_K and Newton
+    coefficients b_1..b_K clusters holds (see _pole_table); the clusters
+    are few, each listed with its conjugate.  The vacuum's table is
+    empty."""
 
     unit: float
     scale: float
     poles: np.ndarray
     residues: np.ndarray
-    s: np.ndarray
-    t: np.ndarray
-    tau: np.ndarray
+    clusters: tuple
 
 
 def _pole_table(terms):
@@ -487,35 +491,34 @@ def _pole_table(terms):
     A(p)/E'(p) c_k/(p^2 + w_k^2), and at p = +-i w_k, with residue
     c_k A(p)/(2 p E(p)); the residues of the shares add at each root.
 
-    A pole of h_k whose partner, another pole of h_k, lies within _POLE_SEP
-    of it (relative to the larger) would have a residue that cancels
-    against the partner's.  Such a pair s, t, each pole paired with its
-    nearest (_nearest_pairs) and t = +-i w_k where the pair holds one, is
-    summed as
+    Two poles of h_k within _POLE_SEP of each other (relative to the
+    larger) would have residues that cancel to few digits.  They are
+    linked, and each cluster c_1..c_K of h_k's poles that the links
+    connect (in the order roots of E, +i w_k, -i w_k) is summed in Newton
+    form,
 
-        sigma/(x - s) + tau/((x - s)(x - t)),  sigma = F[s, t], tau = F(t),
+        sum_{m=1}^{K} b_m / prod_{i<=m} (x - c_i),  b_m = F[c_m..c_K],
 
-    with F = h_k (x - s)(x - t) = N/D, N = c_k A and D the quotient of
-    (x^2 + w_k^2) E by x - s and x - t.  sigma is
-    (N[s, t] - F(t) D[s, t])/D(s), each divided difference of a
-    polynomial its _quotient by x - t taken at s, so no difference of
-    nearby values is formed.  Every other pole keeps its simple residue.
+    with F = h_k prod_i (x - c_i) = N/D, N = c_k A and D the quotient of
+    (x^2 + w_k^2) E by each x - c_i.  The Leibniz rule N[c_i..c_K] =
+    sum_{l>=i} D[c_i..c_l] F[c_l..c_K] gives b_K = N(c_K)/D(c_K) and then
+    each b_i from those after it (_newton), every divided difference of a
+    polynomial a chain of _quotient steps, so no difference of nearby
+    values is formed; K = 2 is sigma/(x - s) + tau/((x - s)(x - t)).
+    Every other pole keeps its simple residue.
 
-    h falls as x^-4, so the moments m_0 = sum R_p + sum sigma and
-    m_1 = sum R_p p + sum (sigma s + tau) vanish; each is checked against
-    _MOMENT_TOL of the sum of the magnitudes of its terms, each simple
-    residue within _POLE_SEP of a pole it is not paired with weighted as
-    _MOMENT_TOL says.  Two poles within _POLE_CLASH of each other that
-    cannot both be paired, or a moment that fails the check (a non-finite
-    coefficient does, as when |omega_kn|/unit underflows to 0), raise
-    ConvergenceFailure naming the cause.  Every quantity is a ratio of
-    frequencies or scales as c_k does, so scaling all frequencies by 2^k
-    leaves the poles, s and t as they are bit for bit and scales residues,
-    sigma and tau by 2^k exactly.
+    h falls as x^-4, so the moments m_0 = sum R_p + sum b_1 and
+    m_1 = sum R_p p + sum (b_1 c_1 + b_2) vanish; each is checked against
+    _MOMENT_TOL of the sum of the magnitudes of its terms, and a moment
+    that fails (a non-finite coefficient does, as when |omega_kn|/unit
+    underflows to 0) raises ConvergenceFailure naming the cause.  Every
+    quantity is a ratio of frequencies or scales as c_k does, so scaling
+    all frequencies by 2^k leaves the poles and the nodes as they are bit
+    for bit and scales the residues and each b_m by 2^k exactly.
     """
     if not terms.m.oscillators:  # the vacuum: r_p = 0
         none = np.zeros(0, dtype=complex)
-        return _PoleTable(1.0, 0.0, none, none, none, none, none)
+        return _PoleTable(1.0, 0.0, none, none, ())
     trans = transitions_from(terms.atom, terms.upper)
     c = np.array([w * d * d for _, w, d in trans])
     unit, a, e = _imag_axis_rational(terms.m)
@@ -525,50 +528,37 @@ def _pole_table(terms):
     r, n = roots.size, wk.size
     gaps = np.abs(roots[:, None] - poles)
     np.fill_diagonal(gaps, np.inf)  # a root and itself
-    size = np.maximum(np.abs(roots[:, None]), np.abs(poles))
-    near = gaps <= _POLE_SEP * size
+    near = gaps <= _POLE_SEP * np.maximum(np.abs(roots[:, None]),
+                                          np.abs(poles))
     # share[i, k]: transition k's share of the residue at root i, not
-    # finite where the root sits on i w_k (and pairs with it)
+    # finite where the root sits on i w_k (and is clustered with it)
     with np.errstate(all="ignore"):
         share = c / (roots[:, None] * roots[:, None] + wk * wk)
-    keep, pairs = np.ones(poles.size, dtype=bool), []
-    weight = 1.0  # each residue's in the moment check (_MOMENT_TOL)
+    keep, clusters = np.ones(poles.size, dtype=bool), []
     if near.any():
-        weight = np.ones(poles.size)
-        # paired[i, k]: root i is paired in transition k's share of h,
-        # which holds the roots and +-i w_k; atom_paired: each of +-i w_k
-        paired = np.zeros((r, n), dtype=bool)
-        atom_paired = np.zeros(2 * n, dtype=bool)
-        # the conjugate of each of the share's poles, by index; a real
-        # root is its own, also where E has it twice
-        mirror = np.append(np.where(
-            roots.imag == 0.0, np.arange(r),
-            np.abs(roots[:, None] - roots.conj()).argmin(axis=1)), (r + 1, r))
+        # clustered[i, k]: pole i of transition k's share of h, which
+        # holds the roots and then +-i w_k, lies in a cluster
+        clustered = np.zeros((r + 2, n), dtype=bool)
         for k in np.flatnonzero(near[:, r:r + n].any(axis=0)
                                 | near[:, r + n:].any(axis=0)
                                 | near[:, :r].any()).tolist():
             cols = np.r_[:r, r + k, r + n + k]
-            own = poles[cols]
+            reach = np.eye(r + 2, dtype=bool)
+            reach[:r] |= near[:, cols]
+            reach |= reach.T
+            while not np.array_equal(reach, grown := reach @ reach):
+                reach = grown
             den = np.polymul([1.0, 0.0, wk[k] * wk[k]], e)
-            matched, loose = _nearest_pairs(gaps[:, cols], size[:, cols],
-                                            mirror)
-            taken = np.zeros(r + 2, dtype=bool)
-            for i, j in matched:
-                s, t = own[i], own[j]
-                num, d = c[k] * a, _quotient(_quotient(den, s), t)
-                f_t = np.polyval(num, t) / np.polyval(d, t)
-                sigma = (np.polyval(_quotient(num, t), s)
-                         - f_t * np.polyval(_quotient(d, t), s)) \
-                    / np.polyval(d, s)
-                pairs.append((s, t, sigma, f_t))
-                taken[[i, j]] = True
-            for rel, i, j in loose:
-                for at in cols[[i, j]][~taken[[i, j]]]:
-                    weight[at] = max(weight[at], _POLE_SEP / rel)
-            paired[:, k], atom_paired[[k, n + k]] = taken[:r], taken[r:]
-        share[paired] = 0.0
-        keep = ~np.concatenate((paired.all(axis=1), atom_paired))
-        weight = weight[keep]
+            for i in range(r + 2):
+                members = np.flatnonzero(reach[i])
+                if members[0] == i and members.size > 1:
+                    nodes = poles[cols[members]]
+                    clusters.append((nodes, _newton(nodes, c[k] * a, den)))
+                    clustered[members, k] = True
+        # a pole goes when it lies in a cluster of every share it is in
+        share[clustered[:r]] = 0.0
+        keep = ~np.concatenate((clustered[:r].all(axis=1), clustered[r],
+                                clustered[r + 1]))
     # A, E and E' at the roots and at +i w_k, in one Horner pass
     coeffs = np.stack((a, e, np.append(0.0, e[:-1] * np.arange(
         e.size - 1, 0, -1))))
@@ -576,15 +566,16 @@ def _pole_table(terms):
     vals = np.zeros((3, at.size), dtype=complex)
     for col in coeffs.T:
         vals = vals * at + col[:, None]
-    with np.errstate(all="ignore"):  # E'(p) of a paired root may be 0
+    with np.errstate(all="ignore"):  # E'(p) of a clustered root may be 0
         at_roots = vals[0, :r] / vals[2, :r] * share.sum(axis=1)
         at_atom = c * vals[0, r:] / (2.0 * iw * vals[1, r:])
     poles = poles[keep]
     residues = np.concatenate((at_roots, at_atom, at_atom.conjugate()))[keep]
-    s, t, sigma, tau = np.array(pairs, dtype=complex).reshape(-1, 4).T
-    for simple, joint in ((residues, sigma),
-                          (residues * poles, np.append(sigma * s, tau))):
-        size = (np.abs(simple) * weight).sum() + np.abs(joint).sum()
+    first, b1, b2 = np.array([(nodes[0], b[0], b[1]) for nodes, b in clusters],
+                             dtype=complex).reshape(-1, 3).T
+    for simple, joint in ((residues, b1),
+                          (residues * poles, np.append(b1 * first, b2))):
+        size = np.abs(simple).sum() + np.abs(joint).sum()
         if not abs(simple.sum() + joint.sum()) <= _MOMENT_TOL * size:
             raise ConvergenceFailure(
                 f"the moments of the Matsubara summand's pole table do "
@@ -597,9 +588,9 @@ def _pole_table(terms):
     weights = np.where(poles.imag > 0.0, 2.0, 1.0)[upper]
     scale = -(C**2 / (8.0 * math.pi * cube(terms.z))) \
         * (2.0 / (3.0 * HBAR)) / (unit * unit)
-    return _PoleTable(unit, scale, np.concatenate((poles[upper], s)),
-                      np.concatenate((weights * residues[upper], sigma)),
-                      s, t, tau)
+    return _PoleTable(unit, scale, np.concatenate((poles[upper], first)),
+                      np.concatenate((weights * residues[upper], b1)),
+                      tuple(clusters))
 
 
 def _nonretarded_xi2_trace(m, z, xi):
@@ -667,15 +658,16 @@ def _nonretarded_tail(terms, xi1):
     With the table of terms, x_1 = xi_1/unit and j >= _HEAD, the tail is
 
         sum_{i >= j} h(i x_1) = -(1/x_1) sum_p R_p psi(j - p/x_1)
-                                + (1/x_1^2) sum_q tau_q psi[j - s_q/x_1,
-                                                            j - t_q/x_1],
+            + sum_C sum_{m=2}^{K} (b_m/x_1^m) S(j - c_1/x_1, .., j - c_m/x_1),
 
     since the simple coefficients R_p sum to 0 and
-    sum_{i >= j} 1/((i x_1 - s)(i x_1 - t)) = psi[j - s/x_1, j - t/x_1]
-    / x_1^2 (_psi_divided).  Every root of E lies in Re p <= 0 (passivity)
-    and +-i w_k on the axis, so _digamma and _psi_divided see Re >= _HEAD.
-    Where x_1 is so small that psi overflows, the tail is NaN, and its
-    sum fails.
+    sum_{i >= j} 1/prod_{l<=m} (i x_1 - c_l) = S(j - c_1/x_1, ..)/x_1^m
+    (_cluster_sum).  Every root of E lies in Re p <= 0 (passivity) and
+    +-i w_k on the axis, so _digamma and _cluster_sum see Re >= _HEAD; and
+    the arguments of a cluster of at most four poles, each within
+    _POLE_SEP of a neighbour, spread at most 0.3 about their centre,
+    where _cluster_sum takes its series.  Where x_1 is so small that psi
+    overflows, the tail is NaN, and its sum fails.
     """
     table = _pole_table(terms)
     x1 = xi1 / table.unit
@@ -685,11 +677,11 @@ def _nonretarded_tail(terms, xi1):
         with np.errstate(all="ignore"):
             psi = _digamma(j[:, None] - table.poles / x)
             out = -(psi * table.residues).sum(axis=2).real / x1[rows, None]
-            if table.tau.size:
-                pairs = _psi_divided(j[:, None] - table.s / x,
-                                     j[:, None] - table.t / x)
-                out = out + (pairs * table.tau).sum(axis=2).real \
-                    / (x1[rows, None] * x1[rows, None])
+            for nodes, b in table.clusters:
+                for m in range(2, nodes.size + 1):
+                    out = out + (b[m - 1] * _cluster_sum(
+                        j[:, None] - nodes[:m] / x)).real \
+                        / x1[rows, None]**m
             return table.scale * out
     return tail
 

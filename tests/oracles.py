@@ -296,50 +296,55 @@ def matsubara_tail_size(atom, n, m, head=5, dps=20, sep=0.0):
     of _matsubara_partial_fractions, the scale of that sum's rounding in
     float64.  A simple pole gives |R_p psi(head - p/x_1)| / x_1.  Poles
     of one transition within sep of each other, relative to the larger,
-    are paired nearest first, each with one partner; a pair s, t gives the
-    terms of sigma/(x - s) + tau/((x - s)(x - t)), sigma = R_s + R_t and
-    tau = R_t (t - s): |sigma psi(head - s/x_1)| / x_1 and
-    |tau psi[head - s/x_1, head - t/x_1]| / x_1^2, with the divided
-    difference psi[a, b] = (psi(b) - psi(a))/(b - a).  A pole left simple
-    at a relative gap d < sep to its nearest counts sep/d times, since its
-    residue carries that many more roundings (as in the library's moment
-    check)."""
+    are linked, and each cluster c_1..c_K that the links connect gives the
+    terms of its Newton form sum_m b_m / prod_{i<=m} (x - c_i), with
+    b_m = sum_{i>=m} R_i prod_{l<m} (c_i - c_l) (b_1 = sum_i R_i and, at
+    K = 2, b_2 = R_t (t - s)): |b_1 psi(head - c_1/x_1)| / x_1 and, for
+    m >= 2, |b_m S_m| / x_1^m with S_m = sum_{n >= 0} prod_{i<=m}
+    1/(n + a_i) = (-1)^m psi[a_1..a_m], a_i = head - c_i/x_1
+    (cluster_sum_mp over the split poles)."""
     w, parts = _matsubara_partial_fractions(atom, n, m, dps)
-    entries = []  # (s, coefficient, t, weight), t None for a simple pole
+    entries = []  # (c_1..c_m, coefficient)
     for poles, residues, _ in parts:
-        rel = {(i, j): abs(p - q) / max(abs(p), abs(q))
-               for i, p in enumerate(poles) for j, q in enumerate(poles)
-               if i != j}
-        partner = {}
-        for g, i, j in sorted((g, i, j) for (i, j), g in rel.items()):
-            if g <= sep and i not in partner and j not in partner:
-                partner[i], partner[j] = j, i
-        for i, (s, r_s) in enumerate(zip(poles, residues)):
-            j = partner.get(i)
-            if j is None:
-                gap = min(g for (a, _), g in rel.items() if a == i)
-                entries.append((s, r_s, None, max(1, sep / gap)))
-            elif i < j:
-                t, r_t = poles[j], residues[j]
-                entries += [(s, r_s + r_t, None, 1), (s, r_t * (t - s), t, 1)]
+        cluster = list(range(len(poles)))  # the least index linked to each
+        for i, p in enumerate(poles):
+            for j, q in enumerate(poles[:i]):
+                if abs(p - q) <= sep * max(abs(p), abs(q)):
+                    new, old = sorted((cluster[i], cluster[j]))
+                    cluster = [new if c == old else c for c in cluster]
+        for lead in sorted(set(cluster)):
+            nodes = [i for i, c in enumerate(cluster) if c == lead]
+            cs, rs = [poles[i] for i in nodes], [residues[i] for i in nodes]
+            for k in range(len(nodes)):
+                entries.append((cs[:k + 1], mpmath.fsum(
+                    rs[i] * mpmath.fprod(cs[i] - x for x in cs[:k])
+                    for i in range(k, len(nodes)))))
 
     def size(z, T):
         with mpmath.workdps(dps):
             x1 = 2 * mpmath.pi * mpmath.mpf(KB) * T / mpmath.mpf(HBAR) / w
 
-            def psi(s, t):
-                a = head - s / x1
-                if t is None:
-                    return mpmath.digamma(a)
-                b = head - t / x1
-                return (mpmath.digamma(b) - mpmath.digamma(a)) / (b - a) / x1
-            total = mpmath.fsum(abs(r * psi(s, t)) * weight
-                                for s, r, t, weight in entries) / x1
+            def term(nodes, coef):
+                a = [head - c / x1 for c in nodes]
+                if len(a) == 1:
+                    return abs(coef * mpmath.digamma(a[0])) / x1
+                return abs(coef * cluster_sum_mp(a)) / x1 ** len(a)
+            total = mpmath.fsum(term(*entry) for entry in entries)
             pref = (mpmath.mpf(MU0) * KB * T * 2 / (3 * mpmath.mpf(HBAR))
                     * mpmath.mpf(C) ** 2 / (8 * mpmath.pi * mpmath.mpf(z) ** 3)
                     / w ** 2)
             return len(entries), float(pref * total)
     return size
+
+
+def cluster_sum_mp(a):
+    """sum_{n >= 0} prod_i 1/(n + a_i) = (-1)^m psi[a_1..a_m] over m >= 2
+    distinct mpmath numbers a_i, as partial fractions of digamma in the
+    working precision, which their cancellation costs digits."""
+    return (-1) ** len(a) * mpmath.fsum(
+        mpmath.digamma(x) / mpmath.fprod(x - y for j, y in enumerate(a)
+                                         if j != i)
+        for i, x in enumerate(a))
 
 
 def level_tables_by_scan(atom, n):

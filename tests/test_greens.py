@@ -519,14 +519,18 @@ def test_imag_axis_matches_the_mp_oracle(request, material):
     2n-node value is nearer the integral wherever the rule converges, so
     the value taken is within that bound.  On every case here the 32-node
     and 64-node sums agree to QUAD_REL_TOL relative (asserted), so epsabs
-    decides nothing and the bound is 10 QUAD_REL_TOL |G|.  eps(i xi) - 1,
-    which the rule takes from float64 eps, carries a few ulps of eps, 3e-10
-    of itself at the smallest eps - 1 here (a = 60 on material_toy, 8e-7),
-    far inside the bound; the oracle's 30 digits are exact at float64."""
+    decides nothing and the bound is 10 QUAD_REL_TOL |G|.  On
+    material_toy two more points, z = 0.1 nm at xi = 1.7e19 rad/s and
+    z = 1 nm at 1e18 rad/s, have eps(i xi) - 1 of 2.2e-13 and 6.4e-11:
+    eps - 1 taken from float64 eps was 3.4e-4 and 1.1e-6 off there, and the
+    rule now forms it as the oscillator sum.  The oracle's 30 digits are
+    exact at float64."""
     m = request.getfixturevalue(material)
     cases = [(Z, a * C / (2.0 * Z)) for a in _ORACLE_A]
     if material == "material_broad":
         cases += [(1e-7, 4.94e13), (0.606e-6, 9.47e14)]
+    if material == "material_toy":
+        cases += [(1e-10, 1.7e19), (1e-9, 1e18)]
     tol = greens.QUAD_REL_TOL
     for z, xi in cases:
         rough, fine = greens._imag_axis_sums(*_imag_axis_rows(m, z, [xi]),
@@ -676,7 +680,10 @@ def test_imag_axis_failure_is_the_first_in_call_order(material_broad,
     first try holds every xi of the call, and the second only those with a
     miss."""
     xis = _matsubara_like_xis(300.0, 4)
-    e1 = [ps.permittivity_imag_axis(material_broad, x) - 1.0 for x in xis]
+    # eps(i xi) - 1 as green_full_imag_axis forms it, the oscillator sum
+    e1 = [sum(o.omega_P * o.omega_P
+              / (o.omega_T * o.omega_T + x * x + x * o.gamma_damp)
+              for o in material_broad.oscillators) for x in xis]
     sums, runs = greens._imag_axis_sums, []
 
     def failing_some(a, s0, e1_at, eps, sizes):

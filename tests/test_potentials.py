@@ -17,9 +17,9 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import polshift as ps
-from oracles import (MATSUBARA_TOL, matsubara_line_closed_form,
-                     matsubara_sum_reference, matsubara_tail_size,
-                     nonresonant_one_polariton,
+from oracles import (MATSUBARA_TOL, cluster_sum_mp,
+                     matsubara_line_closed_form, matsubara_sum_reference,
+                     matsubara_tail_size, nonresonant_one_polariton,
                      nonresonant_parts_per_transition, u_eff_nonretarded_form,
                      zero_temperature_line)
 from polshift import greens, potentials
@@ -362,7 +362,7 @@ _LINE_CASES = [("rb_atom", "27S1/2", "material_broad"),
 
 def _exact(atom, n, m, dps=40):
     """(line, tail size) of matsubara_line_closed_form and
-    matsubara_tail_size, the size counting the library's pairs."""
+    matsubara_tail_size, the size counting the library's clusters."""
     return (matsubara_line_closed_form(atom, n, m, dps),
             matsubara_tail_size(atom, n, m, dps=max(dps, 20),
                                 sep=potentials._POLE_SEP))
@@ -402,7 +402,7 @@ def _assert_exact_line(a, n, m, T, exact, cutoff):
     and the psi tail.
 
     The line is S_4 + scale * (-(1/x_1) sum_p R_p psi(5 - p/x_1)
-    + (1/x_1^2) sum_q tau_q psi[5 - s_q/x_1, 5 - t_q/x_1]), times
+    + sum_C sum_{m>=2} (b_m/x_1^m) S(5 - c_1/x_1, .., 5 - c_m/x_1)), times
     mu0 kB T.  Rounding, in units of u = 2^-53:
 
     * the head: each of its terms t_0..t_4 rounds at most 64 times
@@ -410,19 +410,21 @@ def _assert_exact_line(a, n, m, T, exact, cutoff):
       alpha taken in absolute value (as in
       test_matsubara_line_matches_closed_form), and the partial sum five
       times: 69 u sum_{j<=4} |t_j|_abs;
-    * the tail: each psi value, and each psi[a, b] of a pair, takes at
-      most 32 roundings relative to its magnitude (five recurrence steps
-      of a complex division and an addition, the log, the 1/w and the
-      eight Horner steps of the series; for psi[a, b] ten terms, the
-      integral and the series), each residue at most 32 relative to |R_p|
-      (the Horner values of A, E and E' at a root and the sum over the
-      transitions), each pair's sigma and tau at most 32 relative to
-      theirs (the synthetic divisions of N and D and their Horner values
-      at s and t), and the sum over the terms one per term:
-      (terms + 64) u times the size of matsubara_tail_size, the sum of
-      |R_p psi_p| / x_1 and, for a pair, |sigma psi| / x_1 and
-      |tau psi[a, b]| / x_1^2, taken over the oracle's per-transition
-      poles, which bound the library's merged ones;
+    * the tail: each psi value, and each S of a cluster, takes at most 32
+      roundings relative to its magnitude (five recurrence steps of a
+      complex division and an addition, the log, the 1/w and the eight
+      Horner steps of the series; for S ten terms, the integral and the
+      series, 8 roundings in test_cluster_sum_matches_mpmath), each
+      residue at most 32 relative to |R_p| (the Horner values of A, E and
+      E' at a root and the sum over the transitions), each Newton
+      coefficient b_m of a cluster of two or three poles at most 32
+      relative to |b_m| (the synthetic divisions of N and D, their Horner
+      values at the nodes and the Leibniz sum), and the sum over the
+      terms one per term: (terms + 64) u times the size of
+      matsubara_tail_size, the sum of |R_p psi_p| / x_1 and, for a
+      cluster, |b_1 psi| / x_1 and |b_m S| / x_1^m, taken over the
+      oracle's per-transition poles, which bound the library's merged
+      ones;
     * the last steps (S_4 + tail, the scale, mu0 kB T and the oracle's own
       rounding to a float): 8 u |line|.
     """
@@ -499,17 +501,18 @@ def _near_mode_atom(gap):
 #: xi = -3e13 rad/s; 6e13 is a float, so the root is exactly double
 _GAMMA_CRIT = 6e13
 
-#: the nonretarded lines whose summand has a pair of near poles: the atom
-#: a relative gap above the surface mode at gamma 0, 1e9 and 1e10 rad/s;
-#: the toy atom on an oscillator damped gamma/gamma_crit - 1 from
+#: the nonretarded lines whose summand has a cluster of near poles: the
+#: atom a relative gap above the surface mode at gamma 0, 1e9 and 1e10
+#: rad/s; the toy atom on an oscillator damped gamma/gamma_crit - 1 from
 #: critical; and an atom line halfway between two surface modes, a root
-#: of E within 1.8 % (0.01) or 1.8e-3 (0.001) on either side, so that it
-#: pairs with the nearer and leaves the other simple
+#: of E within 1.8 % (0.01), 1.8e-3 (0.001) or 1.7e-5 (1e-05) on either
+#: side, or, at 1e-09, a near-double root of E within 4e-5 of it, so that
+#: the three poles form one cluster
 _PAIRED_CASES = [f"near {gap:g} {gamma:g}" for gap in (1e-3, 1e-6, 1e-9,
                                                       1e-12, 0.0)
                  for gamma in (0.0, 1e9, 1e10)] \
     + [f"critical {d:+g}" for d in (1e-4, -1e-4, 1e-8, -1e-8, 0.0)] \
-    + ["between 0.01", "between 0.001"]
+    + ["between 0.01", "between 0.001", "between 1e-05", "between 1e-09"]
 
 
 def _paired_case(case):
@@ -541,23 +544,29 @@ def _paired_case(case):
 @pytest.mark.parametrize("case", ["vacuum"] + _PAIRED_CASES)
 def test_nonretarded_line_is_exact_where_poles_pair(case):
     """Where a root of E lies near +-i w_k or near another root, the table
-    sums the two as a pair, and the line matches the oracle's exact sum
-    (poles split by 1e-50 where they coincide, at 150 digits) to within
-    _assert_exact_line's rounding at 0.35, 3, 30 and 300 K; between two
-    surface modes, the root left simple counts as the oracle's tail size
-    says.  The vacuum's
-    table is empty and its line 0.  Each case forms a pair; at gap 1e-6
-    with gamma 0 or 1e9 rad/s, as on the vacuum, the table used to be
-    refused, and the line was the engine's without a tail."""
+    sums the near poles as one cluster, and the line matches the oracle's
+    exact sum (poles split by 1e-50 where they coincide, at 150 digits) to
+    within _assert_exact_line's rounding at 0.35, 3, 30 and 300 K.  The
+    vacuum's table is empty and its line 0.  Each case forms a cluster: a
+    pair near a surface mode or critical damping, three poles between two
+    surface modes.  At gap 1e-6 with gamma 0 or 1e9 rad/s, as on the
+    vacuum, the table used to be refused, and the line was the engine's
+    without a tail; between two modes 1.7e-5 apart or closer, pairs could
+    not hold the three poles, and the line was a ConvergenceFailure."""
     atom, n, m = _paired_case(case)
     table = potentials._pole_table(_line_terms(atom, n, m))
     Ts = (0.35, 3.0, 30.0, 300.0)
     if case == "vacuum":
-        assert table.poles.size == table.tau.size == 0
+        assert table.poles.size == len(table.clusters) == 0
         assert _matsubara_lines(atom, n, m, Ts, 20000) == [0.0] * len(Ts)
         return
-    # a root of E and i w_k, and their conjugates; or two roots of E
-    assert table.tau.size == (1 if case.startswith("critical") else 2)
+    # a root of E and i w_k, or three poles between two modes, and their
+    # conjugates; or two real roots of E
+    sizes = [nodes.size for nodes, _ in table.clusters]
+    if case.startswith("critical"):
+        assert sizes == [2]
+    else:
+        assert sizes == [3 if case.startswith("between") else 2] * 2
     # at 150 digits, where the oracle splits a coincident pole
     exact = _exact(atom, n, m, dps=150)
     for T in Ts:
@@ -590,7 +599,7 @@ def _assert_same_contract(atom, n, m, Ts, cutoff):
 @pytest.mark.parametrize("case", [
     pytest.param(case, id="-".join(case)) for case in _LINE_CASES] + [
     "near 1e-06 1e+09", "near 0 0", "critical -1e-08", "critical +0",
-    "between 0.01"])
+    "between 0.01", "between 1e-05", "between 1e-09"])
 def test_nonretarded_line_keeps_the_cutoff_contract(request, case):
     """The closed form raises ConvergenceFailure on exactly the inputs
     where the term-by-term stop rule does, from cutoffs below the rule's
@@ -599,7 +608,7 @@ def test_nonretarded_line_keeps_the_cutoff_contract(request, case):
     cutoff xi_1 lies under the summand's poles and the terms up to the
     cutoff sit on their plateau, so that |S_cutoff| is far below the exact
     sum |S|; on the fixtures, on four tables with a pair of near poles,
-    and on one where a third pole lies within 1.8 % of a pair."""
+    and on three with a cluster of three, 1.8 % to 4e-5 apart."""
     if isinstance(case, str):
         a, n, m = _paired_case(case)
     else:
@@ -615,25 +624,27 @@ def test_nonretarded_line_keeps_the_cutoff_contract(request, case):
 @pytest.mark.parametrize("k", [-3, 1, 7])
 @pytest.mark.parametrize("case", ["near 1e-06 1e+09", "near 0 0",
                                   "critical +0", "critical -1e-08",
-                                  "between 0.001"])
+                                  "between 0.001", "between 1e-05"])
 def test_paired_line_scales_exactly_by_powers_of_two(case, k):
     """With every frequency and T scaled by lam = 2^k and z by 1/lam, a
-    table with a pair keeps its poles, pairs and s, t bit for bit, its
-    residues, sigmas and taus scale by lam, and the Matsubara line by
-    lam^3, at 0.35, 3, 30 and 300 K (cutoff 10^8, which the two-level
-    sums below 10 K need)."""
+    table with a cluster keeps its poles and its clusters' nodes bit for
+    bit, its residues and Newton coefficients scale by lam, and the
+    Matsubara line by lam^3, at 0.35, 3, 30 and 300 K (cutoff 10^8, which
+    the two-level sums below 10 K need)."""
     lam = 2.0**k
     atom, n, m = _paired_case(case)
     scaled_atom, scaled_m = _scaled_atom(atom, lam), _scaled_material(m, lam)
     base = potentials._pole_table(_line_terms(atom, n, m))
     scaled = potentials._pole_table(
         _line_terms(scaled_atom, n, scaled_m, Z / lam))
-    assert base.tau.size
-    for field in ("poles", "s", "t"):
-        assert np.array_equal(getattr(scaled, field), getattr(base, field))
-    for field in ("residues", "tau"):
-        assert np.array_equal(getattr(scaled, field),
-                              lam * getattr(base, field))
+    assert base.clusters
+    assert np.array_equal(scaled.poles, base.poles)
+    assert np.array_equal(scaled.residues, lam * base.residues)
+    assert len(scaled.clusters) == len(base.clusters)
+    for (nodes, b), (base_nodes, base_b) in zip(scaled.clusters,
+                                                 base.clusters):
+        assert np.array_equal(nodes, base_nodes)
+        assert np.array_equal(b, lam * base_b)
     Ts = (0.35, 3.0, 30.0, 300.0)
     want = _matsubara_lines(atom, n, m, Ts, 10**8)
     got = _matsubara_lines(scaled_atom, n, scaled_m, [lam * T for T in Ts],
@@ -641,16 +652,21 @@ def test_paired_line_scales_exactly_by_powers_of_two(case, k):
     assert got == [lam**3 * w for w in want]
 
 
-@pytest.mark.parametrize("im", [0.0, 1.0, 1e3, 1e5, -1e7, 1e7])
-@pytest.mark.parametrize("re", [5.0, 5.5, 40.0, 1e4, 1e7])
+_KERNEL_RE = [5.0, 5.5, 40.0, 1e4, 1e7]
+_KERNEL_IM = [0.0, 1.0, 1e3, 1e5, -1e7, 1e7]
+
+
+@pytest.mark.parametrize("im", _KERNEL_IM)
+@pytest.mark.parametrize("re", _KERNEL_RE)
 def test_psi_divided_difference_matches_mpmath(re, im):
-    """_psi_divided(a, b) against the 40-digit (psi(b) - psi(a))/(b - a),
+    """_cluster_sum(a, b) against the 40-digit (psi(b) - psi(a))/(b - a),
     and psi'(a) at b = a, at separations 0, 1e-12, 1e-6, 0.5 and |a| along
     four directions (those that leave Re b >= 5), to 8 roundings."""
     a = complex(re, im)
     bs = [a + sep * d for sep in (0.0, 1e-12, 1e-6, 0.5, abs(a))
           for d in (1.0, 1j, -1j, -1.0) if (a + sep * d).real >= 5.0]
-    got = potentials._psi_divided(np.full(len(bs), a), np.array(bs))
+    got = potentials._cluster_sum(
+        np.stack((np.full(len(bs), a), np.array(bs)), axis=-1))
     with mpmath.workdps(40):
         for b, g in zip(bs, got):
             if b == a:
@@ -661,16 +677,42 @@ def test_psi_divided_difference_matches_mpmath(re, im):
             assert abs(g - complex(want)) <= 8 * _U * abs(want), (a, b)
 
 
-def test_pole_table_refuses_a_near_pole_it_cannot_pair():
-    """Between two surface modes 3.5e-5 apart, the atom's transition lies
-    1.7e-5 from each root of E: it pairs with one, and the other, within
-    _POLE_CLASH of it, would cost the line about u/d^2 = 4e-7 as a simple
-    pole, so the line is every T's ConvergenceFailure naming the cause."""
-    atom, n, m = _paired_case("between 1e-05")
-    got = _matsubara_lines(atom, n, m, (3.0, 300.0), 20000)
-    for line in got:
-        assert type(line) is ps.ConvergenceFailure
-        assert "within _POLE_CLASH=0.001 of each other" in str(line)
+def _cluster_sum_mp(nodes):
+    """_cluster_sum of nodes, good to 40 digits: cluster_sum_mp with each
+    node that repeats an earlier one moved 1e-45 |a| away (which moves the
+    value by about 1e-45 of itself), at 60 + 45 (m - 1) digits, of which
+    the partial fractions' cancellation of up to 45 (m - 1) digits leaves
+    60."""
+    with mpmath.workdps(60 + 45 * (len(nodes) - 1)):
+        split = mpmath.mpf(10) ** -45 * abs(mpmath.mpc(nodes[0]))
+        a = []
+        for x in map(mpmath.mpc, nodes):
+            while any(x == y for y in a):
+                x += split
+            a.append(x)
+        return complex(cluster_sum_mp(a))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("im", _KERNEL_IM)
+@pytest.mark.parametrize("re", _KERNEL_RE)
+def test_cluster_sum_matches_mpmath(re, im, m):
+    """_cluster_sum over m = 3 and 4 arguments against 40-digit mpmath
+    (_cluster_sum_mp): all at a, and a with the others spread 1e-12,
+    1e-6 and 5e-2 of |a| along 1, i, -i and -1 (those that leave
+    Re >= 5), also with two of them at a, to 8 roundings as at m = 2."""
+    a = complex(re, im)
+    clusters = []
+    for sep in (0.0, 1e-12, 1e-6, 5e-2):
+        for dirs in ((1.0, 1j, -1j), (-1.0, 1j, -1j), (0.0, 1.0, 1j),
+                     (0.0, 0.0, -1j)):
+            nodes = [a] + [a + sep * abs(a) * d for d in dirs[:m - 1]]
+            if all(x.real >= 5.0 for x in nodes):
+                clusters.append(nodes)
+    got = potentials._cluster_sum(np.array(clusters))
+    for nodes, g in zip(clusters, got):
+        want = _cluster_sum_mp(nodes)
+        assert abs(g - want) <= 8 * _U * abs(want), nodes
 
 
 def test_pole_table_never_sees_a_transition_frequency_that_underflows(

@@ -4,11 +4,12 @@
 Each run calls ``polshift.cli.main`` in-process, writes its output into a
 temporary directory, and prints one line: the run's name, its exit code,
 the sha256 of the output file (empty when none was written) and the sha256
-of what it wrote to stderr.  Eight runs read inputs that the tool writes
+of what it wrote to stderr.  Nine runs read inputs that the tool writes
 into the same directory: a lossless pair (a point and a scan), four
 oscillators, an atom whose alpha(i xi) changes sign (a scan), an atom
-just above a surface mode (a point and a scan), a nearly critically
-damped oscillator (a scan) and an atom whose dipole sits at the smallest
+just above a surface mode (a point and a scan), an atom between two
+surface modes 1.7e-5 apart (a point), a nearly critically damped
+oscillator (a scan) and an atom whose dipole sits at the smallest
 transition frequency AtomSpec accepts (a point).  Two
 checkouts whose listings are identical produce byte-identical CLI output on
 these runs, so diffing the listings of a parent and a change checks that a
@@ -204,7 +205,7 @@ NEAR_MODE_MATERIAL = {
 
 #: a two-level atom 1e-6 above NEAR_MODE_MATERIAL's surface mode: a root
 #: of its Matsubara summand's E lies next to +-i omega_eg, and the closed
-#: form sums the two as a pair
+#: form sums the two as one cluster
 NEAR_MODE_ATOM = {
     "schema_version": 1,
     "name": "near the surface mode",
@@ -218,9 +219,37 @@ NEAR_MODE_ATOM = {
     ],
 }
 
+#: NEAR_MODE_MATERIAL with a weak second oscillator 1e-5 above its
+#: surface mode, which puts a root of E 1.7e-5 above BETWEEN_ATOM's line
+#: and the first mode's root as far below it: the three poles are summed
+#: as one cluster
+BETWEEN_MODES_MATERIAL = {
+    "schema_version": 1,
+    "name": "two surface modes 1.7e-5 apart",
+    "oscillators": [
+        {"omega_P": 1e13, "omega_T": 1e13, "gamma": 1e9, "unit": "rad/s"},
+        {"omega_P": 1e9, "omega_T": math.sqrt(1.5) * 1e13 * (1.0 + 1e-5),
+         "gamma": 1e9, "unit": "rad/s"},
+    ],
+}
+
+#: a two-level atom 5e-6 above NEAR_MODE_MATERIAL's surface mode
+BETWEEN_ATOM = {
+    "schema_version": 1,
+    "name": "between two surface modes",
+    "states": [
+        {"label": "g", "energy": 0.0, "unit": "rad/s"},
+        {"label": "e", "energy": math.sqrt(1.5) * 1e13 * (1.0 + 5e-6),
+         "unit": "rad/s"},
+    ],
+    "dipoles": [
+        {"from": "g", "to": "e", "magnitude": 1e-29, "unit": "C*m"},
+    ],
+}
+
 #: two oscillators, the first damped 1e-8 above the gamma (5.18e13 rad/s,
 #: found at 40 digits) at which E has a double root at xi = -2.46e13
-#: rad/s, so two roots of E lie 2.9e-4 apart and form a pair; the second
+#: rad/s, so two roots of E lie 2.9e-4 apart and form a cluster; the second
 #: gives the mode finder its one surface mode
 NEAR_CRITICAL = {
     "schema_version": 1,
@@ -263,8 +292,9 @@ def runs(workdir):
     """RUNS, then a point and a scan on LOSSLESS (both exit 3 with
     NoModeFound before any pair is evaluated), the modes of QUARTET, a
     scan of FLIPPING, a point and a scan of NEAR_MODE_ATOM on
-    NEAR_MODE_MATERIAL, a scan on NEAR_CRITICAL and a point of
-    BOUND_ATOM, the inputs written into workdir."""
+    NEAR_MODE_MATERIAL, a point of BETWEEN_ATOM on BETWEEN_MODES_MATERIAL,
+    a scan on NEAR_CRITICAL and a point of BOUND_ATOM, the inputs written
+    into workdir."""
     lossless = _write(workdir, "lossless", LOSSLESS)
     near_critical = _write(workdir, "near_critical", NEAR_CRITICAL)
     near_mode = ["--material",
@@ -292,13 +322,18 @@ def runs(workdir):
           "--upper", "m", "--lower", "l", "--z", "1e-7,1e-6",
           "--T", "0.35,0.5,2,10.1305,10.128372692288949,30,300",
           "--format", "json"], {}),
-        # the surface mode's pole and the atom's are summed as a pair; one
+        # the surface mode's pole and the atom's are one cluster; one
         # mode, so the resonant line is skipped, and at 0.35 K the
         # two-level sum needs more terms than the default cutoff
         ("point near a surface mode", ["point", *near_mode, "--T", "3"], {}),
         ("scan near a surface mode",
          ["scan", *near_mode, "--T", "0.35,3,30,300", "--format", "csv"],
          {}),
+        ("point between two modes",
+         ["point", "--material",
+          _write(workdir, "between_material", BETWEEN_MODES_MATERIAL),
+          "--atom", _write(workdir, "between_atom", BETWEEN_ATOM),
+          "--upper", "e", "--lower", "g", "--z", "1e-6", "--T", "3"], {}),
         # Rb 27S1/2 on a pair of nearly coincident roots of E
         ("scan near critical damping",
          on(near_critical, _shift("scan", "--z", "1e-6", "--T",
