@@ -6,13 +6,16 @@ G = z^-3 * (c^2/(32 pi w^2)) r_p * diag(1,1,2).  Their agreement for
 w z / c << 1 is a consistency check, not a shared code path.
 
 On the real axis (green_full) each k_rho integral is one pass of
-polshift.quadpack, the package's transcription of QUADPACK's DQAGSE and
-DQAGIE, so the full route needs numpy alone.  The passes of one Green call
-run in one lockstep, also when the call takes a sequence of frequencies;
-the one departure from one pass per integral is how the integrand is
-called.  Each side of the light line is an integrand family that takes the
-nodes of every panel a round asks for, at every frequency of the call, and
-returns the real and imaginary parts of xx and zz at each.
+polshift.quadpack, the package's transcription of QUADPACK's DQAGIE, so the
+full route needs numpy alone.  Both sides of the light line run on [0, inf):
+the evanescent side in u = 2 kappa z, and the propagating side in x with
+theta = (pi/2) x/(1 + x), which DQAGIE's own map x = (1 - t)/t turns into
+its 15-point Kronrod pass on theta in [0, pi/2], in exact arithmetic.  The
+passes of one Green call run in one lockstep, also when the call takes a
+sequence of frequencies; the one departure from one pass per integral is
+how the integrand is called.  Each side is an integrand family that takes
+the nodes of every panel a round asks for, at every frequency of the call,
+and returns the real and imaginary parts of xx and zz at each.
 
 On the imaginary axis (green_full_imag_axis) the integrand is real, smooth
 and e^-s damped in s = 2 z (kappa_v - xi/c), and depends on s only through
@@ -43,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PhysicsError, QuadratureFailure
-from .material import _rp, fresnel, permittivity, permittivity_imag_axis
+from .material import _rp, fresnel, permittivity
 from .units import C, cube
 
 #: relative accuracy target of every k_rho quadrature: quad's epsrel, and
@@ -89,8 +92,8 @@ def green_nonretarded(m, z, omega):
 
 
 def _integrate(integrals):
-    """The value of each (f, key, comp, a, b, epsabs, label) of integrals,
-    the quadpack.Integral of its first six fields, to QUAD_REL_TOL by the
+    """The value of each (f, key, comp, bound, epsabs, label) of integrals,
+    the quadpack.Integral of its first five fields, to QUAD_REL_TOL by the
     package's QUADPACK passes, all in one lockstep.
 
     An integral that misses the tolerance is run again, in one lockstep
@@ -111,10 +114,10 @@ def _integrate(integrals):
         if not todo:
             return values
         got = quadpack.lockstep([quadpack.Integral(
-            *integrals[i][:6], QUAD_REL_TOL, lim) for i in todo])
+            *integrals[i][:5], QUAD_REL_TOL, lim) for i in todo])
         missed = []
         for i, res in zip(todo, got):
-            epsabs = integrals[i][5]
+            epsabs = integrals[i][4]
             if res.abserr <= max(epsabs, QUAD_REL_TOL * abs(res.value)) * 10.0:
                 values[i] = res.value
             else:
@@ -123,7 +126,7 @@ def _integrate(integrals):
     if not todo:
         return values
     raise QuadratureFailure(
-        f"green_full quadrature ({integrals[todo[0]][6]}) did not reach "
+        f"green_full quadrature ({integrals[todo[0]][5]}) did not reach "
         f"tolerance epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} "
         "subdivisions")
 
@@ -149,8 +152,9 @@ def green_full(m, z, omega, *, part=None):
     The integral (i/8 pi) int dk_rho (k_rho/k_vz) e^{2 i k_vz z}
     [r_s diag(1,1,0) + r_p (c/omega)^2 diag(-k_vz^2, -k_vz^2, 2 k_rho^2)]
     is split at the light line k_rho = omega/c.  On the propagating side the
-    substitution k_rho = (omega/c) sin(theta) removes the 1/k_vz singularity;
-    on the evanescent side k_vz = i kappa turns the integrand into a smooth
+    substitution k_rho = (omega/c) sin(theta) removes the 1/k_vz singularity,
+    and theta = (pi/2) x/(1 + x) puts it on [0, inf) for DQAGIE; on the
+    evanescent side k_vz = i kappa turns the integrand into a smooth
     exponentially damped function of kappa.
 
     omega is one real number, which gives one GreenTensor3, or a 1-D
@@ -206,14 +210,17 @@ def green_full(m, z, omega, *, part=None):
     cw2 = (C / ws) * (C / ws)
 
     # propagating side: k_rho = k0 sin(theta), k_vz = k0 cos(theta),
-    # (k_rho/k_vz) dk_rho = k0 sin(theta) dtheta.  at holds the index of
-    # the omega of each node.
-    def prop(theta, at):
+    # (k_rho/k_vz) dk_rho = k0 sin(theta) dtheta, and theta = (pi/2) x/(1 + x),
+    # dtheta = (pi/2) dx/(1 + x)^2.  at holds the index of the omega of each
+    # node.
+    def prop(x, at):
         k0_at = k0[at]
+        theta = math.pi / 2 * x / (1.0 + x)
+        dtheta = math.pi / 2 / (1.0 + x) / (1.0 + x)
         s, c_ = np.sin(theta), np.cos(theta)
         r_s, r_p = fresnel(eps[at], ws[at], k0_at * s)
         phase = np.exp(1j * (2.0 * k0_at * c_ * z))
-        common = 1j * (1.0 / (8.0 * math.pi) * k0_at * s) * phase
+        common = 1j * (1.0 / (8.0 * math.pi) * k0_at * s * dtheta) * phase
         gxx = _times(common, r_s - r_p * c_ * c_)
         gzz = _times(common, r_p) * (2.0 * s * s)
         return gxx.real, gxx.imag, gzz.real, gzz.imag
@@ -234,14 +241,13 @@ def green_full(m, z, omega, *, part=None):
 
     # one omega's integrals in the order its own call runs them: xx, then
     # zz, the propagating side before the evanescent one, Re before Im
-    sides = ((prop, 0.0, math.pi / 2, "propagating"),
-             (evan, 0.0, math.inf, "evanescent"))
+    sides = ((prop, "propagating"), (evan, "evanescent"))
     integrals = []
     for at, (w, p) in enumerate(zip(omegas, parts)):
         epsabs = QUAD_REL_TOL * (C**2 / (32.0 * math.pi * (w * w) * cube(z)))
-        integrals += [(f, at, comp + q, a, b, epsabs, f"{name} {side}")
+        integrals += [(f, at, comp + q, 0.0, epsabs, f"{name} {side}")
                       for comp, name in ((0, "xx"), (2, "zz"))
-                      for f, a, b, side in sides for q in _COMPONENTS[p]]
+                      for f, side in sides for q in _COMPONENTS[p]]
     values = iter(_integrate(integrals))
 
     def integral(p):
@@ -318,9 +324,9 @@ def _imag_axis_nodes(sizes):
     return tuple(np.concatenate(c) for c in zip(*cols))
 
 
-def _imag_axis_sums(a, s0, e1, eps, sizes):
-    """For the xi of each row of the 1-D arrays a = 2 xi z/c, s0, e1 =
-    eps - 1 and eps = eps(i xi): the sums over each panel pair of sizes of
+def _imag_axis_sums(a, s0, e1, sizes):
+    """For the xi of each row of the 1-D arrays a = 2 xi z/c, s0 and e1 =
+    eps(i xi) - 1: the sums over each panel pair of sizes of
     weight times F, F the real integrand of green_full_imag_axis in s, as a
     list of (rows, 2) arrays of (xx, zz), one per size.
 
@@ -330,7 +336,8 @@ def _imag_axis_sums(a, s0, e1, eps, sizes):
     host, see the module docstring).
     """
     alpha, beta, gamma, delta = _imag_axis_nodes(sizes)
-    s0, a, e1, eps = s0[:, None], a[:, None], e1[:, None], eps[:, None]
+    s0, a, e1 = s0[:, None], a[:, None], e1[:, None]
+    eps = 1.0 + e1
     s = s0 * alpha + beta
     weight = np.exp(-s) * (s0 * gamma + delta)
     q = s / a
@@ -366,8 +373,9 @@ def green_full_imag_axis(m, z, xi):
     r_s = -(eps - 1)/(t + d)^2 and r_p = (eps - 1)((eps + 1) t^2 - 1)/
     (eps t + d)^2 in cancelled forms, d = kappa_d/k0, and eps - 1 the
     oscillator sum sum_j omega_Pj^2/(omega_Tj^2 + xi^2 + gamma_j xi), which
-    keeps its digits as eps -> 1.  F is real and depends on s only through
-    s/a, and the imaginary part of the tensor is exactly 0.
+    keeps its digits as eps -> 1; eps itself is 1 plus that sum.  F is real
+    and depends on s only through s/a, and the imaginary part of the tensor
+    is exactly 0.
 
     The integral is a fixed rule in s: Gauss-Legendre on [0, s0], s0 = 16
     min(a, 1), which holds the Fresnel transition at s/a of order 1, and
@@ -393,7 +401,6 @@ def green_full_imag_axis(m, z, xi):
     for x in xis:
         if not x > 0:
             raise ValueError("xi must be > 0")
-    eps = np.array([permittivity_imag_axis(m, x) for x in xis])
     xs = np.array(xis, dtype=float)
     e1 = np.zeros(xs.size)
     for p2, t2, g in m._coeffs:
@@ -411,13 +418,12 @@ def green_full_imag_axis(m, z, xi):
                  <= np.maximum(floor, 10.0 * QUAD_REL_TOL * np.abs(fine)))
 
     rough, fine = (scale * v for v in _imag_axis_sums(
-        a, s0, e1, eps, (_NODES, 2 * _NODES)))
+        a, s0, e1, (_NODES, 2 * _NODES)))
     miss = missed(rough, fine, floor)
     if miss.any():
         at = np.flatnonzero(miss.any(axis=1))
         rough, miss = fine[at], miss[at]
-        (finer,) = _imag_axis_sums(a[at], s0[at], e1[at], eps[at],
-                                   (4 * _NODES,))
+        (finer,) = _imag_axis_sums(a[at], s0[at], e1[at], (4 * _NODES,))
         fine[at] = np.where(miss, scale[at] * finer, rough)
         fails = miss & missed(rough, fine[at], floor[at])
         if fails.any():

@@ -618,36 +618,11 @@ def _full_xi2_trace(m, z, xi):
     return out
 
 
-def _nonretarded_green(m, z, groups):
-    """green_nonretarded at each omega of each (omegas, part) of groups:
-    the list of the group's tensors, in order, or the PhysicsError its
-    first omega to fail raised.  The closed form gives both parts of G at
-    once, so it has no use for part."""
-    out = []
-    for omegas, _ in groups:
-        try:
-            out.append([green_nonretarded(m, z, w) for w in omegas])
-        except PhysicsError as exc:
-            out.append(exc)
-    return out
-
-
-def _full_green(m, z, groups):
-    """green_full at each omega of each (omegas, part) of groups, all in
-    one call whose quadratures run in one lockstep: per group, the list of
-    its tensors, or the PhysicsError that its own green_full call raises.
-    When the one call raises, each group of several runs again in a call
-    of its own, so that one group's failure leaves the others' tensors;
-    each integral keeps its bits in either call."""
-    omegas = [w for ws, _ in groups for w in ws]
-    parts = [part for ws, part in groups for _ in ws]
-    try:
-        tensors = iter(green_full(m, z, omegas, part=parts))
-    except PhysicsError as exc:
-        if len(groups) == 1:
-            return [exc]
-        return [_full_green(m, z, [group])[0] for group in groups]
-    return [[next(tensors) for _ in ws] for ws, _ in groups]
+def _nonretarded_green(m, z, omegas, part):
+    """The list of green_nonretarded's tensors at each omega of omegas.
+    The closed form gives both parts of G at once, so it has no use for
+    part."""
+    return [green_nonretarded(m, z, w) for w in omegas]
 
 
 def _nonretarded_tail(terms, xi1):
@@ -690,14 +665,13 @@ def _green_route(green_mode):
     """(green, xi2_trace, tail, unit_z) of the "nonretarded" or "full"
     Green tensor.
 
-    The one place a green_mode is resolved.  green(m, z, groups) takes a
-    sequence of groups (omegas, part), each a sequence of real omegas and
-    the part of G ("real" or "imag") that the caller reads there: the full
-    route integrates that part alone, and the closed form gives both
-    anyway.  It returns, per group, the list of its GreenTensor3 or the
-    PhysicsError that one call per omega would raise first, so one
-    group's failure leaves the others' tensors; on the full route every
-    quadrature of every group runs in one lockstep (_full_green).
+    The one place a green_mode is resolved.  green(m, z, omegas, part=)
+    takes a list of real omegas and the list of the part of G ("real" or
+    "imag") that the caller reads at each: the full route integrates that
+    part alone, and the closed form gives both anyway.  It returns the list
+    of their GreenTensor3, or raises the PhysicsError that one call per
+    omega would raise first; on the full route it is green_full, read here
+    at each call, and every quadrature of the call runs in one lockstep.
     xi2_trace(m, z, xi) is xi^2 Tr G(i xi) for an array of xi, finite at
     xi = 0; on the full route one fixed-node rule serves all of them.
     tail(terms, xi1) is the exact tail of the Matsubara sums of reports_at,
@@ -711,7 +685,7 @@ def _green_route(green_mode):
         return _nonretarded_green, _nonretarded_xi2_trace, \
             _nonretarded_tail, UNIT_Z
     if green_mode == "full":
-        return _full_green, _full_xi2_trace, None, None
+        return green_full, _full_xi2_trace, None, None
     raise ValueError(f"unknown green_mode {green_mode!r}")
 
 
@@ -757,24 +731,20 @@ def _photon_terms(atom, n, m, z, green_mode):
     """The temperature-free factors of the photon line of level n at z:
     (omega_kn, omega_kn^2, d_nk . Re G(|omega_kn|) . d_kn) for every
     transition, in transition order, or the PhysicsError a Green tensor
-    raised.  The route's green takes every |omega_kn| in one group."""
+    raised.  The route's green takes every |omega_kn| in one call."""
     green = _green_route(green_mode)[0]
     trans = transitions_from(atom, n)
-    (gs,) = green(m, z, [_photon_group(trans)])
+    omegas = [abs(w_kn) for _, w_kn, _ in trans]
+    try:
+        gs = green(m, z, omegas, part=["real"] * len(omegas))
+    except PhysicsError as exc:
+        return exc
     return _photon_from(atom, n, trans, gs)
 
 
-def _photon_group(trans):
-    """The route's green group of the photon line of the transitions
-    trans: Re G at every |omega_kn|."""
-    return [abs(w_kn) for _, w_kn, _ in trans], "real"
-
-
 def _photon_from(atom, n, trans, gs):
-    """_photon_terms' factors of level n from gs, the tensors of its
-    _photon_group, or gs itself when it is the group's PhysicsError."""
-    if isinstance(gs, PhysicsError):
-        return gs
+    """_photon_terms' factors of level n from gs, whose first len(trans)
+    tensors hold Re G at the |omega_kn| of trans."""
     terms = []
     for (k_label, w_kn, _), g in zip(trans, gs):
         dip = atom.dipole(n, k_label)
@@ -834,28 +804,21 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     satisfying Omega1 ~ omega_10 + Omega2 within resonance_tol*(gamma1+gamma2).
     green_mode selects the Im G tensors (nonretarded closed form or full
     quadrature); the amplitude reads Im G alone, so the full route
-    integrates only the imaginary part, at Omega1 and Omega2 in one group.
+    integrates only the imaginary part, at Omega1 and Omega2 in one call.
     """
     green = _green_route(green_mode)[0]
     chans = _resonance_gate(atom, upper, lower, mode1, mode2, resonance_tol)
-    (tensors,) = green(m, env.z, [_pair_group(mode1, mode2)])
+    tensors = green(m, env.z, [mode1.omega_center, mode2.omega_center],
+                    part=["imag", "imag"])
     return _amplitude(atom, upper, lower, chans, mode1, mode2, tensors,
                       green_mode, env.z)
 
 
-def _pair_group(mode1, mode2):
-    """The route's green group of the resonant amplitude on the pair
-    (mode1, mode2): Im G at Omega1 and Omega2."""
-    return (mode1.omega_center, mode2.omega_center), "imag"
-
-
 def _amplitude(atom, upper, lower, chans, mode1, mode2, tensors, green_mode,
                z):
-    """u_eff's amplitude on the channels chans from tensors, the Green
-    tensors of its _pair_group at z; tensors that are the group's
-    PhysicsError raise it, and a Tr Im G <= 0 raises NoModeFound."""
-    if isinstance(tensors, PhysicsError):
-        raise tensors
+    """u_eff's amplitude on the channels chans from tensors, the Im G
+    tensors at Omega1 and Omega2 at z; a Tr Im G <= 0 raises
+    NoModeFound."""
     o1, o2 = mode1.omega_center, mode2.omega_center
     g1, g2 = mode1.linewidth, mode2.linewidth
     t1, t2 = tensors
@@ -994,10 +957,14 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
     Environment.
 
     The mode pair and the resonance gate come first; then one call of the
-    route's green takes the photon line's group and, when the amplitude
-    reads Green tensors, the pair's, so on the full route every k_rho
-    quadrature of the distance runs in one lockstep.  Each line holds what
-    its own call, _photon_terms or u_eff, gives or raises.
+    route's green takes Re G at every |omega_kn| of the photon line and,
+    when the amplitude reads Green tensors, Im G at the pair's Omega1 and
+    Omega2 after them, so on the full route every k_rho quadrature of the
+    distance runs in one lockstep.  When that call raises, the photon line
+    holds its error, and so does the amplitude if it asked for tensors.
+    A report raises its photon line's error before its resonant line's,
+    and the photon omegas come first in the call, so every report raises
+    the error that it would with one call per line.
     """
     _check_distance(z)
     green = _green_route(green_mode)[0]
@@ -1035,17 +1002,25 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
         u = exc
     # the channel sum still needs the pair's Green tensors
     amplitude = chans is not None and not use_closed_form
-    groups = [_photon_group(trans)]
+    omegas = [abs(w_kn) for _, w_kn, _ in trans]
+    parts = ["real"] * len(omegas)
     if amplitude:
-        groups.append(_pair_group(*pair))
-    got = green(m, z, groups)
-    photon = _photon_from(atom, upper, trans, got[0])
-    if amplitude:
-        try:
-            u = _amplitude(atom, upper, lower, chans, *pair, got[1],
-                           green_mode, z)
-        except PhysicsError as exc:
+        omegas += [mode.omega_center for mode in pair]
+        parts += ["imag", "imag"]
+    try:
+        gs = green(m, z, omegas, part=parts)
+    except PhysicsError as exc:
+        photon = exc
+        if amplitude:
             u = exc
+    else:
+        photon = _photon_from(atom, upper, trans, gs)
+        if amplitude:
+            try:
+                u = _amplitude(atom, upper, lower, chans, *pair,
+                               gs[len(trans):], green_mode, z)
+            except PhysicsError as exc:
+                u = exc
     return DistanceTerms(atom, upper, m, z, green_mode, photon, pair, u, meta)
 
 

@@ -1,16 +1,17 @@
-"""QUADPACK's DQAGSE and DQAGIE, with many integrals run in lockstep and
-each round's panels in one array call of each integrand.
+"""QUADPACK's DQAGIE, with many integrals run in lockstep and each round's
+panels in one array call of each integrand.
 
-A transcription of the adaptive integrators of QUADPACK (Piessens,
-de Doncker-Kapenga, Ueberhuber and Kahaner, Springer 1983): DQAGSE on a
-finite [a, b] with 21-point Gauss-Kronrod panels (DQK21), and DQAGIE on
-[bound, inf) only, with 15-point panels (DQK15I) in t of x = bound +
-(1 - t)/t, together with their helpers DQPSRT (the ordered list of error
-estimates) and DQELG (Wynn's epsilon algorithm).  Every floating-point
-operation is QUADPACK's, in its order and with its constants, so on the same
-integrand values the result, the error estimate and every subdivision
-decision are those of ``scipy.integrate.quad``, which runs the same
-routines; tests/test_quadpack.py checks that bit for bit.
+A transcription of QUADPACK's adaptive integrator on [bound, inf) (Piessens,
+de Doncker-Kapenga, Ueberhuber and Kahaner, Springer 1983): DQAGIE with
+15-point Gauss-Kronrod panels (DQK15I) in t of x = bound + (1 - t)/t,
+together with its helpers DQPSRT (the ordered list of error estimates) and
+DQELG (Wynn's epsilon algorithm).  Every floating-point operation is
+QUADPACK's, in its order and with its constants, so on the same integrand
+values the result, the error estimate and every subdivision decision are
+those of ``scipy.integrate.quad`` on [bound, inf), which runs the same
+routine; tests/test_quadpack.py checks that bit for bit.  A finite interval
+is the caller's to map onto [0, inf), as green_full does with its
+propagating side.
 
 The one departure is how the integrand is called.  Each integral's pass
 (_adaptive) is a generator that yields the panels it wants, the first panel
@@ -20,8 +21,8 @@ distinct panel they ask for once, in one call of each integrand family on
 all of its nodes, and forms the Kronrod sums of every requested panel as
 arrays, added left to right in QUADPACK's sequence.  An integrand takes a
 float64 array of abscissae and returns the values a scalar call would give
-at each.  quad is the case of one integral: its first panel is one call
-(21 or 15 nodes), and each bisection one call of 42 or 30.
+at each.  quad is the case of one integral: its first panel is one call of
+15 nodes, and each bisection one call of 30.
 
 The routine keeps 1-based lists, as the Fortran does, so that the indices
 read as in the original.
@@ -36,27 +37,6 @@ import numpy as np
 EPMACH = sys.float_info.epsilon   # d1mach(4)
 UFLOW = sys.float_info.min        # d1mach(1)
 OFLOW = sys.float_info.max        # d1mach(2)
-
-# DQK21: abscissae xgk(1..10) of the 21-point Kronrod rule (xgk(11) = 0 is
-# the centre), its weights wgk(1..11), and the 10-point Gauss weights wg(1..5)
-# of the even-numbered abscissae xgk(2), xgk(4), ..., xgk(10)
-_XGK21 = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_WGK21 = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208980223551, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821)
-_WG10 = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338)
 
 # DQK15I: abscissae xgk(1..7) (xgk(8) = 0), Kronrod weights wgk(1..8) and
 # 7-point Gauss weights wg(1..8), which are zero at the odd-numbered xgk
@@ -78,9 +58,9 @@ _WG15 = (
 
 
 class QuadResult(NamedTuple):
-    """What DQAGSE or DQAGIE returns: the integral, its error estimate,
-    the number of integrand values, the error code ier (0 to 6, with
-    QUADPACK's meanings) and the number of subintervals."""
+    """What DQAGIE returns: the integral, its error estimate, the number of
+    integrand values, the error code ier (0 to 6, with QUADPACK's meanings)
+    and the number of subintervals."""
 
     value: float
     abserr: float
@@ -91,8 +71,8 @@ class QuadResult(NamedTuple):
 
 class Integral(NamedTuple):
     """One integral of a lockstep run: component comp of the integrand
-    family f at the parameter key, over [a, b] (a finite, b finite or inf),
-    to max(epsabs, epsrel |integral|) within limit subintervals.
+    family f at the parameter key, over [bound, inf), to max(epsabs,
+    epsrel |integral|) within limit subintervals.
 
     f(x, keys) takes the float64 array x of abscissae and the int array
     keys of the parameter at each, and returns a sequence of float64
@@ -102,23 +82,22 @@ class Integral(NamedTuple):
     f: object
     key: int
     comp: int
-    a: float
-    b: float
+    bound: float
     epsabs: float
     epsrel: float
     limit: int
 
 
-def quad(f, a, b, epsabs, epsrel, limit):
-    """Integral of f over [a, b], a finite and b finite (DQAGSE) or inf
-    (DQAGIE), to max(epsabs, epsrel |integral|) within limit subintervals.
+def quad(f, bound, epsabs, epsrel, limit):
+    """Integral of f over [bound, inf) to max(epsabs, epsrel |integral|)
+    within limit subintervals.
 
     f takes a float64 array of abscissae and returns their values.  The
-    arguments are those of ``scipy.integrate.quad`` with its default points
-    and weight, and on the same integrand values the QuadResult holds its
-    (y, abserr) and its infodict's neval and last, bit for bit.
+    arguments are those of ``scipy.integrate.quad`` on (bound, inf) with
+    its default weight, and on the same integrand values the QuadResult
+    holds its (y, abserr) and its infodict's neval and last, bit for bit.
     """
-    return lockstep([Integral(lambda x, _: (f(x),), 0, 0, a, b, epsabs,
+    return lockstep([Integral(lambda x, _: (f(x),), 0, 0, bound, epsabs,
                               epsrel, limit)])[0]
 
 
@@ -127,20 +106,16 @@ def lockstep(integrals):
     its pass gives alone (quad on the one component at the one key).
 
     The passes advance together.  Each round collects the panels that
-    every unfinished pass asks for, evaluates each distinct (f, key, rule,
+    every unfinished pass asks for, evaluates each distinct (f, key,
     panel) once, with one call of each f on the nodes of all of its
     panels, and hands every pass the sums of its panels.
     """
     passes, specs = [], []
-    for f, key, comp, a, b, epsabs, epsrel, limit in integrals:
+    for f, key, comp, bound, epsabs, epsrel, limit in integrals:
         if limit < 1:
             raise ValueError("limit must be >= 1")
-        if b == math.inf:
-            passes.append(_adaptive(15, 0.0, 1.0, epsabs, epsrel, limit))
-            specs.append((f, _DQK15I, key, comp, a))
-        else:
-            passes.append(_adaptive(21, a, b, epsabs, epsrel, limit))
-            specs.append((f, _DQK21, key, comp, 0.0))
+        passes.append(_adaptive(epsabs, epsrel, limit))
+        specs.append((f, key, comp, bound))
     results = [None] * len(passes)
     replies = dict.fromkeys(range(len(passes)))
     while replies:
@@ -156,18 +131,18 @@ def lockstep(integrals):
 
 def _round(asks, specs):
     """{pass: [(result, abserr, resabs, resasc) of each panel it asked
-    for]}, from one call of each (f, rule) on its distinct panels."""
-    groups = {}
+    for]}, from one call of each f on its distinct panels."""
+    families = {}
     for i, panels in asks.items():
-        f, rule, key, comp, boun = specs[i]
-        index, rows, owners = groups.setdefault((f, rule), ({}, [], []))
+        f, key, comp, bound = specs[i]
+        index, rows, owners = families.setdefault(f, ({}, [], []))
         for a, b in panels:
-            rows.append((comp, index.setdefault((key, boun, a, b),
+            rows.append((comp, index.setdefault((key, bound, a, b),
                                                 len(index))))
         owners.append((i, len(panels)))
     replies = {}
-    for (f, rule), (index, rows, owners) in groups.items():
-        sums = _kronrod(rule, f, list(index), rows)
+    for f, (index, rows, owners) in families.items():
+        sums = _kronrod(f, list(index), rows)
         k = 0
         for i, count in owners:
             replies[i] = sums[k:k + count]
@@ -175,14 +150,67 @@ def _round(asks, specs):
     return replies
 
 
-# --- the rules ---------------------------------------------------------------
+# --- the rule ----------------------------------------------------------------
 
-def _finish(resk, resg, resabs, resasc, hlgth, dhlgth):
-    """The common tail of DQK21 and DQK15I: (result, abserr, resabs,
-    resasc) of one panel from its raw sums."""
+#: each node's offset from centr in units of hlgth: the centre, then
+#: -xgk(j) and xgk(j) for j = 1..7 (fv1 and fv2)
+_OFFSETS = np.array([0.0, *(-x for x in _XGK15), *_XGK15])
+
+#: the Gauss and Kronrod weights of the centre and of fv1(j) + fv2(j),
+#: j = 1..7, in the order DQK15I adds them
+_WG = np.array([_WG15[7], *_WG15[:7]])
+_WGK = np.array([_WGK15[7], *_WGK15[:7]])
+
+
+def _folded(v):
+    """The centre column of the (panels, 15) array v, then v1(j) + v2(j)
+    for j = 1..7."""
+    return np.concatenate((v[:, :1], v[:, 1:8] + v[:, 8:]), axis=1)
+
+
+def _total(terms, weights):
+    """Each row of weights * terms added left to right, as DQK15I's loop
+    adds them."""
+    return np.add.accumulate(terms * weights, axis=1)[:, -1]
+
+
+def _kronrod(f, panels, rows):
+    """DQK15I (inf = 1, in t) on each (comp, panel) of rows, for the
+    distinct (key, boun, a, b) of panels: all of their nodes in one call of
+    f, at x = boun + (1 - t)/t, and the (result, abserr, resabs, resasc)
+    of every row."""
+    keys, bouns, a, b = np.array(panels).T
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    # centr + hlgth (-xgk(j)) is centr - hlgth xgk(j) exactly, and the
+    # centre centr + 0.0 is centr, which is > 0
+    t = centr[:, None] + hlgth[:, None] * _OFFSETS
+    # dinf * (1 - t) is 1 - t exactly for dinf = 1
+    x = bouns[:, None] + (1.0 - t) / t
+    keys = np.repeat(keys.astype(np.intp), len(_OFFSETS))
+    values = np.asarray(f(x.ravel(), keys), dtype=float).reshape(-1, *x.shape)
+    comp, panel = np.array(rows).T
+    t = t[panel]
+    # the sums of Python floats they transcribe overflow and make NaN
+    # silently
+    with np.errstate(all="ignore"):
+        fv = values[comp, panel] / t / t
+        fsum = _folded(fv)
+        resg = _total(fsum, _WG)
+        resk = _total(fsum, _WGK)
+        resabs = _total(_folded(np.abs(fv)), _WGK)
+        resasc = _total(_folded(np.abs(fv - (resk * 0.5)[:, None])), _WGK)
+    return [_finish(k, g, s, c, hl) for k, g, s, c, hl in zip(
+        resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist(),
+        hlgth[panel].tolist())]
+
+
+def _finish(resk, resg, resabs, resasc, hlgth):
+    """The tail of DQK15I: (result, abserr, resabs, resasc) of one panel
+    from its raw sums."""
     result = resk * hlgth
-    resabs = resabs * dhlgth
-    resasc = resasc * dhlgth
+    resabs = resabs * hlgth
+    resasc = resasc * hlgth
     abserr = abs((resk - resg) * hlgth)
     if resasc != 0.0 and abserr != 0.0:
         ratio = 200.0 * abserr / resasc
@@ -192,97 +220,6 @@ def _finish(resk, resg, resabs, resasc, hlgth, dhlgth):
     if resabs > UFLOW / (50.0 * EPMACH):
         abserr = max((EPMACH * 50.0) * resabs, abserr)
     return result, abserr, resabs, resasc
-
-
-class _Rule:
-    """A Gauss-Kronrod rule laid out for the sums of many panels at once.
-
-    A panel's values sit in a row: the centre, the h nodes centr - hlgth
-    xgk(j), then the h nodes centr + hlgth xgk(j), and two more columns
-    that hold +0.0 and -0.0.  Each term of resg, resk and resabs is a
-    weight times the sum of two columns of that row (abs of both for
-    resabs): the centre pairs with -0.0, and +0.0 + -0.0 starts DQK21's
-    resg at 0.0.  Adding -0.0 leaves every number as it is, so -0.0 pairs
-    pad resg to the length of the others.  pairs lists the columns, and
-    weights the weights, in the order QUADPACK adds the terms.
-    """
-
-    def __init__(self, xgk, wgk, resk_order, resg_centre, resg_terms,
-                 infinite):
-        h = len(xgk)
-        zero, negzero = 2 * h + 1, 2 * h + 2
-        self.npanel = 2 * h + 1
-        # each node's offset from centr in units of hlgth
-        self.offsets = np.array([0.0, *(-x for x in xgk), *xgk])
-        self.infinite = infinite
-        # resg starts at resg_centre fc, or at 0.0 where that is None, and
-        # adds w (fv1(j) + fv2(j)) for each (j, w) of resg_terms
-        head, w_head = (zero, 1.0) if resg_centre is None else \
-            (0, resg_centre)
-        pad = h - len(resg_terms)
-        resg = ([(head, negzero)] + [(1 + j, 1 + h + j) for j, _ in resg_terms]
-                + [(negzero, negzero)] * pad)
-        resk = [(0, negzero)] + [(1 + j, 1 + h + j) for j in resk_order]
-        self.pairs = np.array([resg, resk, resk]).transpose(2, 0, 1).ravel()
-        self.weights = np.array([
-            [w_head] + [w for _, w in resg_terms] + [1.0] * pad,
-            [wgk[h]] + [wgk[j] for j in resk_order],
-            [wgk[h]] + [wgk[j] for j in resk_order]])
-        # resasc: wgk(centre) |fc - reskh|, then j in order
-        self.resasc_weights = np.array([wgk[h], *wgk[:h]])
-
-
-# DQK21 adds the odd-numbered xgk(j) first, then the even-numbered ones,
-# and its Gauss sum only the odd-numbered ones
-_DQK21 = _Rule(_XGK21, _WGK21, [1, 3, 5, 7, 9, 0, 2, 4, 6, 8], None,
-               [(j, _WG10[j // 2]) for j in (1, 3, 5, 7, 9)], False)
-_DQK15I = _Rule(_XGK15, _WGK15, range(7), _WG15[7],
-                list(enumerate(_WG15[:7])), True)
-
-
-def _kronrod(rule, f, panels, rows):
-    """DQK21 or DQK15I (inf = 1, in t) on each (comp, panel) of rows, for
-    the distinct (key, boun, a, b) of panels: all of their nodes in one
-    call of f, at x = boun + (1 - t)/t for DQK15I, and the (result, abserr,
-    resabs, resasc) of every row."""
-    keys, bouns, a, b = np.array(panels).T
-    centr = 0.5 * (a + b)
-    hlgth = 0.5 * (b - a)
-    # centr + hlgth (-xgk(j)) is centr - hlgth xgk(j) exactly; the centre
-    # is set apart, since centr + 0.0 turns a centr of -0.0 into +0.0
-    x = centr[:, None] + hlgth[:, None] * rule.offsets
-    x[:, 0] = centr
-    t = x
-    if rule.infinite:
-        # dinf * (1 - t) is 1 - t exactly for dinf = 1
-        x = bouns[:, None] + (1.0 - t) / t
-    keys = np.repeat(keys.astype(np.intp), rule.npanel)
-    values = np.asarray(f(x.ravel(), keys), dtype=float).reshape(-1, *x.shape)
-    comp, panel = np.array(rows).T
-    fv = values[comp, panel]
-    if rule.infinite:
-        t = t[panel]
-        fv = fv / t / t
-    n = len(fv)
-    # the sums of Python floats they transcribe overflow and make NaN
-    # silently
-    with np.errstate(all="ignore"):
-        cols = np.concatenate((fv, np.zeros((n, 2))), axis=1)
-        cols[:, -1] = -0.0
-        terms = cols[:, rule.pairs].reshape(n, 2, 3, -1)
-        np.abs(terms[:, :, 2], out=terms[:, :, 2])
-        terms = (terms[:, 0] + terms[:, 1]) * rule.weights
-        resg, resk, resabs = np.add.accumulate(terms, axis=2)[:, :, -1].T
-        reskh = (resk * 0.5)[:, None]
-        dev = np.abs(fv - reskh)
-        h = rule.npanel // 2
-        dev[:, 1:h + 1] += dev[:, h + 1:]
-        dev = dev[:, :h + 1] * rule.resasc_weights
-        resasc = np.add.accumulate(dev, axis=1)[:, -1]
-    # DQK15I's hlgth is > 0, so abs(hlgth) is DQK21's dhlgth and DQK15I's
-    return [_finish(k, g, s, c, hl, abs(hl)) for k, g, s, c, hl in zip(
-        resk.tolist(), resg.tolist(), resabs.tolist(), resasc.tolist(),
-        hlgth[panel].tolist())]
 
 
 # --- DQPSRT and DQELG --------------------------------------------------------
@@ -407,7 +344,7 @@ def _qelg(n, epstab, res3la, nres):
     return n, result, max(abserr, 5.0 * EPMACH * abs(result)), nres
 
 
-# --- DQAGSE / DQAGIE ---------------------------------------------------------
+# --- DQAGIE ------------------------------------------------------------------
 
 def _ratio(x, y):
     """x / y with IEEE semantics where y is 0."""
@@ -418,17 +355,15 @@ def _ratio(x, y):
     return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
-def _adaptive(npanel, a, b, epsabs, epsrel, limit):
-    """The body DQAGSE and DQAGIE share, over [a, b] of the rule's
-    variable (x for DQK21, t in [0, 1] for DQK15I), npanel the rule's 21
-    or 15 nodes.  A generator: it yields the panels ((a1, b1), ...) whose
-    (result, abserr, resabs, resasc) it needs next, receives them in that
-    order, and returns the QuadResult."""
+def _adaptive(epsabs, epsrel, limit):
+    """The body of DQAGIE, over t in [0, 1].  A generator: it yields the
+    panels ((a1, b1), ...) whose (result, abserr, resabs, resasc) it needs
+    next, receives them in that order, and returns the QuadResult."""
     if epsabs <= 0.0 and epsrel < max(50.0 * EPMACH, 0.5e-28):
         return QuadResult(0.0, 0.0, 0, 6, 0)
 
     # first approximation to the integral
-    (result, abserr, defabs, resabs), = yield ((a, b),)
+    (result, abserr, defabs, resabs), = yield ((0.0, 1.0),)
     dres = abs(result)
     errbnd = max(epsabs, epsrel * dres)
     last = 1
@@ -438,10 +373,10 @@ def _adaptive(npanel, a, b, epsabs, epsrel, limit):
     if limit == 1:
         ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
-        return QuadResult(result, abserr, npanel * (2 * last - 1), ier, last)
+        return _final(result, abserr, ier, last)
 
     # initialization; index 0 of each list is unused
-    alist, blist = [0.0, a], [0.0, b]
+    alist, blist = [0.0, 0.0], [0.0, 1.0]
     rlist, elist, iord = [0.0, result], [0.0, abserr], [0, 1]
     rlist2 = [0.0] * 55  # DQELG's epstab(52), and room past it
     res3la = [0.0] * 4
@@ -527,7 +462,7 @@ def _adaptive(npanel, a, b, epsabs, epsrel, limit):
         if ier != 0:
             break
         if last == 2:
-            small = abs(b - a) * 0.375
+            small = 0.375
             erlarg = errsum
             ertest = errbnd
             rlist2[2] = area
@@ -602,23 +537,23 @@ def _adaptive(npanel, a, b, epsabs, epsrel, limit):
         elif abserr > errsum:
             summed = True
         elif area == 0.0:
-            return _final(result, abserr, ier, last, npanel)
+            return _final(result, abserr, ier, last)
     if summed:
         result = 0.0
         for k in range(1, last + 1):
             result = result + rlist[k]
-        return _final(result, errsum, ier, last, npanel)
+        return _final(result, errsum, ier, last)
     # test on divergence
     if not (ksgn == -1 and max(abs(result), abs(area)) <= defabs * 0.01):
         q = _ratio(result, area)
         if 0.01 > q or q > 100.0 or errsum > abs(area):
             ier = 6
-    return _final(result, abserr, ier, last, npanel)
+    return _final(result, abserr, ier, last)
 
 
-def _final(result, abserr, ier, last, npanel):
+def _final(result, abserr, ier, last):
     """The QuadResult, with the internal ier mapped to QUADPACK's output
     codes (3 to 6 become 2 to 5) and neval counted from last."""
     if ier > 2:
         ier -= 1
-    return QuadResult(result, abserr, npanel * (2 * last - 1), ier, last)
+    return QuadResult(result, abserr, 15 * (2 * last - 1), ier, last)

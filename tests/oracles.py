@@ -714,6 +714,52 @@ def green_full_imag_axis_mp(m, z, xi, dps=30):
                      for i in (0, 1))
 
 
+def green_full_prop_mp(m, z, omega, dps=30):
+    """(xx, zz), as complex floats, of the propagating side of green_full's
+    k_rho integral at real omega > 0, by a dps-digit mpmath.quad over theta.
+
+    With k_rho = k0 sin(theta), k_vz = k0 cos(theta), k0 = omega/c, and
+    q = sqrt(eps - sin^2 theta) on the branch Im q >= 0, the side is
+
+        (i k0/8 pi) int_0^{pi/2} dtheta sin(theta) e^{2 i k0 z cos(theta)}
+            [(r_s - r_p cos^2 theta) diag(1,1,0) + 2 r_p sin^2 theta
+             diag(0,0,1)],
+
+    r_s = (cos theta - q)/(cos theta + q), r_p = (eps cos theta - q)/
+    (eps cos theta + q).  The factor i k0/8 pi stays outside the quadrature,
+    whose error test is absolute.  k_dz = k0 q has a square-root kink where
+    Re(eps) = sin^2 theta, softened only by Im eps: where 0 < Re eps < 1 it
+    lies on this side, and the interval is split there.  The phase turns by
+    2 k0 z over the interval, so it is also split into ceil(2 k0 z) + 1
+    equal pieces, over each of which it turns by less than pi/2.
+    """
+    with mpmath.workdps(dps):
+        k0 = mpmath.mpf(omega) / C
+        a = 2 * k0 * mpmath.mpf(z)
+        eps = _mp_eps(m, mpmath.mpf(omega))
+
+        def bracket(theta):
+            s, c = mpmath.sin(theta), mpmath.cos(theta)
+            q = mpmath.sqrt(eps - s * s)
+            if q.imag < 0:
+                q = -q
+            r_s = (c - q) / (c + q)
+            r_p = (eps * c - q) / (eps * c + q)
+            common = s * mpmath.expj(a * c)
+            return common * (r_s - r_p * c * c), common * 2 * r_p * s * s
+
+        half = mpmath.pi / 2
+        pieces = int(mpmath.ceil(a)) + 1
+        cuts = {half * k / pieces for k in range(pieces + 1)}
+        if 0 < eps.real < 1:
+            cuts.add(mpmath.asin(mpmath.sqrt(eps.real)))
+        cuts = sorted(cuts)
+        scale = 1j * k0 / (8 * mpmath.pi)
+        return tuple(complex(scale * mpmath.quad(lambda t: bracket(t)[i],
+                                                 cuts))
+                     for i in (0, 1))
+
+
 def lorentzian_ldos_factor(mode, omega):
     """Lorentzian line-shape factor (gamma^2/4)/((omega-Omega)^2 + gamma^2/4).
 

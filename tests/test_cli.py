@@ -593,9 +593,9 @@ def test_full_route_point_runs_one_lockstep(monkeypatch):
         batches.append(len(batch))
         return lockstep(batch)
 
-    def counted_rule(a, s0, e1, eps, sizes):
+    def counted_rule(a, s0, e1, sizes):
         rules.append((len(a), sizes))
-        return sums(a, s0, e1, eps, sizes)
+        return sums(a, s0, e1, sizes)
 
     monkeypatch.setattr(quadpack, "lockstep", counted)
     monkeypatch.setattr(greens, "_imag_axis_sums", counted_rule)

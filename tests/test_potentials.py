@@ -899,9 +899,9 @@ def test_full_route_runs_one_lockstep_per_matsubara_pass(rb_atom,
     batches = _counting_locksteps(monkeypatch)
     sums, rules = greens._imag_axis_sums, []
 
-    def counted(a, s0, e1, eps, sizes):
+    def counted(a, s0, e1, sizes):
         rules.append((len(a), sizes))
-        return sums(a, s0, e1, eps, sizes)
+        return sums(a, s0, e1, sizes)
 
     monkeypatch.setattr(greens, "_imag_axis_sums", counted)
     reports = potentials.reports_at(terms, Ts)
@@ -915,41 +915,52 @@ def test_full_route_runs_one_lockstep_per_matsubara_pass(rb_atom,
 
 
 @pytest.mark.parametrize("failing", ["pair", "photon"])
-def test_distance_terms_keeps_the_line_whose_group_holds(
+def test_a_failing_line_fails_every_report_with_its_own_error(
         rb_atom, material_broad, monkeypatch, failing):
     """distance_terms takes the photon line's Re G and the pair's Im G in
-    one lockstep, yet each line holds what its own call gives: with only
-    the pair's integrals (Im G) failing, photon is _photon_terms' and
-    u_eff the QuadratureFailure that u_eff raises; with only the photon's
-    (Re G) failing, the other way round."""
+    one call, and when it raises, both lines hold its error.  With only the
+    pair's integrals (Im G) failing, or only the photon's (Re G), the
+    report at every T, from reports_at and from
+    total_shift, raises a QuadratureFailure with the text of the failing
+    line's own call, u_eff or _photon_terms.  At cutoff 3 the Matsubara
+    line's ConvergenceFailure still comes first."""
     from polshift import quadpack
     lockstep = quadpack.lockstep
     odd = failing == "pair"  # the components of Im G are odd
 
-    def failing_one_group(batch):
+    def failing_one_line(batch):
         got = lockstep(batch)
         return [r._replace(abserr=math.inf) if i.comp % 2 == odd else r
                 for i, r in zip(batch, got)]
 
     args = (rb_atom, "27S1/2", "26S1/2", material_broad)
-    held = potentials.distance_terms(*args, Z, "full")
-    monkeypatch.setattr(quadpack, "lockstep", failing_one_group)
-    terms = potentials.distance_terms(*args, Z, "full")
-    photon = potentials._photon_terms(rb_atom, "27S1/2", material_broad, Z,
-                                      "full")
-    try:
-        u = ps.u_eff(*args[:3], *terms.pair, material_broad,
+    pair = potentials.distance_terms(*args, Z, "full").pair
+    monkeypatch.setattr(quadpack, "lockstep", failing_one_line)
+    if odd:
+        with pytest.raises(ps.QuadratureFailure) as raised:
+            ps.u_eff(*args[:3], *pair, material_broad,
                      ps.Environment(Z, 0.0), green_mode="full")
-    except ps.PhysicsError as exc:
-        u = exc
-    (failed, alone), (kept, own) = (("u_eff", u), ("photon", photon)) \
-        if odd else (("photon", photon), ("u_eff", u))
-    error = getattr(terms, failed)
-    assert isinstance(error, ps.QuadratureFailure)
-    assert isinstance(alone, ps.QuadratureFailure)
-    assert str(error) == str(alone)
-    assert getattr(terms, kept) == getattr(held, kept) == own
-    assert terms.pair == held.pair and terms.meta == held.meta
+        own = raised.value
+    else:
+        own = potentials._photon_terms(rb_atom, "27S1/2", material_broad, Z,
+                                       "full")
+    assert isinstance(own, ps.QuadratureFailure)
+    terms = potentials.distance_terms(*args, Z, "full")
+    assert terms.pair == pair
+    assert isinstance(terms.photon, ps.QuadratureFailure)
+    assert terms.u_eff is terms.photon
+    Ts = (100.0, 300.0, 600.0)
+    for report in potentials.reports_at(terms, Ts):
+        assert isinstance(report, ps.QuadratureFailure)
+        assert str(report) == str(own)
+    with pytest.raises(ps.QuadratureFailure) as raised:
+        ps.total_shift(*args, ps.Environment(Z, 300.0), green_mode="full")
+    assert str(raised.value) == str(own)
+    for report in potentials.reports_at(terms, Ts, cutoff=3):
+        assert isinstance(report, ps.ConvergenceFailure)
+    with pytest.raises(ps.ConvergenceFailure):
+        ps.total_shift(*args, ps.Environment(Z, 300.0), cutoff=3,
+                       green_mode="full")
 
 
 def test_nonretarded_trace_one_reflection_call_per_term(rb_atom,

@@ -4,13 +4,14 @@
 Each run calls ``polshift.cli.main`` in-process, writes its output into a
 temporary directory, and prints one line: the run's name, its exit code,
 the sha256 of the output file (empty when none was written) and the sha256
-of what it wrote to stderr.  Nine runs read inputs that the tool writes
+of what it wrote to stderr.  Ten runs read inputs that the tool writes
 into the same directory: a lossless pair (a point and a scan), four
 oscillators, an atom whose alpha(i xi) changes sign (a scan), an atom
 just above a surface mode (a point and a scan), an atom between two
 surface modes 1.7e-5 apart (a point), a nearly critically damped
-oscillator (a scan) and an atom whose dipole sits at the smallest
-transition frequency AtomSpec accepts (a point).  Two
+oscillator (a scan), an atom whose dipole sits at the smallest
+transition frequency AtomSpec accepts (a point) and an atom whose photon
+line reads the full route where 0 < Re eps < 1 (a point).  Two
 checkouts whose listings are identical produce byte-identical CLI output on
 these runs, so diffing the listings of a parent and a change checks that a
 refactor left the output unchanged.
@@ -281,6 +282,28 @@ BOUND_ATOM = {
 }
 
 
+#: material_narrow's upper omega_L (Re eps = 0), found by a root search
+OMEGA_L_NARROW = 18057656820870.508
+
+#: a two-level atom at 1.5 OMEGA_L_NARROW, where material_narrow has
+#: eps = 0.819 + 0.0015i: the photon line's k_dz = k0 sqrt(eps - sin^2
+#: theta) has its kink at sin theta = 0.905, on the propagating side of the
+#: full route's k_rho integral.  No other run reaches that: at the Rb
+#: 27S1/2 photon frequencies Re eps is 1.44 to 4.64 on the four fixtures,
+#: and 1.84 to 2.72 on material_broad, the benchmark's material
+ABOVE_OMEGA_L_ATOM = {
+    "schema_version": 1,
+    "name": "above omega_L",
+    "states": [
+        {"label": "g", "energy": 0.0, "unit": "rad/s"},
+        {"label": "e", "energy": 1.5 * OMEGA_L_NARROW, "unit": "rad/s"},
+    ],
+    "dipoles": [
+        {"from": "g", "to": "e", "magnitude": 1e-29, "unit": "C*m"},
+    ],
+}
+
+
 def _write(workdir, name, doc):
     path = os.path.join(workdir, name + ".json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -293,8 +316,9 @@ def runs(workdir):
     NoModeFound before any pair is evaluated), the modes of QUARTET, a
     scan of FLIPPING, a point and a scan of NEAR_MODE_ATOM on
     NEAR_MODE_MATERIAL, a point of BETWEEN_ATOM on BETWEEN_MODES_MATERIAL,
-    a scan on NEAR_CRITICAL and a point of BOUND_ATOM, the inputs written
-    into workdir."""
+    a scan on NEAR_CRITICAL, a point of BOUND_ATOM and a full-route point
+    of ABOVE_OMEGA_L_ATOM on material_narrow, the inputs written into
+    workdir."""
     lossless = _write(workdir, "lossless", LOSSLESS)
     near_critical = _write(workdir, "near_critical", NEAR_CRITICAL)
     near_mode = ["--material",
@@ -342,6 +366,13 @@ def runs(workdir):
          ["point", "--material", _fixture("material_toy"),
           "--atom", _write(workdir, "bound", BOUND_ATOM),
           "--upper", "g", "--lower", "e", "--z", "1e-6", "--T", "300"], {}),
+        # k0 z = 0.90 at 10 um; the pair's detuning is 78 windows, so the
+        # gate is opened to reach "no channels" and print the photon line
+        ("point --green full above omega_L",
+         ["point", "--material", _fixture("material_narrow"),
+          "--atom", _write(workdir, "above_omega_l", ABOVE_OMEGA_L_ATOM),
+          "--upper", "e", "--lower", "g", "--z", "1e-5", "--T", "500",
+          "--green", "full", "--resonance-tol", "100"], {}),
     )
 
 
