@@ -11,8 +11,9 @@ full route needs numpy alone.  Both sides of the light line run on [0, inf):
 the evanescent side in u = 2 kappa z, and the propagating side in x with
 theta = (pi/2) x/(1 + x), which DQAGIE's own map x = (1 - t)/t turns into
 its 15-point Kronrod pass on theta in [0, pi/2], in exact arithmetic.  The
-passes of one Green call run in one lockstep, also when the call takes a
-sequence of frequencies; the one departure from one pass per integral is
+passes of one Green call run in one lockstep at one subdivision budget,
+QUAD_LIMIT, also when the call takes a sequence of frequencies, and no
+integral is run twice; the one departure from one pass per integral is
 how the integrand is called.  Each side is an integrand family that takes
 the nodes of every panel a round asks for, at every frequency of the call,
 and returns the real and imaginary parts of xx and zz at each.
@@ -53,9 +54,9 @@ from .units import C, cube
 #: epsabs = QUAD_REL_TOL times the nonretarded scale c^2/(32 pi w^2 z^3)
 QUAD_REL_TOL = 1e-8
 
-#: quad's subdivision limit on the first try; a failed try is repeated once
-#: with 8 * QUAD_LIMIT before QuadratureFailure is raised
-QUAD_LIMIT = 200
+#: quad's subdivision limit, the one budget of every k_rho quadrature: an
+#: integral that misses the tolerance within it raises QuadratureFailure
+QUAD_LIMIT = 1600
 
 
 class GreenTensor3(NamedTuple):
@@ -93,42 +94,32 @@ def green_nonretarded(m, z, omega):
 
 def _integrate(integrals):
     """The value of each (f, key, comp, bound, epsabs, label) of integrals,
-    the quadpack.Integral of its first five fields, to QUAD_REL_TOL by the
-    package's QUADPACK passes, all in one lockstep.
+    the quadpack.Integral of its first five fields, to QUAD_REL_TOL within
+    QUAD_LIMIT subdivisions by the package's QUADPACK passes, all in one
+    lockstep.
 
-    An integral that misses the tolerance is run again, in one lockstep
-    with the others that missed it, at 8 * QUAD_LIMIT subdivisions; if any
-    misses it there too, the first of them in the order of integrals
-    raises QuadratureFailure, naming its label.  Each value, error estimate
-    and subdivision is the one scipy.integrate.quad gives the integral
-    alone.  An empty list runs no lockstep.
+    A value is taken where its error estimate is at most 10 max(epsabs,
+    QUAD_REL_TOL |value|); the first integral in the order of integrals
+    that misses that raises QuadratureFailure, naming its label.  Each
+    value, error estimate and subdivision is the one scipy.integrate.quad
+    gives the integral alone at QUAD_LIMIT, and so, for a pass that ends by
+    subdivision QUAD_LIMIT // 2 + 2, at any larger limit: DQAGIE reads its
+    limit only in the loop bound, in ier = 1 at the last subdivision it
+    allows and in DQPSRT's list bound past subdivision limit // 2 + 2.
 
     quadpack is imported here, on the first full-route call, so that a
     nonretarded command does not load it while it starts up.
     """
     from . import quadpack
 
-    values = [None] * len(integrals)
-    todo = range(len(integrals))
-    for lim in (QUAD_LIMIT, 8 * QUAD_LIMIT):
-        if not todo:
-            return values
-        got = quadpack.lockstep([quadpack.Integral(
-            *integrals[i][:5], QUAD_REL_TOL, lim) for i in todo])
-        missed = []
-        for i, res in zip(todo, got):
-            epsabs = integrals[i][4]
-            if res.abserr <= max(epsabs, QUAD_REL_TOL * abs(res.value)) * 10.0:
-                values[i] = res.value
-            else:
-                missed.append(i)
-        todo = missed
-    if not todo:
-        return values
-    raise QuadratureFailure(
-        f"green_full quadrature ({integrals[todo[0]][5]}) did not reach "
-        f"tolerance epsrel={QUAD_REL_TOL:g} within {8 * QUAD_LIMIT} "
-        "subdivisions")
+    got = quadpack.lockstep([quadpack.Integral(*i[:5], QUAD_REL_TOL,
+                                               QUAD_LIMIT) for i in integrals])
+    for (*_, epsabs, label), res in zip(integrals, got):
+        if not res.abserr <= max(epsabs, QUAD_REL_TOL * abs(res.value)) * 10.0:
+            raise QuadratureFailure(
+                f"green_full quadrature ({label}) did not reach tolerance "
+                f"epsrel={QUAD_REL_TOL:g} within {QUAD_LIMIT} subdivisions")
+    return [res.value for res in got]
 
 
 def _times(a, b):

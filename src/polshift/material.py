@@ -422,7 +422,7 @@ def _bounded_minimum(f, lo, hi, xatol, maxfun=500):
     minimize_scalar(method="bounded"), so that the mode finder gets the same
     minimum without importing scipy.  As there, non-finite bounds raise
     ValueError, and the search stops after maxfun calls without an error.
-    ROADMAP item 7's peak search deletes it.
+    ROADMAP item 8's peak search deletes it.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("optimization bounds must be finite scalars")
@@ -659,7 +659,7 @@ def find_polariton_modes(m):
     being the width estimate 2 Im eps / Re eps' there.  Brent stops once
     the bracket is within 2 (sqrt(eps) |w| + xatol/3) of its best point, so
     a centre is accurate to about 2 sqrt(eps) |w|, 3e-8 relative, and not
-    to the 1e-13 relative of its xatol (ROADMAP item 7).  Linewidths are the
+    to the 1e-13 relative of its xatol (ROADMAP item 8).  Linewidths are the
     full widths at half maximum of the Im r_p peak: each half-maximum point
     is bracketed by a march out of the peak and polished by bracketed Newton
     steps, as is each root of Re eps = -1.  Modes are returned ascending in
@@ -691,7 +691,7 @@ def find_polariton_modes(m):
         wlo, whi = r - 5.0 * g0, r + 5.0 * g0
         # the sqrt(eps) |w| term of Brent's tolerance dominates this xatol:
         # the centre is good to about 3e-8 relative, not 1e-13 (ROADMAP
-        # item 7)
+        # item 8)
         center, fun = _bounded_minimum(lambda w: -_real_eps(m, w, True),
                                        wlo, whi, xatol=1e-13 * r)
         peak = -fun

@@ -8,8 +8,9 @@ import pytest
 
 import polshift as ps
 from polshift import greens
-from oracles import (green_full_imag_axis_mp, green_full_prop_mp,
-                     lorentzian_ldos_factor, tensor_to_jsonable)
+from oracles import (green_full_evan_mp, green_full_imag_axis_mp,
+                     green_full_prop_mp, lorentzian_ldos_factor,
+                     tensor_to_jsonable)
 from polshift.units import C, cube
 
 Z = 1e-6
@@ -113,6 +114,50 @@ def test_full_matches_nonretarded_deep(material_toy):
     assert abs(full.zz / full.xx - 2.0) < 1e-2
 
 
+def _recorded_integrals(monkeypatch):
+    """{(k, label, comp): (epsabs, value)} of every integral that the
+    green_full calls made after this one take at greens._integrate, k the
+    index of its omega in its call."""
+    integrate, got = greens._integrate, {}
+
+    def recording(integrals):
+        values = integrate(integrals)
+        got.update(((k, label, comp), (epsabs, value)) for (
+            _, k, comp, _, epsabs, label), value in zip(integrals, values))
+        return values
+
+    monkeypatch.setattr(greens, "_integrate", recording)
+    return got
+
+
+def _outside_the_bound(got, want, k, side):
+    """The (k, label, comp, error in tolerances) of each integral of side
+    at omega k of got whose value lies beyond 10 max(epsabs, QUAD_REL_TOL
+    |I|) of the integral I in want, a 30-digit oracle's (xx, zz); a part
+    that was not integrated is not in got.
+
+    The bound: _integrate takes each real integral's QUADPACK value where
+    its error estimate abserr is at most 10 max(epsabs, QUAD_REL_TOL |I|),
+    epsabs = QUAD_REL_TOL c^2/(32 pi omega^2 z^3).  DQAGIE's abserr is
+    built to exceed the error of its value (the Kronrod-Gauss difference,
+    inflated by (200 d/resasc)^1.5, or the spread of the extrapolation), so
+    the value taken is within that bound wherever the estimate holds.  The
+    oracle's 30 digits are exact at float64, so an integral outside the
+    bound is one whose error estimate failed."""
+    outside = []
+    for comp, exact in zip((0, 2), want):
+        label = f"{('xx', 'zz')[comp // 2]} {side}"
+        for q, part in enumerate((exact.real, exact.imag)):
+            if (k, label, comp + q) not in got:
+                continue
+            epsabs, value = got[k, label, comp + q]
+            errors = (value - part) / max(epsabs,
+                                          greens.QUAD_REL_TOL * abs(part))
+            if not abs(errors) <= 10.0:
+                outside.append((k, label, comp + q, errors))
+    return outside
+
+
 @pytest.mark.parametrize("material", ["material_broad", "material_narrow",
                                       "material_toy", "material_ldos"])
 def test_full_propagating_side_matches_the_mp_oracle(request, material,
@@ -122,42 +167,92 @@ def test_full_propagating_side_matches_the_mp_oracle(request, material,
     green_full_prop_mp, at omega z/c = 0.1, 1 and 10 at the first mode
     centre of each fixture, and on material_narrow also at 2e13 rad/s,
     where Re eps = 0.46 puts the kink of k_dz on this side, at sin theta =
-    0.68.  The integrals are read at greens._integrate by label.
-
-    The bound: _integrate takes each real integral's QUADPACK value where
-    its error estimate abserr is at most 10 max(epsabs, QUAD_REL_TOL |I|),
-    epsabs = QUAD_REL_TOL c^2/(32 pi omega^2 z^3).  DQAGIE's abserr is
-    built to exceed the error of its value (the Kronrod-Gauss difference,
-    inflated by (200 d/resasc)^1.5, or the spread of the extrapolation), so
-    the value taken is within that bound wherever the estimate holds.  The
-    oracle's 30 digits are exact at float64, so a miss here is an error
-    estimate that failed."""
+    0.68.  The integrals are read at greens._integrate by label, and the
+    bound is derived at _outside_the_bound."""
     m = request.getfixturevalue(material)
     omegas = [ps.find_polariton_modes(m)[0].omega_center]
     if material == "material_narrow":
         omegas.append(2e13)
         assert 0.0 < ps.permittivity(m, 2e13).real < 1.0
-    integrate, got = greens._integrate, {}
-
-    def recording(integrals):
-        values = integrate(integrals)
-        got.update(((label, comp), (epsabs, value)) for (
-            _, _, comp, _, epsabs, label), value in zip(integrals, values))
-        return values
-
-    monkeypatch.setattr(greens, "_integrate", recording)
-    tol = greens.QUAD_REL_TOL
+    got = _recorded_integrals(monkeypatch)
     for omega in omegas:
         for x in (0.1, 1.0, 10.0):
             z = x * C / omega
             got.clear()
             ps.green_full(m, z, omega)
-            for comp, want in zip((0, 2), green_full_prop_mp(m, z, omega)):
-                label = ("xx", "zz")[comp // 2] + " propagating"
-                for q, part in enumerate((want.real, want.imag)):
-                    epsabs, value = got[label, comp + q]
-                    assert abs(value - part) <= 10.0 * max(
-                        epsabs, tol * abs(part)), (omega, x, label, q)
+            assert len(got) == 8
+            assert _outside_the_bound(got, green_full_prop_mp(m, z, omega),
+                                      0, "propagating") == [], (omega, x)
+
+
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow",
+                                      "material_toy", "material_ldos"])
+def test_full_evanescent_side_matches_the_mp_oracle(request, material,
+                                                    monkeypatch):
+    """Each evanescent-side integral of green_full, Re and Im of xx and zz,
+    lies within 10 max(epsabs, QUAD_REL_TOL |I|) of the 30-digit oracle
+    green_full_evan_mp, at omega z/c = 0.1, 1 and 10 at the first mode
+    centre of each fixture and at half its lowest omega_T, where Re eps > 1
+    puts the kink of k_dz on this side; on material_narrow also at the
+    omega nearest the mode centre, on a grid from omega_T, where Re eps <
+    -1 puts the surface-polariton pole of r_p on this side.  The integrals
+    are read at greens._integrate by label, and the bound is derived at
+    _outside_the_bound."""
+    m = request.getfixturevalue(material)
+    centre = ps.find_polariton_modes(m)[0].omega_center
+    low = 0.5 * min(o.omega_T for o in m.oscillators)
+    assert ps.permittivity(m, low).real > 1.0
+    omegas = [centre, low]
+    if material == "material_narrow":
+        omegas.append(next(
+            w for w in np.linspace(2.0 * low, centre, 40)[::-1].tolist()
+            if ps.permittivity(m, w).real < -1.0))
+    got = _recorded_integrals(monkeypatch)
+    for omega in omegas:
+        for x in (0.1, 1.0, 10.0):
+            z = x * C / omega
+            got.clear()
+            ps.green_full(m, z, omega)
+            assert len(got) == 8
+            assert _outside_the_bound(got, green_full_evan_mp(m, z, omega),
+                                      0, "evanescent") == [], (omega, x)
+
+
+#: z of retarded_points pool points 23, 65 and 82 (Rb 27S1/2 on
+#: material_broad), whose photon-line evanescent integrals QUADPACK takes
+#: 34, 13 and 19 tolerances off
+_DISPUTED_Z = {23: 1.542098864139862e-06, 65: 9.805480839838159e-07,
+               82: 5.645087785756008e-07}
+
+
+@pytest.mark.parametrize("point", [pytest.param(i, marks=pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason=(
+        "QUADPACK's error estimate (0.05 to 0.96 tolerances) misses the "
+        "square-root kink of k_dz at u = b Re sqrt(eps - 1), of half-width "
+        "2e-5 to 1e-3 in u at these photon frequencies, and accepts a "
+        "value 13 to 34 tolerances off; ROADMAP item 2b re-records the "
+        "point's reference from green_full_evan_mp, and item 5's graded "
+        "panels split at the kink"))) for i in _DISPUTED_Z])
+def test_full_photon_line_evanescent_side_at_disputed_pool_points(
+        material_broad, rb_atom, point, monkeypatch):
+    """The photon line's (Re G) evanescent integrals of the retarded_points
+    pool point, at every |omega_kn| from 27S1/2, against the 30-digit
+    oracle green_full_evan_mp, to 10 max(epsabs, QUAD_REL_TOL |I|) as in
+    test_full_evanescent_side_matches_the_mp_oracle.  On each point one
+    integral lies outside, Re zz at 1.443e12 rad/s on point 23 and Re xx at
+    1.604e12 and 9.032e12 rad/s on points 65 and 82, by 34.3, 13.0 and 18.9
+    tolerances, where QUADPACK estimated 0.05, 0.27 and 0.96: so each case
+    is a strict xfail until QUADPACK's value is replaced there."""
+    z = _DISPUTED_Z[point]
+    omegas = [abs(w) for _, w, _ in ps.transitions_from(rb_atom, "27S1/2")]
+    got = _recorded_integrals(monkeypatch)
+    ps.green_full(material_broad, z, omegas, part="real")
+    assert len(got) == 4 * len(omegas)
+    outside = [miss for k, omega in enumerate(omegas)
+               for miss in _outside_the_bound(
+                   got, green_full_evan_mp(material_broad, z, omega), k,
+                   "evanescent")]
+    assert outside == [], outside
 
 
 def _scaled(m, lam):
@@ -301,43 +396,54 @@ def test_full_with_one_part_per_omega_is_each_omega_alone(request, material):
     assert ps.green_full(m, 2e-6, [], part=[]) == []
 
 
-def test_full_escalates_only_the_missed_integrals(material_broad,
-                                                  monkeypatch):
-    """An integral that misses the tolerance within QUAD_LIMIT runs again
-    at 8 QUAD_LIMIT, in one lockstep with the others that missed it and
-    with no other: at QUAD_LIMIT = 5 and z = 20 um two of the sixteen
-    integrals of the two mode centres do.  Every integral of either
-    lockstep, of whatever limit and length, gets the QuadResult of its own
-    quad."""
+def test_full_runs_one_lockstep_at_one_budget(material_narrow, monkeypatch):
+    """A green_full call runs one quadpack.lockstep, every integral at
+    QUAD_LIMIT, and no integral again: where two of them miss, the call
+    raises after that one run, naming the first of the two in call order.
+
+    One budget gives what a first try at a smaller limit L gave, for every
+    pass that ends by subdivision L // 2 + 2, because DQAGIE reads its limit
+    only in the loop bound, in ier = 1 at the last subdivision and in
+    DQPSRT's list bound past L // 2 + 2: on the integrals of one Green call
+    on material_narrow at its first mode centre, lockstep at L and at 8 L
+    gives equal QuadResults for each such pass, at L = 5, 8, 16 and 200.
+    At L = 5 the evanescent passes, which need 7 or 8 subdivisions, end at
+    ier 1 with other results, so the check can fail."""
     from polshift import quadpack
-    monkeypatch.setattr(greens, "QUAD_LIMIT", 5)
-    runs = []
-    lockstep = quadpack.lockstep
+    lockstep, runs = quadpack.lockstep, []
+    omega = ps.find_polariton_modes(material_narrow)[0].omega_center
 
     def recording(batch):
-        got = lockstep(batch)
-        runs.append(list(zip(batch, got)))
-        return got
+        runs.append(batch)
+        return lockstep(batch)
 
     monkeypatch.setattr(quadpack, "lockstep", recording)
-    omegas = [md.omega_center for md in ps.find_polariton_modes(
-        material_broad)]
-    g = ps.green_full(material_broad, 20e-6, omegas)
-    first, again = runs
-    missed = [i for i, r in first
-              if r.abserr > max(i.epsabs, i.epsrel * abs(r.value)) * 10.0]
-    assert len(first) == 16 and {i.limit for i, _ in first} == {5}
-    assert [i._replace(limit=5) for i, _ in again] == missed
-    assert len(missed) == 2 and {i.limit for i, _ in again} == {40}
-    assert any(r.ier == 1 for _, r in first)
-    for i, got in first + again:
-        alone = quadpack.quad(
-            lambda x, i=i: i.f(x, np.full(len(x), i.key))[i.comp], i.bound,
-            i.epsabs, i.epsrel, i.limit)
-        assert got == alone
-    monkeypatch.setattr(quadpack, "lockstep", lockstep)
-    assert _bits(g) == _bits([ps.green_full(material_broad, 20e-6, w)
-                              for w in omegas])
+    ps.green_full(material_narrow, 2e-6, omega)
+    (batch,) = runs
+    assert len(batch) == 8 and {i.limit for i in batch} == {greens.QUAD_LIMIT}
+    for limit in (5, 8, 16, 200):
+        low = lockstep([i._replace(limit=limit) for i in batch])
+        high = lockstep([i._replace(limit=8 * limit) for i in batch])
+        ends = [res.last <= limit // 2 + 2 for res in high]
+        assert all(a == b for a, b, end in zip(low, high, ends) if end)
+        if limit == 5:
+            assert not all(ends)
+            assert all(a.ier == 1 and a != b
+                       for a, b, end in zip(low, high, ends) if not end)
+
+    def missing(batch):
+        runs.append(batch)
+        got = lockstep(batch)
+        return [r._replace(abserr=math.inf) if k in (2, 5) else r
+                for k, r in enumerate(got)]
+
+    runs.clear()
+    monkeypatch.setattr(quadpack, "lockstep", missing)
+    with pytest.raises(ps.QuadratureFailure,
+                       match=f"[(]xx evanescent[)].* within "
+                             f"{greens.QUAD_LIMIT} subdivisions"):
+        ps.green_full(material_narrow, 2e-6, omega)
+    assert len(runs) == 1 and len(runs[0]) == 8
 
 
 #: the labels of one omega's integrals, in the order a QuadratureFailure
@@ -358,22 +464,18 @@ _ORDER = [(tensor, side, p) for tensor in ("xx", "zz")
 ])
 def test_full_failure_is_the_first_in_call_order(material_broad, monkeypatch,
                                                  failing, want):
-    """Of integrals that miss the tolerance at both limits, the one named
-    is the first that one call per omega would run: omegas in order, then
-    _ORDER."""
+    """Of integrals that miss the tolerance, the one named is the first
+    that one call per omega would run: omegas in order, then _ORDER."""
     from polshift import quadpack
     lockstep = quadpack.lockstep
     omegas = _sequence_omegas(material_broad)
     labels = [(k, *order) for k in range(len(omegas)) for order in _ORDER]
 
     def failing_some(batch):
-        # the first run holds the call's integrals in call order, and the
-        # second the ones of them that missed, all of them made to miss
-        got = lockstep(batch)
-        miss = [lab in failing for lab in labels] if len(batch) == \
-            len(labels) else [True] * len(batch)
-        return [r._replace(abserr=math.inf) if m else r
-                for r, m in zip(got, miss)]
+        # the one run holds the call's integrals in call order
+        assert len(batch) == len(labels)
+        return [r._replace(abserr=math.inf) if lab in failing else r
+                for r, lab in zip(lockstep(batch), labels)]
 
     monkeypatch.setattr(quadpack, "lockstep", failing_some)
     with pytest.raises(ps.QuadratureFailure, match=f"[(]{want}[)]"):

@@ -753,7 +753,7 @@ def test_modes_found_for_oscillators_decades_apart():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 7: the in-module bounded minimiser refines the peak in "
+    "ROADMAP item 8: the in-module bounded minimiser refines the peak in "
     "absolute omega, where its tolerance sqrt(eps)*omega ~ 1.8e5 rad/s "
     "exceeds the linewidth; minimizing in the offset from the crossing "
     "fixes it but moves window-edge centres in the modes_sweep references"))
@@ -821,7 +821,7 @@ def _damping_limit_values(m, atom, s):
 
 @pytest.mark.xfail(strict=True, raises=(AssertionError, ps.SurfaceModePole),
                    reason=(
-    "ROADMAP item 7: the peak search stops within sqrt(eps)*omega of the "
+    "ROADMAP item 8: the peak search stops within sqrt(eps)*omega of the "
     "peak, which misplaces the half-maximum level once the linewidth "
     "nears it, and POLE_RTOL refuses the peak of a weakly damped mode"))
 def test_modes_converge_as_damping_vanishes(request, rb_atom):
