@@ -153,14 +153,14 @@ def _eps(m, omega):
     w2r, w2i = wr * wr - wi * wi, wr * wi + wi * wr  # w*w
     iwr, iwi = 0.0 * wr - wi, 0.0 * wi + wr  # 1j*omega
     er, ei = 1.0, 0.0
-    for j, (p2, t2, g) in enumerate(m._coeffs):
+    for p2, t2, g in m._coeffs:
         # t2 - w*w - (1j*omega)*g, the last a product with (g, 0)
         br = t2 - w2r - (iwr * g - iwi * 0.0)
         bi = (0.0 - w2i) - (iwr * 0.0 + iwi * g)
         # _quotient(p2, 0.0, br, bi), written out: this is the hot loop
         if abs(br) >= abs(bi):
             if br == 0 and bi == 0:
-                raise _pole_hit(m, j)
+                raise _pole_hit(m, (p2, t2, g))
             rat = bi / br
             scl = 1.0 / (br + bi * rat)
             er += (p2 + 0.0 * rat) * scl
@@ -189,7 +189,14 @@ def permittivity(m, omega):
     return np.complex128(complex(*_eps(m, omega)))
 
 
-def _pole_hit(m, j):
+def _pole_hit(m, coeffs):
+    """The PoleHit of the undamped oscillator whose m._coeffs triple coeffs
+    was hit.  The loops over m._coeffs carry no index, so it is worked out
+    here, on the raise path only: a loop raises at the first oscillator
+    whose denominator is zero, and an earlier one with the same triple
+    would have been zero first, so the first equal triple is the one that
+    raised."""
+    j = m._coeffs.index(coeffs)
     return PoleHit(f"permittivity pole of undamped oscillator {j} "
                    f"(omega_T={m.oscillators[j].omega_T!r}) hit exactly")
 
@@ -223,11 +230,11 @@ def _real_eps(m, w, im_rp=False):
     and NaN for w = +-inf or NaN, as there."""
     w2 = w * w
     er, ei = 1.0, 0.0
-    for j, (p2, t2, g) in enumerate(m._coeffs):
+    for p2, t2, g in m._coeffs:
         br, bi = t2 - w2, 0.0 - w * g
         if abs(br) >= abs(bi):
             if br == 0 and bi == 0:
-                raise _pole_hit(m, j)
+                raise _pole_hit(m, (p2, t2, g))
             rat = bi / br
             scl = 1.0 / (br + bi * rat)
             er += p2 * scl
@@ -262,11 +269,11 @@ def _eps_deps(m, w):
     _eps's PoleHit, before its eps' term is taken."""
     w2, tw = w * w, 2.0 * w + 0.0
     er, ei, dr, di = 1.0, 0.0, 0.0, 0.0
-    for j, (p2, t2, g) in enumerate(m._coeffs):
+    for p2, t2, g in m._coeffs:
         br, bi = t2 - w2, 0.0 - w * g
         if abs(br) >= abs(bi):
             if br == 0 and bi == 0:
-                raise _pole_hit(m, j)
+                raise _pole_hit(m, (p2, t2, g))
             rat = bi / br
             scl = 1.0 / (br + bi * rat)
             er += p2 * scl
@@ -625,9 +632,19 @@ def _half_max_point(m, center, peak, step, direction):
     """The omega on one side (direction -1 or +1) of the peak where Im r_p
     falls to half of peak, or None when the march reaches omega <= 0 or
     takes 80 steps.  The march goes out from the centre in steps that
-    double from step until Im r_p drops below half; the polish starts from
-    the secant point of its last step, with slope
-    d Im r_p/d omega = Im[eps' (1 - r_p)^2 / 2]."""
+    double from step until Im r_p drops below half; its last step, from
+    prev to the first sample (w, y) below half, brackets the point, and
+    bracketed Newton steps with slope d Im r_p/d omega =
+    Im[eps' (1 - r_p)^2 / 2] polish it.
+
+    Near an isolated surface-mode pole Im r_p is a Lorentzian in omega,
+    peak / (1 + ((omega - center)/h)^2), so the sample gives its half-width
+    h = |w - center| / sqrt(peak/y - 1), and the polish starts from
+    center + (w - center) / sqrt(peak/y - 1), where that Lorentzian is at
+    half maximum.  Where the start does not lie strictly inside the bracket
+    (a peak far from Lorentzian, or y <= 0), it falls back to the secant
+    point of the last step.  The start moves only the path of the polish,
+    not its bracket or its tolerance."""
     half = 0.5 * peak
 
     def f(w):
@@ -642,9 +659,13 @@ def _half_max_point(m, center, peak, step, direction):
         w = center + direction * width
         if not 0.0 < w < math.inf:
             return None
-        f_w = _real_eps(m, w, True) - half
+        y = _real_eps(m, w, True)
+        f_w = y - half
         if f_w < 0:
-            start = prev + (w - prev) * f_prev / (f_prev - f_w)
+            start = center + (w - center) / math.sqrt(peak / y - 1.0) \
+                if y > 0 else math.nan
+            if not min(prev, w) < start < max(prev, w):
+                start = prev + (w - prev) * f_prev / (f_prev - f_w)
             return _polish(f, start, w, prev, xtol=1e-13 * center)
         prev, f_prev = w, f_w
         width *= 2.0
@@ -660,11 +681,18 @@ def find_polariton_modes(m):
     the bracket is within 2 (sqrt(eps) |w| + xatol/3) of its best point, so
     a centre is accurate to about 2 sqrt(eps) |w|, 3e-8 relative, and not
     to the 1e-13 relative of its xatol (ROADMAP item 8).  Linewidths are the
-    full widths at half maximum of the Im r_p peak: each half-maximum point
-    is bracketed by a march out of the peak and polished by bracketed Newton
-    steps, as is each root of Re eps = -1.  Modes are returned ascending in
-    center frequency.  Band edges are the midpoints between neighbouring
-    centers; the outermost edges are clipped at center +/- 5*linewidth.
+    full widths at half maximum of the Im r_p peak.  On each side a march
+    out of the peak, in steps doubling from g0, brackets the half-maximum
+    point between its last two samples, and bracketed Newton steps polish
+    it to 1e-13 of the centre, as each root of Re eps = -1 is polished.
+    Near an isolated surface-mode pole Im r_p is a Lorentzian in omega, so
+    the polish starts at the half-width of the Lorentzian through the peak
+    and the march's first sample below half, which takes about a third
+    fewer Newton steps than the secant point of the bracket; where that
+    start falls outside the bracket, the secant point is the start.  Modes
+    are returned ascending in center frequency.  Band edges are the
+    midpoints between neighbouring centers; the outermost edges are clipped
+    at center +/- 5*linewidth.
 
     Im r_p vanishes identically for a fully undamped material, so there is
     no peak to find and NoModeFound is raised.

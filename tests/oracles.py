@@ -449,10 +449,10 @@ def permittivity_numpy(m, omega):
         raise TypeError(f"omega must be one number, not {type(omega)!r}")
     w = np.complex128(omega)
     w2, eps = w * w, np.complex128(1.0)
-    for j, (p2, t2, g) in enumerate(m._coeffs):
+    for p2, t2, g in m._coeffs:
         denom = t2 - w2 - 1j * omega * g
         if denom == 0:
-            raise material._pole_hit(m, j)
+            raise material._pole_hit(m, (p2, t2, g))
         eps = eps + p2 / denom
     return eps
 
@@ -489,10 +489,10 @@ def permittivity_derivative_numpy(m, omega):
     PoleHit, since the library takes eps' only together with eps."""
     w = np.complex128(omega)
     w2, d = w * w, np.complex128(0.0)
-    for j, (p2, t2, g) in enumerate(m._coeffs):
+    for p2, t2, g in m._coeffs:
         denom = t2 - w2 - 1j * omega * g
         if denom == 0:
-            raise material._pole_hit(m, j)
+            raise material._pole_hit(m, (p2, t2, g))
         d = d + p2 * (2.0 * w + 1j * g) / (denom * denom)
     return d
 

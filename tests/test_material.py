@@ -411,19 +411,40 @@ def test_finder_on_numpy_bodies_on_random_materials():
         _assert_finder_equals_numpy_bodies(m)
 
 
-@pytest.mark.parametrize("undamped", [0, 1])
-def test_pole_hit_names_the_undamped_oscillator(undamped):
-    """Of two oscillators, the undamped one hit exactly is named in the
-    PoleHit by its index and its omega_T, whether it is the first or the
-    second, through every function that evaluates eps."""
-    w_T = (5e12, 1e13)
-    m = ps.MaterialModel("pair", oscillators=tuple(
-        ps.Oscillator(2e13, t, 0.0 if j == undamped else 1e11)
-        for j, t in enumerate(w_T)))
-    pole = w_T[undamped]
-    message = re.escape(f"oscillator {undamped} (omega_T={pole!r})")
-    for f in (ps.permittivity, ps.reflection_nonretarded,
-              lambda m, w: ps.green_nonretarded(m, 1e-6, w)):
+#: (omega_P, omega_T, gamma) of each oscillator, ascending in omega_T, and
+#: the index of the undamped one hit at its omega_T, keyed by that index:
+#: of two, the first or the second; the last of four; and of two
+#: identical undamped ones after a damped one, the first
+POLE_HIT_CASES = {
+    "0": (((2e13, 5e12, 0.0), (2e13, 1e13, 1e11)), 0),
+    "1": (((2e13, 5e12, 1e11), (2e13, 1e13, 0.0)), 1),
+    "3-of-4": (((2e13, 5e12, 1e11), (3e13, 8e12, 2e11),
+                (1e13, 9e12, 5e10), (2e13, 1e13, 0.0)), 3),
+    "1-of-identical": (((2e13, 5e12, 1e11), (2e13, 1e13, 0.0),
+                        (2e13, 1e13, 0.0)), 1),
+}
+
+#: every function that evaluates eps at one real omega: permittivity and
+#: reflection_nonretarded through _eps, the nonretarded Green tensor, and
+#: the mode finder's bodies _real_eps (eps and Im r_p) and _eps_deps
+POLE_HIT_FUNCTIONS = (
+    ps.permittivity, ps.reflection_nonretarded,
+    lambda m, w: ps.green_nonretarded(m, 1e-6, w),
+    material._real_eps, lambda m, w: material._real_eps(m, w, True),
+    material._eps_deps)
+
+
+@pytest.mark.parametrize("case", POLE_HIT_CASES)
+def test_pole_hit_names_the_undamped_oscillator(case):
+    """The undamped oscillator hit exactly is named in the PoleHit by its
+    index and its omega_T, wherever it stands, through every function that
+    evaluates eps; of two identical ones, the first is named."""
+    oscs, hit = POLE_HIT_CASES[case]
+    m = ps.MaterialModel("poles", oscillators=tuple(
+        ps.Oscillator(*o) for o in oscs))
+    pole = oscs[hit][1]
+    message = re.escape(f"oscillator {hit} (omega_T={pole!r})")
+    for f in POLE_HIT_FUNCTIONS:
         with pytest.raises(ps.PoleHit, match=message):
             f(m, pole)
 
@@ -1091,6 +1112,41 @@ def test_polished_roots_match_mpmath_on_fixtures(request, name):
 @given(oscillators=OSCILLATORS)
 def test_polished_roots_match_mpmath_on_drawn_materials(oscillators):
     _assert_polished_roots_match_mpmath(_drawn(oscillators))
+
+
+def test_half_maximum_polishes_start_from_the_peaks_lorentzian(request):
+    """Each half-maximum polish starts where the Lorentzian through the
+    peak and the march's first sample below half is at half maximum, so
+    over the four fixtures and 200 _random_materials it takes at most 4
+    _eps_deps values per half-maximum point on average: on this set the
+    secant start of the march's last step took 5.17, the Lorentzian's
+    takes 3.59.  The march's own samples come from _real_eps and are not
+    counted."""
+    half_max_point_of, eps_deps_of = material._half_max_point, \
+        material._eps_deps
+    counts = {"points": 0, "values": 0, "inside": False}
+
+    def recorded(*args):
+        counts["inside"] = True
+        try:
+            return half_max_point_of(*args)
+        finally:
+            counts["inside"] = False
+            counts["points"] += 1
+
+    def counted(m, w):
+        counts["values"] += counts["inside"]
+        return eps_deps_of(m, w)
+
+    modes = 0
+    with mock.patch.object(material, "_half_max_point", recorded), \
+            mock.patch.object(material, "_eps_deps", counted):
+        for m in [*map(request.getfixturevalue, FIXTURE_MATERIALS),
+                  *_random_materials(20240603, 200)]:
+            table = _finder_outcome(m)
+            modes += len(table) if isinstance(table, list) else 0
+    assert modes > 200 and counts["points"] >= 2 * modes
+    assert counts["values"] <= 4.0 * counts["points"], counts
 
 
 #: (f, root) on [0, 1]: f(x) is (value, slope), value < 0 left of the root

@@ -35,11 +35,17 @@ def table(m):
         return exc
 
 
-def main():
+def pool_tables():
+    """Yield (index, table) for every pool material, the table being its
+    list of PolaritonMode or the typed physics error it raised."""
     ref = workloads.load_reference(("modes_sweep",))
     for i, oscs in enumerate(ref["modes_sweep"]["materials"]):
-        m = material_from_dict(workloads.material_doc(i, oscs))
-        digest = hashlib.sha256(repr(table(m)).encode()).hexdigest()
+        yield i, table(material_from_dict(workloads.material_doc(i, oscs)))
+
+
+def main():
+    for i, modes in pool_tables():
+        digest = hashlib.sha256(repr(modes).encode()).hexdigest()
         print(f"{i:4d} {digest}")
     return 0
 
