@@ -639,12 +639,13 @@ def _half_max_point(m, center, peak, step, direction):
 
     Near an isolated surface-mode pole Im r_p is a Lorentzian in omega,
     peak / (1 + ((omega - center)/h)^2), so the sample gives its half-width
-    h = |w - center| / sqrt(peak/y - 1), and the polish starts from
+    h = |w - center| / sqrt(peak/y - 1), and the polish starts at
     center + (w - center) / sqrt(peak/y - 1), where that Lorentzian is at
-    half maximum.  Where the start does not lie strictly inside the bracket
-    (a peak far from Lorentzian, or y <= 0), it falls back to the secant
-    point of the last step.  The start moves only the path of the polish,
-    not its bracket or its tolerance."""
+    half maximum; from there it takes about a third fewer Newton steps than
+    from the secant point of the last step.  Where the start does not lie
+    strictly inside the bracket (a peak far from Lorentzian, or y <= 0),
+    the secant point is the start.  The start moves only the path of the
+    polish, not its bracket or its tolerance."""
     half = 0.5 * peak
 
     def f(w):
@@ -681,18 +682,16 @@ def find_polariton_modes(m):
     the bracket is within 2 (sqrt(eps) |w| + xatol/3) of its best point, so
     a centre is accurate to about 2 sqrt(eps) |w|, 3e-8 relative, and not
     to the 1e-13 relative of its xatol (ROADMAP item 8).  Linewidths are the
-    full widths at half maximum of the Im r_p peak.  On each side a march
-    out of the peak, in steps doubling from g0, brackets the half-maximum
-    point between its last two samples, and bracketed Newton steps polish
-    it to 1e-13 of the centre, as each root of Re eps = -1 is polished.
-    Near an isolated surface-mode pole Im r_p is a Lorentzian in omega, so
-    the polish starts at the half-width of the Lorentzian through the peak
-    and the march's first sample below half, which takes about a third
-    fewer Newton steps than the secant point of the bracket; where that
-    start falls outside the bracket, the secant point is the start.  Modes
-    are returned ascending in center frequency.  Band edges are the
-    midpoints between neighbouring centers; the outermost edges are clipped
-    at center +/- 5*linewidth.
+    full widths at half maximum of the Im r_p peak: on each side a march
+    out of the peak brackets the half-maximum point, and bracketed Newton
+    steps polish it, as each root of Re eps = -1 is polished.  Near an
+    isolated surface-mode pole Im r_p is a Lorentzian in omega, so the
+    polish starts where the Lorentzian through the peak and the march's
+    first sample below half is at half maximum, or at the secant point of
+    the bracket where that lies outside it (_half_max_point).  Modes are
+    returned ascending in center frequency.  Band edges are the midpoints
+    between neighbouring centers; the outermost edges are clipped at
+    center +/- 5*linewidth.
 
     Im r_p vanishes identically for a fully undamped material, so there is
     no peak to find and NoModeFound is raised.
