@@ -213,7 +213,7 @@ def polarizability_iso(atom, n, xi):
     xi may be a scalar or an array; the result has the shape of xi.
     """
     xi = np.asarray(xi, dtype=float)
-    if (xi < 0).any():
+    if not (xi >= 0).all():
         raise ValueError("xi must be >= 0")
     w2, num = atom._level(n)[1]
     if not len(w2):

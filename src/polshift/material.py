@@ -213,7 +213,7 @@ def permittivity_imag_axis(m, xi):
         if not isinstance(xi, (int, float)):
             raise TypeError(f"xi must be one real number, not {type(xi)!r}")
         xi = float(xi)
-    if xi < 0:
+    if not xi >= 0:
         raise ValueError("xi must be >= 0")
     eps, xi2 = 1.0, xi * xi
     for p2, t2, g in m._coeffs:

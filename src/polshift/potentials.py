@@ -153,13 +153,13 @@ class ShiftReport:
 
 def matsubara_xi(T, j):
     """Matsubara frequency xi_j = 2 pi j k_B T / hbar (rad/s)."""
-    if T < 0:
+    if not T >= 0:
         raise ValueError("T must be >= 0")
     if T == 0:
         raise ZeroTemperature(
             "Matsubara frequencies are undefined at T = 0; "
             "use a zero-temperature integral instead")
-    if j < 0:
+    if not j >= 0:
         raise ValueError("j must be >= 0")
     return 2.0 * math.pi * j * KB * T / HBAR
 
@@ -172,9 +172,9 @@ def thermal_occupation(omega, T):
     -(nbar(|omega|) + 1), which is exactly the weight needed for downward
     transitions in the resonant-photon line.
     """
-    if T < 0:
+    if not T >= 0:
         raise ValueError("T must be >= 0")
-    if omega == 0:
+    if not (omega > 0 or omega < 0):
         raise ValueError("omega must be nonzero")
     if T == 0:
         return 0.0 if omega > 0 else -1.0

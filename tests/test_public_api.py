@@ -1,5 +1,9 @@
 """The public names of the package, pinned so that additions are deliberate."""
 
+import math
+
+import pytest
+
 import polshift as ps
 
 PUBLIC = [
@@ -23,3 +27,34 @@ PUBLIC = [
 def test_public_names_are_pinned_and_resolve():
     assert sorted(ps.__all__) == PUBLIC
     assert [name for name in PUBLIC if not hasattr(ps, name)] == []
+
+
+#: the public scalar entry points, each handed one NaN argument
+NAN_CALLS = {
+    "permittivity_imag_axis(m, nan)":
+        lambda m, atom, mode: ps.permittivity_imag_axis(m, math.nan),
+    "reflection_imag_axis(m, nan)":
+        lambda m, atom, mode: ps.reflection_imag_axis(m, math.nan),
+    "polarizability_iso(atom, n, nan)":
+        lambda m, atom, mode: ps.polarizability_iso(atom, "27S1/2", math.nan),
+    "polarizability_iso(atom, n, [1, nan])":
+        lambda m, atom, mode: ps.polarizability_iso(atom, "27S1/2",
+                                                    [1.0, math.nan]),
+    "thermal_occupation(nan, T)":
+        lambda m, atom, mode: ps.thermal_occupation(math.nan, 300.0),
+    "thermal_occupation(w, nan)":
+        lambda m, atom, mode: ps.thermal_occupation(1e13, math.nan),
+    "matsubara_xi(nan, 1)": lambda m, atom, mode: ps.matsubara_xi(math.nan, 1),
+    "matsubara_xi(T, nan)":
+        lambda m, atom, mode: ps.matsubara_xi(300.0, math.nan),
+    "thermal_factor(m1, m2, nan)":
+        lambda m, atom, mode: ps.thermal_factor(mode, mode, math.nan),
+}
+
+
+@pytest.mark.parametrize("call", NAN_CALLS.values(), ids=NAN_CALLS)
+def test_scalar_entry_points_reject_nan(call, material_toy, rb_atom):
+    mode = ps.PolaritonMode(omega_center=1e13, linewidth=1e11, band_lo=9e12,
+                            band_hi=1.1e13)
+    with pytest.raises(ValueError, match="must be"):
+        call(material_toy, rb_atom, mode)

@@ -1,37 +1,19 @@
-#!/usr/bin/env python3
-"""Print the exit code and sha256 digests of a fixed set of CLI runs.
+"""The CLI runs that ``tools/drift.py`` compares between two checkouts.
 
-Each run calls ``polshift.cli.main`` in-process, writes its output into a
-temporary directory, and prints one line: the run's name, its exit code,
-the sha256 of the output file (empty when none was written) and the sha256
-of what it wrote to stderr.  Ten runs read inputs that the tool writes
-into the same directory: a lossless pair (a point and a scan), four
-oscillators, an atom whose alpha(i xi) changes sign (a scan), an atom
-just above a surface mode (a point and a scan), an atom between two
-surface modes 1.7e-5 apart (a point), a nearly critically damped
-oscillator (a scan), an atom whose dipole sits at the smallest
-transition frequency AtomSpec accepts (a point) and an atom whose photon
-line reads the full route where 0 < Re eps < 1 (a point).  Two
-checkouts whose listings are identical produce byte-identical CLI output on
-these runs, so diffing the listings of a parent and a change checks that a
-refactor left the output unchanged.
-
-Run from any directory, against the polshift on the import path:
-
-    PYTHONPATH=src python3 tools/cli_fingerprint.py
+``RUNS`` is the fixed table of (name, argv, environment overrides) on the
+fixtures in ``tests/fixtures``; ``runs(workdir)`` adds ten runs on inputs it
+writes into workdir: a lossless pair (a point and a scan), four
+oscillators, an atom whose alpha(i xi) changes sign (a scan), an atom just
+above a surface mode (a point and a scan), an atom between two surface
+modes 1.7e-5 apart (a point), a nearly critically damped oscillator (a
+scan), an atom whose dipole sits at the smallest transition frequency
+AtomSpec accepts (a point) and an atom whose photon line reads the full
+route where 0 < Re eps < 1 (a point).  Each argv omits ``--output``.
 """
 
-import contextlib
-import hashlib
-import io
 import json
 import math
 import os
-import sys
-import tempfile
-from unittest import mock
-
-import polshift.cli
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         os.pardir, "tests", "fixtures")
@@ -375,28 +357,3 @@ def runs(workdir):
           "--green", "full", "--resonance-tol", "100"], {}),
     )
 
-
-def fingerprint(argv, env, output):
-    """(exit code, output sha256, stderr sha256) of one CLI run."""
-    err = io.StringIO()
-    with mock.patch.dict(os.environ, env), contextlib.redirect_stderr(err):
-        code = polshift.cli.main(argv + ["--output", output])
-    data = b""
-    if os.path.exists(output):
-        with open(output, "rb") as fh:
-            data = fh.read()
-    return (code, hashlib.sha256(data).hexdigest(),
-            hashlib.sha256(err.getvalue().encode()).hexdigest())
-
-
-def main():
-    with tempfile.TemporaryDirectory() as workdir:
-        for i, (name, argv, env) in enumerate(runs(workdir)):
-            code, out, err = fingerprint(
-                argv, env, os.path.join(workdir, f"{i}.out"))
-            print(f"{name:28s} exit={code} out={out} err={err}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
