@@ -152,15 +152,16 @@ class ShiftReport:
 
 
 def matsubara_xi(T, j):
-    """Matsubara frequency xi_j = 2 pi j k_B T / hbar (rad/s)."""
+    """Matsubara frequency xi_j = 2 pi j k_B T / hbar (rad/s), for a
+    nonnegative integer j (an int or an integral float)."""
     if not T >= 0:
         raise ValueError("T must be >= 0")
     if T == 0:
         raise ZeroTemperature(
             "Matsubara frequencies are undefined at T = 0; "
             "use a zero-temperature integral instead")
-    if not j >= 0:
-        raise ValueError("j must be >= 0")
+    if not (j >= 0 and float(j).is_integer()):
+        raise ValueError("j must be a nonnegative integer")
     return 2.0 * math.pi * j * KB * T / HBAR
 
 
@@ -170,10 +171,10 @@ def thermal_occupation(omega, T):
     Returns 0 for T = 0 (and -1 for omega < 0, the T -> 0 limit of the same
     expression).  For omega < 0 at T > 0 the formula itself evaluates to
     -(nbar(|omega|) + 1), which is exactly the weight needed for downward
-    transitions in the resonant-photon line.
+    transitions in the resonant-photon line.  T outside [0, T_MAX] raises
+    the ValueError of Environment.
     """
-    if not T >= 0:
-        raise ValueError("T must be >= 0")
+    _check_temperature(T)
     if not (omega > 0 or omega < 0):
         raise ValueError("omega must be nonzero")
     if T == 0:
@@ -811,14 +812,12 @@ def u_eff(atom, upper, lower, mode1, mode2, m, env,
     tensors = green(m, env.z, [mode1.omega_center, mode2.omega_center],
                     part=["imag", "imag"])
     return _amplitude(atom, upper, lower, chans, mode1, mode2, tensors,
-                      green_mode, env.z)
+                      green_mode)
 
 
-def _amplitude(atom, upper, lower, chans, mode1, mode2, tensors, green_mode,
-               z):
+def _amplitude(atom, upper, lower, chans, mode1, mode2, tensors, green_mode):
     """u_eff's amplitude on the channels chans from tensors, the Im G
-    tensors at Omega1 and Omega2 at z; a Tr Im G <= 0 raises
-    NoModeFound."""
+    tensors at Omega1 and Omega2; a Tr Im G <= 0 raises NoModeFound."""
     o1, o2 = mode1.omega_center, mode2.omega_center
     g1, g2 = mode1.linewidth, mode2.linewidth
     t1, t2 = tensors
@@ -826,7 +825,7 @@ def _amplitude(atom, upper, lower, chans, mode1, mode2, tensors, green_mode,
     if tr1 <= 0.0 or tr2 <= 0.0:
         raise NoModeFound(
             f"scattered Tr Im G is {tr1:.6g} m^-1 at Omega1 and {tr2:.6g} "
-            f"m^-1 at Omega2 (green_mode={green_mode!r}, z={z:g} m); "
+            f"m^-1 at Omega2 (green_mode={green_mode!r}); "
             "the normalisation sqrt(gamma1 gamma2 / (TrImG1 TrImG2)) needs "
             "both to be positive")
     wxx, wzz = t1.xx.imag * t2.xx.imag, t1.zz.imag * t2.zz.imag
@@ -840,7 +839,8 @@ def _amplitude(atom, upper, lower, chans, mode1, mode2, tensors, green_mode,
 
 
 def thermal_factor(mode1, mode2, T):
-    """sqrt[(nbar(Omega1) + 1) nbar(Omega2)]; zero at T = 0."""
+    """sqrt[(nbar(Omega1) + 1) nbar(Omega2)]; zero at T = 0.  T outside
+    [0, T_MAX] raises the ValueError of Environment."""
     if T == 0:
         return 0.0
     n1 = thermal_occupation(mode1.omega_center, T)
@@ -928,14 +928,13 @@ class DistanceTerms:
     the arguments they were evaluated for.
 
     photon holds the photon line's (omega_kn, omega_kn^2, d.Re G.d) of the
-    upper level's transitions, in transition order; pair is the resonant
+    upper level's transitions, in transition order, or the PhysicsError
+    that the distance's Green call raised, which the report at every T
+    raises after the Matsubara line's own errors; pair is the resonant
     mode pair, None when the resonant line is skipped (meta says why, but
-    for nonresonant_shift_parts' terms, whose meta is empty);
-    u_eff is the pair's amplitude (J), or 0.0 when skipped; meta holds
-    every report entry but z and T.  photon and u_eff each hold instead the
-    PhysicsError their evaluation raised, which the report at every T
-    raises after the Matsubara line's own errors: photon's first, then
-    u_eff's (find_polariton_modes' included).
+    for nonresonant_shift_parts' terms, whose meta is empty); u_eff is the
+    pair's amplitude (J), always a float: 0.0 when skipped or when photon
+    holds an error; meta holds every report entry but z and T.
     """
 
     atom: object
@@ -945,7 +944,7 @@ class DistanceTerms:
     green_mode: str
     photon: object
     pair: object
-    u_eff: object
+    u_eff: float
     meta: dict
 
 
@@ -954,52 +953,53 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
     """The DistanceTerms of total_shift at z: the photon line's factors, the
     mode pair and its amplitude, none of which depends on T.  The arguments
     are those of total_shift; z outside Z_RANGE raises the ValueError of
-    Environment.
+    Environment, and with modes=None the mode finder's error propagates.
+
+    The resonant line is skipped, with r = 0 and the reason in
+    meta["resonant_skipped"], when the material has fewer than two modes
+    or when the pair raises a PhysicsError: the resonance gate's
+    OffResonance or NoChannels, the closed form's ModeAttributionError, or
+    the amplitude's NoModeFound where Tr Im G <= 0.  That reason is the
+    error's type and text, as a scan's error column prints them.
 
     The mode pair and the resonance gate come first; then one call of the
     route's green takes Re G at every |omega_kn| of the photon line and,
     when the amplitude reads Green tensors, Im G at the pair's Omega1 and
     Omega2 after them, so on the full route every k_rho quadrature of the
     distance runs in one lockstep.  When that call raises, the photon line
-    holds its error, and so does the amplitude if it asked for tensors.
-    A report raises its photon line's error before its resonant line's,
-    and the photon omegas come first in the call, so every report raises
-    the error that it would with one call per line.
+    holds its error, the first in call order, and every report of the
+    distance raises it.
     """
     _check_distance(z)
     green = _green_route(green_mode)[0]
     trans = transitions_from(atom, upper)
-    pair, meta, u, chans = None, {}, 0.0, None
-    try:
-        if modes is None:
-            modes = find_polariton_modes(m)
-        omega_10 = atom.transition_frequency(upper, lower)
-        pair = find_resonant_pair(modes, omega_10)
-        meta = {"upper": upper, "lower": lower, "omega_10": omega_10,
-                "green_mode": green_mode, "n_modes": len(modes)}
-        if pair is None:
-            meta["resonant_skipped"] = "fewer than two polariton modes"
-        else:
-            mode1, mode2 = pair
-            meta.update({
-                "Omega1": mode1.omega_center, "gamma1": mode1.linewidth,
-                "Omega2": mode2.omega_center, "gamma2": mode2.linewidth,
-                "detuning": mode1.omega_center
-                - (omega_10 + mode2.omega_center),
-            })
+    if modes is None:
+        modes = find_polariton_modes(m)
+    omega_10 = atom.transition_frequency(upper, lower)
+    pair = find_resonant_pair(modes, omega_10)
+    meta = {"upper": upper, "lower": lower, "omega_10": omega_10,
+            "green_mode": green_mode, "n_modes": len(modes)}
+    u, chans, skipped = 0.0, None, None
+    if pair is None:
+        meta["resonant_skipped"] = "fewer than two polariton modes"
+    else:
+        mode1, mode2 = pair
+        meta.update({
+            "Omega1": mode1.omega_center, "gamma1": mode1.linewidth,
+            "Omega2": mode2.omega_center, "gamma2": mode2.linewidth,
+            "detuning": mode1.omega_center - (omega_10 + mode2.omega_center),
+        })
+        try:
             chans = _resonance_gate(atom, upper, lower, mode1, mode2,
                                     resonance_tol)
             if use_closed_form:
-                osc1, osc2 = attribute_modes(m, [mode1, mode2])
+                osc1, osc2 = attribute_modes(m, pair)
                 u = resonant_shift_closed_form(
                     omega_P1=osc1.omega_P, omega_P2=osc2.omega_P,
                     Omega1=mode1.omega_center, Omega2=mode2.omega_center,
                     gamma1=mode1.linewidth, channels=chans, z=z)
-    except NoChannels:
-        meta["resonant_skipped"] = "no channels"
-        pair = None
-    except PhysicsError as exc:
-        u = exc
+        except PhysicsError as exc:
+            skipped = exc
     # the channel sum still needs the pair's Green tensors
     amplitude = chans is not None and not use_closed_form
     omegas = [abs(w_kn) for _, w_kn, _ in trans]
@@ -1011,22 +1011,24 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
         gs = green(m, z, omegas, part=parts)
     except PhysicsError as exc:
         photon = exc
-        if amplitude:
-            u = exc
     else:
         photon = _photon_from(atom, upper, trans, gs)
         if amplitude:
             try:
                 u = _amplitude(atom, upper, lower, chans, *pair,
-                               gs[len(trans):], green_mode, z)
-            except PhysicsError as exc:
-                u = exc
+                               gs[len(trans):], green_mode)
+            except NoModeFound as exc:
+                skipped = exc
+    if skipped is not None:
+        pair, u = None, 0.0
+        meta["resonant_skipped"] = f"{type(skipped).__name__}: {skipped}"
     return DistanceTerms(atom, upper, m, z, green_mode, photon, pair, u, meta)
 
 
 def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
     """The report_at(terms, T, cutoff) of each temperature of Ts, in order:
-    the ShiftReport at (terms.z, T), or the PhysicsError it raises.
+    the ShiftReport at (terms.z, T), or the PhysicsError it raises, which
+    is never the resonant line's: terms.u_eff is a float.
 
     The Matsubara sums of all the temperatures T > 0 come from one call of
     the engine, _matsubara_sums, over all the T together.  On the
@@ -1080,8 +1082,7 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
 def _report_or_error(terms, T, s):
     """The ShiftReport at (terms.z, T), given the sum s of its Matsubara
     line, or the first PhysicsError: zero temperature, then the Matsubara
-    line's (s itself), then the photon line's and then the resonant line's
-    that terms holds.
+    line's (s itself), then the photon line's that terms holds.
 
     This is the one place a temperature enters a report, and the one body
     of the two nonresonant lines.
@@ -1098,14 +1099,10 @@ def _report_or_error(terms, T, s):
         for w_kn, w2, c in terms.photon:
             photon += w2 * thermal_occupation(w_kn, T) * c
         photon *= MU0
-    if isinstance(terms.u_eff, PhysicsError):
-        return terms.u_eff
-    u = tf = 0.0
-    if terms.pair is not None:
-        u, tf = terms.u_eff, thermal_factor(*terms.pair, T)
-    r = u * tf
+    tf = 0.0 if terms.pair is None else thermal_factor(*terms.pair, T)
+    r = terms.u_eff * tf
     return ShiftReport(
-        nr_matsubara=mats, nr_resonant_photon=photon, u_eff=u,
+        nr_matsubara=mats, nr_resonant_photon=photon, u_eff=terms.u_eff,
         thermal_factor=tf, r_shift=r, total=mats + photon + r,
         meta={"z": terms.z, "T": T, **terms.meta})
 
@@ -1115,9 +1112,10 @@ def report_at(terms, T, cutoff=MATSUBARA_CUTOFF):
     summed from terms, and the thermal factor that weights terms.u_eff.
 
     It is reports_at for the one temperature T, whose PhysicsError it
-    raises: the Matsubara line's errors first, then the photon line's and
-    then the resonant line's that terms holds.  T outside [0, T_MAX] raises
-    the ValueError of Environment.
+    raises: the Matsubara line's errors first, then the photon line's that
+    terms holds.  A skipped resonant line (terms.pair None) gives u_eff =
+    thermal_factor = r_shift = 0.  T outside [0, T_MAX] raises the
+    ValueError of Environment.
     """
     (report,) = reports_at(terms, (T,), cutoff)
     if isinstance(report, PhysicsError):
@@ -1131,29 +1129,22 @@ def total_shift(atom, upper, lower, m, env, cutoff=MATSUBARA_CUTOFF,
     """Compose the nonresonant and resonant parts into a ShiftReport.
 
     The nonresonant part is the shift of the ``upper`` level.  The resonant
-    part needs a polariton pair with Omega1 ~ omega_10 + Omega2: if the
-    material has fewer than two modes the resonant part is reported as zero;
-    if a pair exists but violates the resonance window, OffResonance
-    propagates.  With use_closed_form=True the amplitude comes from the
-    two-resonance closed form (modes paired one-to-one with oscillators)
-    instead of the Green-tensor channel sum; both pass the same resonance
-    gate.
+    part needs a polariton pair with Omega1 ~ omega_10 + Omega2.  Where
+    distance_terms skips it (fewer than two modes, or an error of the pair
+    such as OffResonance), u_eff = thermal_factor = r_shift = 0: the
+    resonant process's absence at this order, not a computed value.  With
+    use_closed_form=True the amplitude comes from the two-resonance closed
+    form (modes paired one-to-one with oscillators) instead of the
+    Green-tensor channel sum; both pass the same resonance gate.
 
-    The report is report_at(distance_terms(...), env.T, cutoff).  On the
-    nonretarded route it is evaluated at UNIT_Z and moved to env.z by
-    ShiftReport.at_distance, so every z of a temperature runs the same
-    arithmetic on the same unit-distance report.  The full route evaluates
-    at env.z.
+    The report is report_at(distance_terms(...), env.T, cutoff), with one
+    distance_terms per call.  On the nonretarded route it is evaluated at
+    UNIT_Z and moved to env.z by ShiftReport.at_distance, so every z of a
+    temperature runs the same arithmetic on the same unit-distance report.
+    The full route evaluates at env.z.
     """
     terms = distance_terms(atom, upper, lower, m,
                            unit_distance(green_mode) or env.z, green_mode,
                            resonance_tol, use_closed_form, modes)
-    if (isinstance(terms.u_eff, NoModeFound) and terms.pair is not None
-            and terms.z != env.z):
-        # only u_eff's Tr Im G check, which runs once a pair was found,
-        # names z, and on this route it fails at every z alike: taken at
-        # env.z, its message names the distance asked for
-        terms = distance_terms(atom, upper, lower, m, env.z, green_mode,
-                               resonance_tol, use_closed_form, modes)
     report = report_at(terms, env.T, cutoff)
     return report if terms.z == env.z else report.at_distance(env.z)

@@ -606,23 +606,55 @@ def test_full_route_point_runs_one_lockstep(monkeypatch):
 
 
 def test_scan_row_reports_the_matsubara_error_before_the_resonant_one():
-    """With --resonance-tol 0 the resonant line fails at every T, and the
-    T-free half holds its OffResonance once per request.  At 0.1 K the
-    Matsubara line fails first, so that row reports ConvergenceFailure, as
-    the library does at each (z, T)."""
+    """With --resonance-tol 0 the pair is off the window at every T, so the
+    T-free half skips the resonant line once per request.  At 0.1 K the
+    Matsubara line fails first, so that row reports ConvergenceFailure; at
+    300 K the row holds the two nonresonant lines with r = 0 and an empty
+    error column, as the library does at each (z, T)."""
     import polshift as ps
+    from polshift.units import HBAR
     zs, Ts = (1e-6, 2e-6), (0.1, 300.0)
     rows = cli.run_scan(_scan_config(zs, Ts, resonance_tol=0.0))
     atom = ps.load_atom(ROOT / FIX / "rb_rydberg.json")
     m = ps.load_material(ROOT / FIX / "material_broad.json")
     assert [r["error"].split(":")[0] for r in rows] == \
-        ["ConvergenceFailure", "OffResonance"] * 2
+        ["ConvergenceFailure", ""] * 2
     for row in rows:
-        with pytest.raises(ps.PhysicsError) as err:
-            ps.total_shift(atom, "27S1/2", "26S1/2", m,
-                           ps.Environment(z=row["z_m"], T=row["T_K"]),
-                           resonance_tol=0.0)
-        assert row["error"] == f"{type(err.value).__name__}: {err.value}"
+        env = ps.Environment(z=row["z_m"], T=row["T_K"])
+        if row["error"]:
+            with pytest.raises(ps.PhysicsError) as err:
+                ps.total_shift(atom, "27S1/2", "26S1/2", m, env,
+                               resonance_tol=0.0)
+            assert row["error"] == f"{type(err.value).__name__}: {err.value}"
+            continue
+        rep = ps.total_shift(atom, "27S1/2", "26S1/2", m, env,
+                             resonance_tol=0.0)
+        assert rep.meta["resonant_skipped"].startswith("OffResonance: ")
+        assert row["r_shift_s^-1"] == row["u_eff_s^-1"] == 0.0
+        assert row["thermal_factor"] == 0.0
+        for line in ENERGY_LINES:
+            assert row[f"{line}_s^-1"] == getattr(rep, line) / HBAR
+
+
+def test_full_route_scan_keeps_the_rows_past_a_negative_im_trace():
+    """On the full route the scattered Tr Im G at the mode centres turns
+    negative between 10 and 100 um: the row at 10 um has a resonant line,
+    and the one at 100 um skips it (r = 0) with an empty error column,
+    so the scan exits 0 with every number printed."""
+    out = run_cli("scan", "--material", f"{FIX}/material_broad.json",
+                  "--atom", f"{FIX}/rb_rydberg.json",
+                  "--upper", "27S1/2", "--lower", "26S1/2",
+                  "--z", "1e-5,1e-4", "--T", "500", "--green", "full",
+                  "--format", "csv")
+    assert out.returncode == 0, out.stderr
+    header, data = parse_csv(out.stdout)
+    near, far = (dict(zip(header, row)) for row in data)
+    assert (near["z_m"], far["z_m"]) == ("1e-05", "0.0001")
+    assert float(near["u_eff_s^-1"]) != 0.0
+    assert math.isfinite(float(near["r_shift_s^-1"]))
+    assert float(far["r_shift_s^-1"]) == float(far["u_eff_s^-1"]) == 0.0
+    assert near["error"] == far["error"] == ""
+    assert math.isfinite(float(far["total_s^-1"]))
 
 
 _SCAN_T = st.sampled_from((50.0, 120.0, 350.0, 500.0)) \

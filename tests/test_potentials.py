@@ -918,12 +918,13 @@ def test_full_route_runs_one_lockstep_per_matsubara_pass(rb_atom,
 def test_a_failing_line_fails_every_report_with_its_own_error(
         rb_atom, material_broad, monkeypatch, failing):
     """distance_terms takes the photon line's Re G and the pair's Im G in
-    one call, and when it raises, both lines hold its error.  With only the
-    pair's integrals (Im G) failing, or only the photon's (Re G), the
-    report at every T, from reports_at and from
-    total_shift, raises a QuadratureFailure with the text of the failing
-    line's own call, u_eff or _photon_terms.  At cutoff 3 the Matsubara
-    line's ConvergenceFailure still comes first."""
+    one call, and when it raises, the photon line holds its error and the
+    amplitude stays 0.0 on the pair found: a failed Green call is no skip.
+    With only the pair's integrals (Im G) failing, or only the photon's
+    (Re G), the report at every T, from reports_at and from total_shift,
+    raises a QuadratureFailure with the text of the failing line's own
+    call, u_eff or _photon_terms.  At cutoff 3 the Matsubara line's
+    ConvergenceFailure still comes first."""
     from polshift import quadpack
     lockstep = quadpack.lockstep
     odd = failing == "pair"  # the components of Im G are odd
@@ -948,7 +949,8 @@ def test_a_failing_line_fails_every_report_with_its_own_error(
     terms = potentials.distance_terms(*args, Z, "full")
     assert terms.pair == pair
     assert isinstance(terms.photon, ps.QuadratureFailure)
-    assert terms.u_eff is terms.photon
+    assert terms.u_eff == 0.0 and type(terms.u_eff) is float
+    assert "resonant_skipped" not in terms.meta
     Ts = (100.0, 300.0, 600.0)
     for report in potentials.reports_at(terms, Ts):
         assert isinstance(report, ps.QuadratureFailure)
@@ -1492,7 +1494,8 @@ def test_u_eff_full_route_error_names_negative_im_trace(rb_atom,
                  ps.Environment(z=50e-6, T=500.0), green_mode="full")
     msg = str(err.value)
     assert "-1347.38 m^-1 at Omega1 and -884.989 m^-1 at Omega2" in msg
-    assert "green_mode='full', z=5e-05 m" in msg
+    assert "(green_mode='full'); " in msg
+    assert "z=" not in msg
     assert "sqrt(gamma1 gamma2 / (TrImG1 TrImG2)) needs both" in msg
     assert "lossless" not in msg
 
@@ -1745,13 +1748,18 @@ def test_total_shift_no_channels_note(material_broad):
                              ps.AtomicState("e", 3.2e12)),
         dipoles=(ps.DipoleElement("g", "e", 1e-29),))
     rep = ps.total_shift(atom, "e", "g", material_broad, ENV)
-    assert rep.r_shift == 0.0
-    assert "no channels" in str(rep.meta.get("resonant_skipped", "")).lower()
+    assert rep.r_shift == rep.u_eff == rep.thermal_factor == 0.0
+    assert rep.total == rep.nr_matsubara + rep.nr_resonant_photon
+    assert rep.meta["resonant_skipped"] == \
+        "NoChannels: no intermediate state couples 'g' and 'e'"
 
 
 def test_total_shift_off_resonance_propagates(rb_atom, material_broad):
     """Both amplitudes pass one resonance gate: OffResonance wins over
-    NoChannels, so a no-channel atom out of the window still raises."""
+    NoChannels, so a no-channel atom out of the window is skipped for
+    OffResonance too.  The error propagates to the report as its skip
+    reason, with r = 0; the pair's entries stay in meta, and the two
+    nonresonant lines are those of nonresonant_shift_parts."""
     no_channels = ps.AtomSpec(
         "two-level", states=(ps.AtomicState("g", 0.0),
                              ps.AtomicState("e", 3.2e12)),
@@ -1759,10 +1767,50 @@ def test_total_shift_off_resonance_propagates(rb_atom, material_broad):
     cases = ((rb_atom, "27S1/2", "26S1/2", 1e-3),
              (no_channels, "e", "g", 1e-4))
     for atom, upper, lower, tol in cases:
+        parts = ps.nonresonant_shift_parts(atom, upper, material_broad, ENV)
         for closed in (False, True):
-            with pytest.raises(ps.OffResonance):
-                ps.total_shift(atom, upper, lower, material_broad, ENV,
-                               resonance_tol=tol, use_closed_form=closed)
+            rep = ps.total_shift(atom, upper, lower, material_broad, ENV,
+                                 resonance_tol=tol, use_closed_form=closed)
+            assert rep.meta["resonant_skipped"].startswith(
+                "OffResonance: detuning ")
+            assert rep.r_shift == rep.u_eff == rep.thermal_factor == 0.0
+            assert rep.total == rep.nr_matsubara + rep.nr_resonant_photon
+            assert {"Omega1", "gamma1", "Omega2", "gamma2",
+                    "detuning"} <= rep.meta.keys()
+            for got, want in zip((rep.nr_matsubara, rep.nr_resonant_photon),
+                                 parts):
+                assert got == pytest.approx(want, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("green_mode, z, tol, cause", [
+    ("nonretarded", 1e-6, 0.0, "OffResonance"),
+    ("full", 1e-6, 0.0, "OffResonance"),
+    ("full", 50e-6, 1.0, "NoModeFound"),
+    ("full", 100e-6, 1.0, "NoModeFound"),
+])
+def test_total_shift_skips_the_resonant_line_and_keeps_both_others(
+        rb_atom, material_broad, green_mode, z, tol, cause):
+    """A zero resonance window (OffResonance), and the full route's
+    negative scattered Tr Im G at the mode centres from some 30 um on
+    (NoModeFound), skip the resonant line: u_eff = thermal_factor =
+    r_shift = 0, the total is the two nonresonant lines exactly, and the
+    skip reason is the error's type and text.  Those two lines are
+    nonresonant_shift_parts' at the same point: bit for bit on the full
+    route, and to rounding on the nonretarded one, whose report is moved
+    from UNIT_Z by z^-3."""
+    env = ps.Environment(z=z, T=500.0)
+    rep = ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, env,
+                         green_mode=green_mode, resonance_tol=tol)
+    assert rep.meta["resonant_skipped"].startswith(cause + ": ")
+    assert rep.u_eff == rep.thermal_factor == rep.r_shift == 0.0
+    assert rep.total == rep.nr_matsubara + rep.nr_resonant_photon
+    parts = ps.nonresonant_shift_parts(rb_atom, "27S1/2", material_broad,
+                                       env, green_mode=green_mode)
+    lines = (rep.nr_matsubara, rep.nr_resonant_photon)
+    if green_mode == "full":
+        assert lines == parts
+    else:
+        assert lines == pytest.approx(parts, rel=1e-15, abs=0)
 
 
 def test_total_shift_closed_form_variant(rb_atom, material_narrow):
@@ -2103,73 +2151,106 @@ def test_total_shift_with_distance_terms_is_total_shift(
 
 def test_total_shift_raises_matsubara_then_photon_then_resonant_errors(
         rb_atom, material_broad, broad_modes, monkeypatch):
-    """The T-free half holds the photon line's and the resonant line's
-    errors, and every T raises the first of: a Matsubara error
-    (ConvergenceFailure at cutoff 3), the photon line's (a PoleHit from G
-    at a transition frequency), the resonant line's (OffResonance with a
-    zero window); report_at of the terms and total_shift alike."""
+    """The T-free half holds the one Green call's error, and every T raises
+    the first of: a Matsubara error (ConvergenceFailure at cutoff 3), then
+    that call's, the photon line's (a PoleHit from G at a transition
+    frequency) or the resonant line's (a PoleHit at a mode centre); report_at
+    of the terms and total_shift alike.  The resonance gate's OffResonance
+    (a zero window) is no error: it skips the resonant line, and the gate
+    runs before the pair's G is asked for."""
     real = potentials.green_nonretarded
     photon_omegas = {abs(w) for _, w, _ in
                      ps.transitions_from(rb_atom, "27S1/2")}
+    centres = {mode.omega_center for mode in broad_modes}
 
-    def failing(m, z, omega):
-        if omega in photon_omegas:
-            raise ps.PoleHit("G at a transition frequency")
-        return real(m, z, omega)
+    def failing(omegas):
+        def green(m, z, omega):
+            if omega in omegas:
+                raise ps.PoleHit("G at a failing frequency")
+            return real(m, z, omega)
+        return green
 
-    def raised(cutoff):
+    def outcome(cutoff, tol):
+        """("raised", error type) or ("skipped", skip reason's type), or
+        ("report", "") for a report with a resonant line, alike from
+        report_at of the terms and from total_shift."""
         terms = potentials.distance_terms(
             rb_atom, "27S1/2", "26S1/2", material_broad, potentials.UNIT_Z,
-            resonance_tol=0.0, modes=broad_modes)
-        with pytest.raises(ps.PhysicsError) as err:
-            potentials.report_at(terms, ENV.T, cutoff).at_distance(ENV.z)
-        yield type(err.value)
-        with pytest.raises(ps.PhysicsError) as err:
-            ps.total_shift(rb_atom, "27S1/2", "26S1/2", material_broad, ENV,
-                           cutoff=cutoff, resonance_tol=0.0, modes=broad_modes)
-        yield type(err.value)
+            resonance_tol=tol, modes=broad_modes)
+        got = []
+        for report in (
+                lambda: potentials.report_at(terms, ENV.T,
+                                             cutoff).at_distance(ENV.z),
+                lambda: ps.total_shift(rb_atom, "27S1/2", "26S1/2",
+                                       material_broad, ENV, cutoff=cutoff,
+                                       resonance_tol=tol, modes=broad_modes)):
+            try:
+                rep = report()
+            except ps.PhysicsError as exc:
+                got.append(("raised", type(exc).__name__))
+            else:
+                assert rep.total == \
+                    rep.nr_matsubara + rep.nr_resonant_photon + rep.r_shift
+                reason = rep.meta.get("resonant_skipped")
+                got.append(("report", "") if reason is None
+                           else ("skipped", reason.split(":")[0]))
+        assert got[0] == got[1]
+        return got[0]
 
-    assert set(raised(3)) == {ps.ConvergenceFailure}
-    assert set(raised(20000)) == {ps.OffResonance}
-    monkeypatch.setattr(potentials, "green_nonretarded", failing)
-    assert set(raised(3)) == {ps.ConvergenceFailure}
-    assert set(raised(20000)) == {ps.PoleHit}
+    assert outcome(3, 0.0) == ("raised", "ConvergenceFailure")
+    assert outcome(20000, 0.0) == ("skipped", "OffResonance")
+    assert outcome(20000, 1.0) == ("report", "")
+    monkeypatch.setattr(potentials, "green_nonretarded",
+                        failing(photon_omegas))
+    assert outcome(3, 0.0) == ("raised", "ConvergenceFailure")
+    assert outcome(20000, 0.0) == ("raised", "PoleHit")
+    monkeypatch.setattr(potentials, "green_nonretarded", failing(centres))
+    assert outcome(3, 1.0) == ("raised", "ConvergenceFailure")
+    assert outcome(20000, 1.0) == ("raised", "PoleHit")
+    assert outcome(20000, 0.0) == ("skipped", "OffResonance")
+
+
+def _undamped_pair():
+    return ps.material_from_dict({
+        "name": "undamped pair",
+        "oscillators": [
+            {"omega_P": 53.4, "omega_T": 65.0, "gamma": 0.0,
+             "unit": "cm^-1"},
+            {"omega_P": 33.3, "omega_T": 85.0, "gamma": 0.0,
+             "unit": "cm^-1"},
+        ]})
 
 
 def test_total_shift_trace_error_names_the_requested_distance(
         rb_atom, broad_modes):
-    """On an undamped material Im r_p vanishes at the mode centres; the
-    error of the nonretarded total_shift names the z asked for, not the
-    distance the report is evaluated at."""
-    undamped = ps.material_from_dict({
-        "name": "undamped pair",
-        "oscillators": [
-            {"omega_P": 53.4, "omega_T": 65.0, "gamma": 0.0,
-             "unit": "cm^-1"},
-            {"omega_P": 33.3, "omega_T": 85.0, "gamma": 0.0,
-             "unit": "cm^-1"},
-        ]})
+    """On an undamped material Im r_p vanishes at the mode centres, so the
+    amplitude's normalisation raises NoModeFound and the resonant line is
+    skipped.  The report names the z asked for, and its skip reason names
+    no distance: it is the text of the public u_eff's error at that z, not
+    that of the distance the report is evaluated at (UNIT_Z, 1 m)."""
+    env = ps.Environment(z=3e-7, T=500.0)
+    rep = ps.total_shift(rb_atom, "27S1/2", "26S1/2", _undamped_pair(), env,
+                         modes=broad_modes)
+    lo, hi = broad_modes
     with pytest.raises(ps.NoModeFound) as err:
-        ps.total_shift(rb_atom, "27S1/2", "26S1/2", undamped,
-                       ps.Environment(z=3e-7, T=500.0), modes=broad_modes)
-    msg = str(err.value)
-    assert "green_mode='nonretarded', z=3e-07 m" in msg
-    assert "z=1 m" not in msg
+        ps.u_eff(rb_atom, "27S1/2", "26S1/2", hi, lo, _undamped_pair(), env)
+    assert rep.meta["z"] == 3e-7
+    reason = rep.meta["resonant_skipped"]
+    assert reason == f"NoModeFound: {err.value}"
+    assert "green_mode='nonretarded'" in reason
+    assert "z=" not in reason
+    assert rep.r_shift == rep.u_eff == rep.thermal_factor == 0.0
+    assert rep.total == rep.nr_matsubara + rep.nr_resonant_photon
 
 
 def test_total_shift_sums_matsubara_once_on_the_no_mode_path(rb_atom,
+                                                              broad_modes,
                                                               monkeypatch):
-    """With no modes= the undamped pair raises NoModeFound from the mode
-    finder; total_shift still runs the Matsubara sum once, as one
-    nonresonant_shift_parts call at the same point does."""
-    undamped = ps.material_from_dict({
-        "name": "undamped pair",
-        "oscillators": [
-            {"omega_P": 53.4, "omega_T": 65.0, "gamma": 0.0,
-             "unit": "cm^-1"},
-            {"omega_P": 33.3, "omega_T": 85.0, "gamma": 0.0,
-             "unit": "cm^-1"},
-        ]})
+    """Where the undamped pair's amplitude raises NoModeFound and the
+    resonant line is skipped, total_shift runs the Matsubara sum once, as
+    one nonresonant_shift_parts call at the same point does: distance_terms
+    is evaluated once.  With no modes= the mode finder raises NoModeFound
+    before any line, so no Matsubara term is evaluated."""
     env = ps.Environment(z=1e-6, T=0.35)
     calls = []
     real = potentials.reflection_imag_axis
@@ -2179,27 +2260,27 @@ def test_total_shift_sums_matsubara_once_on_the_no_mode_path(rb_atom,
         return real(m, xi)
 
     monkeypatch.setattr(potentials, "reflection_imag_axis", counted)
-    ps.nonresonant_shift_parts(rb_atom, "27S1/2", undamped, env)
+    parts = ps.nonresonant_shift_parts(rb_atom, "27S1/2", _undamped_pair(),
+                                       env)
     once = len(calls)
     calls.clear()
-    with pytest.raises(ps.NoModeFound):
-        ps.total_shift(rb_atom, "27S1/2", "26S1/2", undamped, env)
+    rep = ps.total_shift(rb_atom, "27S1/2", "26S1/2", _undamped_pair(), env,
+                         modes=broad_modes)
+    assert rep.meta["resonant_skipped"].startswith("NoModeFound: ")
     assert once > 4 and len(calls) == once
+    for got, want in zip((rep.nr_matsubara, rep.nr_resonant_photon), parts):
+        assert got == pytest.approx(want, rel=1e-15, abs=0)
+    calls.clear()
+    with pytest.raises(ps.NoModeFound, match="no resolvable interior"):
+        ps.total_shift(rb_atom, "27S1/2", "26S1/2", _undamped_pair(), env)
+    assert calls == []
 
 
 def test_total_shift_finds_modes_once_on_the_no_mode_path(rb_atom,
                                                           monkeypatch):
-    """A NoModeFound of the mode finder names no distance, so total_shift
-    does not evaluate the temperature-free half again at env.z: one mode
-    finder call and one Green tensor per transition of 27S1/2 (10)."""
-    undamped = ps.material_from_dict({
-        "name": "undamped pair",
-        "oscillators": [
-            {"omega_P": 53.4, "omega_T": 65.0, "gamma": 0.0,
-             "unit": "cm^-1"},
-            {"omega_P": 33.3, "omega_T": 85.0, "gamma": 0.0,
-             "unit": "cm^-1"},
-        ]})
+    """The mode finder runs first, outside the resonant line's skip, so its
+    NoModeFound propagates from distance_terms, as the CLI's _inputs raises
+    it: one mode finder call, and no Green tensor of any line."""
     calls = []
 
     def counted(name):
@@ -2213,10 +2294,9 @@ def test_total_shift_finds_modes_once_on_the_no_mode_path(rb_atom,
     counted("find_polariton_modes")
     counted("green_nonretarded")
     with pytest.raises(ps.NoModeFound, match="no resolvable interior"):
-        ps.total_shift(rb_atom, "27S1/2", "26S1/2", undamped,
+        ps.total_shift(rb_atom, "27S1/2", "26S1/2", _undamped_pair(),
                        ps.Environment(z=1e-6, T=300.0))
-    assert calls.count("find_polariton_modes") == 1
-    assert calls.count("green_nonretarded") == 10
+    assert calls == ["find_polariton_modes"]
 
 
 @pytest.mark.parametrize("T", [math.nan, math.inf, 1e300, -1.0])

@@ -48,7 +48,8 @@ RUNS = (
     ("point --green full 20 um",
      _shift("point", "--z", "2e-5", "--T", "500", "--green", "full"), {}),
     # at 50 um the scattered Tr Im G is negative at both mode centres, so
-    # the run exits 3 with NoModeFound and stderr prints both values
+    # the resonant line is skipped: meta's resonant_skipped prints the
+    # NoModeFound with both values, and the run exits 0
     ("point --green full 50 um",
      _shift("point", "--z", "5e-5", "--T", "500", "--green", "full"), {}),
     # the small-a regime of the imaginary axis, which no retarded_points
@@ -65,7 +66,8 @@ RUNS = (
      _shift("point", "--z", "1e-6", "--T", "500", material="material_toy"),
      {}),
     ("point 0.1 K", _shift("point", "--z", "1e-6", "--T", "0.1"), {}),
-    # the resonant line's OffResonance, held by the T-free half, exits 3
+    # a zero window: the T-free half skips the resonant line for
+    # OffResonance, and the run exits 0 with both nonresonant lines
     ("point --resonance-tol 0",
      _shift("point", "--z", "1e-6", "--T", "500", "--resonance-tol", "0"),
      {}),
@@ -99,6 +101,7 @@ RUNS = (
     ("scan --closed-form",
      _shift("scan", "--z", "1e-6", "--T", "350,500,600", "--closed-form"),
      {}),
+    # the same skip at every row: r = 0 and an empty error column
     ("scan --resonance-tol 0",
      _shift("scan", "--z", "1e-6", "--T", "350,500", "--resonance-tol", "0",
             "--format", "csv"), {}),
@@ -113,7 +116,8 @@ RUNS = (
      _shift("scan", "--z", "1e-6", "--T", "3,10,30", "--green", "full",
             "--format", "csv"), {}),
     # the row at 0.1 K reports the Matsubara line's ConvergenceFailure, the
-    # row at 300 K the OffResonance that the T-free half holds
+    # row at 300 K the nonresonant lines, its resonant line skipped for
+    # OffResonance
     ("scan 0.1,300 K res-tol 0",
      _shift("scan", "--z", "1e-6", "--T", "0.1,300", "--resonance-tol", "0",
             "--format", "csv"), {}),
@@ -349,7 +353,8 @@ def runs(workdir):
           "--atom", _write(workdir, "bound", BOUND_ATOM),
           "--upper", "g", "--lower", "e", "--z", "1e-6", "--T", "300"], {}),
         # k0 z = 0.90 at 10 um; the pair's detuning is 78 windows, so the
-        # gate is opened to reach "no channels" and print the photon line
+        # gate is opened to reach NoChannels, whose skip meta prints beside
+        # the photon line
         ("point --green full above omega_L",
          ["point", "--material", _fixture("material_narrow"),
           "--atom", _write(workdir, "above_omega_l", ABOVE_OMEGA_L_ATOM),
