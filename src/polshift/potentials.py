@@ -153,9 +153,9 @@ class ShiftReport:
 
 def matsubara_xi(T, j):
     """Matsubara frequency xi_j = 2 pi j k_B T / hbar (rad/s), for a
-    nonnegative integer j (an int or an integral float)."""
-    if not T >= 0:
-        raise ValueError("T must be >= 0")
+    nonnegative integer j (an int or an integral float).  T outside
+    [0, T_MAX] raises the ValueError of Environment."""
+    _check_temperature(T)
     if T == 0:
         raise ZeroTemperature(
             "Matsubara frequencies are undefined at T = 0; "
@@ -192,18 +192,18 @@ MATSUBARA_TOL = 1e-9
 #: the Rb example of the README)
 MATSUBARA_CUTOFF = 20000
 
-#: the engine's opening block is j = 0.._HEAD - 1, ending where its stop
-#: rule can first stop a sum; an exact tail starts at j = _HEAD
+#: every Matsubara sum's opening block is j = 0.._HEAD - 1, ending where
+#: its stop rule can first stop it; an exact tail starts at j = _HEAD
 _HEAD = 5
 
 
-def _matsubara_sums(term, n, cutoff, tail=None, flips=None):
+def _matsubara_sums(term, n, cutoff, flips=None):
     """n primed sums over j, advanced together, each with a power-law tail
     stop rule: a list of n entries, each the float value of its sum or the
     ConvergenceFailure of a sum that no j <= cutoff stops.
 
-    It sums the nonretarded route's Matsubara line with _nonretarded_tail's
-    exact tail, and the full route's without a tail.
+    It sums the full route's Matsubara line term by term; the nonretarded
+    route's has an exact tail (_head_and_tail_sums).
 
     term(rows, j) gives the terms of the sums numbered rows (an integer
     array) at each j of the integer array j, as a (rows.size, j.size)
@@ -220,34 +220,22 @@ def _matsubara_sums(term, n, cutoff, tail=None, flips=None):
     S_i being its partial sums, and fails if no j <= cutoff meets the rule.
     A term that vanishes, at a zero of alpha(i xi), meets the rule too.
     flips(rows, j), when given, tells for each sum numbered rows whether
-    alpha(i xi) changes sign between xi_{j-1} and xi_{j+1}.  Without a
-    tail, a hit at such a j < cutoff stops its sum only when j + 1 hits
-    too, and the sum then stops at j + 1.  Where the terms' other factor
-    keeps one sign (xi^2 Tr G(i xi) < 0 on the full route), a term is
-    small near such a j only by passing through the zero, and a sum whose
-    alpha keeps one sign evaluates no extra term.
+    alpha(i xi) changes sign between xi_{j-1} and xi_{j+1}.  A hit at such
+    a j < cutoff stops its sum only when j + 1 hits too, and the sum then
+    stops at j + 1.  Where the terms' other factor keeps one sign
+    (xi^2 Tr G(i xi) < 0 on the full route), a term is small near such a j
+    only by passing through the zero, and a sum whose alpha keeps one sign
+    evaluates no extra term.
 
-    Without a tail the sums share one schedule of j: the opening block
-    j = 0.._HEAD - 1, the earliest point at which the rule can stop, then
-    one j per pass up to cutoff, since a longer block would run the full
-    route's quadratures past the stopping j.  Each pass makes one term call
-    on every sum still running, which on the full route is one evaluation
-    of the imaginary-axis rule over all of the pass's xi; a sum leaves when
-    it stops.  np.add.accumulate adds each row in order from its carried
+    The sums share one schedule of j: the opening block j = 0.._HEAD - 1,
+    the earliest point at which the rule can stop, then one j per pass up
+    to cutoff, since a longer block would run the full route's quadratures
+    past the stopping j.  Each pass makes one term call on every sum still
+    running, which on the full route is one evaluation of the
+    imaginary-axis rule over all of the pass's xi; a sum leaves when it
+    stops.  np.add.accumulate adds each row in order from its carried
     total, so the value and the stopping j are those of a term-by-term
     loop, and no term past the stopping j is evaluated.
-
-    tail(rows, j), when given, is each sum's exact sum_{i >= j} t_i at each
-    j >= _HEAD, laid out as term's.  The opening block is then the only
-    one, and its term call also reads t_cutoff when cutoff >= _HEAD.  Every
-    sum is S_{_HEAD - 1} plus its tail at _HEAD.  The rule is tested at
-    j = _HEAD - 1, then once at j = cutoff with M_cutoff taken as
-    max(M_{_HEAD - 1}, |S_cutoff|), S_cutoff being the sum less its tail at
-    cutoff + 1.  Where the terms past the head keep one sign, that is the
-    running max, since the partial sums run monotonically to S_cutoff, and
-    |t_j| j first meets the rule past the summand's poles; so the engine
-    without the tail fails the same sums.  A NaN tail fails the test at
-    the cutoff.
     """
     sums, done = np.zeros(n), np.zeros(n, dtype=bool)
     held = np.zeros(n, dtype=bool)  # a hit at the last j waits for this one
@@ -257,29 +245,20 @@ def _matsubara_sums(term, n, cutoff, tail=None, flips=None):
     lo, hi = 0, min(_HEAD - 1, cutoff)
     while rows.size and lo <= hi:
         j = np.arange(lo, hi + 1)
-        at_cutoff = tail is not None and cutoff > hi
-        t = term(rows, np.append(j, cutoff) if at_cutoff else j)
+        t = term(rows, j)
         if lo == 0:
             t[:, 0] *= 0.5
         size = np.abs(t)
         t[:, 0] += total
-        partial = np.add.accumulate(t[:, :j.size], axis=1)
+        partial = np.add.accumulate(t, axis=1)
         running = np.maximum(np.maximum.accumulate(np.abs(partial), axis=1),
                              scale[:, None])
-        hit = size[:, :j.size] * j <= MATSUBARA_TOL * running
+        hit = size * j <= MATSUBARA_TOL * running
         if lo == 0:
             hit[:, :_HEAD - 1] = False  # the rule holds from _HEAD - 1 on
         total, scale = partial[:, -1], running[:, -1]
-        if tail is not None:  # the opening block is the only one
-            if hi == _HEAD - 1:  # a cutoff below it fails every sum
-                head, past = tail(rows, np.array([_HEAD, cutoff + 1])).T
-                sums, done = total + head, hit[:, -1]
-                if at_cutoff:
-                    scale = np.maximum(scale, np.abs(sums - past))
-                    done |= size[:, -1] * cutoff <= MATSUBARA_TOL * scale
-            break
         if flips is not None and hi < cutoff:
-            # without a tail every pass can hit at its last j alone
+            # every pass can hit at its last j alone
             wait = hit[:, -1] & ~held[rows]
             if wait.any():
                 wait[wait] = flips(rows[wait], hi)
@@ -294,10 +273,50 @@ def _matsubara_sums(term, n, cutoff, tail=None, flips=None):
             left = ~hit[r, at]  # the rows still running
             rows, total, scale = rows[left], total[left], scale[left]
         lo, hi = hi + 1, min(hi + 1, cutoff)
-    sums = sums.tolist()
-    for i in np.flatnonzero(~done).tolist():
-        sums[i] = _cutoff_failure(cutoff)
-    return sums
+    return [s if ok else _cutoff_failure(cutoff)
+            for s, ok in zip(sums.tolist(), done.tolist())]
+
+
+def _head_and_tail_sums(term, tail, n, cutoff):
+    """n primed sums over j, each its five-term head plus its exact tail,
+    with _matsubara_sums' stop rule: a list of n entries, each the float
+    value of its sum or the ConvergenceFailure of a sum that the rule
+    would not stop by the cutoff.
+
+    It sums the nonretarded route's Matsubara line with _nonretarded_tail's
+    exact tail.  term(rows, j) is as _matsubara_sums takes it, and
+    tail(rows, j) gives each sum's exact sum_{i >= j} t_i at each
+    j >= _HEAD, laid out as term's.
+
+    One term call reads the head j = 0.._HEAD - 1 and t_cutoff when
+    cutoff >= _HEAD; a cutoff below _HEAD - 1, where the rule cannot
+    stop, fails every sum once the call has read j = 0..cutoff, as
+    _matsubara_sums does.  Every sum is S_{_HEAD - 1} plus its tail at
+    _HEAD.  The rule is tested at j = _HEAD - 1, then once at j = cutoff
+    with M_cutoff taken as max(M_{_HEAD - 1}, |S_cutoff|), S_cutoff being
+    the sum less its tail at cutoff + 1.  Where the terms past the head
+    keep one sign, that is the running max, since the partial sums run
+    monotonically to S_cutoff, and |t_j| j first meets the rule past the
+    summand's poles; so _matsubara_sums fails the same sums.  A NaN tail
+    fails the test at the cutoff.
+    """
+    rows, j = np.arange(n), np.arange(min(_HEAD, cutoff + 1))
+    t = term(rows, np.append(j, cutoff) if cutoff >= _HEAD else j)
+    if cutoff < _HEAD - 1:
+        return [_cutoff_failure(cutoff)] * n
+    t[:, 0] *= 0.5
+    size = np.abs(t)
+    # + 0.0 makes a head of zeros +0.0, as a sum from 0 gives it
+    partial = np.add.accumulate(t[:, :_HEAD], axis=1) + 0.0
+    scale = np.maximum(np.abs(partial).max(axis=1), 1e-300)
+    head, past = tail(rows, np.array([_HEAD, cutoff + 1])).T
+    sums = partial[:, -1] + head
+    done = size[:, _HEAD - 1] * (_HEAD - 1) <= MATSUBARA_TOL * scale
+    if cutoff >= _HEAD:
+        scale = np.maximum(scale, np.abs(sums - past))
+        done |= size[:, -1] * cutoff <= MATSUBARA_TOL * scale
+    return [s if ok else _cutoff_failure(cutoff)
+            for s, ok in zip(sums.tolist(), done.tolist())]
 
 
 def _cutoff_failure(cutoff):
@@ -454,6 +473,19 @@ def _newton(nodes, num, den):
     return b
 
 
+def _horner(poly, xs):
+    """The list of the polynomial poly (coefficients, highest power first)
+    at each complex x of xs, by Horner's rule in Python complex
+    arithmetic."""
+    out = []
+    for x in xs:
+        v = 0j
+        for coef in poly:
+            v = v * x + coef
+        out.append(v)
+    return out
+
+
 class _PoleTable(NamedTuple):
     """The nonretarded Matsubara summand of one level on one material as
     partial fractions in x = xi/unit:
@@ -511,86 +543,104 @@ def _pole_table(terms):
     h falls as x^-4, so the moments m_0 = sum R_p + sum b_1 and
     m_1 = sum R_p p + sum (b_1 c_1 + b_2) vanish; each is checked against
     _MOMENT_TOL of the sum of the magnitudes of its terms, and a moment
-    that fails (a non-finite coefficient does, as when |omega_kn|/unit
-    underflows to 0) raises ConvergenceFailure naming the cause.  Every
-    quantity is a ratio of frequencies or scales as c_k does, so scaling
-    all frequencies by 2^k leaves the poles and the nodes as they are bit
-    for bit and scales the residues and each b_m by 2^k exactly.
+    that fails (a non-finite coefficient does) raises ConvergenceFailure
+    naming the cause.
+
+    The table is one pass of Python complex arithmetic over the few roots
+    and transitions; only the roots of E and the Newton coefficients of a
+    cluster come from numpy.  So its bits do not depend on numpy's SIMD
+    kernels, and since every quantity is a ratio of frequencies or scales
+    as c_k does, and Python's complex +, -, * and / scale exactly by 2^k,
+    scaling all frequencies by 2^k leaves the poles and the nodes as they
+    are bit for bit and scales the residues and each b_m by 2^k exactly.
     """
     if not terms.m.oscillators:  # the vacuum: r_p = 0
         none = np.zeros(0, dtype=complex)
         return _PoleTable(1.0, 0.0, none, none, ())
     trans = transitions_from(terms.atom, terms.upper)
-    c = np.array([w * d * d for _, w, d in trans])
+    c = [w * d * d for _, w, d in trans]
     unit, a, e = _imag_axis_rational(terms.m)
-    wk = np.array([abs(w) / unit for _, w, _ in trans])
-    roots, iw = _roots(e), 1j * wk
-    poles = np.concatenate((roots, iw, -iw))
-    r, n = roots.size, wk.size
-    gaps = np.abs(roots[:, None] - poles)
-    np.fill_diagonal(gaps, np.inf)  # a root and itself
-    near = gaps <= _POLE_SEP * np.maximum(np.abs(roots[:, None]),
-                                          np.abs(poles))
-    # share[i, k]: transition k's share of the residue at root i, not
-    # finite where the root sits on i w_k (and is clustered with it)
-    with np.errstate(all="ignore"):
-        share = c / (roots[:, None] * roots[:, None] + wk * wk)
-    keep, clusters = np.ones(poles.size, dtype=bool), []
-    if near.any():
-        # clustered[i, k]: pole i of transition k's share of h, which
-        # holds the roots and then +-i w_k, lies in a cluster
-        clustered = np.zeros((r + 2, n), dtype=bool)
-        for k in np.flatnonzero(near[:, r:r + n].any(axis=0)
-                                | near[:, r + n:].any(axis=0)
-                                | near[:, :r].any()).tolist():
-            cols = np.r_[:r, r + k, r + n + k]
-            reach = np.eye(r + 2, dtype=bool)
-            reach[:r] |= near[:, cols]
-            reach |= reach.T
-            while not np.array_equal(reach, grown := reach @ reach):
-                reach = grown
+    wk = [abs(w) / unit for _, w, _ in trans]
+    roots = [complex(p) for p in _roots(e).tolist()]
+    iw = [complex(0.0, w) for w in wk]
+    poles = roots + iw + [-p for p in iw]
+    r, n = len(roots), len(wk)
+    clusters = []
+    # clustered[k]: the poles of transition k's share of h that lie in a
+    # cluster, numbered as the share lists them: the roots, then r for
+    # +i w_k and r + 1 for -i w_k
+    clustered = [set() for _ in range(n)]
+    sized = [(p, abs(p)) for p in poles]
+    # near[i]: the indices into poles of those linked to root i
+    near = [[j for j, (q, t) in enumerate(sized)
+             if abs(p - q) <= _POLE_SEP * (s if s > t else t) and j != i]
+            for i, (p, s) in enumerate(sized[:r])]
+    for k in range(n) if any(near) else ():
+        # the links of share k, between its poles poles[cols[i]]
+        cols = [*range(r), r + k, r + n + k]
+        index = {j: i for i, j in enumerate(cols)}
+        links = [set() for _ in cols]
+        for i, linked in enumerate(near):
+            for j in linked:
+                if j in index:
+                    links[i].add(index[j])
+                    links[index[j]].add(i)
+        for i, linked in enumerate(links):
+            if not linked or i in clustered[k]:
+                continue
+            members, todo = {i}, [i]
+            while todo:
+                grown = links[todo.pop()] - members
+                members |= grown
+                todo += grown
+            nodes = np.array([poles[cols[j]] for j in sorted(members)])
             den = np.polymul([1.0, 0.0, wk[k] * wk[k]], e)
-            for i in range(r + 2):
-                members = np.flatnonzero(reach[i])
-                if members[0] == i and members.size > 1:
-                    nodes = poles[cols[members]]
-                    clusters.append((nodes, _newton(nodes, c[k] * a, den)))
-                    clustered[members, k] = True
-        # a pole goes when it lies in a cluster of every share it is in
-        share[clustered[:r]] = 0.0
-        keep = ~np.concatenate((clustered[:r].all(axis=1), clustered[r],
-                                clustered[r + 1]))
-    # A, E and E' at the roots and at +i w_k, in one Horner pass
-    coeffs = np.stack((a, e, np.append(0.0, e[:-1] * np.arange(
-        e.size - 1, 0, -1))))
-    at = poles[:-n]
-    vals = np.zeros((3, at.size), dtype=complex)
-    for col in coeffs.T:
-        vals = vals * at + col[:, None]
-    with np.errstate(all="ignore"):  # E'(p) of a clustered root may be 0
-        at_roots = vals[0, :r] / vals[2, :r] * share.sum(axis=1)
-        at_atom = c * vals[0, r:] / (2.0 * iw * vals[1, r:])
-    poles = poles[keep]
-    residues = np.concatenate((at_roots, at_atom, at_atom.conjugate()))[keep]
-    first, b1, b2 = np.array([(nodes[0], b[0], b[1]) for nodes, b in clusters],
-                             dtype=complex).reshape(-1, 3).T
-    for simple, joint in ((residues, b1),
-                          (residues * poles, np.append(b1 * first, b2))):
-        size = np.abs(simple).sum() + np.abs(joint).sum()
-        if not abs(simple.sum() + joint.sum()) <= _MOMENT_TOL * size:
-            raise ConvergenceFailure(
-                f"the moments of the Matsubara summand's pole table do "
-                f"not vanish to _MOMENT_TOL={_MOMENT_TOL:g} of their size, "
-                f"so its residues do not hold to rounding")
+            clusters.append((nodes, _newton(nodes, c[k] * a, den)))
+            clustered[k] |= members
+    # A of degree 2 N_osc - 2 without the two zeros that pad it to
+    # E's length, E and E', highest power first
+    a, e = a[2:].tolist(), e.tolist()
+    de = [x * (len(e) - 1 - i) for i, x in enumerate(e[:-1])]
+    # each kept pole and its residue; a root goes when it lies in a
+    # cluster of every share, and otherwise the shares of the clusters
+    # it lies in (those where it sits on i w_k among them) leave it
+    kept, w2 = [], [w * w for w in wk]
+    for i, (p, num, slope) in enumerate(zip(roots, _horner(a, roots),
+                                            _horner(de, roots))):
+        shares = [k for k in range(n) if i not in clustered[k]]
+        if shares:
+            total = 0j
+            for k in shares:
+                total += c[k] / (p * p + w2[k])
+            kept.append((p, num / slope * total))
+    for k, (p, num, den) in enumerate(zip(iw, _horner(a, iw),
+                                          _horner(e, iw))):
+        res = c[k] * num / (2.0 * p * den)
+        for i, pole, value in ((r, p, res), (r + 1, -p, res.conjugate())):
+            if i not in clustered[k]:
+                kept.append((pole, value))
+    first = [complex(nodes[0]) for nodes, _ in clusters]
+    b1 = [complex(b[0]) for _, b in clusters]
+    b2 = [complex(b[1]) for _, b in clusters]
+    moments = ([res for _, res in kept] + b1,
+               [res * p for p, res in kept]
+               + [b * p for b, p in zip(b1, first)] + b2)
+    if not all(abs(sum(parts)) <= _MOMENT_TOL * sum(map(abs, parts))
+               for parts in moments):
+        raise ConvergenceFailure(
+            f"the moments of the Matsubara summand's pole table do "
+            f"not vanish to _MOMENT_TOL={_MOMENT_TOL:g} of their size, "
+            f"so its residues do not hold to rounding")
     # E has real coefficients, so its complex roots come in conjugate
     # pairs, with conjugate residues, as +-i w_k do: the upper member of
     # each pair, counted twice, gives the real part of the sum
-    upper = poles.imag >= 0.0
-    weights = np.where(poles.imag > 0.0, 2.0, 1.0)[upper]
+    upper = [(p, 2.0 * res if p.imag > 0.0 else res)
+             for p, res in kept if p.imag >= 0.0]
     scale = -(C**2 / (8.0 * math.pi * cube(terms.z))) \
         * (2.0 / (3.0 * HBAR)) / (unit * unit)
-    return _PoleTable(unit, scale, np.concatenate((poles[upper], first)),
-                      np.concatenate((weights * residues[upper], b1)),
+    return _PoleTable(unit, scale,
+                      np.array([p for p, _ in upper] + first, dtype=complex),
+                      np.array([res for _, res in upper] + b1, dtype=complex),
                       tuple(clusters))
 
 
@@ -628,7 +678,7 @@ def _nonretarded_green(m, z, omegas, part):
 
 def _nonretarded_tail(terms, xi1):
     """The exact tail of the nonretarded route's Matsubara sums, one per
-    xi_1 of the array xi1, as _matsubara_sums' tail=; a refused
+    xi_1 of the array xi1, as _head_and_tail_sums takes it; a refused
     _pole_table raises its ConvergenceFailure.
 
     With the table of terms, x_1 = xi_1/unit and j >= _HEAD, the tail is
@@ -676,11 +726,11 @@ def _green_route(green_mode):
     xi2_trace(m, z, xi) is xi^2 Tr G(i xi) for an array of xi, finite at
     xi = 0; on the full route one fixed-node rule serves all of them.
     tail(terms, xi1) is the exact tail of the Matsubara sums of reports_at,
-    one per xi_1 of the array xi1, that _matsubara_sums adds after its
-    five-term head (_nonretarded_tail); the full route has none, and its
-    engine runs one j per pass.  unit_z is UNIT_Z where every line of a
-    report scales exactly as z^-3, and None where retardation ties the
-    lines to z.
+    one per xi_1 of the array xi1, that _head_and_tail_sums adds after
+    their five-term head (_nonretarded_tail); the full route has none, and
+    _matsubara_sums runs its sums one j per pass.  unit_z is UNIT_Z where
+    every line of a report scales exactly as z^-3, and None where
+    retardation ties the lines to z.
     """
     if green_mode == "nonretarded":
         return _nonretarded_green, _nonretarded_xi2_trace, \
@@ -1030,14 +1080,14 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
     the ShiftReport at (terms.z, T), or the PhysicsError it raises, which
     is never the resonant line's: terms.u_eff is a float.
 
-    The Matsubara sums of all the temperatures T > 0 come from one call of
-    the engine, _matsubara_sums, over all the T together.  On the
-    nonretarded route _nonretarded_tail builds the summand's _pole_table
-    once, and the engine sums the five-term head of every T in one term
-    call, with one more term per T for the stop rule's test at the cutoff,
-    and adds each T's exact tail; a refused table is every T's
-    ConvergenceFailure.  The full route runs the engine on one schedule of
-    j, each T with the value and stopping j it has alone; the head
+    The Matsubara sums of all the temperatures T > 0 come from one call,
+    over all the T together.  On the nonretarded route _nonretarded_tail
+    builds the summand's _pole_table once, and _head_and_tail_sums sums
+    the five-term head of every T in one term call, with one more term per
+    T for the stop rule's test at the cutoff, and adds each T's exact
+    tail; a refused table is every T's ConvergenceFailure.  The full route
+    runs the engine, _matsubara_sums, on one schedule of j, each T with
+    the value and stopping j it has alone; the head
     j = 1..4 of every T, and each later pass over every T still running,
     is one green_full_imag_axis call, one fixed-node rule over all of its
     xi.  There a stop at a j where alpha(i xi) changes sign waits for the
@@ -1067,13 +1117,15 @@ def reports_at(terms, Ts, cutoff=MATSUBARA_CUTOFF):
                                        * xi1[rows, None])
             return np.sign(alpha[:, 0]) != np.sign(alpha[:, 1])
 
-        try:
-            tail = make_tail(terms, xi1) if make_tail else None
-        except ConvergenceFailure as exc:  # a refused pole table
-            line = [exc] * xi1.size
+        if make_tail is None:
+            line = _matsubara_sums(term, xi1.size, cutoff, flips)
         else:
-            line = _matsubara_sums(term, xi1.size, cutoff, tail=tail,
-                                   flips=flips)
+            try:
+                tail = make_tail(terms, xi1)
+            except ConvergenceFailure as exc:  # a refused pole table
+                line = [exc] * xi1.size
+            else:
+                line = _head_and_tail_sums(term, tail, xi1.size, cutoff)
         for i, s in zip(hot, line):
             sums[i] = s
     return [_report_or_error(terms, T, s) for T, s in zip(Ts, sums)]

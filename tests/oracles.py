@@ -2,8 +2,8 @@
 
 Each is written out from its own closed form, not through the library's
 Green-tensor routes, so agreement is evidence rather than a tautology.
-The serializers and the Lorentzian line shape at the end are used only by
-round-trip and line-shape tests.
+The serializers, the scaled inputs and the Lorentzian line shape at the
+end are used only by round-trip, scaling and line-shape tests.
 """
 
 import cmath
@@ -859,3 +859,17 @@ def atom_to_dict(atom):
             entry["components"] = list(d.components)
         doc["dipoles"].append(entry)
     return doc
+
+
+def scaled_material(m, lam):
+    """m with every frequency scaled by lam."""
+    return ps.MaterialModel(m.name, oscillators=tuple(
+        ps.Oscillator(lam * o.omega_P, lam * o.omega_T, lam * o.gamma_damp)
+        for o in m.oscillators))
+
+
+def scaled_atom(atom, lam):
+    """atom with every level energy scaled by lam."""
+    return ps.AtomSpec(atom.name, states=tuple(
+        ps.AtomicState(s.label, lam * s.energy) for s in atom.states),
+        dipoles=atom.dipoles)

@@ -143,3 +143,25 @@ def test_change_is_inf_from_zero_and_zero_between_nans():
     assert drift.change(math.nan, 1.0) == math.inf
     assert drift.change(math.nan, math.nan) == 0.0
     assert drift.change(-1.0, 1.0) == 2.0
+
+
+def test_cold_set_holds_each_pool_report_at_z_ref():
+    """cold_cases runs each temperature of a cold_points pool at Z_REF as
+    the workload runs it: on the first temperature of the coldest and of
+    the hottest stratum it gives one report each, labelled by stratum,
+    member and T, whose six values pass the pool's reference."""
+    ref = drift.workloads.load_reference(("cold_points",))
+    pool = ref["cold_points"]
+    ref["cold_points"] = {name: [column[0][:1], column[-1][:1]]
+                          for name, column in pool.items()}
+    cases = list(drift.cold_cases(ref))
+    temps = [T for (T,) in ref["cold_points"]["T"]]
+    assert [label for label, _ in cases] == [
+        f"{s}.0 T={T:.6f} K" for s, T in enumerate(temps)]
+    for (_, (identity, shape, values)), T, (want,) in zip(
+            cases, temps, ref["cold_points"]["values"]):
+        assert identity.startswith("ShiftReport(") and shape == {
+            "error": None}
+        got = [values[name][0] for name in GATED]
+        assert drift.gate.check_values(got, want, drift.gate.line_tolerances(
+            T, ref["material_broad_centres_rad_s"], False)) is None

@@ -17,10 +17,12 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import polshift as ps
-from oracles import (MATSUBARA_TOL, cluster_sum_mp,
-                     matsubara_line_closed_form, matsubara_sum_reference,
+from oracles import (MATSUBARA_TOL, _matsubara_partial_fractions,
+                     cluster_sum_mp, matsubara_line_closed_form,
+                     matsubara_sum_reference,
                      matsubara_tail_size, nonresonant_one_polariton,
-                     nonresonant_parts_per_transition, u_eff_nonretarded_form,
+                     nonresonant_parts_per_transition, scaled_atom,
+                     scaled_material, u_eff_nonretarded_form,
                      zero_temperature_line)
 from polshift import greens, potentials
 from polshift.atoms import OMEGA_KN_MIN
@@ -396,6 +398,46 @@ def _matsubara_lines(atom, n, m, Ts, cutoff, z=Z):
                                            cutoff)]
 
 
+_RB_LEVELS = ("26S1/2", "27S1/2", "24P1/2", "24P3/2", "25P1/2", "25P3/2",
+              "26P1/2", "26P3/2", "27P1/2", "27P3/2", "28P1/2", "28P3/2")
+
+
+@pytest.mark.parametrize("material", ["material_broad", "material_narrow",
+                                      "material_toy"])
+@pytest.mark.parametrize("atom, n", [("rb_atom", n) for n in _RB_LEVELS]
+                         + [("toy_atom", "g"), ("toy_atom", "e")])
+def test_pole_table_matches_the_partial_fraction_oracle(request, atom, n,
+                                                        material):
+    """_pole_table against the 40-digit partial fractions of the oracle,
+    on every fixture level with no near poles: the roots of E on or above
+    the axis, then +i w_k of each transition in transition order, each
+    within 1e-13 of itself, and each residue, summed over the transitions
+    at a root of E and doubled above the axis, within 1e-13 of the
+    largest."""
+    a, m = request.getfixturevalue(atom), request.getfixturevalue(material)
+    table = potentials._pole_table(_line_terms(a, n, m))
+    assert table.clusters == ()
+    w, parts = _matsubara_partial_fractions(a, n, m, 40)
+    assert table.unit == float(w)
+    size = len(parts[0][0]) - 2  # the roots of E, as each part lists them
+    roots = [complex(p) for p in parts[0][0][:size]]
+    at_roots = [complex(sum(res[i] for _, res, _ in parts))
+                for i in range(size)]
+    want = sorted(((p, r if p.imag == 0.0 else 2.0 * r)
+                   for p, r in zip(roots, at_roots) if p.imag >= 0.0),
+                  key=lambda pr: (pr[0].real, pr[0].imag))
+    want += [(complex(poles[-2]), 2.0 * complex(res[-2]))
+             for poles, res, _ in parts]
+    got = list(zip(table.poles.tolist(), table.residues.tolist()))
+    got[:len(want) - len(parts)] = sorted(
+        got[:len(want) - len(parts)], key=lambda pr: (pr[0].real, pr[0].imag))
+    assert len(got) == len(want)
+    largest = max(abs(r) for _, r in want)
+    for (p, r), (want_p, want_r) in zip(got, want):
+        assert abs(p - want_p) <= 1e-13 * abs(want_p), (p, want_p)
+        assert abs(r - want_r) <= 1e-13 * largest, (p, r, want_r)
+
+
 def _assert_exact_line(a, n, m, T, exact, cutoff):
     """nr_matsubara of level n at (Z, T) against exact, the (line, tail
     size) of _exact, to within the float64 rounding of the five-term head
@@ -633,10 +675,10 @@ def test_paired_line_scales_exactly_by_powers_of_two(case, k):
     the two-level sums below 10 K need)."""
     lam = 2.0**k
     atom, n, m = _paired_case(case)
-    scaled_atom, scaled_m = _scaled_atom(atom, lam), _scaled_material(m, lam)
+    big_atom, big_m = scaled_atom(atom, lam), scaled_material(m, lam)
     base = potentials._pole_table(_line_terms(atom, n, m))
     scaled = potentials._pole_table(
-        _line_terms(scaled_atom, n, scaled_m, Z / lam))
+        _line_terms(big_atom, n, big_m, Z / lam))
     assert base.clusters
     assert np.array_equal(scaled.poles, base.poles)
     assert np.array_equal(scaled.residues, lam * base.residues)
@@ -647,7 +689,7 @@ def test_paired_line_scales_exactly_by_powers_of_two(case, k):
         assert np.array_equal(b, lam * base_b)
     Ts = (0.35, 3.0, 30.0, 300.0)
     want = _matsubara_lines(atom, n, m, Ts, 10**8)
-    got = _matsubara_lines(scaled_atom, n, scaled_m, [lam * T for T in Ts],
+    got = _matsubara_lines(big_atom, n, big_m, [lam * T for T in Ts],
                            10**8, Z / lam)
     assert got == [lam**3 * w for w in want]
 
@@ -1135,24 +1177,24 @@ def _telescoping(spikes):
     return term, tail
 
 
-def test_matsubara_engine_tail_is_the_exact_sum_past_the_head():
-    """With a telescoping summand's exact tail, each sum is its head S_4
-    plus the tail 1/6 from j = 5 on, and at every cutoff each sum stops
-    or fails as the engine without the tail does.  The spike at j = 0
-    raises the running max, so that the rule stops a sum near j = 1000
-    (spike 2e6) or at j = 4 (spike 1e9); without one it needs j of about
-    1e9."""
+def test_head_and_tail_sums_are_the_exact_sum_past_the_head():
+    """With a telescoping summand's exact tail, _head_and_tail_sums gives
+    each sum as its head S_4 plus the tail 1/6 from j = 5 on, and at every
+    cutoff each sum stops or fails as the engine, term by term, does.
+    The spike at j = 0 raises the running max, so that the rule stops a
+    sum near j = 1000 (spike 2e6) or at j = 4 (spike 1e9); without one it
+    needs j of about 1e9."""
     spikes = (0.0, 2e6, 1e9)
     term, tail = _telescoping(spikes)
     rows = np.arange(len(spikes))
     head = term(rows, np.arange(5))
     head[:, 0] *= 0.5
     want = (np.add.accumulate(head, axis=1)[:, -1] + 1.0 / 6.0).tolist()
-    assert potentials._matsubara_sums(term, 3, 10**10, tail=tail) == want
+    assert potentials._head_and_tail_sums(term, tail, 3, 10**10) == want
     _, stop = matsubara_sum_reference(lambda j: term(rows[1:2], j)[0], 20000)
     assert 900 < stop < 1100
     for cutoff in (3, 4, 5, stop - 1, stop, stop + 1, 20000):
-        got = potentials._matsubara_sums(term, 3, cutoff, tail=tail)
+        got = potentials._head_and_tail_sums(term, tail, 3, cutoff)
         alone = potentials._matsubara_sums(term, 3, cutoff)
         for g, a in zip(got, alone):
             failed = isinstance(a, ps.ConvergenceFailure)
@@ -1301,31 +1343,39 @@ def test_reports_at_hands_each_T_its_solo_xis(monkeypatch, unit_terms):
 def test_nonretarded_line_is_one_term_call_per_request(monkeypatch,
                                                        unit_terms, cutoff,
                                                        per_T):
-    """The nonretarded line hands the engine its exact tail and makes one
-    term call for all the temperatures of a request: per T the head
-    j = 0..min(4, cutoff) and, where cutoff > 4, the term at j = cutoff,
-    one reflection_imag_axis call each."""
+    """The nonretarded line goes to _head_and_tail_sums with its exact
+    tail, never to the engine, and makes one term call for all the
+    temperatures of a request: per T the head j = 0..min(4, cutoff) and,
+    where cutoff > 4, the term at j = cutoff, one reflection_imag_axis
+    call each.  A cutoff below 4, where the stop rule cannot stop a sum,
+    fails every T."""
     Ts = (0.35, 3.0, 500.0)
     calls = Counter()
-    reflection, engine = potentials.reflection_imag_axis, \
-        potentials._matsubara_sums
+    reflection, sums = potentials.reflection_imag_axis, \
+        potentials._head_and_tail_sums
 
     def counted_reflection(m, xi):
         calls["reflection"] += 1
         return reflection(m, xi)
 
-    def counted_engine(term, *args, **kwargs):
+    def counted_sums(term, tail, *args):
         def counted_term(rows, j):
             calls["term"] += 1
             return term(rows, j)
-        calls["tail"] += kwargs.get("tail") is not None
-        return engine(counted_term, *args, **kwargs)
+        calls["sums"] += 1
+        return sums(counted_term, tail, *args)
+
+    def engine(*args, **kwargs):
+        raise AssertionError("the nonretarded line ran the engine")
 
     monkeypatch.setattr(potentials, "reflection_imag_axis",
                         counted_reflection)
-    monkeypatch.setattr(potentials, "_matsubara_sums", counted_engine)
-    potentials.reports_at(unit_terms["material_broad"], Ts, cutoff)
-    assert calls == {"reflection": per_T * len(Ts), "term": 1, "tail": 1}
+    monkeypatch.setattr(potentials, "_head_and_tail_sums", counted_sums)
+    monkeypatch.setattr(potentials, "_matsubara_sums", engine)
+    reports = potentials.reports_at(unit_terms["material_broad"], Ts, cutoff)
+    assert calls == {"reflection": per_T * len(Ts), "term": 1, "sums": 1}
+    if cutoff < 4:
+        assert all(isinstance(r, ps.ConvergenceFailure) for r in reports)
 
 
 def test_unknown_green_mode_rejected(toy_atom, material_toy):
@@ -1833,18 +1883,6 @@ def test_total_shift_distance_scaling(rb_atom, material_broad):
     assert near.thermal_factor == far.thermal_factor
 
 
-def _scaled_material(m, lam):
-    return ps.MaterialModel(m.name, oscillators=tuple(
-        ps.Oscillator(lam * o.omega_P, lam * o.omega_T, lam * o.gamma_damp)
-        for o in m.oscillators))
-
-
-def _scaled_atom(atom, lam):
-    return ps.AtomSpec(atom.name, states=tuple(
-        ps.AtomicState(s.label, lam * s.energy) for s in atom.states),
-        dipoles=atom.dipoles)
-
-
 def _assert_shift_scales_as_cube(atom, m, z, T, k, green_mode):
     """Every energy line of total_shift at (lam omega, lam T, z/lam) is
     lam^3 times its value at (omega, T, z) bit for bit, for lam = 2^k, and
@@ -1855,8 +1893,8 @@ def _assert_shift_scales_as_cube(atom, m, z, T, k, green_mode):
     lam = 2.0**k
     base = ps.total_shift(atom, "27S1/2", "26S1/2", m,
                           ps.Environment(z=z, T=T), green_mode=green_mode)
-    scaled = ps.total_shift(_scaled_atom(atom, lam), "27S1/2", "26S1/2",
-                            _scaled_material(m, lam),
+    scaled = ps.total_shift(scaled_atom(atom, lam), "27S1/2", "26S1/2",
+                            scaled_material(m, lam),
                             ps.Environment(z=z / lam, T=lam * T),
                             green_mode=green_mode)
     for line in potentials.ENERGY_LINES:
@@ -1986,8 +2024,8 @@ def test_total_shift_follows_the_lam_cubed_law_at_lam_3(request, rb_atom,
     base = ps.total_shift(rb_atom, "27S1/2", "26S1/2", m,
                           ps.Environment(z=z, T=T))
     scaled = ps.total_shift(
-        _scaled_atom(rb_atom, 3.0), "27S1/2", "26S1/2",
-        _scaled_material(m, 3.0), ps.Environment(z=z / 3.0, T=3.0 * T))
+        scaled_atom(rb_atom, 3.0), "27S1/2", "26S1/2",
+        scaled_material(m, 3.0), ps.Environment(z=z / 3.0, T=3.0 * T))
 
     # the Matsubara sum's terms to its stopping j
     term = _mats_term(rb_atom, "27S1/2", m, ps.Environment(z=z, T=T))

@@ -48,6 +48,9 @@ REJECTED_CALLS = {
     "thermal_occupation(w, inf)":
         lambda m, atom, mode: ps.thermal_occupation(1e13, math.inf),
     "matsubara_xi(nan, 1)": lambda m, atom, mode: ps.matsubara_xi(math.nan, 1),
+    "matsubara_xi(inf, 1)": lambda m, atom, mode: ps.matsubara_xi(math.inf, 1),
+    "matsubara_xi(1e300, 1)":
+        lambda m, atom, mode: ps.matsubara_xi(1e300, 1),
     "matsubara_xi(T, nan)":
         lambda m, atom, mode: ps.matsubara_xi(300.0, math.nan),
     "matsubara_xi(T, 1.5)": lambda m, atom, mode: ps.matsubara_xi(300.0, 1.5),

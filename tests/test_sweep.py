@@ -10,6 +10,12 @@ the inputs' constructors may raise the ValueError of a rejected input.  No
 report is lost to its mode pair: OffResonance, NoChannels,
 ModeAttributionError and the amplitude's NoModeFound skip the resonant
 line instead.  The tally of outcomes is printed, not pinned.
+
+Each nonretarded report also keeps two exact laws, bit for bit: at 2z it
+is the report at z with its z^-3 lines divided by 8, and with every
+frequency and T scaled by 2^k and z by 2^-k its two nonresonant lines
+scale by 8^k.  So the sweep runs the Matsubara pole table over every
+drawn material and atom.
 """
 
 import collections
@@ -22,6 +28,7 @@ import numpy as np
 import pytest
 
 import polshift as ps
+from oracles import scaled_atom, scaled_material
 from polshift.potentials import ENERGY_LINES
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
@@ -39,6 +46,9 @@ ROUTES = (
 #: the errors of the mode pair, which skip the resonant line and never
 #: fail a report
 SKIPS = (ps.OffResonance, ps.NoChannels, ps.ModeAttributionError)
+
+#: the powers of two k by which the scaling law scales a draw, in turn
+SCALINGS = (-3, -1, 1, 2, 5)
 
 
 def _log_uniform(rng, lo, hi):
@@ -63,6 +73,24 @@ def _draw(rng, index, z_range, T_range):
                          T=_log_uniform(rng, *T_range))
     tol = float(rng.choice([1.0, 1e9]))
     return atom, upper, lower, m, env, tol, bool(rng.random() < 0.3)
+
+
+def _assert_exact_laws(index, rep, atom, upper, lower, m, env, **kwargs):
+    """The nonretarded report rep of total_shift at env keeps its two
+    exact laws (the module docstring), bit for bit."""
+    far = ps.total_shift(atom, upper, lower, m,
+                         ps.Environment(z=2.0 * env.z, T=env.T), **kwargs)
+    assert [getattr(far, line) for line in ENERGY_LINES] == \
+        [getattr(rep, line) / 8.0 for line in ENERGY_LINES], index
+    assert far.thermal_factor == rep.thermal_factor, index
+    k = SCALINGS[index % len(SCALINGS)]
+    lam = 2.0**k
+    scaled = ps.total_shift(scaled_atom(atom, lam), upper, lower,
+                            scaled_material(m, lam),
+                            ps.Environment(z=env.z / lam, T=lam * env.T),
+                            **kwargs)
+    assert (scaled.nr_matsubara, scaled.nr_resonant_photon) == (
+        8.0**k * rep.nr_matsubara, 8.0**k * rep.nr_resonant_photon), index
 
 
 @pytest.mark.parametrize("green_mode, draws, z_range, T_range", ROUTES,
@@ -96,6 +124,9 @@ def test_every_draw_is_a_report_or_a_typed_error(green_mode, draws, z_range,
             assert rep.total == \
                 rep.nr_matsubara + rep.nr_resonant_photon + rep.r_shift
             assert rep.meta["z"] == env.z and rep.meta["T"] == env.T
+            if green_mode == "nonretarded":
+                _assert_exact_laws(index, rep, atom, upper, lower, m, env,
+                                   resonance_tol=tol, use_closed_form=closed)
             reason = rep.meta.get("resonant_skipped")
             if reason is None:
                 tally["report"] += 1

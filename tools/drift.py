@@ -3,7 +3,7 @@
 
     python3 tools/drift.py PARENT_ROOT
 
-Runs three case sets on the ``src`` of the checkout that holds this script
+Runs four case sets on the ``src`` of the checkout that holds this script
 and on PARENT_ROOT's ``src``, each side in a fresh interpreter.  Both sides
 read the cases, the pools and the gate from this checkout's ``tools`` and
 ``perfbench``, so only the library differs.  The sets:
@@ -13,7 +13,9 @@ read the cases, the pools and the gate from this checkout's ``tools`` and
 * modes: the ``find_polariton_modes`` table of each material of the
   benchmark's ``modes_sweep`` pool;
 * retarded: the ``--green full`` report of each point of its
-  ``retarded_points`` pool, run as the workload runs it.
+  ``retarded_points`` pool, run as the workload runs it;
+* cold: the nonretarded report of each temperature of its ``cold_points``
+  pool at ``workloads.Z_REF``, run as the workload runs it.
 
 A case has moved when any bit of it differs: a CLI run's exit code, output
 file or stderr, or ``repr`` of a mode table or report, or of the typed
@@ -51,7 +53,7 @@ import cli_cases  # noqa: E402
 import gate  # noqa: E402
 import workloads  # noqa: E402
 
-SETS = ("cli", "modes", "retarded")
+SETS = ("cli", "modes", "retarded", "cold")
 
 #: the float fields of PolaritonMode; narrow is compared exactly
 MODE_FIELDS = ("omega_center", "linewidth", "band_lo", "band_hi",
@@ -159,7 +161,8 @@ def emit():
                 with open(output, encoding="utf-8", newline="") as fh:
                     out = fh.read()
             _emit("cli", label, cli_record(code, out, err.getvalue()))
-    ref = workloads.load_reference(("modes_sweep", "retarded_points"))
+    ref = workloads.load_reference(("modes_sweep", "retarded_points",
+                                    "cold_points"))
     for i, oscs in enumerate(ref["modes_sweep"]["materials"]):
         try:
             modes = find_polariton_modes(
@@ -173,6 +176,18 @@ def emit():
         z, T = run.inputs({"i": i})
         _emit("retarded", f"{i} z={z:.6e} m T={T:.3f} K",
               report_record(report))
+    for label, record in cold_cases(ref):
+        _emit("cold", label, record)
+
+
+def cold_cases(ref):
+    """The (label, record) of the report of each temperature of ref's
+    cold_points pool at workloads.Z_REF, run as the workload runs it."""
+    run = workloads.Runner("cold_points", ref)
+    for s, stratum in enumerate(ref["cold_points"]["T"]):
+        for k, T in enumerate(stratum):
+            report, _ = run({"z": workloads.Z_REF, "T": (s, k)})
+            yield f"{s}.{k} T={T:.6f} K", report_record(report)
 
 
 #: each side's interpreter runs this, argv[1] being this checkout's tools
