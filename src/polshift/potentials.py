@@ -19,7 +19,6 @@ Conventions used throughout:
 * energies are joules; reports carry s^-1 (E/hbar), Hz and cm^-1 alongside.
 """
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -227,54 +226,46 @@ def _matsubara_sums(term, n, cutoff, flips=None):
     only by passing through the zero, and a sum whose alpha keeps one sign
     evaluates no extra term.
 
-    The sums share one schedule of j: the opening block j = 0.._HEAD - 1,
-    the earliest point at which the rule can stop, then one j per pass up
-    to cutoff, since a longer block would run the full route's quadratures
-    past the stopping j.  Each pass makes one term call on every sum still
-    running, which on the full route is one evaluation of the
-    imaginary-axis rule over all of the pass's xi; a sum leaves when it
-    stops.  np.add.accumulate adds each row in order from its carried
+    The sums share one schedule of j: the head j = 0.._HEAD - 1, where
+    the rule can first stop them, in one term call, then one j per pass
+    up to cutoff, since a longer block would run the full route's
+    quadratures past the stopping j.  Each pass makes one term call on
+    every sum still running, which on the full route is one evaluation
+    of the imaginary-axis rule over all of the pass's xi; a sum leaves
+    when it stops.  Each row adds its terms in order to its carried
     total, so the value and the stopping j are those of a term-by-term
     loop, and no term past the stopping j is evaluated.
     """
-    sums, done = np.zeros(n), np.zeros(n, dtype=bool)
-    held = np.zeros(n, dtype=bool)  # a hit at the last j waits for this one
-    rows = np.arange(n)
-    # scale, the running max of |S_i|, starts at the rule's floor 1e-300
-    total, scale = np.zeros(n), np.full(n, 1e-300)
-    lo, hi = 0, min(_HEAD - 1, cutoff)
-    while rows.size and lo <= hi:
-        j = np.arange(lo, hi + 1)
-        t = term(rows, j)
-        if lo == 0:
-            t[:, 0] *= 0.5
-        size = np.abs(t)
-        t[:, 0] += total
-        partial = np.add.accumulate(t, axis=1)
-        running = np.maximum(np.maximum.accumulate(np.abs(partial), axis=1),
-                             scale[:, None])
-        hit = size * j <= MATSUBARA_TOL * running
-        if lo == 0:
-            hit[:, :_HEAD - 1] = False  # the rule holds from _HEAD - 1 on
-        total, scale = partial[:, -1], running[:, -1]
-        if flips is not None and hi < cutoff:
-            # every pass can hit at its last j alone
-            wait = hit[:, -1] & ~held[rows]
+    rows, sums = np.arange(n), [None] * n
+    held = np.zeros(n, dtype=bool)  # a hit at j - 1 waits for this j
+    t = term(rows, np.arange(min(_HEAD, cutoff + 1)))
+    t[:, 0] *= 0.5
+    # + 0.0 makes a head of zeros +0.0, as a sum from 0 gives it; scale,
+    # the running max of |S_i|, starts at the rule's floor 1e-300
+    partial = np.add.accumulate(t, axis=1) + 0.0
+    total = partial[:, -1]
+    scale = np.maximum(np.abs(partial).max(axis=1), 1e-300)
+    size = np.abs(t[:, -1])
+    for j in range(_HEAD - 1, cutoff + 1):
+        if j >= _HEAD:
+            t = term(rows, np.array([j]))[:, 0]
+            size, total = np.abs(t), total + t
+            scale = np.maximum(scale, np.abs(total))
+        hit = size * j <= MATSUBARA_TOL * scale
+        if flips is not None and j < cutoff:
+            wait = hit & ~held
             if wait.any():
-                wait[wait] = flips(rows[wait], hi)
-            held[rows] = wait
-            hit[:, -1] &= ~wait
-        if hit.any():
-            # each row's first hit; a row with none stores a sum that a
-            # later pass or the failure overwrites
-            r = np.arange(rows.size)
-            at = hit.argmax(axis=1)
-            sums[rows], done[rows] = partial[r, at], hit[r, at]
-            left = ~hit[r, at]  # the rows still running
-            rows, total, scale = rows[left], total[left], scale[left]
-        lo, hi = hi + 1, min(hi + 1, cutoff)
-    return [s if ok else _cutoff_failure(cutoff)
-            for s, ok in zip(sums.tolist(), done.tolist())]
+                wait[wait] = flips(rows[wait], j)
+            held = wait
+            hit &= ~wait
+        for row, s in zip(rows[hit].tolist(), total[hit].tolist()):
+            sums[row] = s
+        left = ~hit  # the rows still running
+        if not left.any():
+            break
+        rows, total, scale = rows[left], total[left], scale[left]
+        held = held[left]
+    return [_cutoff_failure(cutoff) if s is None else s for s in sums]
 
 
 def _head_and_tail_sums(term, tail, n, cutoff):
@@ -435,55 +426,46 @@ def _cluster_sum(a):
     return total + integral + np.prod(u, axis=-1) * (0.5 + series)
 
 
-def _quotient(p, z):
-    """The quotient of the polynomial p (coefficients, highest power first)
-    by x - z, by synthetic division with the remainder p(z) dropped: its
-    value at x is the divided difference p[x, z] = (p(x) - p(z))/(x - z),
-    and p'(z) at x = z.  (np.polydiv gives the same bits, some 40 times
-    slower.)"""
-    q, acc = [], 0.0
-    for coef in p[:-1]:
-        acc = acc * z + coef
-        q.append(acc)
-    return np.array(q, dtype=complex)
+def _horner(p, x):
+    """Horner's partial sums of the polynomial p (coefficients, highest
+    power first) at the complex x, in Python complex arithmetic: all but
+    the last are the coefficients of p's quotient by t - x, whose value at
+    t is the divided difference p[t, x] = (p(t) - p(x))/(t - x), and
+    p'(x) at t = x; the last is p(x)."""
+    out, acc = [], 0j
+    for coef in p:
+        acc = acc * x + coef
+        out.append(acc)
+    return out
 
 
 def _divided(p, nodes):
     """The divided differences p[c_i..c_K] of the polynomial p at the
     nodes c_1..c_K, for i = 1..K: p(c_K), then each p[c_i..c_K] the
-    _quotient of p by x - c_K, ..., x - c_{i+1} taken at c_i."""
+    quotient of p by t - c_K, ..., t - c_{i+1} taken at c_i (0 once the
+    quotients have run out of coefficients)."""
     out = []
-    for node in nodes[::-1]:
-        out.append(np.polyval(p, node))
-        p = _quotient(p, node)
+    for node in reversed(nodes):
+        *p, value = _horner(p, node) or [0j]
+        out.append(value)
     return out[::-1]
 
 
 def _newton(nodes, num, den):
     """The coefficients b_m = F[c_m..c_K], m = 1..K, of the Newton form of
     num/den about a cluster of its poles, the nodes c_1..c_K, with
-    F = num/D and D den's quotient by each x - c_i (see _pole_table)."""
-    d = functools.reduce(_quotient, nodes, den)
+    F = num/D and D den's quotient by each t - c_i (see _pole_table); all
+    are lists."""
+    d = den
+    for node in nodes:
+        d = _horner(d, node)[:-1]
     # column l of the Leibniz rule: D[c_i..c_l] for i <= l
-    cols = [_divided(d, nodes[:l + 1]) for l in range(nodes.size)]
-    b = np.zeros(nodes.size, dtype=complex)
+    cols = [_divided(d, nodes[:l + 1]) for l in range(len(nodes))]
+    b = [0j] * len(nodes)
     for i, top in reversed(list(enumerate(_divided(num, nodes)))):
         b[i] = (top - sum(cols[l][i] * b[l]
-                          for l in range(i + 1, nodes.size))) / cols[i][i]
+                          for l in range(i + 1, len(nodes)))) / cols[i][i]
     return b
-
-
-def _horner(poly, xs):
-    """The list of the polynomial poly (coefficients, highest power first)
-    at each complex x of xs, by Horner's rule in Python complex
-    arithmetic."""
-    out = []
-    for x in xs:
-        v = 0j
-        for coef in poly:
-            v = v * x + coef
-        out.append(v)
-    return out
 
 
 class _PoleTable(NamedTuple):
@@ -536,8 +518,8 @@ def _pole_table(terms):
     (x^2 + w_k^2) E by each x - c_i.  The Leibniz rule N[c_i..c_K] =
     sum_{l>=i} D[c_i..c_l] F[c_l..c_K] gives b_K = N(c_K)/D(c_K) and then
     each b_i from those after it (_newton), every divided difference of a
-    polynomial a chain of _quotient steps, so no difference of nearby
-    values is formed; K = 2 is sigma/(x - s) + tau/((x - s)(x - t)).
+    polynomial a chain of Horner steps (_horner), so no difference of
+    nearby values is formed; K = 2 is sigma/(x - s) + tau/((x - s)(x - t)).
     Every other pole keeps its simple residue.
 
     h falls as x^-4, so the moments m_0 = sum R_p + sum b_1 and
@@ -547,8 +529,8 @@ def _pole_table(terms):
     naming the cause.
 
     The table is one pass of Python complex arithmetic over the few roots
-    and transitions; only the roots of E and the Newton coefficients of a
-    cluster come from numpy.  So its bits do not depend on numpy's SIMD
+    and transitions; only the roots of E and a cluster's (x^2 + w_k^2) E
+    come from numpy.  So its bits do not depend on numpy's SIMD
     kernels, and since every quantity is a ratio of frequencies or scales
     as c_k does, and Python's complex +, -, * and / scale exactly by 2^k,
     scaling all frequencies by 2^k leaves the poles and the nodes as they
@@ -560,7 +542,11 @@ def _pole_table(terms):
     trans = transitions_from(terms.atom, terms.upper)
     c = [w * d * d for _, w, d in trans]
     unit, a, e = _imag_axis_rational(terms.m)
+    # A of degree 2 N_osc - 2 without the two zeros that pad it to E's
+    # length, highest power first
+    a = a[2:].tolist()
     wk = [abs(w) / unit for _, w, _ in trans]
+    w2 = [w * w for w in wk]
     roots = [complex(p) for p in _roots(e).tolist()]
     iw = [complex(0.0, w) for w in wk]
     poles = roots + iw + [-p for p in iw]
@@ -593,29 +579,28 @@ def _pole_table(terms):
                 grown = links[todo.pop()] - members
                 members |= grown
                 todo += grown
-            nodes = np.array([poles[cols[j]] for j in sorted(members)])
-            den = np.polymul([1.0, 0.0, wk[k] * wk[k]], e)
-            clusters.append((nodes, _newton(nodes, c[k] * a, den)))
+            nodes = [poles[cols[j]] for j in sorted(members)]
+            den = np.polymul([1.0, 0.0, w2[k]], e).tolist()
+            b = _newton(nodes, [c[k] * x for x in a], den)
+            clusters.append((np.array(nodes), np.array(b)))
             clustered[k] |= members
-    # A of degree 2 N_osc - 2 without the two zeros that pad it to
-    # E's length, E and E', highest power first
-    a, e = a[2:].tolist(), e.tolist()
+    # E and E', highest power first
+    e = e.tolist()
     de = [x * (len(e) - 1 - i) for i, x in enumerate(e[:-1])]
     # each kept pole and its residue; a root goes when it lies in a
     # cluster of every share, and otherwise the shares of the clusters
     # it lies in (those where it sits on i w_k among them) leave it
-    kept, w2 = [], [w * w for w in wk]
-    for i, (p, num, slope) in enumerate(zip(roots, _horner(a, roots),
-                                            _horner(de, roots))):
+    kept = []
+    for i, p in enumerate(roots):
+        num, slope = _horner(a, p)[-1], _horner(de, p)[-1]
         shares = [k for k in range(n) if i not in clustered[k]]
         if shares:
             total = 0j
             for k in shares:
                 total += c[k] / (p * p + w2[k])
             kept.append((p, num / slope * total))
-    for k, (p, num, den) in enumerate(zip(iw, _horner(a, iw),
-                                          _horner(e, iw))):
-        res = c[k] * num / (2.0 * p * den)
+    for k, p in enumerate(iw):
+        res = c[k] * _horner(a, p)[-1] / (2.0 * p * _horner(e, p)[-1])
         for i, pole, value in ((r, p, res), (r + 1, -p, res.conjugate())):
             if i not in clustered[k]:
                 kept.append((pole, value))
@@ -772,36 +757,34 @@ def nonresonant_shift_parts(atom, n, m, env, cutoff=MATSUBARA_CUTOFF,
     the photon line's terms with no mode pair.
     """
     terms = DistanceTerms(atom, n, m, env.z, green_mode,
-                          _photon_terms(atom, n, m, env.z, green_mode),
+                          _photon_terms(atom, n, m, env.z, green_mode)[0],
                           None, 0.0, {})
     rep = report_at(terms, env.T, cutoff)
     return rep.nr_matsubara, rep.nr_resonant_photon
 
 
-def _photon_terms(atom, n, m, z, green_mode):
-    """The temperature-free factors of the photon line of level n at z:
+def _photon_terms(atom, n, m, z, green_mode, centres=()):
+    """The one Green call of a distance: (photon, tensors), photon the
+    temperature-free factors of the photon line of level n at z,
     (omega_kn, omega_kn^2, d_nk . Re G(|omega_kn|) . d_kn) for every
-    transition, in transition order, or the PhysicsError a Green tensor
-    raised.  The route's green takes every |omega_kn| in one call."""
+    transition in transition order, and tensors the list of Im G at each
+    frequency of centres; or (the PhysicsError a Green tensor raised,
+    None).  The route's green takes every |omega_kn|, then every centre,
+    in one call."""
     green = _green_route(green_mode)[0]
     trans = transitions_from(atom, n)
-    omegas = [abs(w_kn) for _, w_kn, _ in trans]
+    omegas = [abs(w_kn) for _, w_kn, _ in trans] + list(centres)
+    parts = ["real"] * len(trans) + ["imag"] * len(centres)
     try:
-        gs = green(m, z, omegas, part=["real"] * len(omegas))
+        gs = green(m, z, omegas, part=parts)
     except PhysicsError as exc:
-        return exc
-    return _photon_from(atom, n, trans, gs)
-
-
-def _photon_from(atom, n, trans, gs):
-    """_photon_terms' factors of level n from gs, whose first len(trans)
-    tensors hold Re G at the |omega_kn| of trans."""
-    terms = []
+        return exc, None
+    photon = []
     for (k_label, w_kn, _), g in zip(trans, gs):
         dip = atom.dipole(n, k_label)
-        terms.append((w_kn, w_kn * w_kn,
-                      _contract(dip, dip, g.xx.real, g.zz.real)))
-    return tuple(terms)
+        photon.append((w_kn, w_kn * w_kn,
+                       _contract(dip, dip, g.xx.real, g.zz.real)))
+    return tuple(photon), gs[len(trans):]
 
 
 def _lorentz_weight(x, gamma1):
@@ -1021,8 +1004,7 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
     distance raises it.
     """
     _check_distance(z)
-    green = _green_route(green_mode)[0]
-    trans = transitions_from(atom, upper)
+    _green_route(green_mode)  # an unknown green_mode raises here
     if modes is None:
         modes = find_polariton_modes(m)
     omega_10 = atom.transition_frequency(upper, lower)
@@ -1052,23 +1034,15 @@ def distance_terms(atom, upper, lower, m, z, green_mode="nonretarded",
             skipped = exc
     # the channel sum still needs the pair's Green tensors
     amplitude = chans is not None and not use_closed_form
-    omegas = [abs(w_kn) for _, w_kn, _ in trans]
-    parts = ["real"] * len(omegas)
-    if amplitude:
-        omegas += [mode.omega_center for mode in pair]
-        parts += ["imag", "imag"]
-    try:
-        gs = green(m, z, omegas, part=parts)
-    except PhysicsError as exc:
-        photon = exc
-    else:
-        photon = _photon_from(atom, upper, trans, gs)
-        if amplitude:
-            try:
-                u = _amplitude(atom, upper, lower, chans, *pair,
-                               gs[len(trans):], green_mode)
-            except NoModeFound as exc:
-                skipped = exc
+    photon, tensors = _photon_terms(
+        atom, upper, m, z, green_mode,
+        [mode.omega_center for mode in pair] if amplitude else ())
+    if amplitude and tensors is not None:
+        try:
+            u = _amplitude(atom, upper, lower, chans, *pair, tensors,
+                           green_mode)
+        except NoModeFound as exc:
+            skipped = exc
     if skipped is not None:
         pair, u = None, 0.0
         meta["resonant_skipped"] = f"{type(skipped).__name__}: {skipped}"

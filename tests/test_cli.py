@@ -402,6 +402,31 @@ def test_scan_empty_range_is_config_error():
     assert "error in scan" in r.stderr
 
 
+def test_scan_linear_range_is_linspace():
+    """start:stop:Nlin is np.linspace(start, stop, N), after the comma
+    list; a bare count, with neither lin nor log, is a config error."""
+    assert cli.parse_values("1000", "300:600:4lin", "T") == (
+        1000.0, 300.0, 400.0, 500.0, 600.0)
+    assert cli.parse_values(None, "1e-6:2e-6:3lin", "z") == tuple(
+        np.linspace(1e-6, 2e-6, 3).tolist())
+    r = run_cli("scan",
+                "--material", f"{FIX}/material_broad.json",
+                "--atom", f"{FIX}/rb_rydberg.json",
+                "--upper", "27S1/2", "--lower", "26S1/2",
+                "--z", "1e-6", "--T-range", "300:600:4lin",
+                "--format", "csv")
+    assert r.returncode == 0, r.stderr
+    _, rows = parse_csv(r.stdout)
+    assert [float(row[1]) for row in rows] == [300.0, 400.0, 500.0, 600.0]
+    r = run_cli("scan",
+                "--material", f"{FIX}/material_broad.json",
+                "--atom", f"{FIX}/rb_rydberg.json",
+                "--upper", "27S1/2", "--lower", "26S1/2",
+                "--z", "1e-6", "--T-range", "300:600:4")
+    assert r.returncode == 2
+    assert "count must end in 'log' or 'lin'" in r.stderr
+
+
 def test_scan_requires_some_z():
     r = run_cli("scan",
                 "--material", f"{FIX}/material_broad.json",
@@ -605,6 +630,22 @@ def test_full_route_point_runs_one_lockstep(monkeypatch):
     assert rules == [(4, (greens._NODES, 2 * greens._NODES))]
 
 
+def test_nonretarded_scan_keeps_every_row_past_a_refused_pole_table(
+        monkeypatch):
+    """A pole table refused by its moment check fails the Matsubara line
+    of every T; the nonretarded scan still returns all its rows, each
+    with that ConvergenceFailure in its error column."""
+    from polshift import potentials
+    monkeypatch.setattr(potentials, "_MOMENT_TOL", -1.0)
+    rows = cli.run_scan(_scan_config((1e-6, 2e-6), (300.0, 500.0)))
+    assert [(row["z_m"], row["T_K"]) for row in rows] == [
+        (1e-6, 300.0), (1e-6, 500.0), (2e-6, 300.0), (2e-6, 500.0)]
+    for row in rows:
+        assert row["error"].startswith("ConvergenceFailure: ")
+        assert "_MOMENT_TOL" in row["error"]
+        assert row["total_s^-1"] == ""
+
+
 def test_scan_row_reports_the_matsubara_error_before_the_resonant_one():
     """With --resonance-tol 0 the pair is off the window at every T, so the
     T-free half skips the resonant line once per request.  At 0.1 K the
@@ -700,6 +741,14 @@ def test_scan_cutoff_error_is_the_same_at_every_z():
     assert all(len(texts) == 1 for texts in errors.values())
 
 
+def test_run_point_needs_exactly_one_z_and_one_T():
+    """run_point refuses a config of two z, which only a library caller
+    can build: the CLI's point takes one --z and one --T."""
+    with pytest.raises(ValueError,
+                       match="point needs exactly one z and one T"):
+        cli.run_point(_scan_config((1e-6, 2e-6), (500.0,)))
+
+
 def test_report_values_are_python_floats():
     """Numbers reach the CSV through repr, where a numpy scalar would print
     as np.float64(...): every numeric cell is a Python float."""
@@ -762,6 +811,23 @@ def test_modes_undamped_is_physics_error(tmp_path):
     r = run_cli("modes", "--material", str(undamped))
     assert r.returncode == 3
     assert "NoModeFound" in r.stderr
+
+
+def test_modes_without_an_ascending_crossing_is_physics_error(tmp_path):
+    """An oscillator too weak for Re eps to reach -1 has no surface mode:
+    modes exits 3 with the finder's NoModeFound."""
+    weak = tmp_path / "weak.json"
+    weak.write_text(json.dumps({
+        "name": "weak",
+        "oscillators": [
+            {"omega_P": 1e12, "omega_T": 1e13, "gamma": 1e11,
+             "unit": "rad/s"},
+        ],
+    }))
+    r = run_cli("modes", "--material", str(weak))
+    assert r.returncode == 3
+    assert "NoModeFound: Im r_p has no interior local maximum" in r.stderr
+    assert r.stdout == ""
 
 
 @pytest.mark.parametrize("scale", [1e200, 1e-200])

@@ -231,8 +231,8 @@ _DISPUTED_Z = {23: 1.542098864139862e-06, 65: 9.805480839838159e-07,
         "square-root kink of k_dz at u = b Re sqrt(eps - 1), of half-width "
         "2e-5 to 1e-3 in u at these photon frequencies, and accepts a "
         "value 13 to 34 tolerances off; ROADMAP item 2b re-records the "
-        "point's reference from green_full_evan_mp, and item 5's graded "
-        "panels split at the kink"))) for i in _DISPUTED_Z])
+        "point's reference from green_full_evan_mp, and item 3's contour "
+        "avoids the kink"))) for i in _DISPUTED_Z])
 def test_full_photon_line_evanescent_side_at_disputed_pool_points(
         material_broad, rb_atom, point, monkeypatch):
     """The photon line's (Re G) evanescent integrals of the retarded_points

@@ -774,7 +774,7 @@ def test_modes_found_for_oscillators_decades_apart():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "ROADMAP item 8: the in-module bounded minimiser refines the peak in "
+    "ROADMAP item 10: the in-module bounded minimiser refines the peak in "
     "absolute omega, where its tolerance sqrt(eps)*omega ~ 1.8e5 rad/s "
     "exceeds the linewidth; minimizing in the offset from the crossing "
     "fixes it but moves window-edge centres in the modes_sweep references"))
@@ -842,7 +842,7 @@ def _damping_limit_values(m, atom, s):
 
 @pytest.mark.xfail(strict=True, raises=(AssertionError, ps.SurfaceModePole),
                    reason=(
-    "ROADMAP item 8: the peak search stops within sqrt(eps)*omega of the "
+    "ROADMAP item 10: the peak search stops within sqrt(eps)*omega of the "
     "peak, which misplaces the half-maximum level once the linewidth "
     "nears it, and POLE_RTOL refuses the peak of a weakly damped mode"))
 def test_modes_converge_as_damping_vanishes(request, rb_atom):
@@ -903,6 +903,18 @@ def test_modes_undamped_has_no_mode():
 def test_modes_none_without_interior_maximum():
     m = ps.MaterialModel("vacuum", oscillators=())
     with pytest.raises(ps.NoModeFound):
+        ps.find_polariton_modes(m)
+
+
+def test_modes_weak_oscillator_has_no_crossing():
+    """Re eps of this oscillator bottoms out near
+    1 - omega_P^2 / (2 gamma omega_T) = 0.5, above -1, so no ascending
+    crossing exists and the finder says so."""
+    m = ps.MaterialModel("weak", oscillators=(
+        ps.Oscillator(omega_P=1e12, omega_T=1e13, gamma_damp=1e11),))
+    with pytest.raises(ps.NoModeFound, match=re.escape(
+            "Im r_p has no interior local maximum (no ascending eps = -1 "
+            "crossing)")):
         ps.find_polariton_modes(m)
 
 

@@ -985,8 +985,8 @@ def test_a_failing_line_fails_every_report_with_its_own_error(
                      ps.Environment(Z, 0.0), green_mode="full")
         own = raised.value
     else:
-        own = potentials._photon_terms(rb_atom, "27S1/2", material_broad, Z,
-                                       "full")
+        own, _ = potentials._photon_terms(rb_atom, "27S1/2", material_broad,
+                                          Z, "full")
     assert isinstance(own, ps.QuadratureFailure)
     terms = potentials.distance_terms(*args, Z, "full")
     assert terms.pair == pair
@@ -1280,6 +1280,23 @@ def test_reports_at_fails_only_the_temperatures_that_fail(unit_terms):
         potentials.report_at(terms, 0.1)
 
 
+def test_a_refused_pole_table_fails_every_temperature(unit_terms,
+                                                     monkeypatch):
+    """When the pole table's moment check fails (here a _MOMENT_TOL below
+    zero, which no moment meets), reports_at returns that
+    ConvergenceFailure, naming _MOMENT_TOL, at every T > 0, and T = 0
+    keeps its own error."""
+    monkeypatch.setattr(potentials, "_MOMENT_TOL", -1.0)
+    Ts = (600.0, 3.0, 0.0, 30.0)
+    got = potentials.reports_at(unit_terms["material_broad"], Ts)
+    assert [type(g).__name__ for g in got] == [
+        "ConvergenceFailure", "ConvergenceFailure", "ZeroTemperature",
+        "ConvergenceFailure"]
+    for g in got[:2] + got[3:]:
+        assert "_MOMENT_TOL=-1" in str(g)
+        assert "pole table" in str(g)
+
+
 def test_reports_at_rejects_a_bad_cutoff_or_temperature(unit_terms):
     terms = unit_terms["material_broad"]
     with pytest.raises(ValueError, match="cutoff must be >= 1"):
@@ -1386,6 +1403,18 @@ def test_unknown_green_mode_rejected(toy_atom, material_toy):
     with pytest.raises(ValueError, match="unknown green_mode"):
         ps.u_eff(toy_atom, "e", "g", None, None, material_toy, env,
                  green_mode="retarded")
+
+
+def test_unknown_green_mode_raises_before_the_mode_finder(toy_atom):
+    """distance_terms resolves green_mode before it looks for modes: on a
+    material without any, an unknown route is the ValueError, not the
+    finder's NoModeFound."""
+    vacuum = ps.MaterialModel("vacuum", ())
+    with pytest.raises(ValueError, match="unknown green_mode"):
+        potentials.distance_terms(toy_atom, "e", "g", vacuum, Z,
+                                  green_mode="retarded")
+    with pytest.raises(ps.NoModeFound):
+        potentials.distance_terms(toy_atom, "e", "g", vacuum, Z)
 
 
 def test_nonresonant_full_green_route(toy_atom, material_toy):

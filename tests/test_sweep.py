@@ -15,7 +15,12 @@ Each nonretarded report also keeps two exact laws, bit for bit: at 2z it
 is the report at z with its z^-3 lines divided by 8, and with every
 frequency and T scaled by 2^k and z by 2^-k its two nonresonant lines
 scale by 8^k.  So the sweep runs the Matsubara pole table over every
-drawn material and atom.
+drawn material and atom.  On that route the scan's arithmetic
+(distance_terms at UNIT_Z, reports_at over the draw's T, then lines_at
+the cube of z) gives total_shift's lines and thermal factor, or its
+error, bit for bit.  And on either route every drawn material's mode
+table scales by 2^k as its frequencies do: centres, linewidths and band
+edges by 2^k, im_rp_peak and narrow unchanged.
 """
 
 import collections
@@ -29,7 +34,9 @@ import pytest
 
 import polshift as ps
 from oracles import scaled_atom, scaled_material
+from polshift import potentials
 from polshift.potentials import ENERGY_LINES
+from polshift.units import cube
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir,
                                 "perfbench"))
@@ -93,6 +100,45 @@ def _assert_exact_laws(index, rep, atom, upper, lower, m, env, **kwargs):
         8.0**k * rep.nr_matsubara, 8.0**k * rep.nr_resonant_photon), index
 
 
+def _modes_or_error(m):
+    """find_polariton_modes(m), or the type of the PolshiftError raised."""
+    try:
+        return ps.find_polariton_modes(m)
+    except ps.PolshiftError as exc:
+        return type(exc)
+
+
+def _assert_modes_scale(index, m):
+    """m's mode table scales exactly by 2^k (the module docstring)."""
+    lam = 2.0**SCALINGS[index % len(SCALINGS)]
+    base = _modes_or_error(m)
+    scaled = _modes_or_error(scaled_material(m, lam))
+    if isinstance(base, type):
+        assert scaled is base, index
+        return
+    assert scaled == [
+        ps.PolaritonMode(omega_center=lam * md.omega_center,
+                         linewidth=lam * md.linewidth,
+                         band_lo=lam * md.band_lo, band_hi=lam * md.band_hi,
+                         narrow=md.narrow, im_rp_peak=md.im_rp_peak)
+        for md in base], index
+
+
+def _scan_outcome(atom, upper, lower, m, env, **kwargs):
+    """A nonretarded scan's arithmetic for the draw: the repr of the lines
+    and the thermal factor of reports_at's report at UNIT_Z moved to env.z
+    by lines_at, or the PolshiftError met on the way."""
+    try:
+        terms = potentials.distance_terms(atom, upper, lower, m,
+                                          potentials.UNIT_Z, **kwargs)
+    except ps.PolshiftError as exc:
+        return exc
+    (report,) = potentials.reports_at(terms, (env.T,))
+    if isinstance(report, ps.PolshiftError):
+        return report
+    return repr([*report.lines_at(cube(env.z)), report.thermal_factor])
+
+
 @pytest.mark.parametrize("green_mode, draws, z_range, T_range", ROUTES,
                          ids=[route[0] for route in ROUTES])
 def test_every_draw_is_a_report_or_a_typed_error(green_mode, draws, z_range,
@@ -108,6 +154,12 @@ def test_every_draw_is_a_report_or_a_typed_error(green_mode, draws, z_range,
             except ValueError:
                 tally["ValueError"] += 1
                 continue
+            _assert_modes_scale(index, m)
+            scan = None
+            if green_mode == "nonretarded":
+                scan = _scan_outcome(atom, upper, lower, m, env,
+                                     resonance_tol=tol,
+                                     use_closed_form=closed)
             try:
                 rep = ps.total_shift(atom, upper, lower, m, env,
                                      green_mode=green_mode,
@@ -116,9 +168,14 @@ def test_every_draw_is_a_report_or_a_typed_error(green_mode, draws, z_range,
                 assert not isinstance(exc, SKIPS), (index, exc)
                 assert not str(exc).startswith("scattered Tr Im G"), \
                     (index, exc)
+                if scan is not None:
+                    assert type(scan) is type(exc), index
+                    assert str(scan) == str(exc), index
                 tally[type(exc).__name__] += 1
                 continue
             lines = [getattr(rep, line) for line in ENERGY_LINES]
+            if scan is not None:
+                assert scan == repr([*lines, rep.thermal_factor]), index
             assert all(math.isfinite(v) for v in lines), (index, rep)
             assert math.isfinite(rep.thermal_factor), (index, rep)
             assert rep.total == \

@@ -1,23 +1,27 @@
 #!/usr/bin/env python3
-"""Record one commit's benchmark as BENCH_<commit>.json.
+"""Record the benchmark of one or more checkouts, one BENCH_<commit>.json
+each.
 
-Runs ``perfbench/run.py`` of a checkout on each of its four workloads:
+Runs ``perfbench/run.py`` of each checkout on each of its four workloads:
 untraced (``--trace 0``) over seeds 1-5, then once traced (``--trace 1``)
 at seed 1.  Every run prints one JSON line, {"correct", "attempted",
-"failed", "metrics"}; the file keeps each line as printed and, per
-workload, the median and quartiles of the untraced end-to-end metrics.
-The runs go one after another in fresh interpreters, so two files taken
-on one machine by this script compare like for like:
+"failed", "metrics"}; a checkout's file keeps each of its lines as printed
+and, per workload, the median and quartiles of the untraced end-to-end
+metrics.  The runs go one after another in fresh interpreters, and the
+checkouts take turns at each (workload, seed), the one that goes first
+rotating from seed to seed, so that a drift of a shared host's load over
+the recording lands on every checkout alike:
 
     python3 tools/bench_trajectory.py                  # this checkout
-    python3 tools/bench_trajectory.py --root OTHER --out-dir .
+    python3 tools/bench_trajectory.py PARENT .         # a parent beside it
 
-``--root`` is the checkout to measure (default: the one holding this
-script); the commit is its ``git rev-parse --short HEAD``, and the file
-notes whether its tracked files differed from that commit.  Every run
-lasts SECONDS, the default run length of perfbench/run.py, so files of
-different commits compare; a full recording takes about 4 x 6 x 20 s,
-plus setup.
+Each checkout argument is a git checkout (default: the one holding this
+script); its commit is its ``git rev-parse --short HEAD``, and its file
+notes whether its tracked files differed from that commit and which
+commits it was recorded beside.  The files go to --out-dir (default: this
+checkout).  Every run lasts SECONDS, the default run length of
+perfbench/run.py, so files of different commits compare; a recording
+takes about 4 x 6 x 20 s per checkout, plus setup.
 """
 
 import argparse
@@ -28,6 +32,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 WORKLOADS = ("scan", "cold_points", "retarded_points", "modes_sweep")
 SEEDS = (1, 2, 3, 4, 5)
 END_TO_END = ("setup_s", "ops_per_s", "latency_ms_p50", "peak_rss_mb")
@@ -80,40 +85,60 @@ def summary(runs):
     return out
 
 
+def in_turn(roots, workload, seed, trace, turn):
+    """{root: run_once(root, ...)}, the roots run one after another, the
+    first of them roots[turn % len(roots)]."""
+    out = {}
+    for i in range(len(roots)):
+        root = roots[(turn + i) % len(roots)]
+        out[root] = run_once(root, workload, seed, trace)
+        print(f"{workload} seed {seed} trace {trace} {root}: "
+              f"{json.dumps(out[root])}", file=sys.stderr)
+    return out
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--root", default=os.path.dirname(HERE),
-                   help="checkout to measure")
-    p.add_argument("--out-dir", default=None,
-                   help="where BENCH_<commit>.json goes (default: --root)")
+    p.add_argument("checkouts", nargs="*", default=[ROOT],
+                   help="checkouts to measure (default: this one)")
+    p.add_argument("--out-dir", default=ROOT,
+                   help="where the BENCH_<commit>.json files go")
     args = p.parse_args(argv)
-    root = os.path.abspath(args.root)
-    commit = _git(root, "rev-parse", "--short", "HEAD")
-    sys.path.insert(0, os.path.join(root, "perfbench"))
-    import run  # noqa: E402  (the measured checkout's own perfbench)
+    roots = [os.path.abspath(root) for root in args.checkouts]
+    commits = [_git(root, "rev-parse", "--short", "HEAD") for root in roots]
+    if len(set(commits)) < len(commits):
+        p.error("two checkouts at one commit would write one file")
+    sys.path.insert(0, os.path.join(roots[0], "perfbench"))
+    import run  # noqa: E402  (the first checkout's own perfbench)
 
-    doc = {"commit": commit,
-           "dirty": bool(_git(root, "status", "--porcelain",
-                              "--untracked-files=no")),
-           "machine": run.machine_info(),
-           "command": "perfbench/run.py --workload W --seed S "
-                      f"--seconds {SECONDS} --trace T",
-           "seeds": list(SEEDS), "workloads": {}}
+    docs = {}
+    for root, commit in zip(roots, commits):
+        docs[root] = {
+            "commit": commit,
+            "dirty": bool(_git(root, "status", "--porcelain",
+                               "--untracked-files=no")),
+            "recorded_beside": [c for c in commits if c != commit],
+            "machine": run.machine_info(),
+            "command": "perfbench/run.py --workload W --seed S "
+                       f"--seconds {SECONDS} --trace T",
+            "seeds": list(SEEDS), "workloads": {}}
     for workload in WORKLOADS:
-        untraced = []
-        for seed in SEEDS:
-            untraced.append(run_once(root, workload, seed, 0))
-            print(f"{workload} seed {seed}: {json.dumps(untraced[-1])}",
-                  file=sys.stderr)
-        traced = run_once(root, workload, 1, 1)
-        doc["workloads"][workload] = {"summary": summary(untraced),
-                                      "untraced": untraced,
-                                      "traced_seed_1": traced}
-    path = os.path.join(args.out_dir or root, f"BENCH_{commit}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(path)
+        untraced = {root: [] for root in roots}
+        for turn, seed in enumerate(SEEDS):
+            for root, out in in_turn(roots, workload, seed, 0, turn).items():
+                untraced[root].append(out)
+        traced = in_turn(roots, workload, 1, 1, len(SEEDS))
+        for root in roots:
+            docs[root]["workloads"][workload] = {
+                "summary": summary(untraced[root]),
+                "untraced": untraced[root],
+                "traced_seed_1": traced[root]}
+    for root, commit in zip(roots, commits):
+        path = os.path.join(args.out_dir, f"BENCH_{commit}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(docs[root], fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(path)
     return 0
 
 
